@@ -80,7 +80,9 @@ def load_bench_config(path) -> BenchConfig:
     base = p.parent
 
     graphs = []
-    for entry in data.get("graphs", []):
+    for idx, entry in enumerate(data.get("graphs", [])):
+        if not isinstance(entry, dict) or not {"name", "path"} <= entry.keys():
+            raise InkaError(f'{p}: graph entry {idx} needs "name" and "path"')
         graphs.append(
             BenchGraph(
                 name=entry["name"],
@@ -121,7 +123,10 @@ def worker_count(requested: int | None, jobs: int) -> int:
     count = requested if requested and requested > 0 else auto
     env = os.environ.get("INKA_THREADS", "").strip()
     if env:
-        cap = int(env)
+        try:
+            cap = int(env)
+        except ValueError:
+            raise InkaError(f"INKA_THREADS must be an integer, got {env!r}") from None
         if cap > 0:
             count = min(count, cap)
     return max(1, min(count, jobs))

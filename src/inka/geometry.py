@@ -3,11 +3,12 @@
 Crossing counting comes in two independent flavours:
 
 * :func:`count_crossings_bruteforce` tests every non-adjacent edge pair.
-* :func:`count_crossings_sweep` sweeps left to right over segment
-  x-extents, testing each newly activated segment only against segments
-  whose x-extent is still open.  Ties at equal x are broken
-  lexicographically (starts before ends), so vertical segments and
-  shared x-coordinates need no special casing.
+* :func:`count_crossings_sweep` tests only the pairs whose closed
+  x-extents overlap, the candidate filter that opens the Bentley-Ottmann
+  sweep.  One engine, :func:`_candidate_blocks`, sorts the segments by
+  their left x and emits those pairs as int64 index blocks; y-extent and
+  adjacency filters then thin each block before the predicate.  Stub
+  crossings of partial-edge drawings run on the same engine.
 
 Both call the same transversal-crossing predicate on exactly the same
 arithmetic, so any disagreement between them is an enumeration bug, which
@@ -60,10 +61,6 @@ def _orient(ax, ay, bx, by, cx, cy):
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
-def _sign(v):
-    return np.where(v > EPS, 1, 0) - np.where(v < -EPS, 1, 0)
-
-
 def transversal_crossing_mask(p1, q1, p2, q2):
     """Row-wise test: do the open segments (p1,q1) and (p2,q2) cross?
 
@@ -90,7 +87,11 @@ def transversal_crossing_mask(p1, q1, p2, q2):
     o2 = _orient(p1x, p1y, q1x, q1y, q2x, q2y)
     o3 = _orient(p2x, p2y, q2x, q2y, p1x, p1y)
     o4 = _orient(p2x, p2y, q2x, q2y, q1x, q1y)
-    return bbox & (_sign(o1) * _sign(o2) == -1) & (_sign(o3) * _sign(o4) == -1)
+    return (
+        bbox
+        & ((o1 > EPS) & (o2 < -EPS) | (o1 < -EPS) & (o2 > EPS))
+        & ((o3 > EPS) & (o4 < -EPS) | (o3 < -EPS) & (o4 > EPS))
+    )
 
 
 def collinear_overlap_mask(p1, q1, p2, q2):
@@ -155,9 +156,6 @@ def _segment_arrays(d: BoldDrawing):
     """Endpoint arrays P, Q (m, 2) and node-id array E (m, 2) for the edges."""
     E = d.graph.edge_array()
     pos = d.layout.positions
-    if E.shape[0] == 0:
-        empty = np.empty((0, 2), dtype=np.float64)
-        return empty, empty, E
     return pos[E[:, 0]], pos[E[:, 1]], E
 
 
@@ -201,54 +199,61 @@ def count_crossings_bruteforce(d: BoldDrawing) -> int:
     return total
 
 
-def count_crossings_sweep(d: BoldDrawing) -> int:
-    """Plane-sweep crossing counter; equals the brute-force count.
+def _candidate_blocks(lx, hx, block_pairs: int = 25_000):
+    """Yield (I, J) int64 index arrays covering, exactly once, every pair
+    of segments whose closed x-extents [lx, hx] overlap.
 
-    Start events insert a segment into the active set after testing it
-    against every segment whose x-extent still overlaps the sweep line;
-    end events drop it.  Starts sort before ends at equal x, so a pair
-    whose x-extents merely touch is still tested once.  Every crossing
-    pair has overlapping x-extents, hence is tested exactly once (at the
-    later of the two start events), by the same predicate the brute-force
-    counter uses.
+    After a stable argsort by lx, the partners of rank a are ranks a+1 up
+    to the last rank whose lx is <= hx[a]; touching extents are included.
+    A block holds the pairs of consecutive ranks, at most block_pairs of
+    them unless a single rank has more.  The filters and the predicate
+    take about 115 bytes a pair, so the default keeps a block near 3 MB,
+    which bounds peak memory and runs faster than larger blocks.
+    """
+    m = lx.shape[0]
+    order = np.argsort(lx, kind="stable")
+    count = np.searchsorted(lx[order], hx[order], side="right") - np.arange(1, m + 1)
+    start = np.concatenate(([0], np.cumsum(count)))
+    a = 0
+    while a < m:
+        b = max(a + 1, int(np.searchsorted(start, start[a] + block_pairs, "right")) - 1)
+        if start[b] > start[a]:
+            reps = count[a:b]
+            I = np.repeat(np.arange(a, b), reps)
+            first = np.arange(a + 1, b + 1) - start[a:b]  # J minus the pair index
+            J = np.arange(start[a], start[b]) + np.repeat(first, reps)
+            yield order[I], order[J]
+        a = b
+
+
+def _crossing_blocks(P, Q, nodes):
+    """Yield (I, J) index arrays of the segment pairs that cross
+    transversally, skipping pairs whose node rows share a node."""
+    lx, ly = np.minimum(P, Q).T.copy()
+    hx, hy = np.maximum(P, Q).T.copy()
+    for I, J in _candidate_blocks(lx, hx):
+        keep = (ly[I] <= hy[J]) & (ly[J] <= hy[I])
+        I, J = I[keep], J[keep]
+        keep = ~_adjacent_mask(nodes, I, J)
+        I, J = I[keep], J[keep]
+        cross = transversal_crossing_mask(P[I], Q[I], P[J], Q[J])
+        yield I[cross], J[cross]
+
+
+def count_crossings_sweep(d: BoldDrawing) -> int:
+    """Crossing counter on the x-interval engine; equals the brute-force count.
+
+    Every crossing pair has overlapping closed x- and y-extents, so the
+    candidate pairs of :func:`_candidate_blocks` that also overlap in y
+    and share no node include all of them, and the same predicate as
+    :func:`count_crossings_bruteforce` decides each one.  The engine is
+    for transversal crossings only: :func:`collinear_overlap_mask` flags
+    near-collinear pairs within EPS that can be x-disjoint, so
+    :func:`check_proper` and :func:`crossing_pairs` keep the all-pairs
+    blocks.
     """
     P, Q, E = _segment_arrays(d)
-    m = P.shape[0]
-    if m < 2:
-        return 0
-    lx = np.minimum(P[:, 0], Q[:, 0])
-    hx = np.maximum(P[:, 0], Q[:, 0])
-
-    order = sorted(
-        [(lx[i], 0, i) for i in range(m)] + [(hx[i], 1, i) for i in range(m)]
-    )
-    active = np.empty(m, dtype=np.int64)
-    slot_of = np.full(m, -1, dtype=np.int64)
-    n_active = 0
-    total = 0
-    for _x, kind, i in order:
-        if kind == 0:
-            if n_active:
-                cand = active[:n_active]
-                mask = transversal_crossing_mask(
-                    np.broadcast_to(P[i], (n_active, 2)),
-                    np.broadcast_to(Q[i], (n_active, 2)),
-                    P[cand],
-                    Q[cand],
-                )
-                mask &= ~_adjacent_mask(E, np.full(n_active, i, dtype=np.int64), cand)
-                total += int(np.count_nonzero(mask))
-            slot_of[i] = n_active
-            active[n_active] = i
-            n_active += 1
-        else:
-            s = slot_of[i]
-            n_active -= 1
-            last = active[n_active]
-            active[s] = last
-            slot_of[last] = s
-            slot_of[i] = -1
-    return total
+    return sum(int(I.size) for I, _J in _crossing_blocks(P, Q, E))
 
 
 def crossing_pairs(d: BoldDrawing):

@@ -6,6 +6,7 @@ threads.  Coordinates are abstract drawing units, not pixels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -111,10 +112,10 @@ class RenderParams:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError(f"radius must be >= 0, got {self.radius}")
-        if self.width < 0:
-            raise ValueError(f"width must be >= 0, got {self.width}")
+        for name in ("radius", "width"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
 

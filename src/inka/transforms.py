@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Segment, _pair_index_blocks, transversal_crossing_mask
+from .geometry import Segment, _crossing_blocks
 from .model import BoldDrawing, Layout, RenderParams
 
 
@@ -47,26 +47,31 @@ def zoom_drawing(d: BoldDrawing, zeta_area: float) -> BoldDrawing:
 
 @dataclass(frozen=True)
 class StubSet:
-    """The segments of a partial-edge drawing.
+    """The segments of a partial-edge drawing, as endpoint arrays.
 
     Each original edge contributes two symmetric stubs (one full segment
-    when ratio == 1, so midpoint crossings are not lost).  parent_edge
-    maps each stub back to its edge index; parent_nodes carries the
-    edge's node pair for adjacency exclusion when counting crossings.
+    when ratio == 1, so midpoint crossings are not lost); stub k runs from
+    P[k] to Q[k].  parent_edge maps each stub back to its edge index;
+    parent_nodes carries the edges' node pairs for adjacency exclusion
+    when counting crossings.
     """
 
-    segments: list[Segment]
+    P: np.ndarray
+    Q: np.ndarray
     parent_edge: np.ndarray
     parent_nodes: np.ndarray
     ratio: float
 
     @property
+    def segments(self) -> list[Segment]:
+        """The stubs as Segment records holding Python floats."""
+        pairs = zip(self.P.tolist(), self.Q.tolist())
+        return [Segment(tuple(p), tuple(q)) for p, q in pairs]
+
+    @property
     def total_length(self) -> float:
-        p = np.array([s.p for s in self.segments], dtype=np.float64).reshape(-1, 2)
-        q = np.array([s.q for s in self.segments], dtype=np.float64).reshape(-1, 2)
-        if len(self.segments) == 0:
-            return 0.0
-        return float(np.hypot(q[:, 0] - p[:, 0], q[:, 1] - p[:, 1]).sum())
+        delta = self.Q - self.P
+        return float(np.hypot(delta[:, 0], delta[:, 1]).sum())
 
 
 def partial_edges(d: BoldDrawing, p: float) -> StubSet:
@@ -75,50 +80,34 @@ def partial_edges(d: BoldDrawing, p: float) -> StubSet:
     if not 0 < p <= 1:
         raise ValueError(f"retained fraction must be in (0, 1], got {p}")
     E = d.graph.edge_array()
-    pos = d.layout.positions
-    segments: list[Segment] = []
-    parents: list[int] = []
-    for i in range(E.shape[0]):
-        a = pos[E[i, 0]]
-        b = pos[E[i, 1]]
-        if p == 1.0:
-            segments.append(Segment((a[0], a[1]), (b[0], b[1])))
-            parents.append(i)
-            continue
-        step = 0.5 * p * (b - a)
-        segments.append(Segment((a[0], a[1]), (a[0] + step[0], a[1] + step[1])))
-        segments.append(Segment((b[0], b[1]), (b[0] - step[0], b[1] - step[1])))
-        parents.extend((i, i))
-    return StubSet(
-        segments=segments,
-        parent_edge=np.asarray(parents, dtype=np.int64),
-        parent_nodes=E,
-        ratio=p,
-    )
+    A = d.layout.positions[E[:, 0]]
+    B = d.layout.positions[E[:, 1]]
+    parents = np.arange(E.shape[0], dtype=np.int64)
+    if p < 1.0:
+        step = 0.5 * p * (B - A)
+        anchors = np.stack([A, B], axis=1)
+        tips = np.stack([A + step, B - step], axis=1)
+        A, B = anchors.reshape(-1, 2), tips.reshape(-1, 2)
+        parents = np.repeat(parents, 2)
+    return StubSet(P=A, Q=B, parent_edge=parents, parent_nodes=E, ratio=p)
 
 
 def measure_stub_crossings(stubs: StubSet) -> int:
     """Crossings of a partial-edge drawing: parent-edge pairs whose stubs
     cross transversally.
 
-    Stubs of the same edge or of adjacent edges are ignored, and a pair
-    of parent edges counts at most once however their stubs meet.
+    Stubs run through the x-interval engine of the sweep counter, with
+    each stub carrying its parent edge's node pair, so stubs of the same
+    edge or of adjacent edges are skipped.  A pair of parent edges counts
+    at most once however their stubs meet: crossing stub pairs become
+    int64 keys min(e1, e2)*m + max(e1, e2), and the distinct keys count.
     """
-    k = len(stubs.segments)
-    if k < 2:
-        return 0
-    P = np.array([s.p for s in stubs.segments], dtype=np.float64)
-    Q = np.array([s.q for s in stubs.segments], dtype=np.float64)
     par = stubs.parent_edge
-    nodes = stubs.parent_nodes
-
-    crossing_pairs: set[tuple[int, int]] = set()
-    for I, J in _pair_index_blocks(k):
-        pi, pj = par[I], par[J]
-        a1, b1 = nodes[pi, 0], nodes[pi, 1]
-        a2, b2 = nodes[pj, 0], nodes[pj, 1]
-        related = (pi == pj) | (a1 == a2) | (a1 == b2) | (b1 == a2) | (b1 == b2)
-        mask = transversal_crossing_mask(P[I], Q[I], P[J], Q[J]) & ~related
-        for e1, e2 in zip(pi[mask], pj[mask]):
-            crossing_pairs.add((min(int(e1), int(e2)), max(int(e1), int(e2))))
-    return len(crossing_pairs)
+    m = stubs.parent_nodes.shape[0]
+    keys = [np.empty(0, dtype=np.int64)]
+    for I, J in _crossing_blocks(stubs.P, stubs.Q, stubs.parent_nodes[par]):
+        e1, e2 = par[I], par[J]
+        keys.append(np.minimum(e1, e2) * m + np.maximum(e1, e2))
+    # A sorted run count: np.unique hashes int64 keys, many times slower.
+    keys = np.sort(np.concatenate(keys))
+    return int(keys.size > 0) + int(np.count_nonzero(keys[1:] != keys[:-1]))

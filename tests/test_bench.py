@@ -8,6 +8,7 @@ from inka import (
     BenchAbort,
     BenchConfig,
     BenchGraph,
+    InkaError,
     LayoutConfig,
     RasterConfig,
     build_graph,
@@ -105,6 +106,12 @@ def test_worker_count_rules(monkeypatch):
     assert worker_count(8, jobs=8) == 1
     monkeypatch.setenv("INKA_THREADS", "0")  # 0 means no cap
     assert worker_count(3, jobs=8) == 3
+
+
+def test_worker_count_rejects_non_integer_env(monkeypatch):
+    monkeypatch.setenv("INKA_THREADS", "abc")
+    with pytest.raises(InkaError, match="INKA_THREADS.*'abc'"):
+        worker_count(2, jobs=4)
 
 
 def test_load_bench_config_resolves_paths(tmp_path):

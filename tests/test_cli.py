@@ -256,6 +256,32 @@ def test_bench_abort_exit_code(tmp_path, capsys):
     assert (tmp_path / "report.csv.MANIFEST").exists()
 
 
+@pytest.mark.parametrize("missing", ["name", "path"])
+def test_bench_config_entry_without_key_is_an_error(tmp_path, capsys, missing):
+    entry = {"name": "ring", "path": "ring.edges"}
+    del entry[missing]
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({
+        "graphs": [{"name": "a", "path": "a.edges"}, entry],
+        "layouts": [{"algorithm": "circular"}],
+    }))
+    code = run(["bench", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:")
+    assert "graph entry 1" in captured.err
+
+
+def test_partial_stub_csv_holds_plain_numbers(drawing_files, tmp_path, capsys):
+    graph, layout = drawing_files
+    out = tmp_path / "stubs.csv"
+    assert run(["transform", "--graph", graph, "--layout", layout,
+                "--partial", "0.5", "--out", str(out)]) == 0
+    header, *rows = out.read_text().splitlines()
+    assert header == "parent,px,py,qx,qy"
+    assert [float(v) for v in rows[0].split(",")] == [0.0, 0.0, 0.0, 2.5, 2.5]
+
+
 def test_missing_graph_file_is_structured_error(tmp_path, capsys):
     layout = tmp_path / "lay.csv"
     write_layout_csv(Layout(np.zeros((1, 2))), path=layout)

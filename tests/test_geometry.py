@@ -19,6 +19,7 @@ from inka import (
     segments_intersect,
     segments_overlap_collinear,
 )
+from inka.geometry import _candidate_blocks
 
 
 def test_segments_intersect_midpoint():
@@ -117,6 +118,43 @@ def test_counters_agree_on_random_drawings():
     for _ in range(120):
         d = random_bold_drawing(rng)
         assert count_crossings_sweep(d) == count_crossings_bruteforce(d)
+
+
+def test_candidate_blocks_yield_each_x_overlapping_pair_once():
+    # lattice endpoints bring tied x-extents, vertical segments and
+    # zero-width extents; block_pairs=1 gives one rank per block
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        m = int(rng.integers(0, 30))
+        xs = rng.integers(0, 6, size=(m, 2)).astype(np.float64)
+        lx, hx = xs.min(axis=1), xs.max(axis=1)
+        expected = {
+            (i, j)
+            for i in range(m)
+            for j in range(i + 1, m)
+            if lx[i] <= hx[j] and lx[j] <= hx[i]
+        }
+        for block_pairs in (1, 3, 50):
+            got = [
+                (min(i, j), max(i, j))
+                for I, J in _candidate_blocks(lx, hx, block_pairs)
+                for i, j in zip(I.tolist(), J.tolist())
+            ]
+            assert len(got) == len(set(got))
+            assert set(got) == expected
+
+
+small = st.integers(min_value=0, max_value=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(small, small), min_size=2, max_size=10), st.data())
+def test_sweep_equals_bruteforce_on_small_integer_drawings(pts, data):
+    n = len(pts)
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = [(a, b) for a, b in data.draw(st.lists(pairs, max_size=20)) if a != b]
+    d = bold(pts, edges)
+    assert count_crossings_sweep(d) == count_crossings_bruteforce(d)
 
 
 def test_counts_invariant_under_rigid_motion():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,14 @@ def test_render_params_validation():
         RenderParams(1.0, 0.5, gamma=0.0)
     with pytest.raises(ValueError):
         RenderParams(1.0, 0.5, gamma=1.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_render_params_reject_non_finite(bad):
+    with pytest.raises(ValueError, match="radius"):
+        RenderParams(bad, 0.5)
+    with pytest.raises(ValueError, match="width"):
+        RenderParams(1.0, bad)
 
 
 def test_bold_drawing_checks_layout_length():

@@ -14,6 +14,7 @@ from inka import (
     measure_stub_crossings,
     partial_edges,
     scale_layout,
+    segments_intersect,
     zoom_drawing,
 )
 
@@ -138,3 +139,29 @@ def test_stub_crossings_skip_adjacent_edges():
     d = bold([(0, 0), (5, 5), (10, 0)], [(0, 1), (1, 2)], r=0.1, w=0.05)
     for p in (0.25, 0.75, 1.0):
         assert measure_stub_crossings(partial_edges(d, p)) == 0
+
+
+def _stub_crossings_pairwise(stubs):
+    # the definition, pair by pair: parent-edge pairs, neither the same
+    # nor adjacent, with at least one transversally crossing stub pair
+    segs = stubs.segments
+    par = stubs.parent_edge.tolist()
+    nodes = stubs.parent_nodes.tolist()
+    found = set()
+    for a in range(len(segs)):
+        for b in range(a + 1, len(segs)):
+            e1, e2 = par[a], par[b]
+            if set(nodes[e1]) & set(nodes[e2]):
+                continue
+            if segments_intersect(segs[a], segs[b]) is not None:
+                found.add((min(e1, e2), max(e1, e2)))
+    return len(found)
+
+
+def test_stub_crossings_match_pairwise_oracle():
+    rng = np.random.default_rng(31)
+    for _ in range(25):
+        d = random_bold_drawing(rng, n_max=20, m_max=40)
+        for p in (0.1, 0.5, 1.0):
+            stubs = partial_edges(d, p)
+            assert measure_stub_crossings(stubs) == _stub_crossings_pairwise(stubs)
