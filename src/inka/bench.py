@@ -61,6 +61,10 @@ class BenchConfig:
             raise ValueError("bench config needs at least one layout")
         if not self.settings:
             raise ValueError("bench config needs at least one (r, w) setting")
+        for r, w in self.settings:  # a bad r, w or gamma fails here, not mid-run
+            RenderParams(r, w, self.gamma)
+        if not isinstance(self.raster, bool):
+            raise ValueError(f"raster must be true or false, got {self.raster!r}")
 
 
 class BenchAbort(InkaError):
@@ -73,47 +77,74 @@ class BenchAbort(InkaError):
         self.rows = rows
 
 
+def _number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InkaError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _entries(data: dict, key: str, default, where) -> list:
+    value = data.get(key, default)
+    if not isinstance(value, (list, tuple)):
+        raise InkaError(f'{where}: "{key}" must be a list, got {value!r}')
+    return value
+
+
 def load_bench_config(path) -> BenchConfig:
-    """Read a JSON bench config; graph paths resolve relative to it."""
+    """Read a JSON bench config; graph paths resolve relative to it.  Any
+    malformed entry raises InkaError naming the entry and the field."""
     p = Path(path)
     data = json.loads(p.read_text())
+    if not isinstance(data, dict):
+        raise InkaError(f"{p}: a bench config must be a JSON object")
     base = p.parent
 
     graphs = []
-    for idx, entry in enumerate(data.get("graphs", [])):
-        if not isinstance(entry, dict) or not {"name", "path"} <= entry.keys():
-            raise InkaError(f'{p}: graph entry {idx} needs "name" and "path"')
+    for idx, entry in enumerate(_entries(data, "graphs", [], p)):
+        path = entry.get("path") if isinstance(entry, dict) else None
+        if not isinstance(path, str) or "name" not in entry:
+            raise InkaError(f'{p}: graph entry {idx} needs a "name" and a "path" string')
         graphs.append(
             BenchGraph(
                 name=entry["name"],
-                path=str((base / entry["path"]).resolve()),
+                path=str((base / path).resolve()),
                 format=entry.get("format"),
             )
         )
 
     layouts = []
-    for entry in data.get("layouts", []):
+    for idx, entry in enumerate(_entries(data, "layouts", [], p)):
+        if not isinstance(entry, dict):
+            raise InkaError(f"{p}: layout entry {idx} must be a JSON object")
         cfg_kwargs = {
             k: entry[k]
             for k in ("algorithm", "seed", "iterations", "ideal_edge_length", "cooling")
             if k in entry
         }
-        cfg = LayoutConfig(**cfg_kwargs)
+        try:
+            cfg = LayoutConfig(**cfg_kwargs)
+        except ValueError as e:
+            raise InkaError(f"{p}: layout entry {idx}: {e}") from None
         layouts.append((entry.get("name", cfg.algorithm), cfg))
 
-    settings = tuple(
-        (float(r), float(w)) for r, w in data.get("settings", DEFAULT_SETTINGS)
-    )
+    settings = []
+    for idx, entry in enumerate(_entries(data, "settings", DEFAULT_SETTINGS, p)):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise InkaError(f"{p}: setting {idx} must be an [r, w] pair, got {entry!r}")
+        settings.append(tuple(_number(v, f"{p}: setting {idx}") for v in entry))
     area_raw = data.get("area", "auto")
-    area = None if area_raw == "auto" else float(area_raw)
-    return BenchConfig(
-        graphs=tuple(graphs),
-        layouts=tuple(layouts),
-        settings=settings,
-        gamma=float(data.get("gamma", 1.0)),
-        area=area,
-        raster=bool(data.get("raster", False)),
-    )
+    area = None if area_raw == "auto" else _number(area_raw, f'{p}: "area"')
+    try:
+        return BenchConfig(
+            graphs=tuple(graphs),
+            layouts=tuple(layouts),
+            settings=tuple(settings),
+            gamma=_number(data.get("gamma", 1.0), f'{p}: "gamma"'),
+            area=area,
+            raster=data.get("raster", False),
+        )
+    except ValueError as e:
+        raise InkaError(f"{p}: {e}") from None
 
 
 def worker_count(requested: int | None, jobs: int) -> int:

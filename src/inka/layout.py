@@ -7,15 +7,17 @@ lays out the small coarse graph, then interpolates and locally refines
 level by level.  Everything is a pure function of (graph, config): same
 seed, same layout, bit for bit.
 
-The spring embedder computes repulsion exactly below a node-count
-threshold and switches to a bucket-grid approximation (interaction cutoff
-at twice the ideal edge length) above it.  Disconnected graphs are laid
-out one component at a time and packed on a padded grid.
+The spring embedder computes repulsion exactly up to 2,000 nodes, as one
+(n, n) force matrix times an (n, 3) block, and above that switches to a
+bucket-grid approximation (interaction cutoff at twice the ideal edge
+length).  Disconnected graphs are laid out one component at a time and
+packed on a padded grid.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 
@@ -29,6 +31,9 @@ _ALGORITHMS = ("random", "circular", "force-directed", "multilevel")
 # Golden-angle increment for deterministic, direction-diverse jitter.
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Largest component whose repulsion is computed exactly (O(n^2) memory).
+_EXACT_REPULSION_MAX_NODES = 2000
+
 
 @dataclass(frozen=True)
 class LayoutConfig:
@@ -37,7 +42,6 @@ class LayoutConfig:
     iterations: int = 500
     ideal_edge_length: float = 30.0
     cooling: float = 0.95
-    exact_repulsion_max_nodes: int = 2000
     coarsen_threshold: int = 50
 
     def __post_init__(self):
@@ -46,12 +50,20 @@ class LayoutConfig:
                 f"unknown algorithm {self.algorithm!r}; supported: "
                 + ", ".join(_ALGORITHMS)
             )
+        for name in ("seed", "iterations", "coarsen_threshold"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("ideal_edge_length", "cooling"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.ideal_edge_length <= 0:
-            raise ValueError("ideal_edge_length must be > 0")
+        if not (math.isfinite(self.ideal_edge_length) and self.ideal_edge_length > 0):
+            raise ValueError("ideal_edge_length must be finite and > 0")
         if not 0 < self.cooling < 1:
             raise ValueError("cooling must be in (0, 1)")
         if self.coarsen_threshold < 2:
@@ -99,41 +111,40 @@ def _components(g: Graph) -> list[np.ndarray]:
     return comps
 
 
-def _pack_components(parts: list[np.ndarray], pad: float) -> np.ndarray:
+def _pack_components(parts: list[np.ndarray], pad: float) -> list[np.ndarray]:
     """Translate per-component position blocks onto a padded grid.
 
-    parts[i] is the (n_i, 2) position array of component i; returns one
-    stacked array in the same node order the caller expects.
+    parts[i] is the (n_i, 2) position array of component i; returns the
+    translated arrays as a list in the same order.
     """
-    boxes = []
-    for pos in parts:
-        lo = pos.min(axis=0)
-        hi = pos.max(axis=0)
-        boxes.append((lo, hi - lo))
-    cell_w = max(size[0] for _, size in boxes) + pad
-    cell_h = max(size[1] for _, size in boxes) + pad
+    lo = [pos.min(axis=0) for pos in parts]
+    cell = np.max([pos.max(axis=0) - low for pos, low in zip(parts, lo)], axis=0) + pad
     cols = max(1, math.ceil(math.sqrt(len(parts))))
-    out = []
-    for i, (pos, (lo, _size)) in enumerate(zip(parts, boxes)):
-        origin = np.array([(i % cols) * cell_w, (i // cols) * cell_h])
-        out.append(pos - lo + origin)
-    return out
+    return [
+        pos - low + np.array([i % cols, i // cols]) * cell
+        for i, (pos, low) in enumerate(zip(parts, lo))
+    ]
 
 
 def _repulsion_exact(pos: np.ndarray, weight: np.ndarray, k: float) -> np.ndarray:
-    n = len(pos)
-    disp = np.zeros_like(pos)
-    chunk = max(1, 4_000_000 // max(n, 1))
-    k2 = k * k
-    for s in range(0, n, chunk):
-        e = min(n, s + chunk)
-        diff = pos[s:e, None, :] - pos[None, :, :]
-        d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2
-        np.maximum(d2, 1e-8, out=d2)
-        f = k2 / d2 * (weight[s:e, None] * weight[None, :])
-        f[np.arange(e - s), np.arange(s, e)] = 0.0
-        disp[s:e] = (diff * f[:, :, None]).sum(axis=1)
-    return disp
+    """All-pairs repulsion sum_j f_ij (p_i - p_j), f_ij = k^2 w_i w_j / d_ij^2,
+    as w_i (c_i (G @ w)_i - (G @ (w c))_i) with G = k^2 / max(d^2, 1e-8) on
+    centred positions c; d^2 comes from exact coordinate differences.  G is
+    zero on coincident pairs (the diagonal too): they exert no force, and a
+    clamped k^2/1e-8 there would cancel badly in the subtraction."""
+    c = pos - pos.mean(axis=0)
+    x, y = c[:, 0], c[:, 1]
+    g = np.subtract.outer(x, x)
+    g *= g
+    dy = np.subtract.outer(y, y)
+    dy *= dy
+    g += dy
+    coincident = g == 0.0
+    np.maximum(g, 1e-8, out=g)
+    np.divide(k * k, g, out=g)
+    g[coincident] = 0.0
+    s = g @ np.column_stack([weight, weight[:, None] * c])
+    return weight[:, None] * (c * s[:, :1] - s[:, 1:])
 
 
 def _repulsion_grid(pos: np.ndarray, weight: np.ndarray, k: float) -> np.ndarray:
@@ -174,12 +185,11 @@ def _spring_iterate(
     iterations: int,
     t0: float,
     cooling: float,
-    exact_max_nodes: int,
 ) -> np.ndarray:
     """Core spring-embedder loop; returns refined positions."""
     pos = pos.copy()
     n = len(pos)
-    exact = n <= exact_max_nodes
+    exact = n <= _EXACT_REPULSION_MAX_NODES
     t = t0
     for it in range(iterations):
         if exact:
@@ -191,8 +201,9 @@ def _spring_iterate(
             d = np.hypot(delta[:, 0], delta[:, 1])
             np.maximum(d, 1e-9, out=d)
             pull = delta * (edge_weight * d / k)[:, None]
-            np.add.at(disp, edges[:, 0], -pull)
-            np.add.at(disp, edges[:, 1], pull)
+            for axis in (0, 1):
+                disp[:, axis] += np.bincount(edges[:, 1], pull[:, axis], n)
+                disp[:, axis] -= np.bincount(edges[:, 0], pull[:, axis], n)
         norm = np.hypot(disp[:, 0], disp[:, 1])
         np.maximum(norm, 1e-12, out=norm)
         step = np.minimum(norm, t)
@@ -203,44 +214,50 @@ def _spring_iterate(
     return pos
 
 
-def layout_force_directed(g: Graph, config: LayoutConfig) -> Layout:
-    """Spring embedder; components are laid out independently (each with
-    a seed derived from config.seed) and packed side by side."""
+def _layout_components(g: Graph, config: LayoutConfig, place) -> Layout:
+    """Lay out each connected component with place(n_c, local_edges, seed),
+    each with a seed spawned from config.seed, and pack them side by side."""
     n = g.node_count
     if n == 0:
         return Layout(np.empty((0, 2)))
-    k = config.ideal_edge_length
     comps = _components(g)
     seeds = np.random.SeedSequence(config.seed).spawn(len(comps))
     E = g.edge_array()
     parts = []
     for comp, seed in zip(comps, seeds):
-        nc = len(comp)
         local = np.full(n, -1, dtype=np.int64)
-        local[comp] = np.arange(nc)
+        local[comp] = np.arange(len(comp))
         keep = np.isin(E[:, 0], comp) if len(E) else np.zeros(0, dtype=bool)
         ce = local[E[keep]] if len(E) else np.empty((0, 2), dtype=np.int64)
-        rng = np.random.Generator(np.random.PCG64(seed))
-        side = math.sqrt(nc) * k
-        pos = rng.uniform(0.0, side, size=(nc, 2))
-        if nc > 1:
-            pos = _spring_iterate(
-                pos,
-                ce,
-                np.ones(len(ce)),
-                np.ones(nc),
-                k,
-                config.iterations,
-                t0=0.1 * side,
-                cooling=config.cooling,
-                exact_max_nodes=config.exact_repulsion_max_nodes,
-            )
-        parts.append(pos)
-    packed = _pack_components(parts, pad=k)
+        parts.append(place(len(comp), ce, seed))
     out = np.empty((n, 2))
-    for comp, pos in zip(comps, packed):
+    for comp, pos in zip(comps, _pack_components(parts, pad=config.ideal_edge_length)):
         out[comp] = pos
     return Layout(out)
+
+
+def _spring_from_random(n, edges, edge_weight, node_weight, config, seed):
+    """Seeded uniform start, then the full spring schedule; the ideal edge
+    length grows with the square root of the mean node weight."""
+    k = config.ideal_edge_length * math.sqrt(float(node_weight.mean()))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    side = math.sqrt(n) * k
+    pos = rng.uniform(0.0, side, size=(n, 2))
+    if n > 1:
+        pos = _spring_iterate(
+            pos, edges, edge_weight, np.sqrt(node_weight), k, config.iterations,
+            t0=0.1 * side, cooling=config.cooling,
+        )
+    return pos
+
+
+def layout_force_directed(g: Graph, config: LayoutConfig) -> Layout:
+    """Spring embedder; components are laid out independently (each with
+    a seed derived from config.seed) and packed side by side."""
+    def place(n, e, seed):
+        return _spring_from_random(n, e, np.ones(len(e)), np.ones(n), config, seed)
+
+    return _layout_components(g, config, place)
 
 
 def _coarsen(n, edges, edge_weight, node_weight):
@@ -263,45 +280,47 @@ def _coarsen(n, edges, edge_weight, node_weight):
             mate[best] = v
         else:
             mate[v] = v
-    cid = np.full(n, -1, dtype=np.int64)
-    nxt = 0
-    for v in range(n):
-        if cid[v] < 0:
-            cid[v] = nxt
-            cid[mate[v]] = nxt
-            nxt += 1
-    node_weight2 = np.zeros(nxt)
-    np.add.at(node_weight2, cid, node_weight)
-    merged: dict[tuple[int, int], float] = {}
-    for (a, b), w in zip(edges, edge_weight):
-        ca, cb = int(cid[a]), int(cid[b])
-        if ca == cb:
-            continue
-        key = (ca, cb) if ca < cb else (cb, ca)
-        merged[key] = merged.get(key, 0.0) + float(w)
-    if merged:
-        keys = sorted(merged)
-        edges2 = np.array(keys, dtype=np.int64)
-        edge_weight2 = np.array([merged[kk] for kk in keys])
-    else:
-        edges2 = np.empty((0, 2), dtype=np.int64)
-        edge_weight2 = np.empty(0)
+    # Coarse ids number the matched pairs by their smaller fine index.
+    leaders, cid = np.unique(np.minimum(np.arange(n), mate), return_inverse=True)
+    nxt = len(leaders)
+    node_weight2 = np.bincount(cid, node_weight, nxt)
+    ends = np.sort(cid[edges], axis=1)
+    cross = ends[:, 0] != ends[:, 1]
+    keys, inv = np.unique(ends[cross, 0] * nxt + ends[cross, 1], return_inverse=True)
+    edges2 = np.column_stack([keys // nxt, keys % nxt])
+    edge_weight2 = np.bincount(inv, edge_weight[cross], len(keys))
     return nxt, edges2, edge_weight2, node_weight2, cid
 
 
 def _induced_coarse_length(pos, cid, coarse_edges):
     """Total coarse-edge length when each coarse node sits at the mean of
     its fine members."""
-    n2 = int(cid.max()) + 1 if len(cid) else 0
-    centers = np.zeros((n2, 2))
-    counts = np.zeros(n2)
-    np.add.at(centers, cid, pos)
-    np.add.at(counts, cid, 1.0)
-    centers /= counts[:, None]
+    counts = np.bincount(cid)
+    centers = np.column_stack(
+        [np.bincount(cid, pos[:, 0]) / counts, np.bincount(cid, pos[:, 1]) / counts]
+    )
     if not len(coarse_edges):
         return 0.0
     delta = centers[coarse_edges[:, 0]] - centers[coarse_edges[:, 1]]
     return float(np.hypot(delta[:, 0], delta[:, 1]).sum())
+
+
+def _interpolate(pos, cid, k):
+    """Fine positions from coarse ones, with a deterministic symmetric
+    jitter so merged pairs separate: coarse node c of two members moves
+    its lower fine index by +off and the higher by -off, off = k/4 in the
+    golden-angle direction 2*pi*frac((c+1)*golden)."""
+    sizes = np.bincount(cid)
+    first = np.cumsum(sizes) - sizes
+    pairs = np.flatnonzero(sizes == 2)
+    order = np.argsort(cid, kind="stable")
+    lo, hi = order[first[pairs]], order[first[pairs] + 1]
+    theta = 2.0 * math.pi * ((pairs + 1) * _GOLDEN % 1.0)
+    off = 0.25 * k * np.column_stack([np.cos(theta), np.sin(theta)])
+    fine = pos[cid]
+    fine[lo] += off
+    fine[hi] -= off
+    return fine
 
 
 def _multilevel_positions(n, edges, config: LayoutConfig, seed) -> np.ndarray:
@@ -318,36 +337,17 @@ def _multilevel_positions(n, edges, config: LayoutConfig, seed) -> np.ndarray:
         maps.append(cid)
         cur = (n2, e2, ew2, nw2)
 
-    nc, ec, ewc, nwc = cur
-    rng = np.random.Generator(np.random.PCG64(seed))
-    k_c = k * math.sqrt(float(nwc.mean()))
-    side = math.sqrt(nc) * k_c
-    pos = rng.uniform(0.0, side, size=(nc, 2))
-    if nc > 1:
-        pos = _spring_iterate(
-            pos, ec, ewc, np.sqrt(nwc), k_c, config.iterations,
-            t0=0.1 * side, cooling=config.cooling,
-            exact_max_nodes=config.exact_repulsion_max_nodes,
-        )
+    pos = _spring_from_random(*cur, config, seed)
 
     refine_iters = max(50, config.iterations // 5)
     for (nf, ef, ewf, nwf), cid in zip(reversed(levels), reversed(maps)):
         coarse_edges = cur[1]
-        fine = pos[cid].copy()
-        # Deterministic symmetric jitter so merged pairs separate.
-        for c in range(len(pos)):
-            members = np.flatnonzero(cid == c)
-            if len(members) == 2:
-                theta = 2.0 * math.pi * ((c + 1) * _GOLDEN % 1.0)
-                off = 0.25 * k * np.array([math.cos(theta), math.sin(theta)])
-                fine[members[0]] += off
-                fine[members[1]] -= off
+        fine = _interpolate(pos, cid, k)
         k_f = k * math.sqrt(float(nwf.mean()))
         before = _induced_coarse_length(fine, cid, coarse_edges)
         refined = _spring_iterate(
             fine, ef, ewf, np.sqrt(nwf), k_f, refine_iters,
             t0=0.6 * k_f, cooling=config.cooling,
-            exact_max_nodes=config.exact_repulsion_max_nodes,
         )
         after = _induced_coarse_length(refined, cid, coarse_edges)
         # Guardrail: refinement may not stretch the coarse structure by
@@ -361,42 +361,11 @@ def _multilevel_positions(n, edges, config: LayoutConfig, seed) -> np.ndarray:
 
 
 def layout_multilevel(g: Graph, config: LayoutConfig) -> Layout:
-    """Matching-based coarsening plus spring refinement; small graphs fall
-    through to the plain spring embedder unchanged."""
-    n = g.node_count
-    if n == 0:
-        return Layout(np.empty((0, 2)))
-    if n <= config.coarsen_threshold:
-        return layout_force_directed(g, config)
-    comps = _components(g)
-    seeds = np.random.SeedSequence(config.seed).spawn(len(comps))
-    E = g.edge_array()
-    parts = []
-    for comp, seed in zip(comps, seeds):
-        nc = len(comp)
-        local = np.full(n, -1, dtype=np.int64)
-        local[comp] = np.arange(nc)
-        keep = np.isin(E[:, 0], comp) if len(E) else np.zeros(0, dtype=bool)
-        ce = local[E[keep]] if len(E) else np.empty((0, 2), dtype=np.int64)
-        if nc > config.coarsen_threshold:
-            pos = _multilevel_positions(nc, ce, config, seed)
-        else:
-            rng = np.random.Generator(np.random.PCG64(seed))
-            side = math.sqrt(nc) * config.ideal_edge_length
-            pos = rng.uniform(0.0, side, size=(nc, 2))
-            if nc > 1:
-                pos = _spring_iterate(
-                    pos, ce, np.ones(len(ce)), np.ones(nc),
-                    config.ideal_edge_length, config.iterations,
-                    t0=0.1 * side, cooling=config.cooling,
-                    exact_max_nodes=config.exact_repulsion_max_nodes,
-                )
-        parts.append(pos)
-    packed = _pack_components(parts, pad=config.ideal_edge_length)
-    out = np.empty((n, 2))
-    for comp, pos in zip(comps, packed):
-        out[comp] = pos
-    return Layout(out)
+    """Matching-based coarsening plus spring refinement; components of at
+    most coarsen_threshold nodes get the plain spring embedder unchanged."""
+    return _layout_components(
+        g, config, lambda n, e, seed: _multilevel_positions(n, e, config, seed)
+    )
 
 
 def compute_layout(g: Graph, config: LayoutConfig) -> Layout:

@@ -272,6 +272,48 @@ def test_bench_config_entry_without_key_is_an_error(tmp_path, capsys, missing):
     assert "graph entry 1" in captured.err
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ([{"name": "a", "path": "a.edges"}], "JSON object"),
+        ({"layouts": ["circular"]}, "layout entry 0 must be"),
+        ({"layouts": [{"algorithm": "force-directed", "iterations": "300"}]},
+         "layout entry 0: iterations must be an integer"),
+        ({"layouts": [{"algorithm": "circular"}, {"iterations": 2.5}]},
+         "layout entry 1: iterations must be an integer"),
+        ({"gamma": None}, '"gamma" must be a number'),
+        ({"gamma": 2.0}, "gamma must be in"),
+        ({"area": None}, '"area" must be a number'),
+        ({"settings": [[1, 0], 5]}, "setting 1 must be an"),
+        ({"settings": [[1, "w"]]}, "setting 0 must be a number"),
+        ({"settings": [[-1, 0]]}, "radius must be"),
+        ({"layouts": 3}, '"layouts" must be a list'),
+        ({"raster": "false"}, "raster must be true or false"),
+        ({"graphs": [{"name": "ring", "path": 5}]}, 'graph entry 0 needs a "name" and a "path"'),
+    ],
+    ids=["top-level-list", "layout-string", "iterations-str", "iterations-float",
+         "gamma-null", "gamma-range", "area-null", "setting-not-pair",
+         "setting-str", "setting-negative", "layouts-not-list", "raster-str",
+         "path-not-str"],
+)
+def test_bench_config_holes_are_errors(tmp_path, capsys, config, message):
+    (tmp_path / "ring.edges").write_text("0 1\n1 2\n2 0\n")
+    if isinstance(config, dict):
+        config = {"graphs": [{"name": "ring", "path": "ring.edges"}],
+                  "layouts": [{"algorithm": "circular"}], **config}
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "r.csv"
+    code = run(["bench", "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:")
+    assert message in captured.err
+    # rejected while loading, before any graph runs
+    assert not out.exists()
+    assert not (tmp_path / "r.csv.MANIFEST").exists()
+
+
 def test_partial_stub_csv_holds_plain_numbers(drawing_files, tmp_path, capsys):
     graph, layout = drawing_files
     out = tmp_path / "stubs.csv"

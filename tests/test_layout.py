@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,11 @@ from inka import (
     layout_force_directed,
     layout_multilevel,
     layout_random,
+    load_graph,
 )
+from inka.layout import _GOLDEN, _coarsen, _interpolate, _repulsion_exact
+
+CAN_144 = Path(__file__).resolve().parents[1] / "data" / "graphs" / "can_144.mtx"
 
 
 def grid_graph(rows, cols):
@@ -52,6 +57,111 @@ def test_layout_config_validation():
         LayoutConfig(cooling=1.0)
     with pytest.raises(ValueError):
         LayoutConfig(coarsen_threshold=1)
+    LayoutConfig(seed=np.int64(3), iterations=np.int32(10), cooling=np.float32(0.5))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("iterations", "300"),
+        ("iterations", 2.5),
+        ("iterations", True),
+        ("seed", 1.0),
+        ("coarsen_threshold", None),
+        ("ideal_edge_length", None),
+        ("ideal_edge_length", "30"),
+        ("ideal_edge_length", math.inf),
+        ("ideal_edge_length", math.nan),
+        ("cooling", False),
+    ],
+)
+def test_layout_config_rejects_wrong_types(field, value):
+    with pytest.raises(ValueError, match=field):
+        LayoutConfig(**{field: value})
+
+
+def repulsion_reference(pos, weight, k):
+    """The (n, n, 2) difference-tensor form of the exact repulsion."""
+    diff = pos[:, None, :] - pos[None, :, :]
+    d2 = np.maximum(diff[..., 0] ** 2 + diff[..., 1] ** 2, 1e-8)
+    f = k * k / d2 * np.outer(weight, weight)
+    np.fill_diagonal(f, 0.0)
+    return (diff * f[:, :, None]).sum(axis=1)
+
+
+def assert_matches_reference(pos, weight, k=30.0):
+    ref = repulsion_reference(pos, weight, k)
+    got = _repulsion_exact(pos, weight, k)
+    assert got.shape == pos.shape
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [2, 3, 144, 600])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_repulsion_exact_matches_reference(n, weighted):
+    rng = np.random.default_rng(n)
+    pos = rng.uniform(0.0, math.sqrt(n) * 30.0, size=(n, 2))
+    # multilevel passes sqrt(node_weight), node weights being merged counts
+    weight = np.sqrt(rng.integers(1, 9, size=n)) if weighted else np.ones(n)
+    assert_matches_reference(pos, weight)
+
+
+def test_repulsion_exact_coincident_nodes():
+    rng = np.random.default_rng(7)
+    pos = rng.uniform(0.0, 400.0, size=(144, 2))
+    pos[[3, 50, 99]] = pos[10]  # four nodes on one spot hit the 1e-8 clamp
+    pos[120] = pos[121]
+    assert_matches_reference(pos, np.sqrt(rng.integers(1, 5, size=144)))
+    assert_matches_reference(pos, np.ones(144))
+
+
+@pytest.mark.parametrize("shift", [(1e6, 1e6), (-3e6, 1e6)])
+def test_repulsion_exact_translated_drawing(shift):
+    rng = np.random.default_rng(8)
+    pos = rng.uniform(0.0, 400.0, size=(144, 2)) + np.array(shift)
+    assert_matches_reference(pos, np.sqrt(rng.integers(1, 5, size=144)))
+
+
+def interpolate_loop(pos, cid, k):
+    """Per-coarse-node jitter loop that _interpolate vectorises."""
+    fine = pos[cid].copy()
+    for c in range(len(pos)):
+        members = np.flatnonzero(cid == c)
+        if len(members) == 2:
+            theta = 2.0 * math.pi * ((c + 1) * _GOLDEN % 1.0)
+            off = 0.25 * k * np.array([math.cos(theta), math.sin(theta)])
+            fine[members[0]] += off
+            fine[members[1]] -= off
+    return fine
+
+
+@pytest.mark.parametrize(
+    "cid",
+    [
+        [0, 0, 1, 1, 2, 2],  # all pairs
+        [0, 2, 1, 3],  # all singletons
+        [0, 1, 0, 2, 3, 1, 4, 3, 2, 5],  # mixed, pairs not adjacent
+        [0],
+    ],
+)
+def test_interpolate_matches_loop(cid):
+    cid = np.array(cid, dtype=np.int64)
+    pos = np.random.default_rng(len(cid)).uniform(-50.0, 50.0, size=(cid.max() + 1, 2))
+    # np.cos/np.sin may differ from math.cos/math.sin in the last place
+    np.testing.assert_allclose(
+        _interpolate(pos, cid, 30.0), interpolate_loop(pos, cid, 30.0), rtol=0, atol=1e-12
+    )
+
+
+def test_interpolate_matches_loop_on_a_matching():
+    # the fine-to-coarse map of a real coarsening pass, 500 nodes
+    g = grid_graph(20, 25)
+    E = g.edge_array()
+    *_, cid = _coarsen(g.node_count, E, np.ones(len(E)), np.ones(g.node_count))
+    pos = np.random.default_rng(0).uniform(0.0, 600.0, size=(cid.max() + 1, 2))
+    np.testing.assert_allclose(
+        _interpolate(pos, cid, 30.0), interpolate_loop(pos, cid, 30.0), rtol=0, atol=1e-12
+    )
 
 
 def test_layout_random_stays_in_box_and_is_seeded():
@@ -114,6 +224,16 @@ def test_force_directed_components_do_not_overlap():
     separated_x = box_a[1][0] < box_b[0][0] or box_b[1][0] < box_a[0][0]
     separated_y = box_a[1][1] < box_b[0][1] or box_b[1][1] < box_a[0][1]
     assert separated_x or separated_y
+
+
+@pytest.mark.parametrize("algorithm", ["force-directed", "multilevel"])
+def test_spring_layouts_of_can_144_repeat_bit_for_bit(algorithm):
+    g = load_graph(CAN_144)
+    cfg = LayoutConfig(algorithm=algorithm, seed=11, iterations=100)
+    a = compute_layout(g, cfg).positions
+    b = compute_layout(g, cfg).positions
+    assert np.array_equal(a, b)
+    assert np.isfinite(a).all()
 
 
 def test_multilevel_small_graph_matches_force_directed():
