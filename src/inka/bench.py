@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InkaError
-from .formats import ReportRow, emit_report, load_graph
+from .formats import _PARSERS, ReportRow, emit_report, load_graph
 from .geometry import bounding_area, count_crossings_sweep, edge_lengths
 from .ink import check_area_constraint, ink_components
 from .layout import LayoutConfig, compute_layout
@@ -104,12 +104,12 @@ def load_bench_config(path) -> BenchConfig:
         path = entry.get("path") if isinstance(entry, dict) else None
         if not isinstance(path, str) or "name" not in entry:
             raise InkaError(f'{p}: graph entry {idx} needs a "name" and a "path" string')
+        fmt = entry.get("format")
+        if fmt is not None and not (isinstance(fmt, str) and fmt in _PARSERS):
+            raise InkaError(f'{p}: graph entry {idx}: "format" must be null or one of '
+                            f"{', '.join(sorted(_PARSERS))}, got {fmt!r}")
         graphs.append(
-            BenchGraph(
-                name=entry["name"],
-                path=str((base / path).resolve()),
-                format=entry.get("format"),
-            )
+            BenchGraph(name=entry["name"], path=str((base / path).resolve()), format=fmt)
         )
 
     layouts = []

@@ -5,18 +5,25 @@ Crossing counting comes in two independent flavours:
 * :func:`count_crossings_bruteforce` tests every non-adjacent edge pair.
 * :func:`count_crossings_sweep` tests only the pairs whose closed
   x-extents overlap, the candidate filter that opens the Bentley-Ottmann
-  sweep.  One engine, :func:`_candidate_blocks`, sorts the segments by
-  their left x and emits those pairs as int64 index blocks; y-extent and
-  adjacency filters then thin each block before the predicate.  Stub
-  crossings of partial-edge drawings run on the same engine.
+  sweep.  One engine, :func:`_candidate_blocks`, sorts the intervals by
+  their left end and emits the overlapping pairs as int64 index blocks;
+  filters then thin each block before the predicate.
 
 Both call the same transversal-crossing predicate on exactly the same
 arithmetic, so any disagreement between them is an enumeration bug, which
-is what the pairing is meant to catch.  Predicates are plain double
-precision with a fixed epsilon; a pair "crosses" when the open segments
-intersect transversally at an interior point.  Segments sharing an
-endpoint (adjacent edges) never cross, and collinear overlap is not a
-crossing but is flagged for properness.
+is what the pairing is meant to catch.  Every other pair query runs on the
+engine too, so only the brute-force oracle walks all pairs: stub
+crossings and the crossing points of :func:`crossing_pairs` as in the
+sweep, disk overlaps on [x - r, x + r], and collinear overlaps on
+x-extents plus y-extents, since an overlap of positive length overlaps in
+x or in y.  :func:`check_proper` bins crossing points into cells of side
+w and reports each edge set that two close crossings span at the
+midpoint of the first such pair in a fixed scan order.
+
+Predicates are plain double precision with a fixed epsilon; a pair
+"crosses" when the open segments intersect transversally at an interior
+point.  Segments sharing an endpoint (adjacent edges) never cross, and
+collinear overlap is not a crossing but is flagged for properness.
 """
 
 from __future__ import annotations
@@ -246,38 +253,62 @@ def count_crossings_sweep(d: BoldDrawing) -> int:
     Every crossing pair has overlapping closed x- and y-extents, so the
     candidate pairs of :func:`_candidate_blocks` that also overlap in y
     and share no node include all of them, and the same predicate as
-    :func:`count_crossings_bruteforce` decides each one.  The engine is
-    for transversal crossings only: :func:`collinear_overlap_mask` flags
-    near-collinear pairs within EPS that can be x-disjoint, so
-    :func:`check_proper` and :func:`crossing_pairs` keep the all-pairs
-    blocks.
+    :func:`count_crossings_bruteforce` decides each one.
     """
     P, Q, E = _segment_arrays(d)
     return sum(int(I.size) for I, _J in _crossing_blocks(P, Q, E))
+
+
+def _ordered_pairs(blocks):
+    """Gather (I, J) index blocks into i < j arrays in lexicographic order."""
+    blocks = list(blocks)
+    I = np.concatenate([np.empty(0, np.int64), *(b[0] for b in blocks)])
+    J = np.concatenate([np.empty(0, np.int64), *(b[1] for b in blocks)])
+    I, J = np.minimum(I, J), np.maximum(I, J)
+    order = np.lexsort((J, I))
+    return I[order], J[order]
+
+
+def _crossing_arrays(P, Q, nodes):
+    """Crossing pairs as i < j index arrays in lexicographic order, and
+    their (k, 2) crossing points, each computed along segment i."""
+    I, J = _ordered_pairs(_crossing_blocks(P, Q, nodes))
+    return I, J, crossing_points_of(P[I], Q[I], P[J], Q[J])
+
+
+def _collinear_overlap_pairs(P, Q):
+    """Sorted (i, j), i < j, of the pairs :func:`collinear_overlap_mask`
+    flags, adjacent ones included.  The mask demands a positive overlap in
+    x or in y, so the x-engine pairs plus the y-engine pairs with disjoint
+    x-extents hold every flagged pair, each once."""
+    lx, ly = np.minimum(P, Q).T.copy()
+    hx, hy = np.maximum(P, Q).T.copy()
+
+    def blocks():
+        for I, J in _candidate_blocks(lx, hx):
+            keep = collinear_overlap_mask(P[I], Q[I], P[J], Q[J])
+            yield I[keep], J[keep]
+        for I, J in _candidate_blocks(ly, hy):
+            keep = (lx[I] > hx[J]) | (lx[J] > hx[I])
+            I, J = I[keep], J[keep]
+            keep = collinear_overlap_mask(P[I], Q[I], P[J], Q[J])
+            yield I[keep], J[keep]
+
+    I, J = _ordered_pairs(blocks())
+    return list(zip(I.tolist(), J.tolist()))
 
 
 def crossing_pairs(d: BoldDrawing):
     """All crossing (i, j, point) triples plus collinear-overlap pairs.
 
     Returns (crossings, overlaps) where crossings is a list of
-    (edge_i, edge_j, (x, y)) and overlaps a list of (edge_i, edge_j).
+    (edge_i, edge_j, (x, y)) and overlaps a list of (edge_i, edge_j), both
+    with i < j in lexicographic order.
     """
     P, Q, E = _segment_arrays(d)
-    m = P.shape[0]
-    crossings: list[tuple[int, int, Point]] = []
-    overlaps: list[tuple[int, int]] = []
-    for I, J in _pair_index_blocks(m):
-        nonadj = ~_adjacent_mask(E, I, J)
-        cross = transversal_crossing_mask(P[I], Q[I], P[J], Q[J]) & nonadj
-        if np.any(cross):
-            ci, cj = I[cross], J[cross]
-            pts = crossing_points_of(P[ci], Q[ci], P[cj], Q[cj])
-            for a, b, pt in zip(ci, cj, pts):
-                crossings.append((int(a), int(b), (float(pt[0]), float(pt[1]))))
-        over = collinear_overlap_mask(P[I], Q[I], P[J], Q[J])
-        for a, b in zip(I[over], J[over]):
-            overlaps.append((int(a), int(b)))
-    return crossings, overlaps
+    I, J, pts = _crossing_arrays(P, Q, E)
+    crossings = list(zip(I.tolist(), J.tolist(), map(tuple, pts.tolist())))
+    return crossings, _collinear_overlap_pairs(P, Q)
 
 
 def edge_lengths(d: BoldDrawing):
@@ -338,6 +369,131 @@ def bounding_area(d: BoldDrawing, fixed: float | None = None) -> float:
     return (xmax - xmin) * (ymax - ymin)
 
 
+def _disk_overlap_pairs(pos, r: float):
+    """Sorted (i, j), i < j, of the nodes whose disks overlap (center
+    distance < 2r), from the engine on extents [x - r, x + r] widened by
+    1e-9 of the coordinate scale, so rounding cannot drop a close pair."""
+    x = pos[:, 0]
+    reach = r + 1e-9 * (r + float(np.abs(x).max()))
+    limit = (2.0 * r) ** 2
+
+    def blocks():
+        for I, J in _candidate_blocks(x - reach, x + reach):
+            dx = pos[I, 0] - pos[J, 0]
+            dy = pos[I, 1] - pos[J, 1]
+            close = dx * dx + dy * dy < limit
+            yield I[close], J[close]
+
+    I, J = _ordered_pairs(blocks())
+    return list(zip(I.tolist(), J.tolist()))
+
+
+def _first_of_each_set(sets, m: int):
+    """Lowest row of each distinct edge set, in Python's tuple order.
+
+    A row holds a set's edge ids ascending, a 3-edge set padded with m.  As
+    digits edge + 1 and pad 0, a shorter tuple sorts before a longer one
+    with its prefix.  The digits pack into one int64 code in base m + 1
+    when it fits; otherwise a lexsort over the four columns orders them.
+    """
+    base = m + 1
+    digits = (sets + 1) % base
+    if base**4 <= np.iinfo(np.int64).max:
+        code = digits @ (base ** np.arange(3, -1, -1, dtype=np.int64))
+        order = np.argsort(code)
+        code = code[order]
+        new = code[1:] != code[:-1]
+    else:
+        order = np.lexsort(digits.T[::-1])
+        rows = digits[order]
+        new = (rows[1:] != rows[:-1]).any(axis=1)
+    starts = np.flatnonzero(np.concatenate((order[:1] >= 0, new)))
+    return np.minimum.reduceat(order, starts)
+
+
+def _close_crossing_pairs(X, Y, w: float, block_pairs: int):
+    """Index arrays (A, B), A < B, of the crossings closer than w whose
+    cells (floor(x/w), floor(y/w)) touch, in the order a cell scan meets
+    them: cells by their lowest crossing index, then A, then B's cell by
+    its place in the 3x3 block (x offset major), then B.
+
+    Cell keys are ranked, and a neighbour is the next rank only when the
+    keys differ by exactly one, so no key arithmetic can overflow.  Pairs
+    are built in blocks of about block_pairs, which bounds the memory.
+    """
+    ux, rx = np.unique(np.floor(X / w), return_inverse=True)
+    uy, ry = np.unique(np.floor(Y / w), return_inverse=True)
+    code = rx * uy.size + ry
+    by_cell = np.argsort(code, kind="stable")
+    cells, start, size = np.unique(code[by_cell], return_index=True, return_counts=True)
+    cell = np.searchsorted(cells, code)
+
+    def step(u, ru, o):
+        t = np.clip(ru + o, 0, u.size - 1)
+        return np.where(u[t] - u[ru] == o, t, -1)
+
+    # Start and size of the 9 neighbour cells of every cell, in block order.
+    offsets = [(ox, oy) for ox in (-1, 0, 1) for oy in (-1, 0, 1)]
+    cx, cy = np.divmod(cells, uy.size)
+    nb_start = np.zeros((cells.size, 9), np.int64)
+    nb_size = np.zeros((cells.size, 9), np.int64)
+    for s, (ox, oy) in enumerate(offsets):
+        tx, ty = step(ux, cx, ox), step(uy, cy, oy)
+        c = tx * uy.size + ty
+        at = np.minimum(np.searchsorted(cells, c), cells.size - 1)
+        hit = (tx >= 0) & (ty >= 0) & (cells[at] == c)
+        nb_start[:, s] = start[at]
+        nb_size[:, s] = np.where(hit, size[at], 0)
+
+    # One run of partners per (a, neighbour cell), in the order they are met.
+    seq = np.argsort(by_cell[start][cell], kind="stable")
+    run_a = np.repeat(seq, 9)
+    run_start = nb_start[cell[seq]].ravel()
+    run_size = nb_size[cell[seq]].ravel()
+    first = np.concatenate(([0], np.cumsum(run_size)))
+    limit = w * w
+    kept_a, kept_b = [], []
+    e = 0
+    while e < run_a.size:
+        f = max(e + 1, int(np.searchsorted(first, first[e] + block_pairs, "right")) - 1)
+        reps = run_size[e:f]
+        A = np.repeat(run_a[e:f], reps)
+        offset = np.repeat(run_start[e:f] - first[e:f], reps)
+        B = by_cell[np.arange(first[e], first[f]) + offset]
+        keep = B > A
+        A, B = A[keep], B[keep]
+        dx = X[A] - X[B]
+        dy = Y[A] - Y[B]
+        keep = dx * dx + dy * dy < limit
+        kept_a.append(A[keep])
+        kept_b.append(B[keep])
+        e = f
+    return np.concatenate(kept_a), np.concatenate(kept_b)
+
+
+def _concurrent_points(I, J, pts, w: float, m: int, block_pairs: int = 25_000):
+    """The (point, edge-ids) entries of :class:`PropernessReport` for the
+    crossings (I[k], J[k]) at pts[k], numbered in lexicographic order.
+
+    Two crossings closer than w in touching cells of side w put their edge
+    set on the list, at the midpoint of the first such pair that
+    :func:`_close_crossing_pairs` meets.
+    """
+    X, Y = pts[:, 0], pts[:, 1]
+    A, B = _close_crossing_pairs(X, Y, w, block_pairs)
+    # Distinct crossing pairs share at most one edge; its repeat becomes m.
+    sets = np.sort(np.column_stack((I[A], J[A], I[B], J[B])), axis=1)
+    sets[:, 1:][sets[:, 1:] == sets[:, :-1]] = m
+    sets.sort(axis=1)
+    pick = _first_of_each_set(sets, m)
+    a, b = A[pick], B[pick]
+    points = zip((0.5 * (X[a] + X[b])).tolist(), (0.5 * (Y[a] + Y[b])).tolist())
+    ids = list(range(m + 1))  # one int object per edge id, shared by the tuples
+    cols = [list(map(ids.__getitem__, col)) for col in sets[pick].T.tolist()]
+    edges = [t3 if t4[3] == m else t4 for t3, t4 in zip(zip(*cols[:3]), zip(*cols))]
+    return list(zip(points, edges))
+
+
 def check_proper(d: BoldDrawing) -> PropernessReport:
     """Check the three proper-drawing conditions; violations are reported,
     never raised.
@@ -345,56 +501,22 @@ def check_proper(d: BoldDrawing) -> PropernessReport:
     Disk overlap uses center distance < 2r (tangency passes).  The
     three-edges-through-a-point condition is approximated by flagging two
     crossing points of distinct edge pairs closer than the edge width,
-    which is the scale at which the inked rectangles actually coincide.
-    Cost grows with the number of crossings.
+    which is the scale at which the inked rectangles actually coincide;
+    each such edge set is reported once, at the midpoint of the first pair
+    a cell scan meets (:func:`_close_crossing_pairs`).  Every pair query
+    runs on the x-interval engine: disks on [x - r, x + r], crossings as
+    in the sweep, and collinear overlaps on x- plus y-extents, as a
+    positive-length overlap overlaps in x or in y.  All lists are sorted.
     """
+    P, Q, E = _segment_arrays(d)
+    I, J, pts = _crossing_arrays(P, Q, E)
+    r, w = d.params.radius, d.params.width
     pos = d.layout.positions
-    n = d.graph.node_count
-    r = d.params.radius
-    w = d.params.width
-
-    disk_overlaps: list[tuple[int, int]] = []
-    if r > 0 and n >= 2:
-        limit = (2.0 * r) ** 2
-        for I, J in _pair_index_blocks(n):
-            dx = pos[I, 0] - pos[J, 0]
-            dy = pos[I, 1] - pos[J, 1]
-            close = dx * dx + dy * dy < limit
-            for a, b in zip(I[close], J[close]):
-                disk_overlaps.append((int(a), int(b)))
-
-    crossings, overlaps = crossing_pairs(d)
-
-    concurrent: dict[tuple[int, ...], Point] = {}
-    if w > 0 and len(crossings) >= 2:
-        cells: dict[tuple[int, int], list[int]] = {}
-        for idx, (_i, _j, (x, y)) in enumerate(crossings):
-            cells.setdefault((int(np.floor(x / w)), int(np.floor(y / w))), []).append(idx)
-        for (cx, cy), members in cells.items():
-            neighborhood = []
-            for ox in (-1, 0, 1):
-                for oy in (-1, 0, 1):
-                    neighborhood.extend(cells.get((cx + ox, cy + oy), []))
-            for a in members:
-                ia, ja, (xa, ya) = crossings[a]
-                for b in neighborhood:
-                    if b <= a:
-                        continue
-                    ib, jb, (xb, yb) = crossings[b]
-                    if (xa - xb) ** 2 + (ya - yb) ** 2 < w * w:
-                        edges = tuple(sorted({ia, ja, ib, jb}))
-                        concurrent.setdefault(
-                            edges, (0.5 * (xa + xb), 0.5 * (ya + yb))
-                        )
-
-    concurrent_points = [(pt, edges) for edges, pt in sorted(concurrent.items())]
-    verdict = not disk_overlaps and not concurrent_points and not overlaps
-    return PropernessReport(
-        disk_overlaps=disk_overlaps,
-        concurrent_points=concurrent_points,
-        collinear_overlaps=overlaps,
-        verdict=verdict,
-    )
+    disks = _disk_overlap_pairs(pos, r) if r > 0 and len(pos) >= 2 else []
+    concurrent = _concurrent_points(I, J, pts, w, len(P)) if w > 0 and I.size >= 2 else []
+    overlaps = _collinear_overlap_pairs(P, Q)
+    verdict = not (disks or concurrent or overlaps)
+    return PropernessReport(disks, concurrent, overlaps, verdict)
 
 
 def measure(

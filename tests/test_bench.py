@@ -125,7 +125,7 @@ def test_load_bench_config_resolves_paths(tmp_path):
                 "gamma": 0.8,
                 "area": "auto",
                 "settings": [[1, 0], [1, 1]],
-                "graphs": [{"name": "g", "path": "sub/g.edges"}],
+                "graphs": [{"name": "g", "path": "sub/g.edges", "format": "edge-list"}],
                 "layouts": [
                     {"name": "rand", "algorithm": "random", "seed": 5},
                     {"algorithm": "circular"},
@@ -138,6 +138,7 @@ def test_load_bench_config_resolves_paths(tmp_path):
     assert config.area is None
     assert config.settings == ((1.0, 0.0), (1.0, 1.0))
     assert Path(config.graphs[0].path).is_absolute()
+    assert config.graphs[0].format == "edge-list"
     assert [name for name, _ in config.layouts] == ["rand", "circular"]
     rows = run_bench(config)
     assert len(rows) == 1 * 2 * 2

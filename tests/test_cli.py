@@ -290,11 +290,15 @@ def test_bench_config_entry_without_key_is_an_error(tmp_path, capsys, missing):
         ({"layouts": 3}, '"layouts" must be a list'),
         ({"raster": "false"}, "raster must be true or false"),
         ({"graphs": [{"name": "ring", "path": 5}]}, 'graph entry 0 needs a "name" and a "path"'),
+        ({"graphs": [{"name": "ring", "path": "ring.edges", "format": 5}]},
+         'graph entry 0: "format" must be null or one of'),
+        ({"graphs": [{"name": "ring", "path": "ring.edges", "format": "gml"}]},
+         "got 'gml'"),
     ],
     ids=["top-level-list", "layout-string", "iterations-str", "iterations-float",
          "gamma-null", "gamma-range", "area-null", "setting-not-pair",
          "setting-str", "setting-negative", "layouts-not-list", "raster-str",
-         "path-not-str"],
+         "path-not-str", "format-int", "format-unknown"],
 )
 def test_bench_config_holes_are_errors(tmp_path, capsys, config, message):
     (tmp_path / "ring.edges").write_text("0 1\n1 2\n2 0\n")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import bold, random_bold_drawing
 from inka import (
+    PropernessReport,
     Segment,
     bounding_area,
     bounding_box,
@@ -19,7 +20,19 @@ from inka import (
     segments_intersect,
     segments_overlap_collinear,
 )
-from inka.geometry import _candidate_blocks
+from inka.geometry import (
+    _adjacent_mask,
+    _candidate_blocks,
+    _collinear_overlap_pairs,
+    _concurrent_points,
+    _crossing_arrays,
+    _first_of_each_set,
+    _pair_index_blocks,
+    _segment_arrays,
+    collinear_overlap_mask,
+    crossing_points_of,
+    transversal_crossing_mask,
+)
 
 
 def test_segments_intersect_midpoint():
@@ -247,3 +260,209 @@ def test_measure_selects_counter(diagonal_drawing):
 
 def test_measure_fixed_area(diagonal_drawing):
     assert measure(diagonal_drawing, area=1000.0).area == 1000.0
+
+
+# ---------------------------------------------------------------- properness oracles
+# The all-pairs crossing_pairs and check_proper that the engine versions
+# replaced, kept verbatim as references: every list must come out equal,
+# crossing points and representative points bit for bit, in the same order.
+
+
+def reference_crossing_pairs(d):
+    P, Q, E = _segment_arrays(d)
+    m = P.shape[0]
+    crossings = []
+    overlaps = []
+    for I, J in _pair_index_blocks(m):
+        nonadj = ~_adjacent_mask(E, I, J)
+        cross = transversal_crossing_mask(P[I], Q[I], P[J], Q[J]) & nonadj
+        if np.any(cross):
+            ci, cj = I[cross], J[cross]
+            pts = crossing_points_of(P[ci], Q[ci], P[cj], Q[cj])
+            for a, b, pt in zip(ci, cj, pts):
+                crossings.append((int(a), int(b), (float(pt[0]), float(pt[1]))))
+        over = collinear_overlap_mask(P[I], Q[I], P[J], Q[J])
+        for a, b in zip(I[over], J[over]):
+            overlaps.append((int(a), int(b)))
+    return crossings, overlaps
+
+
+def reference_check_proper(d):
+    pos = d.layout.positions
+    n = d.graph.node_count
+    r = d.params.radius
+    w = d.params.width
+
+    disk_overlaps = []
+    if r > 0 and n >= 2:
+        limit = (2.0 * r) ** 2
+        for I, J in _pair_index_blocks(n):
+            dx = pos[I, 0] - pos[J, 0]
+            dy = pos[I, 1] - pos[J, 1]
+            close = dx * dx + dy * dy < limit
+            for a, b in zip(I[close], J[close]):
+                disk_overlaps.append((int(a), int(b)))
+
+    crossings, overlaps = reference_crossing_pairs(d)
+
+    concurrent = {}
+    if w > 0 and len(crossings) >= 2:
+        cells = {}
+        for idx, (_i, _j, (x, y)) in enumerate(crossings):
+            cells.setdefault((int(np.floor(x / w)), int(np.floor(y / w))), []).append(idx)
+        for (cx, cy), members in cells.items():
+            neighborhood = []
+            for ox in (-1, 0, 1):
+                for oy in (-1, 0, 1):
+                    neighborhood.extend(cells.get((cx + ox, cy + oy), []))
+            for a in members:
+                ia, ja, (xa, ya) = crossings[a]
+                for b in neighborhood:
+                    if b <= a:
+                        continue
+                    ib, jb, (xb, yb) = crossings[b]
+                    if (xa - xb) ** 2 + (ya - yb) ** 2 < w * w:
+                        edges = tuple(sorted({ia, ja, ib, jb}))
+                        concurrent.setdefault(
+                            edges, (0.5 * (xa + xb), 0.5 * (ya + yb))
+                        )
+
+    concurrent_points = [(pt, edges) for edges, pt in sorted(concurrent.items())]
+    verdict = not disk_overlaps and not concurrent_points and not overlaps
+    return PropernessReport(
+        disk_overlaps=disk_overlaps,
+        concurrent_points=concurrent_points,
+        collinear_overlaps=overlaps,
+        verdict=verdict,
+    )
+
+
+def assert_matches_oracle(d):
+    """check_proper and crossing_pairs equal the references; returns the
+    report for further checks."""
+    got, want = check_proper(d), reference_check_proper(d)
+    assert got.disk_overlaps == want.disk_overlaps
+    assert got.concurrent_points == want.concurrent_points
+    assert got.collinear_overlaps == want.collinear_overlaps
+    assert got.verdict == want.verdict
+    crossings, overlaps = crossing_pairs(d)
+    ref_crossings, ref_overlaps = reference_crossing_pairs(d)
+    assert crossings == ref_crossings
+    assert overlaps == ref_overlaps
+    # equal floats compare equal across int/float; pin the types too
+    assert all(type(v) is float for _i, _j, pt in crossings for v in pt)
+    assert all(type(v) is int for i, j, _pt in crossings for v in (i, j))
+    assert all(type(v) is float for pt, _e in got.concurrent_points for v in pt)
+    assert all(type(v) is int for _pt, e in got.concurrent_points for v in e)
+    return got
+
+
+def test_check_proper_matches_oracle_on_random_drawings():
+    rng = np.random.default_rng(11)
+    totals = np.zeros(3, dtype=int)
+    for case in range(150):
+        # a small span packs crossings close enough to be concurrent
+        d = random_bold_drawing(rng, lattice_prob=0.3, span=(100.0, 15.0)[case % 2])
+        report = assert_matches_oracle(d)
+        totals += [len(report.disk_overlaps), len(report.concurrent_points),
+                   len(report.collinear_overlaps)]
+    assert (totals > 0).all(), totals
+
+
+def test_check_proper_matches_oracle_on_lattice_drawings():
+    # integer lattices bring collinear overlaps, vertical edges, shared x
+    # and exactly tied crossing points
+    rng = np.random.default_rng(12)
+    overlaps = 0
+    for case in range(40):
+        d = random_bold_drawing(rng, n_max=40, m_max=80, lattice_prob=1.0,
+                                width=(0.1, 0.5, 1.0, 3.0)[case % 4])
+        overlaps += len(assert_matches_oracle(d).collinear_overlaps)
+    assert overlaps > 0
+    pts = [(0, 0), (0, 4), (0, 2), (0, 6), (2, 0), (2, 4), (-1, 2), (3, 2),
+           (-1, 3), (5, 3), (1, 3), (4, 3)]
+    edges = [(0, 1), (0, 5), (1, 4), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11)]
+    report = assert_matches_oracle(bold(pts, edges, r=0.3, w=1.5))
+    # a vertical overlap along x = 0 and a horizontal one along y = 3
+    assert report.collinear_overlaps == [(0, 3), (6, 7)]
+
+
+def test_check_proper_matches_oracle_on_degenerate_drawings():
+    # coincident nodes, zero-length edges, an edge through a coincident pair
+    pts = [(0, 0), (0, 0), (4, 4), (0, 4), (4, 0), (2, 2), (2, 2), (1e6, 0), (1e6 + 0.5, 0)]
+    edges = [(0, 1), (0, 2), (1, 2), (3, 4), (5, 6), (3, 5), (1, 3), (7, 8)]
+    for r, w in ((0.3, 0.5), (0.0, 0.5), (0.3, 0.0), (0.25, 2.0), (0.0, 0.0)):
+        assert_matches_oracle(bold(pts, edges, r=r, w=w))
+    # disks at x = 1e6, where coordinates step by 1.2e-10: one pair 5e-11
+    # closer than 2r, the next 7e-11 farther
+    r = 0.1
+    pts = [(1e6, 7.0), (1e6 + np.nextafter(2 * r, 0), 7.0), (1e6 + 4 * r, 7.0)]
+    assert assert_matches_oracle(bold(pts, [], r=r, w=0.1)).disk_overlaps == [(0, 1)]
+    for d in (bold(pts, [], r=1.0), bold([], [], r=1.0), bold([(0, 0)], [], r=1.0)):
+        report = assert_matches_oracle(d)
+        assert report.concurrent_points == [] and report.collinear_overlaps == []
+
+
+def test_collinear_overlap_of_x_disjoint_edges():
+    # two near-vertical edges, collinear within EPS, whose x-extents are
+    # disjoint while their y-extents overlap: only the y-engine pass meets
+    # them
+    pts = [(0.0, 0.0), (1e-13, 2.0), (2e-13, 1.0), (3e-13, 3.0)]
+    report = assert_matches_oracle(bold(pts, [(0, 1), (2, 3)], r=0.0, w=0.1))
+    assert report.collinear_overlaps == [(0, 1)]
+
+
+def test_concurrent_point_is_the_first_close_pair_met():
+    # three lines crossing pairwise near one spot: crossings 0=(0,1),
+    # 1=(0,2) and 2=(1,2) all reach the edge set (0, 1, 2).  Crossing 2
+    # lies in the cell left of crossing 0's and crossing 1 in the cell to
+    # its right, both within w of crossing 0, so the scan meets the pair
+    # (0, 2) before (0, 1): the neighbour cell's place beats the index.
+    pts = [(-5, 0.5), (5, 0.5), (7.5, -2.5), (-4.5, 3.5), (6.9, -0.7), (-3.9, 2.0)]
+    d = bold(pts, [(0, 1), (2, 3), (4, 5)], r=0.1, w=1.0)
+    crossings, _ = crossing_pairs(d)
+    assert [(i, j) for i, j, _pt in crossings] == [(0, 1), (0, 2), (1, 2)]
+    (x0, y0), (x1, y1), (x2, y2) = (pt for _i, _j, pt in crossings)
+    assert math.floor(x2) < math.floor(x0) < math.floor(x1)
+    report = assert_matches_oracle(d)
+    assert report.concurrent_points == [((0.5 * (x0 + x2), 0.5 * (y0 + y2)), (0, 1, 2))]
+
+
+def test_concurrent_scan_is_independent_of_block_size():
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        d = random_bold_drawing(rng, span=10.0, width=1.0)
+        P, Q, E = _segment_arrays(d)
+        I, J, pts = _crossing_arrays(P, Q, E)
+        if I.size < 2:
+            continue
+        full = _concurrent_points(I, J, pts, 1.0, P.shape[0])
+        for block_pairs in (1, 7):
+            assert _concurrent_points(I, J, pts, 1.0, P.shape[0], block_pairs) == full
+
+
+def test_edge_set_grouping_without_an_int64_code():
+    # with m = 100,000, (m + 1)^4 overflows int64: the lexsort path must
+    # group and order the sets as the packed code does, in tuple order
+    rng = np.random.default_rng(14)
+    rows = np.array([sorted(rng.choice(6, size=k, replace=False).tolist()) + [6] * (4 - k)
+                     for k in rng.integers(3, 5, size=300)])
+    big = np.where(rows == 6, 100_000, rows)
+    small_pick = _first_of_each_set(rows, 6)
+    assert np.array_equal(_first_of_each_set(big, 100_000), small_pick)
+    as_tuples = [tuple(v for v in row if v != 6) for row in rows.tolist()]
+    firsts = {}
+    for idx, t in enumerate(as_tuples):
+        firsts.setdefault(t, idx)
+    assert small_pick.tolist() == [firsts[t] for t in sorted(firsts)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(small, small), min_size=2, max_size=10), st.data())
+def test_overlap_engine_equals_all_pairs_on_small_integer_drawings(pts, data):
+    n = len(pts)
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = [(a, b) for a, b in data.draw(st.lists(pairs, max_size=20)) if a != b]
+    d = bold(pts, edges)
+    P, Q, _E = _segment_arrays(d)
+    assert _collinear_overlap_pairs(P, Q) == reference_crossing_pairs(d)[1]

@@ -1,4 +1,5 @@
-"""Microbenchmarks of the spring-layout kernels (pytest-benchmark).
+"""Microbenchmarks of the spring-layout kernels and check_proper
+(pytest-benchmark).
 
 They carry the ``perf`` marker, which the default options deselect, so
 the ordinary suite never runs them.  Run them with
@@ -11,12 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from inka import load_graph
+from inka import BoldDrawing, Layout, RenderParams, check_proper, load_graph
 from inka.layout import _repulsion_exact, _spring_iterate
 
 pytestmark = pytest.mark.perf
 
-MESH24 = Path(__file__).resolve().parents[1] / "data" / "graphs" / "mesh24.graph"
+GRAPHS = Path(__file__).resolve().parents[1] / "data" / "graphs"
+MESH24 = GRAPHS / "mesh24.graph"
 
 
 def random_positions(n, k=30.0, seed=0):
@@ -40,3 +42,16 @@ def test_spring_iterate_one_step_mesh24(benchmark):
         t0=0.1 * np.sqrt(n) * 30.0, cooling=0.95,
     )
     assert np.isfinite(out).all()
+
+
+def test_check_proper_lattice_can_144(benchmark):
+    # distinct points of an integer lattice: ties, vertical edges and
+    # collinear overlaps, and tens of thousands of crossings to compare
+    g = load_graph(GRAPHS / "can_144.mtx")
+    n = g.node_count
+    side = int(np.ceil(2 * np.sqrt(n)))
+    cells = np.random.default_rng(1).choice(side * side, size=n, replace=False)
+    pos = np.column_stack([cells % side, cells // side]).astype(np.float64)
+    d = BoldDrawing(g, Layout(pos), RenderParams(0.25, 0.1))
+    report = benchmark(check_proper, d)
+    assert report.concurrent_points and report.collinear_overlaps
