@@ -220,6 +220,14 @@ def test_raster_gap_small_without_crossings(tmp_path, capsys):
     assert payload["raster_ink"] == pytest.approx(payload["analytic_ink"], rel=0.05)
 
 
+def test_raster_bad_resolution_is_structured_error(drawing_files, capsys):
+    graph, layout = drawing_files
+    code = run(["raster", "--graph", graph, "--layout", layout, "--resolution", "32"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: resolution must be >= 64")
+
+
 def test_bench_command(tmp_path, capsys):
     graph = tmp_path / "ring.edges"
     graph.write_text("0 1\n1 2\n2 3\n3 4\n4 0\n")

@@ -1,5 +1,5 @@
-"""Microbenchmarks of the spring-layout kernels and check_proper
-(pytest-benchmark).
+"""Microbenchmarks of the spring-layout kernels, check_proper and the
+raster (pytest-benchmark).
 
 They carry the ``perf`` marker, which the default options deselect, so
 the ordinary suite never runs them.  Run them with
@@ -12,7 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from inka import BoldDrawing, Layout, RenderParams, check_proper, load_graph
+from inka import (
+    BoldDrawing,
+    Layout,
+    RasterConfig,
+    RenderParams,
+    check_proper,
+    load_graph,
+    rasterize_ink,
+)
 from inka.layout import _repulsion_exact, _spring_iterate
 
 pytestmark = pytest.mark.perf
@@ -55,3 +63,10 @@ def test_check_proper_lattice_can_144(benchmark):
     d = BoldDrawing(g, Layout(pos), RenderParams(0.25, 0.1))
     report = benchmark(check_proper, d)
     assert report.concurrent_points and report.collinear_overlaps
+
+
+def test_rasterize_ink_mesh24(benchmark):
+    g = load_graph(MESH24)
+    d = BoldDrawing(g, Layout(random_positions(g.node_count, seed=2)), RenderParams(5.0, 2.0))
+    area = benchmark(rasterize_ink, d, RasterConfig(512, 1))
+    assert area > 0
