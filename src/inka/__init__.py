@@ -40,8 +40,6 @@ from .geometry import (
     crossing_pairs,
     edge_lengths,
     measure,
-    segments_intersect,
-    segments_overlap_collinear,
 )
 from .ink import (
     BoundsReport,
@@ -53,6 +51,7 @@ from .ink import (
     density,
     equal_length_bounds,
     ink_components,
+    ink_report,
     ink_total,
     min_ink_radius,
     partial_edge_formulas,

@@ -18,7 +18,6 @@ flushed alongside a MANIFEST naming them and the failure.
 from __future__ import annotations
 
 import json
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -27,6 +26,8 @@ from pathlib import Path
 from .errors import InkaError
 from .formats import _PARSERS, ReportRow, emit_report, load_graph
 from .geometry import bounding_area, count_crossings_sweep, edge_lengths
+from .ink import ink_report
+# perfbench/tracing.py (BENCH_IMPORTS) looks these two up on this module.
 from .ink import check_area_constraint, ink_components
 from .layout import LayoutConfig, compute_layout
 from .model import BoldDrawing, RenderParams
@@ -174,35 +175,12 @@ def _graph_rows(bg: BenchGraph, config: BenchConfig) -> list[ReportRow]:
         for r, w in config.settings:
             d = BoldDrawing(g, layout, RenderParams(r, w, config.gamma))
             A = bounding_area(d, fixed=config.area)
-            nodes, edges, overlap = ink_components(g.node_count, g.m, r, w, L, cr)
-            ink = nodes + edges - overlap
-            if A > 0:
-                dens = ink / A
-                feasible = check_area_constraint(ink, A, config.gamma)
-            else:
-                dens = 0.0
-                feasible = ink <= 0
+            report = ink_report(g.node_count, g.m, r, w, L, cr, A, config.gamma)
             raster_ink = (
                 rasterize_ink(d, config.raster_config) if config.raster else None
             )
             rows.append(
-                ReportRow(
-                    graph_name=bg.name,
-                    layout_name=layout_name,
-                    n=g.node_count,
-                    m=g.m,
-                    r=r,
-                    w=w,
-                    gamma=config.gamma,
-                    L=L,
-                    cr=cr,
-                    A=A,
-                    ink=ink,
-                    density=dens,
-                    feasible=feasible,
-                    raster_ink=raster_ink,
-                    log10_ink=math.log10(ink) if ink > 0 else None,
-                )
+                ReportRow.of(bg.name, layout_name, d, L, cr, A, report, raster_ink)
             )
     return rows
 
@@ -224,14 +202,9 @@ def run_bench(config: BenchConfig, threads: int | None = None) -> list[ReportRow
             except Exception as e:
                 if failure is None:
                     failure = (bg.name, e)
+    rows = [row for i in range(len(config.graphs)) for row in results.get(i, [])]
     if failure is not None:
-        completed: list[ReportRow] = []
-        for i in range(len(config.graphs)):
-            completed.extend(results.get(i, []))
-        raise BenchAbort(failure[0], failure[1], completed)
-    rows: list[ReportRow] = []
-    for i in range(len(config.graphs)):
-        rows.extend(results[i])
+        raise BenchAbort(failure[0], failure[1], rows)
     return rows
 
 
@@ -255,13 +228,15 @@ def summarize(rows: list[ReportRow]) -> dict:
     base_checked = 0
     base_violations: list[dict] = []
     changes: list[dict] = []
+    least: dict[str, tuple[str, float]] = {}
     for (gname, lname), by_setting in cells.items():
         base = by_setting.get(BASE_SETTING)
         if base is not None:
             for (r, w), row in by_setting.items():
                 if (r, w) == BASE_SETTING:
                     continue
-                if w * (row.L - 2 * row.m * r) >= w * w * row.cr:
+                terms = ink_report(row.n, row.m, r, w, row.L, row.cr, row.A, row.gamma)
+                if terms.ink_edges >= terms.overlap:
                     base_checked += 1
                     if base.ink > row.ink * (1 + 1e-9):
                         base_violations.append(
@@ -269,6 +244,8 @@ def summarize(rows: list[ReportRow]) -> dict:
                         )
         one = by_setting.get((1.0, 1.0))
         two = by_setting.get((2.0, 1.0))
+        if one and (gname not in least or one.ink < least[gname][1]):
+            least[gname] = (lname, one.ink)
         if one and two and one.n and one.m / one.n <= 5 and one.ink > 0:
             changes.append(
                 {
@@ -277,14 +254,6 @@ def summarize(rows: list[ReportRow]) -> dict:
                     "relative_change": abs(two.ink - one.ink) / one.ink,
                 }
             )
-
-    least: dict[str, tuple[str, float]] = {}
-    for (gname, lname), by_setting in cells.items():
-        row = by_setting.get((1.0, 1.0))
-        if row is None:
-            continue
-        if gname not in least or row.ink < least[gname][1]:
-            least[gname] = (lname, row.ink)
 
     return {
         "rows": len(rows),

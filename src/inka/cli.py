@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 from .bench import BenchAbort, load_bench_config, run_bench_to_files
@@ -28,7 +28,7 @@ from .geometry import measure
 from .ink import (
     bounds_report,
     clarity_decomposition,
-    ink_components,
+    ink_report,
     ink_total,
     partial_edge_formulas,
     scale_ink_delta,
@@ -40,6 +40,11 @@ from .raster import RasterConfig, rasterize_ink, render_svg
 from .transforms import measure_stub_crossings, partial_edges, scale_layout, zoom_drawing
 
 _ALGORITHM_CHOICES = ("random", "circular", "force-directed", "multilevel")
+
+_PARTIAL_COLUMNS = (
+    "p", "stub_crossings", "ink_formula", "ink_measured", "necessity_holds",
+    "cr_lo", "cr_hi",
+)
 
 
 def _area_value(text: str):
@@ -54,6 +59,15 @@ def _area_value(text: str):
     if value <= 0:
         raise argparse.ArgumentTypeError(f"fixed area must be > 0, got {value}")
     return value
+
+
+def _ratios_value(text: str) -> list[float]:
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"ratios must be comma-separated numbers, got {text!r}"
+        ) from None
 
 
 def _add_drawing_args(p: argparse.ArgumentParser, default_width: float = 1.0):
@@ -91,92 +105,84 @@ def _emit(text: str, out: str | None) -> int:
     return 0
 
 
-def _num(v):
-    if v is None:
-        return None
+def _plain(v):
+    """A payload as JSON-ready data: report dataclasses become dicts,
+    intervals lists, and infinities the strings "inf" and "-inf"."""
+    if is_dataclass(v):
+        return {f.name: _plain(getattr(v, f.name)) for f in fields(v)}
+    if isinstance(v, dict):
+        return {k: _plain(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_plain(x) for x in v]
     if isinstance(v, float) and not math.isfinite(v):
         return "inf" if v > 0 else "-inf"
     return v
 
 
-def _interval(iv):
-    return None if iv is None else [_num(iv.lo), _num(iv.hi)]
+def _key_values(payload, sep: str = "\n") -> str:
+    return sep.join(f"{k}={v}" for k, v in _plain(payload).items())
+
+
+def _write(payload, fmt: str, out: str | None = None) -> int:
+    """Write a payload to out (default stdout): indented JSON, or one
+    key=value line per entry."""
+    if fmt == "json":
+        return _emit(json.dumps(_plain(payload), indent=2) + "\n", out)
+    return _emit(_key_values(payload) + "\n", out)
+
+
+def _bounds(d: BoldDrawing, metrics, equal_length=None):
+    g, p = d.graph, d.params
+    return bounds_report(
+        g.node_count, g.m, p.radius, p.width, metrics.total_edge_length,
+        metrics.crossings, p.gamma, metrics.area, equal_length=equal_length,
+    )
+
+
+def _partial_at(d: BoldDrawing, metrics, p: float):
+    """Stubs at retained fraction p, their crossing count, and the
+    partial-edge formulas for them."""
+    stubs = partial_edges(d, p)
+    cr_stub = measure_stub_crossings(stubs)
+    g, prm = d.graph, d.params
+    formulas = partial_edge_formulas(
+        g.node_count, g.m, prm.radius, prm.width, metrics.total_edge_length, p,
+        metrics.crossings, cr_stub, prm.gamma, metrics.area,
+    )
+    return stubs, cr_stub, formulas
 
 
 def cmd_analyze(args) -> int:
     d = _load_drawing(args)
     metrics = measure(d, area=args.area)
     report = ink_total(d, metrics, strict=args.strict)
+    row = ReportRow.of(
+        Path(args.graph).stem, Path(args.layout).stem, d,
+        metrics.total_edge_length, metrics.crossings, metrics.area, report,
+    )
+    bounds = _bounds(d, metrics)
     clarity = clarity_decomposition(d, metrics, strict=args.strict)
-    bounds = bounds_report(
-        d.graph.node_count, d.graph.m, args.radius, args.width,
-        metrics.total_edge_length, metrics.crossings, args.gamma, metrics.area,
-    )
-    row = ReportRow(
-        graph_name=Path(args.graph).stem,
-        layout_name=Path(args.layout).stem,
-        n=d.graph.node_count,
-        m=d.graph.m,
-        r=args.radius,
-        w=args.width,
-        gamma=args.gamma,
-        L=metrics.total_edge_length,
-        cr=metrics.crossings,
-        A=metrics.area,
-        ink=report.ink_total,
-        density=report.density,
-        feasible=report.feasible,
-        log10_ink=math.log10(report.ink_total) if report.ink_total > 0 else None,
-    )
-    bounds_dict = {
-        "r_interval": _interval(bounds.r_interval),
-        "w_interval": _interval(bounds.w_interval),
-        "l_interval": _interval(bounds.l_interval),
-        "cr_bound": _num(bounds.cr_bound),
-        "planar_l_max": _num(bounds.planar_l_max),
-    }
-    clarity_dict = {
-        "clarity_nodes": clarity.clarity_nodes,
-        "clarity_edges": clarity.clarity_edges,
-        "ambiguity_overlap": clarity.ambiguity_overlap,
-    }
     if args.format == "json":
-        payload = {
-            "report": json.loads(emit_report([row], format="json"))[0],
-            "bounds": bounds_dict,
-            "clarity": clarity_dict,
-        }
-        return _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        payload = {"report": row, "bounds": bounds, "clarity": clarity}
+        return _write(payload, "json", args.out)
     text = emit_report([row], format="csv")
-    text += "# bounds " + " ".join(f"{k}={v}" for k, v in bounds_dict.items()) + "\n"
-    text += "# clarity " + " ".join(f"{k}={v}" for k, v in clarity_dict.items()) + "\n"
+    text += f"# bounds {_key_values(bounds, ' ')}\n"
+    text += f"# clarity {_key_values(clarity, ' ')}\n"
     return _emit(text, args.out)
 
 
 def cmd_bounds(args) -> int:
     d = _load_drawing(args)
     metrics = measure(d, area=args.area)
-    bounds = bounds_report(
-        d.graph.node_count, d.graph.m, args.radius, args.width,
-        metrics.total_edge_length, metrics.crossings, args.gamma, metrics.area,
-        equal_length=args.length,
-    )
     payload = {
         "n": d.graph.node_count,
         "m": d.graph.m,
         "L": metrics.total_edge_length,
         "cr": metrics.crossings,
         "A": metrics.area,
-        "r_interval": _interval(bounds.r_interval),
-        "w_interval": _interval(bounds.w_interval),
-        "l_interval": _interval(bounds.l_interval),
-        "cr_bound": _num(bounds.cr_bound),
-        "planar_l_max": _num(bounds.planar_l_max),
+        **_plain(_bounds(d, metrics, equal_length=args.length)),
     }
-    if args.format == "json":
-        return _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    text = "".join(f"{k}={v}\n" for k, v in payload.items())
-    return _emit(text, args.out)
+    return _write(payload, args.format, args.out)
 
 
 def cmd_layout(args) -> int:
@@ -195,124 +201,77 @@ def cmd_layout(args) -> int:
 def cmd_transform(args) -> int:
     d = _load_drawing(args)
     metrics = measure(d, area=args.area)
-    base = ink_total(d, metrics, strict=True)
-    g, params = d.graph, d.params
-    payload: dict
-    out_text = None
+    base = ink_total(d, metrics, strict=True).ink_total
     if args.scale is not None:
-        new_layout = scale_layout(d.layout, args.scale)
-        d2 = BoldDrawing(g, new_layout, params)
-        m2 = measure(d2, area=args.area)
-        after = ink_total(d2, m2, strict=True)
-        predicted = scale_ink_delta(params.width, metrics.total_edge_length, args.scale)
+        d2 = replace(d, layout=scale_layout(d.layout, args.scale))
+        after = ink_total(d2, measure(d2, area=args.area), strict=True).ink_total
         payload = {
             "transform": "scale",
             "factor": args.scale,
-            "ink_before": base.ink_total,
-            "ink_after": after.ink_total,
-            "predicted_delta": predicted,
-            "measured_delta": after.ink_total - base.ink_total,
+            "ink_before": base,
+            "ink_after": after,
+            "predicted_delta": scale_ink_delta(
+                d.params.width, metrics.total_edge_length, args.scale
+            ),
+            "measured_delta": after - base,
         }
-        out_text = write_layout_csv(new_layout)
+        out_text = write_layout_csv(d2.layout)
     elif args.zoom is not None:
         d2 = zoom_drawing(d, args.zoom)
-        m2 = measure(d2, area=args.area)
-        after = ink_total(d2, m2, strict=True)
+        after = ink_total(d2, measure(d2, area=args.area), strict=True).ink_total
         payload = {
             "transform": "zoom",
             "factor": args.zoom,
             "radius_after": d2.params.radius,
             "width_after": d2.params.width,
-            "ink_before": base.ink_total,
-            "ink_after": after.ink_total,
-            "predicted_ink": zoom_ink(base.ink_total, args.zoom),
-            "measured_ink": after.ink_total,
+            "ink_before": base,
+            "ink_after": after,
+            "predicted_ink": zoom_ink(base, args.zoom),
+            "measured_ink": after,
         }
         out_text = write_layout_csv(d2.layout)
     else:
-        p = args.partial
-        stubs = partial_edges(d, p)
-        cr_stub = measure_stub_crossings(stubs)
-        formulas = partial_edge_formulas(
-            g.node_count, g.m, params.radius, params.width,
-            metrics.total_edge_length, p, metrics.crossings, cr_stub,
-            params.gamma, metrics.area,
-        )
+        stubs, cr_stub, formulas = _partial_at(d, metrics, args.partial)
         payload = {
             "transform": "partial",
-            "factor": p,
-            "stub_count": len(stubs.segments),
+            "factor": args.partial,
+            "stub_count": len(stubs.P),
             "stub_total_length": stubs.total_length,
             "crossings_full": metrics.crossings,
             "crossings_partial": cr_stub,
-            "ink_full": base.ink_total,
+            "ink_full": base,
             "ink_partial": formulas.ink_partial,
             "necessity_holds": formulas.necessity_holds,
         }
-        lines = ["parent,px,py,qx,qy"]
-        for seg, parent in zip(stubs.segments, stubs.parent_edge):
-            lines.append(
-                f"{int(parent)},{seg.p[0]!r},{seg.p[1]!r},{seg.q[0]!r},{seg.q[1]!r}"
-            )
-        out_text = "\n".join(lines) + "\n"
+        rows = zip(stubs.parent_edge.tolist(), stubs.P.tolist(), stubs.Q.tolist())
+        out_text = "parent,px,py,qx,qy\n" + "".join(
+            f"{e},{p[0]!r},{p[1]!r},{q[0]!r},{q[1]!r}\n" for e, p, q in rows
+        )
     if args.out:
         Path(args.out).write_text(out_text)
-    if args.format == "json":
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        sys.stdout.write("".join(f"{k}={v}\n" for k, v in payload.items()))
-    return 0
+    return _write(payload, args.format)
 
 
 def cmd_partial(args) -> int:
     d = _load_drawing(args)
     metrics = measure(d, area=args.area)
-    g, params = d.graph, d.params
-    try:
-        ratios = [float(tok) for tok in args.ratios.split(",") if tok.strip()]
-    except ValueError:
-        print(f"error: bad --ratios value {args.ratios!r}", file=sys.stderr)
-        return 2
+    g, prm = d.graph, d.params
     records = []
-    for p in ratios:
-        stubs = partial_edges(d, p)
-        cr_stub = measure_stub_crossings(stubs)
-        formulas = partial_edge_formulas(
-            g.node_count, g.m, params.radius, params.width,
-            metrics.total_edge_length, p, metrics.crossings, cr_stub,
-            params.gamma, metrics.area,
+    for p in args.ratios:
+        stubs, cr_stub, formulas = _partial_at(d, metrics, p)
+        measured = ink_report(
+            g.node_count, g.m, prm.radius, prm.width, stubs.total_length, cr_stub,
+            metrics.area, prm.gamma,
         )
-        nodes, _edges, _overlap = ink_components(
-            g.node_count, g.m, params.radius, params.width,
-            metrics.total_edge_length, metrics.crossings,
-        )
-        measured_ink = (
-            nodes
-            + params.width * (stubs.total_length - 2 * g.m * params.radius)
-            - params.width**2 * cr_stub
-        )
-        records.append(
-            {
-                "p": p,
-                "stub_crossings": cr_stub,
-                "ink_formula": formulas.ink_partial,
-                "ink_measured": measured_ink,
-                "necessity_holds": formulas.necessity_holds,
-                "cr_lo": _num(formulas.crossing_interval.lo)
-                if formulas.crossing_interval
-                else None,
-                "cr_hi": _num(formulas.crossing_interval.hi)
-                if formulas.crossing_interval
-                else None,
-            }
-        )
+        lo, hi = formulas.crossing_interval or (None, None)
+        values = (p, cr_stub, formulas.ink_partial, measured.ink_total,
+                  formulas.necessity_holds, lo, hi)
+        records.append(dict(zip(_PARTIAL_COLUMNS, _plain(values))))
     if args.format == "json":
-        return _emit(json.dumps(records, indent=2) + "\n", args.out)
-    cols = ["p", "stub_crossings", "ink_formula", "ink_measured",
-            "necessity_holds", "cr_lo", "cr_hi"]
-    lines = [",".join(cols)]
+        return _write(records, "json", args.out)
+    lines = [",".join(_PARTIAL_COLUMNS)]
     for rec in records:
-        lines.append(",".join("" if rec[c] is None else str(rec[c]) for c in cols))
+        lines.append(",".join("" if v is None else str(v) for v in rec.values()))
     return _emit("\n".join(lines) + "\n", args.out)
 
 
@@ -338,9 +297,7 @@ def cmd_raster(args) -> int:
         "resolution": args.resolution,
         "supersampling": args.supersample,
     }
-    if args.format == "json":
-        return _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return _emit("".join(f"{k}={v}\n" for k, v in payload.items()), args.out)
+    return _write(payload, args.format, args.out)
 
 
 def cmd_bench(args) -> int:
@@ -359,14 +316,14 @@ def cmd_bench(args) -> int:
             file=sys.stderr,
         )
         return 1
-    sys.stdout.write(json.dumps(summary, indent=2) + "\n")
-    return 0
+    return _write(summary, "json")
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="inka",
         description="Ink accounting for bold node-link graph drawings.",
+        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -403,9 +360,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_args(p)
     p.set_defaults(func=cmd_transform)
 
-    p = sub.add_parser("partial", help="partial-edge sweep over several ratios")
+    # A bad value here reaches main as an ArgumentError: exit code 2, as
+    # a return value rather than SystemExit.
+    p = sub.add_parser("partial", help="partial-edge sweep over several ratios",
+                       exit_on_error=False)
     _add_drawing_args(p)
-    p.add_argument("--ratios", default="0.1,0.25,0.5,1",
+    p.add_argument("--ratios", type=_ratios_value, default="0.1,0.25,0.5,1",
                    help="comma-separated retained fractions")
     _add_output_args(p)
     p.set_defaults(func=cmd_partial)
@@ -440,16 +400,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except argparse.ArgumentError as e:  # an unknown command, or a bad `partial` value
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
-    except InkaError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
+    except (InkaError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

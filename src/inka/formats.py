@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ParseWarning
-from .model import Graph, Layout, build_graph
+from .model import BoldDrawing, Graph, InkReport, Layout, build_graph
 
 _MM_FIELDS = {"pattern", "real", "integer", "complex"}
 _MM_SYMMETRIES = {"general", "symmetric", "skew-symmetric", "hermitian"}
@@ -399,41 +399,46 @@ class ReportRow:
             if not math.isfinite(v):
                 raise ValueError(f"ReportRow.{name} must be finite, got {v}")
 
+    @classmethod
+    def of(cls, graph_name, layout_name, d: BoldDrawing, L, cr, A,
+           report: InkReport, raster_ink=None) -> ReportRow:
+        """The row of drawing d measured at (L, cr, A) with this ink report;
+        log10_ink is None unless the ink is positive."""
+        ink, p = report.ink_total, d.params
+        return cls(
+            graph_name, layout_name, d.graph.node_count, d.graph.m, p.radius,
+            p.width, p.gamma, L, cr, A, ink, report.density, report.feasible,
+            raster_ink, math.log10(ink) if ink > 0 else None,
+        )
+
 
 REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
-def _row_values(row: ReportRow):
-    return [getattr(row, name) for name in REPORT_COLUMNS]
+def _csv_cell(v):
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return repr(v) if isinstance(v, float) else v
 
 
 def emit_report(rows, format: str = "csv", path=None) -> str:
     """Serialize report rows to CSV (fixed column order) or JSON (array
     of objects with the same keys).  Floats keep full precision; None
     fields become empty CSV cells / JSON nulls."""
-    rows = list(rows)
-    if not rows:
+    table = [[getattr(row, name) for name in REPORT_COLUMNS] for row in rows]
+    if not table:
         raise ValueError("no report rows to emit")
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(REPORT_COLUMNS)
-        for row in rows:
-            out = []
-            for v in _row_values(row):
-                if v is None:
-                    out.append("")
-                elif isinstance(v, bool):
-                    out.append("true" if v else "false")
-                elif isinstance(v, float):
-                    out.append(repr(v))
-                else:
-                    out.append(v)
-            writer.writerow(out)
+        writer.writerows([_csv_cell(v) for v in values] for values in table)
         text = buf.getvalue()
     elif format == "json":
         text = json.dumps(
-            [dict(zip(REPORT_COLUMNS, _row_values(row))) for row in rows], indent=2
+            [dict(zip(REPORT_COLUMNS, values)) for values in table], indent=2
         ) + "\n"
     else:
         raise ValueError(f"unknown report format {format!r} (csv or json)")

@@ -134,31 +134,6 @@ def crossing_points_of(p1, q1, p2, q2):
     return p1 + t[..., None] * r
 
 
-def segments_intersect(s1: Segment, s2: Segment) -> Point | None:
-    """Proper interior crossing point of two segments, or None.
-
-    Segments sharing an endpoint return None; collinear overlap returns
-    None (use :func:`segments_overlap_collinear` to detect it).
-    """
-    p1 = np.array([s1.p], dtype=np.float64)
-    q1 = np.array([s1.q], dtype=np.float64)
-    p2 = np.array([s2.p], dtype=np.float64)
-    q2 = np.array([s2.q], dtype=np.float64)
-    if not transversal_crossing_mask(p1, q1, p2, q2)[0]:
-        return None
-    pt = crossing_points_of(p1, q1, p2, q2)[0]
-    return (float(pt[0]), float(pt[1]))
-
-
-def segments_overlap_collinear(s1: Segment, s2: Segment) -> bool:
-    """True when the segments are collinear and overlap over positive length."""
-    p1 = np.array([s1.p], dtype=np.float64)
-    q1 = np.array([s1.q], dtype=np.float64)
-    p2 = np.array([s2.p], dtype=np.float64)
-    q2 = np.array([s2.q], dtype=np.float64)
-    return bool(collinear_overlap_mask(p1, q1, p2, q2)[0])
-
-
 def _segment_arrays(d: BoldDrawing):
     """Endpoint arrays P, Q (m, 2) and node-id array E (m, 2) for the edges."""
     E = d.graph.edge_array()

@@ -5,7 +5,10 @@ rectangles (width w along the segment, minus the 2r hidden under the two
 end disks), and saves roughly w^2 wherever two rectangles cross.  Every
 function here is closed-form arithmetic over the measured quantities
 (L, cr, A); geometry supplies those, this module never touches
-coordinates.
+coordinates.  Every total, density and budget verdict comes from
+``ink_report``.  A drawing of zero area (an empty graph, or all nodes on
+one point with r = w = 0) has density 0.0 and is feasible iff its ink
+is at most 0.
 
 Two deliberate dualities run through the module:
 
@@ -28,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateDrawingError, InfeasibleError
+from .errors import InfeasibleError
 from .model import BoldDrawing, DrawingMetrics, InkReport
 
 # Relative slack for the feasibility comparison, so a drawing sitting
@@ -117,6 +120,21 @@ def ink_components(
     return ink_nodes, ink_edges, overlap
 
 
+def ink_report(
+    n: int, m: int, r: float, w: float, L: float, cr: int, A: float,
+    gamma: float = 1.0, edge_lengths=None,
+) -> InkReport:
+    """The ink terms, their total, density, and the area-budget verdict;
+    the one place the terms are summed and feasibility is decided."""
+    ink_nodes, ink_edges, overlap = ink_components(n, m, r, w, L, cr, edge_lengths)
+    total = ink_nodes + ink_edges - overlap
+    if A > 0:
+        dens, feasible = density(total, A), check_area_constraint(total, A, gamma)
+    else:
+        dens, feasible = 0.0, total <= 0
+    return InkReport(ink_nodes, ink_edges, overlap, total, dens, feasible)
+
+
 def ink_total(d: BoldDrawing, metrics: DrawingMetrics, strict: bool = False) -> InkReport:
     """Full ink report for a drawing from its measured quantities.
 
@@ -125,30 +143,10 @@ def ink_total(d: BoldDrawing, metrics: DrawingMetrics, strict: bool = False) -> 
     n*pi*r^2 + w*(L - 2mr) - w^2*cr.
     """
     g, p = d.graph, d.params
-    lengths = None if strict else metrics.edge_lengths
-    ink_nodes, ink_edges, overlap = ink_components(
+    return ink_report(
         g.node_count, g.m, p.radius, p.width, metrics.total_edge_length,
-        metrics.crossings, edge_lengths=lengths,
-    )
-    total = ink_nodes + ink_edges - overlap
-    A = metrics.area
-    if A > 0:
-        dens = total / A
-        feasible = check_area_constraint(total, A, p.gamma)
-    elif g.node_count == 0:
-        dens = 0.0
-        feasible = True
-    else:
-        raise DegenerateDrawingError(
-            "drawing area is zero; density is undefined for a non-empty graph"
-        )
-    return InkReport(
-        ink_nodes=ink_nodes,
-        ink_edges=ink_edges,
-        overlap=overlap,
-        ink_total=total,
-        density=dens,
-        feasible=feasible,
+        metrics.crossings, metrics.area, p.gamma,
+        edge_lengths=None if strict else metrics.edge_lengths,
     )
 
 
@@ -280,7 +278,7 @@ def planar_formulas(
     width_bound is None when L - 2mr <= 0 (width is not budget-limited
     through this inequality); max_total_length is None when w == 0.
     """
-    ink = n * math.pi * r * r + w * (L - 2.0 * m * r)
+    ink = ink_report(n, m, r, w, L, 0, A, gamma).ink_total
     b = L - 2.0 * m * r
     width_bound = (gamma * A - n * math.pi * r * r) / b if b > 0 else None
     l_max = None
@@ -336,7 +334,7 @@ def partial_edge_formulas(
     """
     if not 0 < p <= 1:
         raise ValueError(f"retained fraction must be in (0, 1], got {p}")
-    ink_partial = n * math.pi * r * r + w * (p * L - 2.0 * m * r) - w * w * cr_partial
+    ink_partial = ink_report(n, m, r, w, p * L, cr_partial, A, gamma).ink_total
     if w == 0:
         return PartialEdgeFormulas(ink_partial, None, None)
     necessity = (cr_full - cr_partial) <= (1.0 - p) * L / w
@@ -352,15 +350,8 @@ def clarity_decomposition(
     Same arithmetic as the ink report (same clamping mode), so the
     decomposition always recomposes to the drawing's total ink.
     """
-    g, p = d.graph, d.params
-    lengths = None if strict else metrics.edge_lengths
-    ink_nodes, ink_edges, overlap = ink_components(
-        g.node_count, g.m, p.radius, p.width, metrics.total_edge_length,
-        metrics.crossings, edge_lengths=lengths,
-    )
-    return ClarityReport(
-        clarity_nodes=ink_nodes, clarity_edges=ink_edges, ambiguity_overlap=overlap
-    )
+    report = ink_total(d, metrics, strict)
+    return ClarityReport(report.ink_nodes, report.ink_edges, report.overlap)
 
 
 def width_delta_ink(

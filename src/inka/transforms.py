@@ -64,7 +64,7 @@ class StubSet:
 
     @property
     def segments(self) -> list[Segment]:
-        """The stubs as Segment records holding Python floats."""
+        """The stubs as Segment records; perfbench/tracing.py counts them."""
         pairs = zip(self.P.tolist(), self.Q.tolist())
         return [Segment(tuple(p), tuple(q)) for p, q in pairs]
 

@@ -355,3 +355,81 @@ def test_layout_node_count_mismatch(drawing_files, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "error:" in captured.err
+
+
+@pytest.fixture
+def edgeless_files(tmp_path):
+    # three isolated nodes: nothing caps the width, so w_interval's upper
+    # end is infinite
+    graph = tmp_path / "lonely.mtx"
+    graph.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n3 3 0\n")
+    layout = tmp_path / "lonely.csv"
+    write_layout_csv(Layout(np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])), path=layout)
+    return str(graph), str(layout)
+
+
+EDGELESS_BOUNDS = {
+    "r_interval": [0.0, 3.9088200952233594],
+    "w_interval": [0.0, "inf"],
+    "l_interval": None,
+    "cr_bound": None,
+    "planar_l_max": 140.57522203923062,
+}
+
+
+def test_edgeless_bounds_text_forms(edgeless_files, capsys):
+    graph, layout = edgeless_files
+    assert run(["bounds", "--graph", graph, "--layout", layout]) == 0
+    assert capsys.readouterr().out == (
+        "n=3\nm=0\nL=0.0\ncr=0\nA=144.0\n"
+        "r_interval=[0.0, 3.9088200952233594]\nw_interval=[0.0, 'inf']\n"
+        "l_interval=None\ncr_bound=None\nplanar_l_max=140.57522203923062\n"
+    )
+    assert run(["bounds", "--graph", graph, "--layout", layout, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert '"w_interval": [\n    0.0,\n    "inf"\n  ],' in out
+    expected = {"n": 3, "m": 0, "L": 0.0, "cr": 0, "A": 144.0, **EDGELESS_BOUNDS}
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_edgeless_analyze_text_forms(edgeless_files, capsys):
+    graph, layout = edgeless_files
+    assert run(["analyze", "--graph", graph, "--layout", layout]) == 0
+    assert capsys.readouterr().out == (
+        "graph_name,layout_name,n,m,r,w,gamma,L,cr,A,ink,density,feasible,"
+        "raster_ink,log10_ink\n"
+        "lonely,lonely,3,0,1.0,1.0,1.0,0.0,0,144.0,9.42477796076938,"
+        "0.06544984694978735,true,,0.9742711274137963\n"
+        "# bounds r_interval=[0.0, 3.9088200952233594] w_interval=[0.0, 'inf'] "
+        "l_interval=None cr_bound=None planar_l_max=140.57522203923062\n"
+        "# clarity clarity_nodes=9.42477796076938 clarity_edges=0.0 "
+        "ambiguity_overlap=0.0\n"
+    )
+    assert run(["analyze", "--graph", graph, "--layout", layout, "--format", "json"]) == 0
+    report = {
+        "graph_name": "lonely", "layout_name": "lonely", "n": 3, "m": 0, "r": 1.0,
+        "w": 1.0, "gamma": 1.0, "L": 0.0, "cr": 0, "A": 144.0,
+        "ink": 9.42477796076938, "density": 0.06544984694978735, "feasible": True,
+        "raster_ink": None, "log10_ink": 0.9742711274137963,
+    }
+    clarity = {"clarity_nodes": 9.42477796076938, "clarity_edges": 0.0,
+               "ambiguity_overlap": 0.0}
+    expected = {"report": report, "bounds": EDGELESS_BOUNDS, "clarity": clarity}
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_transform_partial_key_value_text(drawing_files, tmp_path, capsys):
+    graph, layout = drawing_files
+    out = tmp_path / "stubs.csv"
+    assert run(["transform", "--graph", graph, "--layout", layout, "--radius", "1",
+                "--width", "0.1", "--partial", "0.5", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "transform=partial\nfactor=0.5\nstub_count=4\n"
+        "stub_total_length=14.142135623730951\ncrossings_full=1\n"
+        "crossings_partial=0\nink_full=14.984797739105362\n"
+        "ink_partial=13.580584176732268\nnecessity_holds=True\n"
+    )
+    assert out.read_text() == (
+        "parent,px,py,qx,qy\n0,0.0,0.0,2.5,2.5\n0,10.0,10.0,7.5,7.5\n"
+        "1,0.0,10.0,2.5,7.5\n1,10.0,0.0,7.5,2.5\n"
+    )

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import bold, random_bold_drawing
 from inka import (
     PropernessReport,
-    Segment,
     bounding_area,
     bounding_box,
     check_proper,
@@ -17,8 +16,6 @@ from inka import (
     crossing_pairs,
     edge_lengths,
     measure,
-    segments_intersect,
-    segments_overlap_collinear,
 )
 from inka.geometry import (
     _adjacent_mask,
@@ -35,37 +32,43 @@ from inka.geometry import (
 )
 
 
+def _rows(*points):
+    """One-row (1, 2) endpoint arrays, one per point, for the row-wise
+    predicates."""
+    return [np.array([pt], dtype=np.float64) for pt in points]
+
+
 def test_segments_intersect_midpoint():
-    pt = segments_intersect(Segment((0, 0), (10, 10)), Segment((0, 10), (10, 0)))
-    assert pt == pytest.approx((5.0, 5.0))
+    rows = _rows((0, 0), (10, 10), (0, 10), (10, 0))
+    assert transversal_crossing_mask(*rows)[0]
+    assert tuple(crossing_points_of(*rows)[0]) == pytest.approx((5.0, 5.0))
 
 
 def test_segments_intersect_disjoint():
-    assert segments_intersect(Segment((0, 0), (1, 0)), Segment((0, 1), (1, 1))) is None
+    assert not transversal_crossing_mask(*_rows((0, 0), (1, 0), (0, 1), (1, 1)))[0]
 
 
 def test_segments_intersect_shared_endpoint_is_not_a_crossing():
-    assert segments_intersect(Segment((0, 0), (1, 1)), Segment((1, 1), (2, 0))) is None
+    assert not transversal_crossing_mask(*_rows((0, 0), (1, 1), (1, 1), (2, 0)))[0]
 
 
 def test_segments_intersect_touching_interior_is_not_transversal():
     # endpoint of one lies on the interior of the other: orientation zero
-    assert segments_intersect(Segment((0, 0), (2, 0)), Segment((1, 0), (1, 5))) is None
+    assert not transversal_crossing_mask(*_rows((0, 0), (2, 0), (1, 0), (1, 5)))[0]
 
 
 def test_segments_intersect_degenerate_segment():
-    assert segments_intersect(Segment((1, 1), (1, 1)), Segment((0, 0), (2, 2))) is None
+    assert not transversal_crossing_mask(*_rows((1, 1), (1, 1), (0, 0), (2, 2)))[0]
 
 
 def test_collinear_overlap_detected_separately():
-    a = Segment((0, 0), (2, 0))
-    b = Segment((1, 0), (3, 0))
-    assert segments_intersect(a, b) is None
-    assert segments_overlap_collinear(a, b)
+    rows = _rows((0, 0), (2, 0), (1, 0), (3, 0))
+    assert not transversal_crossing_mask(*rows)[0]
+    assert collinear_overlap_mask(*rows)[0]
     # touching only at one point is not a positive-length overlap
-    assert not segments_overlap_collinear(Segment((0, 0), (1, 0)), Segment((1, 0), (2, 0)))
+    assert not collinear_overlap_mask(*_rows((0, 0), (1, 0), (1, 0), (2, 0)))[0]
     # vertical flavor
-    assert segments_overlap_collinear(Segment((0, 0), (0, 2)), Segment((0, 1), (0, 3)))
+    assert collinear_overlap_mask(*_rows((0, 0), (0, 2), (0, 1), (0, 3)))[0]
 
 
 coords = st.integers(min_value=-4, max_value=4)
@@ -77,13 +80,11 @@ points = st.tuples(coords, coords)
 def test_intersection_predicate_is_symmetric(p1, q1, p2, q2):
     # small integer coordinates force collinear, degenerate, and
     # endpoint-touching configurations
-    a = Segment(p1, q1)
-    b = Segment(p2, q2)
-    assert (segments_intersect(a, b) is None) == (segments_intersect(b, a) is None)
-    assert segments_overlap_collinear(a, b) == segments_overlap_collinear(b, a)
+    a, b, rev = _rows(p1, q1), _rows(p2, q2), _rows(q1, p1)
+    assert transversal_crossing_mask(*a, *b)[0] == transversal_crossing_mask(*b, *a)[0]
+    assert collinear_overlap_mask(*a, *b)[0] == collinear_overlap_mask(*b, *a)[0]
     # swapping a segment's own endpoints changes nothing either
-    rev = Segment(q1, p1)
-    assert (segments_intersect(rev, b) is None) == (segments_intersect(a, b) is None)
+    assert transversal_crossing_mask(*rev, *b)[0] == transversal_crossing_mask(*a, *b)[0]
 
 
 def test_crossing_counts_on_fixtures(parallel_drawing, diagonal_drawing, xshape_drawing):

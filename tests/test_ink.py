@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,13 +6,17 @@ import pytest
 
 from conftest import bold
 from inka import (
+    BenchConfig,
+    BenchGraph,
     InfeasibleError,
+    LayoutConfig,
     bounds_report,
     check_area_constraint,
     clarity_decomposition,
     density,
     equal_length_bounds,
     ink_components,
+    ink_report,
     ink_total,
     measure,
     min_ink_radius,
@@ -20,11 +25,15 @@ from inka import (
     radius_bounds,
     radius_delta_ink,
     radius_delta_ink_exact,
+    run_bench,
     scale_ink_delta,
     width_bounds,
     width_delta_ink,
+    write_edge_list,
+    write_layout_csv,
     zoom_ink,
 )
+from inka.cli import main
 
 
 def direct_ink(n, m, r, w, L, cr):
@@ -362,3 +371,49 @@ def test_bounds_report_degrades_to_none():
     got = bounds_report(10, 15, 2.0, 1.0, 500.0, 3, 0.1, 10.0)
     assert got.r_interval is None
     assert got.w_interval is None
+
+
+@pytest.mark.parametrize(
+    "points, edges",
+    [([(3.0, 3.0), (3.0, 3.0)], [(0, 1)]), ([(1.0, 2.0)], [])],
+    ids=["coincident-pair", "one-node"],
+)
+def test_zero_area_rule_agrees_across_paths(tmp_path, capsys, points, edges):
+    # r = w = 0 on nodes that share one point: the bounding box is empty
+    d = bold(points, edges, r=0.0, w=0.0)
+    metrics = measure(d)
+    assert metrics.area == 0.0
+    report = ink_total(d, metrics)
+    assert (report.ink_total, report.density, report.feasible) == (0.0, 0.0, True)
+
+    write_edge_list(d.graph, tmp_path / "g.edges")
+    write_layout_csv(d.layout, tmp_path / "g.csv")
+    code = main(["analyze", "--graph", str(tmp_path / "g.edges"), "--layout",
+                 str(tmp_path / "g.csv"), "--radius", "0", "--width", "0",
+                 "--format", "json"])
+    assert code == 0
+    row = json.loads(capsys.readouterr().out)["report"]
+    assert (row["A"], row["ink"], row["density"], row["feasible"]) == (0.0, 0.0, 0.0, True)
+
+    if len(points) == 1:  # any layout of one node puts it on one point
+        config = BenchConfig(
+            graphs=(BenchGraph("one", str(tmp_path / "g.edges")),),
+            layouts=(("circular", LayoutConfig(algorithm="circular")),),
+            settings=((0.0, 0.0),),
+        )
+        (bench_row,) = run_bench(config, threads=1)
+        assert (bench_row.A, bench_row.ink) == (0.0, 0.0)
+        assert (bench_row.density, bench_row.feasible) == (0.0, True)
+
+
+def test_zero_area_rule_on_the_ink_function():
+    # positive ink on zero area is infeasible; no ink is feasible
+    got = ink_report(1, 0, 1.0, 0.0, 0.0, 0, 0.0)
+    assert got.ink_total == pytest.approx(math.pi)
+    assert (got.density, got.feasible) == (0.0, False)
+    got = ink_report(2, 1, 0.0, 1.0, 0.0, 0, 0.0)
+    assert (got.ink_total, got.density, got.feasible) == (0.0, 0.0, True)
+    # the empty graph keeps its report
+    empty = bold(np.zeros((0, 2)), [])
+    report = ink_total(empty, measure(empty))
+    assert (report.ink_total, report.density, report.feasible) == (0.0, 0.0, True)

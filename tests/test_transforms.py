@@ -14,9 +14,9 @@ from inka import (
     measure_stub_crossings,
     partial_edges,
     scale_layout,
-    segments_intersect,
     zoom_drawing,
 )
+from inka.geometry import transversal_crossing_mask
 
 
 def test_scale_layout_identity():
@@ -144,16 +144,16 @@ def test_stub_crossings_skip_adjacent_edges():
 def _stub_crossings_pairwise(stubs):
     # the definition, pair by pair: parent-edge pairs, neither the same
     # nor adjacent, with at least one transversally crossing stub pair
-    segs = stubs.segments
+    P, Q = stubs.P, stubs.Q
     par = stubs.parent_edge.tolist()
     nodes = stubs.parent_nodes.tolist()
     found = set()
-    for a in range(len(segs)):
-        for b in range(a + 1, len(segs)):
+    for a in range(len(P)):
+        for b in range(a + 1, len(P)):
             e1, e2 = par[a], par[b]
             if set(nodes[e1]) & set(nodes[e2]):
                 continue
-            if segments_intersect(segs[a], segs[b]) is not None:
+            if transversal_crossing_mask(P[a:a + 1], Q[a:a + 1], P[b:b + 1], Q[b:b + 1])[0]:
                 found.add((min(e1, e2), max(e1, e2)))
     return len(found)
 
