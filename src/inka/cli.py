@@ -34,12 +34,10 @@ from .ink import (
     scale_ink_delta,
     zoom_ink,
 )
-from .layout import LayoutConfig, compute_layout
+from .layout import _ALGORITHMS, LayoutConfig, compute_layout
 from .model import BoldDrawing, RenderParams
 from .raster import RasterConfig, rasterize_ink, render_svg
 from .transforms import measure_stub_crossings, partial_edges, scale_layout, zoom_drawing
-
-_ALGORITHM_CHOICES = ("random", "circular", "force-directed", "multilevel")
 
 _PARTIAL_COLUMNS = (
     "p", "stub_crossings", "ink_formula", "ink_measured", "necessity_holds",
@@ -63,11 +61,14 @@ def _area_value(text: str):
 
 def _ratios_value(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        ratios = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
+        ratios = []
+    if not ratios:
         raise argparse.ArgumentTypeError(
-            f"ratios must be comma-separated numbers, got {text!r}"
-        ) from None
+            f"ratios must be one or more comma-separated numbers, got {text!r}"
+        )
+    return ratios
 
 
 def _add_drawing_args(p: argparse.ArgumentParser, default_width: float = 1.0):
@@ -323,7 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="inka",
         description="Ink accounting for bold node-link graph drawings.",
-        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -343,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("layout", help="compute a deterministic layout")
     p.add_argument("--graph", required=True)
-    p.add_argument("--algorithm", choices=_ALGORITHM_CHOICES, required=True)
+    p.add_argument("--algorithm", choices=_ALGORITHMS, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--iterations", type=int, default=500)
     p.add_argument("--ideal-length", type=float, default=30.0)
@@ -360,10 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_args(p)
     p.set_defaults(func=cmd_transform)
 
-    # A bad value here reaches main as an ArgumentError: exit code 2, as
-    # a return value rather than SystemExit.
-    p = sub.add_parser("partial", help="partial-edge sweep over several ratios",
-                       exit_on_error=False)
+    p = sub.add_parser("partial", help="partial-edge sweep over several ratios")
     _add_drawing_args(p)
     p.add_argument("--ratios", type=_ratios_value, default="0.1,0.25,0.5,1",
                    help="comma-separated retained fractions")
@@ -400,11 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        args = _build_parser().parse_args(argv)
-    except argparse.ArgumentError as e:  # an unknown command, or a bad `partial` value
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (InkaError, OSError, ValueError) as e:

@@ -38,6 +38,13 @@ def _int_token(token: str, line: int, what: str) -> int:
         raise ParseError(f"{what} must be an integer, got {token!r}", line=line) from None
 
 
+def _float_token(token: str, line: int, what: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise ParseError(f"bad {what} {token!r}", line=line) from None
+
+
 def parse_matrix_market(text: str) -> Graph:
     """Matrix Market coordinate file -> Graph.
 
@@ -109,10 +116,7 @@ def parse_matrix_market(text: str) -> Graph:
         a = _int_token(tokens[0], lineno, "row index")
         b = _int_token(tokens[1], lineno, "column index")
         for v in tokens[2:]:
-            try:
-                float(v)
-            except ValueError:
-                raise ParseError(f"bad numeric value {v!r}", line=lineno) from None
+            _float_token(v, lineno, "numeric value")
         if not (1 <= a <= rows and 1 <= b <= cols):
             raise ParseError(f"index ({a}, {b}) outside {rows}x{cols}", line=lineno)
         seen += 1
@@ -190,10 +194,7 @@ def parse_chaco(text: str) -> Graph:
                 f"expected {n_vweights} vertex weights", line=lineno
             )
         for v in tokens[:n_vweights]:
-            try:
-                float(v)
-            except ValueError:
-                raise ParseError(f"bad vertex weight {v!r}", line=lineno) from None
+            _float_token(v, lineno, "vertex weight")
         rest = tokens[n_vweights:]
         if edge_weights:
             if len(rest) % 2:
@@ -202,10 +203,7 @@ def parse_chaco(text: str) -> Graph:
                 )
             neighbors = rest[0::2]
             for v in rest[1::2]:
-                try:
-                    float(v)
-                except ValueError:
-                    raise ParseError(f"bad edge weight {v!r}", line=lineno) from None
+                _float_token(v, lineno, "edge weight")
         else:
             neighbors = rest
         for tok in neighbors:
@@ -251,10 +249,7 @@ def parse_edge_list(text: str) -> Graph:
         if a < 0 or b < 0:
             raise ParseError("node ids must be non-negative", line=lineno)
         if len(tokens) == 3:
-            try:
-                float(tokens[2])
-            except ValueError:
-                raise ParseError(f"bad weight {tokens[2]!r}", line=lineno) from None
+            _float_token(tokens[2], lineno, "weight")
         for v in (a, b):
             if v not in order:
                 order[v] = len(order)

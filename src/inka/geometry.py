@@ -494,21 +494,11 @@ def check_proper(d: BoldDrawing) -> PropernessReport:
     return PropernessReport(disks, concurrent, overlaps, verdict)
 
 
-def measure(
-    d: BoldDrawing, area: float | None = None, counter: str = "sweep"
-) -> DrawingMetrics:
-    """Edge lengths, crossing count, and area for a drawing in one record.
-
-    counter selects "sweep" (default) or "brute" crossing counting;
-    area overrides the bounding-box area with a fixed value.
-    """
+def measure(d: BoldDrawing, area: float | None = None) -> DrawingMetrics:
+    """Edge lengths, sweep crossing count, and area for a drawing in one
+    record; area overrides the bounding-box area with a fixed value."""
     lengths, total = edge_lengths(d)
-    if counter == "sweep":
-        cr = count_crossings_sweep(d)
-    elif counter == "brute":
-        cr = count_crossings_bruteforce(d)
-    else:
-        raise ValueError(f"unknown crossing counter {counter!r}")
+    cr = count_crossings_sweep(d)
     return DrawingMetrics(
         total_edge_length=total,
         crossings=cr,

@@ -7,11 +7,11 @@ lays out the small coarse graph, then interpolates and locally refines
 level by level.  Everything is a pure function of (graph, config): same
 seed, same layout, bit for bit.
 
-The spring embedder computes repulsion exactly up to 2,000 nodes, as one
-(n, n) force matrix times an (n, 3) block, and above that switches to a
-bucket-grid approximation (interaction cutoff at twice the ideal edge
-length).  Disconnected graphs are laid out one component at a time and
-packed on a padded grid.
+The spring embedder computes repulsion exactly at every size, as an
+(n, n) force matrix times an (n, 3) block; the matrix is built in row
+blocks of at most 2^20 entries, so its memory stays bounded (one block
+up to 1,024 nodes).  Disconnected graphs are laid out one component at a
+time and packed on a padded grid.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ _ALGORITHMS = ("random", "circular", "force-directed", "multilevel")
 # Golden-angle increment for deterministic, direction-diverse jitter.
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Largest component whose repulsion is computed exactly (O(n^2) memory).
-_EXACT_REPULSION_MAX_NODES = 2000
+# Most entries of the repulsion matrix built at once (8 MiB of float64).
+_REPULSION_BLOCK_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -126,54 +126,34 @@ def _pack_components(parts: list[np.ndarray], pad: float) -> list[np.ndarray]:
     ]
 
 
-def _repulsion_exact(pos: np.ndarray, weight: np.ndarray, k: float) -> np.ndarray:
+def _repulsion_exact(
+    pos: np.ndarray, weight: np.ndarray, k: float,
+    block_entries: int = _REPULSION_BLOCK_ENTRIES,
+) -> np.ndarray:
     """All-pairs repulsion sum_j f_ij (p_i - p_j), f_ij = k^2 w_i w_j / d_ij^2,
     as w_i (c_i (G @ w)_i - (G @ (w c))_i) with G = k^2 / max(d^2, 1e-8) on
     centred positions c; d^2 comes from exact coordinate differences.  G is
     zero on coincident pairs (the diagonal too): they exert no force, and a
-    clamped k^2/1e-8 there would cancel badly in the subtraction."""
+    clamped k^2/1e-8 there would cancel badly in the subtraction.  G is
+    built max(1, block_entries // n) rows at a time."""
     c = pos - pos.mean(axis=0)
     x, y = c[:, 0], c[:, 1]
-    g = np.subtract.outer(x, x)
-    g *= g
-    dy = np.subtract.outer(y, y)
-    dy *= dy
-    g += dy
-    coincident = g == 0.0
-    np.maximum(g, 1e-8, out=g)
-    np.divide(k * k, g, out=g)
-    g[coincident] = 0.0
-    s = g @ np.column_stack([weight, weight[:, None] * c])
+    rhs = np.column_stack([weight, weight[:, None] * c])
+    s = np.empty_like(rhs)
+    rows = max(1, block_entries // len(pos))
+    for lo in range(0, len(pos), rows):
+        hi = lo + rows
+        g = np.subtract.outer(x[lo:hi], x)
+        g *= g
+        dy = np.subtract.outer(y[lo:hi], y)
+        dy *= dy
+        g += dy
+        coincident = g == 0.0
+        np.maximum(g, 1e-8, out=g)
+        np.divide(k * k, g, out=g)
+        g[coincident] = 0.0
+        s[lo:hi] = g @ rhs
     return weight[:, None] * (c * s[:, :1] - s[:, 1:])
-
-
-def _repulsion_grid(pos: np.ndarray, weight: np.ndarray, k: float) -> np.ndarray:
-    """Bucketed repulsion with a cutoff at 2k; nodes beyond the cutoff do
-    not interact.  Deterministic: cells are visited in sorted order."""
-    cell = 2.0 * k
-    keys = np.floor(pos / cell).astype(np.int64)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i, (cx, cy) in enumerate(keys):
-        buckets.setdefault((int(cx), int(cy)), []).append(i)
-    disp = np.zeros_like(pos)
-    k2 = k * k
-    cutoff2 = cell * cell
-    for (cx, cy) in sorted(buckets):
-        mine = np.array(buckets[(cx, cy)], dtype=np.int64)
-        nbr: list[int] = []
-        for ox in (-1, 0, 1):
-            for oy in (-1, 0, 1):
-                nbr.extend(buckets.get((cx + ox, cy + oy), ()))
-        other = np.array(nbr, dtype=np.int64)
-        diff = pos[mine, None, :] - pos[other][None, :, :]
-        d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2
-        far = d2 > cutoff2
-        np.maximum(d2, 1e-8, out=d2)
-        f = k2 / d2 * (weight[mine, None] * weight[other][None, :])
-        f[far] = 0.0
-        f[mine[:, None] == other[None, :]] = 0.0
-        disp[mine] = (diff * f[:, :, None]).sum(axis=1)
-    return disp
 
 
 def _spring_iterate(
@@ -189,13 +169,9 @@ def _spring_iterate(
     """Core spring-embedder loop; returns refined positions."""
     pos = pos.copy()
     n = len(pos)
-    exact = n <= _EXACT_REPULSION_MAX_NODES
     t = t0
     for it in range(iterations):
-        if exact:
-            disp = _repulsion_exact(pos, node_weight, k)
-        else:
-            disp = _repulsion_grid(pos, node_weight, k)
+        disp = _repulsion_exact(pos, node_weight, k)
         if len(edges):
             delta = pos[edges[:, 0]] - pos[edges[:, 1]]
             d = np.hypot(delta[:, 0], delta[:, 1])

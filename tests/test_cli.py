@@ -188,9 +188,21 @@ def test_partial_sweep_json_formula_matches_measured(drawing_files, capsys):
 
 def test_partial_bad_ratios(drawing_files, capsys):
     graph, layout = drawing_files
-    assert run(["partial", "--graph", graph, "--layout", layout,
-                "--ratios", "0.5,banana"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["partial", "--graph", graph, "--layout", layout,
+             "--ratios", "0.5,banana"])
+    assert exc.value.code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ratios", [",", " ", ""])
+def test_partial_empty_ratios(drawing_files, capsys, ratios):
+    graph, layout = drawing_files
+    with pytest.raises(SystemExit) as exc:
+        run(["partial", "--graph", graph, "--layout", layout, "--ratios", ratios])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "--ratios" in err
 
 
 def test_render_svg_output(drawing_files, tmp_path, capsys):

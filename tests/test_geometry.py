@@ -250,13 +250,8 @@ def test_check_proper_collinear_overlap():
 
 
 def test_measure_selects_counter(diagonal_drawing):
-    m1 = measure(diagonal_drawing, counter="sweep")
-    m2 = measure(diagonal_drawing, counter="brute")
-    assert m1.crossings == m2.crossings == 1
-    assert m1.total_edge_length == pytest.approx(m2.total_edge_length)
-    assert m1.area == pytest.approx(m2.area)
-    with pytest.raises(ValueError):
-        measure(diagonal_drawing, counter="magic")
+    d = diagonal_drawing
+    assert measure(d).crossings == count_crossings_bruteforce(d) == 1
 
 
 def test_measure_fixed_area(diagonal_drawing):

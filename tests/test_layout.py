@@ -89,9 +89,9 @@ def repulsion_reference(pos, weight, k):
     return (diff * f[:, :, None]).sum(axis=1)
 
 
-def assert_matches_reference(pos, weight, k=30.0):
+def assert_matches_reference(pos, weight, k=30.0, **kw):
     ref = repulsion_reference(pos, weight, k)
-    got = _repulsion_exact(pos, weight, k)
+    got = _repulsion_exact(pos, weight, k, **kw)
     assert got.shape == pos.shape
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -104,6 +104,17 @@ def test_repulsion_exact_matches_reference(n, weighted):
     # multilevel passes sqrt(node_weight), node weights being merged counts
     weight = np.sqrt(rng.integers(1, 9, size=n)) if weighted else np.ones(n)
     assert_matches_reference(pos, weight)
+
+
+@pytest.mark.parametrize("n", [600, 1500])
+@pytest.mark.parametrize("rows", [1, 7, 64, None])
+def test_repulsion_exact_row_blocks(n, rows):
+    # rows=None builds the whole matrix as one block
+    rng = np.random.default_rng(n + 1)
+    pos = rng.uniform(0.0, math.sqrt(n) * 30.0, size=(n, 2))
+    pos[n - 1] = pos[0]  # a coincident pair split across blocks
+    weight = np.sqrt(rng.integers(1, 9, size=n))
+    assert_matches_reference(pos, weight, block_entries=(rows or n) * n)
 
 
 def test_repulsion_exact_coincident_nodes():

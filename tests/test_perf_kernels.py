@@ -34,7 +34,7 @@ def random_positions(n, k=30.0, seed=0):
     return rng.uniform(0.0, np.sqrt(n) * k, size=(n, 2))
 
 
-@pytest.mark.parametrize("n", [144, 576])
+@pytest.mark.parametrize("n", [144, 576, 2361])  # 2,361: yeastppi's component
 def test_repulsion_exact(benchmark, n):
     pos = random_positions(n)
     disp = benchmark(_repulsion_exact, pos, np.ones(n), 30.0)
