@@ -346,13 +346,14 @@ def parse_layout_csv(text: str, node_count: int | None = None) -> Layout:
     n = node_count if node_count is not None else (max(rows) + 1 if rows else 0)
     if node_count is not None and len(rows) != node_count:
         raise ParseError(f"expected {node_count} rows, found {len(rows)}")
-    missing = [i for i in range(n) if i not in rows]
-    if missing:
-        raise ParseError(f"missing row for node {missing[0]}")
-    extra = [i for i in rows if i >= n]
-    if extra:
-        raise ParseError(f"node id {extra[0]} out of range for {n} nodes")
-    return Layout(np.array([rows[i] for i in range(n)], dtype=np.float64))
+    # The ids are distinct and >= 0, so the first sorted id that is not its
+    # own index is the lowest missing id; with as many rows as nodes, an id
+    # out of range leaves one missing below n.
+    ids = sorted(rows)
+    missing = next((i for i, node in enumerate(ids) if node != i), len(ids))
+    if missing < n:
+        raise ParseError(f"missing row for node {missing}")
+    return Layout(np.array([rows[i] for i in range(n)], dtype=np.float64).reshape(n, 2))
 
 
 def read_layout_csv(path, node_count: int | None = None) -> Layout:

@@ -5,20 +5,23 @@ Crossing counting comes in two independent flavours:
 * :func:`count_crossings_bruteforce` tests every non-adjacent edge pair.
 * :func:`count_crossings_sweep` tests only the pairs whose closed
   x-extents overlap, the candidate filter that opens the Bentley-Ottmann
-  sweep.  One engine, :func:`_candidate_blocks`, sorts the intervals by
-  their left end and emits the overlapping pairs as int64 index blocks;
-  filters then thin each block before the predicate.
+  sweep.  One engine, :func:`_rank_blocks`, takes the intervals sorted
+  by their left end and emits the overlapping pairs of ranks as int64
+  blocks; filters then thin each block before the predicate.
 
-Both call the same transversal-crossing predicate on exactly the same
-arithmetic, so any disagreement between them is an enumeration bug, which
-is what the pairing is meant to catch.  Every other pair query runs on the
-engine too, so only the brute-force oracle walks all pairs: stub
-crossings and the crossing points of :func:`crossing_pairs` as in the
-sweep, disk overlaps on [x - r, x + r], and collinear overlaps on
-x-extents plus y-extents, since an overlap of positive length overlaps in
-x or in y.  :func:`check_proper` bins crossing points into cells of side
-w and reports each edge set that two close crossings span at the
-midpoint of the first such pair in a fixed scan order.
+Both use the same orientation expressions and sign test,
+:func:`_straddles`; the box test is implied by the filters, so the
+sweep's kernel, :func:`_crossing_blocks`, skips it.  Any disagreement
+between the two is an enumeration bug, which is what the pairing is meant
+to catch.  Every other pair query runs on the engine too, so only the
+brute-force oracle walks all pairs: stub crossings and the crossing
+points of :func:`crossing_pairs` as in the sweep, and through
+:func:`_candidate_blocks`, which maps ranks back to indices, disk
+overlaps on [x - r, x + r] and collinear overlaps on x-extents plus
+y-extents, since an overlap of positive length overlaps in x or in y.
+:func:`check_proper` bins crossing points into cells of side w and
+reports each edge set that two close crossings span at the midpoint of
+the first such pair in a fixed scan order.
 
 Predicates are plain double precision with a fixed epsilon; a pair
 "crosses" when the open segments intersect transversally at an interior
@@ -35,6 +38,9 @@ import numpy as np
 from .model import BoldDrawing, DrawingMetrics
 
 EPS = 1e-12
+
+# Candidate pairs per engine block; see _rank_blocks.
+_BLOCK_PAIRS = 25_000
 
 Point = tuple[float, float]
 
@@ -68,15 +74,20 @@ def _orient(ax, ay, bx, by, cx, cy):
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
+def _straddles(a, b):
+    """Row-wise: do a and b lie strictly on opposite sides of the EPS band?
+    False wherever either is NaN."""
+    return (np.minimum(a, b) < -EPS) & (np.maximum(a, b) > EPS)
+
+
 def transversal_crossing_mask(p1, q1, p2, q2):
     """Row-wise test: do the open segments (p1,q1) and (p2,q2) cross?
 
     Inputs are (k, 2) arrays of endpoints.  True requires strictly
     opposite orientations on both sides, so endpoint touching, collinear
     overlap, and degenerate segments all test False.  A closed bounding-box
-    overlap check runs first; it is a necessary condition for a crossing
-    and keeps the arithmetic identical between the pairwise and the sweep
-    counters.
+    overlap check is part of the test; it is a necessary condition for a
+    crossing, and the filters of :func:`_crossing_blocks` imply it.
     """
     p1x, p1y = p1[..., 0], p1[..., 1]
     q1x, q1y = q1[..., 0], q1[..., 1]
@@ -94,11 +105,7 @@ def transversal_crossing_mask(p1, q1, p2, q2):
     o2 = _orient(p1x, p1y, q1x, q1y, q2x, q2y)
     o3 = _orient(p2x, p2y, q2x, q2y, p1x, p1y)
     o4 = _orient(p2x, p2y, q2x, q2y, q1x, q1y)
-    return (
-        bbox
-        & ((o1 > EPS) & (o2 < -EPS) | (o1 < -EPS) & (o2 > EPS))
-        & ((o3 > EPS) & (o4 < -EPS) | (o3 < -EPS) & (o4 > EPS))
-    )
+    return bbox & _straddles(o1, o2) & _straddles(o3, o4)
 
 
 def collinear_overlap_mask(p1, q1, p2, q2):
@@ -181,20 +188,19 @@ def count_crossings_bruteforce(d: BoldDrawing) -> int:
     return total
 
 
-def _candidate_blocks(lx, hx, block_pairs: int = 25_000):
-    """Yield (I, J) int64 index arrays covering, exactly once, every pair
-    of segments whose closed x-extents [lx, hx] overlap.
+def _rank_blocks(lx, hx, block_pairs: int):
+    """Yield (I, J) int64 rank arrays, I < J, covering exactly once every
+    pair of extents [lx, hx] that overlap, for lx sorted ascending.
 
-    After a stable argsort by lx, the partners of rank a are ranks a+1 up
-    to the last rank whose lx is <= hx[a]; touching extents are included.
-    A block holds the pairs of consecutive ranks, at most block_pairs of
-    them unless a single rank has more.  The filters and the predicate
-    take about 115 bytes a pair, so the default keeps a block near 3 MB,
-    which bounds peak memory and runs faster than larger blocks.
+    The partners of rank a are ranks a+1 up to the last rank whose lx is
+    <= hx[a]; touching extents are included.  A block holds the pairs of
+    consecutive ranks, at most block_pairs of them unless a single rank
+    has more.  The filters and the predicate take about 115 bytes a pair,
+    so _BLOCK_PAIRS keeps a block near 3 MB, which bounds peak memory and
+    runs faster than larger blocks.
     """
     m = lx.shape[0]
-    order = np.argsort(lx, kind="stable")
-    count = np.searchsorted(lx[order], hx[order], side="right") - np.arange(1, m + 1)
+    count = np.searchsorted(lx, hx, side="right") - np.arange(1, m + 1)
     start = np.concatenate(([0], np.cumsum(count)))
     a = 0
     while a < m:
@@ -204,31 +210,67 @@ def _candidate_blocks(lx, hx, block_pairs: int = 25_000):
             I = np.repeat(np.arange(a, b), reps)
             first = np.arange(a + 1, b + 1) - start[a:b]  # J minus the pair index
             J = np.arange(start[a], start[b]) + np.repeat(first, reps)
-            yield order[I], order[J]
+            yield I, J
         a = b
 
 
-def _crossing_blocks(P, Q, nodes):
+def _candidate_blocks(lx, hx, block_pairs: int = _BLOCK_PAIRS):
+    """Yield (I, J) int64 index arrays covering, exactly once, every pair
+    of intervals whose closed extents [lx, hx] overlap: the ranks of
+    :func:`_rank_blocks` after a stable argsort by lx, mapped back."""
+    order = np.argsort(lx, kind="stable")
+    for I, J in _rank_blocks(lx[order], hx[order], block_pairs):
+        yield order[I], order[J]
+
+
+def _crossing_blocks(P, Q, nodes, block_pairs: int = _BLOCK_PAIRS):
     """Yield (I, J) index arrays of the segment pairs that cross
-    transversally, skipping pairs whose node rows share a node."""
-    lx, ly = np.minimum(P, Q).T.copy()
-    hx, hy = np.maximum(P, Q).T.copy()
-    for I, J in _candidate_blocks(lx, hx):
-        keep = (ly[I] <= hy[J]) & (ly[J] <= hy[I])
-        I, J = I[keep], J[keep]
-        keep = ~_adjacent_mask(nodes, I, J)
-        I, J = I[keep], J[keep]
-        cross = transversal_crossing_mask(P[I], Q[I], P[J], Q[J])
-        yield I[cross], J[cross]
+    transversally, skipping pairs whose node rows share a node.
+
+    The segments are sorted by left x once and every column is permuted
+    into that rank order, so the engine's rank pairs index the columns
+    directly; only the pairs that pass every test map back to segment
+    indices.  The orientations are the predicate's own expressions (dx is
+    the same float as q_x - p_x; q is never rebuilt as p + dx), tested in
+    two stages: J's endpoints against line I on every pair, then I's
+    endpoints against line J on the pairs that straddle it.
+    """
+    order = np.argsort(np.minimum(P[:, 0], Q[:, 0]), kind="stable")
+    px, py = P[order].T.copy()
+    qx, qy = Q[order].T.copy()
+    dx, dy = qx - px, qy - py
+    lx, hx = np.minimum(px, qx), np.maximum(px, qx)
+    ly, hy = np.minimum(py, qy), np.maximum(py, qy)
+    u, v = nodes[order].T.copy()
+    for I, J in _rank_blocks(lx, hx, block_pairs):
+        # The engine gives lx[I] <= lx[J] <= hx[I] and lx[J] <= hx[J], and this
+        # is the y half of the box test, so the predicate's box test holds.
+        k = np.flatnonzero((ly[I] <= hy[J]) & (ly[J] <= hy[I]))
+        I, J = I[k], J[k]
+        x, y, ex, ey = px[I], py[I], dx[I], dy[I]
+        o1 = ex * (py[J] - y) - ey * (px[J] - x)
+        o2 = ex * (qy[J] - y) - ey * (qx[J] - x)
+        k = np.flatnonzero(_straddles(o1, o2))
+        I, J = I[k], J[k]
+        x, y, ex, ey = px[J], py[J], dx[J], dy[J]
+        o3 = ex * (py[I] - y) - ey * (px[I] - x)
+        o4 = ex * (qy[I] - y) - ey * (qx[I] - x)
+        k = np.flatnonzero(_straddles(o3, o4))
+        I, J = I[k], J[k]
+        # _adjacent_mask's test, on 1-D columns: they gather faster than rows.
+        ui, vi, uj, vj = u[I], v[I], u[J], v[J]
+        k = np.flatnonzero((ui != uj) & (ui != vj) & (vi != uj) & (vi != vj))
+        yield order[I[k]], order[J[k]]
 
 
 def count_crossings_sweep(d: BoldDrawing) -> int:
     """Crossing counter on the x-interval engine; equals the brute-force count.
 
     Every crossing pair has overlapping closed x- and y-extents, so the
-    candidate pairs of :func:`_candidate_blocks` that also overlap in y
-    and share no node include all of them, and the same predicate as
-    :func:`count_crossings_bruteforce` decides each one.
+    engine's pairs that also overlap in y include all of them, and
+    :func:`_crossing_blocks` decides each one with the orientations and
+    sign test of :func:`count_crossings_bruteforce`'s predicate, whose box
+    test those two filters already pass.
     """
     P, Q, E = _segment_arrays(d)
     return sum(int(I.size) for I, _J in _crossing_blocks(P, Q, E))

@@ -126,32 +126,42 @@ def _pack_components(parts: list[np.ndarray], pad: float) -> list[np.ndarray]:
     ]
 
 
+def _repulsion_buffers(n: int, block_entries: int = _REPULSION_BLOCK_ENTRIES):
+    """Scratch for :func:`_repulsion_exact` on n nodes: two float blocks
+    and one bool block of max(1, block_entries // n) rows (at most n)."""
+    shape = (min(n, max(1, block_entries // n)), n)
+    return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+
+
 def _repulsion_exact(
     pos: np.ndarray, weight: np.ndarray, k: float,
-    block_entries: int = _REPULSION_BLOCK_ENTRIES,
+    block_entries: int = _REPULSION_BLOCK_ENTRIES, *, _buffers=None,
 ) -> np.ndarray:
     """All-pairs repulsion sum_j f_ij (p_i - p_j), f_ij = k^2 w_i w_j / d_ij^2,
     as w_i (c_i (G @ w)_i - (G @ (w c))_i) with G = k^2 / max(d^2, 1e-8) on
     centred positions c; d^2 comes from exact coordinate differences.  G is
     zero on coincident pairs (the diagonal too): they exert no force, and a
     clamped k^2/1e-8 there would cancel badly in the subtraction.  G is
-    built max(1, block_entries // n) rows at a time."""
+    built max(1, block_entries // n) rows at a time, in _buffers from
+    :func:`_repulsion_buffers` when the caller reuses them across calls."""
     c = pos - pos.mean(axis=0)
     x, y = c[:, 0], c[:, 1]
     rhs = np.column_stack([weight, weight[:, None] * c])
     s = np.empty_like(rhs)
-    rows = max(1, block_entries // len(pos))
+    g_all, dy_all, same_all = _buffers or _repulsion_buffers(len(pos), block_entries)
+    rows = g_all.shape[0]
     for lo in range(0, len(pos), rows):
-        hi = lo + rows
-        g = np.subtract.outer(x[lo:hi], x)
+        hi = min(lo + rows, len(pos))
+        g, dy, coincident = g_all[: hi - lo], dy_all[: hi - lo], same_all[: hi - lo]
+        np.subtract(x[lo:hi, None], x, out=g)
         g *= g
-        dy = np.subtract.outer(y[lo:hi], y)
+        np.subtract(y[lo:hi, None], y, out=dy)
         dy *= dy
         g += dy
-        coincident = g == 0.0
+        np.equal(g, 0.0, out=coincident)
         np.maximum(g, 1e-8, out=g)
         np.divide(k * k, g, out=g)
-        g[coincident] = 0.0
+        np.copyto(g, 0.0, where=coincident)
         s[lo:hi] = g @ rhs
     return weight[:, None] * (c * s[:, :1] - s[:, 1:])
 
@@ -170,8 +180,9 @@ def _spring_iterate(
     pos = pos.copy()
     n = len(pos)
     t = t0
+    buffers = _repulsion_buffers(n)
     for it in range(iterations):
-        disp = _repulsion_exact(pos, node_weight, k)
+        disp = _repulsion_exact(pos, node_weight, k, _buffers=buffers)
         if len(edges):
             delta = pos[edges[:, 0]] - pos[edges[:, 1]]
             d = np.hypot(delta[:, 0], delta[:, 1])

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -238,6 +239,28 @@ def test_layout_csv_errors():
         parse_layout_csv("node,x,y\n0,nan,2.0\n")
     with pytest.raises(ParseError):
         parse_layout_csv("node,x,y\n0,1.0,2.0\n", node_count=3)
+
+
+def test_layout_csv_huge_node_id_fails_in_bounded_memory():
+    # the gap below id 10**12 is found without listing the missing ids
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=r"^missing row for node 1$"):
+            parse_layout_csv("node,x,y\n0,1.0,2.0\n1000000000000,3.0,4.0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_layout_csv_first_missing_id_and_empty_layout():
+    with pytest.raises(ParseError, match=r"^missing row for node 0$"):
+        parse_layout_csv("node,x,y\n2,1.0,2.0\n1,3.0,4.0\n")
+    with pytest.raises(ParseError, match=r"^missing row for node 2$"):
+        parse_layout_csv("node,x,y\n0,1.0,2.0\n3,3.0,4.0\n1,5.0,6.0\n", node_count=3)
+    with pytest.raises(ParseError, match=r"^missing row for node 1$"):
+        parse_layout_csv("node,x,y\n0,1.0,2.0\n5,3.0,4.0\n", node_count=2)
+    assert parse_layout_csv("node,x,y\n").positions.shape == (0, 2)
 
 
 # --- report rows ------------------------------------------------------------

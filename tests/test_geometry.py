@@ -18,12 +18,15 @@ from inka import (
     measure,
 )
 from inka.geometry import (
+    EPS,
     _adjacent_mask,
     _candidate_blocks,
     _collinear_overlap_pairs,
     _concurrent_points,
     _crossing_arrays,
+    _crossing_blocks,
     _first_of_each_set,
+    _orient,
     _pair_index_blocks,
     _segment_arrays,
     collinear_overlap_mask,
@@ -156,6 +159,137 @@ def test_candidate_blocks_yield_each_x_overlapping_pair_once():
             ]
             assert len(got) == len(set(got))
             assert set(got) == expected
+
+
+# ---------------------------------------------------------------- crossing kernel
+# _crossing_blocks must yield exactly the pairs that the full predicate
+# (box test included) and the adjacency test pass over all pairs, at any
+# block size.
+
+
+def kernel_pairs(P, Q, nodes, block_pairs=25_000):
+    got = [
+        (min(i, j), max(i, j))
+        for I, J in _crossing_blocks(P, Q, nodes, block_pairs)
+        for i, j in zip(I.tolist(), J.tolist())
+    ]
+    assert len(got) == len(set(got))
+    return set(got)
+
+
+def oracle_pairs(P, Q, nodes):
+    found = set()
+    for I, J in _pair_index_blocks(P.shape[0]):
+        mask = transversal_crossing_mask(P[I], Q[I], P[J], Q[J])
+        mask &= ~_adjacent_mask(nodes, I, J)
+        found.update(zip(I[mask].tolist(), J[mask].tolist()))
+    return found
+
+
+def assert_kernel_matches_oracle(d):
+    P, Q, E = _segment_arrays(d)
+    want = oracle_pairs(P, Q, E)
+    for block_pairs in (1, 7, 25_000):
+        assert kernel_pairs(P, Q, E, block_pairs) == want
+    return want
+
+
+def eps_band_orientations(d):
+    """How many all-pairs orientation values lie in (-EPS, 0) or (0, EPS]."""
+    P, Q, _E = _segment_arrays(d)
+    hits = 0
+    for I, J in _pair_index_blocks(P.shape[0]):
+        for a, b, c in ((P[I], Q[I], P[J]), (P[I], Q[I], Q[J])):
+            o = np.abs(_orient(a[:, 0], a[:, 1], b[:, 0], b[:, 1], c[:, 0], c[:, 1]))
+            hits += int(np.count_nonzero((o > 0) & (o <= EPS)))
+    return hits
+
+
+@pytest.mark.parametrize("k", [-24, -20, -16, 0, 20])
+def test_crossing_kernel_equals_oracle_on_scaled_lattices(k):
+    # lattice orientations are integers times 4^k; from k = -20 down the
+    # small ones fall inside the EPS band and the larger ones do not
+    rng = np.random.default_rng(40 + k)
+    band = 0
+    for _ in range(12):
+        d = random_bold_drawing(rng, n_max=30, m_max=70, lattice_prob=1.0)
+        scaled = bold(d.layout.positions * 2.0**k, d.graph.edges)
+        assert_kernel_matches_oracle(scaled)
+        band += eps_band_orientations(scaled)
+    assert (band > 0) == (k <= -20)
+
+
+def test_crossing_kernel_equals_oracle_on_degenerate_segments():
+    # shared endpoints, vertical and horizontal edges through each other,
+    # zero-length edges, coincident nodes, and edges touching at a node
+    pts = [(0, 0), (4, 4), (0, 4), (4, 0), (2, 0), (2, 4), (0, 2), (4, 2),
+           (2, 2), (2, 2), (1, 1), (1, 1), (3, 3), (0, 0), (4, 4), (2, 6)]
+    edges = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (0, 2), (1, 3),
+             (13, 14), (12, 15), (4, 8), (6, 9), (3, 12), (5, 15), (10, 12)]
+    d = bold(pts, edges)
+    crossings = assert_kernel_matches_oracle(d)
+    assert len(crossings) == count_crossings_bruteforce(d) == count_crossings_sweep(d)
+    assert crossings
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        d = random_bold_drawing(rng, n_max=12, m_max=40, lattice_prob=1.0)
+        pos = d.layout.positions.copy()
+        pos[rng.integers(len(pos), size=3)] = pos[0]  # coincident nodes
+        assert_kernel_matches_oracle(bold(pos, d.graph.edges))
+
+
+@pytest.mark.parametrize("shift", [(1e6, 0.0), (-1e6, 1e6)])
+def test_crossing_kernel_equals_oracle_on_translated_drawings(shift):
+    rng = np.random.default_rng(42)
+    for lattice_prob in (0.0, 1.0):
+        for _ in range(8):
+            d = random_bold_drawing(rng, lattice_prob=lattice_prob)
+            moved = d.layout.positions + np.array(shift)
+            assert_kernel_matches_oracle(bold(moved, d.graph.edges))
+
+
+def test_crossing_kernel_never_rebuilds_q_from_p():
+    # each drawing has an endpoint q exactly on the other segment's line,
+    # so it touches and does not cross; p + (q - p) rounds q off that line,
+    # by one ulp that the long segment lifts past EPS.  In the first drawing
+    # the touching edge ranks second by left x, in the second it ranks first.
+    y, a = 0.3, -0.1
+    assert a + (y - a) != y
+    drawings = (
+        bold([(0, y), (1e5, y), (5e4, a), (5e4, y)], [(0, 1), (2, 3)]),
+        bold([(0, a), (5e4, y), (1, y), (1e5, y)], [(0, 1), (2, 3)]),
+    )
+    for d in drawings:
+        P, Q, E = _segment_arrays(d)
+        rebuilt = P + (Q - P)
+        assert transversal_crossing_mask(P[:1], rebuilt[:1], P[1:], rebuilt[1:])[0]
+        assert assert_kernel_matches_oracle(d) == set()
+        assert count_crossings_sweep(d) == count_crossings_bruteforce(d) == 0
+
+
+def test_endpoint_within_eps_of_a_line_touches():
+    # orientation 1e-13 is inside the EPS band: touching, not crossing
+    for tip, expected in ((1e-13, 0), (-1e-13, 0), (1e-11, 1)):
+        d = bold([(0, 0), (1, 0), (0.5, -1), (0.5, tip)], [(0, 1), (2, 3)])
+        assert count_crossings_sweep(d) == count_crossings_bruteforce(d) == expected
+
+
+scaled_coords = st.integers(min_value=-4, max_value=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(scaled_coords, scaled_coords), min_size=2, max_size=12),
+    st.sampled_from([-21, -20, 0, 20]),
+    st.sampled_from([0.0, 1e6]),
+    st.data(),
+)
+def test_crossing_kernel_equals_oracle_property(pts, k, shift, data):
+    n = len(pts)
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = [(a, b) for a, b in data.draw(st.lists(pairs, max_size=24)) if a != b]
+    pos = np.asarray(pts, dtype=np.float64) * 2.0**k + shift
+    assert_kernel_matches_oracle(bold(pos, edges))
 
 
 small = st.integers(min_value=0, max_value=5)

@@ -17,7 +17,13 @@ from inka import (
     layout_random,
     load_graph,
 )
-from inka.layout import _GOLDEN, _coarsen, _interpolate, _repulsion_exact
+from inka.layout import (
+    _GOLDEN,
+    _coarsen,
+    _interpolate,
+    _repulsion_buffers,
+    _repulsion_exact,
+)
 
 CAN_144 = Path(__file__).resolve().parents[1] / "data" / "graphs" / "can_144.mtx"
 
@@ -124,6 +130,22 @@ def test_repulsion_exact_coincident_nodes():
     pos[120] = pos[121]
     assert_matches_reference(pos, np.sqrt(rng.integers(1, 5, size=144)))
     assert_matches_reference(pos, np.ones(144))
+
+
+def test_repulsion_exact_reuses_buffers_bit_for_bit():
+    # one set of scratch blocks across calls, with 7-row blocks so the last
+    # block fills only part of it, gives the bytes of freshly built blocks
+    n, rows = 600, 7
+    buffers = _repulsion_buffers(n, rows * n)
+    assert [b.shape for b in buffers] == [(rows, n)] * 3
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        pos = rng.uniform(0.0, math.sqrt(n) * 30.0, size=(n, 2))
+        pos[n - 1] = pos[0]
+        weight = np.sqrt(rng.integers(1, 9, size=n))
+        got = _repulsion_exact(pos, weight, 30.0, rows * n, _buffers=buffers)
+        assert np.array_equal(got, _repulsion_exact(pos, weight, 30.0, rows * n))
+    assert _repulsion_buffers(3)[0].shape == (3, 3)
 
 
 @pytest.mark.parametrize("shift", [(1e6, 1e6), (-3e6, 1e6)])

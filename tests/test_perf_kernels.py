@@ -1,5 +1,5 @@
-"""Microbenchmarks of the spring-layout kernels, check_proper and the
-raster (pytest-benchmark).
+"""Microbenchmarks of the spring-layout kernels, the crossing sweep,
+check_proper and the raster (pytest-benchmark).
 
 They carry the ``perf`` marker, which the default options deselect, so
 the ordinary suite never runs them.  Run them with
@@ -18,6 +18,7 @@ from inka import (
     RasterConfig,
     RenderParams,
     check_proper,
+    count_crossings_sweep,
     load_graph,
     rasterize_ink,
 )
@@ -50,6 +51,13 @@ def test_spring_iterate_one_step_mesh24(benchmark):
         t0=0.1 * np.sqrt(n) * 30.0, cooling=0.95,
     )
     assert np.isfinite(out).all()
+
+
+def test_count_crossings_sweep_uniform_ba800(benchmark):
+    # the random layout's box: about 1.9 M x-overlapping pairs, 0.63 M crossings
+    g = load_graph(GRAPHS / "ba800.edges")
+    d = BoldDrawing(g, Layout(random_positions(g.node_count, seed=3)), RenderParams(5.0, 1.0))
+    assert benchmark(count_crossings_sweep, d) > 0
 
 
 def test_check_proper_lattice_can_144(benchmark):

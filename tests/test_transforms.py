@@ -165,3 +165,20 @@ def test_stub_crossings_match_pairwise_oracle():
         for p in (0.1, 0.5, 1.0):
             stubs = partial_edges(d, p)
             assert measure_stub_crossings(stubs) == _stub_crossings_pairwise(stubs)
+
+
+@pytest.mark.parametrize("k", [-20, 0, 20])
+def test_stub_crossings_match_pairwise_oracle_on_scaled_and_moved_lattices(k):
+    # lattice stubs bring shared anchors, collinear and vertical stubs;
+    # scaling by 2^k and moving by 1e6 change the rounding of every tip
+    rng = np.random.default_rng(32 + k)
+    counts = []
+    for shift in (0.0, 1e6):
+        for _ in range(2):
+            d = random_bold_drawing(rng, n_max=16, m_max=30, lattice_prob=1.0)
+            moved = bold(d.layout.positions * 2.0**k + shift, d.graph.edges)
+            for p in (0.1, 0.5, 1.0):
+                stubs = partial_edges(moved, p)
+                counts.append(measure_stub_crossings(stubs))
+                assert counts[-1] == _stub_crossings_pairwise(stubs)
+    assert sum(counts) > 0
