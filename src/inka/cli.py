@@ -108,7 +108,7 @@ def _emit(text: str, out: str | None) -> int:
 
 def _plain(v):
     """A payload as JSON-ready data: report dataclasses become dicts,
-    intervals lists, and infinities the strings "inf" and "-inf"."""
+    intervals lists, and non-finite floats the strings "inf", "-inf", "nan"."""
     if is_dataclass(v):
         return {f.name: _plain(getattr(v, f.name)) for f in fields(v)}
     if isinstance(v, dict):
@@ -116,7 +116,7 @@ def _plain(v):
     if isinstance(v, (list, tuple)):
         return [_plain(x) for x in v]
     if isinstance(v, float) and not math.isfinite(v):
-        return "inf" if v > 0 else "-inf"
+        return str(v)  # "inf", "-inf" or "nan"
     return v
 
 

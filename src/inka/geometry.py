@@ -20,8 +20,8 @@ points of :func:`crossing_pairs` as in the sweep, and through
 overlaps on [x - r, x + r] and collinear overlaps on x-extents plus
 y-extents, since an overlap of positive length overlaps in x or in y.
 :func:`check_proper` bins crossing points into cells of side w and
-reports each edge set that two close crossings span at the midpoint of
-the first such pair in a fixed scan order.
+returns, as arrays, each edge set that two close crossings span and the
+midpoint of the first such pair in a fixed scan order.
 
 Predicates are plain double precision with a fixed epsilon; a pair
 "crosses" when the open segments intersect transversally at an interior
@@ -51,20 +51,23 @@ class Segment:
     q: Point
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PropernessReport:
     """Violations of the three proper-drawing conditions.
 
     disk_overlaps: node pairs whose disks intersect (center distance < 2r).
-    concurrent_points: approximate >=3-edge coincidences, each a
-        (point, edge-ids) entry; detected as two crossing points of
-        distinct edge pairs lying within one edge width of each other.
+    concurrent_points: (k, 2) float64 array of approximate >=3-edge
+        coincidences, each two crossing points of distinct edge pairs
+        within one edge width, reported at their midpoint.
+    concurrent_edges: (k, 4) int64 array of each row's edge ids ascending,
+        a 3-edge set padded with -1; rows sorted as the id tuples sort.
     collinear_overlaps: edge pairs overlapping along a positive-length
         collinear stretch (they "cross" infinitely often).
     """
 
     disk_overlaps: list[tuple[int, int]]
-    concurrent_points: list[tuple[Point, tuple[int, ...]]]
+    concurrent_points: np.ndarray
+    concurrent_edges: np.ndarray
     collinear_overlaps: list[tuple[int, int]]
     verdict: bool
 
@@ -89,11 +92,7 @@ def transversal_crossing_mask(p1, q1, p2, q2):
     overlap check is part of the test; it is a necessary condition for a
     crossing, and the filters of :func:`_crossing_blocks` imply it.
     """
-    p1x, p1y = p1[..., 0], p1[..., 1]
-    q1x, q1y = q1[..., 0], q1[..., 1]
-    p2x, p2y = p2[..., 0], p2[..., 1]
-    q2x, q2y = q2[..., 0], q2[..., 1]
-
+    p1x, p1y, q1x, q1y, p2x, p2y, q2x, q2y = (a[..., k] for a in (p1, q1, p2, q2) for k in (0, 1))
     bbox = (
         (np.maximum(p1x, q1x) >= np.minimum(p2x, q2x))
         & (np.maximum(p2x, q2x) >= np.minimum(p1x, q1x))
@@ -110,11 +109,7 @@ def transversal_crossing_mask(p1, q1, p2, q2):
 
 def collinear_overlap_mask(p1, q1, p2, q2):
     """Row-wise test: collinear segments overlapping over positive length."""
-    p1x, p1y = p1[..., 0], p1[..., 1]
-    q1x, q1y = q1[..., 0], q1[..., 1]
-    p2x, p2y = p2[..., 0], p2[..., 1]
-    q2x, q2y = q2[..., 0], q2[..., 1]
-
+    p1x, p1y, q1x, q1y, p2x, p2y, q2x, q2y = (a[..., k] for a in (p1, q1, p2, q2) for k in (0, 1))
     collinear = (
         (np.abs(_orient(p1x, p1y, q1x, q1y, p2x, p2y)) <= EPS)
         & (np.abs(_orient(p1x, p1y, q1x, q1y, q2x, q2y)) <= EPS)
@@ -179,9 +174,8 @@ def count_crossings_bruteforce(d: BoldDrawing) -> int:
     few thousand edges.
     """
     P, Q, E = _segment_arrays(d)
-    m = P.shape[0]
     total = 0
-    for I, J in _pair_index_blocks(m):
+    for I, J in _pair_index_blocks(P.shape[0]):
         mask = transversal_crossing_mask(P[I], Q[I], P[J], Q[J])
         mask &= ~_adjacent_mask(E, I, J)
         total += int(np.count_nonzero(mask))
@@ -359,9 +353,7 @@ def bounding_box(d: BoldDrawing):
         norm = np.hypot(delta[:, 0], delta[:, 1])
         ok = norm > 0
         if np.any(ok):
-            perp = np.empty_like(delta[ok])
-            perp[:, 0] = -delta[ok, 1] / norm[ok]
-            perp[:, 1] = delta[ok, 0] / norm[ok]
+            perp = np.column_stack((-delta[ok, 1] / norm[ok], delta[ok, 0] / norm[ok]))
             offset = 0.5 * w * perp
             corners = np.concatenate(
                 [P[ok] + offset, P[ok] - offset, Q[ok] + offset, Q[ok] - offset]
@@ -488,9 +480,18 @@ def _close_crossing_pairs(X, Y, w: float, block_pairs: int):
     return np.concatenate(kept_a), np.concatenate(kept_b)
 
 
+def _sort4(*cols):
+    """Four columns sorted row-wise by a 5-comparator min/max network."""
+    c = list(cols)
+    for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):
+        c[i], c[j] = np.minimum(c[i], c[j]), np.maximum(c[i], c[j])
+    return c
+
+
 def _concurrent_points(I, J, pts, w: float, m: int, block_pairs: int = 25_000):
-    """The (point, edge-ids) entries of :class:`PropernessReport` for the
-    crossings (I[k], J[k]) at pts[k], numbered in lexicographic order.
+    """The concurrent_points and concurrent_edges arrays of
+    :class:`PropernessReport` for the crossings (I[k], J[k]) at pts[k],
+    numbered in lexicographic order.
 
     Two crossings closer than w in touching cells of side w put their edge
     set on the list, at the midpoint of the first such pair that
@@ -499,16 +500,14 @@ def _concurrent_points(I, J, pts, w: float, m: int, block_pairs: int = 25_000):
     X, Y = pts[:, 0], pts[:, 1]
     A, B = _close_crossing_pairs(X, Y, w, block_pairs)
     # Distinct crossing pairs share at most one edge; its repeat becomes m.
-    sets = np.sort(np.column_stack((I[A], J[A], I[B], J[B])), axis=1)
-    sets[:, 1:][sets[:, 1:] == sets[:, :-1]] = m
-    sets.sort(axis=1)
+    s = _sort4(I[A], J[A], I[B], J[B])
+    s[1:] = [np.where(t == u, m, u) for t, u in zip(s, s[1:])]
+    sets = np.column_stack(_sort4(*s))
     pick = _first_of_each_set(sets, m)
     a, b = A[pick], B[pick]
-    points = zip((0.5 * (X[a] + X[b])).tolist(), (0.5 * (Y[a] + Y[b])).tolist())
-    ids = list(range(m + 1))  # one int object per edge id, shared by the tuples
-    cols = [list(map(ids.__getitem__, col)) for col in sets[pick].T.tolist()]
-    edges = [t3 if t4[3] == m else t4 for t3, t4 in zip(zip(*cols[:3]), zip(*cols))]
-    return list(zip(points, edges))
+    edges = sets[pick]
+    edges[edges == m] = -1
+    return np.column_stack((0.5 * (X[a] + X[b]), 0.5 * (Y[a] + Y[b]))), edges
 
 
 def check_proper(d: BoldDrawing) -> PropernessReport:
@@ -523,17 +522,18 @@ def check_proper(d: BoldDrawing) -> PropernessReport:
     a cell scan meets (:func:`_close_crossing_pairs`).  Every pair query
     runs on the x-interval engine: disks on [x - r, x + r], crossings as
     in the sweep, and collinear overlaps on x- plus y-extents, as a
-    positive-length overlap overlaps in x or in y.  All lists are sorted.
+    positive-length overlap overlaps in x or in y.  All outputs are sorted.
     """
     P, Q, E = _segment_arrays(d)
     I, J, pts = _crossing_arrays(P, Q, E)
     r, w = d.params.radius, d.params.width
     pos = d.layout.positions
     disks = _disk_overlap_pairs(pos, r) if r > 0 and len(pos) >= 2 else []
-    concurrent = _concurrent_points(I, J, pts, w, len(P)) if w > 0 and I.size >= 2 else []
+    none = np.empty((0, 2)), np.empty((0, 4), np.int64)
+    points, edges = _concurrent_points(I, J, pts, w, len(P)) if w > 0 and I.size >= 2 else none
     overlaps = _collinear_overlap_pairs(P, Q)
-    verdict = not (disks or concurrent or overlaps)
-    return PropernessReport(disks, concurrent, overlaps, verdict)
+    verdict = not (disks or len(points) or overlaps)
+    return PropernessReport(disks, points, edges, overlaps, verdict)
 
 
 def measure(d: BoldDrawing, area: float | None = None) -> DrawingMetrics:

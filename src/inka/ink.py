@@ -304,6 +304,8 @@ def equal_length_bounds(
     """
     if m <= 0 or w <= 0:
         raise ValueError("equal-length bounds need m > 0 and w > 0")
+    if length is not None and not (math.isfinite(length) and length > 0):
+        raise ValueError(f"edge length must be finite and > 0, got {length}")
     lo = w * cr / m
     hi = gamma * A / (w * m) + w * cr / m
     cr_bound = m * length / w if length is not None else None

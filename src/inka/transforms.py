@@ -21,8 +21,8 @@ from .model import BoldDrawing, Layout, RenderParams
 def scale_layout(layout: Layout, sigma_len: float) -> Layout:
     """Spread positions about the centroid so every distance multiplies
     by sigma_len.  sigma_len == 1 returns an identical layout."""
-    if sigma_len <= 0:
-        raise ValueError(f"length multiplier must be > 0, got {sigma_len}")
+    if not (math.isfinite(sigma_len) and sigma_len > 0):
+        raise ValueError(f"length multiplier must be finite and > 0, got {sigma_len}")
     pos = layout.positions
     if sigma_len == 1.0 or len(pos) == 0:
         return Layout(pos)
@@ -33,8 +33,8 @@ def scale_layout(layout: Layout, sigma_len: float) -> Layout:
 def zoom_drawing(d: BoldDrawing, zeta_area: float) -> BoldDrawing:
     """Magnify the drawing by area factor zeta_area: positions, radius,
     and width all multiply by sqrt(zeta_area)."""
-    if zeta_area <= 0:
-        raise ValueError(f"area magnification must be > 0, got {zeta_area}")
+    if not (math.isfinite(zeta_area) and zeta_area > 0):
+        raise ValueError(f"area magnification must be finite and > 0, got {zeta_area}")
     s = math.sqrt(zeta_area)
     return BoldDrawing(
         graph=d.graph,

@@ -1,11 +1,12 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from inka import REPORT_COLUMNS, Layout, parse_layout_csv, write_layout_csv
-from inka.cli import main
+from inka.cli import _plain, main
 
 
 @pytest.fixture
@@ -94,6 +95,23 @@ def test_bounds_json(drawing_files, capsys):
     assert payload["cr"] == 1
 
 
+@pytest.mark.parametrize("length", ["-1", "0", "nan", "inf"])
+def test_bounds_rejects_bad_length(drawing_files, capsys, length):
+    graph, layout = drawing_files
+    code = run(["bounds", "--graph", graph, "--layout", layout, "--length", length])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: edge length must be finite and > 0, got {float(length)}\n"
+
+
+def test_plain_renders_non_finite_floats():
+    assert _plain(float("nan")) == "nan"
+    assert _plain(float("inf")) == "inf"
+    assert _plain(float("-inf")) == "-inf"
+    assert _plain({"v": [1.5, float("nan")]}) == {"v": [1.5, "nan"]}
+
+
 def test_layout_roundtrip_and_determinism(tmp_path, capsys):
     graph = tmp_path / "path.edges"
     graph.write_text("0 1\n1 2\n2 3\n")
@@ -142,6 +160,20 @@ def test_transform_zoom(drawing_files, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["radius_after"] == pytest.approx(2.0)
     assert payload["measured_ink"] == pytest.approx(payload["predicted_ink"], rel=1e-9)
+
+
+@pytest.mark.parametrize("flag, name", [("--scale", "length multiplier"),
+                                        ("--zoom", "area magnification")])
+@pytest.mark.parametrize("factor", ["nan", "inf"])
+def test_transform_rejects_non_finite_factor(drawing_files, capsys, flag, name, factor):
+    graph, layout = drawing_files
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        code = run(["transform", "--graph", graph, "--layout", layout, flag, factor])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {name} must be finite and > 0, got {factor}\n"
 
 
 def test_transform_partial(drawing_files, capsys):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from conftest import bold, random_bold_drawing
 from inka import (
-    PropernessReport,
     bounding_area,
     bounding_box,
     check_proper,
@@ -29,6 +29,7 @@ from inka.geometry import (
     _orient,
     _pair_index_blocks,
     _segment_arrays,
+    _sort4,
     collinear_overlap_mask,
     crossing_points_of,
     transversal_crossing_mask,
@@ -353,7 +354,7 @@ def test_check_proper_clean_drawing(parallel_drawing):
     report = check_proper(parallel_drawing)
     assert report.verdict
     assert report.disk_overlaps == []
-    assert report.concurrent_points == []
+    assert concurrent_entries(report) == []
     assert report.collinear_overlaps == []
 
 
@@ -371,8 +372,10 @@ def test_check_proper_concurrent_crossings():
     pts = [(-10, 0), (10, 0), (0, -10), (0, 10), (-10, -10), (10, 10)]
     d = bold(pts, [(0, 1), (2, 3), (4, 5)], r=0.3, w=0.5)
     report = check_proper(d)
-    assert report.concurrent_points
+    assert [e for _pt, e in concurrent_entries(report)] == [(0, 1, 2)]
     assert not report.verdict
+    # eq=False: reports compare by identity, never element-wise on arrays
+    assert check_proper(d) != report
 
 
 def test_check_proper_collinear_overlap():
@@ -459,7 +462,7 @@ def reference_check_proper(d):
 
     concurrent_points = [(pt, edges) for edges, pt in sorted(concurrent.items())]
     verdict = not disk_overlaps and not concurrent_points and not overlaps
-    return PropernessReport(
+    return SimpleNamespace(
         disk_overlaps=disk_overlaps,
         concurrent_points=concurrent_points,
         collinear_overlaps=overlaps,
@@ -467,12 +470,24 @@ def reference_check_proper(d):
     )
 
 
+def concurrent_entries(report):
+    """The report's concurrent arrays as the reference's (point, edge-ids)
+    list, after checking their dtypes, shapes and -1 padding."""
+    pts, edges = report.concurrent_points, report.concurrent_edges
+    assert pts.dtype == np.float64 and edges.dtype == np.int64
+    assert pts.ndim == edges.ndim == 2 and pts.shape == (len(edges), 2)
+    assert edges.shape[1] == 4
+    assert (edges[:, :3] >= 0).all() and (edges[:, 3] >= -1).all()
+    ids = [tuple(v for v in row if v != -1) for row in edges.tolist()]
+    return list(zip(map(tuple, pts.tolist()), ids))
+
+
 def assert_matches_oracle(d):
     """check_proper and crossing_pairs equal the references; returns the
     report for further checks."""
     got, want = check_proper(d), reference_check_proper(d)
     assert got.disk_overlaps == want.disk_overlaps
-    assert got.concurrent_points == want.concurrent_points
+    assert concurrent_entries(got) == want.concurrent_points
     assert got.collinear_overlaps == want.collinear_overlaps
     assert got.verdict == want.verdict
     crossings, overlaps = crossing_pairs(d)
@@ -482,8 +497,6 @@ def assert_matches_oracle(d):
     # equal floats compare equal across int/float; pin the types too
     assert all(type(v) is float for _i, _j, pt in crossings for v in pt)
     assert all(type(v) is int for i, j, _pt in crossings for v in (i, j))
-    assert all(type(v) is float for pt, _e in got.concurrent_points for v in pt)
-    assert all(type(v) is int for _pt, e in got.concurrent_points for v in e)
     return got
 
 
@@ -530,7 +543,7 @@ def test_check_proper_matches_oracle_on_degenerate_drawings():
     assert assert_matches_oracle(bold(pts, [], r=r, w=0.1)).disk_overlaps == [(0, 1)]
     for d in (bold(pts, [], r=1.0), bold([], [], r=1.0), bold([(0, 0)], [], r=1.0)):
         report = assert_matches_oracle(d)
-        assert report.concurrent_points == [] and report.collinear_overlaps == []
+        assert concurrent_entries(report) == [] and report.collinear_overlaps == []
 
 
 def test_collinear_overlap_of_x_disjoint_edges():
@@ -555,7 +568,7 @@ def test_concurrent_point_is_the_first_close_pair_met():
     (x0, y0), (x1, y1), (x2, y2) = (pt for _i, _j, pt in crossings)
     assert math.floor(x2) < math.floor(x0) < math.floor(x1)
     report = assert_matches_oracle(d)
-    assert report.concurrent_points == [((0.5 * (x0 + x2), 0.5 * (y0 + y2)), (0, 1, 2))]
+    assert concurrent_entries(report) == [((0.5 * (x0 + x2), 0.5 * (y0 + y2)), (0, 1, 2))]
 
 
 def test_concurrent_scan_is_independent_of_block_size():
@@ -568,7 +581,15 @@ def test_concurrent_scan_is_independent_of_block_size():
             continue
         full = _concurrent_points(I, J, pts, 1.0, P.shape[0])
         for block_pairs in (1, 7):
-            assert _concurrent_points(I, J, pts, 1.0, P.shape[0], block_pairs) == full
+            got = _concurrent_points(I, J, pts, 1.0, P.shape[0], block_pairs)
+            assert all(np.array_equal(g, f) for g, f in zip(got, full, strict=True))
+
+
+def test_sort4_network_equals_np_sort_with_ties():
+    rng = np.random.default_rng(15)
+    for hi in (2, 4, 50):  # few values bring ties, many bring distinct rows
+        rows = rng.integers(-1, hi, size=(2000, 4))
+        assert np.array_equal(np.column_stack(_sort4(*rows.T)), np.sort(rows, axis=1))
 
 
 def test_edge_set_grouping_without_an_int64_code():

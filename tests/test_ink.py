@@ -300,6 +300,9 @@ def test_equal_length_crossing_cap():
         equal_length_bounds(20, 0, 1.0, 0, 1.0, 400.0)
     with pytest.raises(ValueError):
         equal_length_bounds(20, 10, 0.0, 0, 1.0, 400.0)
+    for length in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="edge length must be finite and > 0"):
+            equal_length_bounds(20, 10, 1.0, 0, 1.0, 400.0, length=length)
 
 
 def test_partial_edge_formulas_full_fraction_is_identity():

@@ -70,7 +70,7 @@ def test_check_proper_lattice_can_144(benchmark):
     pos = np.column_stack([cells % side, cells // side]).astype(np.float64)
     d = BoldDrawing(g, Layout(pos), RenderParams(0.25, 0.1))
     report = benchmark(check_proper, d)
-    assert report.concurrent_points and report.collinear_overlaps
+    assert len(report.concurrent_points) and report.collinear_overlaps
 
 
 def test_rasterize_ink_mesh24(benchmark):

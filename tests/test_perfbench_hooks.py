@@ -1,12 +1,14 @@
 """The benchmark's traced mode (``perfbench/run.py --trace 1``) swaps inka
 functions for wrappers by module and name, with no default for a missing
 name.  A rename or an import cleanup in inka.bench, inka.ink or
-inka.transforms that breaks it fails here."""
+inka.transforms that breaks it fails here, and so does a change to the
+properness report that the benchmark's reads of it cannot take."""
 
 import sys
 from pathlib import Path
 
 import inka.bench
+import inka.geometry
 import inka.transforms
 from conftest import bold
 
@@ -31,3 +33,21 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     assert inka.transforms.partial_edges is partial_edges
     assert {name: getattr(inka.bench, name) for name in BENCH_IMPORTS} == bound
     assert tracer.counters["transforms.stub_segments"] == 4
+
+
+def test_traced_check_proper_counts_concurrent_points(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    from perfbench.tracing import Tracer
+
+    # three edges through (almost) one point, and two overlapping disks
+    pts = [(-10, 0), (10, 0), (0, -10), (0, 10), (-10, -10), (10, 10), (-10, 0.5)]
+    d = bold(pts, [(0, 1), (2, 3), (4, 5)], r=0.3, w=0.5)
+    with Tracer() as tracer:
+        report = inka.geometry.check_proper(d)
+    rows = len(report.concurrent_edges)
+    assert rows > 0
+    assert tracer.counters["geometry.concurrent_points"] == rows
+    # the crossings workload compares this with a list of int tuples
+    assert sorted(report.disk_overlaps) == [(0, 6)]
+    assert all(type(v) is int for pair in report.disk_overlaps for v in pair)

@@ -44,6 +44,9 @@ def test_scale_layout_rejects_bad_factor():
         scale_layout(lay, 0.0)
     with pytest.raises(ValueError):
         scale_layout(lay, -2.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="length multiplier must be finite and > 0"):
+            scale_layout(lay, bad)
 
 
 def test_scale_preserves_crossings():
@@ -64,6 +67,9 @@ def test_zoom_drawing_scales_params(diagonal_drawing):
     assert L == pytest.approx(2.0 * edge_lengths(diagonal_drawing)[1])
     with pytest.raises(ValueError):
         zoom_drawing(diagonal_drawing, 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="area magnification must be finite and > 0"):
+            zoom_drawing(diagonal_drawing, bad)
 
 
 def test_zoom_preserves_properness():
