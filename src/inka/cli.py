@@ -400,7 +400,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InkaError, OSError, ValueError) as e:
+    except (InkaError, OSError, ValueError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

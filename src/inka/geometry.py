@@ -1,27 +1,35 @@
 """Measured layout quantities: edge lengths, crossings, area, properness.
 
-Crossing counting comes in two independent flavours:
+Every pair, run and band enumeration, here and in :mod:`inka.raster`,
+runs on one block engine.  Run e is the index stretch first[e] ...
+first[e] + size[e] - 1; :func:`_expand` lists runs as (e, k) arrays and
+:func:`_spans` splits them, by their cumulative count, into blocks of
+consecutive runs with at most a limit of entries (a bigger run is a
+block of its own; blocks with no entry are skipped); :func:`_runs` is
+the two together.  Blocks come in run order, so no output depends on
+the limit.  A crossing block keeps about 115 bytes a pair alive, so
+_BLOCK_PAIRS holds it near 3 MB; larger blocks run slower.
 
-* :func:`count_crossings_bruteforce` tests every non-adjacent edge pair.
-* :func:`count_crossings_sweep` tests only the pairs whose closed
-  x-extents overlap, the candidate filter that opens the Bentley-Ottmann
-  sweep.  One engine, :func:`_rank_blocks`, takes the intervals sorted
-  by their left end and emits the overlapping pairs of ranks as int64
-  blocks; filters then thin each block before the predicate.
+Crossings are counted two independent ways with the same orientation
+expressions and sign test, :func:`_straddles`.  The brute-force oracle,
+:func:`count_crossings_bruteforce`, tests every non-adjacent edge pair:
+row i of :func:`_pair_index_blocks` is the run i+1 ... m-1.
+:func:`count_crossings_sweep` tests only the pairs whose closed
+x-extents overlap, the candidate filter that opens the Bentley-Ottmann
+sweep: over extents sorted by left end, rank a's run in
+:func:`_rank_blocks` is ranks a+1 up to the last whose left end is at
+most a's right end.  Its filters imply the box test, so its kernel,
+:func:`_crossing_blocks`, skips it.  Any disagreement between the two
+is an enumeration bug, which is what the pairing is meant to catch.
 
-Both use the same orientation expressions and sign test,
-:func:`_straddles`; the box test is implied by the filters, so the
-sweep's kernel, :func:`_crossing_blocks`, skips it.  Any disagreement
-between the two is an enumeration bug, which is what the pairing is meant
-to catch.  Every other pair query runs on the engine too, so only the
-brute-force oracle walks all pairs: stub crossings and the crossing
-points of :func:`crossing_pairs` as in the sweep, and through
-:func:`_candidate_blocks`, which maps ranks back to indices, disk
-overlaps on [x - r, x + r] and collinear overlaps on x-extents plus
-y-extents, since an overlap of positive length overlaps in x or in y.
-:func:`check_proper` bins crossing points into cells of side w and
-returns, as arrays, each edge set that two close crossings span and the
-midpoint of the first such pair in a fixed scan order.
+Every other pair query uses the x-extent filter too: stub crossings
+and the crossing points of :func:`crossing_pairs` as in the sweep, and
+through :func:`_candidate_blocks`, which maps ranks back to indices,
+disk overlaps on [x - r, x + r] and collinear overlaps on x-extents
+plus y-extents, since an overlap of positive length overlaps in x or
+in y.  :func:`check_proper` bins crossing points into cells of side w
+and returns, as arrays, each edge set that two close crossings span and
+the midpoint of the first such pair in a fixed scan order.
 
 Predicates are plain double precision with a fixed epsilon; a pair
 "crosses" when the open segments intersect transversally at an interior
@@ -39,7 +47,7 @@ from .model import BoldDrawing, DrawingMetrics
 
 EPS = 1e-12
 
-# Candidate pairs per engine block; see _rank_blocks.
+# Entries per engine block; see the module docstring.
 _BLOCK_PAIRS = 25_000
 
 Point = tuple[float, float]
@@ -149,22 +157,33 @@ def _adjacent_mask(E, I, J):
     return (a1 == a2) | (a1 == b2) | (b1 == a2) | (b1 == b2)
 
 
-def _pair_index_blocks(m: int, block_pairs: int = 1_500_000):
-    """Yield (I, J) index arrays covering every i < j pair once."""
-    i = 0
-    while i < m - 1:
-        rows = 1
-        pairs = m - i - 1
-        while i + rows < m - 1 and pairs + (m - i - rows - 1) <= block_pairs:
-            pairs += m - i - rows - 1
-            rows += 1
-        I_parts = []
-        J_parts = []
-        for r in range(i, i + rows):
-            J_parts.append(np.arange(r + 1, m, dtype=np.int64))
-            I_parts.append(np.full(m - r - 1, r, dtype=np.int64))
-        yield np.concatenate(I_parts), np.concatenate(J_parts)
-        i += rows
+def _expand(first, size):
+    """Runs as (e, k) index arrays, e repeated alongside its run's k."""
+    e = np.repeat(np.arange(size.size), size)
+    return e, np.arange(e.size) + np.repeat(first - np.cumsum(size) + size, size)
+
+
+def _spans(end, limit: int):
+    """Yield the block ranges [a, b) of runs, end[i] the count through run i."""
+    start = np.concatenate(([0], end))
+    a = 0
+    while a < end.size:
+        b = max(a + 1, int(np.searchsorted(start, start[a] + limit, "right")) - 1)
+        if start[b] > start[a]:
+            yield a, b
+        a = b
+
+
+def _runs(first, size, limit: int = _BLOCK_PAIRS):
+    """Yield the (e, k) arrays of the runs block by block."""
+    for a, b in _spans(np.cumsum(size), limit):
+        e, k = _expand(first[a:b], size[a:b])
+        yield e + a, k
+
+
+def _pair_index_blocks(m: int, block_pairs: int = _BLOCK_PAIRS):
+    """Yield (I, J) index arrays covering every i < j pair once, in order."""
+    return _runs(np.arange(1, m + 1), np.arange(m - 1, -1, -1), block_pairs)
 
 
 def count_crossings_bruteforce(d: BoldDrawing) -> int:
@@ -184,28 +203,10 @@ def count_crossings_bruteforce(d: BoldDrawing) -> int:
 
 def _rank_blocks(lx, hx, block_pairs: int):
     """Yield (I, J) int64 rank arrays, I < J, covering exactly once every
-    pair of extents [lx, hx] that overlap, for lx sorted ascending.
-
-    The partners of rank a are ranks a+1 up to the last rank whose lx is
-    <= hx[a]; touching extents are included.  A block holds the pairs of
-    consecutive ranks, at most block_pairs of them unless a single rank
-    has more.  The filters and the predicate take about 115 bytes a pair,
-    so _BLOCK_PAIRS keeps a block near 3 MB, which bounds peak memory and
-    runs faster than larger blocks.
-    """
-    m = lx.shape[0]
-    count = np.searchsorted(lx, hx, side="right") - np.arange(1, m + 1)
-    start = np.concatenate(([0], np.cumsum(count)))
-    a = 0
-    while a < m:
-        b = max(a + 1, int(np.searchsorted(start, start[a] + block_pairs, "right")) - 1)
-        if start[b] > start[a]:
-            reps = count[a:b]
-            I = np.repeat(np.arange(a, b), reps)
-            first = np.arange(a + 1, b + 1) - start[a:b]  # J minus the pair index
-            J = np.arange(start[a], start[b]) + np.repeat(first, reps)
-            yield I, J
-        a = b
+    pair of extents [lx, hx] that overlap (touching included), for lx
+    sorted ascending, in engine blocks of about block_pairs pairs."""
+    ranks = np.arange(1, lx.size + 1)
+    return _runs(ranks, np.searchsorted(lx, hx, side="right") - ranks, block_pairs)
 
 
 def _candidate_blocks(lx, hx, block_pairs: int = _BLOCK_PAIRS):
@@ -427,8 +428,8 @@ def _close_crossing_pairs(X, Y, w: float, block_pairs: int):
     its place in the 3x3 block (x offset major), then B.
 
     Cell keys are ranked, and a neighbour is the next rank only when the
-    keys differ by exactly one, so no key arithmetic can overflow.  Pairs
-    are built in blocks of about block_pairs, which bounds the memory.
+    keys differ by exactly one, so no key arithmetic can overflow.  The
+    runs of partners are engine blocks of about block_pairs pairs.
     """
     ux, rx = np.unique(np.floor(X / w), return_inverse=True)
     uy, ry = np.unique(np.floor(Y / w), return_inverse=True)
@@ -456,19 +457,12 @@ def _close_crossing_pairs(X, Y, w: float, block_pairs: int):
 
     # One run of partners per (a, neighbour cell), in the order they are met.
     seq = np.argsort(by_cell[start][cell], kind="stable")
-    run_a = np.repeat(seq, 9)
     run_start = nb_start[cell[seq]].ravel()
     run_size = nb_size[cell[seq]].ravel()
-    first = np.concatenate(([0], np.cumsum(run_size)))
     limit = w * w
-    kept_a, kept_b = [], []
-    e = 0
-    while e < run_a.size:
-        f = max(e + 1, int(np.searchsorted(first, first[e] + block_pairs, "right")) - 1)
-        reps = run_size[e:f]
-        A = np.repeat(run_a[e:f], reps)
-        offset = np.repeat(run_start[e:f] - first[e:f], reps)
-        B = by_cell[np.arange(first[e], first[f]) + offset]
+    kept_a, kept_b = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for e, k in _runs(run_start, run_size, block_pairs):
+        A, B = seq[e // 9], by_cell[k]
         keep = B > A
         A, B = A[keep], B[keep]
         dx = X[A] - X[B]
@@ -476,7 +470,6 @@ def _close_crossing_pairs(X, Y, w: float, block_pairs: int):
         keep = dx * dx + dy * dy < limit
         kept_a.append(A[keep])
         kept_b.append(B[keep])
-        e = f
     return np.concatenate(kept_a), np.concatenate(kept_b)
 
 
@@ -488,7 +481,7 @@ def _sort4(*cols):
     return c
 
 
-def _concurrent_points(I, J, pts, w: float, m: int, block_pairs: int = 25_000):
+def _concurrent_points(I, J, pts, w: float, m: int, block_pairs: int = _BLOCK_PAIRS):
     """The concurrent_points and concurrent_edges arrays of
     :class:`PropernessReport` for the crossings (I[k], J[k]) at pts[k],
     numbered in lexicographic order.

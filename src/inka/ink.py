@@ -409,6 +409,8 @@ def bounds_report(
         w_iv = width_bounds(n, m, r, L, cr, gamma, A) if n > 0 else None
     except InfeasibleError:
         w_iv = None
+    if equal_length is not None and not (math.isfinite(equal_length) and equal_length > 0):
+        raise ValueError(f"edge length must be finite and > 0, got {equal_length}")
     l_iv = cr_cap = None
     if m > 0 and w > 0:
         eq = equal_length_bounds(n, m, w, cr, gamma, A, length=equal_length)

@@ -34,6 +34,9 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Most entries of the repulsion matrix built at once (8 MiB of float64).
 _REPULSION_BLOCK_ENTRIES = 2**20
 
+# Multilevel coarsening stops at this many nodes.
+_COARSEN_THRESHOLD = 50
+
 
 @dataclass(frozen=True)
 class LayoutConfig:
@@ -42,7 +45,6 @@ class LayoutConfig:
     iterations: int = 500
     ideal_edge_length: float = 30.0
     cooling: float = 0.95
-    coarsen_threshold: int = 50
 
     def __post_init__(self):
         if self.algorithm not in _ALGORITHMS:
@@ -50,7 +52,7 @@ class LayoutConfig:
                 f"unknown algorithm {self.algorithm!r}; supported: "
                 + ", ".join(_ALGORITHMS)
             )
-        for name in ("seed", "iterations", "coarsen_threshold"):
+        for name in ("seed", "iterations"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -66,8 +68,6 @@ class LayoutConfig:
             raise ValueError("ideal_edge_length must be finite and > 0")
         if not 0 < self.cooling < 1:
             raise ValueError("cooling must be in (0, 1)")
-        if self.coarsen_threshold < 2:
-            raise ValueError("coarsen_threshold must be >= 2")
 
 
 def layout_random(g: Graph, seed: int, ideal_edge_length: float = 30.0) -> Layout:
@@ -316,7 +316,7 @@ def _multilevel_positions(n, edges, config: LayoutConfig, seed) -> np.ndarray:
     levels = []
     cur = (n, edges, np.ones(len(edges)), np.ones(n))
     maps = []
-    while cur[0] > config.coarsen_threshold:
+    while cur[0] > _COARSEN_THRESHOLD:
         n2, e2, ew2, nw2, cid = _coarsen(*cur)
         if n2 >= cur[0]:
             break
@@ -349,7 +349,7 @@ def _multilevel_positions(n, edges, config: LayoutConfig, seed) -> np.ndarray:
 
 def layout_multilevel(g: Graph, config: LayoutConfig) -> Layout:
     """Matching-based coarsening plus spring refinement; components of at
-    most coarsen_threshold nodes get the plain spring embedder unchanged."""
+    most _COARSEN_THRESHOLD nodes get the plain spring embedder unchanged."""
     return _layout_components(
         g, config, lambda n, e, seed: _multilevel_positions(n, e, config, seed)
     )

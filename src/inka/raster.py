@@ -35,8 +35,8 @@ the grid and not an approximation of it.  The union is counted without
 a mask: runs become int64 keys ``row * (nx + 1) + column``, sorted by
 start, and each run adds the part that reaches past the furthest end of
 the runs before it.  Rows are taken in bands of at most BAND_PAIRS
-pairs (a row with more is a band of its own), so memory stays bounded
-at any resolution.
+pairs, the blocks of the engine in :mod:`inka.geometry` over the rows'
+pair counts, so memory stays bounded at any resolution.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateDrawingError
-from .geometry import bounding_box
+from .geometry import _expand, _spans, bounding_box
 from .model import BoldDrawing
 
 # Most (shape, row) pairs in one band of grid rows.  A rectangle search
@@ -155,20 +155,11 @@ def _window(grid, lo_x, hi_x, lo_y, hi_y):
 
 
 def _bands(windows, ny):
-    """Yield row ranges [top, bottom) that partition the grid rows into
-    bands of at most BAND_PAIRS (shape, row) pairs, or of one row,
-    skipping bands with no pair."""
+    """Row ranges [top, bottom) of the bands that hold a (shape, row) pair."""
     per_row = np.zeros(ny + 1, dtype=np.int64)
     for _, _, r0, r1 in windows:
         per_row += np.bincount(r0, minlength=ny + 1) - np.bincount(r1, minlength=ny + 1)
-    before = np.concatenate(([0], np.cumsum(np.cumsum(per_row)[:ny])))
-    top = 0
-    while top < ny:
-        bottom = max(top + 1,
-                     int(np.searchsorted(before, before[top] + BAND_PAIRS, "right")) - 1)
-        if before[bottom] > before[top]:
-            yield top, bottom
-        top = bottom
+    return _spans(np.cumsum(np.cumsum(per_row)[:ny]), BAND_PAIRS)
 
 
 def _pairs(window, top, bottom):
@@ -176,9 +167,7 @@ def _pairs(window, top, bottom):
     with its row in [top, bottom), shape by shape."""
     c0, c1, r0, r1 = window
     lo = np.maximum(r0, top)
-    count = np.maximum(np.minimum(r1, bottom) - lo, 0)
-    s = np.repeat(np.arange(count.size), count)
-    row = np.arange(s.size) + np.repeat(lo - np.cumsum(count) + count, count)
+    s, row = _expand(lo, np.maximum(np.minimum(r1, bottom) - lo, 0))
     return s, row, c0[s], c1[s]
 
 

@@ -105,6 +105,36 @@ def test_bounds_rejects_bad_length(drawing_files, capsys, length):
     assert captured.err == f"error: edge length must be finite and > 0, got {float(length)}\n"
 
 
+@pytest.mark.parametrize("length", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("shape", ["edgeless", "zero-width"])
+def test_bounds_rejects_bad_length_without_length_bounds(
+    drawing_files, edgeless_files, capsys, shape, length
+):
+    # no equal-length bounds are computed here, but the flag is still checked
+    graph, layout = edgeless_files if shape == "edgeless" else drawing_files
+    extra = ["--width", "0"] if shape == "zero-width" else []
+    code = run(["bounds", "--graph", graph, "--layout", layout, "--length", length, *extra])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: edge length must be finite and > 0, got {float(length)}\n"
+
+
+def test_memory_error_is_an_error_line(drawing_files, capsys, monkeypatch):
+    # a valid header can ask for more memory than exists; raising here
+    # stands in for that allocation without attempting it
+    def exhausted(g, config):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr("inka.cli.compute_layout", exhausted)
+    graph, _ = drawing_files
+    code = run(["layout", "--graph", graph, "--algorithm", "circular"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: Unable to allocate 7.28 TiB\n"
+
+
 def test_plain_renders_non_finite_floats():
     assert _plain(float("nan")) == "nan"
     assert _plain(float("inf")) == "inf"

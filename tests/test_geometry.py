@@ -25,11 +25,14 @@ from inka.geometry import (
     _concurrent_points,
     _crossing_arrays,
     _crossing_blocks,
+    _expand,
     _first_of_each_set,
     _orient,
     _pair_index_blocks,
+    _runs,
     _segment_arrays,
     _sort4,
+    _spans,
     collinear_overlap_mask,
     crossing_points_of,
     transversal_crossing_mask,
@@ -160,6 +163,75 @@ def test_candidate_blocks_yield_each_x_overlapping_pair_once():
             ]
             assert len(got) == len(set(got))
             assert set(got) == expected
+
+
+# ---------------------------------------------------------------- block engine
+# _expand, _spans and _runs against a plain Python expansion of the runs
+# and a greedy split of them into blocks.
+
+
+def reference_expand(first, size):
+    e, k = [], []
+    for run, (f, n) in enumerate(zip(first, size)):
+        e += [run] * n
+        k += range(f, f + n)
+    return e, k
+
+
+def reference_spans(size, limit):
+    spans, a = [], 0
+    while a < len(size):
+        b, total = a + 1, size[a]
+        while b < len(size) and total + size[b] <= limit:
+            total += size[b]
+            b += 1
+        if total:
+            spans.append((a, b))
+        a = b
+    return spans
+
+
+def engine_cases():
+    rng = np.random.default_rng(11)
+    yield [], []
+    yield [4], [0]
+    yield [0, 5, 9], [0, 0, 0]
+    yield [3, -2, 7, 0], [2, 30_000, 0, 3]  # one run larger than every block
+    for _ in range(30):
+        runs = int(rng.integers(1, 40))
+        size = rng.integers(0, 12, size=runs) * (rng.random(runs) < 0.7)
+        yield rng.integers(-50, 50, size=runs).tolist(), size.tolist()
+
+
+@pytest.mark.parametrize("limit", [1, 7, 25_000])
+def test_block_engine_equals_python_expansion(limit):
+    for first, size in engine_cases():
+        f, n = np.array(first, np.int64), np.array(size, np.int64)
+        e, k = _expand(f, n)
+        assert (e.tolist(), k.tolist()) == reference_expand(first, size)
+        spans = reference_spans(size, limit)
+        assert list(_spans(np.cumsum(n), limit)) == spans
+        blocks = list(_runs(f, n, limit))
+        assert len(blocks) == len(spans)
+        for (e, k), (a, b) in zip(blocks, spans):
+            assert e.size == k.size > 0
+            assert e.size <= limit or set(e.tolist()) == {a}
+            assert (e.tolist(), k.tolist()) == reference_expand(
+                [0] * a + first[a:b], [0] * a + size[a:b])
+        got_e = [x for e, _ in blocks for x in e.tolist()]
+        got_k = [x for _, k in blocks for x in k.tolist()]
+        assert (got_e, got_k) == reference_expand(first, size)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 37, 300])
+def test_pair_index_blocks_walk_the_upper_triangle_in_order(m):
+    want = np.triu_indices(m, 1)
+    for blocks in (_pair_index_blocks(m), _pair_index_blocks(m, 7)):
+        blocks = list(blocks)
+        I = np.concatenate([np.empty(0, np.int64), *(b[0] for b in blocks)])
+        J = np.concatenate([np.empty(0, np.int64), *(b[1] for b in blocks)])
+        assert I.tolist() == want[0].tolist()
+        assert J.tolist() == want[1].tolist()
 
 
 # ---------------------------------------------------------------- crossing kernel

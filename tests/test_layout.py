@@ -61,8 +61,6 @@ def test_layout_config_validation():
         LayoutConfig(ideal_edge_length=0.0)
     with pytest.raises(ValueError):
         LayoutConfig(cooling=1.0)
-    with pytest.raises(ValueError):
-        LayoutConfig(coarsen_threshold=1)
     LayoutConfig(seed=np.int64(3), iterations=np.int32(10), cooling=np.float32(0.5))
 
 
@@ -73,7 +71,6 @@ def test_layout_config_validation():
         ("iterations", 2.5),
         ("iterations", True),
         ("seed", 1.0),
-        ("coarsen_threshold", None),
         ("ideal_edge_length", None),
         ("ideal_edge_length", "30"),
         ("ideal_edge_length", math.inf),

@@ -163,6 +163,20 @@ def test_scanline_equals_reference_on_lattice_drawings():
                                      RasterConfig(64, supersampling))
 
 
+@pytest.mark.parametrize("band_pairs", [1, 7])
+def test_scanline_equals_reference_in_small_bands(band_pairs, monkeypatch):
+    # many bands per drawing: a band that drops or repeats a row shows
+    monkeypatch.setattr("inka.raster.BAND_PAIRS", band_pairs)
+    rng = np.random.default_rng(30 + band_pairs)
+    for case in range(20):
+        d = random_bold_drawing(rng, n_max=20, m_max=40, lattice_prob=0.3)
+        assert_same_as_reference(d, RasterConfig(64, 1 + case % 2))
+    points = [(0, 0), (0, 6), (6, 6), (6, 0), (3, 3), (3, 3), (3, 0), (0, 3)]
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (4, 6), (5, 7), (0, 2), (6, 7)]
+    for r, w in [(1.0, 0.5), (0.0, 1.0), (1.5, 0.0), (0.5, 3.0)]:
+        assert_same_as_reference(bold(points, edges, r=r, w=w), RasterConfig(64, 2))
+
+
 def test_scanline_equals_reference_with_zero_radius_or_width():
     rng = np.random.default_rng(5)
     for case in range(30):
