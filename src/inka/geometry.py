@@ -27,9 +27,9 @@ and the crossing points of :func:`crossing_pairs` as in the sweep, and
 through :func:`_candidate_blocks`, which maps ranks back to indices,
 disk overlaps on [x - r, x + r] and collinear overlaps on x-extents
 plus y-extents, since an overlap of positive length overlaps in x or
-in y.  :func:`check_proper` bins crossing points into cells of side w
-and returns, as arrays, each edge set that two close crossings span and
-the midpoint of the first such pair in a fixed scan order.
+in y.  :func:`check_proper` bins crossing points into cells of side w,
+scans three runs per crossing on gapped ranks, and returns, as arrays,
+each edge set that two close crossings span and the first pair's midpoint.
 
 Predicates are plain double precision with a fixed epsilon; a pair
 "crosses" when the open segments intersect transversally at an interior
@@ -290,21 +290,26 @@ def _crossing_arrays(P, Q, nodes):
 
 def _collinear_overlap_pairs(P, Q):
     """Sorted (i, j), i < j, of the pairs :func:`collinear_overlap_mask`
-    flags, adjacent ones included.  The mask demands a positive overlap in
-    x or in y, so the x-engine pairs plus the y-engine pairs with disjoint
-    x-extents hold every flagged pair, each once."""
-    lx, ly = np.minimum(P, Q).T.copy()
-    hx, hy = np.maximum(P, Q).T.copy()
+    flags, adjacent ones included, from the x-engine pairs plus the y-engine
+    pairs with disjoint x-extents: a flagged pair overlaps in x or in y.  The
+    mask's tests of J's p, then q, against line I run first as filters."""
+    px, py, qx, qy = np.column_stack((P, Q)).T.copy()
+    lx, hx = np.minimum(px, qx), np.maximum(px, qx)
+    ly, hy = np.minimum(py, qy), np.maximum(py, qy)
+
+    def collinear(I, J):
+        for x, y in ((px, py), (qx, qy)):
+            k = np.flatnonzero(np.abs(_orient(px[I], py[I], qx[I], qy[I], x[J], y[J])) <= EPS)
+            I, J = I[k], J[k]
+        keep = collinear_overlap_mask(P[I], Q[I], P[J], Q[J])
+        return I[keep], J[keep]
 
     def blocks():
         for I, J in _candidate_blocks(lx, hx):
-            keep = collinear_overlap_mask(P[I], Q[I], P[J], Q[J])
-            yield I[keep], J[keep]
+            yield collinear(I, J)
         for I, J in _candidate_blocks(ly, hy):
             keep = (lx[I] > hx[J]) | (lx[J] > hx[I])
-            I, J = I[keep], J[keep]
-            keep = collinear_overlap_mask(P[I], Q[I], P[J], Q[J])
-            yield I[keep], J[keep]
+            yield collinear(I[keep], J[keep])
 
     I, J = _ordered_pairs(blocks())
     return list(zip(I.tolist(), J.tolist()))
@@ -421,53 +426,46 @@ def _first_of_each_set(sets, m: int):
     return np.minimum.reduceat(order, starts)
 
 
+def _gapped_ranks(v):
+    """Ranks of v's distinct values plus the count of lower steps between
+    them that are not exactly 1: consecutive iff the values differ by 1."""
+    u, rank = np.unique(v, return_inverse=True)
+    return rank + np.concatenate(([0], np.cumsum(np.diff(u) != 1)))[rank]
+
+
 def _close_crossing_pairs(X, Y, w: float, block_pairs: int):
     """Index arrays (A, B), A < B, of the crossings closer than w whose
     cells (floor(x/w), floor(y/w)) touch, in the order a cell scan meets
     them: cells by their lowest crossing index, then A, then B's cell by
     its place in the 3x3 block (x offset major), then B.
 
-    Cell keys are ranked, and a neighbour is the next rank only when the
-    keys differ by exactly one, so no key arithmetic can overflow.  The
-    runs of partners are engine blocks of about block_pairs pairs.
+    Cells are keyed gx * H + gy + 1, H = max(gy) + 3, on gapped ranks (< 2N
+    for N crossings, so keys fit int64): a neighbour column's three cells are
+    one key stretch, A's partners three runs, in engine blocks of block_pairs.
     """
-    ux, rx = np.unique(np.floor(X / w), return_inverse=True)
-    uy, ry = np.unique(np.floor(Y / w), return_inverse=True)
-    code = rx * uy.size + ry
-    by_cell = np.argsort(code, kind="stable")
-    cells, start, size = np.unique(code[by_cell], return_index=True, return_counts=True)
-    cell = np.searchsorted(cells, code)
-
-    def step(u, ru, o):
-        t = np.clip(ru + o, 0, u.size - 1)
-        return np.where(u[t] - u[ru] == o, t, -1)
-
-    # Start and size of the 9 neighbour cells of every cell, in block order.
-    offsets = [(ox, oy) for ox in (-1, 0, 1) for oy in (-1, 0, 1)]
-    cx, cy = np.divmod(cells, uy.size)
-    nb_start = np.zeros((cells.size, 9), np.int64)
-    nb_size = np.zeros((cells.size, 9), np.int64)
-    for s, (ox, oy) in enumerate(offsets):
-        tx, ty = step(ux, cx, ox), step(uy, cy, oy)
-        c = tx * uy.size + ty
-        at = np.minimum(np.searchsorted(cells, c), cells.size - 1)
-        hit = (tx >= 0) & (ty >= 0) & (cells[at] == c)
-        nb_start[:, s] = start[at]
-        nb_size[:, s] = np.where(hit, size[at], 0)
-
-    # One run of partners per (a, neighbour cell), in the order they are met.
-    seq = np.argsort(by_cell[start][cell], kind="stable")
-    run_start = nb_start[cell[seq]].ravel()
-    run_size = nb_size[cell[seq]].ravel()
-    limit = w * w
+    gx, gy = _gapped_ranks(np.floor(X / w)), _gapped_ranks(np.floor(Y / w))
+    H = int(gy.max()) + 3
+    key = gx * H + gy + 1
+    by_cell = np.argsort(key, kind="stable")
+    key = key[by_cell]
+    start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    # Each cell's runs in columns gx - 1, gx, gx + 1; rows of lo ascend, so searchsorted is fast.
+    lo = key[start] + np.array([[-H - 1], [-1], [H - 1]])
+    first = np.searchsorted(key, lo)
+    size = np.searchsorted(key, lo + 3) - first
+    # The scan order: cells by their lowest crossing index, then A.
+    cells = np.argsort(by_cell[start])
+    c, at = _expand(start[cells], np.diff(start, append=key.size)[cells])
+    seq, c = by_cell[at], cells[c]
+    run_start, run_size = first.T[c].ravel(), size.T[c].ravel()
+    xs, ys, xc, yc = X[seq], Y[seq], X[by_cell], Y[by_cell]
     kept_a, kept_b = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     for e, k in _runs(run_start, run_size, block_pairs):
-        A, B = seq[e // 9], by_cell[k]
+        e //= 3
+        dx, dy = xs[e] - xc[k], ys[e] - yc[k]
+        keep = np.flatnonzero(dx * dx + dy * dy < w * w)
+        A, B = seq[e[keep]], by_cell[k[keep]]
         keep = B > A
-        A, B = A[keep], B[keep]
-        dx = X[A] - X[B]
-        dy = Y[A] - Y[B]
-        keep = dx * dx + dy * dy < limit
         kept_a.append(A[keep])
         kept_b.append(B[keep])
     return np.concatenate(kept_a), np.concatenate(kept_b)
@@ -512,10 +510,8 @@ def check_proper(d: BoldDrawing) -> PropernessReport:
     crossing points of distinct edge pairs closer than the edge width,
     which is the scale at which the inked rectangles actually coincide;
     each such edge set is reported once, at the midpoint of the first pair
-    a cell scan meets (:func:`_close_crossing_pairs`).  Every pair query
-    runs on the x-interval engine: disks on [x - r, x + r], crossings as
-    in the sweep, and collinear overlaps on x- plus y-extents, as a
-    positive-length overlap overlaps in x or in y.  All outputs are sorted.
+    met by :func:`_close_crossing_pairs`, which scans three runs per
+    crossing on gapped ranks.  All outputs are sorted.
     """
     P, Q, E = _segment_arrays(d)
     I, J, pts = _crossing_arrays(P, Q, E)

@@ -62,7 +62,8 @@ BAND_PAIRS = 1 << 16
 class RasterConfig:
     """resolution: samples along the longer bounding-box side before
     supersampling; supersampling 1, 2, or 4 refines the grid by that
-    factor in each direction."""
+    factor in each direction, to at most 2^20 samples a side (tested as a
+    quotient: an int64 product can wrap)."""
 
     resolution: int = 2048
     supersampling: int = 2
@@ -78,6 +79,9 @@ class RasterConfig:
             raise ValueError(
                 f"supersampling must be 1, 2, or 4, got {self.supersampling}"
             )
+        if self.resolution > 2**20 // self.supersampling:
+            raise ValueError("resolution * supersampling must be <= 2**20, got "
+                             f"{self.resolution} * {self.supersampling}")
 
 
 def rasterize_ink(d: BoldDrawing, cfg: RasterConfig = RasterConfig()) -> float:

@@ -302,6 +302,15 @@ def test_raster_bad_resolution_is_structured_error(drawing_files, capsys):
     assert err.startswith("error: resolution must be >= 64")
 
 
+def test_raster_huge_resolution_is_structured_error(drawing_files, capsys):
+    graph, layout = drawing_files
+    code = run(["raster", "--graph", graph, "--layout", layout,
+                "--resolution", "100000000", "--supersample", "1"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == "error: resolution * supersampling must be <= 2**20, got 100000000 * 1\n"
+
+
 def test_bench_command(tmp_path, capsys):
     graph = tmp_path / "ring.edges"
     graph.write_text("0 1\n1 2\n2 3\n3 4\n4 0\n")

@@ -18,15 +18,18 @@ from inka import (
     measure,
 )
 from inka.geometry import (
+    _BLOCK_PAIRS,
     EPS,
     _adjacent_mask,
     _candidate_blocks,
+    _close_crossing_pairs,
     _collinear_overlap_pairs,
     _concurrent_points,
     _crossing_arrays,
     _crossing_blocks,
     _expand,
     _first_of_each_set,
+    _gapped_ranks,
     _orient,
     _pair_index_blocks,
     _runs,
@@ -657,6 +660,91 @@ def test_concurrent_scan_is_independent_of_block_size():
             assert all(np.array_equal(g, f) for g, f in zip(got, full, strict=True))
 
 
+def reference_close_crossing_pairs(X, Y, w, block_pairs):
+    # The nine-run scan that the three-run one replaced, kept verbatim: a
+    # 9-slot neighbour table per cell on plain ranks of the floors, one
+    # run per (A, neighbour cell), B > A tested before the distance.
+    ux, rx = np.unique(np.floor(X / w), return_inverse=True)
+    uy, ry = np.unique(np.floor(Y / w), return_inverse=True)
+    code = rx * uy.size + ry
+    by_cell = np.argsort(code, kind="stable")
+    cells, start, size = np.unique(code[by_cell], return_index=True, return_counts=True)
+    cell = np.searchsorted(cells, code)
+
+    def step(u, ru, o):
+        t = np.clip(ru + o, 0, u.size - 1)
+        return np.where(u[t] - u[ru] == o, t, -1)
+
+    offsets = [(ox, oy) for ox in (-1, 0, 1) for oy in (-1, 0, 1)]
+    cx, cy = np.divmod(cells, uy.size)
+    nb_start = np.zeros((cells.size, 9), np.int64)
+    nb_size = np.zeros((cells.size, 9), np.int64)
+    for s, (ox, oy) in enumerate(offsets):
+        tx, ty = step(ux, cx, ox), step(uy, cy, oy)
+        c = tx * uy.size + ty
+        at = np.minimum(np.searchsorted(cells, c), cells.size - 1)
+        hit = (tx >= 0) & (ty >= 0) & (cells[at] == c)
+        nb_start[:, s] = start[at]
+        nb_size[:, s] = np.where(hit, size[at], 0)
+
+    seq = np.argsort(by_cell[start][cell], kind="stable")
+    run_start = nb_start[cell[seq]].ravel()
+    run_size = nb_size[cell[seq]].ravel()
+    limit = w * w
+    kept_a, kept_b = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for e, k in _runs(run_start, run_size, block_pairs):
+        A, B = seq[e // 9], by_cell[k]
+        keep = B > A
+        A, B = A[keep], B[keep]
+        dx = X[A] - X[B]
+        dy = Y[A] - Y[B]
+        keep = dx * dx + dy * dy < limit
+        kept_a.append(A[keep])
+        kept_b.append(B[keep])
+    return np.concatenate(kept_a), np.concatenate(kept_b)
+
+
+def test_gapped_ranks_step_by_one_only_where_floors_do():
+    v = np.array([5.0, -3.0, 0.0, 1.0, 2.0, 4.0, -2.0, 1e6, 1e6 + 1, 5.0, -0.0, 9.0])
+    g = _gapped_ranks(v)
+    assert g.min() == 0 and g.max() < 2 * np.unique(v).size
+    for a, ga in zip(v, g):
+        for b, gb in zip(v, g):
+            assert (gb - ga == 1) == (b - a == 1)
+            assert (gb == ga) == (b == a)
+
+
+@st.composite
+def crossing_clouds(draw):
+    """(X, Y, w, block_pairs): points in cells whose floors come from a
+    few integers with gaps (consecutive ranks, cells that do not touch),
+    placed at cell corners (exact multiples of w) or inside, with
+    repeated points, negative floors and an optional 1e6 offset."""
+    w = draw(st.sampled_from([0.1, 1.0, 3.0]))
+    block_pairs = draw(st.sampled_from([1, 7, _BLOCK_PAIRS]))
+    shift = draw(st.sampled_from([0.0, 1e6, -1e6]))
+    floors = st.lists(st.integers(-8, 8), min_size=1, max_size=5, unique=True)
+    fx, fy = draw(floors), draw(floors)
+    frac = st.sampled_from([0.0, 0.5, 0.999]) | st.floats(0.0, 1.0, exclude_max=True)
+    cell_point = st.tuples(st.sampled_from(fx), frac, st.sampled_from(fy), frac)
+    pts = [((cx + ax) * w + shift, (cy + ay) * w)
+           for cx, ax, cy, ay in draw(st.lists(cell_point, min_size=2, max_size=40))]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=6))
+    order = draw(st.permutations(range(len(pts))))
+    X, Y = np.array([pts[i] for i in order]).T.copy()
+    return X, Y, w, block_pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(crossing_clouds())
+def test_close_pair_scan_equals_the_nine_run_scan(cloud):
+    X, Y, w, block_pairs = cloud
+    got = _close_crossing_pairs(X, Y, w, block_pairs)
+    want = reference_close_crossing_pairs(X, Y, w, block_pairs)
+    for g, f in zip(got, want, strict=True):
+        assert g.dtype == f.dtype and np.array_equal(g, f)
+
+
 def test_sort4_network_equals_np_sort_with_ties():
     rng = np.random.default_rng(15)
     for hi in (2, 4, 50):  # few values bring ties, many bring distinct rows
@@ -689,3 +777,21 @@ def test_overlap_engine_equals_all_pairs_on_small_integer_drawings(pts, data):
     d = bold(pts, edges)
     P, Q, _E = _segment_arrays(d)
     assert _collinear_overlap_pairs(P, Q) == reference_crossing_pairs(d)[1]
+
+
+def test_staged_collinear_filter_keeps_the_mask_verdict():
+    # edge 0, 1e-7 long, lies 1e-6 off the line of edge 1 and parallel to
+    # it: J's endpoints pass against line I (1e-7 * 1e-6 <= EPS) but I's
+    # fail against line J (10 * 1e-6), so only the last stage drops the
+    # pair.  Edges 2 and 3 overlap along y = 5, so the list is not empty.
+    pts = [(0.0, 0.0), (1e-7, 0.0), (5e-8, 1e-6), (10.0, 1e-6),
+           (0.0, 5.0), (2.0, 5.0), (1.0, 5.0), (3.0, 5.0)]
+    d = bold(pts, [(0, 1), (2, 3), (4, 5), (6, 7)], r=0.0, w=0.1)
+    P, Q, _E = _segment_arrays(d)
+    (i_p, i_q), (j_p, j_q) = (P[0], Q[0]), (P[1], Q[1])
+    assert abs(_orient(*i_p, *i_q, *j_p)) <= EPS and abs(_orient(*i_p, *i_q, *j_q)) <= EPS
+    assert abs(_orient(*j_p, *j_q, *i_p)) > EPS and abs(_orient(*j_p, *j_q, *i_q)) > EPS
+    lx, hx = np.minimum(P[:, 0], Q[:, 0]), np.maximum(P[:, 0], Q[:, 0])
+    pairs = {(i, j) for I, J in _candidate_blocks(lx, hx) for i, j in zip(I.tolist(), J.tolist())}
+    assert (0, 1) in pairs  # the x-engine gives the short edge as I
+    assert _collinear_overlap_pairs(P, Q) == reference_crossing_pairs(d)[1] == [(2, 3)]

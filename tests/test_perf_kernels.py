@@ -1,5 +1,5 @@
 """Microbenchmarks of the spring-layout kernels, the crossing sweep,
-check_proper and the raster (pytest-benchmark).
+check_proper, its close-pair scan and the raster (pytest-benchmark).
 
 They carry the ``perf`` marker, which the default options deselect, so
 the ordinary suite never runs them.  Run them with
@@ -22,6 +22,7 @@ from inka import (
     load_graph,
     rasterize_ink,
 )
+from inka.geometry import _BLOCK_PAIRS, _close_crossing_pairs, _crossing_arrays, _segment_arrays
 from inka.layout import _repulsion_exact, _spring_iterate
 
 pytestmark = pytest.mark.perf
@@ -71,6 +72,19 @@ def test_check_proper_lattice_can_144(benchmark):
     d = BoldDrawing(g, Layout(pos), RenderParams(0.25, 0.1))
     report = benchmark(check_proper, d)
     assert len(report.concurrent_points) and report.collinear_overlaps
+
+
+def test_close_crossing_pairs_circle_mesh24(benchmark):
+    # nodes at uniform angles on a circle of circumference n * 30: 433,629
+    # crossings, 98,942 concurrent points at w = 1
+    g = load_graph(MESH24)
+    n = g.node_count
+    theta = np.random.default_rng(1).uniform(0.0, 2.0 * np.pi, size=n)
+    pos = n * 30.0 / (2.0 * np.pi) * np.column_stack([np.cos(theta), np.sin(theta)])
+    P, Q, E = _segment_arrays(BoldDrawing(g, Layout(pos), RenderParams(5.0, 1.0)))
+    _I, _J, pts = _crossing_arrays(P, Q, E)
+    A, B = benchmark(_close_crossing_pairs, pts[:, 0].copy(), pts[:, 1].copy(), 1.0, _BLOCK_PAIRS)
+    assert A.size == B.size > 0 and (A < B).all()
 
 
 def test_rasterize_ink_mesh24(benchmark):

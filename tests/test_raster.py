@@ -143,6 +143,17 @@ def test_raster_config_validation():
             RasterConfig(**bad)
 
 
+def test_raster_config_caps_the_grid_side():
+    # the sample-centre arrays grow with the grid side, so a side past
+    # 2**20 samples (2**18 x 4, the largest grid tested) is refused up front
+    RasterConfig(resolution=2**18, supersampling=4)
+    RasterConfig(resolution=2**20, supersampling=1)
+    for resolution, supersampling in ((2**18 + 1, 4), (2**19 + 1, 2), (2**20 + 1, 1),
+                                      (100_000_000, 1), (np.int64(2**62), 4)):
+        with pytest.raises(ValueError, match=r"resolution \* supersampling must be <= 2\*\*20"):
+            RasterConfig(resolution=resolution, supersampling=supersampling)
+
+
 @pytest.mark.parametrize("supersampling", [1, 2, 4])
 def test_scanline_equals_reference_on_random_drawings(supersampling):
     rng = np.random.default_rng(20 + supersampling)
