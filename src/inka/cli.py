@@ -19,6 +19,7 @@ from .bench import BenchAbort, load_bench_config, run_bench_to_files
 from .errors import InkaError
 from .formats import (
     ReportRow,
+    _csv_cell,
     emit_report,
     load_graph,
     read_layout_csv,
@@ -272,7 +273,7 @@ def cmd_partial(args) -> int:
         return _write(records, "json", args.out)
     lines = [",".join(_PARTIAL_COLUMNS)]
     for rec in records:
-        lines.append(",".join("" if v is None else str(v) for v in rec.values()))
+        lines.append(",".join(str(_csv_cell(v)) for v in rec.values()))
     return _emit("\n".join(lines) + "\n", args.out)
 
 

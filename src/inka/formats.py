@@ -296,7 +296,7 @@ def write_edge_list(g: Graph, path=None) -> str:
     isolated nodes, then the sorted edges."""
     out = ["# nodes then edges; the parser drops self-loop lines"]
     out.extend(f"{i} {i}" for i in range(g.node_count))
-    out.extend(f"{a} {b}" for a, b in sorted(g.edges))
+    out.extend(f"{a} {b}" for a, b in g.edges.tolist())
     text = "\n".join(out) + "\n"
     if path is not None:
         Path(path).write_text(text)

@@ -146,7 +146,7 @@ def crossing_points_of(p1, q1, p2, q2):
 
 def _segment_arrays(d: BoldDrawing):
     """Endpoint arrays P, Q (m, 2) and node-id array E (m, 2) for the edges."""
-    E = d.graph.edge_array()
+    E = d.graph.edges
     pos = d.layout.positions
     return pos[E[:, 0]], pos[E[:, 1]], E
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +33,10 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Most entries of the repulsion matrix built at once (8 MiB of float64).
 _REPULSION_BLOCK_ENTRIES = 2**20
 
-# Multilevel coarsening stops at this many nodes.
+# Multilevel coarsening stops at this many nodes, or at a level that
+# keeps more than this share of its nodes (Walshaw, JGAA 7(3), 2003).
 _COARSEN_THRESHOLD = 50
+_COARSEN_STALL = 0.8
 
 
 @dataclass(frozen=True)
@@ -88,27 +89,19 @@ def layout_circular(g: Graph, ideal_edge_length: float = 30.0) -> Layout:
     return Layout(np.column_stack([radius * np.cos(angles), radius * np.sin(angles)]))
 
 
-def _components(g: Graph) -> list[np.ndarray]:
-    """Connected components as sorted node-index arrays, ordered by their
-    smallest node id."""
-    adj = g.adjacency()
-    seen = np.zeros(g.node_count, dtype=bool)
-    comps = []
-    for start in range(g.node_count):
-        if seen[start]:
-            continue
-        queue = deque([start])
-        seen[start] = True
-        members = [start]
-        while queue:
-            v = queue.popleft()
-            for u in adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    members.append(u)
-                    queue.append(u)
-        comps.append(np.array(sorted(members), dtype=np.int64))
-    return comps
+def _component_labels(n: int, edges: np.ndarray) -> np.ndarray:
+    """Each node's connected-component number, components numbered in
+    order of their smallest node id, by hook and jump: every root hooks to
+    the least root across its edges and every label jumps to its root,
+    until no edge joins two roots."""
+    label = np.arange(n)
+    a, b = edges[:, 0], edges[:, 1]
+    while (join := label[a] != label[b]).any():
+        la, lb = label[a[join]], label[b[join]]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while (label[label] != label).any():
+            label = label[label]
+    return (np.cumsum(label == np.arange(n)) - 1)[label]
 
 
 def _pack_components(parts: list[np.ndarray], pad: float) -> list[np.ndarray]:
@@ -207,16 +200,16 @@ def _layout_components(g: Graph, config: LayoutConfig, place) -> Layout:
     n = g.node_count
     if n == 0:
         return Layout(np.empty((0, 2)))
-    comps = _components(g)
-    seeds = np.random.SeedSequence(config.seed).spawn(len(comps))
-    E = g.edge_array()
-    parts = []
-    for comp, seed in zip(comps, seeds):
-        local = np.full(n, -1, dtype=np.int64)
-        local[comp] = np.arange(len(comp))
-        keep = np.isin(E[:, 0], comp) if len(E) else np.zeros(0, dtype=bool)
-        ce = local[E[keep]] if len(E) else np.empty((0, 2), dtype=np.int64)
-        parts.append(place(len(comp), ce, seed))
+    label = _component_labels(n, g.edges)
+    seeds = np.random.SeedSequence(config.seed).spawn(int(label.max()) + 1)
+    edge_label = label[g.edges[:, 0]]
+    local = np.empty(n, dtype=np.int64)
+    comps, parts = [], []
+    for c, seed in enumerate(seeds):
+        nodes = np.flatnonzero(label == c)
+        local[nodes] = np.arange(len(nodes))
+        comps.append(nodes)
+        parts.append(place(len(nodes), local[g.edges[edge_label == c]], seed))
     out = np.empty((n, 2))
     for comp, pos in zip(comps, _pack_components(parts, pad=config.ideal_edge_length)):
         out[comp] = pos
@@ -318,7 +311,7 @@ def _multilevel_positions(n, edges, config: LayoutConfig, seed) -> np.ndarray:
     maps = []
     while cur[0] > _COARSEN_THRESHOLD:
         n2, e2, ew2, nw2, cid = _coarsen(*cur)
-        if n2 >= cur[0]:
+        if n2 > _COARSEN_STALL * cur[0]:
             break
         levels.append(cur)
         maps.append(cid)

@@ -7,27 +7,43 @@ threads.  Coordinates are abstract drawing units, not pixels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import GraphError
 
-Edge = tuple[int, int]
+# Most nodes for which every edge key lo * node_count + hi fits int64.
+_MAX_NODES = math.isqrt(2**63 - 1)
+
+
+def _value_eq(self, other):
+    """Equality of two records of one type, field by field with
+    np.array_equal, so records that hold arrays compare by value."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+               for f in fields(self))
 
 
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on nodes 0..node_count-1.
 
-    Edges are stored canonically as sorted (lo, hi) pairs with lo < hi,
-    deduplicated and in ascending order.  Use :func:`build_graph` to
-    construct one from raw input.
+    ``edges`` is a read-only (m, 2) int64 array of canonical rows: lo < hi,
+    distinct, ascending.  The constructor only converts and freezes it;
+    :func:`build_graph` builds a graph from raw input.
     """
 
     node_count: int
-    edges: tuple[Edge, ...]
+    edges: np.ndarray
+    __eq__ = _value_eq
+
+    def __post_init__(self):
+        edges = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        edges.setflags(write=False)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def n(self) -> int:
@@ -37,34 +53,25 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.node_count)]
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
-
-    def edge_array(self) -> np.ndarray:
-        """Edges as an (m, 2) int array (empty -> shape (0, 2))."""
-        if not self.edges:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.asarray(self.edges, dtype=np.int64)
-
 
 def build_graph(node_count: int, edge_list: Iterable[Sequence[int]]) -> Graph:
-    """Build a simple undirected graph, deduplicating unordered pairs.
+    """Build a simple undirected graph, deduplicating unordered pairs by
+    one sort of the int64 keys lo * node_count + hi.
 
-    Rejects self-loops and out-of-range endpoints with a GraphError that
-    names the offending edge index.
+    Rejects non-pairs, non-integral endpoints (2.0 passes, 1.7 does not),
+    self-loops and out-of-range endpoints with a GraphError that names
+    the offending edge index.
     """
-    if node_count < 0:
-        raise GraphError(f"node_count must be >= 0, got {node_count}")
-    seen: set[Edge] = set()
+    if not 0 <= node_count <= _MAX_NODES:
+        raise GraphError(f"node_count must be in 0..{_MAX_NODES}, got {node_count}")
+    keys = []
     for idx, pair in enumerate(edge_list):
         try:
             a, b = pair
         except (TypeError, ValueError):
             raise GraphError(f"edge {idx}: expected a pair, got {pair!r}") from None
+        if not (float(a).is_integer() and float(b).is_integer()):
+            raise GraphError(f"edge {idx}: endpoints must be integers, got {pair!r}")
         a, b = int(a), int(b)
         if a == b:
             raise GraphError(f"edge {idx}: self-loop at node {a}")
@@ -72,8 +79,11 @@ def build_graph(node_count: int, edge_list: Iterable[Sequence[int]]) -> Graph:
             raise GraphError(
                 f"edge {idx}: endpoint out of range for {node_count} nodes: ({a}, {b})"
             )
-        seen.add((a, b) if a < b else (b, a))
-    return Graph(node_count=node_count, edges=tuple(sorted(seen)))
+        keys.append(a * node_count + b if a < b else b * node_count + a)
+    # a sort, not np.unique: its first call in a process imports numpy.ma (14 ms)
+    keys = np.sort(np.array(keys, dtype=np.int64))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    return Graph(node_count, np.column_stack(np.divmod(keys, node_count)))
 
 
 def graph_density(g: Graph) -> float:
@@ -88,6 +98,7 @@ class Layout:
     """Node positions: an (n, 2) float array, one row per node."""
 
     positions: np.ndarray
+    __eq__ = _value_eq
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=np.float64)
@@ -148,6 +159,7 @@ class DrawingMetrics:
     crossings: int
     area: float
     edge_lengths: np.ndarray = field(repr=False)
+    __eq__ = _value_eq
 
     def __post_init__(self):
         lengths = np.array(self.edge_lengths, dtype=np.float64)

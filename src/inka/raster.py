@@ -113,8 +113,7 @@ def rasterize_ink(d: BoldDrawing, cfg: RasterConfig = RasterConfig()) -> float:
 
     w = d.params.width
     if w > 0:
-        E = d.graph.edge_array()
-        p, q = pos[E[:, 0]], pos[E[:, 1]]
+        p, q = pos[d.graph.edges[:, 0]], pos[d.graph.edges[:, 1]]
         dx, dy = q[:, 0] - p[:, 0], q[:, 1] - p[:, 1]
         length = np.array([math.hypot(a, b) for a, b in zip(dx.tolist(), dy.tolist())],
                           dtype=np.float64)
@@ -275,7 +274,6 @@ def render_svg(d: BoldDrawing, path=None) -> str:
         width = max(xmax - xmin, 1e-9)
         height = max(ymax - ymin, 1e-9)
     pos = d.layout.positions
-    E = d.graph.edge_array()
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" '
@@ -283,18 +281,13 @@ def render_svg(d: BoldDrawing, path=None) -> str:
         f'<g stroke="black" stroke-width="{float(d.params.width)!r}" '
         f'stroke-linecap="butt">',
     ]
-    for a, b in E:
-        out.append(
-            f'<line x1="{float(pos[a, 0])!r}" y1="{float(pos[a, 1])!r}" '
-            f'x2="{float(pos[b, 0])!r}" y2="{float(pos[b, 1])!r}"/>'
-        )
+    for (x1, y1), (x2, y2) in pos[d.graph.edges].tolist():
+        out.append(f'<line x1="{x1!r}" y1="{y1!r}" x2="{x2!r}" y2="{y2!r}"/>')
     out.append("</g>")
     out.append('<g fill="black">')
-    for x, y in pos:
-        out.append(
-            f'<circle cx="{float(x)!r}" cy="{float(y)!r}" '
-            f'r="{float(d.params.radius)!r}"/>'
-        )
+    r = float(d.params.radius)
+    for x, y in pos.tolist():
+        out.append(f'<circle cx="{x!r}" cy="{y!r}" r="{r!r}"/>')
     out.append("</g>")
     out.append("</svg>")
     text = "\n".join(out) + "\n"

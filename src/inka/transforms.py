@@ -79,9 +79,8 @@ def partial_edges(d: BoldDrawing, p: float) -> StubSet:
     each endpoint.  p == 1 keeps each edge as its single full segment."""
     if not 0 < p <= 1:
         raise ValueError(f"retained fraction must be in (0, 1], got {p}")
-    E = d.graph.edge_array()
-    A = d.layout.positions[E[:, 0]]
-    B = d.layout.positions[E[:, 1]]
+    E = d.graph.edges
+    A, B = d.layout.positions[E[:, 0]], d.layout.positions[E[:, 1]]
     parents = np.arange(E.shape[0], dtype=np.int64)
     if p < 1.0:
         step = 0.5 * p * (B - A)

@@ -236,6 +236,17 @@ def test_partial_sweep_csv(drawing_files, capsys):
     assert len(lines) == 5  # header + default ratios 0.1,0.25,0.5,1
 
 
+def test_partial_sweep_csv_writes_booleans_as_other_csvs_do(drawing_files, capsys):
+    # lower-case true/false, as in `inka analyze` and `inka bench`
+    graph, layout = drawing_files
+    code = run(["partial", "--graph", graph, "--layout", layout,
+                "--radius", "1", "--width", "0.1", "--ratios", "0.5,1"])
+    assert code == 0
+    header, *rows = capsys.readouterr().out.strip().splitlines()
+    col = header.split(",").index("necessity_holds")
+    assert [row.split(",")[col] for row in rows] == ["true", "true"]
+
+
 def test_partial_sweep_json_formula_matches_measured(drawing_files, capsys):
     graph, layout = drawing_files
     code = run(["partial", "--graph", graph, "--layout", layout,

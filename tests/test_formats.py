@@ -46,14 +46,14 @@ def test_parse_matrix_market_small():
     g = parse_matrix_market(MM_SMALL)
     assert g.n == 4
     # the 4 4 diagonal entry drops, the rest symmetrize to 3 edges
-    assert g.edges == ((0, 1), (0, 2), (1, 3))
+    assert g.edges.tolist() == [[0, 1], [0, 2], [1, 3]]
 
 
 def test_parse_matrix_market_general_with_values():
     text = "%%MatrixMarket matrix coordinate real general\n3 3 3\n1 2 1.5\n2 1 1.5\n3 3 9.0\n"
     g = parse_matrix_market(text)
     assert g.n == 3
-    assert g.edges == ((0, 1),)
+    assert g.edges.tolist() == [[0, 1]]
 
 
 def test_parse_matrix_market_reports_line_numbers():
@@ -76,32 +76,32 @@ CHACO_PATH = """4 3
 def test_parse_chaco_path():
     g = parse_chaco(CHACO_PATH)
     assert g.n == 4
-    assert g.edges == ((0, 1), (1, 2), (2, 3))
+    assert g.edges.tolist() == [[0, 1], [1, 2], [2, 3]]
 
 
 def test_parse_chaco_blank_line_is_isolated_node():
     g = parse_chaco("3 1\n2\n1\n\n")
     assert g.n == 3
-    assert g.edges == ((0, 1),)
+    assert g.edges.tolist() == [[0, 1]]
 
 
 def test_parse_chaco_weighted_formats_ignore_weights():
     # fmt 1: edge weights; neighbors come in (id, weight) pairs
     g1 = parse_chaco("2 1 1\n2 5\n1 5\n")
-    assert g1.edges == ((0, 1),)
+    assert g1.edges.tolist() == [[0, 1]]
     # fmt 10: one node weight leads each line
     g10 = parse_chaco("2 1 10\n7 2\n3 1\n")
-    assert g10.edges == ((0, 1),)
+    assert g10.edges.tolist() == [[0, 1]]
     # fmt 11: node weight then (id, weight) pairs
     g11 = parse_chaco("2 1 11\n7 2 5\n3 1 5\n")
-    assert g11.edges == ((0, 1),)
+    assert g11.edges.tolist() == [[0, 1]]
 
 
 def test_parse_chaco_edge_count_mismatch_warns_not_raises():
     # header claims 2 edges, body has 1
     with pytest.warns(ParseWarning):
         g = parse_chaco("3 2\n2\n1\n\n")
-    assert g.edges == ((0, 1),)
+    assert g.edges.tolist() == [[0, 1]]
 
 
 def test_parse_chaco_zero_id_message():
@@ -115,13 +115,13 @@ def test_parse_chaco_zero_id_message():
 def test_parse_edge_list_compacts_ids_first_seen():
     g = parse_edge_list("# comment\n% also comment\n10 20\n20 30 1.5\n10 30\n")
     assert g.n == 3
-    assert g.edges == ((0, 1), (0, 2), (1, 2))
+    assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
 
 
 def test_parse_edge_list_self_loop_registers_node_only():
     g = parse_edge_list("5 5\n5 6\n")
     assert g.n == 2
-    assert g.edges == ((0, 1),)
+    assert g.edges.tolist() == [[0, 1]]
 
 
 def test_parse_edge_list_duplicate_edges_collapse():

@@ -1,9 +1,14 @@
 import math
+import time
+from collections import deque
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import inka.layout
 from inka import (
     BoldDrawing,
     LayoutConfig,
@@ -20,12 +25,14 @@ from inka import (
 from inka.layout import (
     _GOLDEN,
     _coarsen,
+    _component_labels,
     _interpolate,
     _repulsion_buffers,
     _repulsion_exact,
 )
 
-CAN_144 = Path(__file__).resolve().parents[1] / "data" / "graphs" / "can_144.mtx"
+GRAPHS = Path(__file__).resolve().parents[1] / "data" / "graphs"
+CAN_144 = GRAPHS / "can_144.mtx"
 
 
 def grid_graph(rows, cols):
@@ -186,12 +193,93 @@ def test_interpolate_matches_loop(cid):
 def test_interpolate_matches_loop_on_a_matching():
     # the fine-to-coarse map of a real coarsening pass, 500 nodes
     g = grid_graph(20, 25)
-    E = g.edge_array()
+    E = g.edges
     *_, cid = _coarsen(g.node_count, E, np.ones(len(E)), np.ones(g.node_count))
     pos = np.random.default_rng(0).uniform(0.0, 600.0, size=(cid.max() + 1, 2))
     np.testing.assert_allclose(
         _interpolate(pos, cid, 30.0), interpolate_loop(pos, cid, 30.0), rtol=0, atol=1e-12
     )
+
+
+def reference_components(g):
+    """Connected components by breadth-first search over adjacency sets,
+    as sorted node-index arrays ordered by their smallest node id."""
+    adj = [set() for _ in range(g.node_count)]
+    for a, b in g.edges.tolist():
+        adj[a].add(b)
+        adj[b].add(a)
+    seen = np.zeros(g.node_count, dtype=bool)
+    comps = []
+    for start in range(g.node_count):
+        if seen[start]:
+            continue
+        queue = deque([start])
+        seen[start] = True
+        members = [start]
+        while queue:
+            v = queue.popleft()
+            for u in adj[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    members.append(u)
+                    queue.append(u)
+        comps.append(np.array(sorted(members), dtype=np.int64))
+    return comps
+
+
+def assert_labels_match_reference(g):
+    label = _component_labels(g.node_count, g.edges)
+    comps = [np.flatnonzero(label == c) for c in range(label.max(initial=-1) + 1)]
+    expected = reference_components(g)
+    assert len(comps) == len(expected)
+    for got, want in zip(comps, expected):
+        np.testing.assert_array_equal(got, want)
+
+
+@st.composite
+def component_graphs(draw):
+    """Graphs whose nodes fall into random groups with edges only inside a
+    group (a shuffled path through it, random chords, or both), ids
+    shuffled: isolated nodes, many components and long paths."""
+    n = draw(st.integers(1, 60))
+    group = draw(st.lists(st.integers(0, draw(st.integers(0, n))), min_size=n, max_size=n))
+    ids = draw(st.permutations(range(n)))
+    edges = []
+    if draw(st.booleans()):
+        for k in set(group):
+            members = [ids[v] for v in range(n) if group[v] == k]
+            edges += zip(members, members[1:])
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    edges += [(ids[a], ids[b]) for a, b in chords if a != b and group[a] == group[b]]
+    return build_graph(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(component_graphs())
+def test_component_labels_match_breadth_first_search(g):
+    assert_labels_match_reference(g)
+
+
+def test_component_labels_on_fixtures_and_edge_cases():
+    for name in ("can_144.mtx", "mesh24.graph", "ba800.edges", "yeastppi.edges"):
+        assert_labels_match_reference(load_graph(GRAPHS / name))
+    assert_labels_match_reference(build_graph(0, []))
+    assert_labels_match_reference(build_graph(5, []))
+    assert_labels_match_reference(build_graph(6, [(4, 5), (0, 5), (1, 3)]))
+
+
+def test_component_labels_of_a_shuffled_path_take_bounded_time():
+    # a min-label loop that moves labels one edge per round takes 4,281
+    # rounds (about 0.16 s CPU) here; hook and jump takes under 1 ms
+    ids = np.random.default_rng(5).permutation(5000)
+    g = build_graph(5000, np.column_stack([ids[:-1], ids[1:]]))
+    seconds = []
+    for _ in range(3):
+        start = time.process_time()
+        label = _component_labels(g.node_count, g.edges)
+        seconds.append(time.process_time() - start)
+    assert not label.any()
+    assert min(seconds) < 0.05
 
 
 def test_layout_random_stays_in_box_and_is_seeded():
@@ -281,6 +369,24 @@ def test_multilevel_is_deterministic_and_finite():
     b = layout_multilevel(g, cfg)
     assert np.array_equal(a.positions, b.positions)
     assert np.isfinite(a.positions).all()
+
+
+def test_multilevel_coarsening_stops_when_a_level_stalls(monkeypatch):
+    # ba800's matchings go 800 -> 506 -> 356 -> 278 -> 238; the last keeps
+    # 86% of its nodes, so three levels are built, not 136
+    calls = []
+    coarsen = inka.layout._coarsen
+
+    def spy(n, *rest):
+        out = coarsen(n, *rest)
+        calls.append((n, out[0]))
+        return out
+
+    monkeypatch.setattr(inka.layout, "_coarsen", spy)
+    g = load_graph(GRAPHS / "ba800.edges")
+    lay = layout_multilevel(g, LayoutConfig(algorithm="multilevel", seed=1, iterations=10))
+    assert calls == [(800, 506), (506, 356), (356, 278), (278, 238)]
+    assert np.isfinite(lay.positions).all()
 
 
 def test_spring_layouts_beat_random_on_grid():

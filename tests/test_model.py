@@ -19,13 +19,13 @@ def test_build_graph_basic():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     assert g.n == 4
     assert g.m == 3
-    assert g.edges == ((0, 1), (1, 2), (2, 3))
+    assert g.edges.tolist() == [[0, 1], [1, 2], [2, 3]]
 
 
 def test_build_graph_dedupes_and_normalizes_orientation():
     g = build_graph(3, [(1, 0), (0, 1), (2, 1), (1, 2)])
     assert g.m == 2
-    assert g.edges == ((0, 1), (1, 2))
+    assert g.edges.tolist() == [[0, 1], [1, 2]]
 
 
 def test_build_graph_rejects_self_loop_with_index():
@@ -41,25 +41,62 @@ def test_build_graph_rejects_out_of_range():
         build_graph(3, [(-1, 0)])
 
 
+def test_build_graph_node_count_keeps_edge_keys_in_int64():
+    n = 3_037_000_499  # the largest n with (n - 2) * n + n - 1 < 2**63
+    assert build_graph(n, [(n - 1, n - 2)]).edges.tolist() == [[n - 2, n - 1]]
+    with pytest.raises(GraphError, match="node_count"):
+        build_graph(n + 1, [])
+    with pytest.raises(GraphError, match="node_count"):
+        build_graph(-1, [])
+
+
 def test_graph_is_immutable():
     g = build_graph(2, [(0, 1)])
     with pytest.raises(AttributeError):
         g.node_count = 5
 
 
-def test_adjacency():
-    g = build_graph(4, [(0, 1), (0, 2)])
-    adj = g.adjacency()
-    assert adj[0] == {1, 2}
-    assert adj[1] == {0}
-    assert adj[3] == set()
-
-
-def test_edge_array_shape_and_dtype():
+def test_edges_array_shape_and_dtype():
     g = build_graph(3, [(0, 1), (1, 2)])
-    arr = g.edge_array()
+    arr = g.edges
     assert arr.shape == (2, 2)
     assert arr.dtype == np.int64
+    with pytest.raises(ValueError):
+        arr[0, 0] = 2
+    assert Graph(0, ()).edges.shape == (0, 2)
+    assert build_graph(0, []).edges.shape == (0, 2)
+
+
+def test_graph_constructor_copies_and_freezes():
+    src = np.array([[0, 1], [1, 2]])
+    g = Graph(3, src)
+    src[0, 1] = 2
+    assert g.edges.tolist() == [[0, 1], [1, 2]]
+    assert not g.edges.flags.writeable
+
+
+def test_build_graph_accepts_integral_floats_and_numpy_integers():
+    g = build_graph(3, [(2.0, 0), (np.int32(1), np.int64(2)), (np.uint8(1), 0.0)])
+    assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert g.edges.dtype == np.int64
+
+
+@pytest.mark.parametrize("bad", [1.7, -0.5, math.nan, math.inf])
+def test_build_graph_rejects_non_integral_endpoint(bad):
+    with pytest.raises(GraphError, match="edge 1: endpoints must be integers"):
+        build_graph(3, [(0, 1), (0, bad), (1, 2)])
+
+
+def test_build_graph_reports_the_first_bad_edge():
+    # at one index a self-loop is reported before an out-of-range endpoint
+    with pytest.raises(GraphError, match="edge 1: self-loop at node 5"):
+        build_graph(3, [(0, 1), (5, 5), (0, 9)])
+    with pytest.raises(GraphError, match=r"edge 1: endpoint out of range for 3 nodes: \(0, 9\)"):
+        build_graph(3, [(0, 1), (0, 9), (2, 2)])
+    with pytest.raises(GraphError, match="edge 2: expected a pair"):
+        build_graph(3, [(0, 1), (1, 2), (0, 1, 2), (1, 1)])
+    with pytest.raises(GraphError, match="edge 0: endpoints must be integers"):
+        build_graph(3, [(0, 0.5), (1, 1)])
 
 
 def test_graph_density():
@@ -115,6 +152,34 @@ def test_bold_drawing_checks_layout_length():
     lay = Layout(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         BoldDrawing(g, lay, RenderParams(1.0, 0.1))
+
+
+def test_records_compare_by_value():
+    g = build_graph(3, [(0, 1), (1, 2)])
+    assert g == build_graph(3, [(2, 1), (1, 0), (0, 1)])
+    assert g != build_graph(3, [(0, 1)])
+    assert g != build_graph(4, [(0, 1), (1, 2)])
+    assert Graph(0, ()) == build_graph(0, [])
+
+    pos = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]])
+    lay = Layout(pos)
+    assert lay == Layout(pos.copy())
+    assert lay != Layout(pos + 1.0)
+    assert lay != Layout(pos[:2])
+
+    metrics = DrawingMetrics(3.0, 1, 10.0, np.array([1.0, 2.0]))
+    assert metrics == DrawingMetrics(3.0, 1, 10.0, [1.0, 2.0])
+    assert metrics != DrawingMetrics(3.0, 1, 10.0, np.array([1.0, 2.5]))
+    assert metrics != DrawingMetrics(3.0, 2, 10.0, np.array([1.0, 2.0]))
+
+    d = BoldDrawing(g, lay, RenderParams(1.0, 0.1))
+    assert d == BoldDrawing(build_graph(3, [(1, 2), (0, 1)]), Layout(pos.copy()),
+                            RenderParams(1.0, 0.1))
+    assert d != BoldDrawing(build_graph(3, [(0, 2)]), lay, RenderParams(1.0, 0.1))
+    assert d != BoldDrawing(g, Layout(pos * 2.0), RenderParams(1.0, 0.1))
+    assert d != BoldDrawing(g, lay, RenderParams(1.0, 0.2))
+    # a record never equals a value of another type
+    assert g != (3, ((0, 1), (1, 2))) and lay != 0
 
 
 def test_drawing_metrics_copies_edge_lengths():

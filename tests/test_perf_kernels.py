@@ -1,5 +1,6 @@
-"""Microbenchmarks of the spring-layout kernels, the crossing sweep,
-check_proper, its close-pair scan and the raster (pytest-benchmark).
+"""Microbenchmarks of graph loading, component labelling, the
+spring-layout kernels, the crossing sweep, check_proper, its close-pair
+scan and the raster (pytest-benchmark).
 
 They carry the ``perf`` marker, which the default options deselect, so
 the ordinary suite never runs them.  Run them with
@@ -17,13 +18,14 @@ from inka import (
     Layout,
     RasterConfig,
     RenderParams,
+    build_graph,
     check_proper,
     count_crossings_sweep,
     load_graph,
     rasterize_ink,
 )
 from inka.geometry import _BLOCK_PAIRS, _close_crossing_pairs, _crossing_arrays, _segment_arrays
-from inka.layout import _repulsion_exact, _spring_iterate
+from inka.layout import _component_labels, _repulsion_exact, _spring_iterate
 
 pytestmark = pytest.mark.perf
 
@@ -36,6 +38,20 @@ def random_positions(n, k=30.0, seed=0):
     return rng.uniform(0.0, np.sqrt(n) * k, size=(n, 2))
 
 
+def test_load_graph_yeastppi(benchmark):
+    # 2,361 nodes and 7,182 edges, with duplicate, reversed, self-loop and
+    # weighted lines the parser must drop or fold
+    g = benchmark(load_graph, GRAPHS / "yeastppi.edges")
+    assert g.edges.shape == (g.m, 2)
+
+
+def test_component_labels_shuffled_path(benchmark):
+    ids = np.random.default_rng(5).permutation(5000)
+    g = build_graph(5000, np.column_stack([ids[:-1], ids[1:]]))
+    label = benchmark(_component_labels, g.node_count, g.edges)
+    assert not label.any()
+
+
 @pytest.mark.parametrize("n", [144, 576, 2361])  # 2,361: yeastppi's component
 def test_repulsion_exact(benchmark, n):
     pos = random_positions(n)
@@ -45,7 +61,7 @@ def test_repulsion_exact(benchmark, n):
 
 def test_spring_iterate_one_step_mesh24(benchmark):
     g = load_graph(MESH24)
-    n, edges = g.node_count, g.edge_array()
+    n, edges = g.node_count, g.edges
     pos = random_positions(n)
     out = benchmark(
         _spring_iterate, pos, edges, np.ones(len(edges)), np.ones(n), 30.0, 1,

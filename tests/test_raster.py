@@ -64,7 +64,7 @@ def reference_rasterize_ink(d, cfg=RasterConfig()):
     w = d.params.width
     if w > 0:
         half = 0.5 * w
-        E = d.graph.edge_array()
+        E = d.graph.edges
         for a, b in E:
             p, q = pos[a], pos[b]
             dx, dy = q[0] - p[0], q[1] - p[1]
@@ -114,7 +114,7 @@ def overhanging_windows(d, cfg):
     pos, r, half = d.layout.positions, d.params.radius, 0.5 * d.params.width
     boxes = [(x - r, x + r, y - r, y + r) for x, y in pos] if r > 0 else []
     if half > 0:
-        for a, b in d.graph.edge_array():
+        for a, b in d.graph.edges:
             p, q = pos[a], pos[b]
             length = math.hypot(q[0] - p[0], q[1] - p[1])
             if length:
