@@ -20,17 +20,17 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import InkaError
-from .formats import _PARSERS, ReportRow, emit_report, load_graph
+from .errors import InkaError, ParseError
+from .formats import _PARSERS, ReportRow, _read, emit_report, load_graph
 from .geometry import bounding_area, count_crossings_sweep, edge_lengths
 from .ink import ink_report
 # perfbench/tracing.py (BENCH_IMPORTS) looks these two up on this module.
 from .ink import check_area_constraint, ink_components
 from .layout import LayoutConfig, compute_layout
-from .model import BoldDrawing, RenderParams
+from .model import BoldDrawing, RenderParams, _positive
 from .raster import RasterConfig, rasterize_ink
 
 DEFAULT_SETTINGS = ((1.0, 0.0), (1.0, 1.0), (2.0, 1.0), (20.0, 1.0), (20.0, 2.0))
@@ -62,8 +62,10 @@ class BenchConfig:
             raise ValueError("bench config needs at least one layout")
         if not self.settings:
             raise ValueError("bench config needs at least one (r, w) setting")
-        for r, w in self.settings:  # a bad r, w or gamma fails here, not mid-run
+        for r, w in self.settings:  # a bad r, w, gamma or area fails here, not mid-run
             RenderParams(r, w, self.gamma)
+        if self.area is not None:
+            _positive(self.area, "fixed area")
         if not isinstance(self.raster, bool):
             raise ValueError(f"raster must be true or false, got {self.raster!r}")
 
@@ -80,72 +82,90 @@ class BenchAbort(InkaError):
 
 def _number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InkaError(f"{what} must be a number, got {value!r}")
+        raise ParseError(f"{what} must be a number, got {value!r}")
     return float(value)
 
 
-def _entries(data: dict, key: str, default, where) -> list:
+def _entries(data: dict, key: str, default) -> list:
     value = data.get(key, default)
     if not isinstance(value, (list, tuple)):
-        raise InkaError(f'{where}: "{key}" must be a list, got {value!r}')
+        raise ParseError(f'"{key}" must be a list, got {value!r}')
     return value
+
+
+def _known_keys(entry: dict, keys: tuple, where: str):
+    for key in entry:
+        if key not in keys:
+            raise ParseError(f'{where}: unknown key "{key}" (expected {", ".join(keys)})')
+
+
+_CONFIG_KEYS = ("graphs", "layouts", "settings", "gamma", "area", "raster")
+_GRAPH_KEYS = ("name", "path", "format")
+_LAYOUT_KEYS = ("name",) + tuple(f.name for f in fields(LayoutConfig))
 
 
 def load_bench_config(path) -> BenchConfig:
     """Read a JSON bench config; graph paths resolve relative to it.  Any
-    malformed entry raises InkaError naming the entry and the field."""
-    p = Path(path)
-    data = json.loads(p.read_text())
+    malformed entry or unknown key raises ParseError naming the file, the
+    entry and the field."""
+    return _read(path, _bench_config, Path(path).parent)
+
+
+def _bench_config(text: str, base: Path) -> BenchConfig:
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{e.msg} (column {e.colno})", line=e.lineno) from None
     if not isinstance(data, dict):
-        raise InkaError(f"{p}: a bench config must be a JSON object")
-    base = p.parent
+        raise ParseError("a bench config must be a JSON object")
+    _known_keys(data, _CONFIG_KEYS, "top level")
 
     graphs = []
-    for idx, entry in enumerate(_entries(data, "graphs", [], p)):
-        path = entry.get("path") if isinstance(entry, dict) else None
-        if not isinstance(path, str) or "name" not in entry:
-            raise InkaError(f'{p}: graph entry {idx} needs a "name" and a "path" string')
+    for idx, entry in enumerate(_entries(data, "graphs", [])):
+        if isinstance(entry, dict):
+            _known_keys(entry, _GRAPH_KEYS, f"graph entry {idx}")
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("path"), str)):
+            raise ParseError(f'graph entry {idx} needs a "name" and a "path" string')
         fmt = entry.get("format")
         if fmt is not None and not (isinstance(fmt, str) and fmt in _PARSERS):
-            raise InkaError(f'{p}: graph entry {idx}: "format" must be null or one of '
-                            f"{', '.join(sorted(_PARSERS))}, got {fmt!r}")
-        graphs.append(
-            BenchGraph(name=entry["name"], path=str((base / path).resolve()), format=fmt)
-        )
+            raise ParseError(f'graph entry {idx}: "format" must be null or one of '
+                             f"{', '.join(sorted(_PARSERS))}, got {fmt!r}")
+        path = str((base / entry["path"]).resolve())
+        graphs.append(BenchGraph(name=entry["name"], path=path, format=fmt))
 
     layouts = []
-    for idx, entry in enumerate(_entries(data, "layouts", [], p)):
+    for idx, entry in enumerate(_entries(data, "layouts", [])):
         if not isinstance(entry, dict):
-            raise InkaError(f"{p}: layout entry {idx} must be a JSON object")
-        cfg_kwargs = {
-            k: entry[k]
-            for k in ("algorithm", "seed", "iterations", "ideal_edge_length", "cooling")
-            if k in entry
-        }
+            raise ParseError(f"layout entry {idx} must be a JSON object")
+        _known_keys(entry, _LAYOUT_KEYS, f"layout entry {idx}")
         try:
-            cfg = LayoutConfig(**cfg_kwargs)
+            cfg = LayoutConfig(**{k: v for k, v in entry.items() if k != "name"})
         except ValueError as e:
-            raise InkaError(f"{p}: layout entry {idx}: {e}") from None
-        layouts.append((entry.get("name", cfg.algorithm), cfg))
+            raise ParseError(f"layout entry {idx}: {e}") from None
+        name = entry.get("name", cfg.algorithm)
+        if not isinstance(name, str):
+            raise ParseError(f'layout entry {idx}: "name" must be a string, got {name!r}')
+        layouts.append((name, cfg))
 
     settings = []
-    for idx, entry in enumerate(_entries(data, "settings", DEFAULT_SETTINGS, p)):
+    for idx, entry in enumerate(_entries(data, "settings", DEFAULT_SETTINGS)):
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise InkaError(f"{p}: setting {idx} must be an [r, w] pair, got {entry!r}")
-        settings.append(tuple(_number(v, f"{p}: setting {idx}") for v in entry))
+            raise ParseError(f"setting {idx} must be an [r, w] pair, got {entry!r}")
+        settings.append(tuple(_number(v, f"setting {idx}") for v in entry))
     area_raw = data.get("area", "auto")
-    area = None if area_raw == "auto" else _number(area_raw, f'{p}: "area"')
+    area = None if area_raw == "auto" else _number(area_raw, '"area"')
     try:
         return BenchConfig(
             graphs=tuple(graphs),
             layouts=tuple(layouts),
             settings=tuple(settings),
-            gamma=_number(data.get("gamma", 1.0), f'{p}: "gamma"'),
+            gamma=_number(data.get("gamma", 1.0), '"gamma"'),
             area=area,
             raster=data.get("raster", False),
         )
     except ValueError as e:
-        raise InkaError(f"{p}: {e}") from None
+        raise ParseError(str(e)) from None
 
 
 def worker_count(requested: int | None, jobs: int) -> int:

@@ -9,17 +9,17 @@ partial output.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .bench import BenchAbort, load_bench_config, run_bench_to_files
 from .errors import InkaError
 from .formats import (
     ReportRow,
-    _csv_cell,
+    _json,
+    _plain,
+    _table,
     emit_report,
     load_graph,
     read_layout_csv,
@@ -36,7 +36,7 @@ from .ink import (
     zoom_ink,
 )
 from .layout import _ALGORITHMS, LayoutConfig, compute_layout
-from .model import BoldDrawing, RenderParams
+from .model import BoldDrawing, RenderParams, _positive
 from .raster import RasterConfig, rasterize_ink, render_svg
 from .transforms import measure_stub_crossings, partial_edges, scale_layout, zoom_drawing
 
@@ -44,6 +44,7 @@ _PARTIAL_COLUMNS = (
     "p", "stub_crossings", "ink_formula", "ink_measured", "necessity_holds",
     "cr_lo", "cr_hi",
 )
+_STUB_COLUMNS = ("parent", "px", "py", "qx", "qy")
 
 
 def _area_value(text: str):
@@ -55,9 +56,10 @@ def _area_value(text: str):
         raise argparse.ArgumentTypeError(
             f"area must be 'auto' or a number, got {text!r}"
         ) from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"fixed area must be > 0, got {value}")
-    return value
+    try:
+        return _positive(value, "fixed area")
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _ratios_value(text: str) -> list[float]:
@@ -107,20 +109,6 @@ def _emit(text: str, out: str | None) -> int:
     return 0
 
 
-def _plain(v):
-    """A payload as JSON-ready data: report dataclasses become dicts,
-    intervals lists, and non-finite floats the strings "inf", "-inf", "nan"."""
-    if is_dataclass(v):
-        return {f.name: _plain(getattr(v, f.name)) for f in fields(v)}
-    if isinstance(v, dict):
-        return {k: _plain(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_plain(x) for x in v]
-    if isinstance(v, float) and not math.isfinite(v):
-        return str(v)  # "inf", "-inf" or "nan"
-    return v
-
-
 def _key_values(payload, sep: str = "\n") -> str:
     return sep.join(f"{k}={v}" for k, v in _plain(payload).items())
 
@@ -128,9 +116,7 @@ def _key_values(payload, sep: str = "\n") -> str:
 def _write(payload, fmt: str, out: str | None = None) -> int:
     """Write a payload to out (default stdout): indented JSON, or one
     key=value line per entry."""
-    if fmt == "json":
-        return _emit(json.dumps(_plain(payload), indent=2) + "\n", out)
-    return _emit(_key_values(payload) + "\n", out)
+    return _emit(_json(payload) if fmt == "json" else _key_values(payload) + "\n", out)
 
 
 def _bounds(d: BoldDrawing, metrics, equal_length=None):
@@ -246,9 +232,7 @@ def cmd_transform(args) -> int:
             "necessity_holds": formulas.necessity_holds,
         }
         rows = zip(stubs.parent_edge.tolist(), stubs.P.tolist(), stubs.Q.tolist())
-        out_text = "parent,px,py,qx,qy\n" + "".join(
-            f"{e},{p[0]!r},{p[1]!r},{q[0]!r},{q[1]!r}\n" for e, p, q in rows
-        )
+        out_text = _table(_STUB_COLUMNS, ([e, *p, *q] for e, p, q in rows), "csv")
     if args.out:
         Path(args.out).write_text(out_text)
     return _write(payload, args.format)
@@ -258,7 +242,7 @@ def cmd_partial(args) -> int:
     d = _load_drawing(args)
     metrics = measure(d, area=args.area)
     g, prm = d.graph, d.params
-    records = []
+    rows = []
     for p in args.ratios:
         stubs, cr_stub, formulas = _partial_at(d, metrics, p)
         measured = ink_report(
@@ -266,15 +250,9 @@ def cmd_partial(args) -> int:
             metrics.area, prm.gamma,
         )
         lo, hi = formulas.crossing_interval or (None, None)
-        values = (p, cr_stub, formulas.ink_partial, measured.ink_total,
-                  formulas.necessity_holds, lo, hi)
-        records.append(dict(zip(_PARTIAL_COLUMNS, _plain(values))))
-    if args.format == "json":
-        return _write(records, "json", args.out)
-    lines = [",".join(_PARTIAL_COLUMNS)]
-    for rec in records:
-        lines.append(",".join(str(_csv_cell(v)) for v in rec.values()))
-    return _emit("\n".join(lines) + "\n", args.out)
+        rows.append((p, cr_stub, formulas.ink_partial, measured.ink_total,
+                     formulas.necessity_holds, lo, hi))
+    return _emit(_table(_PARTIAL_COLUMNS, rows, args.format), args.out)
 
 
 def cmd_render(args) -> int:

@@ -8,8 +8,10 @@ Malformed input always raises ParseError carrying the 1-based line
 number (and the path, when parsing came from a file), never a bare
 exception from deep inside.
 
-Layouts travel as CSV with header ``node,x,y``; report rows serialize to
-CSV or JSON with a fixed column order.
+Every file is read by ``_read``, every graph line is tokenized by
+``_records``, and every table (layouts, report rows, the CLI's partial
+sweeps and stubs) is written by ``_table``, as CSV with a header line or
+as a JSON array of objects with a fixed column order.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import io
 import json
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +47,15 @@ def _float_token(token: str, line: int, what: str) -> float:
         raise ParseError(f"bad {what} {token!r}", line=line) from None
 
 
+def _records(lines, comments: str):
+    """(1-based line number, tokens) of each line whose first token does
+    not start with one of the comment characters; a blank line has no tokens."""
+    for lineno, line in enumerate(lines, 1):
+        tokens = line.split()
+        if not tokens or tokens[0][0] not in comments:
+            yield lineno, tokens
+
+
 def parse_matrix_market(text: str) -> Graph:
     """Matrix Market coordinate file -> Graph.
 
@@ -53,9 +64,9 @@ def parse_matrix_market(text: str) -> Graph:
     matrices are symmetrized by treating entries as unordered pairs.
     """
     lines = text.splitlines()
-    if not lines or not lines[0].strip():
+    header = lines[0].split() if lines else []
+    if not header:
         raise ParseError("missing Matrix Market header", line=1)
-    header = lines[0].split()
     if header[0].lower() != "%%matrixmarket":
         raise ParseError("first line must start with %%MatrixMarket", line=1)
     if len(header) < 4:
@@ -73,19 +84,11 @@ def parse_matrix_market(text: str) -> Graph:
         raise ParseError(f"unsupported symmetry {symmetry!r}", line=1)
     values_per_entry = {"pattern": 0, "real": 1, "integer": 1, "complex": 2}[field]
 
-    size_line = None
-    body_start = None
-    for i in range(1, len(lines)):
-        s = lines[i].strip()
-        if not s or s.startswith("%"):
-            continue
-        size_line = (i + 1, s)
-        body_start = i + 1
-        break
-    if size_line is None:
-        raise ParseError("missing size line", line=len(lines))
-    lineno, s = size_line
-    tokens = s.split()
+    # one pass: the first record is the size line, the rest are entries
+    records = ((lineno, tokens) for lineno, tokens in _records(lines, "%") if tokens)
+    lineno, tokens = next(records, (len(lines), None))
+    if tokens is None:
+        raise ParseError("missing size line", line=lineno)
     if len(tokens) != 3:
         raise ParseError("size line must be 'rows cols nnz'", line=lineno)
     rows = _int_token(tokens[0], lineno, "row count")
@@ -100,14 +103,9 @@ def parse_matrix_market(text: str) -> Graph:
 
     pairs: list[tuple[int, int]] = []
     seen = 0
-    for i in range(body_start, len(lines)):
-        s = lines[i].strip()
-        if not s or s.startswith("%"):
-            continue
-        lineno = i + 1
+    for lineno, tokens in records:
         if seen == nnz:
             raise ParseError(f"more than the declared {nnz} entries", line=lineno)
-        tokens = s.split()
         if len(tokens) != 2 + values_per_entry:
             raise ParseError(
                 f"expected {2 + values_per_entry} tokens per entry, got {len(tokens)}",
@@ -123,9 +121,7 @@ def parse_matrix_market(text: str) -> Graph:
         if a != b:
             pairs.append((a - 1, b - 1))
     if seen != nnz:
-        raise ParseError(
-            f"declared {nnz} entries but found {seen}", line=len(lines)
-        )
+        raise ParseError(f"declared {nnz} entries but found {seen}", line=len(lines))
     return build_graph(rows, pairs)
 
 
@@ -139,19 +135,11 @@ def parse_chaco(text: str) -> Graph:
     declared edge count that disagrees after deduplication is a warning,
     not an error.
     """
-    entries: list[tuple[int, str]] = []
-    for i, raw in enumerate(text.splitlines()):
-        s = raw.strip()
-        if s.startswith("%") or s.startswith("#"):
-            continue
-        entries.append((i + 1, s))
-    head_idx = 0
-    while head_idx < len(entries) and not entries[head_idx][1]:
-        head_idx += 1
-    if head_idx == len(entries):
+    entries = list(_records(text.splitlines(), "%#"))
+    head_idx = next((i for i, (_, tokens) in enumerate(entries) if tokens), None)
+    if head_idx is None:
         raise ParseError("missing header line", line=1)
-    lineno, s = entries[head_idx]
-    tokens = s.split()
+    lineno, tokens = entries[head_idx]
     if len(tokens) not in (2, 3, 4):
         raise ParseError("header must be 'n m [fmt [#vweights]]'", line=lineno)
     n = _int_token(tokens[0], lineno, "node count")
@@ -187,8 +175,7 @@ def parse_chaco(text: str) -> Graph:
         )
 
     pairs: list[tuple[int, int]] = []
-    for node, (lineno, s) in enumerate(adj_lines):
-        tokens = s.split()
+    for node, (lineno, tokens) in enumerate(adj_lines):
         if len(tokens) < n_vweights:
             raise ParseError(
                 f"expected {n_vweights} vertex weights", line=lineno
@@ -234,12 +221,9 @@ def parse_edge_list(text: str) -> Graph:
     """
     order: dict[int, int] = {}
     pairs: list[tuple[int, int]] = []
-    for i, raw in enumerate(text.splitlines()):
-        s = raw.strip()
-        if not s or s[0] in "%#":
+    for lineno, tokens in _records(text.splitlines(), "%#"):
+        if not tokens:
             continue
-        lineno = i + 1
-        tokens = s.split()
         if len(tokens) not in (2, 3):
             raise ParseError(
                 f"expected 'id id [weight]', got {len(tokens)} tokens", line=lineno
@@ -279,12 +263,19 @@ def load_graph(path, fmt: str | None = None) -> Graph:
             )
     if fmt not in _PARSERS:
         raise ParseError(f"unknown graph format {fmt!r}", path=str(p))
+    return _read(p, _PARSERS[fmt])
+
+
+def _read(path, parse, *args):
+    """parse(text, *args) of the file at path.  A file that cannot be read
+    or decoded, or a ParseError from parse, raises ParseError naming the path."""
+    p = Path(path)
     try:
         text = p.read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read file: {e}", path=str(p)) from e
     try:
-        return _PARSERS[fmt](text)
+        return parse(text, *args)
     except ParseError as e:
         e.path = str(p)
         raise
@@ -305,12 +296,8 @@ def write_edge_list(g: Graph, path=None) -> str:
 
 def write_layout_csv(layout: Layout, path=None) -> str:
     """Layout -> CSV 'node,x,y' with lossless float formatting."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["node", "x", "y"])
-    for i, (x, y) in enumerate(layout.positions):
-        writer.writerow([i, repr(float(x)), repr(float(y))])
-    text = buf.getvalue()
+    rows = ([i, *xy] for i, xy in enumerate(layout.positions.tolist()))
+    text = _table(("node", "x", "y"), rows, "csv")
     if path is not None:
         Path(path).write_text(text)
     return text
@@ -357,16 +344,7 @@ def parse_layout_csv(text: str, node_count: int | None = None) -> Layout:
 
 
 def read_layout_csv(path, node_count: int | None = None) -> Layout:
-    p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as e:
-        raise ParseError(f"cannot read file: {e}", path=str(p)) from e
-    try:
-        return parse_layout_csv(text, node_count=node_count)
-    except ParseError as e:
-        e.path = str(p)
-        raise
+    return _read(path, parse_layout_csv, node_count)
 
 
 @dataclass(frozen=True)
@@ -419,6 +397,39 @@ def _csv_cell(v):
     return repr(v) if isinstance(v, float) else v
 
 
+def _plain(v):
+    """A payload as JSON-ready data: report dataclasses become dicts,
+    intervals lists, and non-finite floats the strings "inf", "-inf", "nan"."""
+    if isinstance(v, float):
+        return v if math.isfinite(v) else str(v)  # "inf", "-inf" or "nan"
+    if isinstance(v, dict):
+        return {k: _plain(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_plain(x) for x in v]
+    if is_dataclass(v):
+        return {f.name: _plain(getattr(v, f.name)) for f in fields(v)}
+    return v
+
+
+def _json(payload) -> str:
+    """A payload as indented JSON text (values by _plain), one final newline."""
+    return json.dumps(_plain(payload), indent=2) + "\n"
+
+
+def _table(columns, rows, format: str) -> str:
+    """Rows of values under fixed columns: CSV with a header line (cells by
+    _csv_cell), or a JSON array of objects keyed by the columns."""
+    if format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_csv_cell(v) for v in row] for row in rows)
+        return buf.getvalue()
+    if format == "json":
+        return _json([dict(zip(columns, row)) for row in rows])
+    raise ValueError(f"unknown report format {format!r} (csv or json)")
+
+
 def emit_report(rows, format: str = "csv", path=None) -> str:
     """Serialize report rows to CSV (fixed column order) or JSON (array
     of objects with the same keys).  Floats keep full precision; None
@@ -426,18 +437,7 @@ def emit_report(rows, format: str = "csv", path=None) -> str:
     table = [[getattr(row, name) for name in REPORT_COLUMNS] for row in rows]
     if not table:
         raise ValueError("no report rows to emit")
-    if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        writer.writerows([_csv_cell(v) for v in values] for values in table)
-        text = buf.getvalue()
-    elif format == "json":
-        text = json.dumps(
-            [dict(zip(REPORT_COLUMNS, values)) for values in table], indent=2
-        ) + "\n"
-    else:
-        raise ValueError(f"unknown report format {format!r} (csv or json)")
+    text = _table(REPORT_COLUMNS, table, format)
     if path is not None:
         Path(path).write_text(text)
     return text

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BoldDrawing, DrawingMetrics
+from .model import BoldDrawing, DrawingMetrics, _positive
 
 EPS = 1e-12
 
@@ -374,9 +374,7 @@ def bounding_box(d: BoldDrawing):
 def bounding_area(d: BoldDrawing, fixed: float | None = None) -> float:
     """Drawing area A: bounding-box area, or a caller-supplied override."""
     if fixed is not None:
-        if fixed <= 0:
-            raise ValueError(f"fixed area must be > 0, got {fixed}")
-        return float(fixed)
+        return _positive(fixed, "fixed area")
     box = bounding_box(d)
     if box is None:
         return 0.0

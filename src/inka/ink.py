@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleError
-from .model import BoldDrawing, DrawingMetrics, InkReport
+from .model import BoldDrawing, DrawingMetrics, InkReport, _positive
 
 # Relative slack for the feasibility comparison, so a drawing sitting
 # exactly on the ink budget (e.g. at a bound endpoint) still passes.
@@ -253,8 +253,7 @@ def scale_ink_delta(w: float, L: float, sigma: float) -> float:
     sigma is the length multiplier.  Crossings do not move relative to
     the edges, so the overlap term cancels in the difference.
     """
-    if sigma <= 0:
-        raise ValueError(f"length multiplier must be > 0, got {sigma}")
+    _positive(sigma, "length multiplier")
     return w * (sigma - 1.0) * L
 
 
@@ -264,8 +263,7 @@ def zoom_ink(ink: float, zeta: float) -> float:
 
     Feasibility is preserved: ink and gamma*A scale by the same factor.
     """
-    if zeta <= 0:
-        raise ValueError(f"area magnification must be > 0, got {zeta}")
+    _positive(zeta, "area magnification")
     return zeta * ink
 
 
@@ -304,8 +302,8 @@ def equal_length_bounds(
     """
     if m <= 0 or w <= 0:
         raise ValueError("equal-length bounds need m > 0 and w > 0")
-    if length is not None and not (math.isfinite(length) and length > 0):
-        raise ValueError(f"edge length must be finite and > 0, got {length}")
+    if length is not None:
+        _positive(length, "edge length")
     lo = w * cr / m
     hi = gamma * A / (w * m) + w * cr / m
     cr_bound = m * length / w if length is not None else None
@@ -409,8 +407,8 @@ def bounds_report(
         w_iv = width_bounds(n, m, r, L, cr, gamma, A) if n > 0 else None
     except InfeasibleError:
         w_iv = None
-    if equal_length is not None and not (math.isfinite(equal_length) and equal_length > 0):
-        raise ValueError(f"edge length must be finite and > 0, got {equal_length}")
+    if equal_length is not None:
+        _positive(equal_length, "edge length")
     l_iv = cr_cap = None
     if m > 0 and w > 0:
         eq = equal_length_bounds(n, m, w, cr, gamma, A, length=equal_length)

@@ -27,6 +27,13 @@ def _value_eq(self, other):
                for f in fields(self))
 
 
+def _positive(value: float, what: str) -> float:
+    """value as a float when it is finite and > 0, else ValueError naming it."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{what} must be finite and > 0, got {value}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on nodes 0..node_count-1.

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Segment, _crossing_blocks
-from .model import BoldDrawing, Layout, RenderParams
+from .model import BoldDrawing, Layout, RenderParams, _positive
 
 
 def scale_layout(layout: Layout, sigma_len: float) -> Layout:
     """Spread positions about the centroid so every distance multiplies
     by sigma_len.  sigma_len == 1 returns an identical layout."""
-    if not (math.isfinite(sigma_len) and sigma_len > 0):
-        raise ValueError(f"length multiplier must be finite and > 0, got {sigma_len}")
+    _positive(sigma_len, "length multiplier")
     pos = layout.positions
     if sigma_len == 1.0 or len(pos) == 0:
         return Layout(pos)
@@ -33,8 +32,7 @@ def scale_layout(layout: Layout, sigma_len: float) -> Layout:
 def zoom_drawing(d: BoldDrawing, zeta_area: float) -> BoldDrawing:
     """Magnify the drawing by area factor zeta_area: positions, radius,
     and width all multiply by sqrt(zeta_area)."""
-    if not (math.isfinite(zeta_area) and zeta_area > 0):
-        raise ValueError(f"area magnification must be finite and > 0, got {zeta_area}")
+    _positive(zeta_area, "area magnification")
     s = math.sqrt(zeta_area)
     return BoldDrawing(
         graph=d.graph,

@@ -10,6 +10,7 @@ from inka import (
     BenchGraph,
     InkaError,
     LayoutConfig,
+    ParseError,
     RasterConfig,
     build_graph,
     load_bench_config,
@@ -143,6 +144,29 @@ def test_load_bench_config_resolves_paths(tmp_path):
     rows = run_bench(config)
     assert len(rows) == 1 * 2 * 2
     assert all(row.gamma == 0.8 for row in rows)
+
+
+def test_load_bench_config_bad_json_is_a_parse_error(tmp_path):
+    cfg = tmp_path / "bench.json"
+    cfg.write_text('{"graphs": [], oops}\n')
+    with pytest.raises(ParseError) as exc:
+        load_bench_config(cfg)
+    assert (exc.value.path, exc.value.line) == (str(cfg), 1)
+    assert str(exc.value).startswith(f"{cfg}:1: Expecting property name")
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_load_bench_config_unreadable_is_a_parse_error(tmp_path, kind):
+    cfg = tmp_path / "bench.json"
+    if kind == "directory":
+        cfg.mkdir()
+    elif kind == "not-utf8":
+        cfg.write_bytes(b'{"gamma": "\xff"}')
+    with pytest.raises(ParseError) as exc:
+        load_bench_config(cfg)
+    assert isinstance(exc.value, InkaError)
+    assert exc.value.path == str(cfg)
+    assert str(exc.value).startswith(f"{cfg}: cannot read file:")
 
 
 def test_bench_config_validation(tiny_setup):

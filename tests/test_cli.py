@@ -82,6 +82,18 @@ def test_analyze_rejects_bad_area(drawing_files, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["analyze", "bounds"])
+@pytest.mark.parametrize("area", ["nan", "inf", "-inf", "0"])
+def test_fixed_area_must_be_finite_and_positive(drawing_files, capsys, command, area):
+    graph, layout = drawing_files
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--graph", graph, "--layout", layout, f"--area={area}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"fixed area must be finite and > 0, got {float(area)}" in captured.err
+
+
 def test_bounds_json(drawing_files, capsys):
     graph, layout = drawing_files
     code = run(["bounds", "--graph", graph, "--layout", layout,
@@ -268,6 +280,77 @@ def test_partial_bad_ratios(drawing_files, capsys):
     assert "error" in capsys.readouterr().err
 
 
+PARTIAL_CSV_W01 = (
+    "p,stub_crossings,ink_formula,ink_measured,necessity_holds,cr_lo,cr_hi\n"
+    "0.5,0,13.580584176732268,13.580584176732268,true,-14258.578643762687,"
+    "141.4213562373095\n"
+    "1.0,1,14.984797739105362,14.984797739105362,true,-14117.157287525377,"
+    "282.842712474619\n"
+)
+PARTIAL_CSV_W0 = (
+    "p,stub_crossings,ink_formula,ink_measured,necessity_holds,cr_lo,cr_hi\n"
+    "0.5,0,12.566370614359172,12.566370614359172,,,\n"
+    "1.0,1,12.566370614359172,12.566370614359172,,,\n"
+)
+PARTIAL_JSON_W0 = """[
+  {
+    "p": 0.5,
+    "stub_crossings": 0,
+    "ink_formula": 12.566370614359172,
+    "ink_measured": 12.566370614359172,
+    "necessity_holds": null,
+    "cr_lo": null,
+    "cr_hi": null
+  },
+  {
+    "p": 1.0,
+    "stub_crossings": 1,
+    "ink_formula": 12.566370614359172,
+    "ink_measured": 12.566370614359172,
+    "necessity_holds": null,
+    "cr_lo": null,
+    "cr_hi": null
+  }
+]
+"""
+PARTIAL_JSON_W01 = """[
+  {
+    "p": 0.5,
+    "stub_crossings": 0,
+    "ink_formula": 13.580584176732268,
+    "ink_measured": 13.580584176732268,
+    "necessity_holds": true,
+    "cr_lo": -14258.578643762687,
+    "cr_hi": 141.4213562373095
+  },
+  {
+    "p": 1.0,
+    "stub_crossings": 1,
+    "ink_formula": 14.984797739105362,
+    "ink_measured": 14.984797739105362,
+    "necessity_holds": true,
+    "cr_lo": -14117.157287525377,
+    "cr_hi": 282.842712474619
+  }
+]
+"""
+
+
+@pytest.mark.parametrize(
+    "width, fmt, expected",
+    [("0.1", "csv", PARTIAL_CSV_W01), ("0.1", "json", PARTIAL_JSON_W01),
+     ("0", "csv", PARTIAL_CSV_W0), ("0", "json", PARTIAL_JSON_W0)],
+    ids=["csv", "json", "csv-w0", "json-w0"],
+)
+def test_partial_sweep_exact_bytes(drawing_files, capsys, width, fmt, expected):
+    # at w = 0 there is no crossing interval and no necessity verdict:
+    # empty CSV cells, JSON nulls
+    graph, layout = drawing_files
+    assert run(["partial", "--graph", graph, "--layout", layout, "--radius", "1",
+                "--width", width, "--ratios", "0.5,1", "--format", fmt]) == 0
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize("ratios", [",", " ", ""])
 def test_partial_empty_ratios(drawing_files, capsys, ratios):
     graph, layout = drawing_files
@@ -396,11 +479,25 @@ def test_bench_config_entry_without_key_is_an_error(tmp_path, capsys, missing):
          'graph entry 0: "format" must be null or one of'),
         ({"graphs": [{"name": "ring", "path": "ring.edges", "format": "gml"}]},
          "got 'gml'"),
+        ({"setting": [[1, 1]]}, 'top level: unknown key "setting"'),
+        ({"graphs": [{"name": "ring", "path": "ring.edges", "fmt": "chaco"}]},
+         'graph entry 0: unknown key "fmt"'),
+        ({"layouts": [{"algorithm": "circular", "iteration": 3}]},
+         'layout entry 0: unknown key "iteration"'),
+        ({"graphs": [{"name": 7, "path": "ring.edges"}]},
+         'graph entry 0 needs a "name" and a "path" string'),
+        ({"layouts": [{"name": ["x"], "algorithm": "circular"}]},
+         'layout entry 0: "name" must be a string, got [\'x\']'),
+        ({"area": -5}, "fixed area must be finite and > 0, got -5.0"),
+        ({"area": float("nan")}, "fixed area must be finite and > 0, got nan"),
+        ({"area": float("inf")}, "fixed area must be finite and > 0, got inf"),
     ],
     ids=["top-level-list", "layout-string", "iterations-str", "iterations-float",
          "gamma-null", "gamma-range", "area-null", "setting-not-pair",
          "setting-str", "setting-negative", "layouts-not-list", "raster-str",
-         "path-not-str", "format-int", "format-unknown"],
+         "path-not-str", "format-int", "format-unknown", "top-level-typo",
+         "graph-key-typo", "layout-key-typo", "graph-name-int", "layout-name-list",
+         "area-negative", "area-nan", "area-inf"],
 )
 def test_bench_config_holes_are_errors(tmp_path, capsys, config, message):
     (tmp_path / "ring.edges").write_text("0 1\n1 2\n2 0\n")
@@ -428,6 +525,30 @@ def test_partial_stub_csv_holds_plain_numbers(drawing_files, tmp_path, capsys):
     header, *rows = out.read_text().splitlines()
     assert header == "parent,px,py,qx,qy"
     assert [float(v) for v in rows[0].split(",")] == [0.0, 0.0, 0.0, 2.5, 2.5]
+
+
+def test_partial_stub_csv_exact_bytes_at_zero_width(drawing_files, tmp_path, capsys):
+    graph, layout = drawing_files
+    out = tmp_path / "stubs.csv"
+    assert run(["transform", "--graph", graph, "--layout", layout, "--radius", "1",
+                "--width", "0", "--partial", "0.25", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.endswith("necessity_holds=None\n")
+    assert out.read_text() == (
+        "parent,px,py,qx,qy\n0,0.0,0.0,1.25,1.25\n0,10.0,10.0,8.75,8.75\n"
+        "1,0.0,10.0,1.25,8.75\n1,10.0,0.0,8.75,1.25\n"
+    )
+
+
+def test_bench_config_bad_json_names_path_and_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text("{graphs: []}\n")
+    out = tmp_path / "r.csv"
+    code = run(["bench", "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {cfg}:1: Expecting property name")
+    assert not out.exists()
 
 
 def test_missing_graph_file_is_structured_error(tmp_path, capsys):

@@ -187,6 +187,16 @@ def test_load_graph_attaches_path_to_errors(tmp_path):
     assert "broken.edges" in str(exc.value)
 
 
+@pytest.mark.parametrize("kind", ["missing", "not-utf8"])
+def test_unreadable_graph_and_layout_files_name_the_path(tmp_path, kind):
+    for path, load in ((tmp_path / "g.edges", load_graph), (tmp_path / "l.csv", read_layout_csv)):
+        if kind == "not-utf8":
+            path.write_bytes(b"\xff\xfe0 1\n")
+        with pytest.raises(ParseError) as exc:
+            load(path)
+        assert str(exc.value).startswith(f"{path}: cannot read file:")
+
+
 def test_benchmark_fixture_sizes():
     can = load_graph(GRAPHS / "can_144.mtx")
     assert (can.n, can.m) == (144, 576)
@@ -215,6 +225,7 @@ def test_malformed_corpus_raises_structured_errors():
 def test_layout_csv_round_trip_exact():
     pos = np.array([[0.1, -2.5], [1e-17, 3.000000000000001], [1234.5678, 0.0]])
     text = write_layout_csv(Layout(pos))
+    assert text == "node,x,y\n0,0.1,-2.5\n1,1e-17,3.000000000000001\n2,1234.5678,0.0\n"
     back = parse_layout_csv(text)
     assert np.array_equal(back.positions, pos)
 
@@ -310,6 +321,36 @@ def test_emit_report_csv_and_json_agree():
     assert data[0]["raster_ink"] is None
     assert data[1]["raster_ink"] == 15.0
     assert data[0]["feasible"] is True
+
+
+def test_emit_report_exact_bytes():
+    # names that need CSV quoting, a None in each optional column, floats
+    # that print in exponent form
+    rows = [
+        sample_row(graph_name="g,1", ink=14.97, density=0.104),
+        sample_row(graph_name='h"q', layout_name="rand", r=2.0, w=0.0, gamma=0.5,
+                   L=1e-300, cr=0, A=1e20, ink=1 / 3, density=2 / 3, feasible=False,
+                   raster_ink=15.0, log10_ink=None),
+    ]
+    assert emit_report(rows, format="csv") == (
+        "graph_name,layout_name,n,m,r,w,gamma,L,cr,A,ink,density,feasible,"
+        "raster_ink,log10_ink\n"
+        '"g,1",force-directed,4,2,1.0,0.1,1.0,20.0,1,144.0,14.97,0.104,true,,1.175\n'
+        '"h""q",rand,4,2,2.0,0.0,0.5,1e-300,0,1e+20,0.3333333333333333,'
+        "0.6666666666666666,false,15.0,\n"
+    )
+    assert emit_report(rows, format="json") == (
+        '[\n  {\n    "graph_name": "g,1",\n    "layout_name": "force-directed",\n'
+        '    "n": 4,\n    "m": 2,\n    "r": 1.0,\n    "w": 0.1,\n    "gamma": 1.0,\n'
+        '    "L": 20.0,\n    "cr": 1,\n    "A": 144.0,\n    "ink": 14.97,\n'
+        '    "density": 0.104,\n    "feasible": true,\n    "raster_ink": null,\n'
+        '    "log10_ink": 1.175\n  },\n  {\n    "graph_name": "h\\"q",\n'
+        '    "layout_name": "rand",\n    "n": 4,\n    "m": 2,\n    "r": 2.0,\n'
+        '    "w": 0.0,\n    "gamma": 0.5,\n    "L": 1e-300,\n    "cr": 0,\n'
+        '    "A": 1e+20,\n    "ink": 0.3333333333333333,\n'
+        '    "density": 0.6666666666666666,\n    "feasible": false,\n'
+        '    "raster_ink": 15.0,\n    "log10_ink": null\n  }\n]\n'
+    )
 
 
 def test_emit_report_writes_file(tmp_path):

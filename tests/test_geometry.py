@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bold, random_bold_drawing
+import inka
 from inka import (
     bounding_area,
     bounding_box,
@@ -423,6 +428,9 @@ def test_bounding_area_fixed_override(parallel_drawing):
         bounding_area(parallel_drawing, fixed=0.0)
     with pytest.raises(ValueError):
         bounding_area(parallel_drawing, fixed=-3.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="fixed area must be finite and > 0"):
+            bounding_area(parallel_drawing, fixed=bad)
 
 
 def test_check_proper_clean_drawing(parallel_drawing):
@@ -795,3 +803,37 @@ def test_staged_collinear_filter_keeps_the_mask_verdict():
     pairs = {(i, j) for I, J in _candidate_blocks(lx, hx) for i, j in zip(I.tolist(), J.tolist())}
     assert (0, 1) in pairs  # the x-engine gives the short edge as I
     assert _collinear_overlap_pairs(P, Q) == reference_crossing_pairs(d)[1] == [(2, 3)]
+
+
+NUMPY_MA_PROBE = """
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import inka
+from inka import LayoutConfig, build_graph, check_proper, compute_layout, load_graph
+
+graphs = Path(sys.argv[1])
+can = load_graph(graphs / "can_144.mtx")
+load_graph(graphs / "mesh24.graph")
+load_graph(graphs / "ba800.edges")
+compute_layout(can, LayoutConfig(algorithm="multilevel", seed=1, iterations=20))
+pts = np.array([(-10, 0), (10, 0), (0, -10), (0, 10), (-10, -10), (10, 10)], float)
+g = build_graph(6, [(0, 1), (2, 3), (4, 5)])
+report = check_proper(inka.BoldDrawing(g, inka.Layout(pts), inka.RenderParams(0.3, 0.5)))
+assert len(report.concurrent_points) == 1
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_core_paths_never_import_numpy_ma():
+    # Plain np.unique(x) imports numpy.ma on its first call (about 14 ms);
+    # _coarsen and _gapped_ranks use the return_inverse form, which does
+    # not, so a fresh process that parses, lays out and checks a drawing
+    # never pays for it.
+    graphs = Path(__file__).resolve().parents[1] / "data" / "graphs"
+    env = {**os.environ, "PYTHONPATH": str(Path(inka.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE, str(graphs)],
+                          capture_output=True, text=True, env=env, check=True, timeout=120)
+    assert done.stdout == "False\n"

@@ -261,6 +261,15 @@ def test_zoom_ink():
         zoom_ink(14.0, -1.0)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_closed_form_factors_must_be_finite_and_positive(bad):
+    # the same rule as scale_layout and zoom_drawing
+    with pytest.raises(ValueError, match="length multiplier must be finite and > 0"):
+        scale_ink_delta(1.0, 10.0, bad)
+    with pytest.raises(ValueError, match="area magnification must be finite and > 0"):
+        zoom_ink(5.0, bad)
+
+
 def test_planar_formulas_consistency():
     n, r, w, gamma, A = 30, 0.8, 0.3, 1.0, 5000.0
     m = 3 * n - 6
