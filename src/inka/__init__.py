@@ -3,8 +3,8 @@
 Nodes are drawn as disks of radius r, edges as rectangles of width w;
 the package computes how much area such a drawing inks, whether that fits
 a density budget, what parameter ranges keep it feasible, and how
-scaling, zooming, or partial-edge stubs change it.  A pixel-grid oracle
-and deterministic layout engines close the loop from graph file to
+scaling, zooming, or partial-edge stubs change it.  A row-by-row raster
+oracle and deterministic layout engines close the loop from graph file to
 measured drawing.
 """
 

@@ -351,14 +351,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="SVG path (default: stdout)")
     p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("raster", help="pixel-measured ink vs the analytic value")
+    p = sub.add_parser("raster", help="row-measured ink vs the analytic value")
     _add_drawing_args(p)
     p.add_argument("--resolution", type=int, default=2048,
-                   help="samples along the longer side of the bounding box, "
+                   help="rows along the longer side of the bounding box, "
                         "at least 64 (default 2048)")
     p.add_argument("--supersample", type=int, choices=(1, 2, 4), default=2,
-                   help="refine the grid by this factor in each direction "
-                        "(default 2)")
+                   help="multiply the rows by this factor (default 2)")
     _add_output_args(p)
     p.set_defaults(func=cmd_raster)
 

@@ -39,6 +39,14 @@ from .model import BoldDrawing, DrawingMetrics, InkReport, _positive
 FEAS_REL = 1e-9
 
 
+def _area(A: float) -> float:
+    """A as a float when it is finite and >= 0, else ValueError naming
+    the area; an area of 0 takes the zero-area rule."""
+    if not (math.isfinite(A) and A >= 0):
+        raise ValueError(f"area must be finite and >= 0, got {A}")
+    return float(A)
+
+
 class Interval(NamedTuple):
     lo: float
     hi: float
@@ -128,7 +136,7 @@ def ink_report(
     the one place the terms are summed and feasibility is decided."""
     ink_nodes, ink_edges, overlap = ink_components(n, m, r, w, L, cr, edge_lengths)
     total = ink_nodes + ink_edges - overlap
-    if A > 0:
+    if _area(A) > 0:
         dens, feasible = density(total, A), check_area_constraint(total, A, gamma)
     else:
         dens, feasible = 0.0, total <= 0
@@ -152,9 +160,7 @@ def ink_total(d: BoldDrawing, metrics: DrawingMetrics, strict: bool = False) -> 
 
 def density(ink: float, A: float) -> float:
     """Ink per unit of drawing area."""
-    if A <= 0:
-        raise ValueError(f"area must be > 0, got {A}")
-    return ink / A
+    return ink / _positive(A, "area")
 
 
 def check_area_constraint(ink: float, A: float, gamma: float = 1.0) -> bool:
@@ -163,9 +169,7 @@ def check_area_constraint(ink: float, A: float, gamma: float = 1.0) -> bool:
     Boundary cases count as feasible; a 1e-9 relative slack keeps
     drawings constructed to sit exactly on the budget from flapping.
     """
-    if A <= 0:
-        raise ValueError(f"area must be > 0, got {A}")
-    return ink <= gamma * A * (1.0 + FEAS_REL)
+    return ink <= gamma * _positive(A, "area") * (1.0 + FEAS_REL)
 
 
 def radius_bounds(
@@ -179,6 +183,7 @@ def radius_bounds(
     """
     if n <= 0:
         raise ValueError("radius bounds need n > 0")
+    _area(A)
     pin = math.pi * n
     B = gamma * A - w * L + w * w * cr + (m * w) ** 2 / pin
     if B < 0:
@@ -203,7 +208,7 @@ def width_bounds(
     """
     if n <= 0:
         raise ValueError("width bounds need n > 0")
-    budget = gamma * A
+    budget = gamma * _area(A)
     ink_disks = n * math.pi * r * r
     if ink_disks > budget:
         raise InfeasibleError(
@@ -302,6 +307,7 @@ def equal_length_bounds(
     """
     if m <= 0 or w <= 0:
         raise ValueError("equal-length bounds need m > 0 and w > 0")
+    _area(A)
     if length is not None:
         _positive(length, "edge length")
     lo = w * cr / m

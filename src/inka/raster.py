@@ -1,42 +1,30 @@
-"""Pixel-grid ground truth for ink, plus an SVG exporter.
+"""Row-by-row ground truth for ink, plus an SVG exporter.
 
 The analytic model approximates; this module measures.  The drawing is
-sampled on a regular grid (pixel centers, optionally supersampled) and a
-sample counts as inked when it falls inside any node disk or any edge
-rectangle.  Painting a union means double-covered regions are counted
-once, so disk/rectangle overlap at edge endpoints and rectangle/rectangle
-overlap at crossings need no special treatment here; comparing the
-painted area against the closed-form total is exactly how the analytic
-approximation is audited.
+cut into rows of height px; along the centre line of each row the inked
+length is measured exactly as the union of the chords in which that line
+meets the node disks and the edge rectangles, and each row adds its
+inked length times px (the midpoint rule across rows).  Measuring a
+union means double-covered regions are counted once, so disk/rectangle
+overlap at edge endpoints and rectangle/rectangle overlap at crossings
+need no special treatment here; comparing the measured area against the
+closed-form total is exactly how the analytic approximation is audited.
 
 Rectangles have butt caps: they span endpoint to endpoint with no
-rounding, matching the SVG exporter's stroke-linecap.
+rounding, matching the SVG exporter's stroke-linecap.  Shapes are
+closed, so a row through a side inks that side's full chord.
 
-The grid is painted by scanlines, with no per-shape loop and no mask.
-A shape tests only the samples of its window, the grid cells that its
-bounding box meets, and each row of a window is one (shape, row) pair
-whose inked samples form a single run of columns [a, b):
-
-- Sample j of a row lies at x = xmin + (j + 0.5) * px, which never
-  decreases as j grows, and every later step of a test (a difference,
-  a product with a fixed factor, a sum with a fixed term) is a rounded
-  operation that keeps or reverses that order as a whole.  So on a
-  rectangle row each of ``along >= 0``, ``along <= length``,
-  ``across <= half`` and ``across >= -half`` holds on a prefix or on a
-  suffix of the window, and all four hold on one run.
-- A disk row's distance test can only fail more as x moves away from
-  the first column with x >= cx: it holds on a suffix of the columns
-  before that split and on a prefix of the columns from it on.
-
-A vectorised bisection over all pairs at once finds the ends of every
-run by evaluating, at the columns it visits, the same rounded
-expressions a sample-by-sample test would, so the count is exact for
-the grid and not an approximation of it.  The union is counted without
-a mask: runs become int64 keys ``row * (nx + 1) + column``, sorted by
-start, and each run adds the part that reaches past the furthest end of
-the runs before it.  Rows are taken in bands of at most BAND_PAIRS
-pairs, the blocks of the engine in :mod:`inka.geometry` over the rows'
-pair counts, so memory stays bounded at any resolution.
+A row meets a disk in cx +- sqrt(r^2 - (y - cy)^2), and a rectangle in
+the part of the row where both slabs 0 <= along <= length and
+|across| <= w/2 hold.  The chords of a row are merged by one sort of
+their ends, +1 at each start and -1 at each end, ordered by (row, x):
+a gap between consecutive ends is inked where the running depth is
+above 0, and the depth is back to 0 at the end of every row.  Each
+row's inked length goes to its own entry of one array, summed once at
+the end.  The (shape, row) pairs are taken in bands of at most
+BAND_PAIRS pairs, the blocks of the engine in :mod:`inka.geometry` over
+the rows' pair counts, so memory stays bounded at any resolution; as
+every row lies in one band, no result depends on BAND_PAIRS.
 """
 
 from __future__ import annotations
@@ -53,17 +41,17 @@ from .errors import DegenerateDrawingError
 from .geometry import _expand, _spans, bounding_box
 from .model import BoldDrawing
 
-# Most (shape, row) pairs in one band of grid rows.  A rectangle search
-# keeps about 300 bytes a pair alive, so a band peaks near 20 MB.
+# Most (shape, row) pairs in one band of rows.  A band keeps about 140
+# bytes a pair alive, disk or rectangle, so it peaks near 9 MB.
 BAND_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
 class RasterConfig:
-    """resolution: samples along the longer bounding-box side before
-    supersampling; supersampling 1, 2, or 4 refines the grid by that
-    factor in each direction, to at most 2^20 samples a side (tested as a
-    quotient: an int64 product can wrap)."""
+    """resolution: rows along the longer bounding-box side before
+    supersampling; supersampling 1, 2, or 4 makes the rows that many
+    times thinner, to at most 2^20 rows a side (tested as a quotient: an
+    int64 product can wrap)."""
 
     resolution: int = 2048
     supersampling: int = 2
@@ -85,7 +73,7 @@ class RasterConfig:
 
 
 def rasterize_ink(d: BoldDrawing, cfg: RasterConfig = RasterConfig()) -> float:
-    """Painted area of the drawing in drawing units, measured on the grid."""
+    """Painted area of the drawing in drawing units, exact along each row."""
     if d.graph.node_count == 0:
         raise DegenerateDrawingError("cannot rasterize an empty drawing")
     box = bounding_box(d)
@@ -96,166 +84,113 @@ def rasterize_ink(d: BoldDrawing, cfg: RasterConfig = RasterConfig()) -> float:
             "degenerate bounding box: coincident nodes with zero radius"
         )
     px = span / (cfg.resolution * cfg.supersampling)
-    nx = max(1, math.ceil((xmax - xmin) / px - 1e-9))
     ny = max(1, math.ceil((ymax - ymin) / px - 1e-9))
-    grid = (xmin, ymin, px, nx, ny)
-    # sample centres; a search step looks at most nx columns past a window
-    xs = xmin + (np.arange(2 * nx + 1) + 0.5) * px
-    ys = ymin + (np.arange(ny) + 0.5) * px
+    rows_of = partial(_rows, ymin, px, ny)
 
-    shapes = []  # (window, run finder of its (shape, row) pairs)
+    shapes = []  # (rows [r0, r1) of each shape, chords of its (shape, row) pairs)
     pos = d.layout.positions
     r = d.params.radius
     if r > 0:
         cx, cy = pos[:, 0], pos[:, 1]
-        shapes.append((_window(grid, cx - r, cx + r, cy - r, cy + r),
-                       partial(_disk_runs, xs, cx, cy, r * r)))
+        shapes.append((rows_of(cy - r, cy + r), partial(_disk_chords, cx, cy, r * r)))
 
     w = d.params.width
     if w > 0:
         p, q = pos[d.graph.edges[:, 0]], pos[d.graph.edges[:, 1]]
         dx, dy = q[:, 0] - p[:, 0], q[:, 1] - p[:, 1]
-        length = np.array([math.hypot(a, b) for a, b in zip(dx.tolist(), dy.tolist())],
-                          dtype=np.float64)
+        length = np.hypot(dx, dy)
         drawn = length != 0
         p, q, dx, dy, length = p[drawn], q[drawn], dx[drawn], dy[drawn], length[drawn]
         ux, uy = dx / length, dy / length
         half = 0.5 * w
-        spread_x = np.abs(uy) * half
         spread_y = np.abs(ux) * half
         shapes.append((
-            _window(grid,
-                    np.minimum(p[:, 0], q[:, 0]) - spread_x,
-                    np.maximum(p[:, 0], q[:, 0]) + spread_x,
-                    np.minimum(p[:, 1], q[:, 1]) - spread_y,
+            rows_of(np.minimum(p[:, 1], q[:, 1]) - spread_y,
                     np.maximum(p[:, 1], q[:, 1]) + spread_y),
-            partial(_rect_runs, xs, p[:, 0], p[:, 1], ux, uy, length, half)))
+            partial(_rect_chords, p[:, 0], p[:, 1], ux, uy, length, half)))
 
-    covered = 0
-    for top, bottom in _bands([win for win, _ in shapes], ny):
-        rows, starts, ends = [], [], []
-        for win, runs in shapes:
-            s, row, c0, c1 = _pairs(win, top, bottom)
-            a, b = runs(s, ys[row], c0, c1)
-            rows.append(row)
+    inked = np.zeros(ny)  # inked length of each row
+    for top, bottom in _bands([rows for rows, _ in shapes], ny):
+        row, starts, ends = [], [], []
+        for rows, chords in shapes:
+            s, k = _pairs(rows, top, bottom)
+            a, b = chords(s, ymin + (k + 0.5) * px)
+            row.append(k)
             starts.append(a)
             ends.append(b)
-        covered += _union_length(np.concatenate(rows), np.concatenate(starts),
-                                 np.concatenate(ends), nx)
-    return float(covered) * px * px
+        inked[top:bottom] = _union_lengths(np.concatenate(row) - top, np.concatenate(starts),
+                                           np.concatenate(ends), bottom - top)
+    return float(inked.sum()) * px
 
 
-def _window(grid, lo_x, hi_x, lo_y, hi_y):
-    """Per shape, the columns [c0, c1) and rows [r0, r1) of the cells its
-    box meets, clipped to the grid; a window with no column has no row.
-    Clipping both ends of an axis to [0, n] keeps empty windows empty."""
-    xmin, ymin, px, nx, ny = grid
-    c0 = np.clip(np.floor((lo_x - xmin) / px), 0, nx).astype(np.int64)
-    c1 = np.clip(np.ceil((hi_x - xmin) / px), 0, nx).astype(np.int64)
+def _rows(ymin, px, ny, lo_y, hi_y):
+    """Per shape, the rows [r0, r1) of the cells its y-extent meets,
+    clipped to [0, ny]."""
     r0 = np.clip(np.floor((lo_y - ymin) / px), 0, ny).astype(np.int64)
     r1 = np.clip(np.ceil((hi_y - ymin) / px), 0, ny).astype(np.int64)
-    return c0, c1, r0, np.where(c0 < c1, np.maximum(r0, r1), r0)
+    return r0, r1
 
 
-def _bands(windows, ny):
+def _bands(row_ranges, ny):
     """Row ranges [top, bottom) of the bands that hold a (shape, row) pair."""
     per_row = np.zeros(ny + 1, dtype=np.int64)
-    for _, _, r0, r1 in windows:
+    for r0, r1 in row_ranges:
         per_row += np.bincount(r0, minlength=ny + 1) - np.bincount(r1, minlength=ny + 1)
     return _spans(np.cumsum(np.cumsum(per_row)[:ny]), BAND_PAIRS)
 
 
-def _pairs(window, top, bottom):
-    """Shape index, row and columns [c0, c1) of each (shape, row) pair
-    with its row in [top, bottom), shape by shape."""
-    c0, c1, r0, r1 = window
+def _pairs(rows, top, bottom):
+    """Shape index and row of each (shape, row) pair with its row in
+    [top, bottom), shape by shape."""
+    r0, r1 = rows
     lo = np.maximum(r0, top)
-    s, row = _expand(lo, np.maximum(np.minimum(r1, bottom) - lo, 0))
-    return s, row, c0[s], c1[s]
+    return _expand(lo, np.maximum(np.minimum(r1, bottom) - lo, 0))
 
 
-def _first_failing(holds, lo, hi):
-    """Per search, the least j in [lo, hi) where holds(j) is false, or hi
-    where there is none; holds must be true then false over each range.
-
-    Binary lifting from lo - 1 visits one column per search and step, so
-    a call costs bit_length(max(hi - lo)) evaluations of holds, each at
-    a column below lo + 2 (hi - lo).
-    """
-    last = lo - 1
-    for step in reversed(range(int(np.max(hi - lo, initial=0)).bit_length())):
-        j = last + (1 << step)
-        last = np.where((j < hi) & holds(j), j, last)
-    return last + 1
+def _disk_chords(cx, cy, r2, s, y):
+    """Chord [a, b] of each disk row; a row that misses the disk gets
+    a == b, which inks nothing."""
+    h = np.sqrt(np.maximum(r2 - (y - cy[s]) ** 2, 0.0))
+    return cx[s] - h, cx[s] + h
 
 
-def _disk_runs(xs, cx, cy, r2, s, y, c0, c1):
-    """Inked columns [a, b) of each disk row, from the test
-    (x - cx)**2 + (y - cy)**2 <= r2.  Left of the split, the first
-    column with x >= cx, x - cx < 0 rises to it, so the test holds on a
-    suffix; from the split on it holds on a prefix.  One search finds
-    both ends: the test fails before the run's start and from its end."""
-    n = s.size
-    split = np.clip(np.searchsorted(xs, cx[s]), c0, c1)
-    s2 = np.concatenate((s, s))
-    cx = cx[s2]
-    dy2 = (np.concatenate((y, y)) - cy[s2]) ** 2
-    at_end = np.arange(2 * n) >= n
-
-    def holds(j):
-        return ((xs[j] - cx) ** 2 + dy2 <= r2) == at_end
-
-    found = _first_failing(holds, np.concatenate((c0, split)),
-                           np.concatenate((split, c1)))
-    return found[:n], found[n:]
+def _slab(c, d, lo, hi):
+    """Per row, the range [a, b] of t with lo <= c*t + d <= hi; where c
+    is 0 that is every t or none, and an empty range has a > b."""
+    moving = c != 0
+    c = np.where(moving, c, 1.0)
+    t0, t1 = (lo - d) / c, (hi - d) / c
+    flat = np.where((lo <= d) & (d <= hi), -np.inf, np.inf)
+    return (np.where(moving, np.minimum(t0, t1), flat),
+            np.where(moving, np.maximum(t0, t1), -flat))
 
 
-def _rect_runs(xs, x0, y0, ux, uy, length, half, s, y, c0, c1):
-    """Inked columns [a, b) of each rectangle row, from the tests
-    0 <= along <= length and -half <= across <= half.
-
-    along = relx*ux + rely*uy never falls as the column grows when
-    ux >= 0 and never rises when ux < 0; across = rely*ux - relx*uy
-    never rises when uy >= 0 and never falls when uy < 0.  So in each
-    row two of the four tests can only turn true and two only false.
-    One search finds both ends: the run starts where the first two
-    hold and ends where one of the other two fails; the bounds of the
-    two tests left out of each half of the search are infinite.
-    """
-    n = s.size
-    s2 = np.concatenate((s, s))
-    x0, ux, uy, length = x0[s2], ux[s2], uy[s2], length[s2]
-    rely = np.concatenate((y, y)) - y0[s2]
-    rely_uy, rely_ux = rely * uy, rely * ux
-    at_end = np.arange(2 * n) >= n
-    along_key = (ux >= 0) != at_end  # along >= 0 takes part, not along <= length
-    across_key = (uy >= 0) == at_end  # across >= -half takes part, not <= half
-    along_lo = np.where(along_key, 0.0, -np.inf)
-    along_hi = np.where(along_key, np.inf, length)
-    across_lo = np.where(across_key, -half, -np.inf)
-    across_hi = np.where(across_key, np.inf, half)
-
-    def holds(j):
-        relx = xs[j] - x0
-        along = relx * ux + rely_uy
-        across = rely_ux - relx * uy
-        inside = ((along >= along_lo) & (along <= along_hi)
-                  & (across >= across_lo) & (across <= across_hi))
-        return inside == at_end
-
-    found = _first_failing(holds, np.concatenate((c0, c0)), np.concatenate((c1, c1)))
-    return found[:n], found[n:]
+def _rect_chords(x0, y0, ux, uy, length, half, s, y):
+    """Chord [a, b] of each rectangle row, where along = relx*ux + rely*uy
+    lies in [0, length] and across = rely*ux - relx*uy in [-half, half];
+    a row that misses the rectangle gets a >= b."""
+    rely = y - y0[s]
+    ux, uy = ux[s], uy[s]
+    a0, b0 = _slab(ux, rely * uy, 0.0, length[s])
+    a1, b1 = _slab(-uy, rely * ux, -half, half)
+    return x0[s] + np.maximum(a0, a1), x0[s] + np.minimum(b0, b1)
 
 
-def _union_length(row, a, b, nx):
-    """Number of grid cells in the union of the runs [a, b) of the rows."""
-    run = b > a
-    base = row[run] * (nx + 1)
-    start, end = base + a[run], base + b[run]
-    order = np.argsort(start)
-    start, end = start[order], end[order]
-    before = np.concatenate((start[:1], np.maximum.accumulate(end)[:-1]))
-    return int(np.maximum(end - np.maximum(start, before), 0).sum())
+def _union_lengths(row, a, b, ny):
+    """Length of the union of the chords [a, b] in each of rows 0..ny-1.
+
+    The ends are sorted by x and then, stably, by row; a stable sort of
+    small unsigned integers is a radix sort."""
+    keep = a < b
+    row, a, b = row[keep], a[keep], b[keep]
+    x = np.concatenate((a, b))
+    row = np.concatenate((row, row)).astype(np.min_scalar_type(ny))
+    order = np.argsort(x)
+    order = order[np.argsort(row[order], kind="stable")]
+    x, row = x[order], row[order]
+    depth = np.cumsum(np.where(order < a.size, 1, -1))
+    gap = np.where(depth[:-1] > 0, np.diff(x), 0.0)
+    return np.bincount(row[:-1], weights=gap, minlength=ny)
 
 
 def render_svg(d: BoldDrawing, path=None) -> str:

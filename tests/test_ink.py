@@ -110,6 +110,36 @@ def test_density_guard():
         density(5.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -5.0])
+def test_areas_must_be_finite_and_non_negative(bad):
+    # n, m, r, w, L, cr, gamma of a small drawing; the area is the only bad input
+    n, m, r, w, L, cr, gamma = 4, 2, 1.0, 0.1, 20.0, 1, 1.0
+    message = "area must be finite and >= 0"
+    for call in (
+        lambda: ink_report(n, m, r, w, L, cr, bad),
+        lambda: radius_bounds(n, m, w, L, cr, gamma, bad),
+        lambda: width_bounds(n, m, r, L, cr, gamma, bad),
+        lambda: equal_length_bounds(n, m, w, cr, gamma, bad),
+        lambda: planar_formulas(n, m, r, w, L, gamma, bad),
+        lambda: partial_edge_formulas(n, m, r, w, L, 0.5, cr, 0, gamma, bad),
+        lambda: bounds_report(n, m, r, w, L, cr, gamma, bad),
+        lambda: bounds_report(0, 0, r, w, 0.0, 0, gamma, bad),  # no bound applies
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+    for call in (density, check_area_constraint):
+        with pytest.raises(ValueError, match="area must be finite and > 0"):
+            call(1.0, bad)
+
+
+def test_zero_area_keeps_working_in_the_bounds():
+    # a zero area is the zero-area rule's, not a bad input
+    got = bounds_report(4, 2, 0.0, 0.0, 20.0, 1, 1.0, 0.0)
+    assert got.r_interval == (0.0, 0.0)
+    assert got.w_interval == (0.0, 0.0)
+    assert width_bounds(4, 2, 0.0, 20.0, 1, 1.0, 0.0) == (0.0, 0.0)
+
+
 def test_radius_bounds_zero_width():
     # without edges the budget is n*pi*r^2 <= gamma*A
     lo, hi = radius_bounds(9, 0, 0.0, 0.0, 0, 1.0, 90.0)

@@ -1,6 +1,7 @@
 """Microbenchmarks of graph loading, component labelling, the
 spring-layout kernels, the crossing sweep, check_proper, its close-pair
-scan and the raster (pytest-benchmark).
+scan and the raster, on mesh24 and on one small drawing at 64 rows
+(pytest-benchmark).
 
 They carry the ``perf`` marker, which the default options deselect, so
 the ordinary suite never runs them.  Run them with
@@ -107,4 +108,20 @@ def test_rasterize_ink_mesh24(benchmark):
     g = load_graph(MESH24)
     d = BoldDrawing(g, Layout(random_positions(g.node_count, seed=2)), RenderParams(5.0, 2.0))
     area = benchmark(rasterize_ink, d, RasterConfig(512, 1))
+    assert area > 0
+
+
+def test_rasterize_ink_small_drawing(benchmark):
+    # 35 nodes on a random tree plus half as many edges again, at 64 rows:
+    # the shape of one item of the small-drawings perfbench workload
+    rng = np.random.default_rng(4)
+    n = 35
+    pairs = {(int(rng.integers(0, v)), v) for v in range(1, n)}
+    while len(pairs) < n - 1 + n // 2:
+        a, b = sorted(int(v) for v in rng.integers(0, n, size=2))
+        if a != b:
+            pairs.add((a, b))
+    g = build_graph(n, sorted(pairs))
+    d = BoldDrawing(g, Layout(random_positions(n, seed=4)), RenderParams(1.5, 0.8))
+    area = benchmark(rasterize_ink, d, RasterConfig(64, 1))
     assert area > 0
