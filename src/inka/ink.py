@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleError
-from .model import BoldDrawing, DrawingMetrics, InkReport, _positive
+from .model import BoldDrawing, DrawingMetrics, InkReport, _gamma, _positive
 
 # Relative slack for the feasibility comparison, so a drawing sitting
 # exactly on the ink budget (e.g. at a bound endpoint) still passes.
@@ -134,6 +134,7 @@ def ink_report(
 ) -> InkReport:
     """The ink terms, their total, density, and the area-budget verdict;
     the one place the terms are summed and feasibility is decided."""
+    _gamma(gamma)
     ink_nodes, ink_edges, overlap = ink_components(n, m, r, w, L, cr, edge_lengths)
     total = ink_nodes + ink_edges - overlap
     if _area(A) > 0:
@@ -169,7 +170,7 @@ def check_area_constraint(ink: float, A: float, gamma: float = 1.0) -> bool:
     Boundary cases count as feasible; a 1e-9 relative slack keeps
     drawings constructed to sit exactly on the budget from flapping.
     """
-    return ink <= gamma * _positive(A, "area") * (1.0 + FEAS_REL)
+    return ink <= _gamma(gamma) * _positive(A, "area") * (1.0 + FEAS_REL)
 
 
 def radius_bounds(
@@ -183,6 +184,7 @@ def radius_bounds(
     """
     if n <= 0:
         raise ValueError("radius bounds need n > 0")
+    _gamma(gamma)
     _area(A)
     pin = math.pi * n
     B = gamma * A - w * L + w * w * cr + (m * w) ** 2 / pin
@@ -208,7 +210,7 @@ def width_bounds(
     """
     if n <= 0:
         raise ValueError("width bounds need n > 0")
-    budget = gamma * _area(A)
+    budget = _gamma(gamma) * _area(A)
     ink_disks = n * math.pi * r * r
     if ink_disks > budget:
         raise InfeasibleError(
@@ -307,6 +309,7 @@ def equal_length_bounds(
     """
     if m <= 0 or w <= 0:
         raise ValueError("equal-length bounds need m > 0 and w > 0")
+    _gamma(gamma)
     _area(A)
     if length is not None:
         _positive(length, "edge length")

@@ -7,11 +7,12 @@ lays out the small coarse graph, then interpolates and locally refines
 level by level.  Everything is a pure function of (graph, config): same
 seed, same layout, bit for bit.
 
-The spring embedder computes repulsion exactly at every size, as an
-(n, n) force matrix times an (n, 3) block; the matrix is built in row
-blocks of at most 2^20 entries, so its memory stays bounded (one block
-up to 1,024 nodes).  Disconnected graphs are laid out one component at a
-time and packed on a padded grid.
+The spring embedder computes repulsion exactly at every size, as a
+symmetric (n, n) force matrix times an (n, 3) block; each pair is built
+once, in strips of at most 2^15 entries (one strip up to 181 nodes) that
+stay in cache and keep every product on one BLAS thread, so a layout
+depends only on its seed.  Disconnected graphs are laid out one component
+at a time and packed on a padded grid.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ _ALGORITHMS = ("random", "circular", "force-directed", "multilevel")
 # Golden-angle increment for deterministic, direction-diverse jitter.
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Most entries of the repulsion matrix built at once (8 MiB of float64).
-_REPULSION_BLOCK_ENTRIES = 2**20
+# Most entries of one repulsion strip (256 KiB of float64, so a strip
+# stays in cache).
+_REPULSION_BLOCK_ENTRIES = 2**15
 
 # Multilevel coarsening stops at this many nodes, or at a level that
 # keeps more than this share of its nodes (Walshaw, JGAA 7(3), 2003).
@@ -120,43 +122,73 @@ def _pack_components(parts: list[np.ndarray], pad: float) -> list[np.ndarray]:
 
 
 def _repulsion_buffers(n: int, block_entries: int = _REPULSION_BLOCK_ENTRIES):
-    """Scratch for :func:`_repulsion_exact` on n nodes: two float blocks
-    and one bool block of max(1, block_entries // n) rows (at most n)."""
-    shape = (min(n, max(1, block_entries // n)), n)
-    return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+    """Scratch for :func:`_repulsion_exact` on n nodes: two flat float
+    buffers of rows * n entries, rows = min(n, max(1, block_entries // n)),
+    the size of its first and largest strip."""
+    size = min(n, max(1, block_entries // n)) * n
+    return np.empty(size), np.empty(size)
 
 
 def _repulsion_exact(
     pos: np.ndarray, weight: np.ndarray, k: float,
     block_entries: int = _REPULSION_BLOCK_ENTRIES, *, _buffers=None,
 ) -> np.ndarray:
-    """All-pairs repulsion sum_j f_ij (p_i - p_j), f_ij = k^2 w_i w_j / d_ij^2,
-    as w_i (c_i (G @ w)_i - (G @ (w c))_i) with G = k^2 / max(d^2, 1e-8) on
-    centred positions c; d^2 comes from exact coordinate differences.  G is
-    zero on coincident pairs (the diagonal too): they exert no force, and a
-    clamped k^2/1e-8 there would cancel badly in the subtraction.  G is
-    built max(1, block_entries // n) rows at a time, in _buffers from
-    :func:`_repulsion_buffers` when the caller reuses them across calls."""
-    c = pos - pos.mean(axis=0)
-    x, y = c[:, 0], c[:, 1]
-    rhs = np.column_stack([weight, weight[:, None] * c])
-    s = np.empty_like(rhs)
-    g_all, dy_all, same_all = _buffers or _repulsion_buffers(len(pos), block_entries)
-    rows = g_all.shape[0]
-    for lo in range(0, len(pos), rows):
-        hi = min(lo + rows, len(pos))
-        g, dy, coincident = g_all[: hi - lo], dy_all[: hi - lo], same_all[: hi - lo]
-        np.subtract(x[lo:hi, None], x, out=g)
+    """All-pairs repulsion sum_j f_ij (p_i - p_j) with f_ij = k^2 w_i w_j /
+    max(d_ij^2, 1e-8), as w_i (c_i (G @ w)_i - (G @ (w c))_i) with
+    G = k^2 / d^2 on centred positions c; d^2 comes from exact coordinate
+    differences.  G is zero (d^2 set to inf) on the diagonal and on pairs
+    closer than 1e-4: a huge G_ij would cancel badly in the subtraction,
+    so such a pair pushes with f_ij on p_i - p_j directly (a coincident
+    pair not at all).
+
+    G is symmetric, so each pair is built once, in strips of rows [lo, hi)
+    and columns [lo, n), rows = min(n, max(1, block_entries // n)).  A strip
+    adds its rows' sums over columns >= lo, and the part right of its
+    leading square adds the transposed sums to the rows >= hi.  A strip
+    stays in cache, and its products are small enough that BLAS runs them
+    on one thread, so the result does not depend on the BLAS thread count.
+    The strips live in _buffers from :func:`_repulsion_buffers` when the
+    caller reuses them across calls."""
+    n = len(pos)
+    c = pos - pos.sum(axis=0) / n  # pos.mean(axis=0), without its overhead
+    x, y = c.T.copy()
+    rhs = np.empty((n, 3))
+    rhs[:, 0] = weight
+    np.multiply(weight[:, None], c, out=rhs[:, 1:])
+    s = np.zeros((n, 3))
+    d2_flat, g_flat = _buffers or _repulsion_buffers(n, block_entries)
+    rows = len(d2_flat) // n
+    kk = k * k
+    close = []
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        size = (hi - lo) * (n - lo)
+        d2 = d2_flat[:size].reshape(hi - lo, n - lo)
+        g = g_flat[:size].reshape(hi - lo, n - lo)
+        # fill, then subtract a row: numpy's broadcast subtract is slower
+        np.copyto(d2, x[lo:hi, None])
+        d2 -= x[lo:]
+        d2 *= d2
+        np.copyto(g, y[lo:hi, None])
+        g -= y[lo:]
         g *= g
-        np.subtract(y[lo:hi, None], y, out=dy)
-        dy *= dy
-        g += dy
-        np.equal(g, 0.0, out=coincident)
-        np.maximum(g, 1e-8, out=g)
-        np.divide(k * k, g, out=g)
-        np.copyto(g, 0.0, where=coincident)
-        s[lo:hi] = g @ rhs
-    return weight[:, None] * (c * s[:, :1] - s[:, 1:])
+        d2 += g
+        d2_flat[: size : n - lo + 1] = np.inf  # pair (i, i): no force
+        if d2.min() < 1e-8:
+            a, b = np.nonzero(d2 < 1e-8)
+            d2[a, b] = np.inf
+            close.append((a + lo, b + lo, b >= hi - lo))
+        np.divide(kk, d2, out=g)
+        s[lo:hi] += g @ rhs[lo:]
+        if hi < n:
+            s[hi:] += g[:, hi - lo :].T @ rhs[lo:hi]
+    out = weight[:, None] * (c * s[:, :1] - s[:, 1:])
+    for a, b, right in close:
+        # both directions of a pair in a leading square, one of the others
+        push = (kk / 1e-8) * (weight[a] * weight[b])[:, None] * (pos[a] - pos[b])
+        np.add.at(out, a, push)
+        np.subtract.at(out, b[right], push[right])
+    return out
 
 
 def _spring_iterate(

@@ -34,6 +34,14 @@ def _positive(value: float, what: str) -> float:
     return float(value)
 
 
+def _gamma(value: float) -> float:
+    """The density ceiling gamma as a float when it is in (0, 1] (so not
+    nan), else ValueError naming gamma."""
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"gamma must be in (0, 1], got {value}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on nodes 0..node_count-1.
@@ -134,8 +142,7 @@ class RenderParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if not (0.0 < self.gamma <= 1.0):
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
+        _gamma(self.gamma)
 
 
 @dataclass(frozen=True)

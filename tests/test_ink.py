@@ -10,6 +10,7 @@ from inka import (
     BenchGraph,
     InfeasibleError,
     LayoutConfig,
+    RenderParams,
     bounds_report,
     check_area_constraint,
     clarity_decomposition,
@@ -130,6 +131,27 @@ def test_areas_must_be_finite_and_non_negative(bad):
     for call in (density, check_area_constraint):
         with pytest.raises(ValueError, match="area must be finite and > 0"):
             call(1.0, bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, 1.5])
+def test_gamma_must_be_in_unit_interval(bad):
+    # n, m, r, w, L, cr, A of a small drawing; gamma is the only bad input
+    n, m, r, w, L, cr, A = 4, 2, 1.0, 0.1, 20.0, 1, 10.0
+    for call in (
+        lambda: ink_report(n, m, r, w, L, cr, A, bad),
+        lambda: ink_report(0, 0, r, w, 0.0, 0, 0.0, bad),  # zero area: gamma unused
+        lambda: check_area_constraint(1.0, A, bad),
+        lambda: radius_bounds(n, m, w, L, cr, bad, A),
+        lambda: width_bounds(n, m, r, L, cr, bad, A),
+        lambda: equal_length_bounds(n, m, w, cr, bad, A),
+        lambda: planar_formulas(n, m, r, w, L, bad, A),
+        lambda: partial_edge_formulas(n, m, r, w, L, 0.5, cr, 0, bad, A),
+        lambda: bounds_report(n, m, r, w, L, cr, bad, A),
+        lambda: bounds_report(0, 0, r, w, 0.0, 0, bad, A),  # no bound applies
+        lambda: RenderParams(r, w, bad),
+    ):
+        with pytest.raises(ValueError, match=r"gamma must be in \(0, 1\]"):
+            call()
 
 
 def test_zero_area_keeps_working_in_the_bounds():

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import time
 from collections import deque
 from pathlib import Path
@@ -137,11 +140,12 @@ def test_repulsion_exact_coincident_nodes():
 
 
 def test_repulsion_exact_reuses_buffers_bit_for_bit():
-    # one set of scratch blocks across calls, with 7-row blocks so the last
-    # block fills only part of it, gives the bytes of freshly built blocks
+    # one set of scratch buffers across calls, with 7-row strips so every
+    # strip after the first fills only part of them, gives the bytes of
+    # freshly built buffers
     n, rows = 600, 7
     buffers = _repulsion_buffers(n, rows * n)
-    assert [b.shape for b in buffers] == [(rows, n)] * 3
+    assert [(b.shape, b.dtype) for b in buffers] == [((rows * n,), np.float64)] * 2
     rng = np.random.default_rng(9)
     for _ in range(3):
         pos = rng.uniform(0.0, math.sqrt(n) * 30.0, size=(n, 2))
@@ -149,7 +153,108 @@ def test_repulsion_exact_reuses_buffers_bit_for_bit():
         weight = np.sqrt(rng.integers(1, 9, size=n))
         got = _repulsion_exact(pos, weight, 30.0, rows * n, _buffers=buffers)
         assert np.array_equal(got, _repulsion_exact(pos, weight, 30.0, rows * n))
-    assert _repulsion_buffers(3)[0].shape == (3, 3)
+
+
+@pytest.mark.parametrize(
+    "n, size", [(1, 1), (3, 9), (181, 181 * 181), (182, 180 * 182), (600, 54 * 600),
+                (2361, 13 * 2361), (40000, 40000)],
+)
+def test_repulsion_buffers_hold_the_first_strip(n, size):
+    # rows = min(n, max(1, 2**15 // n)): one strip up to 181 nodes, and
+    # one row of n entries once n passes 2**15
+    assert [b.shape for b in _repulsion_buffers(n)] == [(size,)] * 2
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(8, 10), (9, 12)],  # both ends inside the second strip
+        [(2, 500), (3, 599)],  # a row of the first strip, a column of a later one
+        [(6, 7), (13, 14)],  # the last row of a strip and the first of the next
+    ],
+)
+@pytest.mark.parametrize("gap", [0.0, 3e-5])  # coincident, or 0 < d^2 < 1e-8
+def test_repulsion_exact_close_pairs_in_strips(pairs, gap):
+    # 7-row strips; only the strips holding a planted pair look for close
+    # pairs.  The nodes start on a jittered 30-unit lattice, so no other
+    # pair is close: the cancelling form loses about eps * |c| * k^2 / d^2,
+    # which at d = 0.2 already passes 1e-12 of the largest force.
+    n, rows = 600, 7
+    rng = np.random.default_rng(11)
+    cell = np.column_stack([np.arange(n) % 25, np.arange(n) // 25])
+    pos = 30.0 * cell + rng.uniform(-5.0, 5.0, size=(n, 2))
+    for a, b in pairs:
+        pos[b] = pos[a] + (gap, 0.0)
+    weight = np.sqrt(rng.integers(1, 9, size=n))
+    assert_matches_reference(pos, weight, block_entries=rows * n)
+    assert_matches_reference(pos, weight)  # default strips: 54 rows
+
+
+def repulsion_one_matrix(pos, weight, k):
+    """The whole clamped force matrix times the (n, 3) block, in one product."""
+    c = pos - pos.mean(axis=0)
+    x, y = c[:, 0], c[:, 1]
+    rhs = np.column_stack([weight, weight[:, None] * c])
+    g = np.subtract.outer(x, x)
+    g *= g
+    dy = np.subtract.outer(y, y)
+    dy *= dy
+    g += dy
+    coincident = g == 0.0
+    g = k * k / np.maximum(g, 1e-8)
+    g[coincident] = 0.0
+    s = g @ rhs
+    return weight[:, None] * (c * s[:, :1] - s[:, 1:])
+
+
+@pytest.mark.parametrize("n", [2, 144, 181])
+def test_repulsion_exact_single_strip_is_the_whole_matrix_product(n):
+    # up to 181 nodes the kernel is one strip, bit for bit the one product
+    # over the whole clamped matrix, coincident pairs included
+    rng = np.random.default_rng(n)
+    pos = rng.uniform(0.0, math.sqrt(n) * 30.0, size=(n, 2))
+    weight = np.sqrt(rng.integers(1, 9, size=n))
+    assert np.array_equal(_repulsion_exact(pos, weight, 30.0),
+                          repulsion_one_matrix(pos, weight, 30.0))
+    if n > 4:
+        pos[[n - 1, n - 2]] = pos[0]
+        assert np.array_equal(_repulsion_exact(pos, weight, 30.0),
+                              repulsion_one_matrix(pos, weight, 30.0))
+
+
+BLAS_THREADS_PROBE = """
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from inka import LayoutConfig, layout_force_directed, load_graph
+from inka.layout import _repulsion_exact
+
+for n in (600, 1500, 2361):
+    pos = np.random.default_rng(n).uniform(0.0, np.sqrt(n) * 30.0, size=(n, 2))
+    print(hashlib.sha256(_repulsion_exact(pos, np.ones(n), 30.0).tobytes()).hexdigest())
+g = load_graph(Path(sys.argv[1]) / "ba800.edges")
+layout = layout_force_directed(g, LayoutConfig(seed=1, iterations=20))
+print(hashlib.sha256(layout.positions.tobytes()).hexdigest())
+"""
+
+
+def test_repulsion_does_not_depend_on_blas_threads():
+    # a product big enough for OpenBLAS to split it over threads sums in
+    # another order, so the forces would change with OPENBLAS_NUM_THREADS
+    src = str(Path(inka.layout.__file__).resolve().parents[1])
+    digests = [
+        subprocess.run(
+            [sys.executable, "-c", BLAS_THREADS_PROBE, str(GRAPHS)],
+            capture_output=True, text=True, check=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert len(digests[0].split()) == 4
+    assert digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("shift", [(1e6, 1e6), (-3e6, 1e6)])

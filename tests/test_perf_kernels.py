@@ -53,7 +53,9 @@ def test_component_labels_shuffled_path(benchmark):
     assert not label.any()
 
 
-@pytest.mark.parametrize("n", [144, 576, 2361])  # 2,361: yeastppi's component
+# 181 nodes and fewer are one strip; OpenBLAS split the old single product
+# over threads from about 580 nodes; 2,361 is yeastppi's component
+@pytest.mark.parametrize("n", [144, 288, 576, 600, 2361])
 def test_repulsion_exact(benchmark, n):
     pos = random_positions(n)
     disp = benchmark(_repulsion_exact, pos, np.ones(n), 30.0)
