@@ -30,6 +30,10 @@ plus y-extents, since an overlap of positive length overlaps in x or
 in y.  :func:`check_proper` bins crossing points into cells of side w,
 scans three runs per crossing on gapped ranks, and returns, as arrays,
 each edge set that two close crossings span and the first pair's midpoint.
+The scan is a stream of engine blocks of close pairs: each block is cut
+to the first pair of each edge set in it before the next is made, so
+memory grows with the crossings and with the report, never with the
+number of close pairs.
 
 Predicates are plain double precision with a fixed epsilon; a pair
 "crosses" when the open segments intersect transversally at an interior
@@ -335,6 +339,49 @@ def edge_lengths(d: BoldDrawing):
     return lengths, float(lengths.sum())
 
 
+def _edge_rects(d: BoldDrawing):
+    """The inked rectangle of each edge of nonzero length, none when w = 0,
+    built once for :func:`bounding_box` and the raster.
+
+    Returns its frame (x0, y0, ux, uy, length): the p end, the unit
+    direction and the length; and its box (lx, ly, hx, hy) over its four
+    corners, the endpoints moved w/2 across the edge, that is by -+(w/2) uy
+    in x and +-(w/2) ux in y.
+    """
+    P, Q, _ = _segment_arrays(d)
+    half = 0.5 * d.params.width
+    if half == 0:
+        P = Q = P[:0]
+    dx, dy = Q[:, 0] - P[:, 0], Q[:, 1] - P[:, 1]
+    length = np.hypot(dx, dy)
+    drawn = length > 0
+    P, Q, length = P[drawn], Q[drawn], length[drawn]
+    ux, uy = dx[drawn] / length, dy[drawn] / length
+    sx, sy = np.abs(uy) * half, np.abs(ux) * half
+    box = (np.minimum(P[:, 0], Q[:, 0]) - sx, np.minimum(P[:, 1], Q[:, 1]) - sy,
+           np.maximum(P[:, 0], Q[:, 0]) + sx, np.maximum(P[:, 1], Q[:, 1]) + sy)
+    return (P[:, 0], P[:, 1], ux, uy, length), box
+
+
+def _bounding_box(d: BoldDrawing, rect_box):
+    """:func:`bounding_box` given the rectangles' box of :func:`_edge_rects`."""
+    if d.graph.node_count == 0:
+        return None
+    pos = d.layout.positions
+    r = d.params.radius
+    xmin = float(pos[:, 0].min() - r)
+    xmax = float(pos[:, 0].max() + r)
+    ymin = float(pos[:, 1].min() - r)
+    ymax = float(pos[:, 1].max() + r)
+    lx, ly, hx, hy = rect_box
+    if lx.size:
+        xmin = min(xmin, float(lx.min()))
+        xmax = max(xmax, float(hx.max()))
+        ymin = min(ymin, float(ly.min()))
+        ymax = max(ymax, float(hy.max()))
+    return xmin, ymin, xmax, ymax
+
+
 def bounding_box(d: BoldDrawing):
     """Axis-aligned box around all disks and edge rectangles.
 
@@ -343,32 +390,7 @@ def bounding_box(d: BoldDrawing):
     their four corners (endpoints offset by width/2 perpendicular to the
     segment).
     """
-    n = d.graph.node_count
-    if n == 0:
-        return None
-    pos = d.layout.positions
-    r = d.params.radius
-    xmin = float(pos[:, 0].min() - r)
-    xmax = float(pos[:, 0].max() + r)
-    ymin = float(pos[:, 1].min() - r)
-    ymax = float(pos[:, 1].max() + r)
-    w = d.params.width
-    if w > 0 and d.graph.m:
-        P, Q, _ = _segment_arrays(d)
-        delta = Q - P
-        norm = np.hypot(delta[:, 0], delta[:, 1])
-        ok = norm > 0
-        if np.any(ok):
-            perp = np.column_stack((-delta[ok, 1] / norm[ok], delta[ok, 0] / norm[ok]))
-            offset = 0.5 * w * perp
-            corners = np.concatenate(
-                [P[ok] + offset, P[ok] - offset, Q[ok] + offset, Q[ok] - offset]
-            )
-            xmin = min(xmin, float(corners[:, 0].min()))
-            xmax = max(xmax, float(corners[:, 0].max()))
-            ymin = min(ymin, float(corners[:, 1].min()))
-            ymax = max(ymax, float(corners[:, 1].max()))
-    return xmin, ymin, xmax, ymax
+    return _bounding_box(d, _edge_rects(d)[1])
 
 
 def bounding_area(d: BoldDrawing, fixed: float | None = None) -> float:
@@ -401,29 +423,6 @@ def _disk_overlap_pairs(pos, r: float):
     return list(zip(I.tolist(), J.tolist()))
 
 
-def _first_of_each_set(sets, m: int):
-    """Lowest row of each distinct edge set, in Python's tuple order.
-
-    A row holds a set's edge ids ascending, a 3-edge set padded with m.  As
-    digits edge + 1 and pad 0, a shorter tuple sorts before a longer one
-    with its prefix.  The digits pack into one int64 code in base m + 1
-    when it fits; otherwise a lexsort over the four columns orders them.
-    """
-    base = m + 1
-    digits = (sets + 1) % base
-    if base**4 <= np.iinfo(np.int64).max:
-        code = digits @ (base ** np.arange(3, -1, -1, dtype=np.int64))
-        order = np.argsort(code)
-        code = code[order]
-        new = code[1:] != code[:-1]
-    else:
-        order = np.lexsort(digits.T[::-1])
-        rows = digits[order]
-        new = (rows[1:] != rows[:-1]).any(axis=1)
-    starts = np.flatnonzero(np.concatenate((order[:1] >= 0, new)))
-    return np.minimum.reduceat(order, starts)
-
-
 def _gapped_ranks(v):
     """Ranks of v's distinct values plus the count of lower steps between
     them that are not exactly 1: consecutive iff the values differ by 1."""
@@ -431,15 +430,14 @@ def _gapped_ranks(v):
     return rank + np.concatenate(([0], np.cumsum(np.diff(u) != 1)))[rank]
 
 
-def _close_crossing_pairs(X, Y, w: float, block_pairs: int):
-    """Index arrays (A, B), A < B, of the crossings closer than w whose
-    cells (floor(x/w), floor(y/w)) touch, in the order a cell scan meets
-    them: cells by their lowest crossing index, then A, then B's cell by
-    its place in the 3x3 block (x offset major), then B.
+def _cell_runs(X, Y, w: float):
+    """The scan of :func:`_close_crossing_pairs` as engine runs: crossing
+    indices in scan order and in cell order, and per scan position its
+    three runs of cell-order positions (run_start, run_size, 3 per A).
 
     Cells are keyed gx * H + gy + 1, H = max(gy) + 3, on gapped ranks (< 2N
-    for N crossings, so keys fit int64): a neighbour column's three cells are
-    one key stretch, A's partners three runs, in engine blocks of block_pairs.
+    for N crossings, so keys fit int64): a neighbour column's three cells
+    are one key stretch, so A's partners are three runs.
     """
     gx, gy = _gapped_ranks(np.floor(X / w)), _gapped_ranks(np.floor(Y / w))
     H = int(gy.max()) + 3
@@ -454,19 +452,27 @@ def _close_crossing_pairs(X, Y, w: float, block_pairs: int):
     # The scan order: cells by their lowest crossing index, then A.
     cells = np.argsort(by_cell[start])
     c, at = _expand(start[cells], np.diff(start, append=key.size)[cells])
-    seq, c = by_cell[at], cells[c]
-    run_start, run_size = first.T[c].ravel(), size.T[c].ravel()
+    c = cells[c]
+    return by_cell[at], by_cell, first.T[c].ravel(), size.T[c].ravel()
+
+
+def _close_crossing_pairs(X, Y, w: float, block_pairs: int):
+    """Yield, one engine block of block_pairs at a time, index arrays
+    (A, B), A < B, of the crossings closer than w whose cells (floor(x/w),
+    floor(y/w)) touch, in the order a cell scan meets them: cells by their
+    lowest crossing index, then A, then B's cell by its place in the 3x3
+    block (x offset major), then B.  Only :func:`_cell_runs`' arrays, a
+    few per crossing, live across blocks.
+    """
+    seq, by_cell, run_start, run_size = _cell_runs(X, Y, w)
     xs, ys, xc, yc = X[seq], Y[seq], X[by_cell], Y[by_cell]
-    kept_a, kept_b = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     for e, k in _runs(run_start, run_size, block_pairs):
         e //= 3
         dx, dy = xs[e] - xc[k], ys[e] - yc[k]
         keep = np.flatnonzero(dx * dx + dy * dy < w * w)
         A, B = seq[e[keep]], by_cell[k[keep]]
         keep = B > A
-        kept_a.append(A[keep])
-        kept_b.append(B[keep])
-    return np.concatenate(kept_a), np.concatenate(kept_b)
+        yield A[keep], B[keep]
 
 
 def _sort4(*cols):
@@ -477,6 +483,58 @@ def _sort4(*cols):
     return c
 
 
+def _set_codes(cols, m: int):
+    """Int64 codes, one row per code, that order edge sets as Python
+    orders their tuples.
+
+    cols are four columns holding each set's edge ids ascending, a 3-edge
+    set padded with -1 in the last.  As digits edge + 1 and pad 0, a
+    shorter tuple sorts before a longer one with its prefix.  The four
+    digits pack into one code in base m + 1 while (m + 1)^4 fits int64
+    (m < 55,108 edges), else two digits into each of two codes, compared
+    first row first.
+    """
+    base = m + 1
+    digits = [c + 1 for c in cols]
+    per = 4 if base**4 <= np.iinfo(np.int64).max else 2
+    codes = []
+    for g in range(0, 4, per):
+        code = digits[g]
+        for d in digits[g + 1:g + per]:
+            code = code * base + d
+        codes.append(code)
+    return np.stack(codes)
+
+
+def _set_edges(codes, m: int):
+    """The (k, 4) int64 edge ids that :func:`_set_codes` packed, the pad
+    (digit 0) as -1, peeled off each code lowest digit first."""
+    base, per = m + 1, 4 // len(codes)
+    edges = np.empty((codes[0].size, 4), np.int64)
+    for g, c in enumerate(codes):
+        for col in range(g * per + per - 1, g * per, -1):
+            c, edges[:, col] = np.divmod(c, base)
+        edges[:, g * per] = c
+    edges -= 1
+    return edges
+
+
+def _first_of_each(codes):
+    """Lowest column index of each distinct code column, in code order.
+
+    One code row takes numpy's default sort, which is not stable but much
+    faster than a stable one; the minimum over each group of equal codes
+    then picks its first column.
+    """
+    order = np.argsort(codes[0]) if len(codes) == 1 else np.lexsort(codes[::-1])
+    new = np.zeros(order.size, bool)
+    new[:1] = True
+    for c in codes:
+        c = c[order]
+        new[1:] |= c[1:] != c[:-1]
+    return np.minimum.reduceat(order, np.flatnonzero(new))
+
+
 def _concurrent_points(I, J, pts, w: float, m: int, block_pairs: int = _BLOCK_PAIRS):
     """The concurrent_points and concurrent_edges arrays of
     :class:`PropernessReport` for the crossings (I[k], J[k]) at pts[k],
@@ -484,19 +542,32 @@ def _concurrent_points(I, J, pts, w: float, m: int, block_pairs: int = _BLOCK_PA
 
     Two crossings closer than w in touching cells of side w put their edge
     set on the list, at the midpoint of the first such pair that
-    :func:`_close_crossing_pairs` meets.
+    :func:`_close_crossing_pairs` meets.  Its blocks are taken as they
+    come: each keeps the first pair of each edge set in it, by the codes
+    of :func:`_set_codes`, and after the last block one sort of the kept
+    codes keeps the first of each set across blocks, as blocks come in
+    scan order.  Only one block of close pairs is held at a time, plus the
+    pairs kept, at most one per edge set and block.
     """
     X, Y = pts[:, 0], pts[:, 1]
-    A, B = _close_crossing_pairs(X, Y, w, block_pairs)
-    # Distinct crossing pairs share at most one edge; its repeat becomes m.
-    s = _sort4(I[A], J[A], I[B], J[B])
-    s[1:] = [np.where(t == u, m, u) for t, u in zip(s, s[1:])]
-    sets = np.column_stack(_sort4(*s))
-    pick = _first_of_each_set(sets, m)
-    a, b = A[pick], B[pick]
-    edges = sets[pick]
-    edges[edges == m] = -1
-    return np.column_stack((0.5 * (X[a] + X[b]), 0.5 * (Y[a] + Y[b]))), edges
+    kept = []  # per block, rows: the codes, then A, then B
+    for A, B in _close_crossing_pairs(X, Y, w, block_pairs):
+        # Distinct crossing pairs share at most one edge: shift out its
+        # repeat and pad the set with -1.
+        s0, s1, s2, s3 = _sort4(I[A], J[A], I[B], J[B])
+        tie01 = s0 == s1
+        tie012 = tie01 | (s1 == s2)
+        codes = _set_codes((s0, np.where(tie01, s2, s1), np.where(tie012, s3, s2),
+                            np.where(tie012 | (s2 == s3), -1, s3)), m)
+        pick = _first_of_each(codes)
+        kept.append(np.vstack((codes[:, pick], A[pick], B[pick])))
+    kept = np.concatenate(kept, axis=1)
+    kept = kept[:, _first_of_each(kept[:-2])]
+    *codes, a, b = kept
+    points = np.empty((a.size, 2))
+    points[:, 0], points[:, 1] = X[a] + X[b], Y[a] + Y[b]
+    points *= 0.5
+    return points, _set_edges(codes, m)
 
 
 def check_proper(d: BoldDrawing) -> PropernessReport:
@@ -509,7 +580,9 @@ def check_proper(d: BoldDrawing) -> PropernessReport:
     which is the scale at which the inked rectangles actually coincide;
     each such edge set is reported once, at the midpoint of the first pair
     met by :func:`_close_crossing_pairs`, which scans three runs per
-    crossing on gapped ranks.  All outputs are sorted.
+    crossing on gapped ranks and yields the close pairs one engine block
+    at a time; :func:`_concurrent_points` keeps only each block's first
+    pair of each edge set.  All outputs are sorted.
     """
     P, Q, E = _segment_arrays(d)
     I, J, pts = _crossing_arrays(P, Q, E)

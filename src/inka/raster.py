@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateDrawingError
-from .geometry import _expand, _spans, bounding_box
+from .geometry import _bounding_box, _edge_rects, _expand, _spans, bounding_box
 from .model import BoldDrawing
 
 # Most (shape, row) pairs in one band of rows.  A band keeps about 140
@@ -76,8 +76,8 @@ def rasterize_ink(d: BoldDrawing, cfg: RasterConfig = RasterConfig()) -> float:
     """Painted area of the drawing in drawing units, exact along each row."""
     if d.graph.node_count == 0:
         raise DegenerateDrawingError("cannot rasterize an empty drawing")
-    box = bounding_box(d)
-    xmin, ymin, xmax, ymax = box
+    frame, rect_box = _edge_rects(d)
+    xmin, ymin, xmax, ymax = _bounding_box(d, rect_box)
     span = max(xmax - xmin, ymax - ymin)
     if span <= 0:
         raise DegenerateDrawingError(
@@ -94,20 +94,9 @@ def rasterize_ink(d: BoldDrawing, cfg: RasterConfig = RasterConfig()) -> float:
         cx, cy = pos[:, 0], pos[:, 1]
         shapes.append((rows_of(cy - r, cy + r), partial(_disk_chords, cx, cy, r * r)))
 
-    w = d.params.width
-    if w > 0:
-        p, q = pos[d.graph.edges[:, 0]], pos[d.graph.edges[:, 1]]
-        dx, dy = q[:, 0] - p[:, 0], q[:, 1] - p[:, 1]
-        length = np.hypot(dx, dy)
-        drawn = length != 0
-        p, q, dx, dy, length = p[drawn], q[drawn], dx[drawn], dy[drawn], length[drawn]
-        ux, uy = dx / length, dy / length
-        half = 0.5 * w
-        spread_y = np.abs(ux) * half
-        shapes.append((
-            rows_of(np.minimum(p[:, 1], q[:, 1]) - spread_y,
-                    np.maximum(p[:, 1], q[:, 1]) + spread_y),
-            partial(_rect_chords, p[:, 0], p[:, 1], ux, uy, length, half)))
+    _lx, ly, _hx, hy = rect_box
+    if ly.size:
+        shapes.append((rows_of(ly, hy), partial(_rect_chords, *frame, 0.5 * d.params.width)))
 
     inked = np.zeros(ny)  # inked length of each row
     for top, bottom in _bands([rows for rows, _ in shapes], ny):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -33,12 +34,14 @@ from inka.geometry import (
     _crossing_arrays,
     _crossing_blocks,
     _expand,
-    _first_of_each_set,
+    _first_of_each,
     _gapped_ranks,
     _orient,
     _pair_index_blocks,
     _runs,
     _segment_arrays,
+    _set_codes,
+    _set_edges,
     _sort4,
     _spans,
     collinear_overlap_mask,
@@ -747,7 +750,8 @@ def crossing_clouds(draw):
 @given(crossing_clouds())
 def test_close_pair_scan_equals_the_nine_run_scan(cloud):
     X, Y, w, block_pairs = cloud
-    got = _close_crossing_pairs(X, Y, w, block_pairs)
+    blocks = list(_close_crossing_pairs(X, Y, w, block_pairs))
+    got = [np.concatenate([b[i] for b in blocks]) for i in (0, 1)]
     want = reference_close_crossing_pairs(X, Y, w, block_pairs)
     for g, f in zip(got, want, strict=True):
         assert g.dtype == f.dtype and np.array_equal(g, f)
@@ -761,19 +765,87 @@ def test_sort4_network_equals_np_sort_with_ties():
 
 
 def test_edge_set_grouping_without_an_int64_code():
-    # with m = 100,000, (m + 1)^4 overflows int64: the lexsort path must
-    # group and order the sets as the packed code does, in tuple order
+    # with m = 100,000, (m + 1)^4 overflows int64: the two codes must group
+    # and order the sets as the one packed code does, in tuple order, and
+    # unpack to the same edge ids
     rng = np.random.default_rng(14)
-    rows = np.array([sorted(rng.choice(6, size=k, replace=False).tolist()) + [6] * (4 - k)
+    rows = np.array([sorted(rng.choice(6, size=k, replace=False).tolist()) + [-1] * (4 - k)
                      for k in rng.integers(3, 5, size=300)])
-    big = np.where(rows == 6, 100_000, rows)
-    small_pick = _first_of_each_set(rows, 6)
-    assert np.array_equal(_first_of_each_set(big, 100_000), small_pick)
-    as_tuples = [tuple(v for v in row if v != 6) for row in rows.tolist()]
+    small_codes, big_codes = _set_codes(rows.T, 6), _set_codes(rows.T, 100_000)
+    assert small_codes.shape == (1, 300) and big_codes.shape == (2, 300)
+    small_pick = _first_of_each(small_codes)
+    assert np.array_equal(_first_of_each(big_codes), small_pick)
+    assert np.array_equal(_set_edges(small_codes, 6), rows)
+    assert np.array_equal(_set_edges(big_codes, 100_000), rows)
+    as_tuples = [tuple(v for v in row if v != -1) for row in rows.tolist()]
     firsts = {}
     for idx, t in enumerate(as_tuples):
         firsts.setdefault(t, idx)
     assert small_pick.tolist() == [firsts[t] for t in sorted(firsts)]
+
+
+def test_one_edge_set_code_up_to_the_int64_limit():
+    # 55,107 edges is the most one code holds: the top set's code is the
+    # exact integer, below 2^63, and one more edge takes two codes
+    m = 55_107
+    top = np.arange(m - 4, m)[:, None]
+    assert _set_codes(top, m).tolist() == [[sum((e + 1) * (m + 1) ** (3 - k)
+                                                for k, e in enumerate(range(m - 4, m)))]]
+    assert _set_edges(_set_codes(top, m), m).tolist() == [list(range(m - 4, m))]
+    assert len(_set_codes(top, m + 1)) == 2
+
+
+def test_check_proper_with_more_edges_than_one_code_holds():
+    # A core drawing with concurrent points, its nodes and edges numbered
+    # after 55,200 short horizontal edges that touch nothing: at m >= 55,108
+    # edges the sets take two codes, and the report must be the core's
+    # with every edge id shifted by the filler count.
+    rng = np.random.default_rng(16)
+    filler = 55_200
+    k = np.arange(filler, dtype=np.float64)
+    far = np.column_stack((1e3 + 3 * k, 1e3 + 3 * k))
+    far = np.stack((far, far + [1.0, 0.0]), axis=1).reshape(-1, 2)
+    found = 0
+    for _ in range(4):
+        core = random_bold_drawing(rng, span=10.0, width=1.0)
+        want = assert_matches_oracle(core)
+        g = core.graph
+        big = inka.BoldDrawing(
+            inka.build_graph(2 * filler + g.node_count,
+                             np.vstack((np.arange(2 * filler).reshape(-1, 2),
+                                        g.edges + 2 * filler))),
+            inka.Layout(np.vstack((far, core.layout.positions))), core.params)
+        assert big.graph.m >= 55_108
+        got = check_proper(big)
+        shifted = np.where(want.concurrent_edges >= 0, want.concurrent_edges + filler, -1)
+        assert np.array_equal(got.concurrent_edges, shifted)
+        assert got.concurrent_points.tobytes() == want.concurrent_points.tobytes()
+        assert got.collinear_overlaps == [(i + filler, j + filler) for i, j in want.collinear_overlaps]
+        found += len(got.concurrent_points)
+    assert found > 0
+
+
+def test_concurrent_points_peak_memory_is_bounded_by_the_report():
+    # The close pairs are streamed a block at a time and cut to the first
+    # pair of each edge set, so the traced peak stays within 3x the report
+    # (holding every close pair's edge set at once took 5x).
+    g = inka.load_graph(Path(__file__).resolve().parents[1] / "data" / "graphs" / "can_144.mtx")
+    n = g.node_count
+    side = int(np.ceil(2 * np.sqrt(n)))
+    cells = np.random.default_rng(1).choice(side * side, size=n, replace=False)
+    pos = np.column_stack([cells % side, cells // side]).astype(np.float64)
+    d = inka.BoldDrawing(g, inka.Layout(pos), inka.RenderParams(0.25, 0.1))
+    P, Q, E = _segment_arrays(d)
+    I, J, pts = _crossing_arrays(P, Q, E)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = _concurrent_points(I, J, pts, 0.1, g.m)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(report[0]) >= 90_000
+    assert peak <= 3 * sum(a.nbytes for a in report), (peak, sum(a.nbytes for a in report))
 
 
 @settings(max_examples=200, deadline=None)

@@ -102,7 +102,10 @@ def test_close_crossing_pairs_circle_mesh24(benchmark):
     pos = n * 30.0 / (2.0 * np.pi) * np.column_stack([np.cos(theta), np.sin(theta)])
     P, Q, E = _segment_arrays(BoldDrawing(g, Layout(pos), RenderParams(5.0, 1.0)))
     _I, _J, pts = _crossing_arrays(P, Q, E)
-    A, B = benchmark(_close_crossing_pairs, pts[:, 0].copy(), pts[:, 1].copy(), 1.0, _BLOCK_PAIRS)
+    X, Y = pts[:, 0].copy(), pts[:, 1].copy()
+    # the scan yields its blocks lazily: list them inside the timed call
+    blocks = benchmark(lambda: list(_close_crossing_pairs(X, Y, 1.0, _BLOCK_PAIRS)))
+    A, B = (np.concatenate(c) for c in zip(*blocks))
     assert A.size == B.size > 0 and (A < B).all()
 
 
