@@ -106,8 +106,8 @@ _LAYOUT_KEYS = ("name",) + tuple(f.name for f in fields(LayoutConfig))
 
 def load_bench_config(path) -> BenchConfig:
     """Read a JSON bench config; graph paths resolve relative to it.  Any
-    malformed entry or unknown key raises ParseError naming the file, the
-    entry and the field."""
+    malformed entry, unknown key or repeated graph or layout name raises
+    ParseError naming the file, the entry and the field."""
     return _read(path, _bench_config, Path(path).parent)
 
 
@@ -147,6 +147,11 @@ def _bench_config(text: str, base: Path) -> BenchConfig:
         if not isinstance(name, str):
             raise ParseError(f'layout entry {idx}: "name" must be a string, got {name!r}')
         layouts.append((name, cfg))
+    for kind, names in (("graph", [g.name for g in graphs]), ("layout", [n for n, _ in layouts])):
+        for idx, name in enumerate(names):
+            if name in names[:idx]:
+                raise ParseError(f"{kind} entry {idx}: name {name!r} is already used by "
+                                 f"{kind} entry {names.index(name)}")
 
     settings = []
     for idx, entry in enumerate(_entries(data, "settings", DEFAULT_SETTINGS)):

@@ -281,6 +281,13 @@ def _read(path, parse, *args):
         raise
 
 
+def _save(text: str, path=None) -> str:
+    """text, written to the file at path first unless path is None."""
+    if path is not None:
+        Path(path).write_text(text)
+    return text
+
+
 def write_edge_list(g: Graph, path=None) -> str:
     """Serialize a graph as an edge list that parses back to the same
     graph: one 'i i' line per node (in id order) pins node identity and
@@ -288,19 +295,13 @@ def write_edge_list(g: Graph, path=None) -> str:
     out = ["# nodes then edges; the parser drops self-loop lines"]
     out.extend(f"{i} {i}" for i in range(g.node_count))
     out.extend(f"{a} {b}" for a, b in g.edges.tolist())
-    text = "\n".join(out) + "\n"
-    if path is not None:
-        Path(path).write_text(text)
-    return text
+    return _save("\n".join(out) + "\n", path)
 
 
 def write_layout_csv(layout: Layout, path=None) -> str:
     """Layout -> CSV 'node,x,y' with lossless float formatting."""
     rows = ([i, *xy] for i, xy in enumerate(layout.positions.tolist()))
-    text = _table(("node", "x", "y"), rows, "csv")
-    if path is not None:
-        Path(path).write_text(text)
-    return text
+    return _save(_table(("node", "x", "y"), rows, "csv"), path)
 
 
 def parse_layout_csv(text: str, node_count: int | None = None) -> Layout:
@@ -437,7 +438,4 @@ def emit_report(rows, format: str = "csv", path=None) -> str:
     table = [[getattr(row, name) for name in REPORT_COLUMNS] for row in rows]
     if not table:
         raise ValueError("no report rows to emit")
-    text = _table(REPORT_COLUMNS, table, format)
-    if path is not None:
-        Path(path).write_text(text)
-    return text
+    return _save(_table(REPORT_COLUMNS, table, format), path)

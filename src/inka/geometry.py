@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BoldDrawing, DrawingMetrics, _positive
+from .model import BoldDrawing, DrawingMetrics, _pack, _positive, _unpack
 
 EPS = 1e-12
 
@@ -275,20 +275,29 @@ def count_crossings_sweep(d: BoldDrawing) -> int:
     return sum(int(I.size) for I, _J in _crossing_blocks(P, Q, E))
 
 
-def _ordered_pairs(blocks):
-    """Gather (I, J) index blocks into i < j arrays in lexicographic order."""
-    blocks = list(blocks)
-    I = np.concatenate([np.empty(0, np.int64), *(b[0] for b in blocks)])
-    J = np.concatenate([np.empty(0, np.int64), *(b[1] for b in blocks)])
-    I, J = np.minimum(I, J), np.maximum(I, J)
-    order = np.lexsort((J, I))
-    return I[order], J[order]
+def _pair_keys(blocks, base: int):
+    """The sorted int64 keys (min, max) of the pairs in (I, J) index
+    blocks of indices below base, each block coded as it arrives."""
+    keys = [np.empty(0, np.int64)]
+    for I, J in blocks:
+        key, = _pack((np.minimum(I, J), np.maximum(I, J)), base)
+        keys.append(key)
+    keys = np.concatenate(keys)
+    keys.sort()
+    return keys
+
+
+def _ordered_pairs(blocks, base: int):
+    """The pairs of (I, J) index blocks (each pair in one block, indices
+    below base) as (i, j) tuples, i < j, sorted: one sort of pair keys."""
+    I, J = _unpack([_pair_keys(blocks, base)], base, 2)
+    return list(zip(I.tolist(), J.tolist()))
 
 
 def _crossing_arrays(P, Q, nodes):
     """Crossing pairs as i < j index arrays in lexicographic order, and
     their (k, 2) crossing points, each computed along segment i."""
-    I, J = _ordered_pairs(_crossing_blocks(P, Q, nodes))
+    I, J = _unpack([_pair_keys(_crossing_blocks(P, Q, nodes), len(P))], len(P), 2)
     return I, J, crossing_points_of(P[I], Q[I], P[J], Q[J])
 
 
@@ -315,8 +324,7 @@ def _collinear_overlap_pairs(P, Q):
             keep = (lx[I] > hx[J]) | (lx[J] > hx[I])
             yield collinear(I[keep], J[keep])
 
-    I, J = _ordered_pairs(blocks())
-    return list(zip(I.tolist(), J.tolist()))
+    return _ordered_pairs(blocks(), len(P))
 
 
 def crossing_pairs(d: BoldDrawing):
@@ -419,8 +427,7 @@ def _disk_overlap_pairs(pos, r: float):
             close = dx * dx + dy * dy < limit
             yield I[close], J[close]
 
-    I, J = _ordered_pairs(blocks())
-    return list(zip(I.tolist(), J.tolist()))
+    return _ordered_pairs(blocks(), len(pos))
 
 
 def _gapped_ranks(v):
@@ -435,13 +442,13 @@ def _cell_runs(X, Y, w: float):
     indices in scan order and in cell order, and per scan position its
     three runs of cell-order positions (run_start, run_size, 3 per A).
 
-    Cells are keyed gx * H + gy + 1, H = max(gy) + 3, on gapped ranks (< 2N
-    for N crossings, so keys fit int64): a neighbour column's three cells
-    are one key stretch, so A's partners are three runs.
+    Cells are keyed (gx, gy + 1) in base H = max(gy) + 3, on gapped ranks
+    (< 2N for N crossings, so keys fit int64 though gx may pass H): a
+    neighbour column's three cells are one key stretch, three runs for A.
     """
     gx, gy = _gapped_ranks(np.floor(X / w)), _gapped_ranks(np.floor(Y / w))
     H = int(gy.max()) + 3
-    key = gx * H + gy + 1
+    key, = _pack((gx, gy + 1), H)
     by_cell = np.argsort(key, kind="stable")
     key = key[by_cell]
     start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
@@ -483,44 +490,9 @@ def _sort4(*cols):
     return c
 
 
-def _set_codes(cols, m: int):
-    """Int64 codes, one row per code, that order edge sets as Python
-    orders their tuples.
-
-    cols are four columns holding each set's edge ids ascending, a 3-edge
-    set padded with -1 in the last.  As digits edge + 1 and pad 0, a
-    shorter tuple sorts before a longer one with its prefix.  The four
-    digits pack into one code in base m + 1 while (m + 1)^4 fits int64
-    (m < 55,108 edges), else two digits into each of two codes, compared
-    first row first.
-    """
-    base = m + 1
-    digits = [c + 1 for c in cols]
-    per = 4 if base**4 <= np.iinfo(np.int64).max else 2
-    codes = []
-    for g in range(0, 4, per):
-        code = digits[g]
-        for d in digits[g + 1:g + per]:
-            code = code * base + d
-        codes.append(code)
-    return np.stack(codes)
-
-
-def _set_edges(codes, m: int):
-    """The (k, 4) int64 edge ids that :func:`_set_codes` packed, the pad
-    (digit 0) as -1, peeled off each code lowest digit first."""
-    base, per = m + 1, 4 // len(codes)
-    edges = np.empty((codes[0].size, 4), np.int64)
-    for g, c in enumerate(codes):
-        for col in range(g * per + per - 1, g * per, -1):
-            c, edges[:, col] = np.divmod(c, base)
-        edges[:, g * per] = c
-    edges -= 1
-    return edges
-
-
 def _first_of_each(codes):
-    """Lowest column index of each distinct code column, in code order.
+    """Lowest column index of each distinct code column (codes compared
+    first row first), in code order.
 
     One code row takes numpy's default sort, which is not stable but much
     faster than a stable one; the minimum over each group of equal codes
@@ -543,8 +515,8 @@ def _concurrent_points(I, J, pts, w: float, m: int, block_pairs: int = _BLOCK_PA
     Two crossings closer than w in touching cells of side w put their edge
     set on the list, at the midpoint of the first such pair that
     :func:`_close_crossing_pairs` meets.  Its blocks are taken as they
-    come: each keeps the first pair of each edge set in it, by the codes
-    of :func:`_set_codes`, and after the last block one sort of the kept
+    come: each keeps the first pair of each edge set in it, by the set's
+    :func:`_pack` codes, and after the last block one sort of the kept
     codes keeps the first of each set across blocks, as blocks come in
     scan order.  Only one block of close pairs is held at a time, plus the
     pairs kept, at most one per edge set and block.
@@ -553,21 +525,22 @@ def _concurrent_points(I, J, pts, w: float, m: int, block_pairs: int = _BLOCK_PA
     kept = []  # per block, rows: the codes, then A, then B
     for A, B in _close_crossing_pairs(X, Y, w, block_pairs):
         # Distinct crossing pairs share at most one edge: shift out its
-        # repeat and pad the set with -1.
-        s0, s1, s2, s3 = _sort4(I[A], J[A], I[B], J[B])
+        # repeat.  As digits edge + 1 in base m + 1, a 3-edge set padded
+        # with 0, the codes order the sets as Python orders their tuples.
+        s0, s1, s2, s3 = (s + 1 for s in _sort4(I[A], J[A], I[B], J[B]))
         tie01 = s0 == s1
         tie012 = tie01 | (s1 == s2)
-        codes = _set_codes((s0, np.where(tie01, s2, s1), np.where(tie012, s3, s2),
-                            np.where(tie012 | (s2 == s3), -1, s3)), m)
+        codes = _pack((s0, np.where(tie01, s2, s1), np.where(tie012, s3, s2),
+                       np.where(tie012 | (s2 == s3), 0, s3)), m + 1)
         pick = _first_of_each(codes)
-        kept.append(np.vstack((codes[:, pick], A[pick], B[pick])))
+        kept.append(np.vstack([c[pick] for c in codes] + [A[pick], B[pick]]))
     kept = np.concatenate(kept, axis=1)
     kept = kept[:, _first_of_each(kept[:-2])]
     *codes, a, b = kept
     points = np.empty((a.size, 2))
     points[:, 0], points[:, 1] = X[a] + X[b], Y[a] + Y[b]
     points *= 0.5
-    return points, _set_edges(codes, m)
+    return points, np.column_stack(_unpack(codes, m + 1, 4)) - 1
 
 
 def check_proper(d: BoldDrawing) -> PropernessReport:

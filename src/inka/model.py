@@ -14,8 +14,37 @@ import numpy as np
 
 from .errors import GraphError
 
-# Most nodes for which every edge key lo * node_count + hi fits int64.
-_MAX_NODES = math.isqrt(2**63 - 1)
+_INT64_MAX = 2**63 - 1
+# Most nodes for which every edge key, a two-digit code of _pack, fits int64.
+_MAX_NODES = math.isqrt(_INT64_MAX)
+
+
+def _pack(cols, base: int) -> list[np.ndarray]:
+    """The int64 codes of k digit columns, digits below base and most
+    significant first, in as few codes as hold them (a pair below
+    _MAX_NODES is one), digits spread evenly: compared first code first,
+    the codes order the rows as Python orders their digit tuples.  Every
+    index tuple inka sorts or groups is coded by this one rule."""
+    k = len(cols)
+    fit = max([p for p in range(2, k + 1) if int(base) ** p <= _INT64_MAX], default=1)
+    per, codes = math.ceil(k / math.ceil(k / fit)), []
+    for g in range(0, k, per):
+        codes.append(np.asarray(cols[g], dtype=np.int64))
+        for d in cols[g + 1:g + per]:
+            codes[-1] = codes[-1] * base + d
+    return codes
+
+
+def _unpack(codes, base: int, k: int) -> list[np.ndarray]:
+    """The k digit columns that :func:`_pack` packed into codes."""
+    per, cols = math.ceil(k / len(codes)), []
+    for g in reversed(range(0, k, per)):
+        code = codes[g // per]
+        for _ in range(min(per, k - g) - 1):
+            code, digit = np.divmod(code, base)
+            cols.append(digit)
+        cols.append(code)
+    return cols[::-1]
 
 
 def _value_eq(self, other):
@@ -71,7 +100,7 @@ class Graph:
 
 def build_graph(node_count: int, edge_list: Iterable[Sequence[int]]) -> Graph:
     """Build a simple undirected graph, deduplicating unordered pairs by
-    one sort of the int64 keys lo * node_count + hi.
+    one sort of their int64 keys (lo, hi) from :func:`_pack`.
 
     Rejects non-pairs, non-integral endpoints (2.0 passes, 1.7 does not),
     self-loops and out-of-range endpoints with a GraphError that names
@@ -79,7 +108,7 @@ def build_graph(node_count: int, edge_list: Iterable[Sequence[int]]) -> Graph:
     """
     if not 0 <= node_count <= _MAX_NODES:
         raise GraphError(f"node_count must be in 0..{_MAX_NODES}, got {node_count}")
-    keys = []
+    ends = []
     for idx, pair in enumerate(edge_list):
         try:
             a, b = pair
@@ -94,11 +123,12 @@ def build_graph(node_count: int, edge_list: Iterable[Sequence[int]]) -> Graph:
             raise GraphError(
                 f"edge {idx}: endpoint out of range for {node_count} nodes: ({a}, {b})"
             )
-        keys.append(a * node_count + b if a < b else b * node_count + a)
+        ends += (a, b) if a < b else (b, a)  # flat: np.array of tuples is slow
+    keys, = _pack(np.array(ends, dtype=np.int64).reshape(-1, 2).T, node_count)
     # a sort, not np.unique: its first call in a process imports numpy.ma (14 ms)
-    keys = np.sort(np.array(keys, dtype=np.int64))
+    keys.sort()
     keys = keys[np.diff(keys, prepend=-1) != 0]
-    return Graph(node_count, np.column_stack(np.divmod(keys, node_count)))
+    return Graph(node_count, np.column_stack(_unpack([keys], node_count, 2)))
 
 
 def graph_density(g: Graph) -> float:

@@ -33,11 +33,11 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DegenerateDrawingError
+from .formats import _save
 from .geometry import _bounding_box, _edge_rects, _expand, _spans, bounding_box
 from .model import BoldDrawing
 
@@ -214,7 +214,4 @@ def render_svg(d: BoldDrawing, path=None) -> str:
         out.append(f'<circle cx="{x!r}" cy="{y!r}" r="{r!r}"/>')
     out.append("</g>")
     out.append("</svg>")
-    text = "\n".join(out) + "\n"
-    if path is not None:
-        Path(path).write_text(text)
-    return text
+    return _save("\n".join(out) + "\n", path)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Segment, _crossing_blocks
+from .geometry import Segment, _crossing_blocks, _pair_keys
 from .model import BoldDrawing, Layout, RenderParams, _positive
 
 
@@ -97,14 +97,10 @@ def measure_stub_crossings(stubs: StubSet) -> int:
     each stub carrying its parent edge's node pair, so stubs of the same
     edge or of adjacent edges are skipped.  A pair of parent edges counts
     at most once however their stubs meet: crossing stub pairs become
-    int64 keys min(e1, e2)*m + max(e1, e2), and the distinct keys count.
+    sorted parent-pair keys, and the distinct keys count.
     """
     par = stubs.parent_edge
-    m = stubs.parent_nodes.shape[0]
-    keys = [np.empty(0, dtype=np.int64)]
-    for I, J in _crossing_blocks(stubs.P, stubs.Q, stubs.parent_nodes[par]):
-        e1, e2 = par[I], par[J]
-        keys.append(np.minimum(e1, e2) * m + np.maximum(e1, e2))
+    blocks = _crossing_blocks(stubs.P, stubs.Q, stubs.parent_nodes[par])
     # A sorted run count: np.unique hashes int64 keys, many times slower.
-    keys = np.sort(np.concatenate(keys))
+    keys = _pair_keys(((par[I], par[J]) for I, J in blocks), len(stubs.parent_nodes))
     return int(keys.size > 0) + int(np.count_nonzero(keys[1:] != keys[:-1]))

@@ -146,6 +146,38 @@ def test_load_bench_config_resolves_paths(tmp_path):
     assert all(row.gamma == 0.8 for row in rows)
 
 
+@pytest.mark.parametrize("kind", ["graph", "layout"])
+def test_load_bench_config_rejects_a_repeated_name(tmp_path, kind):
+    # summarize keys cells by (graph, layout) name: two graphs named g and
+    # two layouts named r would merge four cells into one
+    write_edge_list(build_graph(3, [(0, 1), (1, 2)]), tmp_path / "g.edges")
+    graphs = [{"name": "g", "path": "g.edges"}, {"name": "h", "path": "g.edges"}]
+    layouts = [{"name": "r", "algorithm": "random", "seed": 1},
+               {"name": "c", "algorithm": "circular"},
+               {"name": "s", "algorithm": "random", "seed": 2}]
+    entries = {"graph": graphs, "layout": layouts}[kind]
+    entries[-1]["name"] = entries[0]["name"]
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"graphs": graphs, "layouts": layouts}))
+    index = len(entries) - 1
+    with pytest.raises(ParseError, match=f"{kind} entry {index}: name '{entries[0]['name']}' "
+                                         f"is already used by {kind} entry 0"):
+        load_bench_config(cfg)
+
+
+def test_load_bench_config_unnamed_layouts_take_their_algorithm_name(tmp_path):
+    # a layout's default name is its algorithm, so two unnamed layouts of
+    # one algorithm are a repeated name
+    write_edge_list(build_graph(2, [(0, 1)]), tmp_path / "g.edges")
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({
+        "graphs": [{"name": "g", "path": "g.edges"}],
+        "layouts": [{"algorithm": "random", "seed": 1}, {"algorithm": "random", "seed": 2}],
+    }))
+    with pytest.raises(ParseError, match="layout entry 1: name 'random' is already used"):
+        load_bench_config(cfg)
+
+
 def test_load_bench_config_bad_json_is_a_parse_error(tmp_path):
     cfg = tmp_path / "bench.json"
     cfg.write_text('{"graphs": [], oops}\n')

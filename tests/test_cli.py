@@ -491,13 +491,19 @@ def test_bench_config_entry_without_key_is_an_error(tmp_path, capsys, missing):
         ({"area": -5}, "fixed area must be finite and > 0, got -5.0"),
         ({"area": float("nan")}, "fixed area must be finite and > 0, got nan"),
         ({"area": float("inf")}, "fixed area must be finite and > 0, got inf"),
+        ({"graphs": [{"name": "ring", "path": "ring.edges"}] * 2},
+         "graph entry 1: name 'ring' is already used by graph entry 0"),
+        ({"layouts": [{"name": "r", "algorithm": "random"}, {"algorithm": "circular"},
+                      {"name": "r", "algorithm": "circular"}]},
+         "layout entry 2: name 'r' is already used by layout entry 0"),
     ],
     ids=["top-level-list", "layout-string", "iterations-str", "iterations-float",
          "gamma-null", "gamma-range", "area-null", "setting-not-pair",
          "setting-str", "setting-negative", "layouts-not-list", "raster-str",
          "path-not-str", "format-int", "format-unknown", "top-level-typo",
          "graph-key-typo", "layout-key-typo", "graph-name-int", "layout-name-list",
-         "area-negative", "area-nan", "area-inf"],
+         "area-negative", "area-nan", "area-inf", "graph-name-repeated",
+         "layout-name-repeated"],
 )
 def test_bench_config_holes_are_errors(tmp_path, capsys, config, message):
     (tmp_path / "ring.edges").write_text("0 1\n1 2\n2 0\n")

@@ -36,18 +36,18 @@ from inka.geometry import (
     _expand,
     _first_of_each,
     _gapped_ranks,
+    _ordered_pairs,
     _orient,
     _pair_index_blocks,
     _runs,
     _segment_arrays,
-    _set_codes,
-    _set_edges,
     _sort4,
     _spans,
     collinear_overlap_mask,
     crossing_points_of,
     transversal_crossing_mask,
 )
+from inka.model import _MAX_NODES, _pack, _unpack
 
 
 def _rows(*points):
@@ -109,6 +109,16 @@ def test_crossing_counts_on_fixtures(parallel_drawing, diagonal_drawing, xshape_
     for d, expected in ((parallel_drawing, 0), (diagonal_drawing, 1), (xshape_drawing, 1)):
         assert count_crossings_bruteforce(d) == expected
         assert count_crossings_sweep(d) == expected
+
+
+_SCALE_EPS = "EPS is an absolute bound on orientations (length^2), so a tiny drawing loses its crossing"
+
+
+@pytest.mark.parametrize("counter", [count_crossings_sweep, count_crossings_bruteforce])
+@pytest.mark.parametrize("side", [1.0, 1e-5, pytest.param(
+    1e-6, marks=pytest.mark.xfail(strict=True, reason=_SCALE_EPS))])
+def test_two_diagonal_square_crosses_once_at_every_scale(counter, side):
+    assert counter(bold([(0, 0), (side, side), (0, side), (side, 0)], [(0, 1), (2, 3)])) == 1
 
 
 def test_k4_convex_position_has_one_crossing():
@@ -764,6 +774,39 @@ def test_sort4_network_equals_np_sort_with_ties():
         assert np.array_equal(np.column_stack(_sort4(*rows.T)), np.sort(rows, axis=1))
 
 
+@st.composite
+def pair_blocks(draw):
+    """(blocks, base): distinct unordered pairs of indices below base,
+    each in a random orientation, split into blocks, some of them empty."""
+    base = draw(st.one_of(st.integers(2, 40), st.integers(2, _MAX_NODES)))
+    index = st.integers(0, base - 1)
+    pairs = draw(st.lists(st.tuples(index, index).filter(lambda p: p[0] != p[1]),
+                          max_size=60, unique_by=lambda p: (min(p), max(p))))
+    cuts = sorted(draw(st.lists(st.integers(0, len(pairs)), max_size=5)))
+    bounds = [0, *cuts, len(pairs)]
+    blocks = [np.array(pairs[a:b], dtype=np.int64).reshape(-1, 2).T
+              for a, b in zip(bounds[:-1], bounds[1:])]
+    return blocks, base
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_blocks())
+def test_ordered_pairs_is_the_sorted_set_of_unordered_pairs(case):
+    blocks, base = case
+    want = sorted({(min(i, j), max(i, j)) for b in blocks for i, j in b.T.tolist()})
+    assert _ordered_pairs(iter(blocks), base) == want
+
+
+def set_codes(rows, m):
+    """The edge-set codes of _concurrent_points: digits edge + 1 (pad 0)
+    in base m + 1."""
+    return _pack(list(np.asarray(rows).T + 1), m + 1)
+
+
+def set_edges(codes, m):
+    return np.column_stack(_unpack(codes, m + 1, 4)) - 1
+
+
 def test_edge_set_grouping_without_an_int64_code():
     # with m = 100,000, (m + 1)^4 overflows int64: the two codes must group
     # and order the sets as the one packed code does, in tuple order, and
@@ -771,12 +814,12 @@ def test_edge_set_grouping_without_an_int64_code():
     rng = np.random.default_rng(14)
     rows = np.array([sorted(rng.choice(6, size=k, replace=False).tolist()) + [-1] * (4 - k)
                      for k in rng.integers(3, 5, size=300)])
-    small_codes, big_codes = _set_codes(rows.T, 6), _set_codes(rows.T, 100_000)
-    assert small_codes.shape == (1, 300) and big_codes.shape == (2, 300)
+    small_codes, big_codes = set_codes(rows, 6), set_codes(rows, 100_000)
+    assert np.shape(small_codes) == (1, 300) and np.shape(big_codes) == (2, 300)
     small_pick = _first_of_each(small_codes)
     assert np.array_equal(_first_of_each(big_codes), small_pick)
-    assert np.array_equal(_set_edges(small_codes, 6), rows)
-    assert np.array_equal(_set_edges(big_codes, 100_000), rows)
+    assert np.array_equal(set_edges(small_codes, 6), rows)
+    assert np.array_equal(set_edges(big_codes, 100_000), rows)
     as_tuples = [tuple(v for v in row if v != -1) for row in rows.tolist()]
     firsts = {}
     for idx, t in enumerate(as_tuples):
@@ -788,11 +831,11 @@ def test_one_edge_set_code_up_to_the_int64_limit():
     # 55,107 edges is the most one code holds: the top set's code is the
     # exact integer, below 2^63, and one more edge takes two codes
     m = 55_107
-    top = np.arange(m - 4, m)[:, None]
-    assert _set_codes(top, m).tolist() == [[sum((e + 1) * (m + 1) ** (3 - k)
-                                                for k, e in enumerate(range(m - 4, m)))]]
-    assert _set_edges(_set_codes(top, m), m).tolist() == [list(range(m - 4, m))]
-    assert len(_set_codes(top, m + 1)) == 2
+    top = np.arange(m - 4, m)[None, :]
+    assert np.array(set_codes(top, m)).tolist() == [[sum((e + 1) * (m + 1) ** (3 - k)
+                                                         for k, e in enumerate(range(m - 4, m)))]]
+    assert set_edges(set_codes(top, m), m).tolist() == [list(range(m - 4, m))]
+    assert len(set_codes(top, m + 1)) == 2
 
 
 def test_check_proper_with_more_edges_than_one_code_holds():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inka import (
     BoldDrawing,
@@ -13,6 +15,63 @@ from inka import (
     build_graph,
     graph_density,
 )
+from inka.model import _INT64_MAX, _MAX_NODES, _pack, _unpack
+
+
+@st.composite
+def digit_rows(draw):
+    """(base, k, rows): rows of k digits below base, for bases up to
+    _MAX_NODES (a pair is one code) and for bases whose 4th power
+    overflows int64 (a 4-tuple takes two or more codes)."""
+    base = draw(st.one_of(st.integers(2, 9), st.integers(2, _MAX_NODES),
+                          st.integers(55_109, _INT64_MAX)))
+    k = draw(st.integers(1, 5))
+    digit = st.integers(0, base - 1)
+    rows = draw(st.lists(st.tuples(*[digit] * k), max_size=25))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=5)) if rows else []
+    return base, k, rows
+
+
+def _columns(rows, k):
+    return list(np.array(rows, dtype=np.int64).reshape(-1, k).T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(digit_rows())
+def test_unpack_gives_back_the_digit_columns(case):
+    base, k, rows = case
+    codes = _pack(_columns(rows, k), base)
+    assert all(c.dtype == np.int64 for c in codes)
+    got = _unpack(codes, base, k)
+    assert len(got) == k
+    assert all(np.array_equal(g, c) for g, c in zip(got, _columns(rows, k)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(digit_rows())
+def test_codes_compare_first_code_first_as_python_tuples(case):
+    base, k, rows = case
+    codes = _pack(_columns(rows, k), base)
+    coded = list(zip(*(c.tolist() for c in codes))) if rows else []
+    for a in range(len(rows)):
+        for b in range(len(rows)):
+            assert (coded[a] < coded[b]) == (rows[a] < rows[b])
+            assert (coded[a] == coded[b]) == (rows[a] == rows[b])
+
+
+def test_codes_per_tuple():
+    # a pair below _MAX_NODES is one code; 4 digits take one code up to
+    # base 55,108, and from 55,109 as few codes as hold them, digits
+    # spread evenly
+    pair = [np.array([_MAX_NODES - 1])] * 2
+    assert [c.tolist() for c in _pack(pair, _MAX_NODES)] == [[_MAX_NODES**2 - 1]]
+    assert len(_pack(pair, _MAX_NODES + 1)) == 2
+    four = [np.array([1])] * 4
+    assert len(_pack(four, 55_108)) == 1
+    assert [c.tolist() for c in _pack(four, 55_109)] == [[55_110], [55_110]]
+    assert len(_pack(four, 2**31)) == 2 and len(_pack(four, 2**32)) == 4
+    five = [np.array([1])] * 5
+    assert [c.tolist() for c in _pack(five, 10**6)] == [[10**12 + 10**6 + 1], [10**6 + 1]]
 
 
 def test_build_graph_basic():

@@ -1,6 +1,6 @@
 """Microbenchmarks of graph loading, component labelling, the
-spring-layout kernels, the crossing sweep, check_proper, its close-pair
-scan and the raster, on mesh24 and on one small drawing at 64 rows
+spring-layout kernels, the crossing sweep, the ordered crossing list,
+check_proper, its close-pair scan and the raster, on mesh24 and on one small drawing at 64 rows
 (pytest-benchmark).
 
 They carry the ``perf`` marker, which the default options deselect, so
@@ -78,6 +78,16 @@ def test_count_crossings_sweep_uniform_ba800(benchmark):
     g = load_graph(GRAPHS / "ba800.edges")
     d = BoldDrawing(g, Layout(random_positions(g.node_count, seed=3)), RenderParams(5.0, 1.0))
     assert benchmark(count_crossings_sweep, d) > 0
+
+
+def test_crossing_arrays_uniform_ba800(benchmark):
+    # the sweep's drawing: about 0.63 M crossing pairs, each block coded as
+    # int64 pair keys, sorted once and decoded, then the crossing points
+    g = load_graph(GRAPHS / "ba800.edges")
+    d = BoldDrawing(g, Layout(random_positions(g.node_count, seed=3)), RenderParams(5.0, 1.0))
+    P, Q, E = _segment_arrays(d)
+    I, J, pts = benchmark(_crossing_arrays, P, Q, E)
+    assert I.size == J.size == len(pts) > 0 and (I < J).all()
 
 
 def test_check_proper_lattice_can_144(benchmark):
