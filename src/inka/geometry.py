@@ -32,8 +32,12 @@ scans three runs per crossing on gapped ranks, and returns, as arrays,
 each edge set that two close crossings span and the first pair's midpoint.
 The scan is a stream of engine blocks of close pairs: each block is cut
 to the first pair of each edge set in it before the next is made, so
-memory grows with the crossings and with the report, never with the
-number of close pairs.
+memory never grows with the number of close pairs.  At its peak it
+holds, per crossing, I, J and the point (32 bytes) and the scan's runs
+and coordinates (96 bytes), plus one block of close pairs and the codes
+kept so far (16 bytes a kept pair up to 55,107 edges, 24 above); after
+the scan, the report (48 bytes a row) and the kept codes, the pair code
+freed before the edge ids are decoded.
 
 Predicates are plain double precision with a fixed epsilon; a pair
 "crosses" when the open segments intersect transversally at an interior
@@ -169,11 +173,11 @@ def _expand(first, size):
 
 def _spans(end, limit: int):
     """Yield the block ranges [a, b) of runs, end[i] the count through run i."""
-    start = np.concatenate(([0], end))
     a = 0
     while a < end.size:
-        b = max(a + 1, int(np.searchsorted(start, start[a] + limit, "right")) - 1)
-        if start[b] > start[a]:
+        before = int(end[a - 1]) if a else 0
+        b = max(a + 1, int(np.searchsorted(end, before + limit, "right")))
+        if end[b - 1] > before:
             yield a, b
         a = b
 
@@ -182,7 +186,8 @@ def _runs(first, size, limit: int = _BLOCK_PAIRS):
     """Yield the (e, k) arrays of the runs block by block."""
     for a, b in _spans(np.cumsum(size), limit):
         e, k = _expand(first[a:b], size[a:b])
-        yield e + a, k
+        e += a
+        yield e, k
 
 
 def _pair_index_blocks(m: int, block_pairs: int = _BLOCK_PAIRS):
@@ -296,9 +301,19 @@ def _ordered_pairs(blocks, base: int):
 
 def _crossing_arrays(P, Q, nodes):
     """Crossing pairs as i < j index arrays in lexicographic order, and
-    their (k, 2) crossing points, each computed along segment i."""
+    their (k, 2) crossing points, each computed along segment i.
+
+    The points are filled _BLOCK_PAIRS rows at a time into one (k, 2)
+    array (the arithmetic is element-wise, so the bytes are those of one
+    whole-array call): beside I, J and the points, only the sorted pair
+    keys while they are decoded, and one block's gathered endpoints, live.
+    """
     I, J = _unpack([_pair_keys(_crossing_blocks(P, Q, nodes), len(P))], len(P), 2)
-    return I, J, crossing_points_of(P[I], Q[I], P[J], Q[J])
+    pts = np.empty((I.size, 2))
+    for a in range(0, I.size, _BLOCK_PAIRS):
+        i, j = I[a:a + _BLOCK_PAIRS], J[a:a + _BLOCK_PAIRS]
+        pts[a:a + i.size] = crossing_points_of(P[i], Q[i], P[j], Q[j])
+    return I, J, pts
 
 
 def _collinear_overlap_pairs(P, Q):
@@ -454,8 +469,9 @@ def _cell_runs(X, Y, w: float):
     start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
     # Each cell's runs in columns gx - 1, gx, gx + 1; rows of lo ascend, so searchsorted is fast.
     lo = key[start] + np.array([[-H - 1], [-1], [H - 1]])
-    first = np.searchsorted(key, lo)
-    size = np.searchsorted(key, lo + 3) - first
+    # int32 runs: cell-order positions are below N, which the keys hold below 2^31.
+    first = np.searchsorted(key, lo).astype(np.int32)
+    size = (np.searchsorted(key, lo + 3) - first).astype(np.int32)
     # The scan order: cells by their lowest crossing index, then A.
     cells = np.argsort(by_cell[start])
     c, at = _expand(start[cells], np.diff(start, append=key.size)[cells])
@@ -475,8 +491,7 @@ def _close_crossing_pairs(X, Y, w: float, block_pairs: int):
     xs, ys, xc, yc = X[seq], Y[seq], X[by_cell], Y[by_cell]
     for e, k in _runs(run_start, run_size, block_pairs):
         e //= 3
-        dx, dy = xs[e] - xc[k], ys[e] - yc[k]
-        keep = np.flatnonzero(dx * dx + dy * dy < w * w)
+        keep = np.flatnonzero(np.square(xs[e] - xc[k]) + np.square(ys[e] - yc[k]) < w * w)
         A, B = seq[e[keep]], by_cell[k[keep]]
         keep = B > A
         yield A[keep], B[keep]
@@ -515,14 +530,19 @@ def _concurrent_points(I, J, pts, w: float, m: int, block_pairs: int = _BLOCK_PA
     Two crossings closer than w in touching cells of side w put their edge
     set on the list, at the midpoint of the first such pair that
     :func:`_close_crossing_pairs` meets.  Its blocks are taken as they
-    come: each keeps the first pair of each edge set in it, by the set's
-    :func:`_pack` codes, and after the last block one sort of the kept
-    codes keeps the first of each set across blocks, as blocks come in
-    scan order.  Only one block of close pairs is held at a time, plus the
-    pairs kept, at most one per edge set and block.
+    come: each keeps the first pair of each edge set in it, as the set's
+    :func:`_pack` codes and one pair code (A, B) in base N for N
+    crossings, and after the last block one sort of the kept codes keeps
+    the first of each set across blocks, as blocks come in scan order.
+    The kept codes are then decoded block_pairs rows at a time straight
+    into the two report arrays: the pair codes into the midpoints, then,
+    with the pair codes freed, the set codes into the edge ids.  So only
+    one block of close pairs is held at a time, plus the pairs kept, at
+    most one per edge set and block, and at the end the report and the
+    set codes.
     """
     X, Y = pts[:, 0], pts[:, 1]
-    kept = []  # per block, rows: the codes, then A, then B
+    kept = []  # per block, rows: the edge-set codes, then the pair code
     for A, B in _close_crossing_pairs(X, Y, w, block_pairs):
         # Distinct crossing pairs share at most one edge: shift out its
         # repeat.  As digits edge + 1 in base m + 1, a 3-edge set padded
@@ -533,14 +553,24 @@ def _concurrent_points(I, J, pts, w: float, m: int, block_pairs: int = _BLOCK_PA
         codes = _pack((s0, np.where(tie01, s2, s1), np.where(tie012, s3, s2),
                        np.where(tie012 | (s2 == s3), 0, s3)), m + 1)
         pick = _first_of_each(codes)
-        kept.append(np.vstack([c[pick] for c in codes] + [A[pick], B[pick]]))
+        # One code: N^2 fits int64, as _cell_runs' keys (< 4 N^2) need.
+        ab, = _pack((A[pick], B[pick]), I.size)
+        kept.append(np.vstack([c[pick] for c in codes] + [ab]))
     kept = np.concatenate(kept, axis=1)
-    kept = kept[:, _first_of_each(kept[:-2])]
-    *codes, a, b = kept
-    points = np.empty((a.size, 2))
-    points[:, 0], points[:, 1] = X[a] + X[b], Y[a] + Y[b]
+    kept = kept[:, _first_of_each(kept[:-1])]
+    blocks = [slice(a, a + block_pairs) for a in range(0, kept.shape[1], block_pairs)]
+    points = np.empty((kept.shape[1], 2))
+    for rows in blocks:
+        A, B = _unpack([kept[-1, rows]], I.size, 2)
+        points[rows] = pts[A]
+        points[rows] += pts[B]
     points *= 0.5
-    return points, np.column_stack(_unpack(codes, m + 1, 4)) - 1
+    kept = kept[:-1].copy()  # the pair codes are freed before the edges are made
+    edges = np.empty((kept.shape[1], 4), np.int64)
+    for rows in blocks:
+        np.stack(_unpack(kept[:, rows], m + 1, 4), axis=1, out=edges[rows])
+    edges -= 1
+    return points, edges
 
 
 def check_proper(d: BoldDrawing) -> PropernessReport:
@@ -558,13 +588,14 @@ def check_proper(d: BoldDrawing) -> PropernessReport:
     pair of each edge set.  All outputs are sorted.
     """
     P, Q, E = _segment_arrays(d)
-    I, J, pts = _crossing_arrays(P, Q, E)
     r, w = d.params.radius, d.params.width
     pos = d.layout.positions
     disks = _disk_overlap_pairs(pos, r) if r > 0 and len(pos) >= 2 else []
+    overlaps = _collinear_overlap_pairs(P, Q)
+    # The crossings last: no other stage runs beside them and the report.
+    I, J, pts = _crossing_arrays(P, Q, E)
     none = np.empty((0, 2)), np.empty((0, 4), np.int64)
     points, edges = _concurrent_points(I, J, pts, w, len(P)) if w > 0 and I.size >= 2 else none
-    overlaps = _collinear_overlap_pairs(P, Q)
     verdict = not (disks or len(points) or overlaps)
     return PropernessReport(disks, points, edges, overlaps, verdict)
 

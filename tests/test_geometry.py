@@ -870,8 +870,10 @@ def test_check_proper_with_more_edges_than_one_code_holds():
 
 def test_concurrent_points_peak_memory_is_bounded_by_the_report():
     # The close pairs are streamed a block at a time and cut to the first
-    # pair of each edge set, so the traced peak stays within 3x the report
-    # (holding every close pair's edge set at once took 5x).
+    # pair of each edge set, and the kept codes are decoded a block at a
+    # time into the report, so the traced peak stays within 2x the report
+    # (holding every close pair's edge set at once took 5x, decoding the
+    # whole report at once 2.2x).
     g = inka.load_graph(Path(__file__).resolve().parents[1] / "data" / "graphs" / "can_144.mtx")
     n = g.node_count
     side = int(np.ceil(2 * np.sqrt(n)))
@@ -888,7 +890,41 @@ def test_concurrent_points_peak_memory_is_bounded_by_the_report():
     finally:
         tracemalloc.stop()
     assert len(report[0]) >= 90_000
-    assert peak <= 3 * sum(a.nbytes for a in report), (peak, sum(a.nbytes for a in report))
+    assert peak <= 2 * sum(a.nbytes for a in report), (peak, sum(a.nbytes for a in report))
+
+
+def test_crossing_arrays_peak_memory_is_bounded_by_its_output():
+    # The crossing points are filled a block at a time into one array, so
+    # the traced peak stays within 1.5x the I, J and points returned (one
+    # whole-array call, with its four gathered endpoint arrays, took 5x).
+    g = inka.load_graph(Path(__file__).resolve().parents[1] / "data" / "graphs" / "ba800.edges")
+    n = g.node_count
+    pos = np.random.default_rng(3).uniform(0.0, np.sqrt(n) * 30.0, size=(n, 2))
+    P, Q, E = _segment_arrays(inka.BoldDrawing(g, inka.Layout(pos), inka.RenderParams(5.0, 1.0)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        I, J, pts = _crossing_arrays(P, Q, E)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    out = I.nbytes + J.nbytes + pts.nbytes
+    assert I.size >= 600_000
+    assert peak <= 1.5 * out, (peak, out)
+
+
+@pytest.mark.parametrize("block_pairs", [1, 7])
+def test_crossing_points_per_block_equal_one_whole_array_call(monkeypatch, block_pairs):
+    monkeypatch.setattr(inka.geometry, "_BLOCK_PAIRS", block_pairs)
+    rng = np.random.default_rng(17)
+    blocks = 0
+    for _ in range(30):
+        P, Q, E = _segment_arrays(random_bold_drawing(rng))
+        I, J, pts = _crossing_arrays(P, Q, E)
+        whole = crossing_points_of(P[I], Q[I], P[J], Q[J])
+        assert pts.shape == whole.shape and pts.tobytes() == whole.tobytes()
+        blocks += I.size > block_pairs
+    assert blocks >= 10
 
 
 @settings(max_examples=200, deadline=None)

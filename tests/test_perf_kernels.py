@@ -9,6 +9,7 @@ the ordinary suite never runs them.  Run them with
     PYTHONPATH=src python -m pytest -m perf tests/test_perf_kernels.py
 """
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,17 @@ MESH24 = GRAPHS / "mesh24.graph"
 def random_positions(n, k=30.0, seed=0):
     rng = np.random.default_rng(seed)
     return rng.uniform(0.0, np.sqrt(n) * k, size=(n, 2))
+
+
+def traced_peak_mb(f, *args):
+    """Peak traced MB above the start of one untimed call f(*args)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        f(*args)
+        return (tracemalloc.get_traced_memory()[1] - base) / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def test_load_graph_yeastppi(benchmark):
@@ -86,7 +98,9 @@ def test_crossing_arrays_uniform_ba800(benchmark):
     g = load_graph(GRAPHS / "ba800.edges")
     d = BoldDrawing(g, Layout(random_positions(g.node_count, seed=3)), RenderParams(5.0, 1.0))
     P, Q, E = _segment_arrays(d)
+    benchmark.extra_info["tracemalloc_peak_mb"] = traced_peak_mb(_crossing_arrays, P, Q, E)
     I, J, pts = benchmark(_crossing_arrays, P, Q, E)
+    benchmark.extra_info["returned_mb"] = (I.nbytes + J.nbytes + pts.nbytes) / 1e6
     assert I.size == J.size == len(pts) > 0 and (I < J).all()
 
 
@@ -99,7 +113,10 @@ def test_check_proper_lattice_can_144(benchmark):
     cells = np.random.default_rng(1).choice(side * side, size=n, replace=False)
     pos = np.column_stack([cells % side, cells // side]).astype(np.float64)
     d = BoldDrawing(g, Layout(pos), RenderParams(0.25, 0.1))
+    benchmark.extra_info["tracemalloc_peak_mb"] = traced_peak_mb(check_proper, d)
     report = benchmark(check_proper, d)
+    benchmark.extra_info["report_arrays_mb"] = (report.concurrent_points.nbytes
+                                                + report.concurrent_edges.nbytes) / 1e6
     assert len(report.concurrent_points) and report.collinear_overlaps
 
 
