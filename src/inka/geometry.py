@@ -7,24 +7,25 @@ first[e] + size[e] - 1; :func:`_expand` lists runs as (e, k) arrays and
 consecutive runs with at most a limit of entries (a bigger run is a
 block of its own; blocks with no entry are skipped); :func:`_runs` is
 the two together.  Blocks come in run order, so no output depends on
-the limit.  A crossing block keeps about 115 bytes a pair alive, so
+the limit.  A crossing block keeps about 110 bytes a pair alive, so
 _BLOCK_PAIRS holds it near 3 MB; larger blocks run slower.
 
 Crossings are counted two independent ways with the same orientation
-expressions and sign test, :func:`_straddles`.  The brute-force oracle,
+expressions and sign test, :func:`_splits`.  The brute-force oracle,
 :func:`count_crossings_bruteforce`, tests every non-adjacent edge pair:
 row i of :func:`_pair_index_blocks` is the run i+1 ... m-1.
 :func:`count_crossings_sweep` tests only the pairs whose closed
 x-extents overlap, the candidate filter that opens the Bentley-Ottmann
 sweep: over extents sorted by left end, rank a's run in
 :func:`_rank_blocks` is ranks a+1 up to the last whose left end is at
-most a's right end.  Its filters imply the box test, so its kernel,
-:func:`_crossing_blocks`, skips it.  Any disagreement between the two
-is an enumeration bug, which is what the pairing is meant to catch.
+most a's right end.  Its filters imply the box test and a shared
+endpoint fails its sign test, so its kernel, :func:`_crossing_blocks`,
+tests neither.  A disagreement between the two is the enumeration bug
+the pairing catches.
 
 Every other pair query uses the x-extent filter too: stub crossings
-and the crossing points of :func:`crossing_pairs` as in the sweep, and
-through :func:`_candidate_blocks`, which maps ranks back to indices,
+and the crossing points of :func:`crossing_pairs` map the kernel's
+ranks back to indices, as :func:`_candidate_blocks` does for
 disk overlaps on [x - r, x + r] and collinear overlaps on x-extents
 plus y-extents, since an overlap of positive length overlaps in x or
 in y.  :func:`check_proper` bins crossing points into cells of side w,
@@ -90,12 +91,22 @@ class PropernessReport:
 
 def _orient(ax, ay, bx, by, cx, cy):
     # Sign of the cross product (b - a) x (c - a); works on scalars and arrays.
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return _side(bx - ax, by - ay, ax, ay, cx, cy)
 
 
-def _straddles(a, b):
-    """Row-wise: do a and b lie strictly on opposite sides of the EPS band?
-    False wherever either is NaN."""
+def _side(ex, ey, x, y, cx, cy):
+    # ex * (cy - y) - ey * (cx - x), the same floats, in its own two temporaries.
+    o, t = cy - y, cx - x
+    o *= ex
+    t *= ey
+    o -= t
+    return o
+
+
+def _splits(ex, ey, x, y, ax, ay, bx, by):
+    """Row-wise: do a and b lie strictly on opposite sides of the EPS band
+    about the line from (x, y) along (ex, ey)?  False wherever one is NaN."""
+    a, b = _side(ex, ey, x, y, ax, ay), _side(ex, ey, x, y, bx, by)
     return (np.minimum(a, b) < -EPS) & (np.maximum(a, b) > EPS)
 
 
@@ -103,10 +114,10 @@ def transversal_crossing_mask(p1, q1, p2, q2):
     """Row-wise test: do the open segments (p1,q1) and (p2,q2) cross?
 
     Inputs are (k, 2) arrays of endpoints.  True requires strictly
-    opposite orientations on both sides, so endpoint touching, collinear
-    overlap, and degenerate segments all test False.  A closed bounding-box
-    overlap check is part of the test; it is a necessary condition for a
-    crossing, and the filters of :func:`_crossing_blocks` imply it.
+    opposite orientations on both sides, so endpoint touching (exactly 0
+    at a common endpoint), collinear overlap, and degenerate segments all
+    test False.  A closed bounding-box check, necessary for a crossing, is
+    part of the test, and the filters of :func:`_crossing_blocks` imply it.
     """
     p1x, p1y, q1x, q1y, p2x, p2y, q2x, q2y = (a[..., k] for a in (p1, q1, p2, q2) for k in (0, 1))
     bbox = (
@@ -115,12 +126,8 @@ def transversal_crossing_mask(p1, q1, p2, q2):
         & (np.maximum(p1y, q1y) >= np.minimum(p2y, q2y))
         & (np.maximum(p2y, q2y) >= np.minimum(p1y, q1y))
     )
-
-    o1 = _orient(p1x, p1y, q1x, q1y, p2x, p2y)
-    o2 = _orient(p1x, p1y, q1x, q1y, q2x, q2y)
-    o3 = _orient(p2x, p2y, q2x, q2y, p1x, p1y)
-    o4 = _orient(p2x, p2y, q2x, q2y, q1x, q1y)
-    return bbox & _straddles(o1, o2) & _straddles(o3, o4)
+    return (bbox & _splits(q1x - p1x, q1y - p1y, p1x, p1y, p2x, p2y, q2x, q2y)
+            & _splits(q2x - p2x, q2y - p2y, p2x, p2y, p1x, p1y, q1x, q1y))
 
 
 def collinear_overlap_mask(p1, q1, p2, q2):
@@ -160,8 +167,8 @@ def _segment_arrays(d: BoldDrawing):
 
 
 def _adjacent_mask(E, I, J):
-    a1, b1 = E[I, 0], E[I, 1]
-    a2, b2 = E[J, 0], E[J, 1]
+    a, b = E.T  # gathers from the two column views run faster than E[I, 0]
+    a1, b1, a2, b2 = a[I], b[I], a[J], b[J]
     return (a1 == a2) | (a1 == b2) | (b1 == a2) | (b1 == b2)
 
 
@@ -227,44 +234,34 @@ def _candidate_blocks(lx, hx, block_pairs: int = _BLOCK_PAIRS):
         yield order[I], order[J]
 
 
-def _crossing_blocks(P, Q, nodes, block_pairs: int = _BLOCK_PAIRS):
-    """Yield (I, J) index arrays of the segment pairs that cross
-    transversally, skipping pairs whose node rows share a node.
+def _crossing_blocks(P, Q, block_pairs: int = _BLOCK_PAIRS):
+    """(order, blocks): the stable argsort by left x, and per engine block
+    the rank pairs I, J that pass all but the last test and its mask hit;
+    the segments order[I[hit]], order[J[hit]] cross transversally.
 
-    The segments are sorted by left x once and every column is permuted
-    into that rank order, so the engine's rank pairs index the columns
-    directly; only the pairs that pass every test map back to segment
-    indices.  The orientations are the predicate's own expressions (dx is
-    the same float as q_x - p_x; q is never rebuilt as p + dx), tested in
-    two stages: J's endpoints against line I on every pair, then I's
-    endpoints against line J on the pairs that straddle it.
-    """
+    Columns are permuted into rank order once.  The orientations are the
+    predicate's (dx is the float q_x - p_x, q never p + dx): J's endpoints
+    against line I, then I's against line J on the first stage's columns cut
+    to the pairs left.  A shared endpoint's orientation is exactly 0 (dy[I]
+    if it is I's q), so adjacent edges need no test."""
     order = np.argsort(np.minimum(P[:, 0], Q[:, 0]), kind="stable")
     px, py = P[order].T.copy()
     qx, qy = Q[order].T.copy()
     dx, dy = qx - px, qy - py
     lx, hx = np.minimum(px, qx), np.maximum(px, qx)
     ly, hy = np.minimum(py, qy), np.maximum(py, qy)
-    u, v = nodes[order].T.copy()
-    for I, J in _rank_blocks(lx, hx, block_pairs):
-        # The engine gives lx[I] <= lx[J] <= hx[I] and lx[J] <= hx[J], and this
-        # is the y half of the box test, so the predicate's box test holds.
-        k = np.flatnonzero((ly[I] <= hy[J]) & (ly[J] <= hy[I]))
-        I, J = I[k], J[k]
-        x, y, ex, ey = px[I], py[I], dx[I], dy[I]
-        o1 = ex * (py[J] - y) - ey * (px[J] - x)
-        o2 = ex * (qy[J] - y) - ey * (qx[J] - x)
-        k = np.flatnonzero(_straddles(o1, o2))
-        I, J = I[k], J[k]
-        x, y, ex, ey = px[J], py[J], dx[J], dy[J]
-        o3 = ex * (py[I] - y) - ey * (px[I] - x)
-        o4 = ex * (qy[I] - y) - ey * (qx[I] - x)
-        k = np.flatnonzero(_straddles(o3, o4))
-        I, J = I[k], J[k]
-        # _adjacent_mask's test, on 1-D columns: they gather faster than rows.
-        ui, vi, uj, vj = u[I], v[I], u[J], v[J]
-        k = np.flatnonzero((ui != uj) & (ui != vj) & (vi != uj) & (vi != vj))
-        yield order[I[k]], order[J[k]]
+
+    def blocks():
+        for I, J in _rank_blocks(lx, hx, block_pairs):
+            # With the engine's x overlap, this y overlap is the predicate's box test.
+            k = np.flatnonzero((ly[I] <= hy[J]) & (ly[J] <= hy[I]))
+            I, J = I[k], J[k]
+            x, y, jx, jy, ex, ey = px[I], py[I], px[J], py[J], dx[I], dy[I]
+            k = np.flatnonzero(_splits(ex, ey, x, y, jx, jy, qx[J], qy[J]))
+            I, J, x, y, jx, jy = I[k], J[k], x[k], y[k], jx[k], jy[k]
+            yield I, J, _splits(dx[J], dy[J], jx, jy, x, y, qx[I], qy[I])
+
+    return order, blocks()
 
 
 def count_crossings_sweep(d: BoldDrawing) -> int:
@@ -272,12 +269,11 @@ def count_crossings_sweep(d: BoldDrawing) -> int:
 
     Every crossing pair has overlapping closed x- and y-extents, so the
     engine's pairs that also overlap in y include all of them, and
-    :func:`_crossing_blocks` decides each one with the orientations and
-    sign test of :func:`count_crossings_bruteforce`'s predicate, whose box
-    test those two filters already pass.
+    :func:`_crossing_blocks` decides each with the orientations and sign
+    test of the brute-force predicate, counted on ranks.
     """
-    P, Q, E = _segment_arrays(d)
-    return sum(int(I.size) for I, _J in _crossing_blocks(P, Q, E))
+    P, Q, _ = _segment_arrays(d)
+    return sum(int(np.count_nonzero(hit)) for _I, _J, hit in _crossing_blocks(P, Q)[1])
 
 
 def _pair_keys(blocks, base: int):
@@ -299,7 +295,7 @@ def _ordered_pairs(blocks, base: int):
     return list(zip(I.tolist(), J.tolist()))
 
 
-def _crossing_arrays(P, Q, nodes):
+def _crossing_arrays(P, Q):
     """Crossing pairs as i < j index arrays in lexicographic order, and
     their (k, 2) crossing points, each computed along segment i.
 
@@ -308,7 +304,9 @@ def _crossing_arrays(P, Q, nodes):
     whole-array call): beside I, J and the points, only the sorted pair
     keys while they are decoded, and one block's gathered endpoints, live.
     """
-    I, J = _unpack([_pair_keys(_crossing_blocks(P, Q, nodes), len(P))], len(P), 2)
+    order, blocks = _crossing_blocks(P, Q)
+    I, J = _unpack([_pair_keys(((order[I[hit]], order[J[hit]]) for I, J, hit in blocks), len(P))],
+                   len(P), 2)
     pts = np.empty((I.size, 2))
     for a in range(0, I.size, _BLOCK_PAIRS):
         i, j = I[a:a + _BLOCK_PAIRS], J[a:a + _BLOCK_PAIRS]
@@ -349,8 +347,8 @@ def crossing_pairs(d: BoldDrawing):
     (edge_i, edge_j, (x, y)) and overlaps a list of (edge_i, edge_j), both
     with i < j in lexicographic order.
     """
-    P, Q, E = _segment_arrays(d)
-    I, J, pts = _crossing_arrays(P, Q, E)
+    P, Q, _ = _segment_arrays(d)
+    I, J, pts = _crossing_arrays(P, Q)
     crossings = list(zip(I.tolist(), J.tolist(), map(tuple, pts.tolist())))
     return crossings, _collinear_overlap_pairs(P, Q)
 
@@ -587,13 +585,13 @@ def check_proper(d: BoldDrawing) -> PropernessReport:
     at a time; :func:`_concurrent_points` keeps only each block's first
     pair of each edge set.  All outputs are sorted.
     """
-    P, Q, E = _segment_arrays(d)
+    P, Q, _ = _segment_arrays(d)
     r, w = d.params.radius, d.params.width
     pos = d.layout.positions
     disks = _disk_overlap_pairs(pos, r) if r > 0 and len(pos) >= 2 else []
     overlaps = _collinear_overlap_pairs(P, Q)
     # The crossings last: no other stage runs beside them and the report.
-    I, J, pts = _crossing_arrays(P, Q, E)
+    I, J, pts = _crossing_arrays(P, Q)
     none = np.empty((0, 2)), np.empty((0, 4), np.int64)
     points, edges = _concurrent_points(I, J, pts, w, len(P)) if w > 0 and I.size >= 2 else none
     verdict = not (disks or len(points) or overlaps)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Segment, _crossing_blocks, _pair_keys
+from .geometry import Segment, _adjacent_mask, _crossing_blocks, _pair_keys
 from .model import BoldDrawing, Layout, RenderParams, _positive
 
 
@@ -50,8 +50,8 @@ class StubSet:
     Each original edge contributes two symmetric stubs (one full segment
     when ratio == 1, so midpoint crossings are not lost); stub k runs from
     P[k] to Q[k].  parent_edge maps each stub back to its edge index;
-    parent_nodes carries the edges' node pairs for adjacency exclusion
-    when counting crossings.
+    parent_nodes holds the edges' node pairs: stubs of the same or
+    adjacent edges never count as crossing.
     """
 
     P: np.ndarray
@@ -90,17 +90,19 @@ def partial_edges(d: BoldDrawing, p: float) -> StubSet:
 
 
 def measure_stub_crossings(stubs: StubSet) -> int:
-    """Crossings of a partial-edge drawing: parent-edge pairs whose stubs
-    cross transversally.
+    """Crossings of a partial-edge drawing: pairs of distinct, non-adjacent
+    parent edges with a transversally crossing stub pair, each pair once.
+    Stub tips are computed, so unlike edges, stubs of the same or adjacent
+    edges can cross off a shared node: their parent pairs are tested."""
+    order, blocks = _crossing_blocks(stubs.P, stubs.Q)
+    par, nodes = stubs.parent_edge[order], stubs.parent_nodes
 
-    Stubs run through the x-interval engine of the sweep counter, with
-    each stub carrying its parent edge's node pair, so stubs of the same
-    edge or of adjacent edges are skipped.  A pair of parent edges counts
-    at most once however their stubs meet: crossing stub pairs become
-    sorted parent-pair keys, and the distinct keys count.
-    """
-    par = stubs.parent_edge
-    blocks = _crossing_blocks(stubs.P, stubs.Q, stubs.parent_nodes[par])
+    def pairs():
+        for I, J, hit in blocks:
+            I, J = par[I[hit]], par[J[hit]]
+            keep = ~_adjacent_mask(nodes, I, J)
+            yield I[keep], J[keep]
+
     # A sorted run count: np.unique hashes int64 keys, many times slower.
-    keys = _pair_keys(((par[I], par[J]) for I, J in blocks), len(stubs.parent_nodes))
+    keys = _pair_keys(pairs(), len(nodes))
     return int(keys.size > 0) + int(np.count_nonzero(keys[1:] != keys[:-1]))

@@ -258,14 +258,15 @@ def test_pair_index_blocks_walk_the_upper_triangle_in_order(m):
 # ---------------------------------------------------------------- crossing kernel
 # _crossing_blocks must yield exactly the pairs that the full predicate
 # (box test included) and the adjacency test pass over all pairs, at any
-# block size.
+# block size, although it has no adjacency test of its own.
 
 
-def kernel_pairs(P, Q, nodes, block_pairs=25_000):
+def kernel_pairs(P, Q, block_pairs=25_000):
+    order, blocks = _crossing_blocks(P, Q, block_pairs)
     got = [
         (min(i, j), max(i, j))
-        for I, J in _crossing_blocks(P, Q, nodes, block_pairs)
-        for i, j in zip(I.tolist(), J.tolist())
+        for I, J, hit in blocks
+        for i, j in zip(order[I[hit]].tolist(), order[J[hit]].tolist())
     ]
     assert len(got) == len(set(got))
     return set(got)
@@ -284,7 +285,7 @@ def assert_kernel_matches_oracle(d):
     P, Q, E = _segment_arrays(d)
     want = oracle_pairs(P, Q, E)
     for block_pairs in (1, 7, 25_000):
-        assert kernel_pairs(P, Q, E, block_pairs) == want
+        assert kernel_pairs(P, Q, block_pairs) == want
     return want
 
 
@@ -384,6 +385,44 @@ def test_crossing_kernel_equals_oracle_property(pts, k, shift, data):
     edges = [(a, b) for a, b in data.draw(st.lists(pairs, max_size=24)) if a != b]
     pos = np.asarray(pts, dtype=np.float64) * 2.0**k + shift
     assert_kernel_matches_oracle(bold(pos, edges))
+
+
+@st.composite
+def shared_endpoint_drawings(draw):
+    """Stars, fans and lattices: most edge pairs share a node, and so an
+    endpoint.  Lattice points keep every orientation exact; other floats
+    round, so only the exact zero at a shared endpoint rules a pair out."""
+    kind = draw(st.sampled_from(["star", "fan", "lattice"]))
+    coord = st.one_of(st.integers(min_value=-4, max_value=4), st.floats(-4.0, 4.0))
+    if kind == "lattice":
+        w, h = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+        n = w * h
+        edges = [(v, v + 1) for v in range(n) if v % w < w - 1]
+        edges += [(v, v + w) for v in range(n - w)]
+        # both diagonals of each cell: they cross, and touch its sides
+        edges += [e for v in range(n - w) if v % w < w - 1 for e in ((v, v + w + 1), (v + 1, v + w))]
+        grid = [(v % w, v // w) for v in range(n)]
+        pts = grid if draw(st.booleans()) else draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+    else:
+        pts = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=12))
+        n = len(pts)
+        # the hub's id sets whether edges share their p or their q
+        hub = draw(st.integers(0, n - 1))
+        rim = [v for v in range(n) if v != hub]
+        edges = [(hub, v) for v in rim]
+        if kind == "fan":
+            edges += list(zip(rim, rim[1:]))
+    k = draw(st.integers(min_value=-40, max_value=40))
+    shift = draw(st.sampled_from([0.0, 1e6]))
+    return bold(np.asarray(pts, dtype=np.float64) * 2.0**k + shift, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_endpoint_drawings())
+def test_crossing_kernel_without_adjacency_test_equals_oracle(d):
+    # The oracle masks adjacent pairs; the kernel never looks at nodes,
+    # because a shared endpoint makes one orientation exactly 0.
+    assert_kernel_matches_oracle(d)
 
 
 small = st.integers(min_value=0, max_value=5)
@@ -671,8 +710,8 @@ def test_concurrent_scan_is_independent_of_block_size():
     rng = np.random.default_rng(13)
     for _ in range(20):
         d = random_bold_drawing(rng, span=10.0, width=1.0)
-        P, Q, E = _segment_arrays(d)
-        I, J, pts = _crossing_arrays(P, Q, E)
+        P, Q, _E = _segment_arrays(d)
+        I, J, pts = _crossing_arrays(P, Q)
         if I.size < 2:
             continue
         full = _concurrent_points(I, J, pts, 1.0, P.shape[0])
@@ -880,8 +919,8 @@ def test_concurrent_points_peak_memory_is_bounded_by_the_report():
     cells = np.random.default_rng(1).choice(side * side, size=n, replace=False)
     pos = np.column_stack([cells % side, cells // side]).astype(np.float64)
     d = inka.BoldDrawing(g, inka.Layout(pos), inka.RenderParams(0.25, 0.1))
-    P, Q, E = _segment_arrays(d)
-    I, J, pts = _crossing_arrays(P, Q, E)
+    P, Q, _E = _segment_arrays(d)
+    I, J, pts = _crossing_arrays(P, Q)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -900,11 +939,11 @@ def test_crossing_arrays_peak_memory_is_bounded_by_its_output():
     g = inka.load_graph(Path(__file__).resolve().parents[1] / "data" / "graphs" / "ba800.edges")
     n = g.node_count
     pos = np.random.default_rng(3).uniform(0.0, np.sqrt(n) * 30.0, size=(n, 2))
-    P, Q, E = _segment_arrays(inka.BoldDrawing(g, inka.Layout(pos), inka.RenderParams(5.0, 1.0)))
+    P, Q, _E = _segment_arrays(inka.BoldDrawing(g, inka.Layout(pos), inka.RenderParams(5.0, 1.0)))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        I, J, pts = _crossing_arrays(P, Q, E)
+        I, J, pts = _crossing_arrays(P, Q)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -919,8 +958,8 @@ def test_crossing_points_per_block_equal_one_whole_array_call(monkeypatch, block
     rng = np.random.default_rng(17)
     blocks = 0
     for _ in range(30):
-        P, Q, E = _segment_arrays(random_bold_drawing(rng))
-        I, J, pts = _crossing_arrays(P, Q, E)
+        P, Q, _E = _segment_arrays(random_bold_drawing(rng))
+        I, J, pts = _crossing_arrays(P, Q)
         whole = crossing_points_of(P[I], Q[I], P[J], Q[J])
         assert pts.shape == whole.shape and pts.tobytes() == whole.tobytes()
         blocks += I.size > block_pairs

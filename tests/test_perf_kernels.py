@@ -1,7 +1,7 @@
 """Microbenchmarks of graph loading, component labelling, the
-spring-layout kernels, the crossing sweep, the ordered crossing list,
-check_proper, its close-pair scan and the raster, on mesh24 and on one small drawing at 64 rows
-(pytest-benchmark).
+spring-layout kernels, the crossing sweep, the stub crossing count, the
+ordered crossing list, check_proper, its close-pair scan and the raster,
+on mesh24 and on one small drawing at 64 rows (pytest-benchmark).
 
 They carry the ``perf`` marker, which the default options deselect, so
 the ordinary suite never runs them.  Run them with
@@ -24,6 +24,8 @@ from inka import (
     check_proper,
     count_crossings_sweep,
     load_graph,
+    measure_stub_crossings,
+    partial_edges,
     rasterize_ink,
 )
 from inka.geometry import _BLOCK_PAIRS, _close_crossing_pairs, _crossing_arrays, _segment_arrays
@@ -92,14 +94,24 @@ def test_count_crossings_sweep_uniform_ba800(benchmark):
     assert benchmark(count_crossings_sweep, d) > 0
 
 
+def test_measure_stub_crossings_uniform_mesh24(benchmark):
+    # half stubs in the random layout's box: the kernel's crossing stub
+    # pairs become parent pairs, the same- and adjacent-parent rule drops
+    # some, and the distinct parent pairs count
+    g = load_graph(MESH24)
+    d = BoldDrawing(g, Layout(random_positions(g.node_count, seed=3)), RenderParams(5.0, 1.0))
+    stubs = partial_edges(d, 0.5)
+    assert benchmark(measure_stub_crossings, stubs) > 0
+
+
 def test_crossing_arrays_uniform_ba800(benchmark):
     # the sweep's drawing: about 0.63 M crossing pairs, each block coded as
     # int64 pair keys, sorted once and decoded, then the crossing points
     g = load_graph(GRAPHS / "ba800.edges")
     d = BoldDrawing(g, Layout(random_positions(g.node_count, seed=3)), RenderParams(5.0, 1.0))
-    P, Q, E = _segment_arrays(d)
-    benchmark.extra_info["tracemalloc_peak_mb"] = traced_peak_mb(_crossing_arrays, P, Q, E)
-    I, J, pts = benchmark(_crossing_arrays, P, Q, E)
+    P, Q, _E = _segment_arrays(d)
+    benchmark.extra_info["tracemalloc_peak_mb"] = traced_peak_mb(_crossing_arrays, P, Q)
+    I, J, pts = benchmark(_crossing_arrays, P, Q)
     benchmark.extra_info["returned_mb"] = (I.nbytes + J.nbytes + pts.nbytes) / 1e6
     assert I.size == J.size == len(pts) > 0 and (I < J).all()
 
@@ -127,8 +139,8 @@ def test_close_crossing_pairs_circle_mesh24(benchmark):
     n = g.node_count
     theta = np.random.default_rng(1).uniform(0.0, 2.0 * np.pi, size=n)
     pos = n * 30.0 / (2.0 * np.pi) * np.column_stack([np.cos(theta), np.sin(theta)])
-    P, Q, E = _segment_arrays(BoldDrawing(g, Layout(pos), RenderParams(5.0, 1.0)))
-    _I, _J, pts = _crossing_arrays(P, Q, E)
+    P, Q, _E = _segment_arrays(BoldDrawing(g, Layout(pos), RenderParams(5.0, 1.0)))
+    _I, _J, pts = _crossing_arrays(P, Q)
     X, Y = pts[:, 0].copy(), pts[:, 1].copy()
     # the scan yields its blocks lazily: list them inside the timed call
     blocks = benchmark(lambda: list(_close_crossing_pairs(X, Y, 1.0, _BLOCK_PAIRS)))

@@ -164,6 +164,29 @@ def _stub_crossings_pairwise(stubs):
     return len(found)
 
 
+def test_stub_crossings_skip_same_and_adjacent_parents_off_a_shared_node():
+    # Stub tips are computed points.  Two nearly collinear adjacent edges
+    # at 1e6 leave some stub pairs of theirs crossing by the predicate,
+    # although the edges meet only at their shared node, and at
+    # p = 1 - 2^-40 the two stubs of one edge end 2^-40 of it apart.  The
+    # count skips both, as the pairwise definition does.
+    rng = np.random.default_rng(33)
+    fired = 0
+    for _ in range(200):
+        a = rng.uniform(-10.0, 10.0, 2)
+        b = a + rng.uniform(-10.0, 10.0, 2)
+        c = a + rng.uniform(0.1, 0.9) * (b - a) + rng.normal(size=2) * 1e-9
+        d = bold(np.array([a, b, c]) + 1e6, [(0, 1), (1, 2)])
+        for p in (0.9, 0.99, 1 - 2.0**-40):
+            stubs = partial_edges(d, p)
+            assert measure_stub_crossings(stubs) == _stub_crossings_pairwise(stubs) == 0
+            I, J = np.triu_indices(len(stubs.P), 1)
+            apart = stubs.parent_edge[I] != stubs.parent_edge[J]
+            I, J = I[apart], J[apart]
+            fired += bool(transversal_crossing_mask(stubs.P[I], stubs.Q[I], stubs.P[J], stubs.Q[J]).any())
+    assert fired > 0
+
+
 def test_stub_crossings_match_pairwise_oracle():
     rng = np.random.default_rng(31)
     for _ in range(25):
