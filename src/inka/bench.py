@@ -174,16 +174,20 @@ def _bench_config(text: str, base: Path) -> BenchConfig:
 
 
 def worker_count(requested: int | None, jobs: int) -> int:
-    """Effective thread count: the request (or auto), capped by
-    INKA_THREADS when that is set to a positive value."""
-    auto = os.cpu_count() or 1
-    count = requested if requested and requested > 0 else auto
+    """Effective thread count: the request (None or 0 = auto), capped by
+    INKA_THREADS when that is set to a positive value (0 = no cap).  A
+    negative request or cap is an InkaError."""
+    if requested is not None and requested < 0:
+        raise InkaError(f"thread count must be >= 0 (0 = auto), got {requested}")
+    count = requested or os.cpu_count() or 1
     env = os.environ.get("INKA_THREADS", "").strip()
     if env:
         try:
             cap = int(env)
         except ValueError:
             raise InkaError(f"INKA_THREADS must be an integer, got {env!r}") from None
+        if cap < 0:
+            raise InkaError(f"INKA_THREADS must be >= 0 (0 = no cap), got {env!r}")
         if cap > 0:
             count = min(count, cap)
     return max(1, min(count, jobs))

@@ -11,8 +11,11 @@ The spring embedder computes repulsion exactly at every size, as a
 symmetric (n, n) force matrix times an (n, 3) block; each pair is built
 once, in strips of at most 2^15 entries (one strip up to 181 nodes) that
 stay in cache and keep every product on one BLAS thread, so a layout
-depends only on its seed.  Disconnected graphs are laid out one component
-at a time and packed on a padded grid.
+depends only on its seed.  Attraction gathers the coordinate columns at
+contiguous endpoint columns.  Coarsening matches nodes in id order, each
+to its first unmatched neighbour by (-weight, id) from one lexsort.
+Disconnected graphs are laid out one component at a time and packed on a
+padded grid.
 """
 
 from __future__ import annotations
@@ -206,20 +209,26 @@ def _spring_iterate(
     n = len(pos)
     t = t0
     buffers = _repulsion_buffers(n)
+    a, b = edges.T.copy()
+    x, y = pos.T  # views: pos is only ever updated in place
     for it in range(iterations):
         disp = _repulsion_exact(pos, node_weight, k, _buffers=buffers)
-        if len(edges):
-            delta = pos[edges[:, 0]] - pos[edges[:, 1]]
-            d = np.hypot(delta[:, 0], delta[:, 1])
+        if len(a):
+            dx, dy = x[a] - x[b], y[a] - y[b]
+            d = np.hypot(dx, dy)
             np.maximum(d, 1e-9, out=d)
-            pull = delta * (edge_weight * d / k)[:, None]
-            for axis in (0, 1):
-                disp[:, axis] += np.bincount(edges[:, 1], pull[:, axis], n)
-                disp[:, axis] -= np.bincount(edges[:, 0], pull[:, axis], n)
+            d *= edge_weight
+            d /= k
+            for axis, pull in enumerate((dx, dy)):
+                pull *= d
+                disp[:, axis] += np.bincount(b, pull, n)
+                disp[:, axis] -= np.bincount(a, pull, n)
         norm = np.hypot(disp[:, 0], disp[:, 1])
         np.maximum(norm, 1e-12, out=norm)
         step = np.minimum(norm, t)
-        pos += disp / norm[:, None] * step[:, None]
+        disp /= norm[:, None]
+        disp *= step[:, None]
+        pos += disp
         if not np.isfinite(pos).all():
             raise LayoutError(f"force blowup at iteration {it}")
         t *= cooling
@@ -274,24 +283,23 @@ def layout_force_directed(g: Graph, config: LayoutConfig) -> Layout:
 
 def _coarsen(n, edges, edge_weight, node_weight):
     """One heavy-edge matching pass.  Returns the coarse graph
-    (n2, edges2, edge_weight2, node_weight2) and the fine-to-coarse map."""
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for (a, b), w in zip(edges, edge_weight):
-        adj[a].append((int(b), float(w)))
-        adj[b].append((int(a), float(w)))
-    mate = np.full(n, -1, dtype=np.int64)
+    (n2, edges2, edge_weight2, node_weight2) and the fine-to-coarse map.
+
+    Nodes are visited in id order; an unmatched node takes its first
+    unmatched neighbour in (-weight, id) order, the heaviest edge with
+    ties to the lowest id, or itself if it has none."""
+    src, nbr = np.concatenate([edges, edges[:, ::-1]]).T
+    order = np.lexsort((nbr, -np.concatenate([edge_weight, edge_weight]), src))
+    nbrs = nbr[order].tolist()
+    starts = np.searchsorted(src[order], np.arange(n + 1)).tolist()
+    mate = [-1] * n
     for v in range(n):
-        if mate[v] >= 0:
-            continue
-        best, best_w = -1, -1.0
-        for u, w in adj[v]:
-            if mate[u] < 0 and u != v and (w > best_w or (w == best_w and u < best)):
-                best, best_w = u, w
-        if best >= 0:
-            mate[v] = best
-            mate[best] = v
-        else:
+        if mate[v] < 0:
             mate[v] = v
+            for u in nbrs[starts[v] : starts[v + 1]]:
+                if mate[u] < 0:
+                    mate[v], mate[u] = u, v
+                    break
     # Coarse ids number the matched pairs by their smaller fine index.
     leaders, cid = np.unique(np.minimum(np.arange(n), mate), return_inverse=True)
     nxt = len(leaders)

@@ -115,6 +115,16 @@ def test_worker_count_rejects_non_integer_env(monkeypatch):
         worker_count(2, jobs=4)
 
 
+def test_worker_count_rejects_negative_counts(monkeypatch):
+    monkeypatch.delenv("INKA_THREADS", raising=False)
+    assert worker_count(0, jobs=100) == worker_count(None, jobs=100)  # 0 = auto
+    with pytest.raises(InkaError, match="thread count.*got -2"):
+        worker_count(-2, jobs=4)
+    monkeypatch.setenv("INKA_THREADS", " -2 ")
+    with pytest.raises(InkaError, match="INKA_THREADS.*'-2'"):
+        worker_count(2, jobs=4)
+
+
 def test_load_bench_config_resolves_paths(tmp_path):
     g = build_graph(3, [(0, 1), (1, 2)])
     (tmp_path / "sub").mkdir()

@@ -427,6 +427,31 @@ def test_bench_command(tmp_path, capsys):
     assert summary["base_least_ink"]["violations"] == []
 
 
+@pytest.mark.parametrize(
+    "flag, env, message",
+    [
+        (["--threads", "-2"], None, "error: thread count must be >= 0 (0 = auto), got -2\n"),
+        ([], "-2", "error: INKA_THREADS must be >= 0 (0 = no cap), got '-2'\n"),
+    ],
+)
+def test_bench_rejects_negative_thread_counts(tmp_path, capsys, monkeypatch, flag, env, message):
+    (tmp_path / "ring.edges").write_text("0 1\n1 2\n2 0\n")
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({
+        "graphs": [{"name": "ring", "path": "ring.edges"}],
+        "layouts": [{"algorithm": "circular"}],
+    }))
+    if env is None:
+        monkeypatch.delenv("INKA_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("INKA_THREADS", env)
+    code = run(["bench", "--config", str(cfg), "--out", str(tmp_path / "r.csv"), *flag])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == message  # one error line, no traceback
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_bench_abort_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bench.json"
     cfg.write_text(json.dumps({

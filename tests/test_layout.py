@@ -25,6 +25,7 @@ from inka import (
     layout_random,
     load_graph,
 )
+from inka.errors import LayoutError
 from inka.layout import (
     _GOLDEN,
     _coarsen,
@@ -32,7 +33,9 @@ from inka.layout import (
     _interpolate,
     _repulsion_buffers,
     _repulsion_exact,
+    _spring_iterate,
 )
+from inka.model import _pack, _unpack
 
 GRAPHS = Path(__file__).resolve().parents[1] / "data" / "graphs"
 CAN_144 = GRAPHS / "can_144.mtx"
@@ -365,6 +368,72 @@ def test_component_labels_match_breadth_first_search(g):
     assert_labels_match_reference(g)
 
 
+def coarsen_loop(n, edges, edge_weight, node_weight):
+    """The heavy-edge matching as a loop over adjacency lists, the form
+    _coarsen had before its sorted greedy pass; kept as its reference."""
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for (a, b), w in zip(edges, edge_weight):
+        adj[a].append((int(b), float(w)))
+        adj[b].append((int(a), float(w)))
+    mate = np.full(n, -1, dtype=np.int64)
+    for v in range(n):
+        if mate[v] >= 0:
+            continue
+        best, best_w = -1, -1.0
+        for u, w in adj[v]:
+            if mate[u] < 0 and u != v and (w > best_w or (w == best_w and u < best)):
+                best, best_w = u, w
+        if best >= 0:
+            mate[v] = best
+            mate[best] = v
+        else:
+            mate[v] = v
+    # Coarse ids number the matched pairs by their smaller fine index.
+    leaders, cid = np.unique(np.minimum(np.arange(n), mate), return_inverse=True)
+    nxt = len(leaders)
+    node_weight2 = np.bincount(cid, node_weight, nxt)
+    ends = np.sort(cid[edges], axis=1)
+    cross = ends[:, 0] != ends[:, 1]
+    keys, inv = np.unique(_pack(ends[cross].T, nxt)[0], return_inverse=True)
+    edges2 = np.column_stack(_unpack([keys], nxt, 2))
+    edge_weight2 = np.bincount(inv, edge_weight[cross], len(keys))
+    return nxt, edges2, edge_weight2, node_weight2, cid
+
+
+def assert_coarsen_matches_loop(n, edges, edge_weight, node_weight):
+    got = _coarsen(n, edges, edge_weight, node_weight)
+    want = coarsen_loop(n, edges, edge_weight, node_weight)
+    assert got[0] == want[0]
+    for a, b in zip(got[1:], want[1:]):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", ["can_144.mtx", "mesh24.graph", "ba800.edges", "yeastppi.edges"])
+@pytest.mark.parametrize("weights", ["unit", "tied"])
+def test_coarsen_matches_loop_on_fixtures(name, weights):
+    g = load_graph(GRAPHS / name)
+    n, E = g.node_count, g.edges
+    rng = np.random.default_rng(3)
+    if weights == "unit":
+        ew, nw = np.ones(len(E)), np.ones(n)
+    else:  # integer weights in {1, 2, 3}: many ties to break by id
+        ew, nw = rng.integers(1, 4, len(E)).astype(float), rng.integers(1, 4, n).astype(float)
+    assert_coarsen_matches_loop(n, E, ew, nw)
+
+
+@settings(max_examples=200, deadline=None)
+@given(component_graphs(), st.data())
+def test_coarsen_matches_loop_on_random_graphs(g, data):
+    # isolated nodes, edgeless graphs and unit or tied integer weights
+    top = data.draw(st.sampled_from([1, 3]))
+    ew = data.draw(st.lists(st.integers(1, top), min_size=g.m, max_size=g.m))
+    nw = data.draw(st.lists(st.integers(1, 3), min_size=g.node_count, max_size=g.node_count))
+    assert_coarsen_matches_loop(
+        g.node_count, g.edges, np.array(ew, dtype=float), np.array(nw, dtype=float)
+    )
+
+
 def test_component_labels_on_fixtures_and_edge_cases():
     for name in ("can_144.mtx", "mesh24.graph", "ba800.edges", "yeastppi.edges"):
         assert_labels_match_reference(load_graph(GRAPHS / name))
@@ -447,6 +516,58 @@ def test_force_directed_components_do_not_overlap():
     separated_x = box_a[1][0] < box_b[0][0] or box_b[1][0] < box_a[0][0]
     separated_y = box_a[1][1] < box_b[0][1] or box_b[1][1] < box_a[0][1]
     assert separated_x or separated_y
+
+
+def spring_iterate_rows(pos, edges, edge_weight, node_weight, k, iterations, t0, cooling):
+    """The spring loop as it was before attraction gathered coordinate
+    columns: (m, 2) row gathers and a fresh pos update each step; kept as
+    the reference for _spring_iterate."""
+    pos = pos.copy()
+    n = len(pos)
+    t = t0
+    buffers = _repulsion_buffers(n)
+    for it in range(iterations):
+        disp = _repulsion_exact(pos, node_weight, k, _buffers=buffers)
+        if len(edges):
+            delta = pos[edges[:, 0]] - pos[edges[:, 1]]
+            d = np.hypot(delta[:, 0], delta[:, 1])
+            np.maximum(d, 1e-9, out=d)
+            pull = delta * (edge_weight * d / k)[:, None]
+            for axis in (0, 1):
+                disp[:, axis] += np.bincount(edges[:, 1], pull[:, axis], n)
+                disp[:, axis] -= np.bincount(edges[:, 0], pull[:, axis], n)
+        norm = np.hypot(disp[:, 0], disp[:, 1])
+        np.maximum(norm, 1e-12, out=norm)
+        step = np.minimum(norm, t)
+        pos += disp / norm[:, None] * step[:, None]
+        if not np.isfinite(pos).all():
+            raise LayoutError(f"force blowup at iteration {it}")
+        t *= cooling
+    return pos
+
+
+@pytest.mark.parametrize("name", ["can_144.mtx", "mesh24.graph"])
+def test_spring_iterate_matches_rows_reference(name):
+    # weighted as a multilevel level: integer node weights passed as their
+    # square roots, integer edge weights, k grown with the mean node weight
+    g = load_graph(GRAPHS / name)
+    n, E = g.node_count, g.edges
+    rng = np.random.default_rng(9)
+    nw, ew = rng.integers(1, 5, n).astype(float), rng.integers(1, 4, len(E)).astype(float)
+    k = 30.0 * math.sqrt(nw.mean())
+    pos = rng.uniform(0.0, math.sqrt(n) * k, size=(n, 2))
+    args = (pos, E, ew, np.sqrt(nw), k, 30)
+    kw = dict(t0=0.1 * math.sqrt(n) * k, cooling=0.95)
+    got = _spring_iterate(*args, **kw)
+    assert got.tobytes() == spring_iterate_rows(*args, **kw).tobytes()
+    assert got.flags.c_contiguous and not np.shares_memory(got, pos)
+
+
+def test_spring_iterate_without_edges_matches_rows_reference():
+    pos = np.random.default_rng(4).uniform(0.0, 100.0, size=(7, 2))
+    args = (pos, np.empty((0, 2), dtype=np.int64), np.empty(0), np.ones(7), 30.0, 20)
+    got = _spring_iterate(*args, t0=10.0, cooling=0.9)
+    assert got.tobytes() == spring_iterate_rows(*args, t0=10.0, cooling=0.9).tobytes()
 
 
 @pytest.mark.parametrize("algorithm", ["force-directed", "multilevel"])

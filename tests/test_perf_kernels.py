@@ -1,7 +1,8 @@
 """Microbenchmarks of graph loading, component labelling, the
-spring-layout kernels, the crossing sweep, the stub crossing count, the
-ordered crossing list, check_proper, its close-pair scan and the raster,
-on mesh24 and on one small drawing at 64 rows (pytest-benchmark).
+spring-layout kernels, the multilevel matching, the crossing sweep, the
+stub crossing count, the ordered crossing list, check_proper, its
+close-pair scan and the raster, on mesh24 and on one small drawing at 64
+rows (pytest-benchmark).
 
 They carry the ``perf`` marker, which the default options deselect, so
 the ordinary suite never runs them.  Run them with
@@ -29,7 +30,7 @@ from inka import (
     rasterize_ink,
 )
 from inka.geometry import _BLOCK_PAIRS, _close_crossing_pairs, _crossing_arrays, _segment_arrays
-from inka.layout import _component_labels, _repulsion_exact, _spring_iterate
+from inka.layout import _coarsen, _component_labels, _repulsion_exact, _spring_iterate
 
 pytestmark = pytest.mark.perf
 
@@ -85,6 +86,27 @@ def test_spring_iterate_one_step_mesh24(benchmark):
         t0=0.1 * np.sqrt(n) * 30.0, cooling=0.95,
     )
     assert np.isfinite(out).all()
+
+
+def test_spring_iterate_100_steps_can_144(benchmark):
+    # n = 144 is one repulsion strip, so the fixed cost of a step around
+    # repulsion (attraction gathers, bincounts, the step) weighs most here
+    g = load_graph(GRAPHS / "can_144.mtx")
+    n, edges = g.node_count, g.edges
+    pos = random_positions(n)
+    out = benchmark(
+        _spring_iterate, pos, edges, np.ones(len(edges)), np.ones(n), 30.0, 100,
+        t0=0.1 * np.sqrt(n) * 30.0, cooling=0.95,
+    )
+    assert np.isfinite(out).all()
+
+
+def test_coarsen_yeastppi(benchmark):
+    # one heavy-edge matching pass over 2,361 nodes and 7,182 edges
+    g = load_graph(GRAPHS / "yeastppi.edges")
+    n, edges = g.node_count, g.edges
+    n2, *_ = benchmark(_coarsen, n, edges, np.ones(len(edges)), np.ones(n))
+    assert 0 < n2 < n
 
 
 def test_count_crossings_sweep_uniform_ba800(benchmark):
