@@ -31,7 +31,7 @@ from .ink import ink_report
 from .ink import check_area_constraint, ink_components
 from .layout import LayoutConfig, compute_layout
 from .model import BoldDrawing, RenderParams, _positive
-from .raster import RasterConfig, rasterize_ink
+from .raster import rasterize_ink
 
 DEFAULT_SETTINGS = ((1.0, 0.0), (1.0, 1.0), (2.0, 1.0), (20.0, 1.0), (20.0, 2.0))
 
@@ -53,7 +53,6 @@ class BenchConfig:
     gamma: float = 1.0
     area: float | None = None
     raster: bool = False
-    raster_config: RasterConfig = RasterConfig()
 
     def __post_init__(self):
         if not self.graphs:
@@ -205,9 +204,7 @@ def _graph_rows(bg: BenchGraph, config: BenchConfig) -> list[ReportRow]:
             d = BoldDrawing(g, layout, RenderParams(r, w, config.gamma))
             A = bounding_area(d, fixed=config.area)
             report = ink_report(g.node_count, g.m, r, w, L, cr, A, config.gamma)
-            raster_ink = (
-                rasterize_ink(d, config.raster_config) if config.raster else None
-            )
+            raster_ink = rasterize_ink(d) if config.raster else None
             rows.append(
                 ReportRow.of(bg.name, layout_name, d, L, cr, A, report, raster_ink)
             )

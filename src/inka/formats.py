@@ -348,6 +348,10 @@ def read_layout_csv(path, node_count: int | None = None) -> Layout:
     return _read(path, parse_layout_csv, node_count)
 
 
+# The Python type of each ReportRow field annotation that names a scalar.
+_ROW_SCALARS = {"int": int, "float": float, "float | None": float, "bool": bool}
+
+
 @dataclass(frozen=True)
 class ReportRow:
     """One analyzed (graph, layout, setting) cell of a report."""
@@ -369,6 +373,11 @@ class ReportRow:
     log10_ink: float | None = None
 
     def __post_init__(self):
+        # numpy scalars become Python ones, which the CSV and JSON writers know
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type in _ROW_SCALARS and v is not None:
+                object.__setattr__(self, f.name, _ROW_SCALARS[f.type](v))
         for name in ("r", "w", "gamma", "L", "A", "ink", "density"):
             v = getattr(self, name)
             if not math.isfinite(v):

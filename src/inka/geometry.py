@@ -4,11 +4,12 @@ Every pair, run and band enumeration, here and in :mod:`inka.raster`,
 runs on one block engine.  Run e is the index stretch first[e] ...
 first[e] + size[e] - 1; :func:`_expand` lists runs as (e, k) arrays and
 :func:`_spans` splits them, by their cumulative count, into blocks of
-consecutive runs with at most a limit of entries (a bigger run is a
-block of its own; blocks with no entry are skipped); :func:`_runs` is
-the two together.  Blocks come in run order, so no output depends on
-the limit.  A crossing block keeps about 110 bytes a pair alive, so
-_BLOCK_PAIRS holds it near 3 MB; larger blocks run slower.
+consecutive runs with at most _BLOCK_PAIRS entries, read at each call
+(a bigger run is a block of its own; blocks with no entry are skipped);
+:func:`_runs` is the two together.  Blocks come in run order, so no
+output depends on the block size.  A crossing block keeps about 110
+bytes a pair alive and a raster band about 140, so each stays near
+3 MB; larger blocks run slower.
 
 Crossings are counted two independent ways with the same orientation
 expressions and sign test, :func:`_splits`.  The brute-force oracle,
@@ -178,28 +179,28 @@ def _expand(first, size):
     return e, np.arange(e.size) + np.repeat(first - np.cumsum(size) + size, size)
 
 
-def _spans(end, limit: int):
+def _spans(end):
     """Yield the block ranges [a, b) of runs, end[i] the count through run i."""
     a = 0
     while a < end.size:
         before = int(end[a - 1]) if a else 0
-        b = max(a + 1, int(np.searchsorted(end, before + limit, "right")))
+        b = max(a + 1, int(np.searchsorted(end, before + _BLOCK_PAIRS, "right")))
         if end[b - 1] > before:
             yield a, b
         a = b
 
 
-def _runs(first, size, limit: int = _BLOCK_PAIRS):
+def _runs(first, size):
     """Yield the (e, k) arrays of the runs block by block."""
-    for a, b in _spans(np.cumsum(size), limit):
+    for a, b in _spans(np.cumsum(size)):
         e, k = _expand(first[a:b], size[a:b])
         e += a
         yield e, k
 
 
-def _pair_index_blocks(m: int, block_pairs: int = _BLOCK_PAIRS):
+def _pair_index_blocks(m: int):
     """Yield (I, J) index arrays covering every i < j pair once, in order."""
-    return _runs(np.arange(1, m + 1), np.arange(m - 1, -1, -1), block_pairs)
+    return _runs(np.arange(1, m + 1), np.arange(m - 1, -1, -1))
 
 
 def count_crossings_bruteforce(d: BoldDrawing) -> int:
@@ -217,24 +218,24 @@ def count_crossings_bruteforce(d: BoldDrawing) -> int:
     return total
 
 
-def _rank_blocks(lx, hx, block_pairs: int):
+def _rank_blocks(lx, hx):
     """Yield (I, J) int64 rank arrays, I < J, covering exactly once every
     pair of extents [lx, hx] that overlap (touching included), for lx
-    sorted ascending, in engine blocks of about block_pairs pairs."""
+    sorted ascending, in engine blocks."""
     ranks = np.arange(1, lx.size + 1)
-    return _runs(ranks, np.searchsorted(lx, hx, side="right") - ranks, block_pairs)
+    return _runs(ranks, np.searchsorted(lx, hx, side="right") - ranks)
 
 
-def _candidate_blocks(lx, hx, block_pairs: int = _BLOCK_PAIRS):
+def _candidate_blocks(lx, hx):
     """Yield (I, J) int64 index arrays covering, exactly once, every pair
     of intervals whose closed extents [lx, hx] overlap: the ranks of
     :func:`_rank_blocks` after a stable argsort by lx, mapped back."""
     order = np.argsort(lx, kind="stable")
-    for I, J in _rank_blocks(lx[order], hx[order], block_pairs):
+    for I, J in _rank_blocks(lx[order], hx[order]):
         yield order[I], order[J]
 
 
-def _crossing_blocks(P, Q, block_pairs: int = _BLOCK_PAIRS):
+def _crossing_blocks(P, Q):
     """(order, blocks): the stable argsort by left x, and per engine block
     the rank pairs I, J that pass all but the last test and its mask hit;
     the segments order[I[hit]], order[J[hit]] cross transversally.
@@ -252,7 +253,7 @@ def _crossing_blocks(P, Q, block_pairs: int = _BLOCK_PAIRS):
     ly, hy = np.minimum(py, qy), np.maximum(py, qy)
 
     def blocks():
-        for I, J in _rank_blocks(lx, hx, block_pairs):
+        for I, J in _rank_blocks(lx, hx):
             # With the engine's x overlap, this y overlap is the predicate's box test.
             k = np.flatnonzero((ly[I] <= hy[J]) & (ly[J] <= hy[I]))
             I, J = I[k], J[k]
@@ -477,8 +478,8 @@ def _cell_runs(X, Y, w: float):
     return by_cell[at], by_cell, first.T[c].ravel(), size.T[c].ravel()
 
 
-def _close_crossing_pairs(X, Y, w: float, block_pairs: int):
-    """Yield, one engine block of block_pairs at a time, index arrays
+def _close_crossing_pairs(X, Y, w: float):
+    """Yield, one engine block at a time, index arrays
     (A, B), A < B, of the crossings closer than w whose cells (floor(x/w),
     floor(y/w)) touch, in the order a cell scan meets them: cells by their
     lowest crossing index, then A, then B's cell by its place in the 3x3
@@ -487,7 +488,7 @@ def _close_crossing_pairs(X, Y, w: float, block_pairs: int):
     """
     seq, by_cell, run_start, run_size = _cell_runs(X, Y, w)
     xs, ys, xc, yc = X[seq], Y[seq], X[by_cell], Y[by_cell]
-    for e, k in _runs(run_start, run_size, block_pairs):
+    for e, k in _runs(run_start, run_size):
         e //= 3
         keep = np.flatnonzero(np.square(xs[e] - xc[k]) + np.square(ys[e] - yc[k]) < w * w)
         A, B = seq[e[keep]], by_cell[k[keep]]
@@ -520,7 +521,7 @@ def _first_of_each(codes):
     return np.minimum.reduceat(order, np.flatnonzero(new))
 
 
-def _concurrent_points(I, J, pts, w: float, m: int, block_pairs: int = _BLOCK_PAIRS):
+def _concurrent_points(I, J, pts, w: float, m: int):
     """The concurrent_points and concurrent_edges arrays of
     :class:`PropernessReport` for the crossings (I[k], J[k]) at pts[k],
     numbered in lexicographic order.
@@ -532,7 +533,7 @@ def _concurrent_points(I, J, pts, w: float, m: int, block_pairs: int = _BLOCK_PA
     :func:`_pack` codes and one pair code (A, B) in base N for N
     crossings, and after the last block one sort of the kept codes keeps
     the first of each set across blocks, as blocks come in scan order.
-    The kept codes are then decoded block_pairs rows at a time straight
+    The kept codes are then decoded _BLOCK_PAIRS rows at a time straight
     into the two report arrays: the pair codes into the midpoints, then,
     with the pair codes freed, the set codes into the edge ids.  So only
     one block of close pairs is held at a time, plus the pairs kept, at
@@ -541,7 +542,7 @@ def _concurrent_points(I, J, pts, w: float, m: int, block_pairs: int = _BLOCK_PA
     """
     X, Y = pts[:, 0], pts[:, 1]
     kept = []  # per block, rows: the edge-set codes, then the pair code
-    for A, B in _close_crossing_pairs(X, Y, w, block_pairs):
+    for A, B in _close_crossing_pairs(X, Y, w):
         # Distinct crossing pairs share at most one edge: shift out its
         # repeat.  As digits edge + 1 in base m + 1, a 3-edge set padded
         # with 0, the codes order the sets as Python orders their tuples.
@@ -556,7 +557,7 @@ def _concurrent_points(I, J, pts, w: float, m: int, block_pairs: int = _BLOCK_PA
         kept.append(np.vstack([c[pick] for c in codes] + [ab]))
     kept = np.concatenate(kept, axis=1)
     kept = kept[:, _first_of_each(kept[:-1])]
-    blocks = [slice(a, a + block_pairs) for a in range(0, kept.shape[1], block_pairs)]
+    blocks = [slice(a, a + _BLOCK_PAIRS) for a in range(0, kept.shape[1], _BLOCK_PAIRS)]
     points = np.empty((kept.shape[1], 2))
     for rows in blocks:
         A, B = _unpack([kept[-1, rows]], I.size, 2)

@@ -76,10 +76,20 @@ class LayoutConfig:
             raise ValueError("cooling must be in (0, 1)")
 
 
+def _finite_size(size: float, n: int, k: float) -> float:
+    """size, the side or radius that n nodes at ideal edge length k are
+    placed in, or LayoutError when it overflowed: no finite position can
+    be drawn in an infinite square or on an infinite circle."""
+    if not math.isfinite(size):
+        raise LayoutError(f"ideal edge length {k} is too large for {n} nodes")
+    return size
+
+
 def layout_random(g: Graph, seed: int, ideal_edge_length: float = 30.0) -> Layout:
     """Positions uniform in the square [0, sqrt(n) * ideal_edge_length]^2."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    side = math.sqrt(g.node_count) * ideal_edge_length
+    side = _finite_size(math.sqrt(g.node_count) * ideal_edge_length, g.node_count,
+                        ideal_edge_length)
     return Layout(rng.uniform(0.0, side, size=(g.node_count, 2)))
 
 
@@ -89,7 +99,7 @@ def layout_circular(g: Graph, ideal_edge_length: float = 30.0) -> Layout:
     n = g.node_count
     if n == 0:
         return Layout(np.empty((0, 2)))
-    radius = n * ideal_edge_length / (2.0 * math.pi)
+    radius = _finite_size(n * ideal_edge_length / (2.0 * math.pi), n, ideal_edge_length)
     angles = 2.0 * math.pi * np.arange(n) / n
     return Layout(np.column_stack([radius * np.cos(angles), radius * np.sin(angles)]))
 
@@ -124,18 +134,16 @@ def _pack_components(parts: list[np.ndarray], pad: float) -> list[np.ndarray]:
     ]
 
 
-def _repulsion_buffers(n: int, block_entries: int = _REPULSION_BLOCK_ENTRIES):
+def _repulsion_buffers(n: int):
     """Scratch for :func:`_repulsion_exact` on n nodes: two flat float
-    buffers of rows * n entries, rows = min(n, max(1, block_entries // n)),
-    the size of its first and largest strip."""
-    size = min(n, max(1, block_entries // n)) * n
+    buffers of rows * n entries, rows = min(n, max(1, E // n)) for
+    E = _REPULSION_BLOCK_ENTRIES, the size of its first and largest strip."""
+    size = min(n, max(1, _REPULSION_BLOCK_ENTRIES // n)) * n
     return np.empty(size), np.empty(size)
 
 
-def _repulsion_exact(
-    pos: np.ndarray, weight: np.ndarray, k: float,
-    block_entries: int = _REPULSION_BLOCK_ENTRIES, *, _buffers=None,
-) -> np.ndarray:
+def _repulsion_exact(pos: np.ndarray, weight: np.ndarray, k: float, *,
+                     _buffers=None) -> np.ndarray:
     """All-pairs repulsion sum_j f_ij (p_i - p_j) with f_ij = k^2 w_i w_j /
     max(d_ij^2, 1e-8), as w_i (c_i (G @ w)_i - (G @ (w c))_i) with
     G = k^2 / d^2 on centred positions c; d^2 comes from exact coordinate
@@ -145,7 +153,7 @@ def _repulsion_exact(
     pair not at all).
 
     G is symmetric, so each pair is built once, in strips of rows [lo, hi)
-    and columns [lo, n), rows = min(n, max(1, block_entries // n)).  A strip
+    and columns [lo, n), the rows of :func:`_repulsion_buffers`.  A strip
     adds its rows' sums over columns >= lo, and the part right of its
     leading square adds the transposed sums to the rows >= hi.  A strip
     stays in cache, and its products are small enough that BLAS runs them
@@ -159,7 +167,7 @@ def _repulsion_exact(
     rhs[:, 0] = weight
     np.multiply(weight[:, None], c, out=rhs[:, 1:])
     s = np.zeros((n, 3))
-    d2_flat, g_flat = _buffers or _repulsion_buffers(n, block_entries)
+    d2_flat, g_flat = _buffers or _repulsion_buffers(n)
     rows = len(d2_flat) // n
     kk = k * k
     close = []
@@ -241,6 +249,8 @@ def _layout_components(g: Graph, config: LayoutConfig, place) -> Layout:
     n = g.node_count
     if n == 0:
         return Layout(np.empty((0, 2)))
+    # no component's start square is larger than the whole graph's
+    _finite_size(math.sqrt(n) * config.ideal_edge_length, n, config.ideal_edge_length)
     label = _component_labels(n, g.edges)
     seeds = np.random.SeedSequence(config.seed).spawn(int(label.max()) + 1)
     edge_label = label[g.edges[:, 0]]

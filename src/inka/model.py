@@ -75,8 +75,9 @@ def _gamma(value: float) -> float:
 class Graph:
     """Simple undirected graph on nodes 0..node_count-1.
 
-    ``edges`` is a read-only (m, 2) int64 array of canonical rows: lo < hi,
-    distinct, ascending.  The constructor only converts and freezes it;
+    ``edges`` is a read-only (m, 2) int64 array of canonical rows: 0 <= lo
+    < hi < node_count, strictly ascending.  The constructor converts,
+    checks and freezes it, naming the first bad row in a GraphError;
     :func:`build_graph` builds a graph from raw input.
     """
 
@@ -86,6 +87,14 @@ class Graph:
 
     def __post_init__(self):
         edges = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        lo, hi = edges.T
+        bad = (lo < 0) | (lo >= hi) | (hi >= self.node_count)
+        # a row not above the one before it: lo falls, or lo ties and hi does not rise
+        bad[1:] |= (lo[1:] < lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] <= hi[:-1]))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise GraphError(f"edge row {i}: {tuple(edges[i].tolist())} is not canonical for "
+                             f"{self.node_count} nodes (0 <= lo < hi < n, strictly ascending)")
         edges.setflags(write=False)
         object.__setattr__(self, "edges", edges)
 

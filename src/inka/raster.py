@@ -21,10 +21,12 @@ their ends, +1 at each start and -1 at each end, ordered by (row, x):
 a gap between consecutive ends is inked where the running depth is
 above 0, and the depth is back to 0 at the end of every row.  Each
 row's inked length goes to its own entry of one array, summed once at
-the end.  The (shape, row) pairs are taken in bands of at most
-BAND_PAIRS pairs, the blocks of the engine in :mod:`inka.geometry` over
-the rows' pair counts, so memory stays bounded at any resolution; as
-every row lies in one band, no result depends on BAND_PAIRS.
+the end.  The (shape, row) pairs are taken in bands, the blocks of the
+engine in :mod:`inka.geometry` over the rows' pair counts, of at most
+its _BLOCK_PAIRS pairs unless one row holds more.  A band keeps about
+140 bytes a pair alive, disk or rectangle, so memory stays near 3.5 MB
+at any resolution; as every row lies in one band, no result depends on
+the band size.
 """
 
 from __future__ import annotations
@@ -40,10 +42,6 @@ from .errors import DegenerateDrawingError
 from .formats import _save
 from .geometry import _bounding_box, _edge_rects, _expand, _spans, bounding_box
 from .model import BoldDrawing
-
-# Most (shape, row) pairs in one band of rows.  A band keeps about 140
-# bytes a pair alive, disk or rectangle, so it peaks near 9 MB.
-BAND_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -125,7 +123,7 @@ def _bands(row_ranges, ny):
     per_row = np.zeros(ny + 1, dtype=np.int64)
     for r0, r1 in row_ranges:
         per_row += np.bincount(r0, minlength=ny + 1) - np.bincount(r1, minlength=ny + 1)
-    return _spans(np.cumsum(np.cumsum(per_row)[:ny]), BAND_PAIRS)
+    return _spans(np.cumsum(np.cumsum(per_row)[:ny]))
 
 
 def _pairs(rows, top, bottom):
@@ -187,7 +185,8 @@ def render_svg(d: BoldDrawing, path=None) -> str:
     caps, width w), one filled circle per node, drawn over the edges.
 
     Coordinates are emitted as-is, so the picture appears mirrored
-    vertically in SVG viewers (SVG's y axis points down).
+    vertically in SVG viewers (SVG's y axis points down).  A box whose
+    size overflows has no viewBox: DegenerateDrawingError.
     """
     box = bounding_box(d)
     if box is None:
@@ -197,6 +196,8 @@ def render_svg(d: BoldDrawing, path=None) -> str:
         xmin, ymin, xmax, ymax = box
         width = max(xmax - xmin, 1e-9)
         height = max(ymax - ymin, 1e-9)
+        if not (math.isfinite(width) and math.isfinite(height)):
+            raise DegenerateDrawingError(f"bounding box too large to draw: {box}")
     pos = d.layout.positions
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -1,9 +1,24 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from inka import BoldDrawing, Layout, RenderParams, build_graph
+
+
+def block_size(entries, constant="inka.geometry._BLOCK_PAIRS"):
+    """A context manager in which an engine's block size is entries.
+
+    Engines read their block size constant at each call, so patching it
+    is the one way to run them in other blocks; the default constant is
+    every pair, run and band engine's, and the repulsion strips read
+    "inka.layout._REPULSION_BLOCK_ENTRIES".  Lazy engine blocks must be
+    consumed inside the block.  Unlike the monkeypatch fixture, this also
+    works inside a Hypothesis test body.
+    """
+    return mock.patch(constant, entries)
 
 
 def bold(points, edges, r=1.0, w=0.1, gamma=1.0) -> BoldDrawing:

@@ -11,7 +11,6 @@ from inka import (
     InkaError,
     LayoutConfig,
     ParseError,
-    RasterConfig,
     build_graph,
     load_bench_config,
     run_bench,
@@ -90,7 +89,6 @@ def test_raster_column(tiny_setup):
         layouts=tiny_setup.layouts[:1],
         settings=((1.0, 0.5),),
         raster=True,
-        raster_config=RasterConfig(resolution=256, supersampling=1),
     )
     rows = run_bench(config)
     assert rows[0].raster_ink is not None

@@ -371,6 +371,32 @@ def test_render_svg_output(drawing_files, tmp_path, capsys):
     assert text.count("<line") == 2
 
 
+@pytest.mark.parametrize("command", ["render", "analyze", "raster", "transform"])
+def test_overflowing_bounding_box_is_an_error_line(drawing_files, tmp_path, capsys, command):
+    # r = 1e308 puts the box's sides at 2e308 = inf
+    graph, layout = drawing_files
+    dest = tmp_path / "pic.svg"
+    extra = ["--scale", "2"] if command == "transform" else []
+    code = run([command, "--graph", graph, "--layout", layout, "--radius", "1e308",
+                "--out", str(dest), *extra])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and not dest.exists()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("algorithm", ["random", "force-directed", "multilevel", "circular"])
+def test_layout_ideal_length_that_overflows_is_an_error_line(drawing_files, capsys, algorithm):
+    # sqrt(4) * 1e308 overflows the random start square, and n * 1e308 the circle
+    graph, _ = drawing_files
+    code = run(["layout", "--graph", graph, "--algorithm", algorithm,
+                "--ideal-length", "1e308", "--iterations", "5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: ideal edge length 1e+308 is too large for 4 nodes\n"
+
+
 def test_raster_gap_small_without_crossings(tmp_path, capsys):
     graph = tmp_path / "sides.edges"
     graph.write_text("0 1\n2 3\n")

@@ -305,6 +305,17 @@ def test_report_row_rejects_non_finite():
         sample_row(A=float("inf"))
 
 
+@pytest.mark.parametrize("format", ["csv", "json"])
+def test_report_row_of_numpy_scalars_emits_its_python_twin(format):
+    numpy_row = sample_row(n=np.int64(4), m=np.int32(2), r=np.float32(1.0),
+                           L=np.float64(3.5), cr=np.int64(1), feasible=np.bool_(True),
+                           raster_ink=np.float64(15.0), log10_ink=np.float64(1.175))
+    python_row = sample_row(L=3.5, raster_ink=15.0)
+    assert [type(getattr(numpy_row, c)) for c in REPORT_COLUMNS] == [
+        type(getattr(python_row, c)) for c in REPORT_COLUMNS]
+    assert emit_report([numpy_row], format) == emit_report([python_row], format)
+
+
 def test_emit_report_csv_and_json_agree():
     rows = [sample_row(), sample_row(graph_name="h", raster_ink=15.0, feasible=False)]
     csv_text = emit_report(rows, format="csv")

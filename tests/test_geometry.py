@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bold, random_bold_drawing
+from conftest import block_size, bold, random_bold_drawing
 import inka
 from inka import (
     bounding_area,
@@ -164,7 +164,7 @@ def test_counters_agree_on_random_drawings():
 
 def test_candidate_blocks_yield_each_x_overlapping_pair_once():
     # lattice endpoints bring tied x-extents, vertical segments and
-    # zero-width extents; block_pairs=1 gives one rank per block
+    # zero-width extents; a block size of 1 gives one rank per block
     rng = np.random.default_rng(5)
     for _ in range(40):
         m = int(rng.integers(0, 30))
@@ -177,11 +177,12 @@ def test_candidate_blocks_yield_each_x_overlapping_pair_once():
             if lx[i] <= hx[j] and lx[j] <= hx[i]
         }
         for block_pairs in (1, 3, 50):
-            got = [
-                (min(i, j), max(i, j))
-                for I, J in _candidate_blocks(lx, hx, block_pairs)
-                for i, j in zip(I.tolist(), J.tolist())
-            ]
+            with block_size(block_pairs):
+                got = [
+                    (min(i, j), max(i, j))
+                    for I, J in _candidate_blocks(lx, hx)
+                    for i, j in zip(I.tolist(), J.tolist())
+                ]
             assert len(got) == len(set(got))
             assert set(got) == expected
 
@@ -231,8 +232,9 @@ def test_block_engine_equals_python_expansion(limit):
         e, k = _expand(f, n)
         assert (e.tolist(), k.tolist()) == reference_expand(first, size)
         spans = reference_spans(size, limit)
-        assert list(_spans(np.cumsum(n), limit)) == spans
-        blocks = list(_runs(f, n, limit))
+        with block_size(limit):
+            assert list(_spans(np.cumsum(n))) == spans
+            blocks = list(_runs(f, n))
         assert len(blocks) == len(spans)
         for (e, k), (a, b) in zip(blocks, spans):
             assert e.size == k.size > 0
@@ -247,8 +249,9 @@ def test_block_engine_equals_python_expansion(limit):
 @pytest.mark.parametrize("m", [0, 1, 2, 37, 300])
 def test_pair_index_blocks_walk_the_upper_triangle_in_order(m):
     want = np.triu_indices(m, 1)
-    for blocks in (_pair_index_blocks(m), _pair_index_blocks(m, 7)):
-        blocks = list(blocks)
+    for block_pairs in (_BLOCK_PAIRS, 7):
+        with block_size(block_pairs):
+            blocks = list(_pair_index_blocks(m))
         I = np.concatenate([np.empty(0, np.int64), *(b[0] for b in blocks)])
         J = np.concatenate([np.empty(0, np.int64), *(b[1] for b in blocks)])
         assert I.tolist() == want[0].tolist()
@@ -261,13 +264,14 @@ def test_pair_index_blocks_walk_the_upper_triangle_in_order(m):
 # block size, although it has no adjacency test of its own.
 
 
-def kernel_pairs(P, Q, block_pairs=25_000):
-    order, blocks = _crossing_blocks(P, Q, block_pairs)
-    got = [
-        (min(i, j), max(i, j))
-        for I, J, hit in blocks
-        for i, j in zip(order[I[hit]].tolist(), order[J[hit]].tolist())
-    ]
+def kernel_pairs(P, Q, block_pairs=_BLOCK_PAIRS):
+    with block_size(block_pairs):
+        order, blocks = _crossing_blocks(P, Q)
+        got = [
+            (min(i, j), max(i, j))
+            for I, J, hit in blocks
+            for i, j in zip(order[I[hit]].tolist(), order[J[hit]].tolist())
+        ]
     assert len(got) == len(set(got))
     return set(got)
 
@@ -284,7 +288,7 @@ def oracle_pairs(P, Q, nodes):
 def assert_kernel_matches_oracle(d):
     P, Q, E = _segment_arrays(d)
     want = oracle_pairs(P, Q, E)
-    for block_pairs in (1, 7, 25_000):
+    for block_pairs in (1, 7, _BLOCK_PAIRS):
         assert kernel_pairs(P, Q, block_pairs) == want
     return want
 
@@ -716,11 +720,12 @@ def test_concurrent_scan_is_independent_of_block_size():
             continue
         full = _concurrent_points(I, J, pts, 1.0, P.shape[0])
         for block_pairs in (1, 7):
-            got = _concurrent_points(I, J, pts, 1.0, P.shape[0], block_pairs)
+            with block_size(block_pairs):
+                got = _concurrent_points(I, J, pts, 1.0, P.shape[0])
             assert all(np.array_equal(g, f) for g, f in zip(got, full, strict=True))
 
 
-def reference_close_crossing_pairs(X, Y, w, block_pairs):
+def reference_close_crossing_pairs(X, Y, w):
     # The nine-run scan that the three-run one replaced, kept verbatim: a
     # 9-slot neighbour table per cell on plain ranks of the floors, one
     # run per (A, neighbour cell), B > A tested before the distance.
@@ -752,7 +757,7 @@ def reference_close_crossing_pairs(X, Y, w, block_pairs):
     run_size = nb_size[cell[seq]].ravel()
     limit = w * w
     kept_a, kept_b = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    for e, k in _runs(run_start, run_size, block_pairs):
+    for e, k in _runs(run_start, run_size):
         A, B = seq[e // 9], by_cell[k]
         keep = B > A
         A, B = A[keep], B[keep]
@@ -799,9 +804,10 @@ def crossing_clouds(draw):
 @given(crossing_clouds())
 def test_close_pair_scan_equals_the_nine_run_scan(cloud):
     X, Y, w, block_pairs = cloud
-    blocks = list(_close_crossing_pairs(X, Y, w, block_pairs))
+    with block_size(block_pairs):
+        blocks = list(_close_crossing_pairs(X, Y, w))
+        want = reference_close_crossing_pairs(X, Y, w)
     got = [np.concatenate([b[i] for b in blocks]) for i in (0, 1)]
-    want = reference_close_crossing_pairs(X, Y, w, block_pairs)
     for g, f in zip(got, want, strict=True):
         assert g.dtype == f.dtype and np.array_equal(g, f)
 
@@ -953,13 +959,13 @@ def test_crossing_arrays_peak_memory_is_bounded_by_its_output():
 
 
 @pytest.mark.parametrize("block_pairs", [1, 7])
-def test_crossing_points_per_block_equal_one_whole_array_call(monkeypatch, block_pairs):
-    monkeypatch.setattr(inka.geometry, "_BLOCK_PAIRS", block_pairs)
+def test_crossing_points_per_block_equal_one_whole_array_call(block_pairs):
     rng = np.random.default_rng(17)
     blocks = 0
     for _ in range(30):
         P, Q, _E = _segment_arrays(random_bold_drawing(rng))
-        I, J, pts = _crossing_arrays(P, Q)
+        with block_size(block_pairs):
+            I, J, pts = _crossing_arrays(P, Q)
         whole = crossing_points_of(P[I], Q[I], P[J], Q[J])
         assert pts.shape == whole.shape and pts.tobytes() == whole.tobytes()
         blocks += I.size > block_pairs

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import block_size
 import inka.layout
 from inka import (
     BoldDrawing,
@@ -105,9 +106,13 @@ def repulsion_reference(pos, weight, k):
     return (diff * f[:, :, None]).sum(axis=1)
 
 
-def assert_matches_reference(pos, weight, k=30.0, **kw):
+# The constant that caps the entries of one repulsion strip, for block_size.
+STRIPS = "inka.layout._REPULSION_BLOCK_ENTRIES"
+
+
+def assert_matches_reference(pos, weight, k=30.0):
     ref = repulsion_reference(pos, weight, k)
-    got = _repulsion_exact(pos, weight, k, **kw)
+    got = _repulsion_exact(pos, weight, k)
     assert got.shape == pos.shape
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -130,7 +135,8 @@ def test_repulsion_exact_row_blocks(n, rows):
     pos = rng.uniform(0.0, math.sqrt(n) * 30.0, size=(n, 2))
     pos[n - 1] = pos[0]  # a coincident pair split across blocks
     weight = np.sqrt(rng.integers(1, 9, size=n))
-    assert_matches_reference(pos, weight, block_entries=(rows or n) * n)
+    with block_size((rows or n) * n, STRIPS):
+        assert_matches_reference(pos, weight)
 
 
 def test_repulsion_exact_coincident_nodes():
@@ -147,15 +153,16 @@ def test_repulsion_exact_reuses_buffers_bit_for_bit():
     # strip after the first fills only part of them, gives the bytes of
     # freshly built buffers
     n, rows = 600, 7
-    buffers = _repulsion_buffers(n, rows * n)
-    assert [(b.shape, b.dtype) for b in buffers] == [((rows * n,), np.float64)] * 2
-    rng = np.random.default_rng(9)
-    for _ in range(3):
-        pos = rng.uniform(0.0, math.sqrt(n) * 30.0, size=(n, 2))
-        pos[n - 1] = pos[0]
-        weight = np.sqrt(rng.integers(1, 9, size=n))
-        got = _repulsion_exact(pos, weight, 30.0, rows * n, _buffers=buffers)
-        assert np.array_equal(got, _repulsion_exact(pos, weight, 30.0, rows * n))
+    with block_size(rows * n, STRIPS):
+        buffers = _repulsion_buffers(n)
+        assert [(b.shape, b.dtype) for b in buffers] == [((rows * n,), np.float64)] * 2
+        rng = np.random.default_rng(9)
+        for _ in range(3):
+            pos = rng.uniform(0.0, math.sqrt(n) * 30.0, size=(n, 2))
+            pos[n - 1] = pos[0]
+            weight = np.sqrt(rng.integers(1, 9, size=n))
+            got = _repulsion_exact(pos, weight, 30.0, _buffers=buffers)
+            assert np.array_equal(got, _repulsion_exact(pos, weight, 30.0))
 
 
 @pytest.mark.parametrize(
@@ -189,7 +196,8 @@ def test_repulsion_exact_close_pairs_in_strips(pairs, gap):
     for a, b in pairs:
         pos[b] = pos[a] + (gap, 0.0)
     weight = np.sqrt(rng.integers(1, 9, size=n))
-    assert_matches_reference(pos, weight, block_entries=rows * n)
+    with block_size(rows * n, STRIPS):
+        assert_matches_reference(pos, weight)
     assert_matches_reference(pos, weight)  # default strips: 54 rows
 
 

@@ -134,6 +134,20 @@ def test_graph_constructor_copies_and_freezes():
     assert not g.edges.flags.writeable
 
 
+@pytest.mark.parametrize("rows, bad", [
+    ([(-1, 0)], 0),  # would wrap to node 2
+    ([(0, 1), (0, 5)], 1),  # past the last node
+    ([(0, 1), (2, 1)], 1),  # lo > hi
+    ([(0, 1), (1, 1)], 1),  # a self-loop
+    ([(0, 1), (0, 2), (0, 2)], 2),  # a repeat
+    ([(0, 2), (0, 1)], 1),  # hi falls under a tied lo
+    ([(1, 2), (0, 1), (-3, 9)], 1),  # lo falls; the first bad row is named
+])
+def test_graph_constructor_rejects_non_canonical_rows(rows, bad):
+    with pytest.raises(GraphError, match=rf"edge row {bad}: \({rows[bad][0]}, {rows[bad][1]}\)"):
+        Graph(3, rows)
+
+
 def test_build_graph_accepts_integral_floats_and_numpy_integers():
     g = build_graph(3, [(2.0, 0), (np.int32(1), np.int64(2)), (np.uint8(1), 0.0)])
     assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2]]

@@ -19,17 +19,19 @@ import pytest
 from inka import (
     BoldDrawing,
     Layout,
+    LayoutConfig,
     RasterConfig,
     RenderParams,
     build_graph,
     check_proper,
+    compute_layout,
     count_crossings_sweep,
     load_graph,
     measure_stub_crossings,
     partial_edges,
     rasterize_ink,
 )
-from inka.geometry import _BLOCK_PAIRS, _close_crossing_pairs, _crossing_arrays, _segment_arrays
+from inka.geometry import _close_crossing_pairs, _crossing_arrays, _segment_arrays
 from inka.layout import _coarsen, _component_labels, _repulsion_exact, _spring_iterate
 
 pytestmark = pytest.mark.perf
@@ -165,7 +167,7 @@ def test_close_crossing_pairs_circle_mesh24(benchmark):
     _I, _J, pts = _crossing_arrays(P, Q)
     X, Y = pts[:, 0].copy(), pts[:, 1].copy()
     # the scan yields its blocks lazily: list them inside the timed call
-    blocks = benchmark(lambda: list(_close_crossing_pairs(X, Y, 1.0, _BLOCK_PAIRS)))
+    blocks = benchmark(lambda: list(_close_crossing_pairs(X, Y, 1.0)))
     A, B = (np.concatenate(c) for c in zip(*blocks))
     assert A.size == B.size > 0 and (A < B).all()
 
@@ -174,6 +176,17 @@ def test_rasterize_ink_mesh24(benchmark):
     g = load_graph(MESH24)
     d = BoldDrawing(g, Layout(random_positions(g.node_count, seed=2)), RenderParams(5.0, 2.0))
     area = benchmark(rasterize_ink, d, RasterConfig(512, 1))
+    assert area > 0
+
+
+def test_rasterize_ink_mesh24_force_default_config(benchmark):
+    # the default 2,048 x 2 rows at r = w = 1 on the bench's force layout
+    # make 8 bands; the traced peak is about one band's, near 3.6 MB
+    g = load_graph(MESH24)
+    layout = compute_layout(g, LayoutConfig("force-directed", seed=1, iterations=300))
+    d = BoldDrawing(g, layout, RenderParams(1.0, 1.0))
+    benchmark.extra_info["tracemalloc_peak_mb"] = traced_peak_mb(rasterize_ink, d)
+    area = benchmark(rasterize_ink, d)
     assert area > 0
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bold, random_bold_drawing
+from conftest import block_size, bold, random_bold_drawing
 from inka import (
     BoldDrawing,
     DegenerateDrawingError,
@@ -294,7 +294,7 @@ def test_scanline_equals_reference_on_lattice_drawings():
 
 
 @pytest.mark.parametrize("band_pairs", [1, 7])
-def test_scanline_equals_reference_in_small_bands(band_pairs, monkeypatch):
+def test_scanline_equals_reference_in_small_bands(band_pairs):
     # many bands per drawing: a band that drops or repeats a row shows,
     # and as every row lies in one band the float is the default's
     rng = np.random.default_rng(30 + band_pairs)
@@ -305,9 +305,9 @@ def test_scanline_equals_reference_in_small_bands(band_pairs, monkeypatch):
     cases += [(bold(points, edges, r=r, w=w), RasterConfig(64, 2))
               for r, w in [(1.0, 0.5), (0.0, 1.0), (1.5, 0.0), (0.5, 3.0)]]
     default = [rasterize_ink(d, cfg) for d, cfg in cases]
-    monkeypatch.setattr("inka.raster.BAND_PAIRS", band_pairs)
     for (d, cfg), expected in zip(cases, default):
-        assert rasterize_ink(d, cfg) == expected
+        with block_size(band_pairs):
+            assert rasterize_ink(d, cfg) == expected
         assert_near_reference(d, cfg)
 
 
