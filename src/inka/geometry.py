@@ -30,16 +30,16 @@ ranks back to indices, as :func:`_candidate_blocks` does for
 disk overlaps on [x - r, x + r] and collinear overlaps on x-extents
 plus y-extents, since an overlap of positive length overlaps in x or
 in y.  :func:`check_proper` bins crossing points into cells of side w,
-scans three runs per crossing on gapped ranks, and returns, as arrays,
-each edge set that two close crossings span and the first pair's midpoint.
-The scan is a stream of engine blocks of close pairs: each block is cut
-to the first pair of each edge set in it before the next is made, so
-memory never grows with the number of close pairs.  At its peak it
-holds, per crossing, I, J and the point (32 bytes) and the scan's runs
-and coordinates (96 bytes), plus one block of close pairs and the codes
-kept so far (16 bytes a kept pair up to 55,107 edges, 24 above); after
-the scan, the report (48 bytes a row) and the kept codes, the pair code
-freed before the edge ids are decoded.
+scans two forward runs per crossing on gapped ranks, and returns, as
+arrays, each edge set that two close crossings span and the midpoint of
+its pair with the least scan key.  The scan is a stream of engine blocks
+of close pairs, each cut to each edge set's least key before the next is
+made, so memory never grows with the number of close pairs.  While it
+runs it holds, per crossing, I, J and the point (32 bytes) and the scan's
+order, runs and coordinates (80 bytes; about 130 while it is set up),
+plus one block of close pairs and the codes kept so far (16 bytes a kept
+pair up to 55,107 edges, 24 above); after the scan, the report (48 bytes
+a row) and the kept codes, the keys freed before the edge ids are decoded.
 
 Predicates are plain double precision with a fixed epsilon; a pair
 "crosses" when the open segments intersect transversally at an interior
@@ -75,8 +75,8 @@ class PropernessReport:
 
     disk_overlaps: node pairs whose disks intersect (center distance < 2r).
     concurrent_points: (k, 2) float64 array of approximate >=3-edge
-        coincidences, each two crossing points of distinct edge pairs
-        within one edge width, reported at their midpoint.
+        coincidences, each the midpoint of the pair with the least scan
+        key of two crossings of distinct edge pairs within one edge width.
     concurrent_edges: (k, 4) int64 array of each row's edge ids ascending,
         a 3-edge set padded with -1; rows sorted as the id tuples sort.
     collinear_overlaps: edge pairs overlapping along a positive-length
@@ -451,74 +451,89 @@ def _gapped_ranks(v):
     return rank + np.concatenate(([0], np.cumsum(np.diff(u) != 1)))[rank]
 
 
-def _cell_runs(X, Y, w: float):
-    """The scan of :func:`_close_crossing_pairs` as engine runs: crossing
-    indices in scan order and in cell order, and per scan position its
-    three runs of cell-order positions (run_start, run_size, 3 per A).
+def _close_crossing_pairs(X, Y, w: float):
+    """(seq, blocks): the N crossings in scan order (cells by their lowest
+    crossing index, then A), and per engine block the crossings (A, B),
+    A < B, closer than w whose cells (floor(x/w), floor(y/w)) touch, each
+    pair once, with its scan key (scan[A] * 9 + slot) * N + B: scan[A] is
+    A's place in seq and slot B's cell's place in A's 3x3 block (x offset
+    major).  The keys order the pairs as a scan of each cell's 3x3 block
+    meets them, whatever the order of blocks and runs; 9 N^2 fits int64
+    up to about 1.0e9 crossings.
 
-    Cells are keyed (gx, gy + 1) in base H = max(gy) + 3, on gapped ranks
-    (< 2N for N crossings, so keys fit int64 though gx may pass H): a
-    neighbour column's three cells are one key stretch, three runs for A.
+    Cells are keyed (gx, gy + 1) in base H = max(gy) + 3, on gapped ranks,
+    so a key step of 1 or H is one cell.  In key order each crossing scans
+    forward only, two runs of cell-order positions: the rest of its cell
+    and the cell above, then the next column's three cells.
     """
-    gx, gy = _gapped_ranks(np.floor(X / w)), _gapped_ranks(np.floor(Y / w))
+    N = X.size
+    gy = _gapped_ranks(np.floor(Y / w))
     H = int(gy.max()) + 3
-    key, = _pack((gx, gy + 1), H)
+    key, = _pack((_gapped_ranks(np.floor(X / w)), gy + 1), H)
     by_cell = np.argsort(key, kind="stable")
     key = key[by_cell]
     start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    # Each cell's runs in columns gx - 1, gx, gx + 1; rows of lo ascend, so searchsorted is fast.
-    lo = key[start] + np.array([[-H - 1], [-1], [H - 1]])
-    # int32 runs: cell-order positions are below N, which the keys hold below 2^31.
-    first = np.searchsorted(key, lo).astype(np.int32)
-    size = (np.searchsorted(key, lo + 3) - first).astype(np.int32)
-    # The scan order: cells by their lowest crossing index, then A.
+    size = np.diff(start, append=N)
+    # A cell-order position's scan place: its cell's offset in the scan plus its rank in the cell.
     cells = np.argsort(by_cell[start])
-    c, at = _expand(start[cells], np.diff(start, append=key.size)[cells])
-    c = cells[c]
-    return by_cell[at], by_cell, first.T[c].ravel(), size.T[c].ravel()
+    shift = np.empty_like(start)
+    shift[cells] = np.cumsum(size[cells]) - size[cells]
+    place = np.arange(N) + np.repeat(shift - start, size)
+    seq = np.empty(N, np.int64)
+    seq[place] = by_cell
+    # Each cell's run ends; rows of the needles ascend, so searchsorted is fast.
+    # int32 runs: cell-order positions are below N, so below 2^31.
+    ends = np.searchsorted(key, key[start] + [[2], [H - 1], [H + 2]]).astype(np.int32)
+    own, right, end = np.repeat(ends, size, 1)
+    first = np.stack((np.arange(1, N + 1, dtype=np.int32), right), 1).ravel()
+    count = np.stack((own, end), 1).ravel() - first
+    xc, yc = X[by_cell], Y[by_cell]
+
+    def blocks():
+        for e, k in _runs(first, count):
+            e >>= 1  # two runs per cell-order position
+            close = np.flatnonzero(np.square(xc[e] - xc[k]) + np.square(yc[e] - yc[k]) < w * w)
+            e, k = e[close], k[close]
+            swap = by_cell[k] < by_cell[e]
+            e, k = np.where(swap, k, e), np.where(swap, e, k)
+            A, B = by_cell[e], by_cell[k]
+            # d = H dx + dy for B's cell offset (dx, dy) from A's: dx = (d + 1) // H,
+            # and slot = 3 (dx + 1) + dy + 1 = 4 + d - (H - 3) dx.
+            d = key[k] - key[e]
+            yield A, B, (place[e] * 9 + 4 + d - (d + 1) // H * (H - 3)) * N + B
+
+    return seq, blocks()
 
 
-def _close_crossing_pairs(X, Y, w: float):
-    """Yield, one engine block at a time, index arrays
-    (A, B), A < B, of the crossings closer than w whose cells (floor(x/w),
-    floor(y/w)) touch, in the order a cell scan meets them: cells by their
-    lowest crossing index, then A, then B's cell by its place in the 3x3
-    block (x offset major), then B.  Only :func:`_cell_runs`' arrays, a
-    few per crossing, live across blocks.
-    """
-    seq, by_cell, run_start, run_size = _cell_runs(X, Y, w)
-    xs, ys, xc, yc = X[seq], Y[seq], X[by_cell], Y[by_cell]
-    for e, k in _runs(run_start, run_size):
-        e //= 3
-        keep = np.flatnonzero(np.square(xs[e] - xc[k]) + np.square(ys[e] - yc[k]) < w * w)
-        A, B = seq[e[keep]], by_cell[k[keep]]
-        keep = B > A
-        yield A[keep], B[keep]
+def _edge_set_codes(I, J, A, B, m: int):
+    """The :func:`_pack` codes of the edge sets of the crossings A and B,
+    as digits edge + 1 in base m + 1, a 3-edge set padded with 0, so the
+    codes order the sets as Python orders their tuples."""
+    # Three comparators merge the ascending pairs (I < J); distinct crossing
+    # pairs share at most one edge, whose repeat is shifted out.
+    a0, a1, b0, b1 = I[A] + 1, J[A] + 1, I[B] + 1, J[B] + 1
+    m0, m1 = np.maximum(a0, b0), np.minimum(a1, b1)
+    s0, s1, s2, s3 = np.minimum(a0, b0), np.minimum(m0, m1), np.maximum(m0, m1), np.maximum(a1, b1)
+    tie01 = s0 == s1
+    tie012 = tie01 | (s1 == s2)
+    return _pack((s0, np.where(tie01, s2, s1), np.where(tie012, s3, s2),
+                  np.where(tie012 | (s2 == s3), 0, s3)), m + 1)
 
 
-def _sort4(*cols):
-    """Four columns sorted row-wise by a 5-comparator min/max network."""
-    c = list(cols)
-    for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):
-        c[i], c[j] = np.minimum(c[i], c[j]), np.maximum(c[i], c[j])
-    return c
-
-
-def _first_of_each(codes):
-    """Lowest column index of each distinct code column (codes compared
-    first row first), in code order.
-
-    One code row takes numpy's default sort, which is not stable but much
-    faster than a stable one; the minimum over each group of equal codes
-    then picks its first column.
-    """
+def _least_key_of_each(codes, key):
+    """The distinct code columns (compared first row first) in code order,
+    then the least key of each, as a list of rows.  One code row takes
+    numpy's default sort, faster than a stable one: the least key of a
+    group of equal codes does not depend on their order."""
     order = np.argsort(codes[0]) if len(codes) == 1 else np.lexsort(codes[::-1])
     new = np.zeros(order.size, bool)
     new[:1] = True
     for c in codes:
         c = c[order]
         new[1:] |= c[1:] != c[:-1]
-    return np.minimum.reduceat(order, np.flatnonzero(new))
+    del c  # freed before the keys are gathered
+    at = np.flatnonzero(new)
+    return [c[order[at]] for c in codes] + [np.minimum.reduceat(key[order], at)]
 
 
 def _concurrent_points(I, J, pts, w: float, m: int):
@@ -527,47 +542,32 @@ def _concurrent_points(I, J, pts, w: float, m: int):
     numbered in lexicographic order.
 
     Two crossings closer than w in touching cells of side w put their edge
-    set on the list, at the midpoint of the first such pair that
-    :func:`_close_crossing_pairs` meets.  Its blocks are taken as they
-    come: each keeps the first pair of each edge set in it, as the set's
-    :func:`_pack` codes and one pair code (A, B) in base N for N
-    crossings, and after the last block one sort of the kept codes keeps
-    the first of each set across blocks, as blocks come in scan order.
-    The kept codes are then decoded _BLOCK_PAIRS rows at a time straight
-    into the two report arrays: the pair codes into the midpoints, then,
-    with the pair codes freed, the set codes into the edge ids.  So only
-    one block of close pairs is held at a time, plus the pairs kept, at
-    most one per edge set and block, and at the end the report and the
-    set codes.
+    set on the list, at the midpoint of the pair with the least scan key
+    of :func:`_close_crossing_pairs`.  Each block of pairs is cut, as it
+    comes, to each edge set's :func:`_edge_set_codes` and least key; after
+    the last block one sort keeps each set's least key across blocks.  The
+    keys are decoded _BLOCK_PAIRS rows at a time into the midpoints, and
+    once they are freed the set codes into the edge ids.  So one block of
+    close pairs is held at a time, plus at most one pair per edge set and
+    block, and at the end the report and the set codes.
     """
-    X, Y = pts[:, 0], pts[:, 1]
-    kept = []  # per block, rows: the edge-set codes, then the pair code
-    for A, B in _close_crossing_pairs(X, Y, w):
-        # Distinct crossing pairs share at most one edge: shift out its
-        # repeat.  As digits edge + 1 in base m + 1, a 3-edge set padded
-        # with 0, the codes order the sets as Python orders their tuples.
-        s0, s1, s2, s3 = (s + 1 for s in _sort4(I[A], J[A], I[B], J[B]))
-        tie01 = s0 == s1
-        tie012 = tie01 | (s1 == s2)
-        codes = _pack((s0, np.where(tie01, s2, s1), np.where(tie012, s3, s2),
-                       np.where(tie012 | (s2 == s3), 0, s3)), m + 1)
-        pick = _first_of_each(codes)
-        # One code: N^2 fits int64, as _cell_runs' keys (< 4 N^2) need.
-        ab, = _pack((A[pick], B[pick]), I.size)
-        kept.append(np.vstack([c[pick] for c in codes] + [ab]))
-    kept = np.concatenate(kept, axis=1)
-    kept = kept[:, _first_of_each(kept[:-1])]
-    blocks = [slice(a, a + _BLOCK_PAIRS) for a in range(0, kept.shape[1], _BLOCK_PAIRS)]
-    points = np.empty((kept.shape[1], 2))
+    seq, blocks = _close_crossing_pairs(pts[:, 0], pts[:, 1], w)
+    kept = [np.vstack(_least_key_of_each(_edge_set_codes(I, J, A, B, m), key))
+            for A, B, key in blocks]
+    kept = np.concatenate(kept, axis=1) if kept else np.empty((2, 0), np.int64)  # no pair met
+    *codes, key = _least_key_of_each(kept[:-1], kept[-1])
+    del kept
+    blocks = [slice(a, a + _BLOCK_PAIRS) for a in range(0, key.size, _BLOCK_PAIRS)]
+    points = np.empty((key.size, 2))
     for rows in blocks:
-        A, B = _unpack([kept[-1, rows]], I.size, 2)
-        points[rows] = pts[A]
+        scan, B = np.divmod(key[rows], I.size)
+        points[rows] = pts[seq[scan // 9]]
         points[rows] += pts[B]
     points *= 0.5
-    kept = kept[:-1].copy()  # the pair codes are freed before the edges are made
-    edges = np.empty((kept.shape[1], 4), np.int64)
+    del key, seq  # freed before the edges are made
+    edges = np.empty((len(points), 4), np.int64)
     for rows in blocks:
-        np.stack(_unpack(kept[:, rows], m + 1, 4), axis=1, out=edges[rows])
+        np.stack(_unpack([c[rows] for c in codes], m + 1, 4), axis=1, out=edges[rows])
     edges -= 1
     return points, edges
 
@@ -580,11 +580,11 @@ def check_proper(d: BoldDrawing) -> PropernessReport:
     three-edges-through-a-point condition is approximated by flagging two
     crossing points of distinct edge pairs closer than the edge width,
     which is the scale at which the inked rectangles actually coincide;
-    each such edge set is reported once, at the midpoint of the first pair
-    met by :func:`_close_crossing_pairs`, which scans three runs per
-    crossing on gapped ranks and yields the close pairs one engine block
-    at a time; :func:`_concurrent_points` keeps only each block's first
-    pair of each edge set.  All outputs are sorted.
+    each such edge set is reported once, at the midpoint of the pair with
+    the least scan key of :func:`_close_crossing_pairs`, which scans two
+    forward runs per crossing on gapped ranks and yields the close pairs
+    one engine block at a time; :func:`_concurrent_points` keeps only each
+    block's least key of each edge set.  All outputs are sorted.
     """
     P, Q, _ = _segment_arrays(d)
     r, w = d.params.radius, d.params.width

@@ -249,8 +249,11 @@ def _layout_components(g: Graph, config: LayoutConfig, place) -> Layout:
     n = g.node_count
     if n == 0:
         return Layout(np.empty((0, 2)))
-    # no component's start square is larger than the whole graph's
-    _finite_size(math.sqrt(n) * config.ideal_edge_length, n, config.ideal_edge_length)
+    # Each spring level squares its k and the distances in its start square,
+    # whose squared diagonal is 2 n_l k_l^2: node weights sum to the size of
+    # the component, so at every multilevel level that is at most 2 n k^2.
+    k = config.ideal_edge_length
+    _finite_size(2 * n * k * k, n, k)
     label = _component_labels(n, g.edges)
     seeds = np.random.SeedSequence(config.seed).spawn(int(label.max()) + 1)
     edge_label = label[g.edges[:, 0]]

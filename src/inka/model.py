@@ -63,6 +63,15 @@ def _positive(value: float, what: str) -> float:
     return float(value)
 
 
+def _node_count(n) -> int:
+    """n as an int when it is an integer (not a bool) in 0.._MAX_NODES,
+    else GraphError naming it."""
+    if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)) \
+            or not 0 <= n <= _MAX_NODES:
+        raise GraphError(f"node_count must be an integer in 0..{_MAX_NODES}, got {n!r}")
+    return int(n)
+
+
 def _gamma(value: float) -> float:
     """The density ceiling gamma as a float when it is in (0, 1] (so not
     nan), else ValueError naming gamma."""
@@ -75,10 +84,12 @@ def _gamma(value: float) -> float:
 class Graph:
     """Simple undirected graph on nodes 0..node_count-1.
 
-    ``edges`` is a read-only (m, 2) int64 array of canonical rows: 0 <= lo
-    < hi < node_count, strictly ascending.  The constructor converts,
-    checks and freezes it, naming the first bad row in a GraphError;
-    :func:`build_graph` builds a graph from raw input.
+    ``node_count`` is an integer (not a bool) in 0.._MAX_NODES, and
+    ``edges`` a read-only (m, 2) int64 array of canonical rows: integral
+    (2.0 passes, 0.7 does not), 0 <= lo < hi < node_count, strictly
+    ascending.  The constructor converts, checks and freezes it, naming
+    the bad count or the first bad row in a GraphError; :func:`build_graph`
+    builds a graph from raw input.
     """
 
     node_count: int
@@ -86,15 +97,21 @@ class Graph:
     __eq__ = _value_eq
 
     def __post_init__(self):
-        edges = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        n = _node_count(self.node_count)
+        rows = np.asarray(self.edges).reshape(-1, 2)
+        if rows.dtype.kind not in "biuf":
+            raise GraphError(f"edge rows must hold integers, got {rows.dtype} values")
+        with np.errstate(invalid="ignore"):  # nan and out-of-range floats; flagged below
+            edges = rows.astype(np.int64)
         lo, hi = edges.T
-        bad = (lo < 0) | (lo >= hi) | (hi >= self.node_count)
+        bad = (edges != rows).any(axis=1) | (lo < 0) | (lo >= hi) | (hi >= n)
         # a row not above the one before it: lo falls, or lo ties and hi does not rise
         bad[1:] |= (lo[1:] < lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] <= hi[:-1]))
         if bad.any():
             i = int(np.argmax(bad))
-            raise GraphError(f"edge row {i}: {tuple(edges[i].tolist())} is not canonical for "
-                             f"{self.node_count} nodes (0 <= lo < hi < n, strictly ascending)")
+            raise GraphError(f"edge row {i}: {tuple(rows[i].tolist())} is not canonical for "
+                             f"{n} nodes (integers, 0 <= lo < hi < n, strictly ascending)")
+        object.__setattr__(self, "node_count", n)
         edges.setflags(write=False)
         object.__setattr__(self, "edges", edges)
 
@@ -115,8 +132,7 @@ def build_graph(node_count: int, edge_list: Iterable[Sequence[int]]) -> Graph:
     self-loops and out-of-range endpoints with a GraphError that names
     the offending edge index.
     """
-    if not 0 <= node_count <= _MAX_NODES:
-        raise GraphError(f"node_count must be in 0..{_MAX_NODES}, got {node_count}")
+    node_count = _node_count(node_count)
     ends = []
     for idx, pair in enumerate(edge_list):
         try:

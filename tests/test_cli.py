@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,6 +396,22 @@ def test_layout_ideal_length_that_overflows_is_an_error_line(drawing_files, caps
     assert code == 1
     assert captured.out == ""
     assert captured.err == "error: ideal edge length 1e+308 is too large for 4 nodes\n"
+
+
+@pytest.mark.parametrize("algorithm", ["force-directed", "multilevel"])
+def test_spring_layout_whose_squared_scale_overflows_is_an_error_line(capsys, algorithm):
+    # 1e307 fits the start square of can_144 (sqrt(144) * 1e307), but k * k
+    # and the squared distances of the repulsion overflow: the check comes
+    # before any spring step, so numpy prints nothing first
+    graph = str(Path(__file__).resolve().parents[1] / "data" / "graphs" / "can_144.mtx")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        code = run(["layout", "--graph", graph, "--algorithm", algorithm,
+                    "--ideal-length", "1e307", "--iterations", "5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: ideal edge length 1e+307 is too large for 144 nodes\n"
 
 
 def test_raster_gap_small_without_crossings(tmp_path, capsys):

@@ -33,15 +33,15 @@ from inka.geometry import (
     _concurrent_points,
     _crossing_arrays,
     _crossing_blocks,
+    _edge_set_codes,
     _expand,
-    _first_of_each,
     _gapped_ranks,
+    _least_key_of_each,
     _ordered_pairs,
     _orient,
     _pair_index_blocks,
     _runs,
     _segment_arrays,
-    _sort4,
     _spans,
     collinear_overlap_mask,
     crossing_points_of,
@@ -803,20 +803,37 @@ def crossing_clouds(draw):
 @settings(max_examples=300, deadline=None)
 @given(crossing_clouds())
 def test_close_pair_scan_equals_the_nine_run_scan(cloud):
+    # The forward scan meets each close pair once, as A < B, in no set
+    # order; sorted by their scan keys its pairs are the nine-run scan's,
+    # and each key decodes to its own pair.
     X, Y, w, block_pairs = cloud
     with block_size(block_pairs):
-        blocks = list(_close_crossing_pairs(X, Y, w))
+        seq, blocks = _close_crossing_pairs(X, Y, w)
+        none = np.empty(0, np.int64)  # a scan may meet no pair and yield no block
+        A, B, key = (np.concatenate(c) for c in zip((none,) * 3, *blocks, strict=True))
         want = reference_close_crossing_pairs(X, Y, w)
-    got = [np.concatenate([b[i] for b in blocks]) for i in (0, 1)]
-    for g, f in zip(got, want, strict=True):
+    assert (A < B).all() and np.unique(key).size == key.size
+    assert np.array_equal(seq[key // X.size // 9], A) and np.array_equal(key % X.size, B)
+    order = np.argsort(key)
+    for g, f in zip((A[order], B[order]), want, strict=True):
         assert g.dtype == f.dtype and np.array_equal(g, f)
 
 
-def test_sort4_network_equals_np_sort_with_ties():
+def test_edge_set_codes_are_the_sorted_edge_sets_with_ties():
+    # the merge of the two ascending pairs and the shift of a shared edge
+    # against Python's sorted sets: few edges bring shared edges at every
+    # place of the merge, many bring 4-edge sets
     rng = np.random.default_rng(15)
-    for hi in (2, 4, 50):  # few values bring ties, many bring distinct rows
-        rows = rng.integers(-1, hi, size=(2000, 4))
-        assert np.array_equal(np.column_stack(_sort4(*rows.T)), np.sort(rows, axis=1))
+    for m in (4, 6, 50):
+        I, J = np.sort(rng.choice(m, size=(2000, 2), replace=True), axis=1).T
+        I, J = I[I < J], J[I < J]
+        A, B = rng.integers(0, I.size, size=(2, 4000))
+        shares = [len({I[a], J[a]} & {I[b], J[b]}) for a, b in zip(A, B)]
+        A, B = A[np.less(shares, 2)], B[np.less(shares, 2)]
+        want = [sorted({I[a], J[a], I[b], J[b]}) for a, b in zip(A.tolist(), B.tolist())]
+        got = set_edges(_edge_set_codes(I, J, A, B, m), m).tolist()
+        assert got == [t + [-1] * (4 - len(t)) for t in want]
+        assert {len(t) for t in want} == {3, 4}
 
 
 @st.composite
@@ -854,22 +871,27 @@ def set_edges(codes, m):
 
 def test_edge_set_grouping_without_an_int64_code():
     # with m = 100,000, (m + 1)^4 overflows int64: the two codes must group
-    # and order the sets as the one packed code does, in tuple order, and
-    # unpack to the same edge ids
+    # and order the sets as the one packed code does, in tuple order, keep
+    # the same least key of each, and unpack to the same edge ids
     rng = np.random.default_rng(14)
     rows = np.array([sorted(rng.choice(6, size=k, replace=False).tolist()) + [-1] * (4 - k)
                      for k in rng.integers(3, 5, size=300)])
+    key = rng.permutation(10**6)[:300].astype(np.int64)
     small_codes, big_codes = set_codes(rows, 6), set_codes(rows, 100_000)
     assert np.shape(small_codes) == (1, 300) and np.shape(big_codes) == (2, 300)
-    small_pick = _first_of_each(small_codes)
-    assert np.array_equal(_first_of_each(big_codes), small_pick)
+    *small_kept, small_key = _least_key_of_each(small_codes, key)
+    *big_kept, big_key = _least_key_of_each(big_codes, key)
+    assert np.array_equal(big_key, small_key)
     assert np.array_equal(set_edges(small_codes, 6), rows)
     assert np.array_equal(set_edges(big_codes, 100_000), rows)
+    assert np.array_equal(set_edges(small_kept, 6), set_edges(big_kept, 100_000))
     as_tuples = [tuple(v for v in row if v != -1) for row in rows.tolist()]
-    firsts = {}
-    for idx, t in enumerate(as_tuples):
-        firsts.setdefault(t, idx)
-    assert small_pick.tolist() == [firsts[t] for t in sorted(firsts)]
+    least = {}
+    for t, k in zip(as_tuples, key.tolist()):
+        least[t] = min(least.get(t, k), k)
+    kept = [tuple(v for v in row if v != -1) for row in set_edges(small_kept, 6).tolist()]
+    assert kept == sorted(least)
+    assert small_key.tolist() == [least[t] for t in sorted(least)]
 
 
 def test_one_edge_set_code_up_to_the_int64_limit():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -146,6 +147,38 @@ def test_graph_constructor_copies_and_freezes():
 def test_graph_constructor_rejects_non_canonical_rows(rows, bad):
     with pytest.raises(GraphError, match=rf"edge row {bad}: \({rows[bad][0]}, {rows[bad][1]}\)"):
         Graph(3, rows)
+
+
+@pytest.mark.parametrize("n", [-1, 2.5, 3.0, True, np.bool_(True), _MAX_NODES + 1, "3", None])
+def test_a_node_count_that_is_not_an_integer_in_range_is_rejected(n):
+    message = rf"node_count must be an integer in 0\.\.{_MAX_NODES}, got {re.escape(repr(n))}"
+    with pytest.raises(GraphError, match=message):
+        Graph(n, [(0, 1), (1, 2)])
+    with pytest.raises(GraphError, match=message):
+        build_graph(n, [(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize("rows, bad", [
+    ([(0.7, 1.9)], "(0.7, 1.9)"),  # would build the edge (0, 1)
+    ([(0, 1), (0, 1.5)], "(0.0, 1.5)"),
+    ([(0, 1), (0, math.nan)], "(0.0, nan)"),
+    ([(0, 1e20)], "(0.0, 1e+20)"),  # past int64, where a cast wraps
+])
+def test_graph_constructor_rejects_non_integral_rows(rows, bad):
+    message = rf"edge row {len(rows) - 1}: {re.escape(bad)} is not canonical"
+    with pytest.raises(GraphError, match=message):
+        Graph(3, rows)
+
+
+def test_graph_constructor_rejects_rows_that_are_not_numbers():
+    with pytest.raises(GraphError, match="edge rows must hold integers, got <U1 values"):
+        Graph(3, [("0", "1")])
+
+
+def test_graph_constructor_accepts_integral_floats_and_numpy_counts():
+    g = Graph(np.int64(3), [(0.0, 2.0), (1, 2)])
+    assert g.edges.tolist() == [[0, 2], [1, 2]] and g.edges.dtype == np.int64
+    assert type(g.node_count) is int and g == Graph(3, [(0, 2), (1, 2)])
 
 
 def test_build_graph_accepts_integral_floats_and_numpy_integers():

@@ -1,8 +1,8 @@
 """Microbenchmarks of graph loading, component labelling, the
 spring-layout kernels, the multilevel matching, the crossing sweep, the
 stub crossing count, the ordered crossing list, check_proper, its
-close-pair scan and the raster, on mesh24 and on one small drawing at 64
-rows (pytest-benchmark).
+close-pair scan and concurrent-point stage, and the raster, on mesh24
+and on one small drawing at 64 rows (pytest-benchmark).
 
 They carry the ``perf`` marker, which the default options deselect, so
 the ordinary suite never runs them.  Run them with
@@ -31,7 +31,12 @@ from inka import (
     partial_edges,
     rasterize_ink,
 )
-from inka.geometry import _close_crossing_pairs, _crossing_arrays, _segment_arrays
+from inka.geometry import (
+    _close_crossing_pairs,
+    _concurrent_points,
+    _crossing_arrays,
+    _segment_arrays,
+)
 from inka.layout import _coarsen, _component_labels, _repulsion_exact, _spring_iterate
 
 pytestmark = pytest.mark.perf
@@ -167,9 +172,26 @@ def test_close_crossing_pairs_circle_mesh24(benchmark):
     _I, _J, pts = _crossing_arrays(P, Q)
     X, Y = pts[:, 0].copy(), pts[:, 1].copy()
     # the scan yields its blocks lazily: list them inside the timed call
-    blocks = benchmark(lambda: list(_close_crossing_pairs(X, Y, 1.0)))
-    A, B = (np.concatenate(c) for c in zip(*blocks))
-    assert A.size == B.size > 0 and (A < B).all()
+    blocks = benchmark(lambda: list(_close_crossing_pairs(X, Y, 1.0)[1]))
+    A, B, key = (np.concatenate(c) for c in zip(*blocks))
+    assert A.size == B.size == key.size > 0 and (A < B).all()
+
+
+def test_concurrent_points_lattice_can_144(benchmark):
+    # the memory test's drawing: 35,208 crossings, 92,583 concurrent
+    # points at w = 0.1
+    g = load_graph(GRAPHS / "can_144.mtx")
+    n = g.node_count
+    side = int(np.ceil(2 * np.sqrt(n)))
+    cells = np.random.default_rng(1).choice(side * side, size=n, replace=False)
+    pos = np.column_stack([cells % side, cells // side]).astype(np.float64)
+    P, Q, _E = _segment_arrays(BoldDrawing(g, Layout(pos), RenderParams(0.25, 0.1)))
+    I, J, pts = _crossing_arrays(P, Q)
+    benchmark.extra_info["tracemalloc_peak_mb"] = traced_peak_mb(
+        _concurrent_points, I, J, pts, 0.1, g.m)
+    points, edges = benchmark(_concurrent_points, I, J, pts, 0.1, g.m)
+    benchmark.extra_info["report_arrays_mb"] = (points.nbytes + edges.nbytes) / 1e6
+    assert len(points) == len(edges) > 0
 
 
 def test_rasterize_ink_mesh24(benchmark):
