@@ -341,6 +341,10 @@ def parse_layout_csv(text: str, node_count: int | None = None) -> Layout:
     missing = next((i for i, node in enumerate(ids) if node != i), len(ids))
     if missing < n:
         raise ParseError(f"missing row for node {missing}")
+    # A finite squared span bounds every orientation the predicates form.
+    span = [max(c) - min(c) for c in zip(*rows.values())]
+    if not math.isfinite(sum(v * v for v in span)):
+        raise ParseError(f"layout span {span[0]!r} x {span[1]!r} is too large to square")
     return Layout(np.array([rows[i] for i in range(n)], dtype=np.float64).reshape(n, 2))
 
 

@@ -24,27 +24,31 @@ endpoint fails its sign test, so its kernel, :func:`_crossing_blocks`,
 tests neither.  A disagreement between the two is the enumeration bug
 the pairing catches.
 
-Every other pair query uses the x-extent filter too: stub crossings
-and the crossing points of :func:`crossing_pairs` map the kernel's
-ranks back to indices, as :func:`_candidate_blocks` does for
-disk overlaps on [x - r, x + r] and collinear overlaps on x-extents
-plus y-extents, since an overlap of positive length overlaps in x or
-in y.  :func:`check_proper` bins crossing points into cells of side w,
-scans two forward runs per crossing on gapped ranks, and returns, as
-arrays, each edge set that two close crossings span and the midpoint of
-its pair with the least scan key.  The scan is a stream of engine blocks
-of close pairs, each cut to each edge set's least key before the next is
-made, so memory never grows with the number of close pairs.  While it
-runs it holds, per crossing, I, J and the point (32 bytes) and the scan's
-order, runs and coordinates (80 bytes; about 130 while it is set up),
-plus one block of close pairs and the codes kept so far (16 bytes a kept
-pair up to 55,107 edges, 24 above); after the scan, the report (48 bytes
-a row) and the kept codes, the keys freed before the edge ids are decoded.
+Every pair query uses the x-extent filter only: stub crossings and the
+crossing points of :func:`crossing_pairs` map the kernel's ranks back to
+indices, as :func:`_candidate_blocks` does for disk overlaps on
+[x - r, x + r] and collinear overlaps on x-extents, which the collinear
+test requires to meet.  :func:`check_proper` bins crossing points into
+cells of side w, scans two forward runs per crossing on gapped ranks,
+and returns, as arrays, each edge set that two close crossings span and
+the midpoint of its pair with the least scan key.  The scan is a stream
+of engine blocks of close pairs, each cut to each edge set's least key
+before the next is made, so memory never grows with the number of close
+pairs.  While it runs it holds, per crossing, I, J and the point (32
+bytes) and the scan's order, runs and coordinates (80 bytes; about 130
+while it is set up), plus one block of close pairs and the codes kept so
+far (16 bytes a kept pair up to 55,107 edges, 24 above); after the scan,
+the report (48 bytes a row) and the kept codes, the keys freed before
+the edge ids are decoded.
 
-Predicates are plain double precision with a fixed epsilon; a pair
-"crosses" when the open segments intersect transversally at an interior
-point.  Segments sharing an endpoint (adjacent edges) never cross, and
-collinear overlap is not a crossing but is flagged for properness.
+Predicates are a strict sign test against 0, exact under 2^k scaling:
+IEEE arithmetic commutes with a power-of-two scale, so every answer is
+the same for the drawing scaled by 2^k, its cells too (floor(x 2^k /
+(w 2^k)) == floor(x / w)).  A pair "crosses" when the open segments
+intersect transversally at an interior point; segments sharing an
+endpoint (adjacent edges) never cross.  Collinear means four orientations
+exactly 0 and closed x-extents that meet; such an overlap is flagged for
+properness, not counted as a crossing.
 """
 
 from __future__ import annotations
@@ -54,8 +58,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import BoldDrawing, DrawingMetrics, _pack, _positive, _unpack
-
-EPS = 1e-12
 
 # Entries per engine block; see the module docstring.
 _BLOCK_PAIRS = 25_000
@@ -105,10 +107,10 @@ def _side(ex, ey, x, y, cx, cy):
 
 
 def _splits(ex, ey, x, y, ax, ay, bx, by):
-    """Row-wise: do a and b lie strictly on opposite sides of the EPS band
-    about the line from (x, y) along (ex, ey)?  False wherever one is NaN."""
+    """Row-wise: are a's and b's orientations about the line from (x, y)
+    along (ex, ey) of strictly opposite signs?  False wherever one is NaN."""
     a, b = _side(ex, ey, x, y, ax, ay), _side(ex, ey, x, y, bx, by)
-    return (np.minimum(a, b) < -EPS) & (np.maximum(a, b) > EPS)
+    return (np.minimum(a, b) < 0) & (np.maximum(a, b) > 0)
 
 
 def transversal_crossing_mask(p1, q1, p2, q2):
@@ -132,13 +134,14 @@ def transversal_crossing_mask(p1, q1, p2, q2):
 
 
 def collinear_overlap_mask(p1, q1, p2, q2):
-    """Row-wise test: collinear segments overlapping over positive length."""
+    """Row-wise test: collinear segments (all four orientations exactly 0)
+    overlapping over positive length, so their closed x-extents meet."""
     p1x, p1y, q1x, q1y, p2x, p2y, q2x, q2y = (a[..., k] for a in (p1, q1, p2, q2) for k in (0, 1))
     collinear = (
-        (np.abs(_orient(p1x, p1y, q1x, q1y, p2x, p2y)) <= EPS)
-        & (np.abs(_orient(p1x, p1y, q1x, q1y, q2x, q2y)) <= EPS)
-        & (np.abs(_orient(p2x, p2y, q2x, q2y, p1x, p1y)) <= EPS)
-        & (np.abs(_orient(p2x, p2y, q2x, q2y, q1x, q1y)) <= EPS)
+        (_orient(p1x, p1y, q1x, q1y, p2x, p2y) == 0)
+        & (_orient(p1x, p1y, q1x, q1y, q2x, q2y) == 0)
+        & (_orient(p2x, p2y, q2x, q2y, p1x, p1y) == 0)
+        & (_orient(p2x, p2y, q2x, q2y, q1x, q1y) == 0)
     )
     nonzero = ((p1x != q1x) | (p1y != q1y)) & ((p2x != q2x) | (p2y != q2y))
     ox = np.minimum(np.maximum(p1x, q1x), np.maximum(p2x, q2x)) - np.maximum(
@@ -147,7 +150,7 @@ def collinear_overlap_mask(p1, q1, p2, q2):
     oy = np.minimum(np.maximum(p1y, q1y), np.maximum(p2y, q2y)) - np.maximum(
         np.minimum(p1y, q1y), np.minimum(p2y, q2y)
     )
-    return collinear & nonzero & ((ox > 0) | (oy > 0))
+    return collinear & nonzero & (ox >= 0) & ((ox > 0) | (oy > 0))
 
 
 def crossing_points_of(p1, q1, p2, q2):
@@ -317,26 +320,18 @@ def _crossing_arrays(P, Q):
 
 def _collinear_overlap_pairs(P, Q):
     """Sorted (i, j), i < j, of the pairs :func:`collinear_overlap_mask`
-    flags, adjacent ones included, from the x-engine pairs plus the y-engine
-    pairs with disjoint x-extents: a flagged pair overlaps in x or in y.  The
-    mask's tests of J's p, then q, against line I run first as filters."""
+    flags, adjacent ones included, from the x-engine pairs alone: the mask
+    requires the closed x-extents to meet.  Its tests of J's p, then q,
+    against line I (each orientation == 0) run first as filters."""
     px, py, qx, qy = np.column_stack((P, Q)).T.copy()
-    lx, hx = np.minimum(px, qx), np.maximum(px, qx)
-    ly, hy = np.minimum(py, qy), np.maximum(py, qy)
-
-    def collinear(I, J):
-        for x, y in ((px, py), (qx, qy)):
-            k = np.flatnonzero(np.abs(_orient(px[I], py[I], qx[I], qy[I], x[J], y[J])) <= EPS)
-            I, J = I[k], J[k]
-        keep = collinear_overlap_mask(P[I], Q[I], P[J], Q[J])
-        return I[keep], J[keep]
 
     def blocks():
-        for I, J in _candidate_blocks(lx, hx):
-            yield collinear(I, J)
-        for I, J in _candidate_blocks(ly, hy):
-            keep = (lx[I] > hx[J]) | (lx[J] > hx[I])
-            yield collinear(I[keep], J[keep])
+        for I, J in _candidate_blocks(np.minimum(px, qx), np.maximum(px, qx)):
+            for x, y in ((px, py), (qx, qy)):
+                k = np.flatnonzero(_orient(px[I], py[I], qx[I], qy[I], x[J], y[J]) == 0)
+                I, J = I[k], J[k]
+            keep = collinear_overlap_mask(P[I], Q[I], P[J], Q[J])
+            yield I[keep], J[keep]
 
     return _ordered_pairs(blocks(), len(P))
 

@@ -7,12 +7,14 @@ pairwise enumeration, pixel counting), or pinned constants with explicit
 tolerances.
 """
 
+import itertools
 import math
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from conftest import bold, random_bold_drawing
 from inka import (
@@ -48,7 +50,8 @@ from inka import (
 
 ROOT = Path(__file__).resolve().parents[1]
 GRAPHS = ROOT / "data" / "graphs"
-MALFORMED = Path(__file__).parent / "data" / "malformed"
+DATA = Path(__file__).parent / "data"
+MALFORMED = DATA / "malformed"
 
 
 def verdict(criterion: int, ok: bool, detail: str):
@@ -282,11 +285,18 @@ def test_criterion_08_partial_edge_consistency():
             f"{exact_failures} p=1 exactness failures")
 
 
-def test_criterion_09_bench_harness(tmp_path):
+@pytest.fixture(scope="module")
+def bench_run(tmp_path_factory):
+    """Criterion 09's one bench run: config, rows, summary, seconds, report."""
     config = load_bench_config(ROOT / "data" / "bench.json")
+    report = tmp_path_factory.mktemp("bench") / "report.csv"
     t0 = time.perf_counter()
-    rows, summary = run_bench_to_files(config, tmp_path / "report.csv")
-    elapsed = time.perf_counter() - t0
+    rows, summary = run_bench_to_files(config, report)
+    return config, rows, summary, time.perf_counter() - t0, report
+
+
+def test_criterion_09_bench_harness(bench_run):
+    config, rows, summary, elapsed, _report = bench_run
     expected_rows = len(config.graphs) * len(config.layouts) * len(config.settings)
     base = summary["base_least_ink"]
     small = summary["small_radius_change"]
@@ -306,6 +316,40 @@ def test_criterion_09_bench_harness(tmp_path):
             f"{len(config.settings)}) in {elapsed:.1f}s (<300s); base-least-ink "
             f"{base['holds']}/{base['checked']}; radius-change max "
             f"{small['max_relative_change']:.4f} over {small['checked']} cells (<0.10)")
+
+
+def report_differences(got: bytes, want: bytes) -> list[str]:
+    """Each line where two CSV reports differ, named by its number and its
+    graph, layout, r and w (from the pinned line where there is one)."""
+    header = want.split(b"\n", 1)[0].decode().split(",")
+    keys = [header.index(k) for k in ("graph_name", "layout_name", "r", "w")]
+    differ = []
+    pairs = itertools.zip_longest(got.splitlines(True), want.splitlines(True), fillvalue=b"")
+    for i, (line, pin) in enumerate(pairs, start=1):
+        if line != pin:
+            cells = (pin or line).decode().rstrip("\n").split(",")
+            differ.append(f"line {i} ({','.join(cells[k] for k in keys if k < len(cells))})")
+    return differ
+
+
+def test_bench_report_equals_pinned_file(bench_run):
+    # tests/data/bench_report.csv is `inka bench --config data/bench.json`'s
+    # report, written under the numpy version in bench_report.numpy
+    pinned_numpy = (DATA / "bench_report.numpy").read_text().strip()
+    if np.__version__ != pinned_numpy:
+        pytest.skip(f"bench report pinned under numpy {pinned_numpy}, running {np.__version__}")
+    differ = report_differences(bench_run[-1].read_bytes(),
+                                (DATA / "bench_report.csv").read_bytes())
+    assert not differ, f"bench report differs from the pinned file at {'; '.join(differ)}"
+
+
+def test_report_differences_name_the_rows():
+    want = (DATA / "bench_report.csv").read_bytes()
+    lines = want.splitlines(True)
+    got = b"".join(lines[:2] + [lines[2].replace(b",", b",9", 1)] + lines[3:-1])
+    assert report_differences(want, want) == []
+    assert report_differences(got, want) == [
+        "line 3 (can_144,random,1.0,1.0)", "line 81 (yeastppi,multilevel,20.0,2.0)"]
 
 
 def test_criterion_10_parser_fidelity():

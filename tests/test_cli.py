@@ -205,6 +205,18 @@ def test_transform_zoom(drawing_files, capsys):
     assert payload["measured_ink"] == pytest.approx(payload["predicted_ink"], rel=1e-9)
 
 
+def test_transform_zoom_far_down_keeps_the_crossing(drawing_files, capsys):
+    # at zeta = 1e-14 the 10 x 10 square's orientations are about 1e-12; the
+    # sign test against 0 still sees its crossing, so ink scales by zeta
+    # (pytest.approx would allow 1e-12 of absolute slack, more than the ink)
+    graph, layout = drawing_files
+    code = run(["transform", "--graph", graph, "--layout", layout,
+                "--radius", "1", "--width", "1", "--zoom", "1e-14", "--format", "json"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert math.isclose(payload["measured_ink"], payload["predicted_ink"], rel_tol=1e-9)
+
+
 @pytest.mark.parametrize("flag, name", [("--scale", "length multiplier"),
                                         ("--zoom", "area magnification")])
 @pytest.mark.parametrize("factor", ["nan", "inf"])
@@ -384,6 +396,23 @@ def test_overflowing_bounding_box_is_an_error_line(drawing_files, tmp_path, caps
     assert code == 1
     assert captured.out == "" and not dest.exists()
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "raster", "partial", "render"])
+def test_layout_whose_squared_span_overflows_is_an_error_line(tmp_path, capsys, command):
+    # finite coordinates near 1e308: read whole, they reach no numpy arithmetic
+    graph, layout = tmp_path / "tri.edges", tmp_path / "big.csv"
+    graph.write_text("0 1\n1 2\n0 2\n")
+    layout.write_text("node,x,y\n0,0,0\n1,1e308,0\n2,0,1e308\n")
+    dest = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        code = run([command, "--graph", str(graph), "--layout", str(layout), "--out", str(dest)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and not dest.exists()
+    assert captured.err == (f"error: {layout}: layout span 1e+308 x 1e+308 is too large "
+                            "to square\n")
 
 
 @pytest.mark.parametrize("algorithm", ["random", "force-directed", "multilevel", "circular"])

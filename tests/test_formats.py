@@ -250,6 +250,10 @@ def test_layout_csv_errors():
         parse_layout_csv("node,x,y\n0,nan,2.0\n")
     with pytest.raises(ParseError):
         parse_layout_csv("node,x,y\n0,1.0,2.0\n", node_count=3)
+    # the squared span overflows; 1e154 squared is 1e308, still finite
+    with pytest.raises(ParseError, match=r"^layout span 1e\+308 x inf is too large to square$"):
+        parse_layout_csv("node,x,y\n0,0,-1e308\n1,1e308,0\n2,0,1e308\n")
+    assert parse_layout_csv("node,x,y\n0,0,0\n1,1e154,0\n").positions.max() == 1e154
 
 
 def test_layout_csv_huge_node_id_fails_in_bounded_memory():

@@ -25,7 +25,6 @@ from inka import (
 )
 from inka.geometry import (
     _BLOCK_PAIRS,
-    EPS,
     _adjacent_mask,
     _candidate_blocks,
     _close_crossing_pairs,
@@ -111,14 +110,42 @@ def test_crossing_counts_on_fixtures(parallel_drawing, diagonal_drawing, xshape_
         assert count_crossings_sweep(d) == expected
 
 
-_SCALE_EPS = "EPS is an absolute bound on orientations (length^2), so a tiny drawing loses its crossing"
-
-
 @pytest.mark.parametrize("counter", [count_crossings_sweep, count_crossings_bruteforce])
-@pytest.mark.parametrize("side", [1.0, 1e-5, pytest.param(
-    1e-6, marks=pytest.mark.xfail(strict=True, reason=_SCALE_EPS))])
+@pytest.mark.parametrize("side", [1.0, 1e-5, 1e-6])
 def test_two_diagonal_square_crosses_once_at_every_scale(counter, side):
     assert counter(bold([(0, 0), (side, side), (0, side), (side, 0)], [(0, 1), (2, 3)])) == 1
+
+
+def exact_answers(d):
+    """Every count and list a drawing's predicates decide, with the report
+    for its float outputs."""
+    stubs = [inka.measure_stub_crossings(inka.partial_edges(d, p)) for p in (0.5, 1.0)]
+    report = check_proper(d)
+    pairs = [(i, j) for i, j, _pt in crossing_pairs(d)[0]]
+    counts = (count_crossings_sweep(d), count_crossings_bruteforce(d), *stubs)
+    return counts, pairs, report.disk_overlaps, report.collinear_overlaps, report
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([100.0, 15.0, 1.0]),
+       st.sampled_from([0.0, 1.0]), st.integers(-40, 40), st.data())
+def test_answers_are_exact_under_power_of_two_scaling(seed, span, lattice_prob, k, data):
+    # IEEE arithmetic commutes with a 2^k scale, and the sign tests are
+    # against exact 0: every answer stays, and each point scales exactly
+    d = random_bold_drawing(np.random.default_rng(seed), span=span, lattice_prob=lattice_prob)
+    s = 2.0**k
+    scaled = inka.BoldDrawing(d.graph, inka.Layout(d.layout.positions * s),
+                              inka.RenderParams(d.params.radius * s, d.params.width * s))
+    *want, report = exact_answers(d)
+    *got, scaled_report = exact_answers(scaled)
+    assert got == want
+    assert scaled_report.concurrent_edges.tobytes() == report.concurrent_edges.tobytes()
+    assert scaled_report.concurrent_points.tobytes() == (report.concurrent_points * s).tobytes()
+    if lattice_prob:
+        # integer coordinates keep every orientation exact when moved too
+        shift = data.draw(st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)))
+        moved = bold(d.layout.positions + shift, d.graph.edges, d.params.radius, d.params.width)
+        assert list(exact_answers(moved)[:-1]) == want
 
 
 def test_k4_convex_position_has_one_crossing():
@@ -293,29 +320,13 @@ def assert_kernel_matches_oracle(d):
     return want
 
 
-def eps_band_orientations(d):
-    """How many all-pairs orientation values lie in (-EPS, 0) or (0, EPS]."""
-    P, Q, _E = _segment_arrays(d)
-    hits = 0
-    for I, J in _pair_index_blocks(P.shape[0]):
-        for a, b, c in ((P[I], Q[I], P[J]), (P[I], Q[I], Q[J])):
-            o = np.abs(_orient(a[:, 0], a[:, 1], b[:, 0], b[:, 1], c[:, 0], c[:, 1]))
-            hits += int(np.count_nonzero((o > 0) & (o <= EPS)))
-    return hits
-
-
 @pytest.mark.parametrize("k", [-24, -20, -16, 0, 20])
 def test_crossing_kernel_equals_oracle_on_scaled_lattices(k):
-    # lattice orientations are integers times 4^k; from k = -20 down the
-    # small ones fall inside the EPS band and the larger ones do not
+    # lattice orientations are integers times 4^k, down to 1e-14 at k = -24
     rng = np.random.default_rng(40 + k)
-    band = 0
     for _ in range(12):
         d = random_bold_drawing(rng, n_max=30, m_max=70, lattice_prob=1.0)
-        scaled = bold(d.layout.positions * 2.0**k, d.graph.edges)
-        assert_kernel_matches_oracle(scaled)
-        band += eps_band_orientations(scaled)
-    assert (band > 0) == (k <= -20)
+        assert_kernel_matches_oracle(bold(d.layout.positions * 2.0**k, d.graph.edges))
 
 
 def test_crossing_kernel_equals_oracle_on_degenerate_segments():
@@ -350,7 +361,7 @@ def test_crossing_kernel_equals_oracle_on_translated_drawings(shift):
 def test_crossing_kernel_never_rebuilds_q_from_p():
     # each drawing has an endpoint q exactly on the other segment's line,
     # so it touches and does not cross; p + (q - p) rounds q off that line,
-    # by one ulp that the long segment lifts past EPS.  In the first drawing
+    # by one ulp that the long segment lifts off 0.  In the first drawing
     # the touching edge ranks second by left x, in the second it ranks first.
     y, a = 0.3, -0.1
     assert a + (y - a) != y
@@ -366,9 +377,10 @@ def test_crossing_kernel_never_rebuilds_q_from_p():
         assert count_crossings_sweep(d) == count_crossings_bruteforce(d) == 0
 
 
-def test_endpoint_within_eps_of_a_line_touches():
-    # orientation 1e-13 is inside the EPS band: touching, not crossing
-    for tip, expected in ((1e-13, 0), (-1e-13, 0), (1e-11, 1)):
+def test_endpoint_near_a_line_takes_its_sign():
+    # a tip 1e-13 above the line has orientation 1e-13 > 0, so the edges
+    # cross; a tip 1e-13 below it never reaches the line
+    for tip, expected in ((1e-13, 1), (-1e-13, 0), (1e-11, 1)):
         d = bold([(0, 0), (1, 0), (0.5, -1), (0.5, tip)], [(0, 1), (2, 3)])
         assert count_crossings_sweep(d) == count_crossings_bruteforce(d) == expected
 
@@ -686,12 +698,14 @@ def test_check_proper_matches_oracle_on_degenerate_drawings():
 
 
 def test_collinear_overlap_of_x_disjoint_edges():
-    # two near-vertical edges, collinear within EPS, whose x-extents are
-    # disjoint while their y-extents overlap: only the y-engine pass meets
-    # them
+    # two near-vertical edges whose x-extents are disjoint while their
+    # y-extents overlap: their orientations are not 0, so they are not
+    # collinear, and the x-engine, which never pairs them, misses nothing
     pts = [(0.0, 0.0), (1e-13, 2.0), (2e-13, 1.0), (3e-13, 3.0)]
+    P, Q, _E = _segment_arrays(bold(pts, [(0, 1), (2, 3)]))
+    assert not collinear_overlap_mask(P[:1], Q[:1], P[1:], Q[1:])[0]
     report = assert_matches_oracle(bold(pts, [(0, 1), (2, 3)], r=0.0, w=0.1))
-    assert report.collinear_overlaps == [(0, 1)]
+    assert report.collinear_overlaps == []
 
 
 def test_concurrent_point_is_the_first_close_pair_met():
@@ -1006,20 +1020,20 @@ def test_overlap_engine_equals_all_pairs_on_small_integer_drawings(pts, data):
 
 
 def test_staged_collinear_filter_keeps_the_mask_verdict():
-    # edge 0, 1e-7 long, lies 1e-6 off the line of edge 1 and parallel to
-    # it: J's endpoints pass against line I (1e-7 * 1e-6 <= EPS) but I's
-    # fail against line J (10 * 1e-6), so only the last stage drops the
-    # pair.  Edges 2 and 3 overlap along y = 5, so the list is not empty.
-    pts = [(0.0, 0.0), (1e-7, 0.0), (5e-8, 1e-6), (10.0, 1e-6),
+    # edge 1's endpoints, 8/14 and 8.5/14 of the way along edge 0, round
+    # onto its line: both orientations against line 0 are exactly 0, but
+    # edge 0's against line 1 are -+8.9e-16, so only the last stage drops
+    # the pair.  Edges 2 and 3 overlap along y = 5, so the list is not empty.
+    pts = [(0.0, 0.0), (14.0, 13.0), (8.0, 13 * 8 / 14), (8.5, 13 * 8.5 / 14),
            (0.0, 5.0), (2.0, 5.0), (1.0, 5.0), (3.0, 5.0)]
     d = bold(pts, [(0, 1), (2, 3), (4, 5), (6, 7)], r=0.0, w=0.1)
     P, Q, _E = _segment_arrays(d)
     (i_p, i_q), (j_p, j_q) = (P[0], Q[0]), (P[1], Q[1])
-    assert abs(_orient(*i_p, *i_q, *j_p)) <= EPS and abs(_orient(*i_p, *i_q, *j_q)) <= EPS
-    assert abs(_orient(*j_p, *j_q, *i_p)) > EPS and abs(_orient(*j_p, *j_q, *i_q)) > EPS
+    assert _orient(*i_p, *i_q, *j_p) == 0 and _orient(*i_p, *i_q, *j_q) == 0
+    assert _orient(*j_p, *j_q, *i_p) != 0 and _orient(*j_p, *j_q, *i_q) != 0
     lx, hx = np.minimum(P[:, 0], Q[:, 0]), np.maximum(P[:, 0], Q[:, 0])
     pairs = {(i, j) for I, J in _candidate_blocks(lx, hx) for i, j in zip(I.tolist(), J.tolist())}
-    assert (0, 1) in pairs  # the x-engine gives the short edge as I
+    assert (0, 1) in pairs  # the x-engine gives edge 0, which starts left of edge 1, as I
     assert _collinear_overlap_pairs(P, Q) == reference_crossing_pairs(d)[1] == [(2, 3)]
 
 
