@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ParseWarning
-from .model import BoldDrawing, Graph, InkReport, Layout, build_graph
+from .model import BoldDrawing, Graph, InkReport, Layout, _squarable, build_graph
 
 _MM_FIELDS = {"pattern", "real", "integer", "complex"}
 _MM_SYMMETRIES = {"general", "symmetric", "skew-symmetric", "hermitian"}
@@ -341,10 +341,8 @@ def parse_layout_csv(text: str, node_count: int | None = None) -> Layout:
     missing = next((i for i, node in enumerate(ids) if node != i), len(ids))
     if missing < n:
         raise ParseError(f"missing row for node {missing}")
-    # A finite squared span bounds every orientation the predicates form.
-    span = [max(c) - min(c) for c in zip(*rows.values())]
-    if not math.isfinite(sum(v * v for v in span)):
-        raise ParseError(f"layout span {span[0]!r} x {span[1]!r} is too large to square")
+    if rows:
+        _squarable(*(max(c) - min(c) for c in zip(*rows.values())), "layout span", ParseError)
     return Layout(np.array([rows[i] for i in range(n)], dtype=np.float64).reshape(n, 2))
 
 

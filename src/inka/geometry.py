@@ -31,15 +31,16 @@ indices, as :func:`_candidate_blocks` does for disk overlaps on
 test requires to meet.  :func:`check_proper` bins crossing points into
 cells of side w, scans two forward runs per crossing on gapped ranks,
 and returns, as arrays, each edge set that two close crossings span and
-the midpoint of its pair with the least scan key.  The scan is a stream
-of engine blocks of close pairs, each cut to each edge set's least key
-before the next is made, so memory never grows with the number of close
-pairs.  While it runs it holds, per crossing, I, J and the point (32
-bytes) and the scan's order, runs and coordinates (80 bytes; about 130
-while it is set up), plus one block of close pairs and the codes kept so
-far (16 bytes a kept pair up to 55,107 edges, 24 above); after the scan,
-the report (48 bytes a row) and the kept codes, the keys freed before
-the edge ids are decoded.
+the midpoint of its least close pair (A, B), A < B, in the (i, j) order
+of :func:`crossing_pairs`.  The scan is a stream of engine blocks of
+close pairs, each cut to each edge set's least pair before the next is
+made, so memory never grows with the number of close pairs.  While it
+runs it holds, per crossing, I, J and the point (32 bytes) and the
+scan's cell order, coordinates, runs and their running count (56 bytes;
+96 at the peak while it is set up), plus one block of close pairs and
+the codes kept so far (16 bytes a kept pair up to 55,107 edges, 24
+above); after the scan, the report (48 bytes a row) and the kept codes,
+the pair keys freed before the edge ids are decoded.
 
 Predicates are a strict sign test against 0, exact under 2^k scaling:
 IEEE arithmetic commutes with a power-of-two scale, so every answer is
@@ -77,8 +78,9 @@ class PropernessReport:
 
     disk_overlaps: node pairs whose disks intersect (center distance < 2r).
     concurrent_points: (k, 2) float64 array of approximate >=3-edge
-        coincidences, each the midpoint of the pair with the least scan
-        key of two crossings of distinct edge pairs within one edge width.
+        coincidences: two crossings of distinct edge pairs within one edge
+        width, each row the midpoint of its edge set's least such pair of
+        crossings (A, B), A < B, in crossing order.
     concurrent_edges: (k, 4) int64 array of each row's edge ids ascending,
         a 3-edge set padded with -1; rows sorted as the id tuples sort.
     collinear_overlaps: edge pairs overlapping along a positive-length
@@ -384,18 +386,13 @@ def _bounding_box(d: BoldDrawing, rect_box):
     """:func:`bounding_box` given the rectangles' box of :func:`_edge_rects`."""
     if d.graph.node_count == 0:
         return None
-    pos = d.layout.positions
     r = d.params.radius
-    xmin = float(pos[:, 0].min() - r)
-    xmax = float(pos[:, 0].max() + r)
-    ymin = float(pos[:, 1].min() - r)
-    ymax = float(pos[:, 1].max() + r)
+    xmin, ymin, xmax, ymax = d.layout.extent
+    xmin, ymin, xmax, ymax = xmin - r, ymin - r, xmax + r, ymax + r
     lx, ly, hx, hy = rect_box
     if lx.size:
-        xmin = min(xmin, float(lx.min()))
-        xmax = max(xmax, float(hx.max()))
-        ymin = min(ymin, float(ly.min()))
-        ymax = max(ymax, float(hy.max()))
+        xmin, ymin = min(xmin, float(lx.min())), min(ymin, float(ly.min()))
+        xmax, ymax = max(xmax, float(hx.max())), max(ymax, float(hy.max()))
     return xmin, ymin, xmax, ymax
 
 
@@ -447,14 +444,8 @@ def _gapped_ranks(v):
 
 
 def _close_crossing_pairs(X, Y, w: float):
-    """(seq, blocks): the N crossings in scan order (cells by their lowest
-    crossing index, then A), and per engine block the crossings (A, B),
-    A < B, closer than w whose cells (floor(x/w), floor(y/w)) touch, each
-    pair once, with its scan key (scan[A] * 9 + slot) * N + B: scan[A] is
-    A's place in seq and slot B's cell's place in A's 3x3 block (x offset
-    major).  The keys order the pairs as a scan of each cell's 3x3 block
-    meets them, whatever the order of blocks and runs; 9 N^2 fits int64
-    up to about 1.0e9 crossings.
+    """Yield, per engine block, the crossings (A, B), A < B, closer than w
+    whose cells (floor(x/w), floor(y/w)) touch, each pair once.
 
     Cells are keyed (gx, gy + 1) in base H = max(gy) + 3, on gapped ranks,
     so a key step of 1 or H is one cell.  In key order each crossing scans
@@ -469,13 +460,6 @@ def _close_crossing_pairs(X, Y, w: float):
     key = key[by_cell]
     start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
     size = np.diff(start, append=N)
-    # A cell-order position's scan place: its cell's offset in the scan plus its rank in the cell.
-    cells = np.argsort(by_cell[start])
-    shift = np.empty_like(start)
-    shift[cells] = np.cumsum(size[cells]) - size[cells]
-    place = np.arange(N) + np.repeat(shift - start, size)
-    seq = np.empty(N, np.int64)
-    seq[place] = by_cell
     # Each cell's run ends; rows of the needles ascend, so searchsorted is fast.
     # int32 runs: cell-order positions are below N, so below 2^31.
     ends = np.searchsorted(key, key[start] + [[2], [H - 1], [H + 2]]).astype(np.int32)
@@ -488,16 +472,10 @@ def _close_crossing_pairs(X, Y, w: float):
         for e, k in _runs(first, count):
             e >>= 1  # two runs per cell-order position
             close = np.flatnonzero(np.square(xc[e] - xc[k]) + np.square(yc[e] - yc[k]) < w * w)
-            e, k = e[close], k[close]
-            swap = by_cell[k] < by_cell[e]
-            e, k = np.where(swap, k, e), np.where(swap, e, k)
-            A, B = by_cell[e], by_cell[k]
-            # d = H dx + dy for B's cell offset (dx, dy) from A's: dx = (d + 1) // H,
-            # and slot = 3 (dx + 1) + dy + 1 = 4 + d - (H - 3) dx.
-            d = key[k] - key[e]
-            yield A, B, (place[e] * 9 + 4 + d - (d + 1) // H * (H - 3)) * N + B
+            A, B = by_cell[e[close]], by_cell[k[close]]
+            yield np.minimum(A, B), np.maximum(A, B)
 
-    return seq, blocks()
+    return blocks()
 
 
 def _edge_set_codes(I, J, A, B, m: int):
@@ -533,33 +511,30 @@ def _least_key_of_each(codes, key):
 
 def _concurrent_points(I, J, pts, w: float, m: int):
     """The concurrent_points and concurrent_edges arrays of
-    :class:`PropernessReport` for the crossings (I[k], J[k]) at pts[k],
-    numbered in lexicographic order.
-
-    Two crossings closer than w in touching cells of side w put their edge
-    set on the list, at the midpoint of the pair with the least scan key
-    of :func:`_close_crossing_pairs`.  Each block of pairs is cut, as it
-    comes, to each edge set's :func:`_edge_set_codes` and least key; after
-    the last block one sort keeps each set's least key across blocks.  The
-    keys are decoded _BLOCK_PAIRS rows at a time into the midpoints, and
-    once they are freed the set codes into the edge ids.  So one block of
-    close pairs is held at a time, plus at most one pair per edge set and
-    block, and at the end the report and the set codes.
+    :class:`PropernessReport` for the N crossings (I[k], J[k]) at pts[k],
+    numbered in lexicographic order (N below _MAX_NODES: a pair key is one
+    int64).  Each block of :func:`_close_crossing_pairs` is cut, as it
+    comes, to each edge set's :func:`_edge_set_codes` and least :func:`_pack`
+    key of its close pairs (A, B); after the last block one sort keeps each
+    set's least key across blocks.  The keys are decoded _BLOCK_PAIRS rows
+    at a time into the midpoints, and once they are freed the set codes
+    into the edge ids.  So one block of close pairs is held at a time, plus
+    at most one pair per edge set and block, and at the end the report and
+    the set codes.
     """
-    seq, blocks = _close_crossing_pairs(pts[:, 0], pts[:, 1], w)
-    kept = [np.vstack(_least_key_of_each(_edge_set_codes(I, J, A, B, m), key))
-            for A, B, key in blocks]
+    N = I.size
+    kept = [np.vstack(_least_key_of_each(_edge_set_codes(I, J, A, B, m), *_pack((A, B), N)))
+            for A, B in _close_crossing_pairs(pts[:, 0], pts[:, 1], w)]
     kept = np.concatenate(kept, axis=1) if kept else np.empty((2, 0), np.int64)  # no pair met
     *codes, key = _least_key_of_each(kept[:-1], kept[-1])
     del kept
     blocks = [slice(a, a + _BLOCK_PAIRS) for a in range(0, key.size, _BLOCK_PAIRS)]
     points = np.empty((key.size, 2))
     for rows in blocks:
-        scan, B = np.divmod(key[rows], I.size)
-        points[rows] = pts[seq[scan // 9]]
-        points[rows] += pts[B]
+        A, B = _unpack([key[rows]], N, 2)
+        points[rows] = pts[A] + pts[B]
     points *= 0.5
-    del key, seq  # freed before the edges are made
+    del key  # freed before the edges are made
     edges = np.empty((len(points), 4), np.int64)
     for rows in blocks:
         np.stack(_unpack([c[rows] for c in codes], m + 1, 4), axis=1, out=edges[rows])
@@ -575,11 +550,11 @@ def check_proper(d: BoldDrawing) -> PropernessReport:
     three-edges-through-a-point condition is approximated by flagging two
     crossing points of distinct edge pairs closer than the edge width,
     which is the scale at which the inked rectangles actually coincide;
-    each such edge set is reported once, at the midpoint of the pair with
-    the least scan key of :func:`_close_crossing_pairs`, which scans two
-    forward runs per crossing on gapped ranks and yields the close pairs
-    one engine block at a time; :func:`_concurrent_points` keeps only each
-    block's least key of each edge set.  All outputs are sorted.
+    each such edge set is reported once, at the midpoint of its least
+    close pair (A, B), A < B, numbering crossings as :func:`crossing_pairs`
+    lists them.  :func:`_close_crossing_pairs` yields the close pairs one
+    engine block at a time and :func:`_concurrent_points` keeps only each
+    block's least pair of each edge set.  All outputs are sorted.
     """
     P, Q, _ = _segment_arrays(d)
     r, w = d.params.radius, d.params.width

@@ -141,6 +141,9 @@ def ink_report(
         dens, feasible = density(total, A), check_area_constraint(total, A, gamma)
     else:
         dens, feasible = 0.0, total <= 0
+    if not (math.isfinite(total) and math.isfinite(dens)):
+        raise ValueError(
+            f"ink or its density is not finite at r={r}, w={w}, L={L}, cr={cr}, A={A}")
     return InkReport(ink_nodes, ink_edges, overlap, total, dens, feasible)
 
 
@@ -187,7 +190,7 @@ def radius_bounds(
     _gamma(gamma)
     _area(A)
     pin = math.pi * n
-    B = gamma * A - w * L + w * w * cr + (m * w) ** 2 / pin
+    B = gamma * A - w * L + w * w * cr + m * w * (m * w) / pin
     if B < 0:
         raise InfeasibleError(
             f"no radius satisfies the density ceiling (budget shortfall {B:.6g})"
@@ -249,7 +252,7 @@ def min_ink_radius(
     r_star = w * (m / n) / math.pi
     ink_min = None
     if L is not None and cr is not None:
-        ink_min = w * L - w * w * cr - (m * w) ** 2 / (math.pi * n)
+        ink_min = w * L - w * w * cr - m * w * (m * w) / (math.pi * n)
     return MinInkRadius(r_star, ink_min)
 
 
@@ -347,7 +350,9 @@ def partial_edge_formulas(
     if w == 0:
         return PartialEdgeFormulas(ink_partial, None, None)
     necessity = (cr_full - cr_partial) <= (1.0 - p) * L / w
-    interval = Interval(p * L / w - gamma * A / (w * w), p * L / w)
+    # w divides twice only where w * w underflows to 0 (w below about 1e-162)
+    budget = gamma * A / (w * w) if w * w else gamma * A / w / w
+    interval = Interval(p * L / w - budget, p * L / w)
     return PartialEdgeFormulas(ink_partial, necessity, interval)
 
 

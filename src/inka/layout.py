@@ -215,6 +215,11 @@ def _spring_iterate(
     """Core spring-embedder loop; returns refined positions."""
     pos = pos.copy()
     n = len(pos)
+    # A step moves a node at most t, so a run widens each axis of the start
+    # span by at most twice the sum of the t; squared, that must not overflow.
+    reach = 2.0 * t0 * (1.0 - cooling**iterations) / (1.0 - cooling)
+    sx, sy = (pos.max(axis=0) - pos.min(axis=0) + reach).tolist()
+    _finite_size(sx * sx + sy * sy, n, k)
     t = t0
     buffers = _repulsion_buffers(n)
     a, b = edges.T.copy()

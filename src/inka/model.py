@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -61,6 +62,14 @@ def _positive(value: float, what: str) -> float:
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{what} must be finite and > 0, got {value}")
     return float(value)
+
+
+def _squarable(sx: float, sy: float, what: str, error=ValueError) -> None:
+    """error naming what unless sx^2 + sy^2 is finite (in Python floats: no
+    warning).  The one coordinate rule: a box that squares bounds every
+    orientation, squared distance and area inka forms from its points."""
+    if not math.isfinite(sx * sx + sy * sy):
+        raise error(f"{what} {sx!r} x {sy!r} is too large to square")
 
 
 def _node_count(n) -> int:
@@ -183,6 +192,12 @@ class Layout:
     def __len__(self) -> int:
         return self.positions.shape[0]
 
+    @cached_property
+    def extent(self) -> tuple[float, float, float, float]:
+        """(xmin, ymin, xmax, ymax) as Python floats, 0s for no node; made once."""
+        pos = self.positions
+        return (*pos.min(0).tolist(), *pos.max(0).tolist()) if len(pos) else (0.0,) * 4
+
 
 @dataclass(frozen=True)
 class RenderParams:
@@ -205,7 +220,8 @@ class BoldDrawing:
     """A graph, its layout, and the rendering parameters.
 
     The drawn figure is the union of one disk of radius ``params.radius``
-    per node and one rectangle of width ``params.width`` per edge.
+    per node and one rectangle of width ``params.width`` per edge.  Its box,
+    the layout's extent widened by max(2r, w), must pass :func:`_squarable`.
     """
 
     graph: Graph
@@ -218,6 +234,9 @@ class BoldDrawing:
                 f"layout has {len(self.layout)} positions for "
                 f"{self.graph.node_count} nodes"
             )
+        xmin, ymin, xmax, ymax = self.layout.extent
+        grow = max(2.0 * self.params.radius, self.params.width)
+        _squarable(xmax - xmin + grow, ymax - ymin + grow, "drawing box")
 
 
 @dataclass(frozen=True)

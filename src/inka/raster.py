@@ -185,19 +185,10 @@ def render_svg(d: BoldDrawing, path=None) -> str:
     caps, width w), one filled circle per node, drawn over the edges.
 
     Coordinates are emitted as-is, so the picture appears mirrored
-    vertically in SVG viewers (SVG's y axis points down).  A box whose
-    size overflows has no viewBox: DegenerateDrawingError.
+    vertically in SVG viewers (SVG's y axis points down).
     """
-    box = bounding_box(d)
-    if box is None:
-        xmin = ymin = 0.0
-        width = height = 1.0
-    else:
-        xmin, ymin, xmax, ymax = box
-        width = max(xmax - xmin, 1e-9)
-        height = max(ymax - ymin, 1e-9)
-        if not (math.isfinite(width) and math.isfinite(height)):
-            raise DegenerateDrawingError(f"bounding box too large to draw: {box}")
+    xmin, ymin, xmax, ymax = bounding_box(d) or (0.0, 0.0, 1.0, 1.0)  # 1 x 1 for no node
+    width, height = max(xmax - xmin, 1e-9), max(ymax - ymin, 1e-9)
     pos = d.layout.positions
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',

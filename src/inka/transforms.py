@@ -15,25 +15,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Segment, _adjacent_mask, _crossing_blocks, _pair_keys
-from .model import BoldDrawing, Layout, RenderParams, _positive
+from .model import BoldDrawing, Layout, RenderParams, _positive, _squarable
 
 
 def scale_layout(layout: Layout, sigma_len: float) -> Layout:
     """Spread positions about the centroid so every distance multiplies
-    by sigma_len.  sigma_len == 1 returns an identical layout."""
+    by sigma_len; the scaled span must square.  sigma_len == 1 returns an
+    identical layout."""
     _positive(sigma_len, "length multiplier")
     pos = layout.positions
     if sigma_len == 1.0 or len(pos) == 0:
         return Layout(pos)
+    xmin, ymin, xmax, ymax = layout.extent
+    _squarable(sigma_len * (xmax - xmin), sigma_len * (ymax - ymin), "scaled layout span")
     centroid = pos.mean(axis=0)
     return Layout(centroid + sigma_len * (pos - centroid))
 
 
 def zoom_drawing(d: BoldDrawing, zeta_area: float) -> BoldDrawing:
     """Magnify the drawing by area factor zeta_area: positions, radius,
-    and width all multiply by sqrt(zeta_area)."""
+    and width all multiply by sqrt(zeta_area), once the zoomed box squares."""
     _positive(zeta_area, "area magnification")
     s = math.sqrt(zeta_area)
+    xmin, ymin, xmax, ymax = (s * v for v in d.layout.extent)
+    grow = s * max(2.0 * d.params.radius, d.params.width)
+    _squarable(xmax - xmin + grow, ymax - ymin + grow, "zoomed drawing box")
     return BoldDrawing(
         graph=d.graph,
         layout=Layout(d.layout.positions * s),

@@ -61,8 +61,8 @@ def test_rows_recompute_from_their_own_columns(tiny_setup):
             + row.w * (row.L - 2 * row.m * row.r)
             - row.w**2 * row.cr
         )
-        assert row.ink == pytest.approx(ink, rel=1e-12)
-        assert row.density == pytest.approx(row.ink / row.A, rel=1e-12)
+        assert row.ink == pytest.approx(ink, rel=1e-12, abs=0)
+        assert row.density == pytest.approx(row.ink / row.A, rel=1e-12, abs=0)
         if row.ink > 0:
             assert row.log10_ink == pytest.approx(math.log10(row.ink))
 

@@ -186,7 +186,8 @@ def test_transform_scale(drawing_files, tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["transform"] == "scale"
-    assert payload["measured_delta"] == pytest.approx(payload["predicted_delta"], rel=1e-9)
+    assert payload["measured_delta"] == pytest.approx(payload["predicted_delta"],
+                                                      rel=1e-9, abs=0)
     scaled = parse_layout_csv(dest.read_text(), node_count=4)
     # distances doubled
     d0 = np.hypot(10.0, 10.0)
@@ -202,7 +203,7 @@ def test_transform_zoom(drawing_files, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["radius_after"] == pytest.approx(2.0)
-    assert payload["measured_ink"] == pytest.approx(payload["predicted_ink"], rel=1e-9)
+    assert payload["measured_ink"] == pytest.approx(payload["predicted_ink"], rel=1e-9, abs=0)
 
 
 def test_transform_zoom_far_down_keeps_the_crossing(drawing_files, capsys):
@@ -281,7 +282,7 @@ def test_partial_sweep_json_formula_matches_measured(drawing_files, capsys):
     records = json.loads(capsys.readouterr().out)
     assert [rec["p"] for rec in records] == [0.5, 1.0]
     for rec in records:
-        assert rec["ink_measured"] == pytest.approx(rec["ink_formula"], rel=1e-9)
+        assert rec["ink_measured"] == pytest.approx(rec["ink_formula"], rel=1e-9, abs=0)
 
 
 def test_partial_bad_ratios(drawing_files, capsys):
@@ -443,6 +444,120 @@ def test_spring_layout_whose_squared_scale_overflows_is_an_error_line(capsys, al
     assert captured.err == "error: ideal edge length 1e+307 is too large for 144 nodes\n"
 
 
+@pytest.mark.parametrize("algorithm", ["force-directed", "multilevel"])
+def test_spring_reach_that_does_not_square_is_an_error_line(capsys, algorithm):
+    # 5e152 squares within the start square of can_144, but 100 cooling
+    # steps of at most t each can spread the nodes past a span that
+    # squares: the reach is tested before the first step (multilevel's
+    # first spring runs on a coarse level, whose length and nodes it names)
+    graph = str(Path(__file__).resolve().parents[1] / "data" / "graphs" / "can_144.mtx")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        code = run(["layout", "--graph", graph, "--algorithm", algorithm,
+                    "--ideal-length", "5e152", "--iterations", "100"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ideal edge length ")
+    assert " is too large for " in captured.err and captured.err.count("\n") == 1
+    if algorithm == "force-directed":
+        assert captured.err == "error: ideal edge length 5e+152 is too large for 144 nodes\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["transform", "--scale", "1e200"], "scaled layout span 9.999999999999999e+200 x "
+                                        "9.999999999999999e+200 is too large to square"),
+    (["transform", "--zoom", "1e308", "--area", "100"],
+     "zoomed drawing box 1.2e+155 x 1.2e+155 is too large to square"),
+    (["raster", "--area", "100", "--radius", "1e200"],
+     "drawing box 2e+200 x 2e+200 is too large to square"),
+    (["bounds", "--area", "100", "--width", "1e200"],
+     "drawing box 1e+200 x 1e+200 is too large to square"),
+    (["analyze", "--area", "5e-324"], "ink or its density is not finite at r=1.0, w=1.0, "
+                                      "L=28.284271247461902, cr=1, A=5e-324"),
+    (["analyze", "--radius", "1e150", "--width", "1e150", "--area", "1e-300"],
+     "ink or its density is not finite at r=1e+150, w=1e+150, L=28.284271247461902, "
+     "cr=1, A=1e-300"),
+])
+def test_overflowing_arithmetic_is_one_error_line_naming_inputs(drawing_files, capsys,
+                                                                 argv, message):
+    graph, layout = drawing_files
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        code = run([argv[0], "--graph", graph, "--layout", layout, *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [["partial", "--ratios", "0.5"],
+                                     ["transform", "--partial", "0.5"]])
+def test_width_whose_square_underflows_reports_the_crossing_bracket(drawing_files, capsys,
+                                                                    command):
+    # w * w is 0 at w = 5e-324: the bracket's budget term divides by w twice
+    graph, layout = drawing_files
+    code = run([*command, "--graph", graph, "--layout", layout, "--width", "5e-324",
+                "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    payload = json.loads(captured.out)
+    if command[0] == "partial":
+        assert (payload[0]["cr_lo"], payload[0]["cr_hi"]) == ("nan", "inf")
+
+
+_EDGE_VALUES = ("0", "-0", "5e-324", "1e152", "1e200", "1e308", "nan", "inf", "-inf",
+                str(2**63))
+_DRAWING_COMMANDS = (["analyze"], ["bounds"], ["raster"], ["render"], ["partial"],
+                     ["transform", "--scale", "2"], ["transform", "--zoom", "4"],
+                     ["transform", "--partial", "0.5"])
+
+
+def _edge_value_cases(graph, layout):
+    """argv lists: every drawing command with each edge value in --radius,
+    --width and --gamma, and in the transform factors, each at auto area
+    and at --area 100, then in --area itself; then layouts at huge ideal
+    edge lengths."""
+    files = ["--graph", graph, "--layout", layout]
+    for value in _EDGE_VALUES:
+        for area in ([], ["--area", "100"]):
+            for command in _DRAWING_COMMANDS:
+                for flag in ("--radius", "--width", "--gamma"):
+                    yield [*command, *files, flag, value, *area]
+            for flag in ("--scale", "--zoom", "--partial"):
+                yield ["transform", *files, flag, value, *area]
+        for command in _DRAWING_COMMANDS:
+            yield [*command, *files, "--area", value]
+    can_144 = str(Path(__file__).resolve().parents[1] / "data" / "graphs" / "can_144.mtx")
+    for value in ("1e152", "5e152", "1e200", "1e308", str(2**63)):
+        for algorithm in ("random", "circular", "force-directed", "multilevel"):
+            yield ["layout", "--graph", graph, "--algorithm", algorithm,
+                   "--ideal-length", value, "--iterations", "20"]
+        yield ["layout", "--graph", can_144, "--algorithm", "force-directed",
+               "--ideal-length", value, "--iterations", "100"]
+
+
+def test_edge_values_end_in_an_exit_code_and_at_most_one_error_line(drawing_files, capsys):
+    # Each run exits 0, 1 or 2 with nothing raised and no RuntimeWarning;
+    # stderr is empty, one error: line, or argparse's usage and error (exit 2).
+    failures = []
+    for argv in _edge_value_cases(*drawing_files):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                code = run(argv)
+            except SystemExit as e:
+                code = e.code
+            except Exception as e:  # collected, so one run names every failing case
+                code = f"raised {e!r}"
+        err = capsys.readouterr().err.splitlines()
+        ok = code in (0, 1, 2) and (
+            (code == 2 and err and err[0].startswith("usage: ") and ": error: " in err[-1])
+            or err == [] or (len(err) == 1 and err[0].startswith("error: ")))
+        if not ok:
+            failures.append((argv, code, err))
+    assert failures == []
+
+
 def test_raster_gap_small_without_crossings(tmp_path, capsys):
     graph = tmp_path / "sides.edges"
     graph.write_text("0 1\n2 3\n")
@@ -457,7 +572,7 @@ def test_raster_gap_small_without_crossings(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert abs(payload["relative_gap"]) < 0.05
-    assert payload["raster_ink"] == pytest.approx(payload["analytic_ink"], rel=0.05)
+    assert payload["raster_ink"] == pytest.approx(payload["analytic_ink"], rel=0.05, abs=0)
 
 
 def test_raster_bad_resolution_is_structured_error(drawing_files, capsys):

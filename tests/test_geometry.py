@@ -548,8 +548,11 @@ def test_measure_fixed_area(diagonal_drawing):
 
 # ---------------------------------------------------------------- properness oracles
 # The all-pairs crossing_pairs and check_proper that the engine versions
-# replaced, kept verbatim as references: every list must come out equal,
-# crossing points and representative points bit for bit, in the same order.
+# replaced, kept as references: every list must come out equal, crossing
+# points and representative points bit for bit, in the same order.  Only
+# the reference's choice of each edge set's point has changed since: it
+# keeps the close pair with the least (a, b), not the first one its cell
+# dict meets.
 
 
 def reference_crossing_pairs(d):
@@ -607,11 +610,10 @@ def reference_check_proper(d):
                     ib, jb, (xb, yb) = crossings[b]
                     if (xa - xb) ** 2 + (ya - yb) ** 2 < w * w:
                         edges = tuple(sorted({ia, ja, ib, jb}))
-                        concurrent.setdefault(
-                            edges, (0.5 * (xa + xb), 0.5 * (ya + yb))
-                        )
+                        pair = (a, b), (0.5 * (xa + xb), 0.5 * (ya + yb))
+                        concurrent[edges] = min(concurrent.get(edges, pair), pair)
 
-    concurrent_points = [(pt, edges) for edges, pt in sorted(concurrent.items())]
+    concurrent_points = [(pt, edges) for edges, (_ab, pt) in sorted(concurrent.items())]
     verdict = not disk_overlaps and not concurrent_points and not overlaps
     return SimpleNamespace(
         disk_overlaps=disk_overlaps,
@@ -708,12 +710,13 @@ def test_collinear_overlap_of_x_disjoint_edges():
     assert report.collinear_overlaps == []
 
 
-def test_concurrent_point_is_the_first_close_pair_met():
+def test_concurrent_point_is_the_least_close_pair():
     # three lines crossing pairwise near one spot: crossings 0=(0,1),
     # 1=(0,2) and 2=(1,2) all reach the edge set (0, 1, 2).  Crossing 2
     # lies in the cell left of crossing 0's and crossing 1 in the cell to
-    # its right, both within w of crossing 0, so the scan meets the pair
-    # (0, 2) before (0, 1): the neighbour cell's place beats the index.
+    # its right, both within w of crossing 0, so a scan from the left cell
+    # meets the pair (0, 2) first; the least pair in crossing order, (0, 1),
+    # picks the point all the same.
     pts = [(-5, 0.5), (5, 0.5), (7.5, -2.5), (-4.5, 3.5), (6.9, -0.7), (-3.9, 2.0)]
     d = bold(pts, [(0, 1), (2, 3), (4, 5)], r=0.1, w=1.0)
     crossings, _ = crossing_pairs(d)
@@ -721,7 +724,7 @@ def test_concurrent_point_is_the_first_close_pair_met():
     (x0, y0), (x1, y1), (x2, y2) = (pt for _i, _j, pt in crossings)
     assert math.floor(x2) < math.floor(x0) < math.floor(x1)
     report = assert_matches_oracle(d)
-    assert concurrent_entries(report) == [((0.5 * (x0 + x2), 0.5 * (y0 + y2)), (0, 1, 2))]
+    assert concurrent_entries(report) == [((0.5 * (x0 + x1), 0.5 * (y0 + y1)), (0, 1, 2))]
 
 
 def test_concurrent_scan_is_independent_of_block_size():
@@ -818,19 +821,19 @@ def crossing_clouds(draw):
 @given(crossing_clouds())
 def test_close_pair_scan_equals_the_nine_run_scan(cloud):
     # The forward scan meets each close pair once, as A < B, in no set
-    # order; sorted by their scan keys its pairs are the nine-run scan's,
-    # and each key decodes to its own pair.
+    # order; sorted by (A, B), its pairs are the nine-run scan's sorted so.
     X, Y, w, block_pairs = cloud
     with block_size(block_pairs):
-        seq, blocks = _close_crossing_pairs(X, Y, w)
         none = np.empty(0, np.int64)  # a scan may meet no pair and yield no block
-        A, B, key = (np.concatenate(c) for c in zip((none,) * 3, *blocks, strict=True))
+        A, B = (np.concatenate(c) for c in zip((none,) * 2, *_close_crossing_pairs(X, Y, w),
+                                               strict=True))
         want = reference_close_crossing_pairs(X, Y, w)
-    assert (A < B).all() and np.unique(key).size == key.size
-    assert np.array_equal(seq[key // X.size // 9], A) and np.array_equal(key % X.size, B)
-    order = np.argsort(key)
+    assert (A < B).all()
+    key = A * X.size + B
+    assert np.unique(key).size == key.size
+    order, ref = np.lexsort((B, A)), np.lexsort(want[::-1])
     for g, f in zip((A[order], B[order]), want, strict=True):
-        assert g.dtype == f.dtype and np.array_equal(g, f)
+        assert g.dtype == f.dtype and np.array_equal(g, f[ref])
 
 
 def test_edge_set_codes_are_the_sorted_edge_sets_with_ties():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -152,6 +153,25 @@ def test_gamma_must_be_in_unit_interval(bad):
     ):
         with pytest.raises(ValueError, match=r"gamma must be in \(0, 1\]"):
             call()
+
+
+def test_ink_that_is_not_finite_names_the_inputs():
+    # a density over a subnormal area, and an overlap term that overflows
+    for args in ((4, 2, 1.0, 1.0, 28.0, 1, 5e-324), (4, 2, 0.0, 1e200, 28.0, 1, 1.0),
+                 (4, 2, 1e200, 1e200, 28.0, 1, 0.0)):
+        n, m, r, w, L, cr, A = args
+        with pytest.raises(ValueError, match=re.escape(
+                f"ink or its density is not finite at r={r}, w={w}, L={L}, cr={cr}, A={A}")):
+            ink_report(*args)
+
+
+def test_bounds_at_extreme_widths_raise_nothing():
+    # (m w)^2 overflows at w = 1e200 and w * w underflows at w = 5e-324
+    r_iv = radius_bounds(4, 2, 1e200, 28.0, 1, 1.0, 100.0)
+    assert r_iv.hi == math.inf
+    assert min_ink_radius(4, 2, 1e200, 28.0, 1).ink_min == -math.inf
+    f = partial_edge_formulas(4, 2, 1.0, 5e-324, 28.0, 0.5, 1, 0, 1.0, 100.0)
+    assert f.crossing_interval.hi == math.inf and math.isnan(f.crossing_interval.lo)
 
 
 def test_zero_area_keeps_working_in_the_bounds():

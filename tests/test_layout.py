@@ -578,6 +578,16 @@ def test_spring_iterate_without_edges_matches_rows_reference():
     assert got.tobytes() == spring_iterate_rows(*args, t0=10.0, cooling=0.9).tobytes()
 
 
+def test_spring_iterate_refuses_a_reach_that_does_not_square():
+    # 20 steps at t0 = 1e153, cooling 0.9, can widen each axis by about
+    # 1.76e154, whose square overflows; at t0 = 1e152 the run goes ahead
+    pos = np.random.default_rng(4).uniform(0.0, 100.0, size=(7, 2))
+    args = (pos, np.empty((0, 2), dtype=np.int64), np.empty(0), np.ones(7), 30.0, 20)
+    with pytest.raises(LayoutError, match="^ideal edge length 30.0 is too large for 7 nodes$"):
+        _spring_iterate(*args, t0=1e153, cooling=0.9)
+    assert np.isfinite(_spring_iterate(*args, t0=1e152, cooling=0.9)).all()
+
+
 @pytest.mark.parametrize("algorithm", ["force-directed", "multilevel"])
 def test_spring_layouts_of_can_144_repeat_bit_for_bit(algorithm):
     g = load_graph(CAN_144)

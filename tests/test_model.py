@@ -260,6 +260,28 @@ def test_bold_drawing_checks_layout_length():
         BoldDrawing(g, lay, RenderParams(1.0, 0.1))
 
 
+def test_layout_extent_is_its_box_in_python_floats():
+    lay = Layout(np.array([[3.0, -1.0], [-2.0, 4.0], [0.5, 0.5]]))
+    assert lay.extent == (-2.0, -1.0, 3.0, 4.0)
+    assert all(type(v) is float for v in lay.extent)
+    assert Layout(np.empty((0, 2))).extent == (0.0, 0.0, 0.0, 0.0)
+
+
+def test_bold_drawing_box_must_square_finitely():
+    # the box is the layout's extent widened by max(2r, w): 10 + 2r or 10 + w
+    g = build_graph(2, [(0, 1)])
+    lay = Layout(np.array([[0.0, 0.0], [10.0, 10.0]]))
+    BoldDrawing(g, lay, RenderParams(1e153, 1e153))
+    for r, w in ((1e154, 0.0), (0.0, 2e154), (1e200, 1e200)):
+        grow = max(2 * r, w)
+        with pytest.raises(ValueError, match=re.escape(
+                f"drawing box {10 + grow!r} x {10 + grow!r} is too large to square")):
+            BoldDrawing(g, lay, RenderParams(r, w))
+    far = Layout(np.array([[-1e308, 0.0], [1e308, 0.0]]))
+    with pytest.raises(ValueError, match=r"^drawing box inf x 0\.0 is too large to square$"):
+        BoldDrawing(g, far, RenderParams(0.0, 0.0))
+
+
 def test_records_compare_by_value():
     g = build_graph(3, [(0, 1), (1, 2)])
     assert g == build_graph(3, [(2, 1), (1, 0), (0, 1)])

@@ -172,9 +172,9 @@ def test_close_crossing_pairs_circle_mesh24(benchmark):
     _I, _J, pts = _crossing_arrays(P, Q)
     X, Y = pts[:, 0].copy(), pts[:, 1].copy()
     # the scan yields its blocks lazily: list them inside the timed call
-    blocks = benchmark(lambda: list(_close_crossing_pairs(X, Y, 1.0)[1]))
-    A, B, key = (np.concatenate(c) for c in zip(*blocks))
-    assert A.size == B.size == key.size > 0 and (A < B).all()
+    blocks = benchmark(lambda: list(_close_crossing_pairs(X, Y, 1.0)))
+    A, B = (np.concatenate(c) for c in zip(*blocks))
+    assert A.size == B.size > 0 and (A < B).all()
 
 
 def test_concurrent_points_lattice_can_144(benchmark):

@@ -344,7 +344,7 @@ def test_scanline_equals_reference_on_sides_through_sample_centres():
     no_disk = bold(inset, [], r=1.25, w=0.0)
     chords = math.fsum(2 * math.sqrt(25 - j * j) / 4 for j in range(-5, 6))
     assert rasterize_ink(one_disk, cfg) - rasterize_ink(no_disk, cfg) == pytest.approx(
-        chords / 4, rel=1e-13)
+        chords / 4, rel=1e-13, abs=0)
     disks = bold(inset + [(4.125, 10.125), (11.125, 10.125)], [(2, 3)], r=1.25, w=0.5)
     for supersampling in (1, 2, 4):
         assert_near_reference(disks, RasterConfig(64, supersampling))
@@ -429,15 +429,15 @@ def test_raster_memory_bounded_at_huge_resolution():
 
 def test_exact_union_area_matches_closed_forms():
     assert exact_union_area(bold([(3.0, -2.0)], [], r=1.5, w=0.0)) == pytest.approx(
-        math.pi * 1.5**2, rel=1e-14)
+        math.pi * 1.5**2, rel=1e-14, abs=0)
     tilted = bold([(0.0, 0.0), (8.0, 5.0)], [(0, 1)], r=0.0, w=1.0)
-    assert exact_union_area(tilted) == pytest.approx(math.hypot(8.0, 5.0), rel=1e-14)
+    assert exact_union_area(tilted) == pytest.approx(math.hypot(8.0, 5.0), rel=1e-14, abs=0)
     r = w = 0.5
     a = 0.5 * w
     strip = a * math.sqrt(r * r - a * a) + r * r * math.asin(a / r)
     bar = bold([(0.0, 0.0), (1.0, 1.0)], [(0, 1)], r=r, w=w)
     assert exact_union_area(bar) == pytest.approx(
-        2 * math.pi * r * r + math.sqrt(2.0) * w - 2 * strip, rel=1e-14)
+        2 * math.pi * r * r + math.sqrt(2.0) * w - 2 * strip, rel=1e-14, abs=0)
 
 
 def test_raster_converges_to_exact_union_area():

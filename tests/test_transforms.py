@@ -49,6 +49,22 @@ def test_scale_layout_rejects_bad_factor():
             scale_layout(lay, bad)
 
 
+def test_scale_and_zoom_refuse_a_span_that_does_not_square_before_any_product(
+        diagonal_drawing):
+    # the tests run with RuntimeWarning as an error, so an overflowing
+    # product would fail here before the refusal
+    lay = diagonal_drawing.layout
+    with pytest.raises(ValueError, match="^scaled layout span .* is too large to square$"):
+        scale_layout(lay, 1e200)
+    with pytest.raises(ValueError, match="^zoomed drawing box .* is too large to square$"):
+        zoom_drawing(diagonal_drawing, 1e308)
+    # a far offset overflows the zoomed corners, not the span
+    far = BoldDrawing(diagonal_drawing.graph, Layout(lay.positions + 1e300),
+                      diagonal_drawing.params)
+    with pytest.raises(ValueError, match="^zoomed drawing box nan x nan is too large"):
+        zoom_drawing(far, 1e20)
+
+
 def test_scale_preserves_crossings():
     rng = np.random.default_rng(8)
     for _ in range(20):
@@ -106,7 +122,7 @@ def test_partial_edges_total_length_is_p_times_L():
         d = random_bold_drawing(rng, lattice_prob=0.0)
         stubs = partial_edges(d, p)
         _, L = edge_lengths(d)
-        assert stubs.total_length == pytest.approx(p * L, rel=1e-9)
+        assert stubs.total_length == pytest.approx(p * L, rel=1e-9, abs=0)
 
 
 def test_partial_edges_rejects_bad_ratio(diagonal_drawing):
