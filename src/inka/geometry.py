@@ -27,7 +27,7 @@ the pairing catches.
 Every pair query uses the x-extent filter only: stub crossings and the
 crossing points of :func:`crossing_pairs` map the kernel's ranks back to
 indices, as :func:`_candidate_blocks` does for disk overlaps on
-[x - r, x + r] and collinear overlaps on x-extents, which the collinear
+[x, x + 2r] and collinear overlaps on x-extents, which the collinear
 test requires to meet.  :func:`check_proper` bins crossing points into
 cells of side w, scans two forward runs per crossing on gapped ranks,
 and returns, as arrays, each edge set that two close crossings span and
@@ -420,14 +420,14 @@ def bounding_area(d: BoldDrawing, fixed: float | None = None) -> float:
 
 def _disk_overlap_pairs(pos, r: float):
     """Sorted (i, j), i < j, of the nodes whose disks overlap (center
-    distance < 2r), from the engine on extents [x - r, x + r] widened by
-    1e-9 of the coordinate scale, so rounding cannot drop a close pair."""
+    distance < 2r), from the engine on extents [x, x + 2r].  No rounding
+    drops a close pair: fl(dx^2 + dy^2) < fl((2r)^2) needs |x_i - x_j| < 2r
+    exactly, and rounding is monotone, so x_j <= fl(x_i + 2r)."""
     x = pos[:, 0]
-    reach = r + 1e-9 * (r + float(np.abs(x).max()))
     limit = (2.0 * r) ** 2
 
     def blocks():
-        for I, J in _candidate_blocks(x - reach, x + reach):
+        for I, J in _candidate_blocks(x, x + 2.0 * r):
             dx = pos[I, 0] - pos[J, 0]
             dy = pos[I, 1] - pos[J, 1]
             close = dx * dx + dy * dy < limit

@@ -16,6 +16,10 @@ contiguous endpoint columns.  Coarsening matches nodes in id order, each
 to its first unmatched neighbour by (-weight, id) from one lexsort.
 Disconnected graphs are laid out one component at a time and packed on a
 padded grid.
+
+Every engine holds its layout to the one coordinate rule, so inka can draw
+every layout it writes: :func:`model._squarable`, whose refusal names the
+user's ideal edge length and the node count of the graph or component.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LayoutError
-from .model import Graph, Layout, _pack, _unpack
+from .model import Graph, Layout, _pack, _squarable, _unpack
 
 _ALGORITHMS = ("random", "circular", "force-directed", "multilevel")
 
@@ -68,28 +72,25 @@ class LayoutConfig:
                 raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        if not 1 <= self.iterations <= 2**20:  # 2**63 steps would never end
+            raise ValueError(f"iterations must be in 1..2**20, got {self.iterations}")
         if not (math.isfinite(self.ideal_edge_length) and self.ideal_edge_length > 0):
             raise ValueError("ideal_edge_length must be finite and > 0")
         if not 0 < self.cooling < 1:
             raise ValueError("cooling must be in (0, 1)")
 
 
-def _finite_size(size: float, n: int, k: float) -> float:
-    """size, the side or radius that n nodes at ideal edge length k are
-    placed in, or LayoutError when it overflowed: no finite position can
-    be drawn in an infinite square or on an infinite circle."""
-    if not math.isfinite(size):
-        raise LayoutError(f"ideal edge length {k} is too large for {n} nodes")
-    return size
+def _box(what: str, k: float, n: int) -> str:
+    """The name :func:`model._squarable` gives a refused box: the user's
+    ideal edge length k and the node count n of the graph or component."""
+    return f"ideal edge length {k} for {n} nodes: {what}"
 
 
 def layout_random(g: Graph, seed: int, ideal_edge_length: float = 30.0) -> Layout:
     """Positions uniform in the square [0, sqrt(n) * ideal_edge_length]^2."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    side = _finite_size(math.sqrt(g.node_count) * ideal_edge_length, g.node_count,
-                        ideal_edge_length)
+    side = math.sqrt(g.node_count) * ideal_edge_length
+    _squarable(side, side, _box("random square", ideal_edge_length, g.node_count), LayoutError)
     return Layout(rng.uniform(0.0, side, size=(g.node_count, 2)))
 
 
@@ -97,9 +98,8 @@ def layout_circular(g: Graph, ideal_edge_length: float = 30.0) -> Layout:
     """Nodes in index order on a circle whose circumference gives
     neighboring nodes roughly one ideal edge length of spacing."""
     n = g.node_count
-    if n == 0:
-        return Layout(np.empty((0, 2)))
-    radius = _finite_size(n * ideal_edge_length / (2.0 * math.pi), n, ideal_edge_length)
+    radius = n * ideal_edge_length / (2.0 * math.pi)
+    _squarable(2.0 * radius, 2.0 * radius, _box("circle box", ideal_edge_length, n), LayoutError)
     angles = 2.0 * math.pi * np.arange(n) / n
     return Layout(np.column_stack([radius * np.cos(angles), radius * np.sin(angles)]))
 
@@ -119,19 +119,16 @@ def _component_labels(n: int, edges: np.ndarray) -> np.ndarray:
     return (np.cumsum(label == np.arange(n)) - 1)[label]
 
 
-def _pack_components(parts: list[np.ndarray], pad: float) -> list[np.ndarray]:
-    """Translate per-component position blocks onto a padded grid.
-
-    parts[i] is the (n_i, 2) position array of component i; returns the
-    translated arrays as a list in the same order.
-    """
+def _pack_components(n: int, comps, parts, pad: float) -> np.ndarray:
+    """The (n, 2) positions with the nodes comps[i] of component i at their
+    block parts[i], the blocks translated onto a padded grid."""
     lo = [pos.min(axis=0) for pos in parts]
     cell = np.max([pos.max(axis=0) - low for pos, low in zip(parts, lo)], axis=0) + pad
-    cols = max(1, math.ceil(math.sqrt(len(parts))))
-    return [
-        pos - low + np.array([i % cols, i // cols]) * cell
-        for i, (pos, low) in enumerate(zip(parts, lo))
-    ]
+    cols = math.ceil(math.sqrt(len(parts)))
+    out = np.empty((n, 2))
+    for i, (nodes, pos, low) in enumerate(zip(comps, parts, lo)):
+        out[nodes] = pos - low + np.array([i % cols, i // cols]) * cell
+    return out
 
 
 def _repulsion_buffers(n: int):
@@ -211,15 +208,17 @@ def _spring_iterate(
     iterations: int,
     t0: float,
     cooling: float,
+    what: str,
 ) -> np.ndarray:
-    """Core spring-embedder loop; returns refined positions."""
+    """Core spring-embedder loop; returns refined positions, or LayoutError
+    naming what if the run's reach does not square."""
     pos = pos.copy()
     n = len(pos)
     # A step moves a node at most t, so a run widens each axis of the start
-    # span by at most twice the sum of the t; squared, that must not overflow.
+    # span by at most twice the sum of the t (Fruchterman & Reingold's
+    # cooling), and the widened span must square.
     reach = 2.0 * t0 * (1.0 - cooling**iterations) / (1.0 - cooling)
-    sx, sy = (pos.max(axis=0) - pos.min(axis=0) + reach).tolist()
-    _finite_size(sx * sx + sy * sy, n, k)
+    _squarable(*(pos.max(axis=0) - pos.min(axis=0) + reach).tolist(), what, LayoutError)
     t = t0
     buffers = _repulsion_buffers(n)
     a, b = edges.T.copy()
@@ -229,7 +228,6 @@ def _spring_iterate(
         if len(a):
             dx, dy = x[a] - x[b], y[a] - y[b]
             d = np.hypot(dx, dy)
-            np.maximum(d, 1e-9, out=d)
             d *= edge_weight
             d /= k
             for axis, pull in enumerate((dx, dy)):
@@ -256,9 +254,10 @@ def _layout_components(g: Graph, config: LayoutConfig, place) -> Layout:
         return Layout(np.empty((0, 2)))
     # Each spring level squares its k and the distances in its start square,
     # whose squared diagonal is 2 n_l k_l^2: node weights sum to the size of
-    # the component, so at every multilevel level that is at most 2 n k^2.
+    # the component, so at every level that is at most 2 n k^2 = side^2 * 2.
     k = config.ideal_edge_length
-    _finite_size(2 * n * k * k, n, k)
+    side = math.sqrt(n) * k
+    _squarable(side, side, _box("start square", k, n), LayoutError)
     label = _component_labels(n, g.edges)
     seeds = np.random.SeedSequence(config.seed).spawn(int(label.max()) + 1)
     edge_label = label[g.edges[:, 0]]
@@ -269,9 +268,9 @@ def _layout_components(g: Graph, config: LayoutConfig, place) -> Layout:
         local[nodes] = np.arange(len(nodes))
         comps.append(nodes)
         parts.append(place(len(nodes), local[g.edges[edge_label == c]], seed))
-    out = np.empty((n, 2))
-    for comp, pos in zip(comps, _pack_components(parts, pad=config.ideal_edge_length)):
-        out[comp] = pos
+    out = _pack_components(n, comps, parts, pad=k)
+    # The padded grid can spread squarable components past a span that squares.
+    _squarable(*np.ptp(out, axis=0).tolist(), _box("packed span", k, n), LayoutError)
     return Layout(out)
 
 
@@ -283,9 +282,11 @@ def _spring_from_random(n, edges, edge_weight, node_weight, config, seed):
     side = math.sqrt(n) * k
     pos = rng.uniform(0.0, side, size=(n, 2))
     if n > 1:
+        # the node weights sum to the component's node count at every level
         pos = _spring_iterate(
             pos, edges, edge_weight, np.sqrt(node_weight), k, config.iterations,
             t0=0.1 * side, cooling=config.cooling,
+            what=_box("spring reach", config.ideal_edge_length, int(node_weight.sum())),
         )
     return pos
 
@@ -337,8 +338,6 @@ def _induced_coarse_length(pos, cid, coarse_edges):
     centers = np.column_stack(
         [np.bincount(cid, pos[:, 0]) / counts, np.bincount(cid, pos[:, 1]) / counts]
     )
-    if not len(coarse_edges):
-        return 0.0
     delta = centers[coarse_edges[:, 0]] - centers[coarse_edges[:, 1]]
     return float(np.hypot(delta[:, 0], delta[:, 1]).sum())
 
@@ -384,6 +383,7 @@ def _multilevel_positions(n, edges, config: LayoutConfig, seed) -> np.ndarray:
         refined = _spring_iterate(
             fine, ef, ewf, np.sqrt(nwf), k_f, refine_iters,
             t0=0.6 * k_f, cooling=config.cooling,
+            what=_box("spring reach", k, n),
         )
         after = _induced_coarse_length(refined, cid, coarse_edges)
         # Guardrail: a refinement that stretches the coarse structure by
@@ -414,6 +414,4 @@ def compute_layout(g: Graph, config: LayoutConfig) -> Layout:
         return layout_circular(g, config.ideal_edge_length)
     if config.algorithm == "force-directed":
         return layout_force_directed(g, config)
-    if config.algorithm == "multilevel":
-        return layout_multilevel(g, config)
-    raise ValueError(f"unknown algorithm {config.algorithm!r}")
+    return layout_multilevel(g, config)

@@ -28,7 +28,8 @@ def scale_layout(layout: Layout, sigma_len: float) -> Layout:
         return Layout(pos)
     xmin, ymin, xmax, ymax = layout.extent
     _squarable(sigma_len * (xmax - xmin), sigma_len * (ymax - ymin), "scaled layout span")
-    centroid = pos.mean(axis=0)
+    low = np.array([xmin, ymin])
+    centroid = low + (pos - low).mean(axis=0)  # offsets are bounded by the span
     return Layout(centroid + sigma_len * (pos - centroid))
 
 

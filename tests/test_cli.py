@@ -418,21 +418,25 @@ def test_layout_whose_squared_span_overflows_is_an_error_line(tmp_path, capsys, 
 
 @pytest.mark.parametrize("algorithm", ["random", "force-directed", "multilevel", "circular"])
 def test_layout_ideal_length_that_overflows_is_an_error_line(drawing_files, capsys, algorithm):
-    # sqrt(4) * 1e308 overflows the random start square, and n * 1e308 the circle
+    # sqrt(4) * 1e308 overflows the random and spring start squares, and
+    # n * 1e308 the circle's box
     graph, _ = drawing_files
     code = run(["layout", "--graph", graph, "--algorithm", algorithm,
                 "--ideal-length", "1e308", "--iterations", "5"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err == "error: ideal edge length 1e+308 is too large for 4 nodes\n"
+    box = {"random": "random square", "circular": "circle box"}.get(algorithm, "start square")
+    assert captured.err == (f"error: ideal edge length 1e+308 for 4 nodes: {box} inf x inf "
+                            "is too large to square\n")
 
 
 @pytest.mark.parametrize("algorithm", ["force-directed", "multilevel"])
 def test_spring_layout_whose_squared_scale_overflows_is_an_error_line(capsys, algorithm):
-    # 1e307 fits the start square of can_144 (sqrt(144) * 1e307), but k * k
-    # and the squared distances of the repulsion overflow: the check comes
-    # before any spring step, so numpy prints nothing first
+    # 1e307 fits the side of can_144's start square (sqrt(144) * 1e307),
+    # but not its square, which bounds k * k and the squared distances of
+    # the repulsion: the check comes before any spring step, so numpy
+    # prints nothing first
     graph = str(Path(__file__).resolve().parents[1] / "data" / "graphs" / "can_144.mtx")
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
@@ -441,7 +445,8 @@ def test_spring_layout_whose_squared_scale_overflows_is_an_error_line(capsys, al
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err == "error: ideal edge length 1e+307 is too large for 144 nodes\n"
+    assert captured.err == ("error: ideal edge length 1e+307 for 144 nodes: start square "
+                            "1.2e+308 x 1.2e+308 is too large to square\n")
 
 
 @pytest.mark.parametrize("algorithm", ["force-directed", "multilevel"])
@@ -449,7 +454,8 @@ def test_spring_reach_that_does_not_square_is_an_error_line(capsys, algorithm):
     # 5e152 squares within the start square of can_144, but 100 cooling
     # steps of at most t each can spread the nodes past a span that
     # squares: the reach is tested before the first step (multilevel's
-    # first spring runs on a coarse level, whose length and nodes it names)
+    # first spring runs on a coarse level, but names the user's length
+    # and the component's nodes)
     graph = str(Path(__file__).resolve().parents[1] / "data" / "graphs" / "can_144.mtx")
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
@@ -458,10 +464,68 @@ def test_spring_reach_that_does_not_square_is_an_error_line(capsys, algorithm):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err.startswith("error: ideal edge length ")
-    assert " is too large for " in captured.err and captured.err.count("\n") == 1
-    if algorithm == "force-directed":
-        assert captured.err == "error: ideal edge length 5e+152 is too large for 144 nodes\n"
+    span = {"force-directed": "2.971021518490544e+154 x 2.9811628056309125e+154",
+            "multilevel": "2.9659255010672666e+154 x 2.9343568973708504e+154"}[algorithm]
+    assert captured.err == (f"error: ideal edge length 5e+152 for 144 nodes: spring reach "
+                            f"{span} is too large to square\n")
+
+
+def test_scale_far_from_the_origin_keeps_its_centroid_sum_finite(drawing_files, tmp_path,
+                                                                  capsys):
+    # every x at 1.7e308: the span squares, but a sum of the coordinates
+    # would overflow, so the centroid is the low corner plus the mean offset
+    graph, _ = drawing_files
+    layout = tmp_path / "far.csv"
+    layout.write_text("node,x,y\n0,1.7e308,0\n1,1.7e308,10\n2,1.7e308,10\n3,1.7e308,0\n")
+    dest = tmp_path / "scaled.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        code = run(["transform", "--graph", graph, "--layout", str(layout), "--scale", "2",
+                    "--out", str(dest), "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert json.loads(captured.out)["measured_delta"] == 20.0
+    assert parse_layout_csv(dest.read_text()).positions.tolist() == [
+        [1.7e308, -5.0], [1.7e308, 15.0], [1.7e308, 15.0], [1.7e308, -5.0]]
+
+
+@pytest.mark.parametrize("components", [1, 4, 9])
+def test_every_layout_near_the_overflow_is_refused_or_drawable(tmp_path, capsys, components):
+    # Components are paths of 2, 3 and 4 nodes in turn. Each run is one
+    # error line naming k and the node count of the graph or of a component,
+    # or a layout that analyze reads and measures, with no RuntimeWarning.
+    sizes = [2 + c % 3 for c in range(components)]
+    starts = np.cumsum([0, *sizes])
+    graph = tmp_path / "paths.edges"
+    graph.write_text("".join(f"{v} {v + 1}\n" for s, size in zip(starts, sizes)
+                             for v in range(s, s + size - 1)))
+    layout = tmp_path / "lay.csv"
+    names = {int(starts[-1]), *sizes}
+    runs = [("random", "1", "0.5"), ("circular", "1", "0.5")] + [
+        (algorithm, iterations, cooling) for algorithm in ("force-directed", "multilevel")
+        for iterations in ("1", "30") for cooling in ("0.5", "0.95")]
+    failures = []
+    for k in np.logspace(140, 160, 21).tolist():
+        for algorithm, iterations, cooling in runs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = run(["layout", "--graph", str(graph), "--algorithm", algorithm,
+                            "--ideal-length", repr(k), "--iterations", iterations,
+                            "--cooling", cooling, "--out", str(layout)])
+                err = capsys.readouterr().err
+                if code == 0:
+                    code = run(["analyze", "--graph", str(graph), "--layout", str(layout),
+                                "--radius", "0", "--width", "0"])
+                    err = capsys.readouterr().err
+                    ok = code == 0 and err == ""
+                else:
+                    named = err.removeprefix(f"error: ideal edge length {k!r} for ")
+                    ok = (code == 1 and err.count("\n") == 1 and named != err
+                          and int(named.split(" nodes: ")[0]) in names
+                          and err.endswith(" is too large to square\n"))
+            if not ok:
+                failures.append((k, algorithm, iterations, cooling, code, err))
+    assert failures == []
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -512,11 +576,31 @@ _DRAWING_COMMANDS = (["analyze"], ["bounds"], ["raster"], ["render"], ["partial"
                      ["transform", "--partial", "0.5"])
 
 
+_HUGE = (2**63, 2**64)
+_EDGE_FILES = {
+    "empty.edges": "", "comments.edges": "# no edges\n", "empty.mtx": "",
+    "header.mtx": "%%MatrixMarket matrix coordinate pattern general\n",
+    "empty.graph": "", "header.graph": "4 2\n",
+    "huge.edges": f"0 {_HUGE[0]}\n{_HUGE[1]} 3\n",
+    "huge.mtx": f"%%MatrixMarket matrix coordinate pattern general\n{_HUGE[0]} {_HUGE[0]} 0\n",
+    "huge.graph": f"{_HUGE[1]} 0\n",
+    "empty.csv": "", "header.csv": "node,x,y\n",
+    "huge.csv": f"node,x,y\n0,0,0\n{_HUGE[0]},10,10\n{_HUGE[1]},0,10\n3,10,0\n",
+    "huge_tail.csv": f"node,x,y\n0,0,0\n1,10,10\n2,0,10\n3,10,0\n{_HUGE[0]},1,1\n",
+}
+
+
 def _edge_value_cases(graph, layout):
     """argv lists: every drawing command with each edge value in --radius,
     --width and --gamma, and in the transform factors, each at auto area
     and at --area 100, then in --area itself; then layouts at huge ideal
-    edge lengths."""
+    edge lengths; then empty, header-only and huge-id graph and layout
+    files; then bench configs with each edge value in one field."""
+    here = Path(graph).parent
+    for name, text in _EDGE_FILES.items():
+        (here / name).write_text(text)
+    yield from _file_cases(graph, layout, here)
+    yield from _bench_cases(graph, here)
     files = ["--graph", graph, "--layout", layout]
     for value in _EDGE_VALUES:
         for area in ([], ["--area", "100"]):
@@ -528,7 +612,7 @@ def _edge_value_cases(graph, layout):
         for command in _DRAWING_COMMANDS:
             yield [*command, *files, "--area", value]
     can_144 = str(Path(__file__).resolve().parents[1] / "data" / "graphs" / "can_144.mtx")
-    for value in ("1e152", "5e152", "1e200", "1e308", str(2**63)):
+    for value in (*_EDGE_VALUES, "5e152"):
         for algorithm in ("random", "circular", "force-directed", "multilevel"):
             yield ["layout", "--graph", graph, "--algorithm", algorithm,
                    "--ideal-length", value, "--iterations", "20"]
@@ -536,9 +620,36 @@ def _edge_value_cases(graph, layout):
                "--ideal-length", value, "--iterations", "100"]
 
 
+def _file_cases(graph, layout, here):
+    graphs = [graph, *(str(here / n) for n in _EDGE_FILES if not n.endswith(".csv"))]
+    layouts = [layout, *(str(here / n) for n in _EDGE_FILES if n.endswith(".csv"))]
+    for g in graphs:
+        for lay in layouts:
+            for command in _DRAWING_COMMANDS:
+                yield [*command, "--graph", g, "--layout", lay]
+        for algorithm in ("random", "circular", "force-directed", "multilevel"):
+            yield ["layout", "--graph", g, "--algorithm", algorithm, "--iterations", "20"]
+
+
+def _bench_cases(graph, here):
+    config, out = here / "bench.json", str(here / "bench.csv")
+    layout = {"algorithm": "force-directed", "iterations": 20}
+    for value in _EDGE_VALUES:
+        v = int(value) if value.isdigit() else float(value)
+        for change in ({"gamma": v}, {"area": v}, {"settings": [[v, 1]]}, {"settings": [[1, v]]},
+                       {"layouts": [{**layout, "iterations": v}]},
+                       {"layouts": [{**layout, "ideal_edge_length": v}]}):
+            config.write_text(json.dumps({"graphs": [{"name": "g", "path": graph}],
+                                          "settings": [[1, 1]], "layouts": [layout], **change}))
+            yield ["bench", "--config", str(config), "--out", out]
+
+
 def test_edge_values_end_in_an_exit_code_and_at_most_one_error_line(drawing_files, capsys):
-    # Each run exits 0, 1 or 2 with nothing raised and no RuntimeWarning;
-    # stderr is empty, one error: line, or argparse's usage and error (exit 2).
+    # Each run exits 0, 1 or 2 with nothing raised and no RuntimeWarning
+    # (in a bench worker one becomes the abort's cause, numpy's "...
+    # encountered in ..."); stderr is empty, one error: line (a bench abort
+    # adds its line naming the partial results), or argparse's usage and
+    # error (exit 2).
     failures = []
     for argv in _edge_value_cases(*drawing_files):
         with warnings.catch_warnings():
@@ -550,7 +661,9 @@ def test_edge_values_end_in_an_exit_code_and_at_most_one_error_line(drawing_file
             except Exception as e:  # collected, so one run names every failing case
                 code = f"raised {e!r}"
         err = capsys.readouterr().err.splitlines()
-        ok = code in (0, 1, 2) and (
+        if err[1:2] and err[1].startswith("partial results: ") and argv[0] == "bench":
+            del err[1]
+        ok = code in (0, 1, 2) and not any(" encountered in " in line for line in err) and (
             (code == 2 and err and err[0].startswith("usage: ") and ": error: " in err[-1])
             or err == [] or (len(err) == 1 and err[0].startswith("error: ")))
         if not ok:
@@ -612,6 +725,31 @@ def test_bench_command(tmp_path, capsys):
     assert summary["rows"] == 4
     assert out.read_text().count("\n") == 5  # header + 4 rows
     assert summary["base_least_ink"]["violations"] == []
+
+
+def test_bench_raster_fills_the_raster_column(tmp_path, capsys):
+    graph = tmp_path / "path.edges"
+    graph.write_text("0 1\n1 2\n")
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"settings": [[1, 1]], "layouts": [{"algorithm": "circular"}],
+                               "graphs": [{"name": "p", "path": "path.edges"}]}))
+    out = tmp_path / "report.csv"
+    assert run(["bench", "--config", str(cfg), "--out", str(out), "--raster"]) == 0
+    capsys.readouterr()
+    row = dict(zip(*(line.split(",") for line in out.read_text().splitlines())))
+    assert float(row["raster_ink"]) > 0
+
+
+def test_area_flag_takes_auto_or_a_number(drawing_files, capsys):
+    graph, layout = drawing_files
+    files = ["--graph", graph, "--layout", layout, "--format", "json"]
+    assert run(["bounds", *files, "--area", "auto"]) == 0
+    assert json.loads(capsys.readouterr().out)["A"] == 144.0  # (10 + 2r)^2 at r = 1
+    with pytest.raises(SystemExit) as exc:
+        run(["bounds", *files, "--area", "big"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        "argument --area: area must be 'auto' or a number, got 'big'")
 
 
 @pytest.mark.parametrize(

@@ -220,6 +220,48 @@ def test_malformed_corpus_raises_structured_errors():
                 load_graph(path)
 
 
+_MM_HEAD = "%%MatrixMarket matrix coordinate pattern general\n"
+
+
+@pytest.mark.parametrize("parse, text, line, message", [
+    (parse_matrix_market, "%%MatrixMarket matrix coordinate\n", 1,
+     "header needs object, format, and field"),
+    (parse_matrix_market, "%%MatrixMarket matrix coordinate bogus\n1 1 0\n", 1,
+     "unsupported field 'bogus'"),
+    (parse_matrix_market, "%%MatrixMarket matrix coordinate real sideways\n1 1 0\n", 1,
+     "unsupported symmetry 'sideways'"),
+    (parse_matrix_market, _MM_HEAD + "% sizes follow\n", 2, "missing size line"),
+    (parse_matrix_market, _MM_HEAD + "-2 -2 0\n", 2, "size values must be non-negative"),
+    (parse_chaco, "2 1 0 1 5\n2\n1\n", 1, "header must be 'n m [fmt [#vweights]]'"),
+    (parse_chaco, "-1 0\n", 1, "counts must be non-negative"),
+    (parse_chaco, "2 1 0 1\n2\n1\n", 1, "vertex weight count given but format has none"),
+    (parse_chaco, "2 1 10 2\n5\n5 6 1\n", 2, "expected 2 vertex weights"),
+    (parse_layout_csv, "", 1, "empty layout file"),
+    (parse_layout_csv, "id,x,y\n0,0,0\n", 1, "layout header must be 'node,x,y'"),
+    (parse_layout_csv, "node,x,y\n-1,0,0\n", 2, "node ids must be non-negative"),
+    (parse_layout_csv, "node,x,y\n0,0,0\n1,a,1\n", 3, "bad coordinate in ['a', '1']"),
+])
+def test_each_malformed_header_and_row_names_its_fault(parse, text, line, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.message) == (line, message)
+
+
+def test_blank_lines_and_explicit_vertex_weight_counts_parse():
+    # an explicit count of one vertex weight, then trailing blank padding
+    assert parse_chaco("2 1 10 1\n5 2\n5 1\n\n\n").edges.tolist() == [[0, 1]]
+    assert parse_edge_list("0 1\n\n1 2\n").edges.tolist() == [[0, 1], [1, 2]]
+    layout = parse_layout_csv("node,x,y\n0,1,2\n\n1,3,4\n")
+    assert layout.positions.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def test_load_graph_unknown_format_names_the_path(tmp_path):
+    path = tmp_path / "g.edges"
+    path.write_text("0 1\n")
+    with pytest.raises(ParseError, match=r"g\.edges: unknown graph format 'bogus'$"):
+        load_graph(path, fmt="bogus")
+
+
 # --- layout csv -------------------------------------------------------------
 
 def test_layout_csv_round_trip_exact():

@@ -32,6 +32,7 @@ from inka.geometry import (
     _concurrent_points,
     _crossing_arrays,
     _crossing_blocks,
+    _disk_overlap_pairs,
     _edge_set_codes,
     _expand,
     _gapped_ranks,
@@ -697,6 +698,25 @@ def test_check_proper_matches_oracle_on_degenerate_drawings():
     for d in (bold(pts, [], r=1.0), bold([], [], r=1.0), bold([(0, 0)], [], r=1.0)):
         report = assert_matches_oracle(d)
         assert concurrent_entries(report) == [] and report.collinear_overlaps == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 15), st.sampled_from([0.05, 0.3, 1.0, 7.0]))
+def test_disk_overlap_pairs_equal_all_pairs_at_every_offset(seed, exponent, r):
+    # Extents [x, x + 2r] with no margin: partners sit at fl(x + 2r) and 1 ulp
+    # either side of it, at offsets up to 1e15, where rounding decides pairs.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    pos = 10.0**exponent + rng.uniform(0.0, 10.0 * r, size=(n, 2))
+    for i in range(1, n, 2):
+        pos[i] = pos[i - 1]
+        pos[i, 0] += 2.0 * r
+        if i % 3:
+            pos[i, 0] = np.nextafter(pos[i, 0], (-np.inf, np.inf)[i % 3 - 1])
+    I, J = np.triu_indices(n, 1)
+    dx, dy = pos[I, 0] - pos[J, 0], pos[I, 1] - pos[J, 1]
+    close = dx * dx + dy * dy < (2.0 * r) ** 2
+    assert _disk_overlap_pairs(pos, r) == list(zip(I[close].tolist(), J[close].tolist()))
 
 
 def test_collinear_overlap_of_x_disjoint_edges():

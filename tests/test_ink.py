@@ -242,6 +242,20 @@ def test_width_bounds_simple_cases():
     assert (lo, hi) == (0.0, pytest.approx(5.0))
 
 
+def test_width_bounds_and_min_ink_radius_need_nodes():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="^width bounds need n > 0$"):
+            width_bounds(n, 0, 1.0, 0.0, 0, 1.0, 100.0)
+        with pytest.raises(ValueError, match="^minimum-ink radius needs n > 0$"):
+            min_ink_radius(n, 0, 1.0)
+
+
+def test_width_bounds_cap_where_disks_outgrow_the_edges():
+    # no crossings and L < 2mr: the edge term w (L - 2mr) is negative, so
+    # ink 2 pi - w stays >= 0 up to w = 2 pi
+    assert width_bounds(2, 1, 1.0, 1.0, 0, 1.0, 100.0) == (0.0, 2.0 * math.pi)
+
+
 def test_width_bounds_disks_exceed_budget():
     with pytest.raises(InfeasibleError):
         width_bounds(10, 5, 2.0, 50.0, 0, 0.5, 10.0)

@@ -5,6 +5,7 @@ import sys
 import time
 from collections import deque
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -76,6 +77,20 @@ def test_layout_config_validation():
     with pytest.raises(ValueError):
         LayoutConfig(cooling=1.0)
     LayoutConfig(seed=np.int64(3), iterations=np.int32(10), cooling=np.float32(0.5))
+    # 2**63 spring steps would never end: the count is capped
+    LayoutConfig(iterations=2**20)
+    for bad in (2**20 + 1, 2**63):
+        with pytest.raises(ValueError, match=rf"^iterations must be in 1\.\.2\*\*20, got {bad}$"):
+            LayoutConfig(iterations=bad)
+
+
+def test_spring_layouts_at_a_subnormal_ideal_length_are_finite():
+    # attraction multiplies by d / k, never by a floored d / k, so no pull
+    # overflows however small k is
+    g = load_graph(CAN_144)
+    for algorithm in ("force-directed", "multilevel"):
+        cfg = LayoutConfig(algorithm=algorithm, seed=1, iterations=20, ideal_edge_length=5e-324)
+        assert np.isfinite(compute_layout(g, cfg).positions).all()
 
 
 @pytest.mark.parametrize(
@@ -539,7 +554,6 @@ def spring_iterate_rows(pos, edges, edge_weight, node_weight, k, iterations, t0,
         if len(edges):
             delta = pos[edges[:, 0]] - pos[edges[:, 1]]
             d = np.hypot(delta[:, 0], delta[:, 1])
-            np.maximum(d, 1e-9, out=d)
             pull = delta * (edge_weight * d / k)[:, None]
             for axis in (0, 1):
                 disp[:, axis] += np.bincount(edges[:, 1], pull[:, axis], n)
@@ -566,7 +580,7 @@ def test_spring_iterate_matches_rows_reference(name):
     pos = rng.uniform(0.0, math.sqrt(n) * k, size=(n, 2))
     args = (pos, E, ew, np.sqrt(nw), k, 30)
     kw = dict(t0=0.1 * math.sqrt(n) * k, cooling=0.95)
-    got = _spring_iterate(*args, **kw)
+    got = _spring_iterate(*args, **kw, what="reach")
     assert got.tobytes() == spring_iterate_rows(*args, **kw).tobytes()
     assert got.flags.c_contiguous and not np.shares_memory(got, pos)
 
@@ -574,8 +588,19 @@ def test_spring_iterate_matches_rows_reference(name):
 def test_spring_iterate_without_edges_matches_rows_reference():
     pos = np.random.default_rng(4).uniform(0.0, 100.0, size=(7, 2))
     args = (pos, np.empty((0, 2), dtype=np.int64), np.empty(0), np.ones(7), 30.0, 20)
-    got = _spring_iterate(*args, t0=10.0, cooling=0.9)
+    got = _spring_iterate(*args, t0=10.0, cooling=0.9, what="reach")
     assert got.tobytes() == spring_iterate_rows(*args, t0=10.0, cooling=0.9).tobytes()
+
+
+def test_multilevel_refinement_reach_names_the_users_length_and_nodes():
+    # the coarsest level (36 nodes) runs; the 72-node refinement's reach
+    # does not square, and the refusal names 1.5e152 and the 144 nodes
+    cfg = LayoutConfig(algorithm="multilevel", seed=1, iterations=100, ideal_edge_length=1.5e152)
+    with mock.patch("inka.layout._spring_iterate", wraps=_spring_iterate) as spy:
+        with pytest.raises(LayoutError, match=r"^ideal edge length 1\.5e\+152 for 144 nodes: "
+                                              r"spring reach 1\.07\d*e\+154 x 9\.74\d*e\+153 is"):
+            compute_layout(load_graph(CAN_144), cfg)
+    assert [len(call.args[0]) for call in spy.call_args_list] == [36, 72]
 
 
 def test_spring_iterate_refuses_a_reach_that_does_not_square():
@@ -583,9 +608,10 @@ def test_spring_iterate_refuses_a_reach_that_does_not_square():
     # 1.76e154, whose square overflows; at t0 = 1e152 the run goes ahead
     pos = np.random.default_rng(4).uniform(0.0, 100.0, size=(7, 2))
     args = (pos, np.empty((0, 2), dtype=np.int64), np.empty(0), np.ones(7), 30.0, 20)
-    with pytest.raises(LayoutError, match="^ideal edge length 30.0 is too large for 7 nodes$"):
-        _spring_iterate(*args, t0=1e153, cooling=0.9)
-    assert np.isfinite(_spring_iterate(*args, t0=1e152, cooling=0.9)).all()
+    with pytest.raises(LayoutError, match=r"^reach 1\.7568466908188618e\+154 x "
+                                          r"1\.7568466908188618e\+154 is too large to square$"):
+        _spring_iterate(*args, t0=1e153, cooling=0.9, what="reach")
+    assert np.isfinite(_spring_iterate(*args, t0=1e152, cooling=0.9, what="reach")).all()
 
 
 @pytest.mark.parametrize("algorithm", ["force-directed", "multilevel"])

@@ -90,7 +90,7 @@ def test_spring_iterate_one_step_mesh24(benchmark):
     pos = random_positions(n)
     out = benchmark(
         _spring_iterate, pos, edges, np.ones(len(edges)), np.ones(n), 30.0, 1,
-        t0=0.1 * np.sqrt(n) * 30.0, cooling=0.95,
+        t0=0.1 * np.sqrt(n) * 30.0, cooling=0.95, what="reach",
     )
     assert np.isfinite(out).all()
 
@@ -103,7 +103,7 @@ def test_spring_iterate_100_steps_can_144(benchmark):
     pos = random_positions(n)
     out = benchmark(
         _spring_iterate, pos, edges, np.ones(len(edges)), np.ones(n), 30.0, 100,
-        t0=0.1 * np.sqrt(n) * 30.0, cooling=0.95,
+        t0=0.1 * np.sqrt(n) * 30.0, cooling=0.95, what="reach",
     )
     assert np.isfinite(out).all()
 
