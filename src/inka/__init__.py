@@ -31,7 +31,6 @@ from .errors import (
 )
 from .geometry import (
     PropernessReport,
-    Segment,
     bounding_area,
     bounding_box,
     check_proper,

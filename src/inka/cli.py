@@ -290,11 +290,9 @@ def cmd_bench(args) -> int:
         )
     except BenchAbort as e:
         print(f"error: {e}", file=sys.stderr)
-        print(
-            f"partial results: {len(e.rows)} rows flushed to {args.out} "
-            f"(see {args.out}.MANIFEST)",
-            file=sys.stderr,
-        )
+        flushed = (f"{len(e.rows)} rows flushed to {args.out}" if e.rows
+                   else f"0 rows, so no report written to {args.out}")
+        print(f"partial results: {flushed} (see {args.out}.MANIFEST)", file=sys.stderr)
         return 1
     return _write(summary, "json")
 

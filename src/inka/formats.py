@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ParseWarning
+from .errors import GraphError, ParseError, ParseWarning
 from .model import BoldDrawing, Graph, InkReport, Layout, _squarable, build_graph
 
 _MM_FIELDS = {"pattern", "real", "integer", "complex"}
@@ -267,8 +267,8 @@ def load_graph(path, fmt: str | None = None) -> Graph:
 
 
 def _read(path, parse, *args):
-    """parse(text, *args) of the file at path.  A file that cannot be read
-    or decoded, or a ParseError from parse, raises ParseError naming the path."""
+    """parse(text, *args) of the file at path.  An unreadable file, or a
+    ParseError or GraphError from parse, raises ParseError naming the path."""
     p = Path(path)
     try:
         text = p.read_text()
@@ -279,6 +279,8 @@ def _read(path, parse, *args):
     except ParseError as e:
         e.path = str(p)
         raise
+    except GraphError as e:
+        raise ParseError(str(e), path=str(p)) from e
 
 
 def _save(text: str, path=None) -> str:

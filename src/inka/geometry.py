@@ -24,6 +24,10 @@ endpoint fails its sign test, so its kernel, :func:`_crossing_blocks`,
 tests neither.  A disagreement between the two is the enumeration bug
 the pairing catches.
 
+Edges become endpoint arrays only in :func:`_segment_arrays`, and float
+rows are gathered only by ``np.take``, never by ``a[rows]``, which gives
+the same values at several times the cost per row.
+
 Every pair query uses the x-extent filter only: stub crossings and the
 crossing points of :func:`crossing_pairs` map the kernel's ranks back to
 indices, as :func:`_candidate_blocks` does for disk overlaps on
@@ -62,14 +66,6 @@ from .model import BoldDrawing, DrawingMetrics, _pack, _positive, _unpack
 
 # Entries per engine block; see the module docstring.
 _BLOCK_PAIRS = 25_000
-
-Point = tuple[float, float]
-
-
-@dataclass(frozen=True)
-class Segment:
-    p: Point
-    q: Point
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +120,11 @@ def transversal_crossing_mask(p1, q1, p2, q2):
     test False.  A closed bounding-box check, necessary for a crossing, is
     part of the test, and the filters of :func:`_crossing_blocks` imply it.
     """
-    p1x, p1y, q1x, q1y, p2x, p2y, q2x, q2y = (a[..., k] for a in (p1, q1, p2, q2) for k in (0, 1))
+    return _crosses(*(a[..., k] for a in (p1, q1, p2, q2) for k in (0, 1)))
+
+
+def _crosses(p1x, p1y, q1x, q1y, p2x, p2y, q2x, q2y):
+    """:func:`transversal_crossing_mask` on the eight coordinate columns."""
     bbox = (
         (np.maximum(p1x, q1x) >= np.minimum(p2x, q2x))
         & (np.maximum(p2x, q2x) >= np.minimum(p1x, q1x))
@@ -167,9 +167,13 @@ def crossing_points_of(p1, q1, p2, q2):
 
 def _segment_arrays(d: BoldDrawing):
     """Endpoint arrays P, Q (m, 2) and node-id array E (m, 2) for the edges."""
-    E = d.graph.edges
-    pos = d.layout.positions
-    return pos[E[:, 0]], pos[E[:, 1]], E
+    P, Q = np.take(d.layout.positions, d.graph.edges.T, axis=0)
+    return P, Q, d.graph.edges
+
+
+def _ends(P, Q, I, J):
+    """Rows I and J of P and Q in the order the row-wise predicates take."""
+    return [np.take(A, K, axis=0) for K in (I, J) for A in (P, Q)]
 
 
 def _adjacent_mask(E, I, J):
@@ -215,9 +219,10 @@ def count_crossings_bruteforce(d: BoldDrawing) -> int:
     few thousand edges.
     """
     P, Q, E = _segment_arrays(d)
+    X = np.column_stack((P, Q)).T.copy()  # rows px, py, qx, qy: contiguous, as gathered
     total = 0
-    for I, J in _pair_index_blocks(P.shape[0]):
-        mask = transversal_crossing_mask(P[I], Q[I], P[J], Q[J])
+    for I, J in _pair_index_blocks(len(P)):
+        mask = _crosses(*np.take(X, I, axis=1), *np.take(X, J, axis=1))
         mask &= ~_adjacent_mask(E, I, J)
         total += int(np.count_nonzero(mask))
     return total
@@ -251,8 +256,7 @@ def _crossing_blocks(P, Q):
     to the pairs left.  A shared endpoint's orientation is exactly 0 (dy[I]
     if it is I's q), so adjacent edges need no test."""
     order = np.argsort(np.minimum(P[:, 0], Q[:, 0]), kind="stable")
-    px, py = P[order].T.copy()
-    qx, qy = Q[order].T.copy()
+    px, py, qx, qy = np.take(np.column_stack((P, Q)), order, axis=0).T.copy()
     dx, dy = qx - px, qy - py
     lx, hx = np.minimum(px, qx), np.maximum(px, qx)
     ly, hy = np.minimum(py, qy), np.maximum(py, qy)
@@ -316,7 +320,7 @@ def _crossing_arrays(P, Q):
     pts = np.empty((I.size, 2))
     for a in range(0, I.size, _BLOCK_PAIRS):
         i, j = I[a:a + _BLOCK_PAIRS], J[a:a + _BLOCK_PAIRS]
-        pts[a:a + i.size] = crossing_points_of(P[i], Q[i], P[j], Q[j])
+        pts[a:a + i.size] = crossing_points_of(*_ends(P, Q, i, j))
     return I, J, pts
 
 
@@ -332,7 +336,7 @@ def _collinear_overlap_pairs(P, Q):
             for x, y in ((px, py), (qx, qy)):
                 k = np.flatnonzero(_orient(px[I], py[I], qx[I], qy[I], x[J], y[J]) == 0)
                 I, J = I[k], J[k]
-            keep = collinear_overlap_mask(P[I], Q[I], P[J], Q[J])
+            keep = collinear_overlap_mask(*_ends(P, Q, I, J))
             yield I[keep], J[keep]
 
     return _ordered_pairs(blocks(), len(P))
@@ -373,8 +377,8 @@ def _edge_rects(d: BoldDrawing):
         P = Q = P[:0]
     dx, dy = Q[:, 0] - P[:, 0], Q[:, 1] - P[:, 1]
     length = np.hypot(dx, dy)
-    drawn = length > 0
-    P, Q, length = P[drawn], Q[drawn], length[drawn]
+    drawn = np.flatnonzero(length > 0)
+    P, Q, length = np.take(P, drawn, axis=0), np.take(Q, drawn, axis=0), length[drawn]
     ux, uy = dx[drawn] / length, dy[drawn] / length
     sx, sy = np.abs(uy) * half, np.abs(ux) * half
     box = (np.minimum(P[:, 0], Q[:, 0]) - sx, np.minimum(P[:, 1], Q[:, 1]) - sy,
@@ -423,13 +427,12 @@ def _disk_overlap_pairs(pos, r: float):
     distance < 2r), from the engine on extents [x, x + 2r].  No rounding
     drops a close pair: fl(dx^2 + dy^2) < fl((2r)^2) needs |x_i - x_j| < 2r
     exactly, and rounding is monotone, so x_j <= fl(x_i + 2r)."""
-    x = pos[:, 0]
+    x, y = pos.T
     limit = (2.0 * r) ** 2
 
     def blocks():
         for I, J in _candidate_blocks(x, x + 2.0 * r):
-            dx = pos[I, 0] - pos[J, 0]
-            dy = pos[I, 1] - pos[J, 1]
+            dx, dy = x[I] - x[J], y[I] - y[J]
             close = dx * dx + dy * dy < limit
             yield I[close], J[close]
 
@@ -532,7 +535,7 @@ def _concurrent_points(I, J, pts, w: float, m: int):
     points = np.empty((key.size, 2))
     for rows in blocks:
         A, B = _unpack([key[rows]], N, 2)
-        points[rows] = pts[A] + pts[B]
+        points[rows] = np.take(pts, A, axis=0) + np.take(pts, B, axis=0)
     points *= 0.5
     del key  # freed before the edges are made
     edges = np.empty((len(points), 4), np.int64)

@@ -185,7 +185,7 @@ def _repulsion_exact(pos: np.ndarray, weight: np.ndarray, k: float, *,
         if d2.min() < 1e-8:
             a, b = np.nonzero(d2 < 1e-8)
             d2[a, b] = np.inf
-            close.append((a + lo, b + lo, b >= hi - lo))
+            close.append((a + lo, b + lo, np.flatnonzero(b >= hi - lo)))
         np.divide(kk, d2, out=g)
         s[lo:hi] += g @ rhs[lo:]
         if hi < n:
@@ -193,9 +193,10 @@ def _repulsion_exact(pos: np.ndarray, weight: np.ndarray, k: float, *,
     out = weight[:, None] * (c * s[:, :1] - s[:, 1:])
     for a, b, right in close:
         # both directions of a pair in a leading square, one of the others
-        push = (kk / 1e-8) * (weight[a] * weight[b])[:, None] * (pos[a] - pos[b])
+        push = np.take(pos, a, axis=0) - np.take(pos, b, axis=0)
+        push *= (kk / 1e-8) * (weight[a] * weight[b])[:, None]
         np.add.at(out, a, push)
-        np.subtract.at(out, b[right], push[right])
+        np.subtract.at(out, b[right], np.take(push, right, axis=0))
     return out
 
 
@@ -338,7 +339,7 @@ def _induced_coarse_length(pos, cid, coarse_edges):
     centers = np.column_stack(
         [np.bincount(cid, pos[:, 0]) / counts, np.bincount(cid, pos[:, 1]) / counts]
     )
-    delta = centers[coarse_edges[:, 0]] - centers[coarse_edges[:, 1]]
+    delta = np.subtract(*np.take(centers, coarse_edges.T, axis=0))
     return float(np.hypot(delta[:, 0], delta[:, 1]).sum())
 
 
@@ -354,9 +355,9 @@ def _interpolate(pos, cid, k):
     lo, hi = order[first[pairs]], order[first[pairs] + 1]
     theta = 2.0 * math.pi * ((pairs + 1) * _GOLDEN % 1.0)
     off = 0.25 * k * np.column_stack([np.cos(theta), np.sin(theta)])
-    fine = pos[cid]
-    fine[lo] += off
-    fine[hi] -= off
+    fine = np.take(pos, cid, axis=0)
+    np.add.at(fine, lo, off)
+    np.subtract.at(fine, hi, off)
     return fine
 
 

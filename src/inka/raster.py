@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DegenerateDrawingError
 from .formats import _save
-from .geometry import _bounding_box, _edge_rects, _expand, _spans, bounding_box
+from .geometry import _bounding_box, _edge_rects, _expand, _segment_arrays, _spans, bounding_box
 from .model import BoldDrawing
 
 
@@ -86,10 +86,9 @@ def rasterize_ink(d: BoldDrawing, cfg: RasterConfig = RasterConfig()) -> float:
     rows_of = partial(_rows, ymin, px, ny)
 
     shapes = []  # (rows [r0, r1) of each shape, chords of its (shape, row) pairs)
-    pos = d.layout.positions
     r = d.params.radius
     if r > 0:
-        cx, cy = pos[:, 0], pos[:, 1]
+        cx, cy = d.layout.positions.T
         shapes.append((rows_of(cy - r, cy + r), partial(_disk_chords, cx, cy, r * r)))
 
     _lx, ly, _hx, hy = rect_box
@@ -189,7 +188,7 @@ def render_svg(d: BoldDrawing, path=None) -> str:
     """
     xmin, ymin, xmax, ymax = bounding_box(d) or (0.0, 0.0, 1.0, 1.0)  # 1 x 1 for no node
     width, height = max(xmax - xmin, 1e-9), max(ymax - ymin, 1e-9)
-    pos = d.layout.positions
+    P, Q, _ = _segment_arrays(d)
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" '
@@ -197,12 +196,12 @@ def render_svg(d: BoldDrawing, path=None) -> str:
         f'<g stroke="black" stroke-width="{float(d.params.width)!r}" '
         f'stroke-linecap="butt">',
     ]
-    for (x1, y1), (x2, y2) in pos[d.graph.edges].tolist():
+    for x1, y1, x2, y2 in np.hstack((P, Q)).tolist():
         out.append(f'<line x1="{x1!r}" y1="{y1!r}" x2="{x2!r}" y2="{y2!r}"/>')
     out.append("</g>")
     out.append('<g fill="black">')
     r = float(d.params.radius)
-    for x, y in pos.tolist():
+    for x, y in d.layout.positions.tolist():
         out.append(f'<circle cx="{x!r}" cy="{y!r}" r="{r!r}"/>')
     out.append("</g>")
     out.append("</svg>")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Segment, _adjacent_mask, _crossing_blocks, _pair_keys
+from .geometry import _adjacent_mask, _crossing_blocks, _pair_keys, _segment_arrays
 from .model import BoldDrawing, Layout, RenderParams, _positive, _squarable
 
 
@@ -68,15 +68,13 @@ class StubSet:
     ratio: float
 
     @property
-    def segments(self) -> list[Segment]:
-        """The stubs as Segment records; perfbench/tracing.py counts them."""
-        pairs = zip(self.P.tolist(), self.Q.tolist())
-        return [Segment(tuple(p), tuple(q)) for p, q in pairs]
+    def segments(self) -> list[tuple[tuple[float, float], tuple[float, float]]]:
+        """The stubs as ((px, py), (qx, qy)) pairs."""
+        return [(tuple(p), tuple(q)) for p, q in zip(self.P.tolist(), self.Q.tolist())]
 
     @property
     def total_length(self) -> float:
-        delta = self.Q - self.P
-        return float(np.hypot(delta[:, 0], delta[:, 1]).sum())
+        return float(np.hypot(*(self.Q - self.P).T).sum())
 
 
 def partial_edges(d: BoldDrawing, p: float) -> StubSet:
@@ -84,8 +82,7 @@ def partial_edges(d: BoldDrawing, p: float) -> StubSet:
     each endpoint.  p == 1 keeps each edge as its single full segment."""
     if not 0 < p <= 1:
         raise ValueError(f"retained fraction must be in (0, 1], got {p}")
-    E = d.graph.edges
-    A, B = d.layout.positions[E[:, 0]], d.layout.positions[E[:, 1]]
+    A, B, E = _segment_arrays(d)
     parents = np.arange(E.shape[0], dtype=np.int64)
     if p < 1.0:
         step = 0.5 * p * (B - A)

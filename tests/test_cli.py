@@ -8,6 +8,7 @@ import pytest
 
 from inka import REPORT_COLUMNS, Layout, parse_layout_csv, write_layout_csv
 from inka.cli import _plain, main
+from inka.model import _MAX_NODES
 
 
 @pytest.fixture
@@ -577,6 +578,7 @@ _DRAWING_COMMANDS = (["analyze"], ["bounds"], ["raster"], ["render"], ["partial"
 
 
 _HUGE = (2**63, 2**64)
+_PAST = _MAX_NODES + 1
 _EDGE_FILES = {
     "empty.edges": "", "comments.edges": "# no edges\n", "empty.mtx": "",
     "header.mtx": "%%MatrixMarket matrix coordinate pattern general\n",
@@ -584,6 +586,8 @@ _EDGE_FILES = {
     "huge.edges": f"0 {_HUGE[0]}\n{_HUGE[1]} 3\n",
     "huge.mtx": f"%%MatrixMarket matrix coordinate pattern general\n{_HUGE[0]} {_HUGE[0]} 0\n",
     "huge.graph": f"{_HUGE[1]} 0\n",
+    "count.mtx": f"%%MatrixMarket matrix coordinate pattern general\n{_PAST} {_PAST} 0\n",
+    "count.graph": f"{_PAST} 0\n",
     "empty.csv": "", "header.csv": "node,x,y\n",
     "huge.csv": f"node,x,y\n0,0,0\n{_HUGE[0]},10,10\n{_HUGE[1]},0,10\n3,10,0\n",
     "huge_tail.csv": f"node,x,y\n0,0,0\n1,10,10\n2,0,10\n3,10,0\n{_HUGE[0]},1,1\n",
@@ -669,6 +673,30 @@ def test_edge_values_end_in_an_exit_code_and_at_most_one_error_line(drawing_file
         if not ok:
             failures.append((argv, code, err))
     assert failures == []
+
+
+@pytest.mark.parametrize("name", ["huge.mtx", "count.mtx", "huge.graph", "count.graph"])
+def test_graph_file_with_a_count_past_the_node_limit_names_the_file(tmp_path, capsys, name):
+    # the Matrix Market node count reaches build_graph, whose GraphError
+    # names no file; Chaco stops first at its missing adjacency lines
+    path = tmp_path / name
+    path.write_text(_EDGE_FILES[name])
+    code = run(["layout", "--graph", str(path), "--algorithm", "random"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(err) == 1 and err[0].startswith(f"error: {path}:")
+
+
+def test_bench_abort_with_no_rows_says_no_report_was_written(tmp_path, capsys):
+    (tmp_path / "g.edges").write_text("0 1\n1 2\n2 3\n")
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"graphs": [{"name": "g", "path": "g.edges"}],
+                               "settings": [[1e200, 1]], "layouts": [{"algorithm": "circular"}]}))
+    out = tmp_path / "rep.csv"
+    code = run(["bench", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(err) == 2 and err[0].startswith("error: bench aborted at graph 'g'")
+    assert err[1] == f"partial results: 0 rows, so no report written to {out} (see {out}.MANIFEST)"
+    assert not out.exists() and (tmp_path / "rep.csv.MANIFEST").exists()
 
 
 def test_raster_gap_small_without_crossings(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Microbenchmarks of graph loading, component labelling, the
-spring-layout kernels, the multilevel matching, the crossing sweep, the
-stub crossing count, the ordered crossing list, check_proper, its
-close-pair scan and concurrent-point stage, and the raster, on mesh24
-and on one small drawing at 64 rows (pytest-benchmark).
+spring-layout kernels, the multilevel matching, the crossing sweep and
+its pairwise oracle, the stub crossing count, the ordered crossing list,
+check_proper, its close-pair scan and concurrent-point stage, and the
+raster, on mesh24 and on one small drawing at 64 rows (pytest-benchmark).
 
 They carry the ``perf`` marker, which the default options deselect, so
 the ordinary suite never runs them.  Run them with
@@ -25,6 +25,7 @@ from inka import (
     build_graph,
     check_proper,
     compute_layout,
+    count_crossings_bruteforce,
     count_crossings_sweep,
     load_graph,
     measure_stub_crossings,
@@ -121,6 +122,14 @@ def test_count_crossings_sweep_uniform_ba800(benchmark):
     g = load_graph(GRAPHS / "ba800.edges")
     d = BoldDrawing(g, Layout(random_positions(g.node_count, seed=3)), RenderParams(5.0, 1.0))
     assert benchmark(count_crossings_sweep, d) > 0
+
+
+def test_count_crossings_bruteforce_uniform_mesh24(benchmark):
+    # the pairwise oracle on the random layout's box: all 1.33 M edge
+    # pairs, each block's coordinate columns gathered with np.take
+    g = load_graph(MESH24)
+    d = BoldDrawing(g, Layout(random_positions(g.node_count, seed=3)), RenderParams(5.0, 1.0))
+    assert benchmark(count_crossings_bruteforce, d) == count_crossings_sweep(d) > 0
 
 
 def test_measure_stub_crossings_uniform_mesh24(benchmark):

@@ -100,11 +100,11 @@ def test_partial_edges_stub_geometry():
     d = bold([(0, 0), (10, 0)], [(0, 1)], r=1.0, w=0.1)
     stubs = partial_edges(d, 0.5)
     assert len(stubs.segments) == 2
-    s1, s2 = stubs.segments
-    assert s1.p == (0.0, 0.0)
-    assert s1.q == pytest.approx((2.5, 0.0))
-    assert s2.p == (10.0, 0.0)
-    assert s2.q == pytest.approx((7.5, 0.0))
+    (p1, q1), (p2, q2) = stubs.segments
+    assert p1 == (0.0, 0.0)
+    assert q1 == pytest.approx((2.5, 0.0))
+    assert p2 == (10.0, 0.0)
+    assert q2 == pytest.approx((7.5, 0.0))
     assert stubs.total_length == pytest.approx(5.0)
     assert list(stubs.parent_edge) == [0, 0]
 
