@@ -8,18 +8,22 @@ rasterization.  Row ink uses the aggregate formula, never per-edge
 clamping, so any row can be recomputed from its own n, m, r, w, L, cr
 columns.
 
-Graphs run in parallel (thread count capped by the INKA_THREADS
-environment variable; 0 or unset means auto), but the output row order
-follows the config order regardless of completion order.  If any graph
-fails to parse, the whole run aborts; rows of graphs that did finish are
-flushed alongside a MANIFEST naming them and the failure.
+Graphs are parsed once, in the caller.  With more than one worker, each
+(graph, layout) cell is a task for a pool of worker processes, submitted
+largest first; with one worker, the cells run in the calling thread, and
+no pool, thread or child process is started.  The worker count is the
+request (0 or None means one per CPU) capped by the INKA_THREADS
+environment variable.  Rows follow the config order, so the report is
+the same bytes at every worker count.  If any graph fails, the whole run
+aborts, naming the first failing graph in config order; rows of graphs
+whose cells all finished are flushed alongside a MANIFEST naming them and
+the failure.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -30,7 +34,7 @@ from .ink import ink_report
 # perfbench/tracing.py (BENCH_IMPORTS) looks these two up on this module.
 from .ink import check_area_constraint, ink_components
 from .layout import LayoutConfig, compute_layout
-from .model import BoldDrawing, RenderParams, _positive
+from .model import BoldDrawing, Graph, RenderParams, _positive
 from .raster import rasterize_ink
 
 DEFAULT_SETTINGS = ((1.0, 0.0), (1.0, 1.0), (2.0, 1.0), (20.0, 1.0), (20.0, 2.0))
@@ -173,7 +177,7 @@ def _bench_config(text: str, base: Path) -> BenchConfig:
 
 
 def worker_count(requested: int | None, jobs: int) -> int:
-    """Effective thread count: the request (None or 0 = auto), capped by
+    """Effective worker count: the request (None or 0 = auto), capped by
     INKA_THREADS when that is set to a positive value (0 = no cap).  A
     negative request or cap is an InkaError."""
     if requested is not None and requested < 0:
@@ -192,10 +196,12 @@ def worker_count(requested: int | None, jobs: int) -> int:
     return max(1, min(count, jobs))
 
 
-def _graph_rows(bg: BenchGraph, config: BenchConfig) -> list[ReportRow]:
-    g = load_graph(bg.path, bg.format)
+def _graph_rows(name: str, g: Graph, layouts: tuple[tuple[str, LayoutConfig], ...],
+                config: BenchConfig) -> list[ReportRow]:
+    """The rows of graph g under each of layouts, in their order: one call
+    per graph in the calling thread, one per cell in a worker process."""
     rows: list[ReportRow] = []
-    for layout_name, lcfg in config.layouts:
+    for layout_name, lcfg in layouts:
         layout = compute_layout(g, lcfg)
         probe = BoldDrawing(g, layout, RenderParams(0.0, 0.0, config.gamma))
         _, L = edge_lengths(probe)
@@ -205,32 +211,63 @@ def _graph_rows(bg: BenchGraph, config: BenchConfig) -> list[ReportRow]:
             A = bounding_area(d, fixed=config.area)
             report = ink_report(g.node_count, g.m, r, w, L, cr, A, config.gamma)
             raster_ink = rasterize_ink(d) if config.raster else None
-            rows.append(
-                ReportRow.of(bg.name, layout_name, d, L, cr, A, report, raster_ink)
-            )
+            rows.append(ReportRow.of(name, layout_name, d, L, cr, A, report, raster_ink))
     return rows
+
+
+def _cell_cost(g: Graph, lcfg: LayoutConfig) -> int:
+    """A cell's relative cost: n^2 per spring iteration, n^2 otherwise."""
+    n2 = g.node_count**2
+    return n2 * lcfg.iterations if lcfg.algorithm in ("force-directed", "multilevel") else n2
 
 
 def run_bench(config: BenchConfig, threads: int | None = None) -> list[ReportRow]:
     """All report rows, in config order.  Raises BenchAbort (carrying the
-    rows of graphs that completed) if any graph fails."""
-    workers = worker_count(threads, len(config.graphs))
+    rows of graphs whose cells all finished) if any graph fails.
+
+    More than one worker means spawned worker processes, so a script that
+    calls this needs the usual ``if __name__ == "__main__":`` guard."""
+    graphs, causes = {}, {}
+    for i, bg in enumerate(config.graphs):
+        try:
+            graphs[i] = load_graph(bg.path, bg.format)
+        except Exception as e:
+            causes[i] = e
+    cells = [(i, j) for i in graphs for j in range(len(config.layouts))]
+    workers = worker_count(threads, len(cells))
     results: dict[int, list[ReportRow]] = {}
-    failure: tuple[str, Exception] | None = None
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(_graph_rows, bg, config): (i, bg)
-            for i, bg in enumerate(config.graphs)
-        }
-        for fut, (i, bg) in futures.items():
+    if workers == 1:
+        for i, g in graphs.items():
             try:
-                results[i] = fut.result()
+                results[i] = _graph_rows(config.graphs[i].name, g, config.layouts, config)
             except Exception as e:
-                if failure is None:
-                    failure = (bg.name, e)
-    rows = [row for i in range(len(config.graphs)) for row in results.get(i, [])]
-    if failure is not None:
-        raise BenchAbort(failure[0], failure[1], rows)
+                causes[i] = e
+    else:
+        # Imported here, not at the top: the pool's modules would add 10-25 ms
+        # and about 1 MB to every `import inka`.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Spawned, not forked: the caller may hold threads (BLAS's among them).
+        spawn = multiprocessing.get_context("spawn")
+        cells.sort(key=lambda c: _cell_cost(graphs[c[0]], config.layouts[c[1]][1]), reverse=True)
+        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+            futures = {
+                (i, j): pool.submit(_graph_rows, config.graphs[i].name, graphs[i],
+                                    config.layouts[j:j + 1], config)
+                for i, j in cells
+            }
+        # A lost worker (BrokenProcessPool) fails every cell it left unfinished.
+        for (i, _), fut in sorted(futures.items()):
+            if i not in causes:
+                try:
+                    results.setdefault(i, []).extend(fut.result())
+                except Exception as e:
+                    causes[i] = e
+    rows = [row for i in sorted(results) if i not in causes for row in results[i]]
+    if causes:
+        first = min(causes)
+        raise BenchAbort(config.graphs[first].name, causes[first], rows)
     return rows
 
 

@@ -366,7 +366,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raster", action="store_true",
                    help="add the raster_ink column (slow)")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (INKA_THREADS caps this; 0 = auto)")
+                   help="worker processes (0 = one per CPU; 1 = no pool, all in this "
+                        "process; INKA_THREADS caps it); the report is the same at any count")
     p.set_defaults(func=cmd_bench)
 
     return parser

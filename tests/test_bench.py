@@ -1,15 +1,23 @@
+import dataclasses
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+import inka.bench
 from inka import (
     BenchAbort,
     BenchConfig,
     BenchGraph,
     InkaError,
     LayoutConfig,
+    LayoutError,
     ParseError,
     build_graph,
     load_bench_config,
@@ -19,6 +27,9 @@ from inka import (
     worker_count,
     write_edge_list,
 )
+from inka.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -67,10 +78,11 @@ def test_rows_recompute_from_their_own_columns(tiny_setup):
             assert row.log10_ink == pytest.approx(math.log10(row.ink))
 
 
-def test_run_bench_deterministic_across_thread_counts(tiny_setup):
+def test_run_bench_deterministic_across_thread_counts(tiny_setup, monkeypatch):
+    monkeypatch.delenv("INKA_THREADS", raising=False)
     a = run_bench(tiny_setup, threads=1)
-    b = run_bench(tiny_setup, threads=2)
-    assert a == b
+    assert run_bench(tiny_setup, threads=2) == a
+    assert run_bench(tiny_setup, threads=3) == a
 
 
 def test_fixed_area_override(tiny_setup, tmp_path):
@@ -268,3 +280,118 @@ def test_summarize_checks(tiny_setup):
     assert small["checked"] == 4
     assert 0 <= small["max_relative_change"]
     assert set(summary["least_ink_layout"]) == {"ring", "path"}
+
+
+def test_import_inka_loads_no_pool_module():
+    code = "import sys, inka; print(sorted(m for m in sys.modules if m.startswith(" \
+           "('concurrent', 'multiprocessing'))))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
+
+
+def test_one_worker_runs_in_the_calling_thread(tiny_setup, monkeypatch):
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-worker bench started a pool, thread or process")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    threads, children = threading.active_count(), multiprocessing.active_children()
+    rows = run_bench(tiny_setup, threads=1)
+    assert len(rows) == 12
+    assert threading.active_count() == threads
+    assert multiprocessing.active_children() == children
+
+
+def test_worker_counts_give_equal_rows_on_the_fixtures(monkeypatch):
+    monkeypatch.delenv("INKA_THREADS", raising=False)
+    config = load_bench_config(ROOT / "data" / "bench.json")
+    config = dataclasses.replace(config, graphs=config.graphs[:2])  # can_144, mesh24
+    one = run_bench(config, threads=1)
+    assert len(one) == 2 * 4 * 5
+    assert run_bench(config, threads=2) == one
+    assert run_bench(config, threads=3) == one
+
+
+@pytest.fixture
+def middle_failure(tiny_setup, tmp_path):
+    """The tiny graphs around a middle graph that fails: a malformed file,
+    or 400 nodes, too many for the two huge layouts that the tiny graphs
+    still fit.  The spring layout fails too, and with its larger cost it
+    is submitted first, but the circle comes first in config order."""
+    def config(kind):
+        bad = tmp_path / "bad.edges"
+        if kind == "parse":
+            bad.write_text("0 1\n1 two\n")
+        else:
+            write_edge_list(build_graph(400, [(i, i + 1) for i in range(399)]), bad)
+        ring, path = tiny_setup.graphs
+        return BenchConfig(
+            graphs=(ring, BenchGraph("bad", str(bad)), path),
+            layouts=tiny_setup.layouts[:1] + (
+                ("wide", LayoutConfig(algorithm="circular", ideal_edge_length=1e152)),
+                ("huge", LayoutConfig(algorithm="force-directed", ideal_edge_length=6e152,
+                                      iterations=50)),
+            ),
+            settings=tiny_setup.settings,
+        )
+    return config
+
+
+@pytest.mark.parametrize("kind,cause", [("parse", ParseError), ("layout", LayoutError)])
+def test_worker_counts_abort_alike(middle_failure, tmp_path, monkeypatch, kind, cause):
+    monkeypatch.delenv("INKA_THREADS", raising=False)
+    config = middle_failure(kind)
+    seen = []
+    for threads in (1, 2, 3):
+        out = tmp_path / f"report{threads}.csv"
+        with pytest.raises(BenchAbort) as exc:
+            run_bench_to_files(config, out, threads=threads)
+        e = exc.value
+        manifest = out.with_name(out.name + ".MANIFEST").read_text()
+        seen.append((e.graph_name, type(e.cause), str(e.cause), e.rows,
+                     out.read_bytes(), manifest))
+    assert seen[1] == seen[0] and seen[2] == seen[0]
+    name, cause_type, message, rows, _report, manifest = seen[0]
+    assert (name, cause_type) == ("bad", cause)
+    if kind == "layout":
+        assert "ideal edge length 1e+152 for 400 nodes: circle box" in message
+    assert {r.graph_name for r in rows} == {"ring", "path"}
+    assert len(rows) == 2 * 3 * 3
+    assert f"# aborted: bad: {message}" in manifest
+
+
+GRAPH_ROWS = inka.bench._graph_rows
+
+
+def rows_or_exit(name, g, layouts, config):
+    """inka.bench._graph_rows, except that the cells of a graph named
+    "crash" end their worker process at once."""
+    if name == "crash":
+        os._exit(1)
+    return GRAPH_ROWS(name, g, layouts, config)
+
+
+def test_a_lost_worker_ends_as_one_error_line(tiny_setup, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("INKA_THREADS", raising=False)
+    # The pool sends its task function by name, and a spawned worker
+    # imports this module to find it.
+    monkeypatch.setattr(inka.bench, "_graph_rows", rows_or_exit)
+    ring, path = tiny_setup.graphs
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({
+        "graphs": [{"name": "crash", "path": ring.path}, {"name": "path", "path": path.path}],
+        "layouts": [{"name": "random", "algorithm": "random", "seed": 3},
+                    {"name": "circular", "algorithm": "circular"}],
+    }))
+    out = tmp_path / "report.csv"
+    assert main(["bench", "--config", str(cfg), "--out", str(out), "--threads", "2"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2, err
+    assert err[0].startswith("error: bench aborted at graph 'crash': A process in the "
+                             "process pool was terminated abruptly")
+    assert err[1].startswith("partial results: ")
+    assert multiprocessing.active_children() == []
