@@ -1,20 +1,20 @@
 """Measured layout quantities: edge lengths, crossings, area, properness.
 
-Every pair, run and band enumeration, here and in :mod:`inka.raster`,
-runs on one block engine.  Run e is the index stretch first[e] ...
-first[e] + size[e] - 1; :func:`_expand` lists runs as (e, k) arrays and
-:func:`_spans` splits them, by their cumulative count, into blocks of
-consecutive runs with at most _BLOCK_PAIRS entries, read at each call
-(a bigger run is a block of its own; blocks with no entry are skipped);
-:func:`_runs` is the two together.  Blocks come in run order, so no
-output depends on the block size.  A crossing block keeps about 110
-bytes a pair alive and a raster band about 140, so each stays near
+Every pair, run and band enumeration but the oracle's, here and in
+:mod:`inka.raster`, runs on one block engine.  Run e is the index stretch
+first[e] ... first[e] + size[e] - 1; :func:`_expand` lists runs as (e, k)
+arrays and :func:`_spans` splits them, by their cumulative count, into
+blocks of consecutive runs with at most _BLOCK_PAIRS entries, read at
+each call (a bigger run is a block of its own; blocks with no entry are
+skipped); :func:`_runs` is the two together.  Blocks come in run order,
+so no output depends on the block size.  A crossing block keeps about
+110 bytes a pair alive and a raster band about 140, so each stays near
 3 MB; larger blocks run slower.
 
 Crossings are counted two independent ways with the same orientation
 expressions and sign test, :func:`_splits`.  The brute-force oracle,
-:func:`count_crossings_bruteforce`, tests every non-adjacent edge pair:
-row i of :func:`_pair_index_blocks` is the run i+1 ... m-1.
+:func:`count_crossings_bruteforce`, tests every non-adjacent edge pair
+in dense tiles of about _BLOCK_PAIRS / 2 pairs, off the engine.
 :func:`count_crossings_sweep` tests only the pairs whose closed
 x-extents overlap, the candidate filter that opens the Bentley-Ottmann
 sweep: over extents sorted by left end, rank a's run in
@@ -28,15 +28,16 @@ Edges become endpoint arrays only in :func:`_segment_arrays`, and float
 rows are gathered only by ``np.take``, never by ``a[rows]``, which gives
 the same values at several times the cost per row.
 
-Every pair query uses the x-extent filter only: stub crossings and the
-crossing points of :func:`crossing_pairs` map the kernel's ranks back to
-indices, as :func:`_candidate_blocks` does for disk overlaps on
-[x, x + 2r] and collinear overlaps on x-extents, which the collinear
-test requires to meet.  :func:`check_proper` bins crossing points into
-cells of side w, scans two forward runs per crossing on gapped ranks,
-and returns, as arrays, each edge set that two close crossings span and
-the midpoint of its least close pair (A, B), A < B, in the (i, j) order
-of :func:`crossing_pairs`.  The scan is a stream of engine blocks of
+Every other pair query takes the sweep's x-extent idiom: one stable
+argsort by left x (:func:`_by_left_x`), columns permuted once,
+:func:`_rank_blocks` on the sorted extents, and only the kept rank pairs
+mapped back through the order: stub crossings, crossing points, collinear
+overlaps (whose x-extents must meet) and disk overlaps on [x, x + 2r].
+:func:`check_proper` bins crossing points into cells of side w, scans
+two forward runs per crossing on gapped ranks, and returns, as arrays,
+each edge set that two close crossings span and the midpoint of its
+least close pair (A, B), A < B, in the (i, j) order of
+:func:`crossing_pairs`.  The scan is a stream of engine blocks of
 close pairs, each cut to each edge set's least pair before the next is
 made, so memory never grows with the number of close pairs.  While it
 runs it holds, per crossing, I, J and the point (32 bytes) and the
@@ -58,6 +59,7 @@ properness, not counted as a crossing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,24 +209,24 @@ def _runs(first, size):
         yield e, k
 
 
-def _pair_index_blocks(m: int):
-    """Yield (I, J) index arrays covering every i < j pair once, in order."""
-    return _runs(np.arange(1, m + 1), np.arange(m - 1, -1, -1))
-
-
 def count_crossings_bruteforce(d: BoldDrawing) -> int:
     """Number of non-adjacent edge pairs with a transversal interior crossing.
 
-    O(m^2) pairwise oracle; vectorized in blocks so it stays usable for a
-    few thousand edges.
+    O(m^2) oracle off the block engine: every pair is tested in triangular
+    tiles of T = isqrt(_BLOCK_PAIRS / 2) segments, the predicate and a
+    node-id adjacency test broadcast over (T, 1) against (1, T) columns.
+    A (T, T) float stays below glibc's 128 KiB mmap threshold; larger ones
+    were mapped and faulted in afresh, at 1.4-1.8x the CPU on mesh24.
     """
     P, Q, E = _segment_arrays(d)
-    X = np.column_stack((P, Q)).T.copy()  # rows px, py, qx, qy: contiguous, as gathered
-    total = 0
-    for I, J in _pair_index_blocks(len(P)):
-        mask = _crosses(*np.take(X, I, axis=1), *np.take(X, J, axis=1))
-        mask &= ~_adjacent_mask(E, I, J)
-        total += int(np.count_nonzero(mask))
+    cols = (*np.column_stack((P, Q)).T.copy(), *E.T)  # px, py, qx, qy, a, b
+    T, total = max(1, math.isqrt(_BLOCK_PAIRS // 2)), 0
+    for s in range(0, len(P), T):
+        *ends, a, b = (c[s:s + T, None] for c in cols)
+        for t in range(s, len(P), T):
+            *ends2, a2, b2 = (c[t:t + T] for c in cols)
+            hit = _crosses(*ends, *ends2) & (a != a2) & (a != b2) & (b != a2) & (b != b2)
+            total += int(np.count_nonzero(np.triu(hit, 1) if s == t else hit))
     return total
 
 
@@ -236,13 +238,10 @@ def _rank_blocks(lx, hx):
     return _runs(ranks, np.searchsorted(lx, hx, side="right") - ranks)
 
 
-def _candidate_blocks(lx, hx):
-    """Yield (I, J) int64 index arrays covering, exactly once, every pair
-    of intervals whose closed extents [lx, hx] overlap: the ranks of
-    :func:`_rank_blocks` after a stable argsort by lx, mapped back."""
-    order = np.argsort(lx, kind="stable")
-    for I, J in _rank_blocks(lx[order], hx[order]):
-        yield order[I], order[J]
+def _by_left_x(P, Q):
+    """The stable argsort by left x and the contiguous px, py, qx, qy in its order."""
+    order = np.argsort(np.minimum(P[:, 0], Q[:, 0]), kind="stable")
+    return order, np.take(np.column_stack((P, Q)), order, axis=0).T.copy()
 
 
 def _crossing_blocks(P, Q):
@@ -250,13 +249,12 @@ def _crossing_blocks(P, Q):
     the rank pairs I, J that pass all but the last test and its mask hit;
     the segments order[I[hit]], order[J[hit]] cross transversally.
 
-    Columns are permuted into rank order once.  The orientations are the
-    predicate's (dx is the float q_x - p_x, q never p + dx): J's endpoints
-    against line I, then I's against line J on the first stage's columns cut
-    to the pairs left.  A shared endpoint's orientation is exactly 0 (dy[I]
-    if it is I's q), so adjacent edges need no test."""
-    order = np.argsort(np.minimum(P[:, 0], Q[:, 0]), kind="stable")
-    px, py, qx, qy = np.take(np.column_stack((P, Q)), order, axis=0).T.copy()
+    The orientations are the predicate's (dx is the float q_x - p_x, q
+    never p + dx): J's endpoints against line I, then I's against line J
+    on the first stage's columns cut to the pairs left.  A shared
+    endpoint's orientation is exactly 0 (dy[I] if it is I's q), so
+    adjacent edges need no test."""
+    order, (px, py, qx, qy) = _by_left_x(P, Q)
     dx, dy = qx - px, qy - py
     lx, hx = np.minimum(px, qx), np.maximum(px, qx)
     ly, hy = np.minimum(py, qy), np.maximum(py, qy)
@@ -275,13 +273,10 @@ def _crossing_blocks(P, Q):
 
 
 def count_crossings_sweep(d: BoldDrawing) -> int:
-    """Crossing counter on the x-interval engine; equals the brute-force count.
-
-    Every crossing pair has overlapping closed x- and y-extents, so the
-    engine's pairs that also overlap in y include all of them, and
-    :func:`_crossing_blocks` decides each with the orientations and sign
-    test of the brute-force predicate, counted on ranks.
-    """
+    """Crossing counter on the x-interval engine; equals the brute-force
+    count.  Every crossing pair has overlapping closed x- and y-extents, and
+    :func:`_crossing_blocks` decides each such pair with the predicate's
+    orientations and sign test, counted on ranks."""
     P, Q, _ = _segment_arrays(d)
     return sum(int(np.count_nonzero(hit)) for _I, _J, hit in _crossing_blocks(P, Q)[1])
 
@@ -326,20 +321,21 @@ def _crossing_arrays(P, Q):
 
 def _collinear_overlap_pairs(P, Q):
     """Sorted (i, j), i < j, of the pairs :func:`collinear_overlap_mask`
-    flags, adjacent ones included, from the x-engine pairs alone: the mask
-    requires the closed x-extents to meet.  Its tests of J's p, then q,
-    against line I (each orientation == 0) run first as filters."""
-    px, py, qx, qy = np.column_stack((P, Q)).T.copy()
+    flags, adjacent ones included, from the rank pairs of x-extents alone:
+    the mask requires them to meet.  Its tests of J's p, then q, against
+    line I (each orientation == 0) run first as filters."""
+    order, (px, py, qx, qy) = _by_left_x(P, Q)
 
     def blocks():
-        for I, J in _candidate_blocks(np.minimum(px, qx), np.maximum(px, qx)):
+        for I, J in _rank_blocks(np.minimum(px, qx), np.maximum(px, qx)):
             for x, y in ((px, py), (qx, qy)):
                 k = np.flatnonzero(_orient(px[I], py[I], qx[I], qy[I], x[J], y[J]) == 0)
                 I, J = I[k], J[k]
+            I, J = order[I], order[J]
             keep = collinear_overlap_mask(*_ends(P, Q, I, J))
             yield I[keep], J[keep]
 
-    return _ordered_pairs(blocks(), len(P))
+    return _ordered_pairs(blocks(), len(order))
 
 
 def crossing_pairs(d: BoldDrawing):
@@ -424,17 +420,18 @@ def bounding_area(d: BoldDrawing, fixed: float | None = None) -> float:
 
 def _disk_overlap_pairs(pos, r: float):
     """Sorted (i, j), i < j, of the nodes whose disks overlap (center
-    distance < 2r), from the engine on extents [x, x + 2r].  No rounding
+    distance < 2r), from the rank pairs of extents [x, x + 2r].  No rounding
     drops a close pair: fl(dx^2 + dy^2) < fl((2r)^2) needs |x_i - x_j| < 2r
     exactly, and rounding is monotone, so x_j <= fl(x_i + 2r)."""
-    x, y = pos.T
-    limit = (2.0 * r) ** 2
+    order, (x, y, _, _) = _by_left_x(pos, pos)  # each node a segment of length 0
+    mant, e = math.frexp(2.0 * r)  # squares in units of 2^e do not underflow
 
     def blocks():
-        for I, J in _candidate_blocks(x, x + 2.0 * r):
-            dx, dy = x[I] - x[J], y[I] - y[J]
-            close = dx * dx + dy * dy < limit
-            yield I[close], J[close]
+        for I, J in _rank_blocks(x, x + 2.0 * r):
+            with np.errstate(over="ignore"):  # a far pair scales to inf: not close
+                dx, dy = np.ldexp(x[I] - x[J], -e), np.ldexp(y[I] - y[J], -e)
+                close = dx * dx + dy * dy < mant * mant
+            yield order[I[close]], order[J[close]]
 
     return _ordered_pairs(blocks(), len(pos))
 
@@ -470,11 +467,13 @@ def _close_crossing_pairs(X, Y, w: float):
     first = np.stack((np.arange(1, N + 1, dtype=np.int32), right), 1).ravel()
     count = np.stack((own, end), 1).ravel() - first
     xc, yc = X[by_cell], Y[by_cell]
+    mant, s = math.frexp(w)  # squares in units of 2^s do not underflow
 
     def blocks():
         for e, k in _runs(first, count):
             e >>= 1  # two runs per cell-order position
-            close = np.flatnonzero(np.square(xc[e] - xc[k]) + np.square(yc[e] - yc[k]) < w * w)
+            dx, dy = np.ldexp(xc[e] - xc[k], -s), np.ldexp(yc[e] - yc[k], -s)
+            close = np.flatnonzero(np.square(dx) + np.square(dy) < mant * mant)
             A, B = by_cell[e[close]], by_cell[k[close]]
             yield np.minimum(A, B), np.maximum(A, B)
 

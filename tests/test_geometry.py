@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from inka import (
 from inka.geometry import (
     _BLOCK_PAIRS,
     _adjacent_mask,
-    _candidate_blocks,
     _close_crossing_pairs,
     _collinear_overlap_pairs,
     _concurrent_points,
@@ -39,7 +39,7 @@ from inka.geometry import (
     _least_key_of_each,
     _ordered_pairs,
     _orient,
-    _pair_index_blocks,
+    _rank_blocks,
     _runs,
     _segment_arrays,
     _spans,
@@ -48,6 +48,8 @@ from inka.geometry import (
     transversal_crossing_mask,
 )
 from inka.model import _MAX_NODES, _pack, _unpack
+
+GRAPHS = Path(__file__).resolve().parents[1] / "data" / "graphs"
 
 
 def _rows(*points):
@@ -190,6 +192,17 @@ def test_counters_agree_on_random_drawings():
         assert count_crossings_sweep(d) == count_crossings_bruteforce(d)
 
 
+def x_rank_pairs(lx, hx):
+    """The (I, J) pairs of :func:`_rank_blocks` on extents sorted by a
+    stable argsort of lx, mapped back through it."""
+    order = np.argsort(lx, kind="stable")
+    return [
+        (i, j)
+        for I, J in _rank_blocks(lx[order], hx[order])
+        for i, j in zip(order[I].tolist(), order[J].tolist())
+    ]
+
+
 def test_candidate_blocks_yield_each_x_overlapping_pair_once():
     # lattice endpoints bring tied x-extents, vertical segments and
     # zero-width extents; a block size of 1 gives one rank per block
@@ -206,11 +219,7 @@ def test_candidate_blocks_yield_each_x_overlapping_pair_once():
         }
         for block_pairs in (1, 3, 50):
             with block_size(block_pairs):
-                got = [
-                    (min(i, j), max(i, j))
-                    for I, J in _candidate_blocks(lx, hx)
-                    for i, j in zip(I.tolist(), J.tolist())
-                ]
+                got = [(min(i, j), max(i, j)) for i, j in x_rank_pairs(lx, hx)]
             assert len(got) == len(set(got))
             assert set(got) == expected
 
@@ -274,18 +283,6 @@ def test_block_engine_equals_python_expansion(limit):
         assert (got_e, got_k) == reference_expand(first, size)
 
 
-@pytest.mark.parametrize("m", [0, 1, 2, 37, 300])
-def test_pair_index_blocks_walk_the_upper_triangle_in_order(m):
-    want = np.triu_indices(m, 1)
-    for block_pairs in (_BLOCK_PAIRS, 7):
-        with block_size(block_pairs):
-            blocks = list(_pair_index_blocks(m))
-        I = np.concatenate([np.empty(0, np.int64), *(b[0] for b in blocks)])
-        J = np.concatenate([np.empty(0, np.int64), *(b[1] for b in blocks)])
-        assert I.tolist() == want[0].tolist()
-        assert J.tolist() == want[1].tolist()
-
-
 # ---------------------------------------------------------------- crossing kernel
 # _crossing_blocks must yield exactly the pairs that the full predicate
 # (box test included) and the adjacency test pass over all pairs, at any
@@ -305,12 +302,10 @@ def kernel_pairs(P, Q, block_pairs=_BLOCK_PAIRS):
 
 
 def oracle_pairs(P, Q, nodes):
-    found = set()
-    for I, J in _pair_index_blocks(P.shape[0]):
-        mask = transversal_crossing_mask(P[I], Q[I], P[J], Q[J])
-        mask &= ~_adjacent_mask(nodes, I, J)
-        found.update(zip(I[mask].tolist(), J[mask].tolist()))
-    return found
+    """Every i < j pair at once, off the block engine."""
+    I, J = np.triu_indices(P.shape[0], 1)
+    mask = transversal_crossing_mask(P[I], Q[I], P[J], Q[J]) & ~_adjacent_mask(nodes, I, J)
+    return set(zip(I[mask].tolist(), J[mask].tolist()))
 
 
 def assert_kernel_matches_oracle(d):
@@ -319,6 +314,60 @@ def assert_kernel_matches_oracle(d):
     for block_pairs in (1, 7, _BLOCK_PAIRS):
         assert kernel_pairs(P, Q, block_pairs) == want
     return want
+
+
+# ---------------------------------------------------------------- oracle tiles
+# count_crossings_bruteforce tests every pair in triangular tiles of
+# T = isqrt(_BLOCK_PAIRS / 2) segments (111), off the block engine.
+
+
+def drawing_with_edges(rng, m, lattice):
+    """m distinct random edges among 10 + isqrt(2m) nodes, placed on a
+    small integer lattice or uniformly."""
+    n = 10 + math.isqrt(2 * m)
+    I, J = np.triu_indices(n, 1)
+    pick = np.sort(rng.choice(I.size, size=m, replace=False))
+    pos = rng.integers(0, 12, size=(n, 2)) if lattice else rng.uniform(0.0, 100.0, size=(n, 2))
+    return bold(pos, np.column_stack((I[pick], J[pick])))
+
+
+@pytest.mark.parametrize("block_pairs", [_BLOCK_PAIRS, 1, 8])
+def test_oracle_tiles_equal_every_pair_at_once(block_pairs):
+    # m below, at and past one tile's edge, and at three tile rows: 110,
+    # 111, 112 and 223 at the default T = 111; tiles of 1 and 2 segments too
+    T = max(1, math.isqrt(block_pairs // 2))
+    rng = np.random.default_rng(T)
+    found = 0
+    for m in (0, 1, 2, T - 1, T, T + 1, 2 * T + 1):
+        for lattice in (False, True) * 5:
+            d = drawing_with_edges(rng, m, lattice)
+            want = len(oracle_pairs(*_segment_arrays(d)))
+            with block_size(block_pairs):
+                assert count_crossings_bruteforce(d) == want
+            found += want
+    assert found > 0
+
+
+def test_oracle_never_reaches_the_block_engine(parallel_drawing, diagonal_drawing,
+                                               xshape_drawing):
+    # an engine bug could hide in both counters at once only if the oracle
+    # ran on the engine too
+    drawings = [parallel_drawing, diagonal_drawing, xshape_drawing]
+    for seed, name in enumerate(["can_144.mtx", "mesh24.graph"]):
+        g = inka.load_graph(GRAPHS / name)
+        drawings.append(inka.BoldDrawing(g, inka.layout_random(g, seed=seed),
+                                         inka.RenderParams(1.0, 1.0)))
+    rng = np.random.default_rng(32)
+    drawings += [random_bold_drawing(rng, lattice_prob=1.0) for _ in range(20)]
+    want = [count_crossings_sweep(d) for d in drawings]
+
+    def engine(*args):
+        raise AssertionError("the block engine was called")
+
+    with mock.patch.multiple("inka.geometry", _runs=engine, _spans=engine, _expand=engine):
+        with pytest.raises(AssertionError, match="block engine"):
+            count_crossings_sweep(drawings[3])
+        assert [count_crossings_bruteforce(d) for d in drawings] == want
 
 
 @pytest.mark.parametrize("k", [-24, -20, -16, 0, 20])
@@ -530,6 +579,21 @@ def test_check_proper_concurrent_crossings():
     assert check_proper(d) != report
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e-170, 1e-300])
+def test_tiny_radius_and_width_still_flag_violations(scale):
+    # (2r)^2 and w^2 underflow to 0 below about 1e-162, which once let two
+    # coincident disks and three edges through one point pass; node 4,
+    # above nodes 0 and 1, overflows in units of 2r but warns of nothing
+    r = scale
+    d = bold([(0, 0), (0, 0), (3 * r, 0), (4.5 * r, 0), (0, 1e150)], [], r=r, w=1.0)
+    report = check_proper(d)
+    assert report.disk_overlaps == [(0, 1), (2, 3)] and not report.verdict
+    # three edges through the origin, and a fourth crossing two of them 3 apart
+    pts = [(-4, 0), (4, 0), (0, -4), (0, 4), (-4, -4), (4, 4), (3, -4), (3, 4)]
+    report = check_proper(bold(pts, [(0, 1), (2, 3), (4, 5), (6, 7)], r=0.0, w=scale))
+    assert concurrent_entries(report) == [((0.0, 0.0), (0, 1, 2))] and not report.verdict
+
+
 def test_check_proper_collinear_overlap():
     pts = [(0, 0), (2, 0), (1, 0), (3, 0)]
     d = bold(pts, [(0, 1), (2, 3)], r=0.1, w=0.05)
@@ -560,18 +624,15 @@ def reference_crossing_pairs(d):
     P, Q, E = _segment_arrays(d)
     m = P.shape[0]
     crossings = []
-    overlaps = []
-    for I, J in _pair_index_blocks(m):
-        nonadj = ~_adjacent_mask(E, I, J)
-        cross = transversal_crossing_mask(P[I], Q[I], P[J], Q[J]) & nonadj
-        if np.any(cross):
-            ci, cj = I[cross], J[cross]
-            pts = crossing_points_of(P[ci], Q[ci], P[cj], Q[cj])
-            for a, b, pt in zip(ci, cj, pts):
-                crossings.append((int(a), int(b), (float(pt[0]), float(pt[1]))))
-        over = collinear_overlap_mask(P[I], Q[I], P[J], Q[J])
-        for a, b in zip(I[over], J[over]):
-            overlaps.append((int(a), int(b)))
+    I, J = np.triu_indices(m, 1)
+    cross = transversal_crossing_mask(P[I], Q[I], P[J], Q[J]) & ~_adjacent_mask(E, I, J)
+    if np.any(cross):
+        ci, cj = I[cross], J[cross]
+        pts = crossing_points_of(P[ci], Q[ci], P[cj], Q[cj])
+        for a, b, pt in zip(ci, cj, pts):
+            crossings.append((int(a), int(b), (float(pt[0]), float(pt[1]))))
+    over = collinear_overlap_mask(P[I], Q[I], P[J], Q[J])
+    overlaps = [(int(a), int(b)) for a, b in zip(I[over], J[over])]
     return crossings, overlaps
 
 
@@ -584,12 +645,12 @@ def reference_check_proper(d):
     disk_overlaps = []
     if r > 0 and n >= 2:
         limit = (2.0 * r) ** 2
-        for I, J in _pair_index_blocks(n):
-            dx = pos[I, 0] - pos[J, 0]
-            dy = pos[I, 1] - pos[J, 1]
-            close = dx * dx + dy * dy < limit
-            for a, b in zip(I[close], J[close]):
-                disk_overlaps.append((int(a), int(b)))
+        I, J = np.triu_indices(n, 1)
+        dx = pos[I, 0] - pos[J, 0]
+        dy = pos[I, 1] - pos[J, 1]
+        close = dx * dx + dy * dy < limit
+        for a, b in zip(I[close], J[close]):
+            disk_overlaps.append((int(a), int(b)))
 
     crossings, overlaps = reference_crossing_pairs(d)
 
@@ -1055,8 +1116,7 @@ def test_staged_collinear_filter_keeps_the_mask_verdict():
     assert _orient(*i_p, *i_q, *j_p) == 0 and _orient(*i_p, *i_q, *j_q) == 0
     assert _orient(*j_p, *j_q, *i_p) != 0 and _orient(*j_p, *j_q, *i_q) != 0
     lx, hx = np.minimum(P[:, 0], Q[:, 0]), np.maximum(P[:, 0], Q[:, 0])
-    pairs = {(i, j) for I, J in _candidate_blocks(lx, hx) for i, j in zip(I.tolist(), J.tolist())}
-    assert (0, 1) in pairs  # the x-engine gives edge 0, which starts left of edge 1, as I
+    assert (0, 1) in x_rank_pairs(lx, hx)  # the x-engine gives edge 0, which starts left of edge 1, as I
     assert _collinear_overlap_pairs(P, Q) == reference_crossing_pairs(d)[1] == [(2, 3)]
 
 

@@ -1,8 +1,9 @@
 """Microbenchmarks of graph loading, component labelling, the
 spring-layout kernels, the multilevel matching, the crossing sweep and
-its pairwise oracle, the stub crossing count, the ordered crossing list,
-check_proper, its close-pair scan and concurrent-point stage, and the
-raster, on mesh24 and on one small drawing at 64 rows (pytest-benchmark).
+its pairwise oracle, the collinear and disk overlap queries, the stub
+crossing count, the ordered crossing list, check_proper, its close-pair
+scan and concurrent-point stage, and the raster, on mesh24 and on one
+small drawing at 64 rows (pytest-benchmark).
 
 They carry the ``perf`` marker, which the default options deselect, so
 the ordinary suite never runs them.  Run them with
@@ -34,8 +35,10 @@ from inka import (
 )
 from inka.geometry import (
     _close_crossing_pairs,
+    _collinear_overlap_pairs,
     _concurrent_points,
     _crossing_arrays,
+    _disk_overlap_pairs,
     _segment_arrays,
 )
 from inka.layout import _coarsen, _component_labels, _repulsion_exact, _spring_iterate
@@ -126,10 +129,28 @@ def test_count_crossings_sweep_uniform_ba800(benchmark):
 
 def test_count_crossings_bruteforce_uniform_mesh24(benchmark):
     # the pairwise oracle on the random layout's box: all 1.33 M edge
-    # pairs, each block's coordinate columns gathered with np.take
+    # pairs, in dense triangular tiles of 111 segments
     g = load_graph(MESH24)
     d = BoldDrawing(g, Layout(random_positions(g.node_count, seed=3)), RenderParams(5.0, 1.0))
     assert benchmark(count_crossings_bruteforce, d) == count_crossings_sweep(d) > 0
+
+
+def test_collinear_overlap_pairs_uniform_mesh24(benchmark):
+    # the oracle's drawing: every x-overlapping rank pair is filtered by
+    # J's two orientations against line I; no two edges lie on one line
+    g = load_graph(MESH24)
+    d = BoldDrawing(g, Layout(random_positions(g.node_count, seed=3)), RenderParams(5.0, 1.0))
+    P, Q, _E = _segment_arrays(d)
+    assert benchmark(_collinear_overlap_pairs, P, Q) == []
+
+
+def test_disk_overlap_pairs_uniform_mesh24(benchmark):
+    # the oracle's nodes at r = 5: extents [x, x + 10] over a box of side
+    # 30 sqrt(n), about a hundred close pairs
+    g = load_graph(MESH24)
+    pos = random_positions(g.node_count, seed=3)
+    pairs = benchmark(_disk_overlap_pairs, pos, 5.0)
+    assert pairs and pairs == sorted(set(pairs))
 
 
 def test_measure_stub_crossings_uniform_mesh24(benchmark):
