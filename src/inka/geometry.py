@@ -28,21 +28,23 @@ Edges become endpoint arrays only in :func:`_segment_arrays`, and float
 rows are gathered only by ``np.take``, never by ``a[rows]``, which gives
 the same values at several times the cost per row.
 
-Every other pair query takes the sweep's x-extent idiom: one stable
-argsort by left x (:func:`_by_left_x`), columns permuted once,
+Every other segment pair query takes the sweep's x-extent idiom: one
+stable argsort by left x (:func:`_by_left_x`), columns permuted once,
 :func:`_rank_blocks` on the sorted extents, and only the kept rank pairs
-mapped back through the order: stub crossings, crossing points, collinear
-overlaps (whose x-extents must meet) and disk overlaps on [x, x + 2r].
-:func:`check_proper` bins crossing points into cells of side w, scans
-two forward runs per crossing on gapped ranks, and returns, as arrays,
-each edge set that two close crossings span and the midpoint of its
-least close pair (A, B), A < B, in the (i, j) order of
-:func:`crossing_pairs`.  The scan is a stream of engine blocks of
-close pairs, each cut to each edge set's least pair before the next is
-made, so memory never grows with the number of close pairs.  While it
-runs it holds, per crossing, I, J and the point (32 bytes) and the
-scan's cell order, coordinates, runs and their running count (56 bytes;
-96 at the peak while it is set up), plus one block of close pairs and
+mapped back through the order: stub crossings, crossing points and
+collinear overlaps (whose x-extents must meet).  Points closer than a
+limit are found by one query, :func:`_close_pairs`: it bins them into
+cells of side limit numbered by :func:`_cell_ranks` and scans two forward
+runs per point.  :func:`check_proper` asks it for the nodes closer than
+2r and the crossings closer than w, and returns, as arrays, each edge set
+that two close crossings span and the midpoint of its least close pair
+(A, B), A < B, in the (i, j) order of :func:`crossing_pairs`.  The
+crossing scan is a stream of engine blocks of close pairs, each cut to
+each edge set's least pair before the next is made, so memory never
+grows with the number of close pairs.  While it runs it holds, per
+crossing, I, J and the point (32 bytes) and the scan's cell order,
+coordinates, runs and their running count (56 bytes; 96 at the peak
+while it is set up), plus one block of close pairs and
 the codes kept so far (16 bytes a kept pair up to 55,107 edges, 24
 above); after the scan, the report (48 bytes a row) and the kept codes,
 the pair keys freed before the edge ids are decoded.
@@ -418,44 +420,37 @@ def bounding_area(d: BoldDrawing, fixed: float | None = None) -> float:
     return (xmax - xmin) * (ymax - ymin)
 
 
-def _disk_overlap_pairs(pos, r: float):
-    """Sorted (i, j), i < j, of the nodes whose disks overlap (center
-    distance < 2r), from the rank pairs of extents [x, x + 2r].  No rounding
-    drops a close pair: fl(dx^2 + dy^2) < fl((2r)^2) needs |x_i - x_j| < 2r
-    exactly, and rounding is monotone, so x_j <= fl(x_i + 2r)."""
-    order, (x, y, _, _) = _by_left_x(pos, pos)  # each node a segment of length 0
-    mant, e = math.frexp(2.0 * r)  # squares in units of 2^e do not underflow
-
-    def blocks():
-        for I, J in _rank_blocks(x, x + 2.0 * r):
-            with np.errstate(over="ignore"):  # a far pair scales to inf: not close
-                dx, dy = np.ldexp(x[I] - x[J], -e), np.ldexp(y[I] - y[J], -e)
-                close = dx * dx + dy * dy < mant * mant
-            yield order[I[close]], order[J[close]]
-
-    return _ordered_pairs(blocks(), len(pos))
-
-
-def _gapped_ranks(v):
-    """Ranks of v's distinct values plus the count of lower steps between
-    them that are not exactly 1: consecutive iff the values differ by 1."""
+def _cell_ranks(v, limit: float):
+    """Numbers for v's cells of side limit, floor(v / limit), that keep
+    only their order and which of them touch: over v's distinct values
+    ascending, a number steps by 0 or 1 where the floor does, else by 2.
+    A quotient v / limit past 1.8e308 overflows, and every step to or from
+    its infinite floor (inf, or nan between two) is a gap, as it should
+    be: distinct values that far out are an ulp apart, far more than
+    limit."""
     u, rank = np.unique(v, return_inverse=True)
-    return rank + np.concatenate(([0], np.cumsum(np.diff(u) != 1)))[rank]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf floors, nan steps
+        step = np.fmin(np.diff(np.floor(u / limit)), 2)
+    return np.concatenate(([0], np.cumsum(step.astype(np.int64))))[rank]
 
 
-def _close_crossing_pairs(X, Y, w: float):
-    """Yield, per engine block, the crossings (A, B), A < B, closer than w
-    whose cells (floor(x/w), floor(y/w)) touch, each pair once.
+def _close_pairs(X, Y, limit: float):
+    """Yield, per engine block, the points (A, B), A < B, closer than
+    limit, each pair once; all lie in touching cells of side limit.
 
-    Cells are keyed (gx, gy + 1) in base H = max(gy) + 3, on gapped ranks,
-    so a key step of 1 or H is one cell.  In key order each crossing scans
-    forward only, two runs of cell-order positions: the rest of its cell
-    and the cell above, then the next column's three cells.
+    Cells are keyed (gx, gy + 1) in base H = max(gy) + 3 on
+    :func:`_cell_ranks`, so a key step of 1 or H is one cell.  In key
+    order each point scans forward only, two runs of cell-order
+    positions: the rest of its cell and the cell above, then the next
+    column's three cells.  Squared distances are compared in units of
+    limit's power of two, so limit^2 does not underflow; points of
+    touching cells are about 2 limit apart at most in x and in y, so their
+    scaled squares stay far below overflow.
     """
     N = X.size
-    gy = _gapped_ranks(np.floor(Y / w))
+    gy = _cell_ranks(Y, limit)
     H = int(gy.max()) + 3
-    key, = _pack((_gapped_ranks(np.floor(X / w)), gy + 1), H)
+    key, = _pack((_cell_ranks(X, limit), gy + 1), H)
     by_cell = np.argsort(key, kind="stable")
     key = key[by_cell]
     start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
@@ -467,7 +462,7 @@ def _close_crossing_pairs(X, Y, w: float):
     first = np.stack((np.arange(1, N + 1, dtype=np.int32), right), 1).ravel()
     count = np.stack((own, end), 1).ravel() - first
     xc, yc = X[by_cell], Y[by_cell]
-    mant, s = math.frexp(w)  # squares in units of 2^s do not underflow
+    mant, s = math.frexp(limit)  # squares in units of 2^s do not underflow
 
     def blocks():
         for e, k in _runs(first, count):
@@ -515,7 +510,7 @@ def _concurrent_points(I, J, pts, w: float, m: int):
     """The concurrent_points and concurrent_edges arrays of
     :class:`PropernessReport` for the N crossings (I[k], J[k]) at pts[k],
     numbered in lexicographic order (N below _MAX_NODES: a pair key is one
-    int64).  Each block of :func:`_close_crossing_pairs` is cut, as it
+    int64).  Each block of :func:`_close_pairs` is cut, as it
     comes, to each edge set's :func:`_edge_set_codes` and least :func:`_pack`
     key of its close pairs (A, B); after the last block one sort keeps each
     set's least key across blocks.  The keys are decoded _BLOCK_PAIRS rows
@@ -526,7 +521,7 @@ def _concurrent_points(I, J, pts, w: float, m: int):
     """
     N = I.size
     kept = [np.vstack(_least_key_of_each(_edge_set_codes(I, J, A, B, m), *_pack((A, B), N)))
-            for A, B in _close_crossing_pairs(pts[:, 0], pts[:, 1], w)]
+            for A, B in _close_pairs(pts[:, 0], pts[:, 1], w)]
     kept = np.concatenate(kept, axis=1) if kept else np.empty((2, 0), np.int64)  # no pair met
     *codes, key = _least_key_of_each(kept[:-1], kept[-1])
     del kept
@@ -554,14 +549,15 @@ def check_proper(d: BoldDrawing) -> PropernessReport:
     which is the scale at which the inked rectangles actually coincide;
     each such edge set is reported once, at the midpoint of its least
     close pair (A, B), A < B, numbering crossings as :func:`crossing_pairs`
-    lists them.  :func:`_close_crossing_pairs` yields the close pairs one
-    engine block at a time and :func:`_concurrent_points` keeps only each
-    block's least pair of each edge set.  All outputs are sorted.
+    lists them.  One query, :func:`_close_pairs`, yields the node pairs
+    closer than 2r and the crossing pairs closer than w one engine block
+    at a time; :func:`_concurrent_points` keeps only each block's least
+    pair of each edge set.  All outputs are sorted.
     """
     P, Q, _ = _segment_arrays(d)
     r, w = d.params.radius, d.params.width
-    pos = d.layout.positions
-    disks = _disk_overlap_pairs(pos, r) if r > 0 and len(pos) >= 2 else []
+    x, y = d.layout.positions.T
+    disks = _ordered_pairs(_close_pairs(x, y, 2.0 * r), x.size) if r > 0 and x.size >= 2 else []
     overlaps = _collinear_overlap_pairs(P, Q)
     # The crossings last: no other stage runs beside them and the report.
     I, J, pts = _crossing_arrays(P, Q)

@@ -32,19 +32,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleError
-from .model import BoldDrawing, DrawingMetrics, InkReport, _gamma, _positive
+from .model import BoldDrawing, DrawingMetrics, InkReport, _gamma, _nonnegative, _positive
 
 # Relative slack for the feasibility comparison, so a drawing sitting
 # exactly on the ink budget (e.g. at a bound endpoint) still passes.
 FEAS_REL = 1e-9
-
-
-def _area(A: float) -> float:
-    """A as a float when it is finite and >= 0, else ValueError naming
-    the area; an area of 0 takes the zero-area rule."""
-    if not (math.isfinite(A) and A >= 0):
-        raise ValueError(f"area must be finite and >= 0, got {A}")
-    return float(A)
 
 
 class Interval(NamedTuple):
@@ -137,7 +129,7 @@ def ink_report(
     _gamma(gamma)
     ink_nodes, ink_edges, overlap = ink_components(n, m, r, w, L, cr, edge_lengths)
     total = ink_nodes + ink_edges - overlap
-    if _area(A) > 0:
+    if _nonnegative(A, "area") > 0:
         dens, feasible = density(total, A), check_area_constraint(total, A, gamma)
     else:
         dens, feasible = 0.0, total <= 0
@@ -188,7 +180,7 @@ def radius_bounds(
     if n <= 0:
         raise ValueError("radius bounds need n > 0")
     _gamma(gamma)
-    _area(A)
+    _nonnegative(A, "area")
     pin = math.pi * n
     B = gamma * A - w * L + w * w * cr + m * w * (m * w) / pin
     if B < 0:
@@ -213,7 +205,7 @@ def width_bounds(
     """
     if n <= 0:
         raise ValueError("width bounds need n > 0")
-    budget = _gamma(gamma) * _area(A)
+    budget = _gamma(gamma) * _nonnegative(A, "area")
     ink_disks = n * math.pi * r * r
     if ink_disks > budget:
         raise InfeasibleError(
@@ -313,7 +305,7 @@ def equal_length_bounds(
     if m <= 0 or w <= 0:
         raise ValueError("equal-length bounds need m > 0 and w > 0")
     _gamma(gamma)
-    _area(A)
+    _nonnegative(A, "area")
     if length is not None:
         _positive(length, "edge length")
     lo = w * cr / m

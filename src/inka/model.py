@@ -64,6 +64,13 @@ def _positive(value: float, what: str) -> float:
     return float(value)
 
 
+def _nonnegative(value: float, what: str) -> float:
+    """value as a float when it is finite and >= 0, else ValueError naming it."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{what} must be finite and >= 0, got {value}")
+    return float(value)
+
+
 def _squarable(sx: float, sy: float, what: str, error=ValueError) -> None:
     """error naming what unless sx^2 + sy^2 is finite (in Python floats: no
     warning).  The one coordinate rule: a box that squares bounds every
@@ -137,9 +144,9 @@ def build_graph(node_count: int, edge_list: Iterable[Sequence[int]]) -> Graph:
     """Build a simple undirected graph, deduplicating unordered pairs by
     one sort of their int64 keys (lo, hi) from :func:`_pack`.
 
-    Rejects non-pairs, non-integral endpoints (2.0 passes, 1.7 does not),
-    self-loops and out-of-range endpoints with a GraphError that names
-    the offending edge index.
+    Rejects non-pairs, endpoints that are not integers (2.0 passes; 1.7
+    and "1" do not), self-loops and out-of-range endpoints with a
+    GraphError that names the offending edge index.
     """
     node_count = _node_count(node_count)
     ends = []
@@ -148,9 +155,13 @@ def build_graph(node_count: int, edge_list: Iterable[Sequence[int]]) -> Graph:
             a, b = pair
         except (TypeError, ValueError):
             raise GraphError(f"edge {idx}: expected a pair, got {pair!r}") from None
-        if not (float(a).is_integer() and float(b).is_integer()):
+        try:
+            ints = int(a), int(b)
+        except (TypeError, ValueError, OverflowError):  # None, "ab", nan, inf
+            ints = None
+        if ints != (a, b):  # 1.7 and "1" convert to unequal ints; 2.0 passes
             raise GraphError(f"edge {idx}: endpoints must be integers, got {pair!r}")
-        a, b = int(a), int(b)
+        a, b = ints
         if a == b:
             raise GraphError(f"edge {idx}: self-loop at node {a}")
         if not (0 <= a < node_count) or not (0 <= b < node_count):
@@ -209,9 +220,7 @@ class RenderParams:
 
     def __post_init__(self):
         for name in ("radius", "width"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+            _nonnegative(getattr(self, name), name)
         _gamma(self.gamma)
 
 

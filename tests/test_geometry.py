@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -27,15 +28,14 @@ from inka import (
 from inka.geometry import (
     _BLOCK_PAIRS,
     _adjacent_mask,
-    _close_crossing_pairs,
+    _cell_ranks,
+    _close_pairs,
     _collinear_overlap_pairs,
     _concurrent_points,
     _crossing_arrays,
     _crossing_blocks,
-    _disk_overlap_pairs,
     _edge_set_codes,
     _expand,
-    _gapped_ranks,
     _least_key_of_each,
     _ordered_pairs,
     _orient,
@@ -594,6 +594,27 @@ def test_tiny_radius_and_width_still_flag_violations(scale):
     assert concurrent_entries(report) == [((0.0, 0.0), (0, 1, 2))] and not report.verdict
 
 
+def test_tiny_limits_far_out_neither_warn_nor_merge_cells():
+    # At 1e10 every x / w and y / w floor overflows: each distinct
+    # coordinate is a cell apart from the next, so the three crossings at
+    # the exact point (1e10, 1e10) and the two coincident nodes still meet,
+    # and no pair of the distinct points is compared
+    c = 1e10
+    pts = [(c - 1, c), (c + 1, c), (c, c - 1), (c, c + 1), (c - 1, c - 1), (c + 1, c + 1),
+           (c + 5, c - 3), (c + 5, c - 3)]
+    d = bold(pts, [(0, 1), (2, 3), (4, 5)], r=1e-300, w=1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_proper(d)
+    assert report.concurrent_points.tolist() == [[c, c]]
+    assert report.concurrent_edges.tolist() == [[0, 1, 2, -1]]
+    assert report.disk_overlaps == [(6, 7)] and not report.verdict
+    x = np.full(6, c) + np.arange(6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [A.size for A, _B in _close_pairs(x, x, 1e-300)] == []
+
+
 def test_check_proper_collinear_overlap():
     pts = [(0, 0), (2, 0), (1, 0), (3, 0)]
     d = bold(pts, [(0, 1), (2, 3)], r=0.1, w=0.05)
@@ -764,11 +785,15 @@ def test_check_proper_matches_oracle_on_degenerate_drawings():
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 15), st.sampled_from([0.05, 0.3, 1.0, 7.0]))
 def test_disk_overlap_pairs_equal_all_pairs_at_every_offset(seed, exponent, r):
-    # Extents [x, x + 2r] with no margin: partners sit at fl(x + 2r) and 1 ulp
-    # either side of it, at offsets up to 1e15, where rounding decides pairs.
+    # Cells of side 2r with no margin, at offsets up to 1e15, where rounding
+    # decides pairs: every fourth node on a cell corner fl(k 2r) or 1 ulp
+    # off it in x and in y, and partners at fl(x + 2r) and 1 ulp either side.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 40))
     pos = 10.0**exponent + rng.uniform(0.0, 10.0 * r, size=(n, 2))
+    corner = np.floor(pos / (2.0 * r)) * (2.0 * r)
+    off = corner + rng.integers(-1, 2, size=(n, 2))  # the direction of the ulp, if any
+    pos[::4] = np.nextafter(corner, off)[::4]
     for i in range(1, n, 2):
         pos[i] = pos[i - 1]
         pos[i, 0] += 2.0 * r
@@ -777,7 +802,8 @@ def test_disk_overlap_pairs_equal_all_pairs_at_every_offset(seed, exponent, r):
     I, J = np.triu_indices(n, 1)
     dx, dy = pos[I, 0] - pos[J, 0], pos[I, 1] - pos[J, 1]
     close = dx * dx + dy * dy < (2.0 * r) ** 2
-    assert _disk_overlap_pairs(pos, r) == list(zip(I[close].tolist(), J[close].tolist()))
+    got = _ordered_pairs(_close_pairs(pos[:, 0], pos[:, 1], 2.0 * r), n)
+    assert got == list(zip(I[close].tolist(), J[close].tolist()))
 
 
 def test_collinear_overlap_of_x_disjoint_edges():
@@ -867,14 +893,23 @@ def reference_close_crossing_pairs(X, Y, w):
     return np.concatenate(kept_a), np.concatenate(kept_b)
 
 
-def test_gapped_ranks_step_by_one_only_where_floors_do():
-    v = np.array([5.0, -3.0, 0.0, 1.0, 2.0, 4.0, -2.0, 1e6, 1e6 + 1, 5.0, -0.0, 9.0])
-    g = _gapped_ranks(v)
+def test_cell_ranks_step_by_one_only_where_floors_do():
+    v = np.array([5.0, -3.0, 0.0, 1.0, 2.0, 4.0, -2.0, 1e6, 1e6 + 1, 5.0, -0.0, 9.0,
+                  1.5, 0.25, -2.5, 1e6 + 0.5])
+    g = _cell_ranks(v, 1.0)
     assert g.min() == 0 and g.max() < 2 * np.unique(v).size
     for a, ga in zip(v, g):
         for b, gb in zip(v, g):
-            assert (gb - ga == 1) == (b - a == 1)
-            assert (gb == ga) == (b == a)
+            assert (gb - ga == 1) == (math.floor(b) - math.floor(a) == 1)
+            assert (gb == ga) == (math.floor(b) == math.floor(a))
+    # floors past 1.8e308 overflow: distinct values never share or touch a cell
+    v = np.array([1e10, -1e10, np.nextafter(1e10, 2e10), 1e10, 3e8, -1e10, 1e-290, 1e-291])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = _cell_ranks(v, 1e-300)
+    for a, ga in zip(v, g):
+        for b, gb in zip(v, g):
+            assert abs(gb - ga) >= 2 if a != b else gb == ga
 
 
 @st.composite
@@ -906,7 +941,7 @@ def test_close_pair_scan_equals_the_nine_run_scan(cloud):
     X, Y, w, block_pairs = cloud
     with block_size(block_pairs):
         none = np.empty(0, np.int64)  # a scan may meet no pair and yield no block
-        A, B = (np.concatenate(c) for c in zip((none,) * 2, *_close_crossing_pairs(X, Y, w),
+        A, B = (np.concatenate(c) for c in zip((none,) * 2, *_close_pairs(X, Y, w),
                                                strict=True))
         want = reference_close_crossing_pairs(X, Y, w)
     assert (A < B).all()
@@ -1144,7 +1179,7 @@ print("numpy.ma" in sys.modules)
 
 def test_core_paths_never_import_numpy_ma():
     # Plain np.unique(x) imports numpy.ma on its first call (about 14 ms);
-    # _coarsen and _gapped_ranks use the return_inverse form, which does
+    # _coarsen and _cell_ranks use the return_inverse form, which does
     # not, so a fresh process that parses, lays out and checks a drawing
     # never pays for it.
     graphs = Path(__file__).resolve().parents[1] / "data" / "graphs"

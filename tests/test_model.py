@@ -187,10 +187,14 @@ def test_build_graph_accepts_integral_floats_and_numpy_integers():
     assert g.edges.dtype == np.int64
 
 
-@pytest.mark.parametrize("bad", [1.7, -0.5, math.nan, math.inf])
+@pytest.mark.parametrize("bad", [(0, 1.7), (0, -0.5), (0, math.nan), (0, math.inf), "ab",
+                                 (0, None), (0, "1")],
+                         ids=["1.7", "-0.5", "nan", "inf", "ab", "None", "str"])
 def test_build_graph_rejects_non_integral_endpoint(bad):
+    # strings and None are not integers, even where float() takes them:
+    # Graph rejects string values too
     with pytest.raises(GraphError, match="edge 1: endpoints must be integers"):
-        build_graph(3, [(0, 1), (0, bad), (1, 2)])
+        build_graph(3, [(0, 1), bad, (1, 2)])
 
 
 def test_build_graph_reports_the_first_bad_edge():

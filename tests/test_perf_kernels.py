@@ -34,11 +34,11 @@ from inka import (
     rasterize_ink,
 )
 from inka.geometry import (
-    _close_crossing_pairs,
+    _close_pairs,
     _collinear_overlap_pairs,
     _concurrent_points,
     _crossing_arrays,
-    _disk_overlap_pairs,
+    _ordered_pairs,
     _segment_arrays,
 )
 from inka.layout import _coarsen, _component_labels, _repulsion_exact, _spring_iterate
@@ -145,11 +145,11 @@ def test_collinear_overlap_pairs_uniform_mesh24(benchmark):
 
 
 def test_disk_overlap_pairs_uniform_mesh24(benchmark):
-    # the oracle's nodes at r = 5: extents [x, x + 10] over a box of side
+    # the oracle's nodes at r = 5: cells of side 10 over a box of side
     # 30 sqrt(n), about a hundred close pairs
     g = load_graph(MESH24)
-    pos = random_positions(g.node_count, seed=3)
-    pairs = benchmark(_disk_overlap_pairs, pos, 5.0)
+    x, y = random_positions(g.node_count, seed=3).T
+    pairs = benchmark(lambda: _ordered_pairs(_close_pairs(x, y, 10.0), x.size))
     assert pairs and pairs == sorted(set(pairs))
 
 
@@ -202,7 +202,7 @@ def test_close_crossing_pairs_circle_mesh24(benchmark):
     _I, _J, pts = _crossing_arrays(P, Q)
     X, Y = pts[:, 0].copy(), pts[:, 1].copy()
     # the scan yields its blocks lazily: list them inside the timed call
-    blocks = benchmark(lambda: list(_close_crossing_pairs(X, Y, 1.0)))
+    blocks = benchmark(lambda: list(_close_pairs(X, Y, 1.0)))
     A, B = (np.concatenate(c) for c in zip(*blocks))
     assert A.size == B.size > 0 and (A < B).all()
 
