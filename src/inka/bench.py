@@ -34,7 +34,7 @@ from .ink import ink_report
 # perfbench/tracing.py (BENCH_IMPORTS) looks these two up on this module.
 from .ink import check_area_constraint, ink_components
 from .layout import LayoutConfig, compute_layout
-from .model import BoldDrawing, Graph, RenderParams, _positive
+from .model import BoldDrawing, Graph, RenderParams, _number, _positive
 from .raster import rasterize_ink
 
 DEFAULT_SETTINGS = ((1.0, 0.0), (1.0, 1.0), (2.0, 1.0), (20.0, 1.0), (20.0, 2.0))
@@ -81,12 +81,6 @@ class BenchAbort(InkaError):
         self.graph_name = graph_name
         self.cause = cause
         self.rows = rows
-
-
-def _number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{what} must be a number, got {value!r}")
-    return float(value)
 
 
 def _entries(data: dict, key: str, default) -> list:
@@ -160,15 +154,15 @@ def _bench_config(text: str, base: Path) -> BenchConfig:
     for idx, entry in enumerate(_entries(data, "settings", DEFAULT_SETTINGS)):
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ParseError(f"setting {idx} must be an [r, w] pair, got {entry!r}")
-        settings.append(tuple(_number(v, f"setting {idx}") for v in entry))
+        settings.append(tuple(_number(v, f"setting {idx}", error=ParseError) for v in entry))
     area_raw = data.get("area", "auto")
-    area = None if area_raw == "auto" else _number(area_raw, '"area"')
+    area = None if area_raw == "auto" else _number(area_raw, '"area"', error=ParseError)
     try:
         return BenchConfig(
             graphs=tuple(graphs),
             layouts=tuple(layouts),
             settings=tuple(settings),
-            gamma=_number(data.get("gamma", 1.0), '"gamma"'),
+            gamma=_number(data.get("gamma", 1.0), '"gamma"', error=ParseError),
             area=area,
             raster=data.get("raster", False),
         )
@@ -180,7 +174,7 @@ def worker_count(requested: int | None, jobs: int) -> int:
     """Effective worker count: the request (None or 0 = auto), capped by
     INKA_THREADS when that is set to a positive value (0 = no cap).  A
     negative request or cap is an InkaError."""
-    if requested is not None and requested < 0:
+    if requested is not None and _number(requested, "thread count", integer=True) < 0:
         raise InkaError(f"thread count must be >= 0 (0 = auto), got {requested}")
     count = requested or os.cpu_count() or 1
     env = os.environ.get("INKA_THREADS", "").strip()
@@ -225,8 +219,8 @@ def run_bench(config: BenchConfig, threads: int | None = None) -> list[ReportRow
     """All report rows, in config order.  Raises BenchAbort (carrying the
     rows of graphs whose cells all finished) if any graph fails.
 
-    More than one worker means spawned worker processes, so a script that
-    calls this needs the usual ``if __name__ == "__main__":`` guard."""
+    More than one worker means worker processes that import the main
+    module, so a script that calls this needs an ``if __name__ == "__main__":`` guard."""
     graphs, causes = {}, {}
     for i, bg in enumerate(config.graphs):
         try:
@@ -248,10 +242,13 @@ def run_bench(config: BenchConfig, threads: int | None = None) -> list[ReportRow
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # Spawned, not forked: the caller may hold threads (BLAS's among them).
-        spawn = multiprocessing.get_context("spawn")
+        # Forked from a server that imported inka once (spawned where there is
+        # none), never from the caller, which may hold threads (BLAS's among them).
+        context = multiprocessing.get_context(
+            "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn")
+        context.set_forkserver_preload(["inka"])
         cells.sort(key=lambda c: _cell_cost(graphs[c[0]], config.layouts[c[1]][1]), reverse=True)
-        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
             futures = {
                 (i, j): pool.submit(_graph_rows, config.graphs[i].name, graphs[i],
                                     config.layouts[j:j + 1], config)

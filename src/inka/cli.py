@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from .bench import BenchAbort, load_bench_config, run_bench_to_files
@@ -297,6 +298,7 @@ def cmd_bench(args) -> int:
     return _write(summary, "json")
 
 
+@cache  # built once per process: a parse leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="inka",

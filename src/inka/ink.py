@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleError
-from .model import BoldDrawing, DrawingMetrics, InkReport, _gamma, _nonnegative, _positive
+from .model import BoldDrawing, DrawingMetrics, InkReport, _fraction, _nonnegative, _positive
 
 # Relative slack for the feasibility comparison, so a drawing sitting
 # exactly on the ink budget (e.g. at a bound endpoint) still passes.
@@ -126,7 +126,7 @@ def ink_report(
 ) -> InkReport:
     """The ink terms, their total, density, and the area-budget verdict;
     the one place the terms are summed and feasibility is decided."""
-    _gamma(gamma)
+    _fraction(gamma, "gamma")
     ink_nodes, ink_edges, overlap = ink_components(n, m, r, w, L, cr, edge_lengths)
     total = ink_nodes + ink_edges - overlap
     if _nonnegative(A, "area") > 0:
@@ -165,7 +165,7 @@ def check_area_constraint(ink: float, A: float, gamma: float = 1.0) -> bool:
     Boundary cases count as feasible; a 1e-9 relative slack keeps
     drawings constructed to sit exactly on the budget from flapping.
     """
-    return ink <= _gamma(gamma) * _positive(A, "area") * (1.0 + FEAS_REL)
+    return ink <= _fraction(gamma, "gamma") * _positive(A, "area") * (1.0 + FEAS_REL)
 
 
 def radius_bounds(
@@ -179,10 +179,9 @@ def radius_bounds(
     """
     if n <= 0:
         raise ValueError("radius bounds need n > 0")
-    _gamma(gamma)
-    _nonnegative(A, "area")
+    budget = _fraction(gamma, "gamma") * _nonnegative(A, "area")
     pin = math.pi * n
-    B = gamma * A - w * L + w * w * cr + m * w * (m * w) / pin
+    B = budget - w * L + w * w * cr + m * w * (m * w) / pin
     if B < 0:
         raise InfeasibleError(
             f"no radius satisfies the density ceiling (budget shortfall {B:.6g})"
@@ -205,7 +204,7 @@ def width_bounds(
     """
     if n <= 0:
         raise ValueError("width bounds need n > 0")
-    budget = _gamma(gamma) * _nonnegative(A, "area")
+    budget = _fraction(gamma, "gamma") * _nonnegative(A, "area")
     ink_disks = n * math.pi * r * r
     if ink_disks > budget:
         raise InfeasibleError(
@@ -304,12 +303,10 @@ def equal_length_bounds(
     """
     if m <= 0 or w <= 0:
         raise ValueError("equal-length bounds need m > 0 and w > 0")
-    _gamma(gamma)
-    _nonnegative(A, "area")
+    hi = _fraction(gamma, "gamma") * _nonnegative(A, "area") / (w * m) + w * cr / m
     if length is not None:
         _positive(length, "edge length")
     lo = w * cr / m
-    hi = gamma * A / (w * m) + w * cr / m
     cr_bound = m * length / w if length is not None else None
     return EqualLengthBounds(Interval(lo, hi), cr_bound)
 
@@ -336,8 +333,7 @@ def partial_edge_formulas(
     end only binds when positive, counts being non-negative anyway).
     Condition and bracket are None when w == 0.
     """
-    if not 0 < p <= 1:
-        raise ValueError(f"retained fraction must be in (0, 1], got {p}")
+    _fraction(p, "retained fraction")
     ink_partial = ink_report(n, m, r, w, p * L, cr_partial, A, gamma).ink_total
     if w == 0:
         return PartialEdgeFormulas(ink_partial, None, None)

@@ -25,13 +25,12 @@ user's ideal edge length and the node count of the graph or component.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import LayoutError
-from .model import Graph, Layout, _pack, _squarable, _unpack
+from .model import Graph, Layout, _number, _pack, _positive, _squarable, _unpack
 
 _ALGORITHMS = ("random", "circular", "force-directed", "multilevel")
 
@@ -62,20 +61,13 @@ class LayoutConfig:
                 f"unknown algorithm {self.algorithm!r}; supported: "
                 + ", ".join(_ALGORITHMS)
             )
-        for name in ("seed", "iterations"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("ideal_edge_length", "cooling"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+        for name in ("seed", "iterations", "ideal_edge_length", "cooling"):
+            _number(getattr(self, name), name, integer=name in ("seed", "iterations"))
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
         if not 1 <= self.iterations <= 2**20:  # 2**63 steps would never end
             raise ValueError(f"iterations must be in 1..2**20, got {self.iterations}")
-        if not (math.isfinite(self.ideal_edge_length) and self.ideal_edge_length > 0):
-            raise ValueError("ideal_edge_length must be finite and > 0")
+        _positive(self.ideal_edge_length, "ideal_edge_length")
         if not 0 < self.cooling < 1:
             raise ValueError("cooling must be in (0, 1)")
 

@@ -7,6 +7,7 @@ threads.  Coordinates are abstract drawing units, not pixels.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -57,18 +58,35 @@ def _value_eq(self, other):
                for f in fields(self))
 
 
+def _is_number(value, integer: bool = False) -> bool:
+    """Whether value is a real number (an integer where integer is set), not a bool."""
+    return (not isinstance(value, (bool, np.bool_))
+            and isinstance(value, numbers.Integral if integer else numbers.Real))
+
+
+def _number(value, what: str, integer: bool = False, error=ValueError):
+    """The one rule for a numeric input: value, as a float unless integer is
+    set, when :func:`_is_number` holds; else error naming what and value."""
+    if not _is_number(value, integer):
+        raise error(f"{what} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    try:
+        return value if integer else float(value)
+    except OverflowError:  # an int past the floats, like 1e400, rounds to inf
+        return math.inf if value > 0 else -math.inf
+
+
 def _positive(value: float, what: str) -> float:
-    """value as a float when it is finite and > 0, else ValueError naming it."""
-    if not (math.isfinite(value) and value > 0):
+    """value as a float when it is a finite number > 0, else ValueError naming it."""
+    if not (math.isfinite(number := _number(value, what)) and number > 0):
         raise ValueError(f"{what} must be finite and > 0, got {value}")
-    return float(value)
+    return number
 
 
 def _nonnegative(value: float, what: str) -> float:
-    """value as a float when it is finite and >= 0, else ValueError naming it."""
-    if not (math.isfinite(value) and value >= 0):
+    """value as a float when it is a finite number >= 0, else ValueError naming it."""
+    if not (math.isfinite(number := _number(value, what)) and number >= 0):
         raise ValueError(f"{what} must be finite and >= 0, got {value}")
-    return float(value)
+    return number
 
 
 def _squarable(sx: float, sy: float, what: str, error=ValueError) -> None:
@@ -82,18 +100,17 @@ def _squarable(sx: float, sy: float, what: str, error=ValueError) -> None:
 def _node_count(n) -> int:
     """n as an int when it is an integer (not a bool) in 0.._MAX_NODES,
     else GraphError naming it."""
-    if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)) \
-            or not 0 <= n <= _MAX_NODES:
+    if not (_is_number(n, integer=True) and 0 <= n <= _MAX_NODES):
         raise GraphError(f"node_count must be an integer in 0..{_MAX_NODES}, got {n!r}")
     return int(n)
 
 
-def _gamma(value: float) -> float:
-    """The density ceiling gamma as a float when it is in (0, 1] (so not
-    nan), else ValueError naming gamma."""
-    if not 0.0 < value <= 1.0:
-        raise ValueError(f"gamma must be in (0, 1], got {value}")
-    return float(value)
+def _fraction(value: float, what: str) -> float:
+    """value as a float when it is a number in (0, 1] (so not nan), else
+    ValueError naming it: the density ceiling gamma, a retained fraction."""
+    if not 0.0 < (number := _number(value, what)) <= 1.0:
+        raise ValueError(f"{what} must be in (0, 1], got {value}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -221,7 +238,7 @@ class RenderParams:
     def __post_init__(self):
         for name in ("radius", "width"):
             _nonnegative(getattr(self, name), name)
-        _gamma(self.gamma)
+        _fraction(self.gamma, "gamma")
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ the band size.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import partial
 
@@ -41,7 +40,7 @@ import numpy as np
 from .errors import DegenerateDrawingError
 from .formats import _save
 from .geometry import _bounding_box, _edge_rects, _expand, _segment_arrays, _spans, bounding_box
-from .model import BoldDrawing
+from .model import BoldDrawing, _number
 
 
 @dataclass(frozen=True)
@@ -56,9 +55,7 @@ class RasterConfig:
 
     def __post_init__(self):
         for name in ("resolution", "supersampling"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _number(getattr(self, name), name, integer=True)
         if self.resolution < 64:
             raise ValueError(f"resolution must be >= 64, got {self.resolution}")
         if self.supersampling not in (1, 2, 4):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _adjacent_mask, _crossing_blocks, _pair_keys, _segment_arrays
-from .model import BoldDrawing, Layout, RenderParams, _positive, _squarable
+from .model import BoldDrawing, Layout, RenderParams, _fraction, _positive, _squarable
 
 
 def scale_layout(layout: Layout, sigma_len: float) -> Layout:
@@ -80,8 +80,7 @@ class StubSet:
 def partial_edges(d: BoldDrawing, p: float) -> StubSet:
     """Replace every edge by two stubs of length p*l_e/2, one anchored at
     each endpoint.  p == 1 keeps each edge as its single full segment."""
-    if not 0 < p <= 1:
-        raise ValueError(f"retained fraction must be in (0, 1], got {p}")
+    _fraction(p, "retained fraction")
     A, B, E = _segment_arrays(d)
     parents = np.arange(E.shape[0], dtype=np.int64)
     if p < 1.0:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from inka import REPORT_COLUMNS, Layout, parse_layout_csv, write_layout_csv
-from inka.cli import _plain, main
+from inka.cli import _build_parser, _plain, main
 from inka.model import _MAX_NODES
 
 
@@ -176,6 +176,33 @@ def test_layout_unknown_algorithm_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["layout", "--graph", str(graph), "--algorithm", "fm3"])
     assert exc.value.code == 2
+
+
+def _answer(argv, capsys):
+    """The exit code, stdout and stderr of one in-process call."""
+    try:
+        code = main(argv)
+    except SystemExit as e:  # a usage error
+        code = e.code
+    return (code, *capsys.readouterr())
+
+
+def test_a_reused_parser_answers_as_a_fresh_one(drawing_files, capsys):
+    graph, layout = drawing_files
+    drawing = ["--graph", graph, "--layout", layout]
+    calls = [["analyze", *drawing, "--strict", "--width", "20"], ["analyze", *drawing],
+             ["transform", *drawing, "--scale", "2"], ["transform", *drawing, "--zoom", "2"],
+             ["partial", *drawing, "--ratios", "0.5"], ["partial", *drawing],
+             ["analyze", *drawing, "--bogus"], ["bounds", *drawing, "--format", "json"]]
+    assert _build_parser() is _build_parser()
+    reused = [_answer(argv, capsys) for argv in calls]
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(_answer(argv, capsys))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, 0, 2, 0]
+    assert reused[0][1] != reused[1][1] and reused[2][1] != reused[3][1]
 
 
 def test_transform_scale(drawing_files, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -16,7 +17,13 @@ from inka import (
     build_graph,
     graph_density,
 )
-from inka.model import _INT64_MAX, _MAX_NODES, _pack, _unpack
+from inka.bench import load_bench_config, worker_count
+from inka.errors import InkaError, ParseError
+from inka.ink import check_area_constraint, density, partial_edge_formulas
+from inka.layout import LayoutConfig
+from inka.model import _INT64_MAX, _MAX_NODES, _fraction, _pack, _unpack
+from inka.raster import RasterConfig
+from inka.transforms import partial_edges, scale_layout, zoom_drawing
 
 
 @st.composite
@@ -255,6 +262,109 @@ def test_render_params_reject_non_finite(bad):
         RenderParams(bad, 0.5)
     with pytest.raises(ValueError, match="width"):
         RenderParams(1.0, bad)
+
+
+def _bench_field(tmp_path, **fields):
+    """load_bench_config of a one-graph, one-layout config with fields."""
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"graphs": [{"name": "ring", "path": "ring.edges"}],
+                               "layouts": [{"algorithm": "circular"}], **fields}))
+    return load_bench_config(cfg)
+
+
+def _number_inputs(tmp_path):
+    """(field, call of one value, integer wanted, error type): every
+    numeric value a caller passes in, by the name its errors give it."""
+    drawing = BoldDrawing(build_graph(2, [(0, 1)]), Layout([[0.0, 0.0], [1.0, 0.0]]),
+                          RenderParams(1.0, 1.0))
+
+    def layout_entry(name):
+        return lambda v: _bench_field(tmp_path, layouts=[{"algorithm": "random", name: v}])
+
+    return [
+        ("radius", lambda v: RenderParams(v, 1.0), False, ValueError),
+        ("width", lambda v: RenderParams(1.0, v), False, ValueError),
+        ("gamma", lambda v: RenderParams(1.0, 1.0, v), False, ValueError),
+        ("gamma", lambda v: _fraction(v, "gamma"), False, ValueError),
+        *[(name, lambda v, name=name: LayoutConfig(**{name: v}), name in ("seed", "iterations"),
+           ValueError) for name in ("seed", "iterations", "ideal_edge_length", "cooling")],
+        *[(name, lambda v, name=name: RasterConfig(**{name: v}), True, ValueError)
+          for name in ("resolution", "supersampling")],
+        ("setting 0", lambda v: _bench_field(tmp_path, settings=[[v, 1]]), False, ParseError),
+        ("setting 0", lambda v: _bench_field(tmp_path, settings=[[1, v]]), False, ParseError),
+        ('"gamma"', lambda v: _bench_field(tmp_path, gamma=v), False, ParseError),
+        ('"area"', lambda v: _bench_field(tmp_path, area=v), False, ParseError),
+        ("layout entry 0: seed", layout_entry("seed"), True, ParseError),
+        ("layout entry 0: cooling", layout_entry("cooling"), False, ParseError),
+        ("length multiplier", lambda v: scale_layout(drawing.layout, v), False, ValueError),
+        ("area magnification", lambda v: zoom_drawing(drawing, v), False, ValueError),
+        ("area", lambda v: density(1.0, v), False, ValueError),
+        ("area", lambda v: check_area_constraint(1.0, v), False, ValueError),
+        ("gamma", lambda v: check_area_constraint(1.0, 1.0, v), False, ValueError),
+        ("retained fraction", lambda v: partial_edges(drawing, v), False, ValueError),
+        ("retained fraction",
+         lambda v: partial_edge_formulas(2, 1, 1.0, 1.0, 1.0, v, 0, 0, 1.0, 1.0), False, ValueError),
+        ("thread count", lambda v: worker_count(v, 4), True, ValueError),
+    ]
+
+
+def test_every_numeric_input_refuses_bools_and_non_numbers_by_name(tmp_path):
+    (tmp_path / "ring.edges").write_text("0 1\n1 2\n2 0\n")
+    wrong = []
+    for field, call, integer, error in _number_inputs(tmp_path):
+        # None asks worker_count for one worker per CPU
+        for value in (True, "1") + (() if field == "thread count" else (None,)):
+            kind = "an integer" if integer else "a number"
+            message = f"{field} must be {kind}, got {value!r}"
+            try:
+                call(value)
+                wrong.append((field, value, "accepted"))
+            except Exception as e:  # a TypeError, say, is wrong too
+                if type(e) is not error or message not in str(e):
+                    wrong.append((field, value, type(e).__name__, str(e)))
+    assert wrong == []
+
+
+def test_numbers_out_of_range_keep_their_messages(tmp_path):
+    (tmp_path / "ring.edges").write_text("0 1\n1 2\n2 0\n")
+    drawing = BoldDrawing(build_graph(1, []), Layout([[0.0, 0.0]]), RenderParams(1.0, 1.0))
+    huge = 10**400  # an int past the floats counts as inf, as 1e400 does
+    cases = [
+        (lambda: RenderParams(math.nan, 1.0), ValueError,
+         "radius must be finite and >= 0, got nan"),
+        (lambda: RenderParams(huge, 1.0), ValueError,
+         f"radius must be finite and >= 0, got {huge}"),
+        (lambda: RenderParams(1.0, -1), ValueError, "width must be finite and >= 0, got -1"),
+        (lambda: RenderParams(1.0, 1.0, 2), ValueError, "gamma must be in (0, 1], got 2"),
+        (lambda: _fraction(math.nan, "gamma"), ValueError, "gamma must be in (0, 1], got nan"),
+        (lambda: LayoutConfig(seed=-1), ValueError, "seed must fit in 64 unsigned bits"),
+        (lambda: LayoutConfig(iterations=0), ValueError, "iterations must be in 1..2**20, got 0"),
+        (lambda: LayoutConfig(ideal_edge_length=math.inf), ValueError,
+         "ideal_edge_length must be finite and > 0, got inf"),
+        (lambda: LayoutConfig(ideal_edge_length=-huge), ValueError,
+         f"ideal_edge_length must be finite and > 0, got {-huge}"),
+        (lambda: LayoutConfig(cooling=huge), ValueError, "cooling must be in (0, 1)"),
+        (lambda: RasterConfig(resolution=32), ValueError, "resolution must be >= 64, got 32"),
+        (lambda: RasterConfig(supersampling=3), ValueError,
+         "supersampling must be 1, 2, or 4, got 3"),
+        (lambda: _bench_field(tmp_path, gamma=2), ParseError, "gamma must be in (0, 1], got 2.0"),
+        (lambda: _bench_field(tmp_path, area=huge), ParseError,
+         "fixed area must be finite and > 0, got inf"),
+        (lambda: scale_layout(drawing.layout, math.nan), ValueError,
+         "length multiplier must be finite and > 0, got nan"),
+        (lambda: zoom_drawing(drawing, -1), ValueError,
+         "area magnification must be finite and > 0, got -1"),
+        (lambda: density(1.0, 0), ValueError, "area must be finite and > 0, got 0"),
+        (lambda: partial_edges(drawing, 0), ValueError,
+         "retained fraction must be in (0, 1], got 0"),
+        (lambda: check_area_constraint(1.0, 1.0, 0.0), ValueError,
+         "gamma must be in (0, 1], got 0.0"),
+        (lambda: worker_count(-2, 4), InkaError, "thread count must be >= 0 (0 = auto), got -2"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error) as exc:
+            call()
+        assert str(exc.value).endswith(message)
 
 
 def test_bold_drawing_checks_layout_length():
