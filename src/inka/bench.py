@@ -34,7 +34,7 @@ from .ink import ink_report
 # perfbench/tracing.py (BENCH_IMPORTS) looks these two up on this module.
 from .ink import check_area_constraint, ink_components
 from .layout import LayoutConfig, compute_layout
-from .model import BoldDrawing, Graph, RenderParams, _number, _positive
+from .model import BoldDrawing, Graph, RenderParams, _number, _positive, _shown
 from .raster import rasterize_ink
 
 DEFAULT_SETTINGS = ((1.0, 0.0), (1.0, 1.0), (2.0, 1.0), (20.0, 1.0), (20.0, 2.0))
@@ -70,7 +70,7 @@ class BenchConfig:
         if self.area is not None:
             _positive(self.area, "fixed area")
         if not isinstance(self.raster, bool):
-            raise ValueError(f"raster must be true or false, got {self.raster!r}")
+            raise ValueError(f"raster must be true or false, got {_shown(self.raster, repr)}")
 
 
 class BenchAbort(InkaError):
@@ -113,6 +113,8 @@ def _bench_config(text: str, base: Path) -> BenchConfig:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"{e.msg} (column {e.colno})", line=e.lineno) from None
+    except ValueError as e:  # an integer past Python's 4,300-digit limit
+        raise ParseError(str(e)) from None
     if not isinstance(data, dict):
         raise ParseError("a bench config must be a JSON object")
     _known_keys(data, _CONFIG_KEYS, "top level")
@@ -162,9 +164,9 @@ def _bench_config(text: str, base: Path) -> BenchConfig:
             graphs=tuple(graphs),
             layouts=tuple(layouts),
             settings=tuple(settings),
-            gamma=_number(data.get("gamma", 1.0), '"gamma"', error=ParseError),
+            gamma=_number(data.get("gamma", BenchConfig.gamma), '"gamma"', error=ParseError),
             area=area,
-            raster=data.get("raster", False),
+            raster=data.get("raster", BenchConfig.raster),
         )
     except ValueError as e:
         raise ParseError(str(e)) from None
@@ -175,7 +177,7 @@ def worker_count(requested: int | None, jobs: int) -> int:
     INKA_THREADS when that is set to a positive value (0 = no cap).  A
     negative request or cap is an InkaError."""
     if requested is not None and _number(requested, "thread count", integer=True) < 0:
-        raise InkaError(f"thread count must be >= 0 (0 = auto), got {requested}")
+        raise InkaError(f"thread count must be >= 0 (0 = auto), got {_shown(requested)}")
     count = requested or os.cpu_count() or 1
     env = os.environ.get("INKA_THREADS", "").strip()
     if env:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import cache
 from pathlib import Path
 
@@ -38,7 +38,7 @@ from .ink import (
 )
 from .layout import _ALGORITHMS, LayoutConfig, compute_layout
 from .model import BoldDrawing, RenderParams, _positive
-from .raster import RasterConfig, rasterize_ink, render_svg
+from .raster import _SUPERSAMPLING, RasterConfig, rasterize_ink, render_svg
 from .transforms import measure_stub_crossings, partial_edges, scale_layout, zoom_drawing
 
 _PARTIAL_COLUMNS = (
@@ -75,12 +75,13 @@ def _ratios_value(text: str) -> list[float]:
     return ratios
 
 
-def _add_drawing_args(p: argparse.ArgumentParser, default_width: float = 1.0):
+def _add_drawing_args(p: argparse.ArgumentParser):
     p.add_argument("--graph", required=True, help="graph file (.mtx/.graph/.edges)")
     p.add_argument("--layout", required=True, help="layout CSV with header node,x,y")
     p.add_argument("--radius", type=float, default=1.0, help="disk radius r")
-    p.add_argument("--width", type=float, default=default_width, help="edge width w")
-    p.add_argument("--gamma", type=float, default=1.0, help="density ceiling in (0,1]")
+    p.add_argument("--width", type=float, default=1.0, help="edge width w")
+    p.add_argument("--gamma", type=float, default=RenderParams.gamma,
+                   help="density ceiling in (0,1]")
     p.add_argument(
         "--area",
         type=_area_value,
@@ -95,11 +96,16 @@ def _add_output_args(p: argparse.ArgumentParser):
     p.add_argument("--out", help="output path (default: stdout)")
 
 
+def _record(cls, args):
+    """cls (LayoutConfig, RasterConfig or RenderParams) built from the parsed
+    arguments whose dest is one of its field names."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+
+
 def _load_drawing(args) -> BoldDrawing:
     g = load_graph(args.graph)
     layout = read_layout_csv(args.layout, node_count=g.node_count)
-    params = RenderParams(radius=args.radius, width=args.width, gamma=args.gamma)
-    return BoldDrawing(graph=g, layout=layout, params=params)
+    return BoldDrawing(graph=g, layout=layout, params=_record(RenderParams, args))
 
 
 def _emit(text: str, out: str | None) -> int:
@@ -176,14 +182,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_layout(args) -> int:
     g = load_graph(args.graph)
-    config = LayoutConfig(
-        algorithm=args.algorithm,
-        seed=args.seed,
-        iterations=args.iterations,
-        ideal_edge_length=args.ideal_length,
-        cooling=args.cooling,
-    )
-    layout = compute_layout(g, config)
+    layout = compute_layout(g, _record(LayoutConfig, args))
     return _emit(write_layout_csv(layout), args.out)
 
 
@@ -266,7 +265,7 @@ def cmd_raster(args) -> int:
     metrics = measure(d, area=args.area)
     strict = ink_total(d, metrics, strict=True)
     clamped = ink_total(d, metrics, strict=False)
-    cfg = RasterConfig(resolution=args.resolution, supersampling=args.supersample)
+    cfg = _record(RasterConfig, args)
     measured = rasterize_ink(d, cfg)
     gap = measured - strict.ink_total
     payload = {
@@ -275,8 +274,8 @@ def cmd_raster(args) -> int:
         "raster_ink": measured,
         "signed_gap": gap,
         "relative_gap": gap / strict.ink_total if strict.ink_total else None,
-        "resolution": args.resolution,
-        "supersampling": args.supersample,
+        "resolution": cfg.resolution,
+        "supersampling": cfg.supersampling,
     }
     return _write(payload, args.format, args.out)
 
@@ -323,10 +322,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("layout", help="compute a deterministic layout")
     p.add_argument("--graph", required=True)
     p.add_argument("--algorithm", choices=_ALGORITHMS, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iterations", type=int, default=500)
-    p.add_argument("--ideal-length", type=float, default=30.0)
-    p.add_argument("--cooling", type=float, default=0.95)
+    p.add_argument("--seed", type=int, default=LayoutConfig.seed)
+    p.add_argument("--iterations", type=int, default=LayoutConfig.iterations)
+    p.add_argument("--ideal-length", type=float, dest="ideal_edge_length",
+                   metavar="IDEAL_LENGTH", default=LayoutConfig.ideal_edge_length)
+    p.add_argument("--cooling", type=float, default=LayoutConfig.cooling)
     p.add_argument("--out", help="layout CSV path (default: stdout)")
     p.set_defaults(func=cmd_layout)
 
@@ -353,11 +353,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("raster", help="row-measured ink vs the analytic value")
     _add_drawing_args(p)
-    p.add_argument("--resolution", type=int, default=2048,
+    p.add_argument("--resolution", type=int, default=RasterConfig.resolution,
                    help="rows along the longer side of the bounding box, "
-                        "at least 64 (default 2048)")
-    p.add_argument("--supersample", type=int, choices=(1, 2, 4), default=2,
-                   help="multiply the rows by this factor (default 2)")
+                        "at least 64 (default %(default)s)")
+    p.add_argument("--supersample", type=int, choices=_SUPERSAMPLING, dest="supersampling",
+                   default=RasterConfig.supersampling,
+                   help="multiply the rows by this factor (default %(default)s)")
     _add_output_args(p)
     p.set_defaults(func=cmd_raster)
 

@@ -6,7 +6,9 @@ end disks), and saves roughly w^2 wherever two rectangles cross.  Every
 function here is closed-form arithmetic over the measured quantities
 (L, cr, A); geometry supplies those, this module never touches
 coordinates.  Every total, density and budget verdict comes from
-``ink_report``.  A drawing of zero area (an empty graph, or all nodes on
+``ink_report``.  Every public function first passes its counts and
+lengths through ``model._ink_factors``, so a bad factor is a ValueError
+naming it.  A drawing of zero area (an empty graph, or all nodes on
 one point with r = w = 0) has density 0.0 and is feasible iff its ink
 is at most 0.
 
@@ -32,7 +34,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleError
-from .model import BoldDrawing, DrawingMetrics, InkReport, _fraction, _nonnegative, _positive
+from .model import (
+    BoldDrawing, DrawingMetrics, InkReport, _fraction, _ink_factors, _nonnegative, _number,
+    _positive,
+)
 
 # Relative slack for the feasibility comparison, so a drawing sitting
 # exactly on the ink budget (e.g. at a bound endpoint) still passes.
@@ -110,6 +115,7 @@ def ink_components(
     With edge_lengths provided, each rectangle term w*(l_e - 2r) is
     clamped at 0; otherwise the aggregate w*(L - 2mr) is used as is.
     """
+    _ink_factors(n=n, m=m, r=r, w=w, L=L, cr=cr)
     ink_nodes = n * math.pi * r * r
     if edge_lengths is not None:
         visible = np.maximum(np.asarray(edge_lengths, dtype=np.float64) - 2.0 * r, 0.0)
@@ -156,6 +162,7 @@ def ink_total(d: BoldDrawing, metrics: DrawingMetrics, strict: bool = False) -> 
 
 def density(ink: float, A: float) -> float:
     """Ink per unit of drawing area."""
+    _number(ink, "ink")
     return ink / _positive(A, "area")
 
 
@@ -165,6 +172,7 @@ def check_area_constraint(ink: float, A: float, gamma: float = 1.0) -> bool:
     Boundary cases count as feasible; a 1e-9 relative slack keeps
     drawings constructed to sit exactly on the budget from flapping.
     """
+    _number(ink, "ink")
     return ink <= _fraction(gamma, "gamma") * _positive(A, "area") * (1.0 + FEAS_REL)
 
 
@@ -177,8 +185,9 @@ def radius_bounds(
     discriminant-like quantity B = gamma*A - wL + w^2*cr + m^2 w^2/(pi n)
     must be non-negative; otherwise no radius fits the budget.
     """
-    if n <= 0:
+    if _number(n, "n", integer=True) <= 0:
         raise ValueError("radius bounds need n > 0")
+    _ink_factors(n=n, m=m, w=w, L=L, cr=cr)
     budget = _fraction(gamma, "gamma") * _nonnegative(A, "area")
     pin = math.pi * n
     B = budget - w * L + w * w * cr + m * w * (m * w) / pin
@@ -202,8 +211,9 @@ def width_bounds(
     the first budget violation are not reported).  The upper end is
     infinity when nothing caps the width, e.g. m = 0.
     """
-    if n <= 0:
+    if _number(n, "n", integer=True) <= 0:
         raise ValueError("width bounds need n > 0")
+    _ink_factors(n=n, m=m, r=r, L=L, cr=cr)
     budget = _fraction(gamma, "gamma") * _nonnegative(A, "area")
     ink_disks = n * math.pi * r * r
     if ink_disks > budget:
@@ -238,8 +248,9 @@ def min_ink_radius(
 ) -> MinInkRadius:
     """Ink-minimizing radius r* = w*(m/n)/pi, plus the minimum ink itself
     when L and cr are supplied."""
-    if n <= 0:
+    if _number(n, "n", integer=True) <= 0:
         raise ValueError("minimum-ink radius needs n > 0")
+    _ink_factors(n=n, m=m, w=w, **{k: v for k, v in (("L", L), ("cr", cr)) if v is not None})
     r_star = w * (m / n) / math.pi
     ink_min = None
     if L is not None and cr is not None:
@@ -254,6 +265,7 @@ def scale_ink_delta(w: float, L: float, sigma: float) -> float:
     sigma is the length multiplier.  Crossings do not move relative to
     the edges, so the overlap term cancels in the difference.
     """
+    _ink_factors(w=w, L=L)
     _positive(sigma, "length multiplier")
     return w * (sigma - 1.0) * L
 
@@ -264,6 +276,7 @@ def zoom_ink(ink: float, zeta: float) -> float:
 
     Feasibility is preserved: ink and gamma*A scale by the same factor.
     """
+    _number(ink, "ink")
     _positive(zeta, "area magnification")
     return zeta * ink
 
@@ -301,8 +314,9 @@ def equal_length_bounds(
     w*cr/m <= l <= gamma*A/(w*m) + w*cr/m; conversely, given l the
     crossing count is capped at m*l/w (crossing_bound is None without l).
     """
-    if m <= 0 or w <= 0:
+    if _number(m, "m", integer=True) <= 0 or _number(w, "w") <= 0:
         raise ValueError("equal-length bounds need m > 0 and w > 0")
+    _ink_factors(n=n, m=m, w=w, cr=cr)
     hi = _fraction(gamma, "gamma") * _nonnegative(A, "area") / (w * m) + w * cr / m
     if length is not None:
         _positive(length, "edge length")
@@ -333,6 +347,7 @@ def partial_edge_formulas(
     end only binds when positive, counts being non-negative anyway).
     Condition and bracket are None when w == 0.
     """
+    _ink_factors(n=n, m=m, r=r, w=w, L=L, cr_full=cr_full, cr_partial=cr_partial)
     _fraction(p, "retained fraction")
     ink_partial = ink_report(n, m, r, w, p * L, cr_partial, A, gamma).ink_total
     if w == 0:
@@ -364,6 +379,7 @@ def width_delta_ink(
 
     Zero whenever L - 2mr equals (w + w')*cr, not only at w == w'.
     """
+    _ink_factors(w=w, w_prime=w_prime, L=L, m=m, r=r, cr=cr)
     return (w_prime - w) * (L - 2.0 * m * r - (w + w_prime) * cr)
 
 
@@ -374,6 +390,7 @@ def radius_delta_ink(n: int, r: float, r_prime: float) -> float:
     2mw(r' - r) of rectangle ink to the larger disks; see
     radius_delta_ink_exact for the version including it.
     """
+    _ink_factors(n=n, r=r, r_prime=r_prime)
     return n * math.pi * (r_prime * r_prime - r * r)
 
 
@@ -382,6 +399,7 @@ def radius_delta_ink_exact(
 ) -> float:
     """Exact ink change for a radius change at fixed layout and width:
     n*pi*(r'^2 - r^2) - 2mw(r' - r)."""
+    _ink_factors(n=n, m=m, w=w, r=r, r_prime=r_prime)
     return radius_delta_ink(n, r, r_prime) - 2.0 * m * w * (r_prime - r)
 
 
@@ -401,6 +419,7 @@ def bounds_report(
     Individually infeasible or inapplicable bounds come back as None
     rather than aborting the report.
     """
+    _ink_factors(n=n, m=m, r=r, w=w, L=L, cr=cr)
     try:
         r_iv = radius_bounds(n, m, w, L, cr, gamma, A) if n > 0 else None
     except InfeasibleError:

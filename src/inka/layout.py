@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LayoutError
-from .model import Graph, Layout, _number, _pack, _positive, _squarable, _unpack
+from .model import Graph, Layout, _number, _pack, _positive, _shown, _squarable, _unpack
 
 _ALGORITHMS = ("random", "circular", "force-directed", "multilevel")
 
@@ -66,7 +66,7 @@ class LayoutConfig:
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
         if not 1 <= self.iterations <= 2**20:  # 2**63 steps would never end
-            raise ValueError(f"iterations must be in 1..2**20, got {self.iterations}")
+            raise ValueError(f"iterations must be in 1..2**20, got {_shown(self.iterations)}")
         _positive(self.ideal_edge_length, "ideal_edge_length")
         if not 0 < self.cooling < 1:
             raise ValueError("cooling must be in (0, 1)")

@@ -58,8 +58,20 @@ def _value_eq(self, other):
                for f in fields(self))
 
 
+def _shown(value, show=str) -> str:
+    """show(value) for a refusal message, or a short description where that
+    raises: an int past Python's 4,300-digit limit has no string."""
+    try:
+        return show(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
 def _is_number(value, integer: bool = False) -> bool:
     """Whether value is a real number (an integer where integer is set), not a bool."""
+    kind = type(value)
+    if kind is int or kind is float:  # most inputs: the numbers.Real test costs 10x
+        return kind is int or not integer
     return (not isinstance(value, (bool, np.bool_))
             and isinstance(value, numbers.Integral if integer else numbers.Real))
 
@@ -68,7 +80,8 @@ def _number(value, what: str, integer: bool = False, error=ValueError):
     """The one rule for a numeric input: value, as a float unless integer is
     set, when :func:`_is_number` holds; else error naming what and value."""
     if not _is_number(value, integer):
-        raise error(f"{what} must be {'an integer' if integer else 'a number'}, got {value!r}")
+        raise error(f"{what} must be {'an integer' if integer else 'a number'}, "
+                    f"got {_shown(value, repr)}")
     try:
         return value if integer else float(value)
     except OverflowError:  # an int past the floats, like 1e400, rounds to inf
@@ -78,15 +91,30 @@ def _number(value, what: str, integer: bool = False, error=ValueError):
 def _positive(value: float, what: str) -> float:
     """value as a float when it is a finite number > 0, else ValueError naming it."""
     if not (math.isfinite(number := _number(value, what)) and number > 0):
-        raise ValueError(f"{what} must be finite and > 0, got {value}")
+        raise ValueError(f"{what} must be finite and > 0, got {_shown(value)}")
     return number
 
 
 def _nonnegative(value: float, what: str) -> float:
     """value as a float when it is a finite number >= 0, else ValueError naming it."""
     if not (math.isfinite(number := _number(value, what)) and number >= 0):
-        raise ValueError(f"{what} must be finite and >= 0, got {value}")
+        raise ValueError(f"{what} must be finite and >= 0, got {_shown(value)}")
     return number
+
+
+# The ink model's counts, by parameter name; every other factor is a length.
+_COUNTS = frozenset(("n", "m", "cr", "cr_full", "cr_partial"))
+
+
+def _ink_factors(**factors) -> None:
+    """The number rule for the ink model's factors, each passed by its
+    parameter name: a count (n, m, cr, cr_full, cr_partial) must be an
+    integer, a length (r, w, L, r_prime, w_prime) a number, and each finite
+    and >= 0; else ValueError naming the first that is not."""
+    for name, value in factors.items():
+        if name in _COUNTS:
+            _number(value, name, integer=True)
+        _nonnegative(value, name)
 
 
 def _squarable(sx: float, sy: float, what: str, error=ValueError) -> None:
@@ -101,7 +129,8 @@ def _node_count(n) -> int:
     """n as an int when it is an integer (not a bool) in 0.._MAX_NODES,
     else GraphError naming it."""
     if not (_is_number(n, integer=True) and 0 <= n <= _MAX_NODES):
-        raise GraphError(f"node_count must be an integer in 0..{_MAX_NODES}, got {n!r}")
+        raise GraphError(f"node_count must be an integer in 0..{_MAX_NODES}, "
+                         f"got {_shown(n, repr)}")
     return int(n)
 
 
@@ -109,7 +138,7 @@ def _fraction(value: float, what: str) -> float:
     """value as a float when it is a number in (0, 1] (so not nan), else
     ValueError naming it: the density ceiling gamma, a retained fraction."""
     if not 0.0 < (number := _number(value, what)) <= 1.0:
-        raise ValueError(f"{what} must be in (0, 1], got {value}")
+        raise ValueError(f"{what} must be in (0, 1], got {_shown(value)}")
     return number
 
 
@@ -119,7 +148,7 @@ class Graph:
 
     ``node_count`` is an integer (not a bool) in 0.._MAX_NODES, and
     ``edges`` a read-only (m, 2) int64 array of canonical rows: integral
-    (2.0 passes, 0.7 does not), 0 <= lo < hi < node_count, strictly
+    (2.0 passes; 0.7 and a bool do not), 0 <= lo < hi < node_count, strictly
     ascending.  The constructor converts, checks and freezes it, naming
     the bad count or the first bad row in a GraphError; :func:`build_graph`
     builds a graph from raw input.
@@ -132,7 +161,7 @@ class Graph:
     def __post_init__(self):
         n = _node_count(self.node_count)
         rows = np.asarray(self.edges).reshape(-1, 2)
-        if rows.dtype.kind not in "biuf":
+        if rows.dtype.kind not in "iuf":  # a bool is never a number
             raise GraphError(f"edge rows must hold integers, got {rows.dtype} values")
         with np.errstate(invalid="ignore"):  # nan and out-of-range floats; flagged below
             edges = rows.astype(np.int64)
@@ -161,8 +190,8 @@ def build_graph(node_count: int, edge_list: Iterable[Sequence[int]]) -> Graph:
     """Build a simple undirected graph, deduplicating unordered pairs by
     one sort of their int64 keys (lo, hi) from :func:`_pack`.
 
-    Rejects non-pairs, endpoints that are not integers (2.0 passes; 1.7
-    and "1" do not), self-loops and out-of-range endpoints with a
+    Rejects non-pairs, endpoints that are not integers (2.0 passes; 1.7,
+    True and "1" do not), self-loops and out-of-range endpoints with a
     GraphError that names the offending edge index.
     """
     node_count = _node_count(node_count)
@@ -171,19 +200,21 @@ def build_graph(node_count: int, edge_list: Iterable[Sequence[int]]) -> Graph:
         try:
             a, b = pair
         except (TypeError, ValueError):
-            raise GraphError(f"edge {idx}: expected a pair, got {pair!r}") from None
+            raise GraphError(f"edge {idx}: expected a pair, got {_shown(pair, repr)}") from None
         try:
             ints = int(a), int(b)
         except (TypeError, ValueError, OverflowError):  # None, "ab", nan, inf
             ints = None
-        if ints != (a, b):  # 1.7 and "1" convert to unequal ints; 2.0 passes
-            raise GraphError(f"edge {idx}: endpoints must be integers, got {pair!r}")
+        # 1.7 converts to an unequal int, and True and "1" are not numbers; 2.0 passes
+        if ints != (a, b) or not (_is_number(a) and _is_number(b)):
+            raise GraphError(f"edge {idx}: endpoints must be integers, got {_shown(pair, repr)}")
         a, b = ints
         if a == b:
-            raise GraphError(f"edge {idx}: self-loop at node {a}")
+            raise GraphError(f"edge {idx}: self-loop at node {_shown(a)}")
         if not (0 <= a < node_count) or not (0 <= b < node_count):
             raise GraphError(
-                f"edge {idx}: endpoint out of range for {node_count} nodes: ({a}, {b})"
+                f"edge {idx}: endpoint out of range for {node_count} nodes: "
+                f"({_shown(a)}, {_shown(b)})"
             )
         ends += (a, b) if a < b else (b, a)  # flat: np.array of tuples is slow
     keys, = _pack(np.array(ends, dtype=np.int64).reshape(-1, 2).T, node_count)

@@ -40,7 +40,10 @@ import numpy as np
 from .errors import DegenerateDrawingError
 from .formats import _save
 from .geometry import _bounding_box, _edge_rects, _expand, _segment_arrays, _spans, bounding_box
-from .model import BoldDrawing, _number
+from .model import BoldDrawing, _number, _shown
+
+
+_SUPERSAMPLING = (1, 2, 4)
 
 
 @dataclass(frozen=True)
@@ -57,14 +60,14 @@ class RasterConfig:
         for name in ("resolution", "supersampling"):
             _number(getattr(self, name), name, integer=True)
         if self.resolution < 64:
-            raise ValueError(f"resolution must be >= 64, got {self.resolution}")
-        if self.supersampling not in (1, 2, 4):
+            raise ValueError(f"resolution must be >= 64, got {_shown(self.resolution)}")
+        if self.supersampling not in _SUPERSAMPLING:
             raise ValueError(
-                f"supersampling must be 1, 2, or 4, got {self.supersampling}"
+                f"supersampling must be 1, 2, or 4, got {_shown(self.supersampling)}"
             )
         if self.resolution > 2**20 // self.supersampling:
             raise ValueError("resolution * supersampling must be <= 2**20, got "
-                             f"{self.resolution} * {self.supersampling}")
+                             f"{_shown(self.resolution)} * {self.supersampling}")
 
 
 def rasterize_ink(d: BoldDrawing, cfg: RasterConfig = RasterConfig()) -> float:

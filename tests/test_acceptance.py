@@ -7,6 +7,7 @@ pairwise enumeration, pixel counting), or pinned constants with explicit
 tolerances.
 """
 
+import ctypes
 import itertools
 import math
 import time
@@ -332,15 +333,30 @@ def report_differences(got: bytes, want: bytes) -> list[str]:
     return differ
 
 
+def openblas_core() -> str:
+    """The kernel the OpenBLAS bundled with numpy runs in this process (a
+    DYNAMIC_ARCH build picks it from the CPU, or from OPENBLAS_CORETYPE),
+    or "unknown" where numpy bundles no scipy-openblas."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    lib = ctypes.CDLL(str(libs[0])) if libs else None
+    corename = getattr(lib, "scipy_openblas_get_corename64_", None)
+    if corename is None:
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
 def test_bench_report_equals_pinned_file(bench_run):
     # tests/data/bench_report.csv is `inka bench --config data/bench.json`'s
-    # report, written under the numpy version in bench_report.numpy
-    pinned_numpy = (DATA / "bench_report.numpy").read_text().strip()
+    # report, written under the numpy version and OpenBLAS core in
+    # bench_report.numpy (one a line); a spring layout's bytes depend on both
+    pinned_numpy, pinned_core = (DATA / "bench_report.numpy").read_text().split()
     if np.__version__ != pinned_numpy:
         pytest.skip(f"bench report pinned under numpy {pinned_numpy}, running {np.__version__}")
     differ = report_differences(bench_run[-1].read_bytes(),
                                 (DATA / "bench_report.csv").read_bytes())
-    assert not differ, f"bench report differs from the pinned file at {'; '.join(differ)}"
+    assert not differ, (f"bench report differs from the pinned file at {'; '.join(differ)} "
+                        f"(OpenBLAS core {openblas_core()} here, {pinned_core} at the pin)")
 
 
 def test_report_differences_name_the_rows():

@@ -1,12 +1,21 @@
 import json
 import math
 import warnings
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from inka import REPORT_COLUMNS, Layout, parse_layout_csv, write_layout_csv
+from inka import (
+    REPORT_COLUMNS,
+    Layout,
+    LayoutConfig,
+    RasterConfig,
+    RenderParams,
+    parse_layout_csv,
+    write_layout_csv,
+)
 from inka.cli import _build_parser, _plain, main
 from inka.model import _MAX_NODES
 
@@ -203,6 +212,18 @@ def test_a_reused_parser_answers_as_a_fresh_one(drawing_files, capsys):
     assert reused == fresh
     assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, 0, 2, 0]
     assert reused[0][1] != reused[1][1] and reused[2][1] != reused[3][1]
+
+
+def test_parsed_defaults_are_the_records_defaults():
+    drawing = ["--graph", "g.edges", "--layout", "l.csv"]
+    commands = [(["layout", "--graph", "g.edges", "--algorithm", "random"], LayoutConfig),
+                (["raster", *drawing], RasterConfig), (["raster", *drawing], RenderParams),
+                (["analyze", *drawing], RenderParams)]
+    for argv, record in commands:
+        args = _build_parser().parse_args(argv)
+        defaults = {f.name: f.default for f in fields(record)  # --algorithm is required
+                    if f.default is not MISSING and f.name != "algorithm"}
+        assert defaults and {name: getattr(args, name) for name in defaults} == defaults
 
 
 def test_transform_scale(drawing_files, tmp_path, capsys):
@@ -959,6 +980,19 @@ def test_bench_config_bad_json_names_path_and_line(tmp_path, capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith(f"error: {cfg}:1: Expecting property name")
+    assert not out.exists()
+
+
+def test_bench_config_number_too_long_to_read_names_the_path(tmp_path, capsys):
+    cfg = tmp_path / "long.json"
+    cfg.write_text('{"gamma": ' + "1" * 5001 + "}\n")
+    out = tmp_path / "r.csv"
+    code = run(["bench", "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {cfg}: Exceeds the limit (4300 digits)")
+    assert captured.err.count("\n") == 1
     assert not out.exists()
 
 

@@ -19,7 +19,24 @@ from inka import (
 )
 from inka.bench import load_bench_config, worker_count
 from inka.errors import InkaError, ParseError
-from inka.ink import check_area_constraint, density, partial_edge_formulas
+from inka.ink import (
+    bounds_report,
+    check_area_constraint,
+    density,
+    equal_length_bounds,
+    ink_components,
+    ink_report,
+    min_ink_radius,
+    partial_edge_formulas,
+    planar_formulas,
+    radius_bounds,
+    radius_delta_ink,
+    radius_delta_ink_exact,
+    scale_ink_delta,
+    width_bounds,
+    width_delta_ink,
+    zoom_ink,
+)
 from inka.layout import LayoutConfig
 from inka.model import _INT64_MAX, _MAX_NODES, _fraction, _pack, _unpack
 from inka.raster import RasterConfig
@@ -272,16 +289,50 @@ def _bench_field(tmp_path, **fields):
     return load_bench_config(cfg)
 
 
+# Each public inka.ink function that takes counts or lengths, at valid factors.
+_INK_CALLS = [
+    (ink_components, dict(n=2, m=1, r=1.0, w=1.0, L=4.0, cr=0)),
+    (ink_report, dict(n=2, m=1, r=1.0, w=1.0, L=4.0, cr=0, A=100.0)),
+    (radius_bounds, dict(n=2, m=1, w=1.0, L=4.0, cr=0, gamma=1.0, A=100.0)),
+    (width_bounds, dict(n=2, m=1, r=1.0, L=4.0, cr=0, gamma=1.0, A=100.0)),
+    (min_ink_radius, dict(n=2, m=1, w=1.0)),
+    (scale_ink_delta, dict(w=1.0, L=4.0, sigma=2.0)),
+    (planar_formulas, dict(n=2, m=1, r=1.0, w=1.0, L=4.0, gamma=1.0, A=100.0)),
+    (equal_length_bounds, dict(n=2, m=1, w=1.0, cr=0, gamma=1.0, A=100.0)),
+    (partial_edge_formulas, dict(n=2, m=1, r=1.0, w=1.0, L=4.0, p=0.5, cr_full=0,
+                                 cr_partial=0, gamma=1.0, A=100.0)),
+    (width_delta_ink, dict(w=1.0, w_prime=2.0, L=4.0, m=1, r=1.0, cr=0)),
+    (radius_delta_ink, dict(n=2, r=1.0, r_prime=2.0)),
+    (radius_delta_ink_exact, dict(n=2, m=1, w=1.0, r=1.0, r_prime=2.0)),
+    (bounds_report, dict(n=2, m=1, r=1.0, w=1.0, L=4.0, cr=0, gamma=1.0, A=100.0)),
+]
+_COUNTS = ("n", "m", "cr", "cr_full", "cr_partial")
+_LENGTHS = ("r", "w", "L", "r_prime", "w_prime")
+
+
 def _number_inputs(tmp_path):
     """(field, call of one value, integer wanted, error type): every
-    numeric value a caller passes in, by the name its errors give it."""
+    numeric value a caller passes in, by the name its errors give it.  A
+    field may instead be the message a value gets, where it is not the
+    number rule's own wording."""
     drawing = BoldDrawing(build_graph(2, [(0, 1)]), Layout([[0.0, 0.0], [1.0, 0.0]]),
                           RenderParams(1.0, 1.0))
 
     def layout_entry(name):
         return lambda v: _bench_field(tmp_path, layouts=[{"algorithm": "random", name: v}])
 
+    dtypes = {True: "bool", "1": "<U1", None: "object"}
     return [
+        *[(name, lambda v, f=f, kw=kw, name=name: f(**{**kw, name: v}), name in _COUNTS,
+           ValueError) for f, kw in _INK_CALLS for name in kw if name in _COUNTS + _LENGTHS],
+        *[("ink", lambda v, f=f: f(v, 2.0), False, ValueError)
+          for f in (density, check_area_constraint, zoom_ink)],
+        (lambda v: f"edge 0: endpoints must be integers, got ({v!r}, 2)",
+         lambda v: build_graph(3, [(v, 2)]), True, GraphError),
+        (lambda v: f"edge 0: endpoints must be integers, got (0, {v!r})",
+         lambda v: build_graph(3, [(0, v)]), True, GraphError),
+        (lambda v: f"edge rows must hold integers, got {dtypes[v]} values",
+         lambda v: Graph(3, [(v, v)]), True, GraphError),
         ("radius", lambda v: RenderParams(v, 1.0), False, ValueError),
         ("width", lambda v: RenderParams(1.0, v), False, ValueError),
         ("gamma", lambda v: RenderParams(1.0, 1.0, v), False, ValueError),
@@ -304,18 +355,30 @@ def _number_inputs(tmp_path):
         ("retained fraction", lambda v: partial_edges(drawing, v), False, ValueError),
         ("retained fraction",
          lambda v: partial_edge_formulas(2, 1, 1.0, 1.0, 1.0, v, 0, 0, 1.0, 1.0), False, ValueError),
+    ]
+
+
+def _defaulted_number_inputs():
+    """The entries of :func:`_number_inputs` for inputs where None asks
+    for a default: worker_count's one worker per CPU, and min_ink_radius's
+    L and cr, which price the minimum ink only when both are given."""
+    return [
         ("thread count", lambda v: worker_count(v, 4), True, ValueError),
+        ("L", lambda v: min_ink_radius(2, 1, 1.0, v, 0), False, ValueError),
+        ("cr", lambda v: min_ink_radius(2, 1, 1.0, 4.0, v), True, ValueError),
     ]
 
 
 def test_every_numeric_input_refuses_bools_and_non_numbers_by_name(tmp_path):
     (tmp_path / "ring.edges").write_text("0 1\n1 2\n2 0\n")
     wrong = []
-    for field, call, integer, error in _number_inputs(tmp_path):
-        # None asks worker_count for one worker per CPU
-        for value in (True, "1") + (() if field == "thread count" else (None,)):
+    inputs = [(entry, (True, "1", None)) for entry in _number_inputs(tmp_path)]
+    inputs += [(entry, (True, "1")) for entry in _defaulted_number_inputs()]
+    for (field, call, integer, error), values in inputs:
+        for value in values:
             kind = "an integer" if integer else "a number"
-            message = f"{field} must be {kind}, got {value!r}"
+            message = (field(value) if callable(field)
+                       else f"{field} must be {kind}, got {value!r}")
             try:
                 call(value)
                 wrong.append((field, value, "accepted"))
@@ -360,11 +423,41 @@ def test_numbers_out_of_range_keep_their_messages(tmp_path):
         (lambda: check_area_constraint(1.0, 1.0, 0.0), ValueError,
          "gamma must be in (0, 1], got 0.0"),
         (lambda: worker_count(-2, 4), InkaError, "thread count must be >= 0 (0 = auto), got -2"),
+        (lambda: ink_report(2, 1, -1.0, 1.0, 1.0, 0, 1.0), ValueError,
+         "r must be finite and >= 0, got -1.0"),
+        (lambda: ink_report(2, 1, 1.0, math.nan, 1.0, 0, 1.0), ValueError,
+         "w must be finite and >= 0, got nan"),
+        (lambda: ink_report(2, 1, 1.0, 1.0, 1.0, -3, 1.0), ValueError,
+         "cr must be finite and >= 0, got -3"),
+        (lambda: ink_report(2.5, 1, 1.0, 1.0, 1.0, 0, 1.0), ValueError,
+         "n must be an integer, got 2.5"),
+        (lambda: radius_bounds(4, 2, 1.0, 28.0, -5, 1.0, 100.0), ValueError,
+         "cr must be finite and >= 0, got -5"),
+        (lambda: equal_length_bounds(4, 2, math.nan, 0, 1.0, 100.0), ValueError,
+         "w must be finite and >= 0, got nan"),
     ]
     for call, error, message in cases:
         with pytest.raises(error) as exc:
             call()
         assert str(exc.value).endswith(message)
+
+
+def test_an_int_too_long_to_print_keeps_its_named_error():
+    huge = 10**5000  # past Python's 4,300-digit limit, str(huge) raises
+    cases = [
+        (lambda: RenderParams(huge, 1.0), ValueError,
+         "radius must be finite and >= 0, got <int too long to print>"),
+        (lambda: build_graph(3, [(0, huge)]), GraphError,
+         "edge 0: endpoint out of range for 3 nodes: (0, <int too long to print>)"),
+        (lambda: build_graph(huge, []), GraphError,
+         f"node_count must be an integer in 0..{_MAX_NODES}, got <int too long to print>"),
+        (lambda: RasterConfig(resolution=-huge), ValueError,
+         "resolution must be >= 64, got <int too long to print>"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 def test_bold_drawing_checks_layout_length():
