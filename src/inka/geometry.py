@@ -31,14 +31,16 @@ the same values at several times the cost per row.
 Every other segment pair query takes the sweep's x-extent idiom: one
 stable argsort by left x (:func:`_by_left_x`), columns permuted once,
 :func:`_rank_blocks` on the sorted extents, and only the kept rank pairs
-mapped back through the order: stub crossings, crossing points and
-collinear overlaps (whose x-extents must meet).  Points closer than a
-limit are found by one query, :func:`_close_pairs`: it bins them into
-cells of side limit numbered by :func:`_cell_ranks` and scans two forward
-runs per point.  :func:`check_proper` asks it for the nodes closer than
-2r and the crossings closer than w, and returns, as arrays, each edge set
-that two close crossings span and the midpoint of its least close pair
-(A, B), A < B, in the (i, j) order of :func:`crossing_pairs`.  The
+mapped back through the order: crossing points and collinear overlaps
+(whose x-extents must meet).  Stub crossings are crossings, kept when
+their :func:`_crossing_params` put them within p/2 of an end of both
+edges.  Points closer than a limit are found by one query,
+:func:`_close_pairs`: it bins them into cells of side limit numbered by
+:func:`_cell_ranks` and scans two forward runs per point.
+:func:`check_proper` asks it for the nodes closer than 2r and the
+crossings closer than w, and returns, as arrays, each edge set that two
+close crossings span and the midpoint of its least close pair (A, B),
+A < B, in the (i, j) order of :func:`crossing_pairs`.  The
 crossing scan is a stream of engine blocks of close pairs, each cut to
 each edge set's least pair before the next is made, so memory never
 grows with the number of close pairs.  While it runs it holds, per
@@ -159,14 +161,18 @@ def collinear_overlap_mask(p1, q1, p2, q2):
     return collinear & nonzero & (ox >= 0) & ((ox > 0) | (oy > 0))
 
 
+def _crossing_params(p1, q1, p2, q2):
+    """(t, u): the fractions along (p1, q1) and (p2, q2) where rows already
+    known to cross transversally meet; swapping the segments swaps them."""
+    r, s, d = q1 - p1, q2 - p2, p2 - p1
+    denom = r[..., 0] * s[..., 1] - r[..., 1] * s[..., 0]
+    return ((d[..., 0] * s[..., 1] - d[..., 1] * s[..., 0]) / denom,
+            (d[..., 0] * r[..., 1] - d[..., 1] * r[..., 0]) / denom)
+
+
 def crossing_points_of(p1, q1, p2, q2):
     """Interior crossing points for rows already known to cross transversally."""
-    r = q1 - p1
-    s = q2 - p2
-    denom = r[..., 0] * s[..., 1] - r[..., 1] * s[..., 0]
-    d = p2 - p1
-    t = (d[..., 0] * s[..., 1] - d[..., 1] * s[..., 0]) / denom
-    return p1 + t[..., None] * r
+    return p1 + _crossing_params(p1, q1, p2, q2)[0][..., None] * (q1 - p1)
 
 
 def _segment_arrays(d: BoldDrawing):
@@ -178,12 +184,6 @@ def _segment_arrays(d: BoldDrawing):
 def _ends(P, Q, I, J):
     """Rows I and J of P and Q in the order the row-wise predicates take."""
     return [np.take(A, K, axis=0) for K in (I, J) for A in (P, Q)]
-
-
-def _adjacent_mask(E, I, J):
-    a, b = E.T  # gathers from the two column views run faster than E[I, 0]
-    a1, b1, a2, b2 = a[I], b[I], a[J], b[J]
-    return (a1 == a2) | (a1 == b2) | (b1 == a2) | (b1 == b2)
 
 
 def _expand(first, size):

@@ -101,6 +101,13 @@ class ClarityReport:
         return self.clarity_nodes + self.clarity_edges - self.ambiguity_overlap
 
 
+def _finite(what: str, values, **factors):
+    """ValueError naming what and the factors unless all values are finite."""
+    if not all(map(math.isfinite, values)):
+        named = ", ".join(f"{k}={v}" for k, v in factors.items())
+        raise ValueError(f"{what} not finite at {named}")
+
+
 def ink_components(
     n: int,
     m: int,
@@ -139,9 +146,7 @@ def ink_report(
         dens, feasible = density(total, A), check_area_constraint(total, A, gamma)
     else:
         dens, feasible = 0.0, total <= 0
-    if not (math.isfinite(total) and math.isfinite(dens)):
-        raise ValueError(
-            f"ink or its density is not finite at r={r}, w={w}, L={L}, cr={cr}, A={A}")
+    _finite("ink or its density is", (total, dens), r=r, w=w, L=L, cr=cr, A=A)
     return InkReport(ink_nodes, ink_edges, overlap, total, dens, feasible)
 
 
@@ -191,6 +196,7 @@ def radius_bounds(
     budget = _fraction(gamma, "gamma") * _nonnegative(A, "area")
     pin = math.pi * n
     B = budget - w * L + w * w * cr + m * w * (m * w) / pin
+    _finite("radius bounds' discriminant is", (B,), n=n, m=m, w=w, L=L, cr=cr, gamma=gamma, A=A)
     if B < 0:
         raise InfeasibleError(
             f"no radius satisfies the density ceiling (budget shortfall {B:.6g})"
@@ -221,25 +227,18 @@ def width_bounds(
             f"disk ink alone ({ink_disks:.6g}) exceeds the budget ({budget:.6g})"
         )
     b = L - 2.0 * m * r
-    caps: list[float] = []
-
-    # Budget side: cr*w^2 - b*w + (budget - disks) >= 0.
     head = budget - ink_disks
+    # Budget side: cr*w^2 - b*w + head >= 0; non-negativity side:
+    # -cr*w^2 + b*w + disks >= 0.
     if cr > 0:
-        disc = b * b - 4.0 * cr * head
-        if disc >= 0:
-            first = (b - math.sqrt(disc)) / (2.0 * cr)
-            if first >= 0:
-                caps.append(first)
-    elif b > 0:
-        caps.append(head / b)
-
-    # Non-negativity side: -cr*w^2 + b*w + disks >= 0.
-    if cr > 0:
-        caps.append((b + math.sqrt(b * b + 4.0 * cr * ink_disks)) / (2.0 * cr))
-    elif b < 0:
-        caps.append(ink_disks / -b)
-
+        discs = (b * b - 4.0 * cr * head, b * b + 4.0 * cr * ink_disks)
+        caps = [(b + math.sqrt(discs[1])) / (2.0 * cr)]
+        if discs[0] >= 0 and (first := (b - math.sqrt(discs[0])) / (2.0 * cr)) >= 0:
+            caps.append(first)
+    else:
+        discs, caps = (), [head / b] if b > 0 else [ink_disks / -b] if b < 0 else []
+    _finite("width bounds or their discriminants are", (*discs, *caps),
+            n=n, m=m, r=r, L=L, cr=cr, gamma=gamma, A=A)
     return Interval(0.0, min(caps) if caps else math.inf)
 
 
@@ -255,6 +254,7 @@ def min_ink_radius(
     ink_min = None
     if L is not None and cr is not None:
         ink_min = w * L - w * w * cr - m * w * (m * w) / (math.pi * n)
+    _finite("minimum-ink radius or ink is", (r_star, ink_min or 0.0), n=n, m=m, w=w, L=L, cr=cr)
     return MinInkRadius(r_star, ink_min)
 
 
@@ -416,18 +416,19 @@ def bounds_report(
 ) -> BoundsReport:
     """All applicable parameter bounds for one measured drawing.
 
-    Individually infeasible or inapplicable bounds come back as None
-    rather than aborting the report.
+    Individually infeasible, inapplicable or not finite bounds come back
+    as None rather than aborting the report.
     """
     _ink_factors(n=n, m=m, r=r, w=w, L=L, cr=cr)
-    try:
-        r_iv = radius_bounds(n, m, w, L, cr, gamma, A) if n > 0 else None
-    except InfeasibleError:
-        r_iv = None
-    try:
-        w_iv = width_bounds(n, m, r, L, cr, gamma, A) if n > 0 else None
-    except InfeasibleError:
-        w_iv = None
+    _fraction(gamma, "gamma"), _nonnegative(A, "area")
+
+    def bound(solve, *args):
+        try:
+            return solve(*args, cr, gamma, A) if n > 0 else None
+        except ValueError:  # the inputs are checked: infeasible, or not finite
+            return None
+
+    r_iv, w_iv = bound(radius_bounds, n, m, w, L), bound(width_bounds, n, m, r, L)
     if equal_length is not None:
         _positive(equal_length, "edge length")
     l_iv = cr_cap = None

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _adjacent_mask, _crossing_blocks, _pair_keys, _segment_arrays
+from .geometry import _crossing_blocks, _crossing_params, _ends, _segment_arrays
 from .model import BoldDrawing, Layout, RenderParams, _fraction, _positive, _squarable
 
 
@@ -52,19 +52,15 @@ def zoom_drawing(d: BoldDrawing, zeta_area: float) -> BoldDrawing:
 
 @dataclass(frozen=True)
 class StubSet:
-    """The segments of a partial-edge drawing, as endpoint arrays.
-
-    Each original edge contributes two symmetric stubs (one full segment
-    when ratio == 1, so midpoint crossings are not lost); stub k runs from
-    P[k] to Q[k].  parent_edge maps each stub back to its edge index;
-    parent_nodes holds the edges' node pairs: stubs of the same or
-    adjacent edges never count as crossing.
+    """The segments of a partial-edge drawing, as endpoint arrays: stub k
+    runs from P[k] to Q[k] and parent_edge maps it to its edge.  Each edge
+    gives two stubs, from its ends P[2e] and P[2e + 1], or at ratio 1 one
+    full segment.
     """
 
     P: np.ndarray
     Q: np.ndarray
     parent_edge: np.ndarray
-    parent_nodes: np.ndarray
     ratio: float
 
     @property
@@ -89,23 +85,25 @@ def partial_edges(d: BoldDrawing, p: float) -> StubSet:
         tips = np.stack([A + step, B - step], axis=1)
         A, B = anchors.reshape(-1, 2), tips.reshape(-1, 2)
         parents = np.repeat(parents, 2)
-    return StubSet(P=A, Q=B, parent_edge=parents, parent_nodes=E, ratio=p)
+    return StubSet(P=A, Q=B, parent_edge=parents, ratio=p)
 
 
 def measure_stub_crossings(stubs: StubSet) -> int:
-    """Crossings of a partial-edge drawing: pairs of distinct, non-adjacent
-    parent edges with a transversally crossing stub pair, each pair once.
-    Stub tips are computed, so unlike edges, stubs of the same or adjacent
-    edges can cross off a shared node: their parent pairs are tested."""
-    order, blocks = _crossing_blocks(stubs.P, stubs.Q)
-    par, nodes = stubs.parent_edge[order], stubs.parent_nodes
-
-    def pairs():
-        for I, J, hit in blocks:
-            I, J = par[I[hit]], par[J[hit]]
-            keep = ~_adjacent_mask(nodes, I, J)
-            yield I[keep], J[keep]
-
-    # A sorted run count: np.unique hashes int64 keys, many times slower.
-    keys = _pair_keys(pairs(), len(nodes))
-    return int(keys.size > 0) + int(np.count_nonzero(keys[1:] != keys[:-1]))
+    """Crossings of a partial-edge drawing: the edges' transversal crossings
+    that lie, along both edges, less than p/2 of it from its nearer end
+    (strictly: a crossing at a tip only touches it), all of them at p == 1.
+    Each end's fraction is :func:`_crossing_params` from that end, not
+    1 - t: on integer coordinates it is exact but for one rounding, so the
+    count keeps under translation, 2^k scaling and edge reversal."""
+    p = stubs.ratio
+    A, B = (stubs.P[0::2], stubs.P[1::2]) if p < 1.0 else (stubs.P, stubs.Q)
+    order, blocks = _crossing_blocks(A, B)
+    count = 0
+    for I, J, hit in blocks:
+        if p < 1.0:
+            a1, b1, a2, b2 = _ends(A, B, order[I[hit]], order[J[hit]])
+            t, u = _crossing_params(a1, b1, a2, b2)
+            t_far, u_far = _crossing_params(b1, a1, b2, a2)
+            hit = np.maximum(np.minimum(t, t_far), np.minimum(u, u_far)) < 0.5 * p
+        count += int(np.count_nonzero(hit))
+    return count

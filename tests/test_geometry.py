@@ -27,7 +27,6 @@ from inka import (
 )
 from inka.geometry import (
     _BLOCK_PAIRS,
-    _adjacent_mask,
     _cell_ranks,
     _close_pairs,
     _collinear_overlap_pairs,
@@ -299,6 +298,12 @@ def kernel_pairs(P, Q, block_pairs=_BLOCK_PAIRS):
         ]
     assert len(got) == len(set(got))
     return set(got)
+
+
+def _adjacent_mask(E, I, J):
+    a, b = E.T  # gathers from the two column views run faster than E[I, 0]
+    a1, b1, a2, b2 = a[I], b[I], a[J], b[J]
+    return (a1 == a2) | (a1 == b2) | (b1 == a2) | (b1 == b2)
 
 
 def oracle_pairs(P, Q, nodes):

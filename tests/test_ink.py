@@ -166,12 +166,52 @@ def test_ink_that_is_not_finite_names_the_inputs():
 
 
 def test_bounds_at_extreme_widths_raise_nothing():
-    # (m w)^2 overflows at w = 1e200 and w * w underflows at w = 5e-324
-    r_iv = radius_bounds(4, 2, 1e200, 28.0, 1, 1.0, 100.0)
-    assert r_iv.hi == math.inf
-    assert min_ink_radius(4, 2, 1e200, 28.0, 1).ink_min == -math.inf
+    # w * w underflows at w = 5e-324; where (m w)^2 overflows, at w = 1e200,
+    # the bounds are not finite and name their inputs (the test below)
+    r_iv = radius_bounds(4, 2, 5e-324, 28.0, 1, 1.0, 100.0)
+    assert r_iv == (0.0, math.sqrt(100.0 / (4 * math.pi)))
+    assert min_ink_radius(4, 2, 5e-324, 28.0, 1).ink_min == 28.0 * 5e-324
     f = partial_edge_formulas(4, 2, 1.0, 5e-324, 28.0, 0.5, 1, 0, 1.0, 100.0)
     assert f.crossing_interval.hi == math.inf and math.isnan(f.crossing_interval.lo)
+
+
+@pytest.mark.parametrize("call, message", [
+    # B = budget - w L + w^2 cr + (m w)^2 / (pi n) is inf - inf, or inf
+    (lambda: radius_bounds(2, 1, 1e200, 1e200, 0, 1.0, 100.0),
+     "radius bounds' discriminant is not finite at n=2, m=1, w=1e+200, L=1e+200, cr=0, "
+     "gamma=1.0, A=100.0"),
+    (lambda: radius_bounds(4, 2, 1e200, 28.0, 1, 1.0, 100.0),
+     "radius bounds' discriminant is not finite at n=4, m=2, w=1e+200, L=28.0, cr=1, "
+     "gamma=1.0, A=100.0"),
+    # w L - w^2 cr - (m w)^2 / (pi n) is inf - inf, or -inf
+    (lambda: min_ink_radius(2, 1, 1e308, 1e308, 10**300),
+     f"minimum-ink radius or ink is not finite at n=2, m=1, w=1e+308, L=1e+308, "
+     f"cr={10**300}"),
+    (lambda: min_ink_radius(4, 2, 1e200, 28.0, 1),
+     "minimum-ink radius or ink is not finite at n=4, m=2, w=1e+200, L=28.0, cr=1"),
+    (lambda: min_ink_radius(2, 10**300, 1e300),
+     f"minimum-ink radius or ink is not finite at n=2, m={10**300}, w=1e+300, L=None, "
+     f"cr=None"),
+    # b^2 overflows, so the first root of the budget side, near 1e-298,
+    # was -inf and dropped, leaving w unbounded
+    (lambda: width_bounds(2, 1, 0.0, 1e300, 10**300, 1.0, 100.0),
+     f"width bounds or their discriminants are not finite at n=2, m=1, r=0.0, L=1e+300, "
+     f"cr={10**300}, gamma=1.0, A=100.0"),
+    # head / b overflows with no crossings
+    (lambda: width_bounds(2, 1, 0.0, 5e-324, 0, 1.0, 100.0),
+     "width bounds or their discriminants are not finite at n=2, m=1, r=0.0, L=5e-324, "
+     "cr=0, gamma=1.0, A=100.0"),
+])
+def test_bounds_that_are_not_finite_name_the_inputs(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_bounds_report_leaves_out_a_bound_that_is_not_finite():
+    # the width bound's discriminant overflows; the radius bound is finite
+    got = bounds_report(2, 1, 0.0, 0.0, 1e300, 10**300, 1.0, 100.0)
+    assert got.w_interval is None
+    assert got.r_interval == radius_bounds(2, 1, 0.0, 1e300, 10**300, 1.0, 100.0)
 
 
 def test_zero_area_keeps_working_in_the_bounds():

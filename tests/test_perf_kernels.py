@@ -154,9 +154,9 @@ def test_disk_overlap_pairs_uniform_mesh24(benchmark):
 
 
 def test_measure_stub_crossings_uniform_mesh24(benchmark):
-    # half stubs in the random layout's box: the kernel's crossing stub
-    # pairs become parent pairs, the same- and adjacent-parent rule drops
-    # some, and the distinct parent pairs count
+    # half stubs in the random layout's box: the kernel enumerates the
+    # edges' own crossings, and those within a quarter of an end along
+    # both edges count
     g = load_graph(MESH24)
     d = BoldDrawing(g, Layout(random_positions(g.node_count, seed=3)), RenderParams(5.0, 1.0))
     stubs = partial_edges(d, 0.5)

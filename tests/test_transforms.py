@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from inka import (
     Layout,
     check_proper,
     count_crossings_bruteforce,
+    crossing_pairs,
     edge_lengths,
     measure,
     measure_stub_crossings,
@@ -163,21 +165,29 @@ def test_stub_crossings_skip_adjacent_edges():
         assert measure_stub_crossings(partial_edges(d, p)) == 0
 
 
-def _stub_crossings_pairwise(stubs):
-    # the definition, pair by pair: parent-edge pairs, neither the same
-    # nor adjacent, with at least one transversally crossing stub pair
-    P, Q = stubs.P, stubs.Q
-    par = stubs.parent_edge.tolist()
-    nodes = stubs.parent_nodes.tolist()
-    found = set()
-    for a in range(len(P)):
-        for b in range(a + 1, len(P)):
-            e1, e2 = par[a], par[b]
-            if set(nodes[e1]) & set(nodes[e2]):
-                continue
-            if transversal_crossing_mask(P[a:a + 1], Q[a:a + 1], P[b:b + 1], Q[b:b + 1])[0]:
-                found.add((min(e1, e2), max(e1, e2)))
-    return len(found)
+def _fractions(p1, q1, p2, q2):
+    # where (p1, q1) and (p2, q2) meet, as fractions along each from p1 and p2
+    r, s, o = q1 - p1, q2 - p2, p2 - p1
+    rs = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
+    return (o[:, 0] * s[:, 1] - o[:, 1] * s[:, 0]) / rs, (o[:, 0] * r[:, 1] - o[:, 1] * r[:, 0]) / rs
+
+
+def _stub_crossings_reference(d, p):
+    # the definition, all pairs at once: the non-adjacent edge pairs that
+    # cross transversally at fractions, from the nearer end of each edge,
+    # both strictly below p/2; at p = 1 all of them
+    P, Q = np.take(d.layout.positions, d.graph.edges.T, axis=0)
+    a, b = d.graph.edges.T
+    I, J = np.triu_indices(len(P), 1)
+    adjacent = (a[I] == a[J]) | (a[I] == b[J]) | (b[I] == a[J]) | (b[I] == b[J])
+    cross = transversal_crossing_mask(P[I], Q[I], P[J], Q[J]) & ~adjacent
+    I, J = I[cross], J[cross]
+    if p == 1.0:
+        return int(I.size)
+    t, u = _fractions(P[I], Q[I], P[J], Q[J])
+    t_far, u_far = _fractions(Q[I], P[I], Q[J], P[J])
+    kept = (np.minimum(t, t_far) < p / 2) & (np.minimum(u, u_far) < p / 2)
+    return int(np.count_nonzero(kept))
 
 
 def test_stub_crossings_skip_same_and_adjacent_parents_off_a_shared_node():
@@ -185,7 +195,7 @@ def test_stub_crossings_skip_same_and_adjacent_parents_off_a_shared_node():
     # at 1e6 leave some stub pairs of theirs crossing by the predicate,
     # although the edges meet only at their shared node, and at
     # p = 1 - 2^-40 the two stubs of one edge end 2^-40 of it apart.  The
-    # count skips both, as the pairwise definition does.
+    # count tests the edges, not the stubs, so neither is a crossing.
     rng = np.random.default_rng(33)
     fired = 0
     for _ in range(200):
@@ -195,7 +205,7 @@ def test_stub_crossings_skip_same_and_adjacent_parents_off_a_shared_node():
         d = bold(np.array([a, b, c]) + 1e6, [(0, 1), (1, 2)])
         for p in (0.9, 0.99, 1 - 2.0**-40):
             stubs = partial_edges(d, p)
-            assert measure_stub_crossings(stubs) == _stub_crossings_pairwise(stubs) == 0
+            assert measure_stub_crossings(stubs) == _stub_crossings_reference(d, p) == 0
             I, J = np.triu_indices(len(stubs.P), 1)
             apart = stubs.parent_edge[I] != stubs.parent_edge[J]
             I, J = I[apart], J[apart]
@@ -208,14 +218,13 @@ def test_stub_crossings_match_pairwise_oracle():
     for _ in range(25):
         d = random_bold_drawing(rng, n_max=20, m_max=40)
         for p in (0.1, 0.5, 1.0):
-            stubs = partial_edges(d, p)
-            assert measure_stub_crossings(stubs) == _stub_crossings_pairwise(stubs)
+            assert measure_stub_crossings(partial_edges(d, p)) == _stub_crossings_reference(d, p)
 
 
 @pytest.mark.parametrize("k", [-20, 0, 20])
 def test_stub_crossings_match_pairwise_oracle_on_scaled_and_moved_lattices(k):
-    # lattice stubs bring shared anchors, collinear and vertical stubs;
-    # scaling by 2^k and moving by 1e6 change the rounding of every tip
+    # lattice edges bring shared ends, collinear and vertical edges, and
+    # crossings at simple fractions; the drawing is scaled by 2^k and moved
     rng = np.random.default_rng(32 + k)
     counts = []
     for shift in (0.0, 1e6):
@@ -223,7 +232,65 @@ def test_stub_crossings_match_pairwise_oracle_on_scaled_and_moved_lattices(k):
             d = random_bold_drawing(rng, n_max=16, m_max=30, lattice_prob=1.0)
             moved = bold(d.layout.positions * 2.0**k + shift, d.graph.edges)
             for p in (0.1, 0.5, 1.0):
-                stubs = partial_edges(moved, p)
-                counts.append(measure_stub_crossings(stubs))
-                assert counts[-1] == _stub_crossings_pairwise(stubs)
+                counts.append(measure_stub_crossings(partial_edges(moved, p)))
+                assert counts[-1] == _stub_crossings_reference(moved, p)
     assert sum(counts) > 0
+
+
+def _reversed_edges(d):
+    # nodes numbered backwards: every edge (a, b) becomes (n-1-b, n-1-a),
+    # so its segment runs from b's position to a's
+    n = d.graph.node_count
+    return bold(d.layout.positions[::-1], n - 1 - d.graph.edges)
+
+
+def test_stub_crossings_keep_under_translation_scaling_and_edge_reversal():
+    # On integer coordinates the fractions from each end are ratios of
+    # exact integers, and moving by an integer or scaling by 2^k leaves both
+    # integers alone or scales them exactly; computed stub tips would round
+    # differently after each move, at ratios with no short binary fraction.
+    rng = np.random.default_rng(36)
+    moves = [(1.0, s) for s in (1.0, 1024.0, 2.0**20 + 3)] + [(2.0**k, 0.0) for k in (-20, 20)]
+    crossed = 0
+    for _ in range(100):
+        d = random_bold_drawing(rng, n_max=29, m_max=60, lattice_prob=1.0)
+        for p in (1 / 3, 2 / 3, 0.3, 0.7):
+            want = measure_stub_crossings(partial_edges(d, p))
+            crossed += want
+            for scale, shift in moves:
+                moved = bold(d.layout.positions * scale + shift, d.graph.edges)
+                assert measure_stub_crossings(partial_edges(moved, p)) == want, (p, scale, shift)
+            assert measure_stub_crossings(partial_edges(_reversed_edges(d), p)) == want, p
+    assert crossed > 0
+
+
+def test_lattice_stub_crossings_equal_the_exact_fractions():
+    # Fractions computed exactly, against the ratio meant: a crossing a
+    # sixth along an edge lies at the tip for p = 1/3 from either end, and
+    # 1 - t rounded after t would put one from the far end inside
+    rng = np.random.default_rng(37)
+    crossed = 0
+    for _ in range(30):
+        d = random_bold_drawing(rng, n_max=29, m_max=60, lattice_prob=1.0)
+        P, Q = np.take(d.layout.positions, d.graph.edges.T, axis=0).astype(int).tolist()
+        found = []
+        for i, j, _pt in crossing_pairs(d)[0]:
+            (rx, ry), (sx, sy) = np.subtract(Q[i], P[i]), np.subtract(Q[j], P[j])
+            ox, oy = np.subtract(P[j], P[i])
+            rs = int(rx * sy - ry * sx)
+            found.append((Fraction(int(ox * sy - oy * sx), rs), Fraction(int(ox * ry - oy * rx), rs)))
+        for meant in map(Fraction, ("1/3", "2/3", "1/10", "3/10", "7/10", "1/6")):
+            half = meant / 2
+            want = sum(min(t, 1 - t) < half and min(u, 1 - u) < half for t, u in found)
+            assert measure_stub_crossings(partial_edges(d, float(meant))) == want, meant
+            crossed += want
+    assert crossed > 0
+
+
+def test_crossing_at_a_stub_tip_is_not_a_crossing():
+    # the edges cross at (1, 0), a quarter along both: the half stubs end
+    # there and only touch, slightly longer ones cross, shorter ones miss
+    d = bold([(0, 0), (4, 0), (1, -1), (1, 3)], [(0, 1), (2, 3)])
+    counts = [measure_stub_crossings(partial_edges(d, p)) for p in (0.49, 0.5, 0.51, 1.0)]
+    assert counts == [0, 0, 1, 1]
+    assert [_stub_crossings_reference(d, p) for p in (0.49, 0.5, 0.51, 1.0)] == counts
