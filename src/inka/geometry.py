@@ -28,11 +28,11 @@ Edges become endpoint arrays only in :func:`_segment_arrays`, and float
 rows are gathered only by ``np.take``, never by ``a[rows]``, which gives
 the same values at several times the cost per row.
 
-Every other segment pair query takes the sweep's x-extent idiom: one
-stable argsort by left x (:func:`_by_left_x`), columns permuted once,
-:func:`_rank_blocks` on the sorted extents, and only the kept rank pairs
-mapped back through the order: crossing points and collinear overlaps
-(whose x-extents must meet).  Stub crossings are crossings, kept when
+That kernel is the only segment pair enumeration but the oracle's, and
+its first stage also yields the collinear candidates, the pairs with
+both orientations exactly 0, so :func:`_crossing_arrays` lists crossing
+points and collinear overlaps in one pass, one stable argsort by left x
+mapping kept rank pairs back.  Stub crossings are crossings, kept when
 their :func:`_crossing_params` put them within p/2 of an end of both
 edges.  Points closer than a limit are found by one query,
 :func:`_close_pairs`: it bins them into cells of side limit numbered by
@@ -57,8 +57,8 @@ the same for the drawing scaled by 2^k, its cells too (floor(x 2^k /
 (w 2^k)) == floor(x / w)).  A pair "crosses" when the open segments
 intersect transversally at an interior point; segments sharing an
 endpoint (adjacent edges) never cross.  Collinear means four orientations
-exactly 0 and closed x-extents that meet; such an overlap is flagged for
-properness, not counted as a crossing.
+exactly 0 and closed x- and y-extents that meet; such an overlap is
+flagged for properness, not counted as a crossing.
 """
 
 from __future__ import annotations
@@ -113,7 +113,11 @@ def _side(ex, ey, x, y, cx, cy):
 def _splits(ex, ey, x, y, ax, ay, bx, by):
     """Row-wise: are a's and b's orientations about the line from (x, y)
     along (ex, ey) of strictly opposite signs?  False wherever one is NaN."""
-    a, b = _side(ex, ey, x, y, ax, ay), _side(ex, ey, x, y, bx, by)
+    return _opposite(_side(ex, ey, x, y, ax, ay), _side(ex, ey, x, y, bx, by))
+
+
+def _opposite(a, b):
+    """Row-wise: are orientations a and b of strictly opposite signs?"""
     return (np.minimum(a, b) < 0) & (np.maximum(a, b) > 0)
 
 
@@ -143,7 +147,8 @@ def _crosses(p1x, p1y, q1x, q1y, p2x, p2y, q2x, q2y):
 
 def collinear_overlap_mask(p1, q1, p2, q2):
     """Row-wise test: collinear segments (all four orientations exactly 0)
-    overlapping over positive length, so their closed x-extents meet."""
+    overlapping over positive length, so their closed x- and y-extents
+    meet (y as well: parallel edges 1e-200 apart orient to exactly 0)."""
     p1x, p1y, q1x, q1y, p2x, p2y, q2x, q2y = (a[..., k] for a in (p1, q1, p2, q2) for k in (0, 1))
     collinear = (
         (_orient(p1x, p1y, q1x, q1y, p2x, p2y) == 0)
@@ -158,7 +163,7 @@ def collinear_overlap_mask(p1, q1, p2, q2):
     oy = np.minimum(np.maximum(p1y, q1y), np.maximum(p2y, q2y)) - np.maximum(
         np.minimum(p1y, q1y), np.minimum(p2y, q2y)
     )
-    return collinear & nonzero & (ox >= 0) & ((ox > 0) | (oy > 0))
+    return collinear & nonzero & (ox >= 0) & (oy >= 0) & ((ox > 0) | (oy > 0))
 
 
 def _crossing_params(p1, q1, p2, q2):
@@ -240,23 +245,20 @@ def _rank_blocks(lx, hx):
     return _runs(ranks, np.searchsorted(lx, hx, side="right") - ranks)
 
 
-def _by_left_x(P, Q):
-    """The stable argsort by left x and the contiguous px, py, qx, qy in its order."""
-    order = np.argsort(np.minimum(P[:, 0], Q[:, 0]), kind="stable")
-    return order, np.take(np.column_stack((P, Q)), order, axis=0).T.copy()
-
-
 def _crossing_blocks(P, Q):
     """(order, blocks): the stable argsort by left x, and per engine block
-    the rank pairs I, J that pass all but the last test and its mask hit;
-    the segments order[I[hit]], order[J[hit]] cross transversally.
+    the rank pairs I, J that pass all but the last test, its mask hit and
+    the collinear candidates (CI, CJ); order[I[hit]], order[J[hit]] cross.
 
     The orientations are the predicate's (dx is the float q_x - p_x, q
     never p + dx): J's endpoints against line I, then I's against line J
     on the first stage's columns cut to the pairs left.  A shared
     endpoint's orientation is exactly 0 (dy[I] if it is I's q), so
-    adjacent edges need no test."""
-    order, (px, py, qx, qy) = _by_left_x(P, Q)
+    adjacent edges need no test.  The candidates' two first-stage
+    orientations are exactly 0, the first two floats of
+    :func:`collinear_overlap_mask`, so they hold every pair it flags."""
+    order = np.argsort(np.minimum(P[:, 0], Q[:, 0]), kind="stable")
+    px, py, qx, qy = np.take(np.column_stack((P, Q)), order, axis=0).T.copy()
     dx, dy = qx - px, qy - py
     lx, hx = np.minimum(px, qx), np.maximum(px, qx)
     ly, hy = np.minimum(py, qy), np.maximum(py, qy)
@@ -267,9 +269,12 @@ def _crossing_blocks(P, Q):
             k = np.flatnonzero((ly[I] <= hy[J]) & (ly[J] <= hy[I]))
             I, J = I[k], J[k]
             x, y, jx, jy, ex, ey = px[I], py[I], px[J], py[J], dx[I], dy[I]
-            k = np.flatnonzero(_splits(ex, ey, x, y, jx, jy, qx[J], qy[J]))
+            a, b = _side(ex, ey, x, y, jx, jy), _side(ex, ey, x, y, qx[J], qy[J])
+            c, k = np.flatnonzero((a == 0) & (b == 0)), np.flatnonzero(_opposite(a, b))
+            del a, b  # freed before the cuts: a block's live set stays as it was
+            C = I[c], J[c]
             I, J, x, y, jx, jy = I[k], J[k], x[k], y[k], jx[k], jy[k]
-            yield I, J, _splits(dx[J], dy[J], jx, jy, x, y, qx[I], qy[I])
+            yield I, J, _splits(dx[J], dy[J], jx, jy, x, y, qx[I], qy[I]), C
 
     return order, blocks()
 
@@ -280,7 +285,7 @@ def count_crossings_sweep(d: BoldDrawing) -> int:
     :func:`_crossing_blocks` decides each such pair with the predicate's
     orientations and sign test, counted on ranks."""
     P, Q, _ = _segment_arrays(d)
-    return sum(int(np.count_nonzero(hit)) for _I, _J, hit in _crossing_blocks(P, Q)[1])
+    return sum(int(np.count_nonzero(hit)) for _I, _J, hit, _C in _crossing_blocks(P, Q)[1])
 
 
 def _pair_keys(blocks, base: int):
@@ -303,8 +308,10 @@ def _ordered_pairs(blocks, base: int):
 
 
 def _crossing_arrays(P, Q):
-    """Crossing pairs as i < j index arrays in lexicographic order, and
-    their (k, 2) crossing points, each computed along segment i.
+    """Crossing pairs as i < j index arrays in lexicographic order, their
+    (k, 2) crossing points, each computed along segment i, and the sorted
+    (i, j), i < j, of the collinear candidates that
+    :func:`collinear_overlap_mask` flags, adjacent ones included.
 
     The points are filled _BLOCK_PAIRS rows at a time into one (k, 2)
     array (the arithmetic is element-wise, so the bytes are those of one
@@ -312,32 +319,21 @@ def _crossing_arrays(P, Q):
     keys while they are decoded, and one block's gathered endpoints, live.
     """
     order, blocks = _crossing_blocks(P, Q)
-    I, J = _unpack([_pair_keys(((order[I[hit]], order[J[hit]]) for I, J, hit in blocks), len(P))],
-                   len(P), 2)
+    overlaps = []
+
+    def hits():
+        for I, J, hit, (CI, CJ) in blocks:
+            CI, CJ = order[CI], order[CJ]
+            keep = collinear_overlap_mask(*_ends(P, Q, CI, CJ))
+            overlaps.append((CI[keep], CJ[keep]))
+            yield order[I[hit]], order[J[hit]]
+
+    I, J = _unpack([_pair_keys(hits(), len(P))], len(P), 2)
     pts = np.empty((I.size, 2))
     for a in range(0, I.size, _BLOCK_PAIRS):
         i, j = I[a:a + _BLOCK_PAIRS], J[a:a + _BLOCK_PAIRS]
         pts[a:a + i.size] = crossing_points_of(*_ends(P, Q, i, j))
-    return I, J, pts
-
-
-def _collinear_overlap_pairs(P, Q):
-    """Sorted (i, j), i < j, of the pairs :func:`collinear_overlap_mask`
-    flags, adjacent ones included, from the rank pairs of x-extents alone:
-    the mask requires them to meet.  Its tests of J's p, then q, against
-    line I (each orientation == 0) run first as filters."""
-    order, (px, py, qx, qy) = _by_left_x(P, Q)
-
-    def blocks():
-        for I, J in _rank_blocks(np.minimum(px, qx), np.maximum(px, qx)):
-            for x, y in ((px, py), (qx, qy)):
-                k = np.flatnonzero(_orient(px[I], py[I], qx[I], qy[I], x[J], y[J]) == 0)
-                I, J = I[k], J[k]
-            I, J = order[I], order[J]
-            keep = collinear_overlap_mask(*_ends(P, Q, I, J))
-            yield I[keep], J[keep]
-
-    return _ordered_pairs(blocks(), len(order))
+    return I, J, pts, _ordered_pairs(overlaps, len(P))
 
 
 def crossing_pairs(d: BoldDrawing):
@@ -348,9 +344,9 @@ def crossing_pairs(d: BoldDrawing):
     with i < j in lexicographic order.
     """
     P, Q, _ = _segment_arrays(d)
-    I, J, pts = _crossing_arrays(P, Q)
+    I, J, pts, overlaps = _crossing_arrays(P, Q)
     crossings = list(zip(I.tolist(), J.tolist(), map(tuple, pts.tolist())))
-    return crossings, _collinear_overlap_pairs(P, Q)
+    return crossings, overlaps
 
 
 def edge_lengths(d: BoldDrawing):
@@ -552,15 +548,15 @@ def check_proper(d: BoldDrawing) -> PropernessReport:
     lists them.  One query, :func:`_close_pairs`, yields the node pairs
     closer than 2r and the crossing pairs closer than w one engine block
     at a time; :func:`_concurrent_points` keeps only each block's least
-    pair of each edge set.  All outputs are sorted.
+    pair of each edge set.  Collinear overlaps come from the crossings'
+    :func:`_crossing_arrays` pass.  All outputs are sorted.
     """
     P, Q, _ = _segment_arrays(d)
     r, w = d.params.radius, d.params.width
     x, y = d.layout.positions.T
     disks = _ordered_pairs(_close_pairs(x, y, 2.0 * r), x.size) if r > 0 and x.size >= 2 else []
-    overlaps = _collinear_overlap_pairs(P, Q)
     # The crossings last: no other stage runs beside them and the report.
-    I, J, pts = _crossing_arrays(P, Q)
+    I, J, pts, overlaps = _crossing_arrays(P, Q)
     none = np.empty((0, 2)), np.empty((0, 4), np.int64)
     points, edges = _concurrent_points(I, J, pts, w, len(P)) if w > 0 and I.size >= 2 else none
     verdict = not (disks or len(points) or overlaps)

@@ -102,10 +102,12 @@ class ClarityReport:
 
 
 def _finite(what: str, values, **factors):
-    """ValueError naming what and the factors unless all values are finite."""
+    """values, or a ValueError naming what and the factors unless all are
+    finite."""
     if not all(map(math.isfinite, values)):
         named = ", ".join(f"{k}={v}" for k, v in factors.items())
         raise ValueError(f"{what} not finite at {named}")
+    return values
 
 
 def ink_components(
@@ -267,7 +269,7 @@ def scale_ink_delta(w: float, L: float, sigma: float) -> float:
     """
     _ink_factors(w=w, L=L)
     _positive(sigma, "length multiplier")
-    return w * (sigma - 1.0) * L
+    return _finite("scale ink delta is", (w * (sigma - 1.0) * L,), w=w, L=L, sigma=sigma)[0]
 
 
 def zoom_ink(ink: float, zeta: float) -> float:
@@ -278,7 +280,7 @@ def zoom_ink(ink: float, zeta: float) -> float:
     """
     _number(ink, "ink")
     _positive(zeta, "area magnification")
-    return zeta * ink
+    return _finite("zoomed ink is", (zeta * ink,), ink=ink, zeta=zeta)[0]
 
 
 def planar_formulas(
@@ -296,6 +298,8 @@ def planar_formulas(
     l_max = None
     if w > 0:
         l_max = (gamma * A - 12.0 * r * w - n * (math.pi * r * r - 6.0 * w * r)) / w
+    _finite("planar width bound or total length cap is", (width_bound or 0.0, l_max or 0.0),
+            n=n, m=m, r=r, w=w, L=L, gamma=gamma, A=A)
     return PlanarFormulas(ink, width_bound, l_max)
 
 
@@ -322,6 +326,8 @@ def equal_length_bounds(
         _positive(length, "edge length")
     lo = w * cr / m
     cr_bound = m * length / w if length is not None else None
+    _finite("equal-length bounds are", (hi, cr_bound or 0.0),
+            n=n, m=m, w=w, cr=cr, gamma=gamma, A=A, length=length)
     return EqualLengthBounds(Interval(lo, hi), cr_bound)
 
 
@@ -345,7 +351,8 @@ def partial_edge_formulas(
     cr_full - cr_partial, stay within (1 - p)*L/w.  The stub crossing
     count itself is bracketed by p*L/w - gamma*A/w^2 and p*L/w (the lower
     end only binds when positive, counts being non-negative anyway).
-    Condition and bracket are None when w == 0.
+    Condition and bracket are None when w == 0, the bracket also when
+    an end of it is not finite.
     """
     _ink_factors(n=n, m=m, r=r, w=w, L=L, cr_full=cr_full, cr_partial=cr_partial)
     _fraction(p, "retained fraction")
@@ -356,6 +363,8 @@ def partial_edge_formulas(
     # w divides twice only where w * w underflows to 0 (w below about 1e-162)
     budget = gamma * A / (w * w) if w * w else gamma * A / w / w
     interval = Interval(p * L / w - budget, p * L / w)
+    if not all(map(math.isfinite, interval)):
+        interval = None
     return PartialEdgeFormulas(ink_partial, necessity, interval)
 
 
@@ -380,7 +389,8 @@ def width_delta_ink(
     Zero whenever L - 2mr equals (w + w')*cr, not only at w == w'.
     """
     _ink_factors(w=w, w_prime=w_prime, L=L, m=m, r=r, cr=cr)
-    return (w_prime - w) * (L - 2.0 * m * r - (w + w_prime) * cr)
+    delta = (w_prime - w) * (L - 2.0 * m * r - (w + w_prime) * cr)
+    return _finite("width ink delta is", (delta,), w=w, w_prime=w_prime, L=L, m=m, r=r, cr=cr)[0]
 
 
 def radius_delta_ink(n: int, r: float, r_prime: float) -> float:
@@ -391,7 +401,8 @@ def radius_delta_ink(n: int, r: float, r_prime: float) -> float:
     radius_delta_ink_exact for the version including it.
     """
     _ink_factors(n=n, r=r, r_prime=r_prime)
-    return n * math.pi * (r_prime * r_prime - r * r)
+    delta = n * math.pi * (r_prime * r_prime - r * r)
+    return _finite("radius ink delta is", (delta,), n=n, r=r, r_prime=r_prime)[0]
 
 
 def radius_delta_ink_exact(
@@ -400,7 +411,8 @@ def radius_delta_ink_exact(
     """Exact ink change for a radius change at fixed layout and width:
     n*pi*(r'^2 - r^2) - 2mw(r' - r)."""
     _ink_factors(n=n, m=m, w=w, r=r, r_prime=r_prime)
-    return radius_delta_ink(n, r, r_prime) - 2.0 * m * w * (r_prime - r)
+    delta = radius_delta_ink(n, r, r_prime) - 2.0 * m * w * (r_prime - r)
+    return _finite("exact radius ink delta is", (delta,), n=n, m=m, w=w, r=r, r_prime=r_prime)[0]
 
 
 def bounds_report(
@@ -417,25 +429,30 @@ def bounds_report(
     """All applicable parameter bounds for one measured drawing.
 
     Individually infeasible, inapplicable or not finite bounds come back
-    as None rather than aborting the report.
+    as None rather than aborting the report; l_interval and cr_bound, or
+    planar_l_max, are None when any result of their formula is not finite.
     """
     _ink_factors(n=n, m=m, r=r, w=w, L=L, cr=cr)
     _fraction(gamma, "gamma"), _nonnegative(A, "area")
+    if equal_length is not None:
+        _positive(equal_length, "edge length")
 
-    def bound(solve, *args):
+    def bound(solve, *args, **kwargs):
         try:
-            return solve(*args, cr, gamma, A) if n > 0 else None
+            return solve(*args, **kwargs)
         except ValueError:  # the inputs are checked: infeasible, or not finite
             return None
 
-    r_iv, w_iv = bound(radius_bounds, n, m, w, L), bound(width_bounds, n, m, r, L)
-    if equal_length is not None:
-        _positive(equal_length, "edge length")
-    l_iv = cr_cap = None
+    r_iv = w_iv = None
+    if n > 0:
+        r_iv = bound(radius_bounds, n, m, w, L, cr, gamma, A)
+        w_iv = bound(width_bounds, n, m, r, L, cr, gamma, A)
+    eq = None
     if m > 0 and w > 0:
-        eq = equal_length_bounds(n, m, w, cr, gamma, A, length=equal_length)
-        l_iv, cr_cap = eq.length_interval, eq.crossing_bound
-    planar_l_max = planar_formulas(n, m, r, w, L, gamma, A).max_total_length
+        eq = bound(equal_length_bounds, n, m, w, cr, gamma, A, length=equal_length)
+    l_iv, cr_cap = eq or (None, None)
+    planar = bound(planar_formulas, n, m, r, w, L, gamma, A)
+    planar_l_max = planar and planar.max_total_length
     return BoundsReport(
         r_interval=r_iv,
         w_interval=w_iv,

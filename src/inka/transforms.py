@@ -99,7 +99,7 @@ def measure_stub_crossings(stubs: StubSet) -> int:
     A, B = (stubs.P[0::2], stubs.P[1::2]) if p < 1.0 else (stubs.P, stubs.Q)
     order, blocks = _crossing_blocks(A, B)
     count = 0
-    for I, J, hit in blocks:
+    for I, J, hit, _C in blocks:
         if p < 1.0:
             a1, b1, a2, b2 = _ends(A, B, order[I[hit]], order[J[hit]])
             t, u = _crossing_params(a1, b1, a2, b2)

@@ -29,7 +29,6 @@ from inka.geometry import (
     _BLOCK_PAIRS,
     _cell_ranks,
     _close_pairs,
-    _collinear_overlap_pairs,
     _concurrent_points,
     _crossing_arrays,
     _crossing_blocks,
@@ -293,8 +292,21 @@ def kernel_pairs(P, Q, block_pairs=_BLOCK_PAIRS):
         order, blocks = _crossing_blocks(P, Q)
         got = [
             (min(i, j), max(i, j))
-            for I, J, hit in blocks
+            for I, J, hit, _C in blocks
             for i, j in zip(order[I[hit]].tolist(), order[J[hit]].tolist())
+        ]
+    assert len(got) == len(set(got))
+    return set(got)
+
+
+def kernel_candidates(P, Q, block_pairs=_BLOCK_PAIRS):
+    """The kernel's collinear candidates as (i, j), i < j, each met once."""
+    with block_size(block_pairs):
+        order, blocks = _crossing_blocks(P, Q)
+        got = [
+            (min(i, j), max(i, j))
+            for _I, _J, _hit, (CI, CJ) in blocks
+            for i, j in zip(order[CI].tolist(), order[CJ].tolist())
         ]
     assert len(got) == len(set(got))
     return set(got)
@@ -494,6 +506,48 @@ def test_crossing_kernel_without_adjacency_test_equals_oracle(d):
     # The oracle masks adjacent pairs; the kernel never looks at nodes,
     # because a shared endpoint makes one orientation exactly 0.
     assert_kernel_matches_oracle(d)
+
+
+# Overlaps with no transversal crossing: horizontal (0, 1)/(2, 3), vertical
+# (4, 5)/(6, 7), adjacent collinear (8, 9)/(8, 10), which overlap, and
+# (8, 9)/(9, 11), which only touch, and the zero-length edges (12, 13) on
+# edge (0, 1) and (14, 15) alone.
+COLLINEAR_EDGES = bold(
+    [(0, 0), (2, 0), (1, 0), (3, 0), (5, 0), (5, 2), (5, 1), (5, 3), (0, 5), (2, 5), (1, 5),
+     (4, 5), (0.5, 0), (0.5, 0), (7, 7), (7, 7)],
+    [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (8, 10), (9, 11), (12, 13), (14, 15)])
+
+
+def assert_candidates_hold_the_overlaps(d):
+    P, Q, _E = _segment_arrays(d)
+    I, J = np.triu_indices(P.shape[0], 1)
+    over = collinear_overlap_mask(P[I], Q[I], P[J], Q[J])
+    want = set(zip(I[over].tolist(), J[over].tolist()))
+    for block_pairs in (1, 7):
+        assert want <= kernel_candidates(P, Q, block_pairs)
+    return want
+
+
+def test_collinear_candidates_hold_the_fixed_overlaps():
+    assert assert_candidates_hold_the_overlaps(COLLINEAR_EDGES) == {(0, 1), (2, 3), (4, 5)}
+    assert crossing_pairs(COLLINEAR_EDGES)[1] == [(0, 1), (2, 3), (4, 5)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(shared_endpoint_drawings(), st.builds(
+        lambda pts, k, shift, pick: bold(np.asarray(pts, dtype=np.float64) * 2.0**k + shift,
+                                         [(a % len(pts), b % len(pts)) for a, b in pick
+                                          if a % len(pts) != b % len(pts)]),
+        st.lists(st.tuples(scaled_coords, scaled_coords), min_size=2, max_size=12),
+        st.sampled_from([-21, -20, 0, 20]), st.sampled_from([0.0, 1e6]),
+        st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=24))),
+)
+def test_collinear_candidates_hold_every_flagged_pair(d):
+    # The kernel's candidates are the pairs past its x and y filters whose
+    # first-stage orientations are both 0, so they hold every pair the
+    # all-pairs mask flags, at any block size.
+    assert_candidates_hold_the_overlaps(d)
 
 
 small = st.integers(min_value=0, max_value=5)
@@ -811,6 +865,20 @@ def test_disk_overlap_pairs_equal_all_pairs_at_every_offset(seed, exponent, r):
     assert got == list(zip(I[close].tolist(), J[close].tolist()))
 
 
+@pytest.mark.parametrize("k", [0, 700])
+def test_collinear_overlap_needs_y_extents_that_meet(k):
+    # parallel edges 1e-200 apart: all four orientations underflow to 0
+    # and the x-extents overlap, but the y-extents are disjoint; scaled by
+    # 2^700 the orientations are not 0
+    pts = np.array([(0.0, 0.0), (1e-200, 0.0), (5e-201, 1e-200), (2e-200, 1e-200)]) * 2.0**k
+    d = bold(pts, [(0, 1), (2, 3)], r=0.0, w=0.0)
+    P, Q, _E = _segment_arrays(d)
+    assert not collinear_overlap_mask(P[:1], Q[:1], P[1:], Q[1:])[0]
+    report = check_proper(d)
+    assert crossing_pairs(d)[1] == report.collinear_overlaps == []
+    assert report.verdict
+
+
 def test_collinear_overlap_of_x_disjoint_edges():
     # two near-vertical edges whose x-extents are disjoint while their
     # y-extents overlap: their orientations are not 0, so they are not
@@ -844,7 +912,7 @@ def test_concurrent_scan_is_independent_of_block_size():
     for _ in range(20):
         d = random_bold_drawing(rng, span=10.0, width=1.0)
         P, Q, _E = _segment_arrays(d)
-        I, J, pts = _crossing_arrays(P, Q)
+        I, J, pts, _overlaps = _crossing_arrays(P, Q)
         if I.size < 2:
             continue
         full = _concurrent_points(I, J, pts, 1.0, P.shape[0])
@@ -1086,7 +1154,7 @@ def test_concurrent_points_peak_memory_is_bounded_by_the_report():
     pos = np.column_stack([cells % side, cells // side]).astype(np.float64)
     d = inka.BoldDrawing(g, inka.Layout(pos), inka.RenderParams(0.25, 0.1))
     P, Q, _E = _segment_arrays(d)
-    I, J, pts = _crossing_arrays(P, Q)
+    I, J, pts, _overlaps = _crossing_arrays(P, Q)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -1109,7 +1177,7 @@ def test_crossing_arrays_peak_memory_is_bounded_by_its_output():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        I, J, pts = _crossing_arrays(P, Q)
+        I, J, pts, _overlaps = _crossing_arrays(P, Q)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -1125,7 +1193,7 @@ def test_crossing_points_per_block_equal_one_whole_array_call(block_pairs):
     for _ in range(30):
         P, Q, _E = _segment_arrays(random_bold_drawing(rng))
         with block_size(block_pairs):
-            I, J, pts = _crossing_arrays(P, Q)
+            I, J, pts, _overlaps = _crossing_arrays(P, Q)
         whole = crossing_points_of(P[I], Q[I], P[J], Q[J])
         assert pts.shape == whole.shape and pts.tobytes() == whole.tobytes()
         blocks += I.size > block_pairs
@@ -1139,8 +1207,8 @@ def test_overlap_engine_equals_all_pairs_on_small_integer_drawings(pts, data):
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     edges = [(a, b) for a, b in data.draw(st.lists(pairs, max_size=20)) if a != b]
     d = bold(pts, edges)
-    P, Q, _E = _segment_arrays(d)
-    assert _collinear_overlap_pairs(P, Q) == reference_crossing_pairs(d)[1]
+    want = reference_crossing_pairs(d)[1]
+    assert crossing_pairs(d)[1] == check_proper(d).collinear_overlaps == want
 
 
 def test_staged_collinear_filter_keeps_the_mask_verdict():
@@ -1157,7 +1225,9 @@ def test_staged_collinear_filter_keeps_the_mask_verdict():
     assert _orient(*j_p, *j_q, *i_p) != 0 and _orient(*j_p, *j_q, *i_q) != 0
     lx, hx = np.minimum(P[:, 0], Q[:, 0]), np.maximum(P[:, 0], Q[:, 0])
     assert (0, 1) in x_rank_pairs(lx, hx)  # the x-engine gives edge 0, which starts left of edge 1, as I
-    assert _collinear_overlap_pairs(P, Q) == reference_crossing_pairs(d)[1] == [(2, 3)]
+    assert (0, 1) in kernel_candidates(P, Q)
+    assert crossing_pairs(d)[1] == check_proper(d).collinear_overlaps == [(2, 3)]
+    assert reference_crossing_pairs(d)[1] == [(2, 3)]
 
 
 NUMPY_MA_PROBE = """

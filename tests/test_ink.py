@@ -171,8 +171,10 @@ def test_bounds_at_extreme_widths_raise_nothing():
     r_iv = radius_bounds(4, 2, 5e-324, 28.0, 1, 1.0, 100.0)
     assert r_iv == (0.0, math.sqrt(100.0 / (4 * math.pi)))
     assert min_ink_radius(4, 2, 5e-324, 28.0, 1).ink_min == 28.0 * 5e-324
+    # p L / w and gamma A / w^2 overflow, so the bracket is (inf - inf, inf)
     f = partial_edge_formulas(4, 2, 1.0, 5e-324, 28.0, 0.5, 1, 0, 1.0, 100.0)
-    assert f.crossing_interval.hi == math.inf and math.isnan(f.crossing_interval.lo)
+    assert f.crossing_interval is None
+    assert f.necessity_holds and math.isfinite(f.ink_partial)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -201,6 +203,29 @@ def test_bounds_at_extreme_widths_raise_nothing():
     (lambda: width_bounds(2, 1, 0.0, 5e-324, 0, 1.0, 100.0),
      "width bounds or their discriminants are not finite at n=2, m=1, r=0.0, L=5e-324, "
      "cr=0, gamma=1.0, A=100.0"),
+    # (gamma A - n pi r^2) / b, gamma A / (w m) and m l / w overflow
+    (lambda: planar_formulas(2, 1, 0.0, 1.0, 5e-324, 1.0, 100.0),
+     "planar width bound or total length cap is not finite at n=2, m=1, r=0.0, w=1.0, "
+     "L=5e-324, gamma=1.0, A=100.0"),
+    (lambda: equal_length_bounds(2, 1, 5e-324, 0, 1.0, 100.0),
+     "equal-length bounds are not finite at n=2, m=1, w=5e-324, cr=0, gamma=1.0, A=100.0, "
+     "length=None"),
+    (lambda: equal_length_bounds(2, 1, 1e-300, 0, 1.0, 100.0, length=1e300),
+     "equal-length bounds are not finite at n=2, m=1, w=1e-300, cr=0, gamma=1.0, A=100.0, "
+     "length=1e+300"),
+    # the deltas: inf - inf, a product past 1.8e308, or the cited delta's inf
+    (lambda: radius_delta_ink_exact(2, 1, 1e300, 0.0, 1e300),
+     "radius ink delta is not finite at n=2, r=0.0, r_prime=1e+300"),
+    (lambda: radius_delta_ink_exact(2, 1, 1e300, 0.0, 1e10),
+     "exact radius ink delta is not finite at n=2, m=1, w=1e+300, r=0.0, r_prime=10000000000.0"),
+    (lambda: radius_delta_ink(2, 0.0, 1e200),
+     "radius ink delta is not finite at n=2, r=0.0, r_prime=1e+200"),
+    (lambda: width_delta_ink(1e200, 1.1e200, 1.0, 1, 0.0, 10**10),
+     "width ink delta is not finite at w=1e+200, w_prime=1.1e+200, L=1.0, m=1, r=0.0, "
+     "cr=10000000000"),
+    (lambda: scale_ink_delta(1e200, 1e200, 2.0),
+     "scale ink delta is not finite at w=1e+200, L=1e+200, sigma=2.0"),
+    (lambda: zoom_ink(1e300, 1e300), "zoomed ink is not finite at ink=1e+300, zeta=1e+300"),
 ])
 def test_bounds_that_are_not_finite_name_the_inputs(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -212,6 +237,11 @@ def test_bounds_report_leaves_out_a_bound_that_is_not_finite():
     got = bounds_report(2, 1, 0.0, 0.0, 1e300, 10**300, 1.0, 100.0)
     assert got.w_interval is None
     assert got.r_interval == radius_bounds(2, 1, 0.0, 1e300, 10**300, 1.0, 100.0)
+    # gamma A / (w m) and the planar length cap overflow at w = 5e-324
+    got = bounds_report(2, 1, 0.0, 5e-324, 1e-300, 0, 1.0, 100.0)
+    assert got.l_interval is None and got.cr_bound is None and got.planar_l_max is None
+    assert got.r_interval == radius_bounds(2, 1, 5e-324, 1e-300, 0, 1.0, 100.0)
+    assert got.w_interval == width_bounds(2, 1, 0.0, 1e-300, 0, 1.0, 100.0)
 
 
 def test_zero_area_keeps_working_in_the_bounds():

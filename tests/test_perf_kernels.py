@@ -1,9 +1,9 @@
 """Microbenchmarks of graph loading, component labelling, the
 spring-layout kernels, the multilevel matching, the crossing sweep and
-its pairwise oracle, the collinear and disk overlap queries, the stub
-crossing count, the ordered crossing list, check_proper, its close-pair
-scan and concurrent-point stage, and the raster, on mesh24 and on one
-small drawing at 64 rows (pytest-benchmark).
+its pairwise oracle, the disk overlap query, the stub crossing count,
+the one pass that lists crossings and collinear overlaps, check_proper,
+its close-pair scan and concurrent-point stage, and the raster, on
+mesh24 and on one small drawing at 64 rows (pytest-benchmark).
 
 They carry the ``perf`` marker, which the default options deselect, so
 the ordinary suite never runs them.  Run them with
@@ -35,7 +35,6 @@ from inka import (
 )
 from inka.geometry import (
     _close_pairs,
-    _collinear_overlap_pairs,
     _concurrent_points,
     _crossing_arrays,
     _ordered_pairs,
@@ -135,13 +134,15 @@ def test_count_crossings_bruteforce_uniform_mesh24(benchmark):
     assert benchmark(count_crossings_bruteforce, d) == count_crossings_sweep(d) > 0
 
 
-def test_collinear_overlap_pairs_uniform_mesh24(benchmark):
-    # the oracle's drawing: every x-overlapping rank pair is filtered by
-    # J's two orientations against line I; no two edges lie on one line
+def test_crossing_arrays_uniform_mesh24(benchmark):
+    # the oracle's drawing, one kernel pass for crossings and collinear
+    # overlaps: the kernel's first stage keeps the pairs with both of J's
+    # orientations against line I exactly 0; no two edges lie on one line
     g = load_graph(MESH24)
     d = BoldDrawing(g, Layout(random_positions(g.node_count, seed=3)), RenderParams(5.0, 1.0))
     P, Q, _E = _segment_arrays(d)
-    assert benchmark(_collinear_overlap_pairs, P, Q) == []
+    I, _J, _pts, overlaps = benchmark(_crossing_arrays, P, Q)
+    assert I.size > 0 and overlaps == []
 
 
 def test_disk_overlap_pairs_uniform_mesh24(benchmark):
@@ -170,7 +171,7 @@ def test_crossing_arrays_uniform_ba800(benchmark):
     d = BoldDrawing(g, Layout(random_positions(g.node_count, seed=3)), RenderParams(5.0, 1.0))
     P, Q, _E = _segment_arrays(d)
     benchmark.extra_info["tracemalloc_peak_mb"] = traced_peak_mb(_crossing_arrays, P, Q)
-    I, J, pts = benchmark(_crossing_arrays, P, Q)
+    I, J, pts, _overlaps = benchmark(_crossing_arrays, P, Q)
     benchmark.extra_info["returned_mb"] = (I.nbytes + J.nbytes + pts.nbytes) / 1e6
     assert I.size == J.size == len(pts) > 0 and (I < J).all()
 
@@ -199,7 +200,7 @@ def test_close_crossing_pairs_circle_mesh24(benchmark):
     theta = np.random.default_rng(1).uniform(0.0, 2.0 * np.pi, size=n)
     pos = n * 30.0 / (2.0 * np.pi) * np.column_stack([np.cos(theta), np.sin(theta)])
     P, Q, _E = _segment_arrays(BoldDrawing(g, Layout(pos), RenderParams(5.0, 1.0)))
-    _I, _J, pts = _crossing_arrays(P, Q)
+    _I, _J, pts, _overlaps = _crossing_arrays(P, Q)
     X, Y = pts[:, 0].copy(), pts[:, 1].copy()
     # the scan yields its blocks lazily: list them inside the timed call
     blocks = benchmark(lambda: list(_close_pairs(X, Y, 1.0)))
@@ -216,7 +217,7 @@ def test_concurrent_points_lattice_can_144(benchmark):
     cells = np.random.default_rng(1).choice(side * side, size=n, replace=False)
     pos = np.column_stack([cells % side, cells // side]).astype(np.float64)
     P, Q, _E = _segment_arrays(BoldDrawing(g, Layout(pos), RenderParams(0.25, 0.1)))
-    I, J, pts = _crossing_arrays(P, Q)
+    I, J, pts, _overlaps = _crossing_arrays(P, Q)
     benchmark.extra_info["tracemalloc_peak_mb"] = traced_peak_mb(
         _concurrent_points, I, J, pts, 0.1, g.m)
     points, edges = benchmark(_concurrent_points, I, J, pts, 0.1, g.m)
