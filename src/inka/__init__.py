@@ -98,6 +98,7 @@ from .raster import RasterConfig, rasterize_ink, render_svg
 from .transforms import (
     StubSet,
     measure_stub_crossings,
+    partial_crossing_counts,
     partial_edges,
     scale_layout,
     zoom_drawing,

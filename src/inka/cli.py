@@ -39,7 +39,7 @@ from .ink import (
 from .layout import _ALGORITHMS, LayoutConfig, compute_layout
 from .model import BoldDrawing, RenderParams, _positive
 from .raster import _SUPERSAMPLING, RasterConfig, rasterize_ink, render_svg
-from .transforms import measure_stub_crossings, partial_edges, scale_layout, zoom_drawing
+from .transforms import partial_crossing_counts, partial_edges, scale_layout, zoom_drawing
 
 _PARTIAL_COLUMNS = (
     "p", "stub_crossings", "ink_formula", "ink_measured", "necessity_holds",
@@ -134,17 +134,16 @@ def _bounds(d: BoldDrawing, metrics, equal_length=None):
     )
 
 
-def _partial_at(d: BoldDrawing, metrics, p: float):
-    """Stubs at retained fraction p, their crossing count, and the
-    partial-edge formulas for them."""
+def _partial_at(d: BoldDrawing, metrics, p: float, cr_stub: int):
+    """Stubs at retained fraction p and the partial-edge formulas for
+    them, given their crossing count cr_stub."""
     stubs = partial_edges(d, p)
-    cr_stub = measure_stub_crossings(stubs)
     g, prm = d.graph, d.params
     formulas = partial_edge_formulas(
         g.node_count, g.m, prm.radius, prm.width, metrics.total_edge_length, p,
         metrics.crossings, cr_stub, prm.gamma, metrics.area,
     )
-    return stubs, cr_stub, formulas
+    return stubs, formulas
 
 
 def cmd_analyze(args) -> int:
@@ -219,7 +218,8 @@ def cmd_transform(args) -> int:
         }
         out_text = write_layout_csv(d2.layout)
     else:
-        stubs, cr_stub, formulas = _partial_at(d, metrics, args.partial)
+        cr_stub, = partial_crossing_counts(d, [args.partial])
+        stubs, formulas = _partial_at(d, metrics, args.partial, cr_stub)
         payload = {
             "transform": "partial",
             "factor": args.partial,
@@ -243,8 +243,8 @@ def cmd_partial(args) -> int:
     metrics = measure(d, area=args.area)
     g, prm = d.graph, d.params
     rows = []
-    for p in args.ratios:
-        stubs, cr_stub, formulas = _partial_at(d, metrics, p)
+    for p, cr_stub in zip(args.ratios, partial_crossing_counts(d, args.ratios)):
+        stubs, formulas = _partial_at(d, metrics, p, cr_stub)
         measured = ink_report(
             g.node_count, g.m, prm.radius, prm.width, stubs.total_length, cr_stub,
             metrics.area, prm.gamma,

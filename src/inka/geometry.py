@@ -24,6 +24,22 @@ endpoint fails its sign test, so its kernel, :func:`_crossing_blocks`,
 tests neither.  A disagreement between the two is the enumeration bug
 the pairing catches.
 
+The kernel answers that band one of two ways, chosen from the input
+alone by _TABLE_GATE: as engine runs, each pair's orientations computed
+as it is tested, or from a sign table.  The table is for a drawing with
+at least 25,000 pairs xp in the band whose N distinct endpoints (keyed
+by coordinate) and m edges make N m <= 2 xp and at most _TABLE_BYTES =
+2^25 bytes: one int8 (o > 0) - (o < 0) per (point, edge line), o the
+very :func:`_side` float the runs compute, so each orientation is
+computed once, not once per pair that needs it (a node is the endpoint
+of all its edges).  :func:`_table_tiles` reads a pair's four signs by
+row lookups in dense tiles of the band and keeps the runs' filters (the
+band, y-extents that meet), so both ways yield the same crossing pairs
+and collinear candidates.  Dense bands, with N m near xp, ran at
+0.2-0.6x the runs' CPU; at N m of 2.7 xp and more the table lost
+(``BENCH_sign_table.json``).  A tile keeps about 10 bytes an entry alive,
+beside the table.
+
 Edges become endpoint arrays only in :func:`_segment_arrays`, and float
 rows are gathered only by ``np.take``, never by ``a[rows]``, which gives
 the same values at several times the cost per row.
@@ -54,7 +70,12 @@ the pair keys freed before the edge ids are decoded.
 Predicates are a strict sign test against 0, exact under 2^k scaling:
 IEEE arithmetic commutes with a power-of-two scale, so every answer is
 the same for the drawing scaled by 2^k, its cells too (floor(x 2^k /
-(w 2^k)) == floor(x / w)).  A pair "crosses" when the open segments
+(w 2^k)) == floor(x / w)).  Endpoints whose span is below 1 are first
+scaled by the power of two that brings it into [0.5, 1),
+:func:`_unit_span`, in both kernel paths, the oracle, the collinear
+mask and the crossing parameters, so no orientation underflows: a
+drawing near 2^-560 made products below the least subnormal, exactly 0,
+and its crossings read as collinear.  A pair "crosses" when the open segments
 intersect transversally at an interior point; segments sharing an
 endpoint (adjacent edges) never cross.  Collinear means four orientations
 exactly 0 and closed x- and y-extents that meet; such an overlap is
@@ -72,6 +93,10 @@ from .model import BoldDrawing, DrawingMetrics, _pack, _positive, _unpack
 
 # Entries per engine block; see the module docstring.
 _BLOCK_PAIRS = 25_000
+# The sign-table gate (least x-overlapping pairs xp, greatest N m / xp) and
+# the table's byte cap; see the module docstring.
+_TABLE_GATE = (25_000, 2.0)
+_TABLE_BYTES = 2**25
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,10 +170,33 @@ def _crosses(p1x, p1y, q1x, q1y, p2x, p2y, q2x, q2y):
             & _splits(q2x - p2x, q2y - p2y, p2x, p2y, p1x, p1y, q1x, q1y))
 
 
+def _unit_span(*ends):
+    """The (..., 2) endpoint arrays ends, scaled together by the power of
+    two that brings their span (the larger of the x and y extents) into
+    [0.5, 1) when it is below 1, else as given.  A power-of-two scale is
+    exact and commutes with every predicate, so it changes only the
+    answers that underflowed: orientations of a drawing near 2^-560 are
+    products below the least subnormal.  Coordinates within a span below
+    1 of each other are below 2^53 times it, so none overflows."""
+    if not ends[0].size:
+        return ends
+    span = 0.0
+    for k in (0, 1):  # x alone most often shows a span of 1 or more
+        cols = [e[..., k] for e in ends]
+        # Python floats: an inf span, never an overflow warning
+        span = max(span, max(float(c.max()) for c in cols) - min(float(c.min()) for c in cols))
+        if span >= 1.0:
+            return ends
+    shift = -math.frexp(span)[1]
+    return tuple(np.ldexp(e, shift) for e in ends) if shift else ends
+
+
 def collinear_overlap_mask(p1, q1, p2, q2):
     """Row-wise test: collinear segments (all four orientations exactly 0)
     overlapping over positive length, so their closed x- and y-extents
-    meet (y as well: parallel edges 1e-200 apart orient to exactly 0)."""
+    meet (y as well: parallel edges 1e-200 apart orient to exactly 0).
+    The rows are tested at :func:`_unit_span`."""
+    p1, q1, p2, q2 = _unit_span(p1, q1, p2, q2)
     p1x, p1y, q1x, q1y, p2x, p2y, q2x, q2y = (a[..., k] for a in (p1, q1, p2, q2) for k in (0, 1))
     collinear = (
         (_orient(p1x, p1y, q1x, q1y, p2x, p2y) == 0)
@@ -168,7 +216,8 @@ def collinear_overlap_mask(p1, q1, p2, q2):
 
 def _crossing_params(p1, q1, p2, q2):
     """(t, u): the fractions along (p1, q1) and (p2, q2) where rows already
-    known to cross transversally meet; swapping the segments swaps them."""
+    known to cross transversally meet; swapping the segments swaps them.
+    Callers pass rows at :func:`_unit_span`, so no product underflows."""
     r, s, d = q1 - p1, q2 - p2, p2 - p1
     denom = r[..., 0] * s[..., 1] - r[..., 1] * s[..., 0]
     return ((d[..., 0] * s[..., 1] - d[..., 1] * s[..., 0]) / denom,
@@ -176,8 +225,10 @@ def _crossing_params(p1, q1, p2, q2):
 
 
 def crossing_points_of(p1, q1, p2, q2):
-    """Interior crossing points for rows already known to cross transversally."""
-    return p1 + _crossing_params(p1, q1, p2, q2)[0][..., None] * (q1 - p1)
+    """Interior crossing points for rows already known to cross
+    transversally, in the rows' units: the fraction along (p1, q1) is
+    taken at :func:`_unit_span`."""
+    return p1 + _crossing_params(*_unit_span(p1, q1, p2, q2))[0][..., None] * (q1 - p1)
 
 
 def _segment_arrays(d: BoldDrawing):
@@ -219,14 +270,15 @@ def _runs(first, size):
 def count_crossings_bruteforce(d: BoldDrawing) -> int:
     """Number of non-adjacent edge pairs with a transversal interior crossing.
 
-    O(m^2) oracle off the block engine: every pair is tested in triangular
+    O(m^2) oracle off the block engine, on the endpoints at
+    :func:`_unit_span`: every pair is tested in triangular
     tiles of T = isqrt(_BLOCK_PAIRS / 2) segments, the predicate and a
     node-id adjacency test broadcast over (T, 1) against (1, T) columns.
     A (T, T) float stays below glibc's 128 KiB mmap threshold; larger ones
     were mapped and faulted in afresh, at 1.4-1.8x the CPU on mesh24.
     """
     P, Q, E = _segment_arrays(d)
-    cols = (*np.column_stack((P, Q)).T.copy(), *E.T)  # px, py, qx, qy, a, b
+    cols = (*np.column_stack(_unit_span(P, Q)).T.copy(), *E.T)  # px, py, qx, qy, a, b
     T, total = max(1, math.isqrt(_BLOCK_PAIRS // 2)), 0
     for s in range(0, len(P), T):
         *ends, a, b = (c[s:s + T, None] for c in cols)
@@ -238,45 +290,136 @@ def count_crossings_bruteforce(d: BoldDrawing) -> int:
 
 
 def _rank_blocks(lx, hx):
-    """Yield (I, J) int64 rank arrays, I < J, covering exactly once every
-    pair of extents [lx, hx] that overlap (touching included), for lx
-    sorted ascending, in engine blocks."""
+    """(end, blocks): for extents [lx, hx] with lx sorted ascending, the
+    end of each rank's band, one past the last rank whose left end is at
+    most its right end, and the engine blocks of (I, J) int64 rank arrays,
+    I < J < end[I], covering exactly once every pair of extents that
+    overlap (touching included)."""
     ranks = np.arange(1, lx.size + 1)
-    return _runs(ranks, np.searchsorted(lx, hx, side="right") - ranks)
+    end = np.searchsorted(lx, hx, side="right")
+    return end, _runs(ranks, end - ranks)
 
 
-def _crossing_blocks(P, Q):
-    """(order, blocks): the stable argsort by left x, and per engine block
-    the rank pairs I, J that pass all but the last test, its mask hit and
-    the collinear candidates (CI, CJ); order[I[hit]], order[J[hit]] cross.
+def _crossing_blocks(P, Q, candidates=True):
+    """(order, blocks): the stable argsort by left x, and per block the
+    rank pairs I, J that pass all but the last test, its mask hit and the
+    collinear candidates (CI, CJ), or None when not asked for;
+    order[I[hit]], order[J[hit]] cross.
 
-    The orientations are the predicate's (dx is the float q_x - p_x, q
-    never p + dx): J's endpoints against line I, then I's against line J
-    on the first stage's columns cut to the pairs left.  A shared
-    endpoint's orientation is exactly 0 (dy[I] if it is I's q), so
-    adjacent edges need no test.  The candidates' two first-stage
-    orientations are exactly 0, the first two floats of
+    The endpoints are taken at :func:`_unit_span`.  The band of x
+    overlapping pairs is answered as engine runs or, past the gate of the
+    module docstring, by :func:`_table_tiles`; both yield the same pairs
+    and candidates.  In runs, the orientations are the predicate's
+    (dx is the float q_x - p_x, q never p + dx): J's endpoints against
+    line I, then I's against line J on the first stage's columns cut to
+    the pairs left.  A shared endpoint's orientation is exactly 0 (dy[I]
+    if it is I's q), so adjacent edges need no test.  The candidates' two
+    first-stage orientations are exactly 0, the first two floats of
     :func:`collinear_overlap_mask`, so they hold every pair it flags."""
+    P, Q = _unit_span(P, Q)
     order = np.argsort(np.minimum(P[:, 0], Q[:, 0]), kind="stable")
     px, py, qx, qy = np.take(np.column_stack((P, Q)), order, axis=0).T.copy()
     dx, dy = qx - px, qy - py
     lx, hx = np.minimum(px, qx), np.maximum(px, qx)
     ly, hy = np.minimum(py, qy), np.maximum(py, qy)
+    m = px.size
+    end, runs = _rank_blocks(lx, hx)
+    xp = int(end.sum()) - m * (m + 1) // 2
+    least, ratio = _TABLE_GATE
+    # lx's distinct values are at most N, so most sparse drawings skip the unique
+    if xp >= least and (np.count_nonzero(lx[1:] != lx[:-1]) + 1) * m <= ratio * xp:
+        ends = np.stack((px, py, qx, qy), axis=1).reshape(2 * m, 2).view(np.complex128)
+        points, point = np.unique(ends.ravel(), return_inverse=True)
+        if points.size * m <= min(ratio * xp, _TABLE_BYTES):
+            table = _sign_table(px, py, dx, dy, points.real.copy(), points.imag.copy())
+            return order, _table_tiles(table, point[0::2], point[1::2], ly, hy, end, candidates)
 
     def blocks():
-        for I, J in _rank_blocks(lx, hx):
+        for I, J in runs:
             # With the engine's x overlap, this y overlap is the predicate's box test.
             k = np.flatnonzero((ly[I] <= hy[J]) & (ly[J] <= hy[I]))
             I, J = I[k], J[k]
             x, y, jx, jy, ex, ey = px[I], py[I], px[J], py[J], dx[I], dy[I]
             a, b = _side(ex, ey, x, y, jx, jy), _side(ex, ey, x, y, qx[J], qy[J])
-            c, k = np.flatnonzero((a == 0) & (b == 0)), np.flatnonzero(_opposite(a, b))
+            C = None
+            if candidates:
+                c = np.flatnonzero((a == 0) & (b == 0))
+                C = I[c], J[c]
+            k = np.flatnonzero(_opposite(a, b))
             del a, b  # freed before the cuts: a block's live set stays as it was
-            C = I[c], J[c]
             I, J, x, y, jx, jy = I[k], J[k], x[k], y[k], jx[k], jy[k]
             yield I, J, _splits(dx[J], dy[J], jx, jy, x, y, qx[I], qy[I]), C
 
     return order, blocks()
+
+
+def _sign_table(px, py, dx, dy, X, Y):
+    """(N, m) int8: the sign of each point (X, Y) about each edge line,
+    (o > 0) - (o < 0) of the predicate's own :func:`_side` float o,
+    computed about _BLOCK_PAIRS entries at a time."""
+    table = np.empty((X.size, px.size), np.int8)
+    R = max(1, _BLOCK_PAIRS // max(1, px.size))
+    for s in range(0, X.size, R):
+        o = _side(dx, dy, px, py, X[s:s + R, None], Y[s:s + R, None])
+        np.subtract((o > 0).view(np.int8), (o < 0).view(np.int8), out=table[s:s + R])
+    return table
+
+
+def _table_tiles(table, a, b, ly, hy, end, candidates):
+    """Kernel blocks answered from the sign table: tiles of up to 128
+    ranks I by 2 _BLOCK_PAIRS / 128 ranks J over the band I < J < end[I],
+    as the column I, the row J, the (I, J) mask hit and the candidates
+    (CI, CJ) or None.
+
+    a and b number each rank's endpoints in the table's points, so
+    table[aJ, I] is the sign of J's p about line I, a row lookup.  A pair
+    crosses when both products table[aJ, I] table[bJ, I] and table[aI, J]
+    table[bI, J] are -1, their sum -2: the run kernel's strict sign test
+    on the same floats (points equal as floats orient alike; a 0.0 and a
+    -0.0 can change only a zero's sign).  Its filters are the run
+    kernel's: the band (J < end[I], which is lx[J] <= hx[I]) and y-extents
+    that meet, compared as ranks of the y ends, exact as the floats are;
+    the candidates are the pairs in them with both J signs 0."""
+    m = table.shape[1]
+    dtype = np.int16 if 2 * m < 2**15 else np.int32  # int16 compares run faster
+    ys = np.unique(np.concatenate((ly, hy)))
+    low, high = (np.searchsorted(ys, v).astype(dtype) for v in (ly, hy))
+    ranks, end, index = np.arange(m, dtype=dtype), end.astype(dtype), np.arange(m)
+    entries = 2 * _BLOCK_PAIRS
+    rows = max(1, min(128, math.isqrt(entries)))
+    for i0 in range(0, m, rows):
+        i1 = min(m, i0 + rows)
+        e = end[i0:i1]
+        width = max(1, entries // (i1 - i0))
+        ai, bi, li, hi, ei = a[i0:i1], b[i0:i1], low[i0:i1, None], high[i0:i1, None], e[:, None]
+        last = int(e.max())
+        for c0 in range(i0 + 1, last, width):
+            c1 = min(last, c0 + width)
+            keep = (low[c0:c1] <= hi) & (li <= high[c0:c1])
+            if c1 > e.min():
+                keep &= ranks[c0:c1] < ei
+            if c0 < i1:
+                keep &= ranks[c0:c1] > ranks[i0:i1, None]
+            I, J = index[i0:i1, None], index[None, c0:c1]
+            sa, sb = table[a[c0:c1], i0:i1], table[b[c0:c1], i0:i1]
+            C = _hit_pairs(I, J, ((sa | sb) == 0).T & keep) if candidates else None
+            sa *= sb
+            sum_ = table[ai, c0:c1]
+            sum_ *= table[bi, c0:c1]
+            sum_ += sa.T
+            hit = sum_ == -2
+            hit &= keep
+            yield I, J, hit, C
+
+
+def _hit_pairs(I, J, hit):
+    """A kernel block's crossing rank pairs, I[hit] and J[hit]; a tile's
+    I is a column and its J a row."""
+    if hit.ndim == 1:
+        return I[hit], J[hit]
+    k = np.flatnonzero(hit)  # several times faster than nonzero or a broadcast I[hit]
+    r = k // hit.shape[1]
+    return I[r, 0], J[0, k - r * hit.shape[1]]
 
 
 def count_crossings_sweep(d: BoldDrawing) -> int:
@@ -285,7 +428,8 @@ def count_crossings_sweep(d: BoldDrawing) -> int:
     :func:`_crossing_blocks` decides each such pair with the predicate's
     orientations and sign test, counted on ranks."""
     P, Q, _ = _segment_arrays(d)
-    return sum(int(np.count_nonzero(hit)) for _I, _J, hit, _C in _crossing_blocks(P, Q)[1])
+    blocks = _crossing_blocks(P, Q, candidates=False)[1]
+    return sum(int(np.count_nonzero(hit)) for _I, _J, hit, _C in blocks)
 
 
 def _pair_keys(blocks, base: int):
@@ -326,7 +470,8 @@ def _crossing_arrays(P, Q):
             CI, CJ = order[CI], order[CJ]
             keep = collinear_overlap_mask(*_ends(P, Q, CI, CJ))
             overlaps.append((CI[keep], CJ[keep]))
-            yield order[I[hit]], order[J[hit]]
+            I, J = _hit_pairs(I, J, hit)
+            yield order[I], order[J]
 
     I, J = _unpack([_pair_keys(hits(), len(P))], len(P), 2)
     pts = np.empty((I.size, 2))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,15 @@ def block_size(entries, constant="inka.geometry._BLOCK_PAIRS"):
     works inside a Hypothesis test body.
     """
     return mock.patch(constant, entries)
+
+
+def kernel_path(path):
+    """A context manager in which the crossing kernel answers every band
+    of x-overlapping pairs by engine runs ("runs") or from its sign table
+    ("table"), whatever the drawing: it patches the kernel's gate
+    constant, as block_size patches the block size."""
+    gate = {"runs": (math.inf, 0.0), "table": (0, math.inf)}[path]
+    return mock.patch("inka.geometry._TABLE_GATE", gate)
 
 
 def bold(points, edges, r=1.0, w=0.1, gamma=1.0) -> BoldDrawing:

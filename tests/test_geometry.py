@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import block_size, bold, random_bold_drawing
+from conftest import block_size, bold, kernel_path, random_bold_drawing
 import inka
 from inka import (
     bounding_area,
@@ -34,6 +34,7 @@ from inka.geometry import (
     _crossing_blocks,
     _edge_set_codes,
     _expand,
+    _hit_pairs,
     _least_key_of_each,
     _ordered_pairs,
     _orient,
@@ -149,6 +150,40 @@ def test_answers_are_exact_under_power_of_two_scaling(seed, span, lattice_prob, 
         assert list(exact_answers(moved)[:-1]) == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(-1000, 40))
+def test_lattice_answers_are_exact_under_power_of_two_scaling_down_to_2_to_the_minus_1000(seed, k):
+    # Below a span of 1 the predicates scale the endpoints back into
+    # [0.5, 1) by a power of two, so no orientation underflows: a lattice
+    # at 2^-1000 has the answers, and the points, of the lattice at 1
+    d = random_bold_drawing(np.random.default_rng(seed), lattice_prob=1.0)
+    s = 2.0**k
+    scaled = inka.BoldDrawing(d.graph, inka.Layout(d.layout.positions * s),
+                              inka.RenderParams(d.params.radius * s, d.params.width * s))
+    *want, report = exact_answers(d)
+    *got, scaled_report = exact_answers(scaled)
+    assert got == want
+    assert scaled_report.concurrent_edges.tobytes() == report.concurrent_edges.tobytes()
+    assert scaled_report.concurrent_points.tobytes() == (report.concurrent_points * s).tobytes()
+
+
+@pytest.mark.parametrize("path", ["runs", "table"])
+@pytest.mark.parametrize("k", [-500, -560, -1000])
+def test_crossings_of_a_drawing_near_2_to_the_minus_560_do_not_underflow(k, path):
+    # Two diagonals of a square and a stretch of the first one: at 2^-560
+    # every orientation was a product below the least subnormal, so exactly
+    # 0, and all three pairs read as collinear
+    s = 2.0**k
+    d = bold(np.array([(0, 0), (4, 4), (0, 4), (4, 0), (1, 1), (3, 3)]) * s,
+             [(0, 1), (2, 3), (4, 5)], r=s, w=s / 8)
+    with kernel_path(path):
+        assert count_crossings_sweep(d) == count_crossings_bruteforce(d) == 2
+        crossings, overlaps = crossing_pairs(d)
+        assert crossings == [(0, 1, (2 * s, 2 * s)), (1, 2, (2 * s, 2 * s))]
+        assert overlaps == [(0, 2)] == check_proper(d).collinear_overlaps
+        assert inka.partial_crossing_counts(d, [0.5, 1.0]) == [0, 2]
+
+
 def test_k4_convex_position_has_one_crossing():
     pts = [(0, 0), (4, 0), (4, 4), (0, 4)]
     edges = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3)]
@@ -196,7 +231,7 @@ def x_rank_pairs(lx, hx):
     order = np.argsort(lx, kind="stable")
     return [
         (i, j)
-        for I, J in _rank_blocks(lx[order], hx[order])
+        for I, J in _rank_blocks(lx[order], hx[order])[1]
         for i, j in zip(order[I].tolist(), order[J].tolist())
     ]
 
@@ -293,7 +328,7 @@ def kernel_pairs(P, Q, block_pairs=_BLOCK_PAIRS):
         got = [
             (min(i, j), max(i, j))
             for I, J, hit, _C in blocks
-            for i, j in zip(order[I[hit]].tolist(), order[J[hit]].tolist())
+            for i, j in zip(*(order[K].tolist() for K in _hit_pairs(I, J, hit)))
         ]
     assert len(got) == len(set(got))
     return set(got)
@@ -328,8 +363,10 @@ def oracle_pairs(P, Q, nodes):
 def assert_kernel_matches_oracle(d):
     P, Q, E = _segment_arrays(d)
     want = oracle_pairs(P, Q, E)
-    for block_pairs in (1, 7, _BLOCK_PAIRS):
-        assert kernel_pairs(P, Q, block_pairs) == want
+    for path in ("runs", "table"):
+        with kernel_path(path):
+            for block_pairs in (1, 7, _BLOCK_PAIRS):
+                assert kernel_pairs(P, Q, block_pairs) == want
     return want
 
 
@@ -548,6 +585,79 @@ def test_collinear_candidates_hold_every_flagged_pair(d):
     # first-stage orientations are both 0, so they hold every pair the
     # all-pairs mask flags, at any block size.
     assert_candidates_hold_the_overlaps(d)
+
+
+@st.composite
+def kernel_drawings(draw):
+    """Drawings of every kind the two ways of answering the band must agree
+    on: uniform random floats, lattices, coincident nodes, zero-length,
+    axis-parallel and collinear edges, and shared endpoints."""
+    kind = draw(st.sampled_from(["random", "lattice", "coincident", "zero-length",
+                                 "axis-parallel", "collinear", "shared-endpoint"]))
+    if kind == "shared-endpoint":
+        return draw(shared_endpoint_drawings())
+    n = draw(st.integers(2, 14))
+    if kind == "random":
+        coord = st.floats(-50.0, 50.0, allow_subnormal=False)
+        pts = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+    elif kind == "axis-parallel":
+        # a 3 x 3 grid's points: many edges share an x or a y
+        pts = draw(st.lists(st.tuples(st.sampled_from([0, 2, 5]), st.sampled_from([0, 3, 4])),
+                            min_size=n, max_size=n))
+    elif kind == "collinear":
+        # most points on the line y = 2x + 1, the rest beside it
+        on = st.integers(-4, 4).map(lambda x: (x, 2 * x + 1))
+        pts = draw(st.lists(st.one_of(on, on, st.tuples(scaled_coords, scaled_coords)),
+                            min_size=n, max_size=n))
+    else:
+        pts = draw(st.lists(st.tuples(scaled_coords, scaled_coords), min_size=n, max_size=n))
+    if kind in ("coincident", "zero-length"):
+        # some nodes moved onto node 0
+        for v in draw(st.lists(st.integers(0, n - 1), max_size=4)):
+            pts[v] = pts[0]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = [(a, b) for a, b in draw(st.lists(pairs, max_size=30)) if a != b]
+    if kind == "zero-length":
+        edges += [(0, v) for v in range(1, n) if pts[v] == pts[0]]
+    k = draw(st.sampled_from([-20, 0, 20])) if kind != "random" else 0
+    shift = draw(st.sampled_from([0.0, 1e6]))
+    return bold(np.asarray(pts, dtype=np.float64) * 2.0**k + shift, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_drawings())
+def test_table_and_runs_give_the_same_pairs_and_candidates(d):
+    # The sign table holds the run kernel's own orientation floats, so at
+    # every tile and block size both paths yield the same crossing pairs
+    # and the same collinear candidates.
+    P, Q, _E = _segment_arrays(d)
+    with kernel_path("runs"):
+        want = kernel_pairs(P, Q), kernel_candidates(P, Q)
+    with kernel_path("table"):
+        for block_pairs in (1, 7, _BLOCK_PAIRS):
+            assert (kernel_pairs(P, Q, block_pairs), kernel_candidates(P, Q, block_pairs)) == want
+
+
+def test_the_gate_takes_the_table_for_dense_drawings_only():
+    # A uniform drawing of mesh24 is dense (N m about xp); its force
+    # layout is not (N m about 9 xp).  Both paths give the same pairs either way.
+    g = inka.load_graph(GRAPHS / "mesh24.graph")
+    rng = np.random.default_rng(7)
+    dense = inka.BoldDrawing(g, inka.Layout(rng.uniform(0, 720, (g.node_count, 2))),
+                             inka.RenderParams(1.0, 1.0))
+    sparse = inka.BoldDrawing(g, inka.compute_layout(g, inka.LayoutConfig(
+        "force-directed", seed=1, iterations=30)), inka.RenderParams(1.0, 1.0))
+    for d, table in ((dense, True), (sparse, False)):
+        P, Q, _E = _segment_arrays(d)
+        with mock.patch("inka.geometry._table_tiles", side_effect=AssertionError("table")):
+            if table:
+                with pytest.raises(AssertionError, match="table"):
+                    _crossing_blocks(P, Q)
+            else:
+                _crossing_blocks(P, Q)
+        for path in ("runs", "table"):
+            with kernel_path(path):
+                assert count_crossings_sweep(d) == count_crossings_bruteforce(d) > 0
 
 
 small = st.integers(min_value=0, max_value=5)

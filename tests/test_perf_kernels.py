@@ -1,9 +1,10 @@
 """Microbenchmarks of graph loading, component labelling, the
-spring-layout kernels, the multilevel matching, the crossing sweep and
-its pairwise oracle, the disk overlap query, the stub crossing count,
-the one pass that lists crossings and collinear overlaps, check_proper,
-its close-pair scan and concurrent-point stage, and the raster, on
-mesh24 and on one small drawing at 64 rows (pytest-benchmark).
+spring-layout kernels, the multilevel matching, the crossing sweep on
+each side of its sign-table gate and its pairwise oracle, the disk
+overlap query, the stub crossing count, the one pass that lists
+crossings and collinear overlaps, check_proper, its close-pair scan and
+concurrent-point stage, and the raster, on mesh24 and on one small
+drawing at 64 rows (pytest-benchmark).
 
 They carry the ``perf`` marker, which the default options deselect, so
 the ordinary suite never runs them.  Run them with
@@ -120,9 +121,20 @@ def test_coarsen_yeastppi(benchmark):
 
 
 def test_count_crossings_sweep_uniform_ba800(benchmark):
-    # the random layout's box: about 1.9 M x-overlapping pairs, 0.63 M crossings
+    # the random layout's box: about 1.9 M x-overlapping pairs xp, 0.63 M
+    # crossings; its 800 points and 2,394 edges make a sign table of about
+    # xp entries, so the gate answers it from the table
     g = load_graph(GRAPHS / "ba800.edges")
     d = BoldDrawing(g, Layout(random_positions(g.node_count, seed=3)), RenderParams(5.0, 1.0))
+    assert benchmark(count_crossings_sweep, d) > 0
+
+
+def test_count_crossings_sweep_mesh24_force(benchmark):
+    # the bench's force layout: short edges, about 0.1 M x-overlapping pairs
+    # xp against a table of about 9 xp entries, so the gate keeps engine runs
+    g = load_graph(MESH24)
+    layout = compute_layout(g, LayoutConfig("force-directed", seed=1, iterations=300))
+    d = BoldDrawing(g, layout, RenderParams(1.0, 1.0))
     assert benchmark(count_crossings_sweep, d) > 0
 
 

@@ -14,6 +14,7 @@ from inka import (
     edge_lengths,
     measure,
     measure_stub_crossings,
+    partial_crossing_counts,
     partial_edges,
     scale_layout,
     zoom_drawing,
@@ -235,6 +236,31 @@ def test_stub_crossings_match_pairwise_oracle_on_scaled_and_moved_lattices(k):
                 counts.append(measure_stub_crossings(partial_edges(moved, p)))
                 assert counts[-1] == _stub_crossings_reference(moved, p)
     assert sum(counts) > 0
+
+
+def test_partial_crossing_counts_equal_one_count_per_ratio():
+    # One enumeration for all ratios, unsorted and repeated, equals the
+    # definition at each ratio alone, including the non-dyadic ones where a
+    # lattice crossing's fraction can sit next to p/2
+    ratios = [2 / 3, 0.3, 1.0, 1 / 3, 0.7, 0.3, 1.0, 2 / 3]
+    rng = np.random.default_rng(34)
+    counts = []
+    for lattice_prob in (0.0, 1.0):
+        for _ in range(15):
+            d = random_bold_drawing(rng, n_max=20, m_max=40, lattice_prob=lattice_prob)
+            want = [_stub_crossings_reference(d, p) for p in ratios]
+            assert partial_crossing_counts(d, ratios) == want
+            assert [measure_stub_crossings(partial_edges(d, p)) for p in ratios] == want
+            counts += want
+    assert len(set(counts)) > 5
+
+
+def test_partial_crossing_counts_check_every_ratio():
+    d = bold([(0, 0), (10, 10), (0, 10), (10, 0)], [(0, 1), (2, 3)])
+    assert partial_crossing_counts(d, []) == []
+    for bad in (0.0, 1.5, float("nan"), "0.5"):
+        with pytest.raises(ValueError, match="retained fraction"):
+            partial_crossing_counts(d, [0.5, bad])
 
 
 def _reversed_edges(d):
