@@ -1,20 +1,22 @@
 """Measured layout quantities: edge lengths, crossings, area, properness.
 
-Every pair, run and band enumeration but the oracle's, here and in
-:mod:`inka.raster`, runs on one block engine.  Run e is the index stretch
-first[e] ... first[e] + size[e] - 1; :func:`_expand` lists runs as (e, k)
-arrays and :func:`_spans` splits them, by their cumulative count, into
-blocks of consecutive runs with at most _BLOCK_PAIRS entries, read at
-each call (a bigger run is a block of its own; blocks with no entry are
-skipped); :func:`_runs` is the two together.  Blocks come in run order,
-so no output depends on the block size.  A crossing block keeps about
-110 bytes a pair alive and a raster band about 140, so each stays near
-3 MB; larger blocks run slower.
+Pairs, runs and bands come in blocks sized by _BLOCK_PAIRS, read at each
+call, of three schemes: engine runs, and the kernel's table tiles and
+the oracle's tiles, both below.  Engine runs serve the kernel's sparse
+bands, the close-pair query and :mod:`inka.raster`.  Run e is the index
+stretch first[e] ... first[e] + size[e] - 1; :func:`_expand` lists runs
+as (e, k) arrays and :func:`_spans` splits them, by their cumulative
+count, into blocks of consecutive runs with at most _BLOCK_PAIRS entries
+(a bigger run is a block of its own; blocks with no entry are skipped);
+:func:`_runs` is the two together.  Blocks come in a fixed order, so no
+output depends on the block size.  A crossing block keeps about 110
+bytes a pair alive and a raster band about 140, so each stays near 3 MB;
+larger blocks run slower.
 
 Crossings are counted two independent ways with the same orientation
 expressions and sign test, :func:`_splits`.  The brute-force oracle,
 :func:`count_crossings_bruteforce`, tests every non-adjacent edge pair
-in dense tiles of about _BLOCK_PAIRS / 2 pairs, off the engine.
+in dense tiles of about _BLOCK_PAIRS / 2 pairs, off the engine runs.
 :func:`count_crossings_sweep` tests only the pairs whose closed
 x-extents overlap, the candidate filter that opens the Bentley-Ottmann
 sweep: over extents sorted by left end, rank a's run in
@@ -48,11 +50,11 @@ That kernel is the only segment pair enumeration but the oracle's, and
 its first stage also yields the collinear candidates, the pairs with
 both orientations exactly 0, so :func:`_crossing_arrays` lists crossing
 points and collinear overlaps in one pass, one stable argsort by left x
-mapping kept rank pairs back.  Stub crossings are crossings, kept when
-their :func:`_crossing_params` put them within p/2 of an end of both
-edges.  Points closer than a limit are found by one query,
-:func:`_close_pairs`: it bins them into cells of side limit numbered by
-:func:`_cell_ranks` and scans two forward runs per point.
+mapping kept rank pairs back (:func:`_hit_pairs`).  Every crossing
+count, of the edges and of their stubs at any ratios, is one pass of
+:func:`_crossing_counts`.  Points closer than a limit are found by one
+query, :func:`_close_pairs`: it bins them into cells of side limit
+numbered by :func:`_cell_ranks` and scans two forward runs per point.
 :func:`check_proper` asks it for the nodes closer than 2r and the
 crossings closer than w, and returns, as arrays, each edge set that two
 close crossings span and the midpoint of its least close pair (A, B),
@@ -270,7 +272,7 @@ def _runs(first, size):
 def count_crossings_bruteforce(d: BoldDrawing) -> int:
     """Number of non-adjacent edge pairs with a transversal interior crossing.
 
-    O(m^2) oracle off the block engine, on the endpoints at
+    O(m^2) oracle off the engine runs, on the endpoints at
     :func:`_unit_span`: every pair is tested in triangular
     tiles of T = isqrt(_BLOCK_PAIRS / 2) segments, the predicate and a
     node-id adjacency test broadcast over (T, 1) against (1, T) columns.
@@ -303,8 +305,8 @@ def _rank_blocks(lx, hx):
 def _crossing_blocks(P, Q, candidates=True):
     """(order, blocks): the stable argsort by left x, and per block the
     rank pairs I, J that pass all but the last test, its mask hit and the
-    collinear candidates (CI, CJ), or None when not asked for;
-    order[I[hit]], order[J[hit]] cross.
+    collinear candidates as edge pairs (CI, CJ), or None when not asked
+    for; :func:`_hit_pairs` (order, I, J, hit) are the edge pairs that cross.
 
     The endpoints are taken at :func:`_unit_span`.  The band of x
     overlapping pairs is answered as engine runs or, past the gate of the
@@ -332,7 +334,8 @@ def _crossing_blocks(P, Q, candidates=True):
         points, point = np.unique(ends.ravel(), return_inverse=True)
         if points.size * m <= min(ratio * xp, _TABLE_BYTES):
             table = _sign_table(px, py, dx, dy, points.real.copy(), points.imag.copy())
-            return order, _table_tiles(table, point[0::2], point[1::2], ly, hy, end, candidates)
+            a, b = point[0::2], point[1::2]
+            return order, _table_tiles(table, a, b, ly, hy, end, order, candidates)
 
     def blocks():
         for I, J in runs:
@@ -341,10 +344,7 @@ def _crossing_blocks(P, Q, candidates=True):
             I, J = I[k], J[k]
             x, y, jx, jy, ex, ey = px[I], py[I], px[J], py[J], dx[I], dy[I]
             a, b = _side(ex, ey, x, y, jx, jy), _side(ex, ey, x, y, qx[J], qy[J])
-            C = None
-            if candidates:
-                c = np.flatnonzero((a == 0) & (b == 0))
-                C = I[c], J[c]
+            C = _hit_pairs(order, I, J, (a == 0) & (b == 0)) if candidates else None
             k = np.flatnonzero(_opposite(a, b))
             del a, b  # freed before the cuts: a block's live set stays as it was
             I, J, x, y, jx, jy = I[k], J[k], x[k], y[k], jx[k], jy[k]
@@ -365,11 +365,11 @@ def _sign_table(px, py, dx, dy, X, Y):
     return table
 
 
-def _table_tiles(table, a, b, ly, hy, end, candidates):
+def _table_tiles(table, a, b, ly, hy, end, order, candidates):
     """Kernel blocks answered from the sign table: tiles of up to 128
     ranks I by 2 _BLOCK_PAIRS / 128 ranks J over the band I < J < end[I],
     as the column I, the row J, the (I, J) mask hit and the candidates
-    (CI, CJ) or None.
+    (CI, CJ), edge pairs through order, or None.
 
     a and b number each rank's endpoints in the table's points, so
     table[aJ, I] is the sign of J's p about line I, a row lookup.  A pair
@@ -402,7 +402,7 @@ def _table_tiles(table, a, b, ly, hy, end, candidates):
                 keep &= ranks[c0:c1] > ranks[i0:i1, None]
             I, J = index[i0:i1, None], index[None, c0:c1]
             sa, sb = table[a[c0:c1], i0:i1], table[b[c0:c1], i0:i1]
-            C = _hit_pairs(I, J, ((sa | sb) == 0).T & keep) if candidates else None
+            C = _hit_pairs(order, I, J, ((sa | sb) == 0).T & keep) if candidates else None
             sa *= sb
             sum_ = table[ai, c0:c1]
             sum_ *= table[bi, c0:c1]
@@ -412,24 +412,57 @@ def _table_tiles(table, a, b, ly, hy, end, candidates):
             yield I, J, hit, C
 
 
-def _hit_pairs(I, J, hit):
-    """A kernel block's crossing rank pairs, I[hit] and J[hit]; a tile's
-    I is a column and its J a row."""
+def _hit_pairs(order, I, J, hit):
+    """The edge pairs of a kernel block's rank pairs I, J where hit holds,
+    order[I[hit]] and order[J[hit]]; a tile's I is a column and its J a row."""
     if hit.ndim == 1:
-        return I[hit], J[hit]
+        return order[I[hit]], order[J[hit]]
     k = np.flatnonzero(hit)  # several times faster than nonzero or a broadcast I[hit]
     r = k // hit.shape[1]
-    return I[r, 0], J[0, k - r * hit.shape[1]]
+    return order[I[r, 0]], order[J[0, k - r * hit.shape[1]]]
 
 
 def count_crossings_sweep(d: BoldDrawing) -> int:
     """Crossing counter on the x-interval engine; equals the brute-force
     count.  Every crossing pair has overlapping closed x- and y-extents, and
     :func:`_crossing_blocks` decides each such pair with the predicate's
-    orientations and sign test, counted on ranks."""
+    orientations and sign test; :func:`_crossing_counts` at p = 1."""
     P, Q, _ = _segment_arrays(d)
-    blocks = _crossing_blocks(P, Q, candidates=False)[1]
-    return sum(int(np.count_nonzero(hit)) for _I, _J, hit, _C in blocks)
+    return _crossing_counts(P, Q, (1.0,))[0]
+
+
+def _crossing_counts(P, Q, ratios):
+    """The crossings of the edges P to Q at each retained fraction p in
+    ratios, in their order, from one pass of :func:`_crossing_blocks`.
+
+    At p = 1 every crossing counts, one count_nonzero per block with no
+    pair taken out.  Below 1 a crossing counts when it lies, along both
+    edges, strictly less than p/2 from the nearer end (a crossing at a tip
+    only touches it).  Each end's fraction is :func:`_crossing_params` from
+    that end, not 1 - t: on integer coordinates it is exact but for one
+    rounding, so the counts keep under translation, 2^k scaling and edge
+    reversal.  A crossing's need is the larger of its two fractions from
+    the nearer end; each block sorts its needs among the p/2 below 1 with
+    one searchsorted, side "right", so a need equal to p/2 does not count.
+    The rows of :func:`_crossing_params` are taken at :func:`_unit_span`
+    only when some ratio is below 1: the kernel scales its own by the same
+    power of two."""
+    half = np.sort([0.5 * p for p in ratios if p < 1.0])
+    if half.size:
+        P, Q = _unit_span(P, Q)
+    # below[k]: the crossings with k of the half ratios at or under their need
+    below, total = np.zeros(half.size + 1, np.int64), 0
+    order, blocks = _crossing_blocks(P, Q, candidates=False)
+    for I, J, hit, _C in blocks:
+        total += int(np.count_nonzero(hit))
+        if half.size:
+            a1, b1, a2, b2 = _ends(P, Q, *_hit_pairs(order, I, J, hit))
+            t, u = _crossing_params(a1, b1, a2, b2)
+            t_far, u_far = _crossing_params(b1, a1, b2, a2)
+            need = np.maximum(np.minimum(t, t_far), np.minimum(u, u_far))
+            below += np.bincount(np.searchsorted(half, need, "right"), minlength=below.size)
+    within = np.cumsum(below)  # within[k]: the crossings whose need is below half[k]
+    return [total if p == 1.0 else int(within[np.searchsorted(half, 0.5 * p)]) for p in ratios]
 
 
 def _pair_keys(blocks, base: int):
@@ -467,11 +500,9 @@ def _crossing_arrays(P, Q):
 
     def hits():
         for I, J, hit, (CI, CJ) in blocks:
-            CI, CJ = order[CI], order[CJ]
             keep = collinear_overlap_mask(*_ends(P, Q, CI, CJ))
             overlaps.append((CI[keep], CJ[keep]))
-            I, J = _hit_pairs(I, J, hit)
-            yield order[I], order[J]
+            yield _hit_pairs(order, I, J, hit)
 
     I, J = _unpack([_pair_keys(hits(), len(P))], len(P), 2)
     pts = np.empty((I.size, 2))

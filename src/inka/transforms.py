@@ -14,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    _crossing_blocks,
-    _crossing_params,
-    _ends,
-    _hit_pairs,
-    _segment_arrays,
-    _unit_span,
-)
+from .geometry import _crossing_counts, _segment_arrays
 from .model import BoldDrawing, Layout, RenderParams, _fraction, _positive, _squarable
 
 
@@ -96,15 +89,11 @@ def partial_edges(d: BoldDrawing, p: float) -> StubSet:
 
 
 def measure_stub_crossings(stubs: StubSet) -> int:
-    """Crossings of a partial-edge drawing: the edges' transversal crossings
-    that lie, along both edges, less than p/2 of it from its nearer end
-    (strictly: a crossing at a tip only touches it), all of them at p == 1.
-    Each end's fraction is :func:`_crossing_params` from that end, not
-    1 - t: on integer coordinates it is exact but for one rounding, so the
-    count keeps under translation, 2^k scaling and edge reversal."""
-    p = stubs.ratio
+    """Crossings of a partial-edge drawing: its edges' crossings at its
+    ratio, by the rule of :func:`inka.geometry._crossing_counts`."""
+    p = _fraction(stubs.ratio, "retained fraction")
     A, B = (stubs.P[0::2], stubs.P[1::2]) if p < 1.0 else (stubs.P, stubs.Q)
-    return _partial_counts(A, B, [p])[0]
+    return _crossing_counts(A, B, [p])[0]
 
 
 def partial_crossing_counts(d: BoldDrawing, ratios) -> list[int]:
@@ -112,29 +101,4 @@ def partial_crossing_counts(d: BoldDrawing, ratios) -> list[int]:
     retained fraction in ratios, in their order, from one enumeration of
     the edges' crossings."""
     A, B, _ = _segment_arrays(d)
-    return _partial_counts(A, B, ratios)
-
-
-def _partial_counts(A, B, ratios):
-    """The partial-edge crossing counts of the edges A to B at ratios.  A
-    crossing's need is the larger of its two fractions from the nearer
-    end; each block sorts the needs of its crossings among the p/2 below
-    p = 1 with one searchsorted, so a crossing counts at p when its need
-    is strictly below p/2 (side "right": a need equal to p/2 does not)."""
-    ratios = [_fraction(p, "retained fraction") for p in ratios]
-    A, B = _unit_span(A, B)  # the rows of _crossing_params
-    half = np.sort([0.5 * p for p in ratios if p < 1.0])
-    # below[k]: the crossings with k of the half ratios at or under their need
-    below, total = np.zeros(half.size + 1, np.int64), 0
-    order, blocks = _crossing_blocks(A, B, candidates=False)
-    for I, J, hit, _C in blocks:
-        total += int(np.count_nonzero(hit))
-        if half.size:
-            I, J = _hit_pairs(I, J, hit)
-            a1, b1, a2, b2 = _ends(A, B, order[I], order[J])
-            t, u = _crossing_params(a1, b1, a2, b2)
-            t_far, u_far = _crossing_params(b1, a1, b2, a2)
-            need = np.maximum(np.minimum(t, t_far), np.minimum(u, u_far))
-            below += np.bincount(np.searchsorted(half, need, "right"), minlength=below.size)
-    within = np.cumsum(below)  # within[k]: the crossings whose need is below half[k]
-    return [total if p == 1.0 else int(within[np.searchsorted(half, 0.5 * p)]) for p in ratios]
+    return _crossing_counts(A, B, [_fraction(p, "retained fraction") for p in ratios])

@@ -38,6 +38,7 @@ from inka.geometry import (
     _least_key_of_each,
     _ordered_pairs,
     _orient,
+    _pair_keys,
     _rank_blocks,
     _runs,
     _segment_arrays,
@@ -328,7 +329,7 @@ def kernel_pairs(P, Q, block_pairs=_BLOCK_PAIRS):
         got = [
             (min(i, j), max(i, j))
             for I, J, hit, _C in blocks
-            for i, j in zip(*(order[K].tolist() for K in _hit_pairs(I, J, hit)))
+            for i, j in zip(*(K.tolist() for K in _hit_pairs(order, I, J, hit)))
         ]
     assert len(got) == len(set(got))
     return set(got)
@@ -337,11 +338,10 @@ def kernel_pairs(P, Q, block_pairs=_BLOCK_PAIRS):
 def kernel_candidates(P, Q, block_pairs=_BLOCK_PAIRS):
     """The kernel's collinear candidates as (i, j), i < j, each met once."""
     with block_size(block_pairs):
-        order, blocks = _crossing_blocks(P, Q)
         got = [
             (min(i, j), max(i, j))
-            for _I, _J, _hit, (CI, CJ) in blocks
-            for i, j in zip(order[CI].tolist(), order[CJ].tolist())
+            for _I, _J, _hit, (CI, CJ) in _crossing_blocks(P, Q)[1]
+            for i, j in zip(CI.tolist(), CJ.tolist())
         ]
     assert len(got) == len(set(got))
     return set(got)
@@ -636,6 +636,46 @@ def test_table_and_runs_give_the_same_pairs_and_candidates(d):
     with kernel_path("table"):
         for block_pairs in (1, 7, _BLOCK_PAIRS):
             assert (kernel_pairs(P, Q, block_pairs), kernel_candidates(P, Q, block_pairs)) == want
+
+
+def kernel_arrays(P, Q):
+    """The kernel's crossing pairs and collinear candidates as sorted
+    (min, max) pair-key arrays, for drawings too large for sets of tuples."""
+    order, blocks = _crossing_blocks(P, Q)
+    candidates = []
+
+    def hits():
+        for I, J, hit, C in blocks:
+            candidates.append(C)
+            yield _hit_pairs(order, I, J, hit)
+
+    return _pair_keys(hits(), len(P)), _pair_keys(candidates, len(P))
+
+
+def test_table_and_runs_agree_past_the_int16_tile_ranks():
+    # The table tiles rank in int16 below 16,384 edges and in int32 from
+    # there, which no drawing in the other tests reaches.  Every point of
+    # an 80 x 20 lattice gets an edge to every point within distance 3:
+    # 20,618 short edges with many crossings and collinear pairs.
+    x, y = np.meshgrid(np.arange(80.0), np.arange(20.0), indexing="ij")
+    pts = np.column_stack((x.ravel(), y.ravel()))
+    P, Q = [], []
+    for step in [(dx, dy) for dx in range(4) for dy in range(-3, 4)
+                 if (dx, dy) > (0, 0) and dx * dx + dy * dy <= 9]:
+        to = pts + step
+        ok = (to[:, 0] < 80) & (to[:, 1] >= 0) & (to[:, 1] < 20)
+        P.append(pts[ok])
+        Q.append(to[ok])
+    P, Q = np.concatenate(P), np.concatenate(Q)
+    assert len(P) > 2**14 and len(pts) * len(P) <= inka.geometry._TABLE_BYTES
+    with kernel_path("runs"):
+        want = kernel_arrays(P, Q)
+    assert want[0].size > 0 and want[1].size > 0
+    with kernel_path("table"), mock.patch("inka.geometry._table_tiles",
+                                          wraps=inka.geometry._table_tiles) as tiles:
+        got = kernel_arrays(P, Q)
+    assert tiles.called
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_the_gate_takes_the_table_for_dense_drawings_only():

@@ -1,8 +1,9 @@
 """Microbenchmarks of graph loading, component labelling, the
 spring-layout kernels, the multilevel matching, the crossing sweep on
 each side of its sign-table gate and its pairwise oracle, the disk
-overlap query, the stub crossing count, the one pass that lists
-crossings and collinear overlaps, check_proper, its close-pair scan and
+overlap query, the stub crossing count at one ratio and at ``inka
+partial``'s default ratios, the one pass that lists crossings and
+collinear overlaps, check_proper, its close-pair scan and
 concurrent-point stage, and the raster, on mesh24 and on one small
 drawing at 64 rows (pytest-benchmark).
 
@@ -31,6 +32,7 @@ from inka import (
     count_crossings_sweep,
     load_graph,
     measure_stub_crossings,
+    partial_crossing_counts,
     partial_edges,
     rasterize_ink,
 )
@@ -174,6 +176,15 @@ def test_measure_stub_crossings_uniform_mesh24(benchmark):
     d = BoldDrawing(g, Layout(random_positions(g.node_count, seed=3)), RenderParams(5.0, 1.0))
     stubs = partial_edges(d, 0.5)
     assert benchmark(measure_stub_crossings, stubs) > 0
+
+
+def test_partial_crossing_counts_default_ratios_uniform_mesh24(benchmark):
+    # `inka partial`'s default ratios in one kernel pass: every crossing
+    # counts at p = 1, and those below 1 take the crossings out once
+    g = load_graph(MESH24)
+    d = BoldDrawing(g, Layout(random_positions(g.node_count, seed=3)), RenderParams(5.0, 1.0))
+    counts = benchmark(partial_crossing_counts, d, [0.1, 0.25, 0.5, 1.0])
+    assert 0 < counts[0] <= counts[1] <= counts[2] <= counts[3] == count_crossings_sweep(d)
 
 
 def test_crossing_arrays_uniform_ba800(benchmark):

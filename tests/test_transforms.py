@@ -1,15 +1,17 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from conftest import bold, random_bold_drawing
+from conftest import bold, kernel_path, random_bold_drawing
 from inka import (
     BoldDrawing,
     Layout,
     check_proper,
     count_crossings_bruteforce,
+    count_crossings_sweep,
     crossing_pairs,
     edge_lengths,
     measure,
@@ -253,6 +255,21 @@ def test_partial_crossing_counts_equal_one_count_per_ratio():
             assert [measure_stub_crossings(partial_edges(d, p)) for p in ratios] == want
             counts += want
     assert len(set(counts)) > 5
+
+
+@pytest.mark.parametrize("path", ["runs", "table"])
+def test_full_edge_counts_take_out_no_crossing_pair(path):
+    # At p = 1 a count is one count_nonzero per kernel block: taking the
+    # crossing pairs out would cost more than counting them
+    d = random_bold_drawing(np.random.default_rng(38), n_max=30, m_max=60, lattice_prob=0.0)
+    want = count_crossings_bruteforce(d)
+    assert want > 0
+    with kernel_path(path), \
+            mock.patch("inka.geometry._hit_pairs", side_effect=AssertionError("pairs")), \
+            mock.patch("inka.geometry._crossing_params", side_effect=AssertionError("params")):
+        assert count_crossings_sweep(d) == want
+        assert measure_stub_crossings(partial_edges(d, 1.0)) == want
+        assert partial_crossing_counts(d, [1.0]) == [want]
 
 
 def test_partial_crossing_counts_check_every_ratio():
