@@ -202,9 +202,11 @@ def _spring_iterate(
     t0: float,
     cooling: float,
     what: str,
-) -> np.ndarray:
-    """Core spring-embedder loop; returns refined positions, or LayoutError
-    naming what if the run's reach does not square."""
+    stop=None,
+) -> np.ndarray | None:
+    """Core spring-embedder loop; returns refined positions, or None at the
+    first step after which stop(positions) holds, or LayoutError naming
+    what if the run's reach does not square."""
     pos = pos.copy()
     n = len(pos)
     # A step moves a node at most t, so a run widens each axis of the start
@@ -236,6 +238,8 @@ def _spring_iterate(
         if not np.isfinite(pos).all():
             raise LayoutError(f"force blowup at iteration {it}")
         t *= cooling
+        if stop is not None and stop(pos):
+            return None
     return pos
 
 
@@ -324,15 +328,23 @@ def _coarsen(n, edges, edge_weight, node_weight):
     return nxt, edges2, edge_weight2, node_weight2, cid
 
 
-def _induced_coarse_length(pos, cid, coarse_edges):
-    """Total coarse-edge length when each coarse node sits at the mean of
-    its fine members."""
+def _induced_coarse_length(cid, coarse_edges):
+    """The function of fine positions that gives the total coarse-edge
+    length when each coarse node sits at the mean of its fine members; the
+    member counts, the bins of one bincount (x sums, then y sums) and the
+    edges' endpoint columns are taken once."""
     counts = np.bincount(cid)
-    centers = np.column_stack(
-        [np.bincount(cid, pos[:, 0]) / counts, np.bincount(cid, pos[:, 1]) / counts]
-    )
-    delta = np.subtract(*np.take(centers, coarse_edges.T, axis=0))
-    return float(np.hypot(delta[:, 0], delta[:, 1]).sum())
+    bins = np.concatenate([cid, cid + len(counts)])
+    a, b = coarse_edges.T.copy()
+
+    def length(pos):
+        centers = np.bincount(bins, pos.T.ravel()).reshape(2, -1)
+        centers /= counts
+        delta = np.take(centers, a, axis=1)
+        delta -= np.take(centers, b, axis=1)
+        return float(np.hypot(*delta).sum())
+
+    return length
 
 
 def _interpolate(pos, cid, k):
@@ -369,24 +381,26 @@ def _multilevel_positions(n, edges, config: LayoutConfig, seed) -> np.ndarray:
 
     refine_iters = max(50, config.iterations // 5)
     for (nf, ef, ewf, nwf), cid in reversed(levels):
-        coarse_edges = cur[1]
         fine = _interpolate(pos, cid, k)
         k_f = k * math.sqrt(float(nwf.mean()))
-        before = _induced_coarse_length(fine, cid, coarse_edges)
+        length = _induced_coarse_length(cid, cur[1])
+        bound = 1.05 * length(fine)
+        # Guardrail: a refinement stops at the first step that stretches
+        # the coarse structure by more than 5% and is reverted to the
+        # interpolated positions; a level that never passes 5% runs every
+        # step and is kept.  It reverts 3-4 of mesh24's 4 levels (at seeds
+        # 1-5, at steps 7-43 of 50-60); without it mesh24 ink rises 25-31%
+        # (seeds 1-3, 300 iterations, ink at r = w = 1).  A start of
+        # 0.05 k_f reverts nothing and cuts mesh24 ink 150-157k -> 132-142k,
+        # but raises cr on ba800 180-183k -> 218-221k and on yeastppi
+        # 1.43-1.46M -> 1.83-1.86M.
         refined = _spring_iterate(
             fine, ef, ewf, np.sqrt(nwf), k_f, refine_iters,
             t0=0.6 * k_f, cooling=config.cooling,
             what=_box("spring reach", k, n),
+            stop=(lambda p: length(p) > bound) if bound > 0 else None,
         )
-        after = _induced_coarse_length(refined, cid, coarse_edges)
-        # Guardrail: a refinement that stretches the coarse structure by
-        # more than 5% is reverted to the interpolated positions.  Measured
-        # (seeds 1-3, 300 iterations, ink at r = w = 1), it reverts 3-4 of
-        # mesh24's 4 levels, whose spring steps are then wasted; without
-        # it mesh24 ink rises 25-31%.  A start of 0.05 k_f reverts nothing
-        # and cuts mesh24 ink 150-157k -> 132-142k, but raises cr on ba800
-        # 180-183k -> 218-221k and on yeastppi 1.43-1.46M -> 1.83-1.86M.
-        pos = fine if before > 0 and after > 1.05 * before else refined
+        pos = fine if refined is None else refined
         cur = (nf, ef, ewf, nwf)
     return pos
 

@@ -29,12 +29,18 @@ from inka import (
 )
 from inka.errors import LayoutError
 from inka.layout import (
+    _COARSEN_STALL,
+    _COARSEN_THRESHOLD,
     _GOLDEN,
+    _box,
     _coarsen,
     _component_labels,
     _interpolate,
+    _layout_components,
+    _multilevel_positions,
     _repulsion_buffers,
     _repulsion_exact,
+    _spring_from_random,
     _spring_iterate,
 )
 from inka.model import _pack, _unpack
@@ -657,6 +663,117 @@ def test_multilevel_coarsening_stops_when_a_level_stalls(monkeypatch):
     lay = layout_multilevel(g, LayoutConfig(algorithm="multilevel", seed=1, iterations=10))
     assert calls == [(800, 506), (506, 356), (356, 278), (278, 238)]
     assert np.isfinite(lay.positions).all()
+
+
+def coarse_length(pos, cid, coarse_edges):
+    """Total coarse-edge length with each coarse node at the mean of its
+    fine members, computed from scratch."""
+    counts = np.bincount(cid)
+    centers = np.column_stack(
+        [np.bincount(cid, pos[:, 0]) / counts, np.bincount(cid, pos[:, 1]) / counts]
+    )
+    delta = np.subtract(*np.take(centers, coarse_edges.T, axis=0))
+    return float(np.hypot(delta[:, 0], delta[:, 1]).sum())
+
+
+def multilevel_every_step(n, edges, config, seed):
+    """The multilevel layout of one component under the guardrail as it was
+    before levels stopped early: every level runs all its steps, and is
+    then reverted if it stretched the coarse structure by more than 5%."""
+    k = config.ideal_edge_length
+    levels = []
+    cur = (n, edges, np.ones(len(edges)), np.ones(n))
+    while cur[0] > _COARSEN_THRESHOLD:
+        n2, e2, ew2, nw2, cid = _coarsen(*cur)
+        if n2 > _COARSEN_STALL * cur[0]:
+            break
+        levels.append((cur, cid))
+        cur = (n2, e2, ew2, nw2)
+    pos = _spring_from_random(*cur, config, seed)
+    for (nf, ef, ewf, nwf), cid in reversed(levels):
+        fine = _interpolate(pos, cid, k)
+        k_f = k * math.sqrt(float(nwf.mean()))
+        before = coarse_length(fine, cid, cur[1])
+        refined = _spring_iterate(
+            fine, ef, ewf, np.sqrt(nwf), k_f, max(50, config.iterations // 5),
+            t0=0.6 * k_f, cooling=config.cooling, what=_box("spring reach", k, n),
+        )
+        after = coarse_length(refined, cid, cur[1])
+        pos = fine if before > 0 and after > 1.05 * before else refined
+        cur = (nf, ef, ewf, nwf)
+    return pos
+
+
+@pytest.mark.parametrize("iterations", [100, 300])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", ["can_144.mtx", "mesh24.graph", "ba800.edges"])
+def test_multilevel_equals_the_every_step_guardrail_on_the_fixtures(name, seed, iterations):
+    # a level stopped early is one that passed 5%; none of these falls back
+    # under 5% by its last step, so both rules revert the same levels
+    g = load_graph(GRAPHS / name)
+    cfg = LayoutConfig(algorithm="multilevel", seed=seed, iterations=iterations)
+    want = _layout_components(
+        g, cfg, lambda n, e, s: multilevel_every_step(n, e, cfg, s)).positions
+    assert layout_multilevel(g, cfg).positions.tobytes() == want.tobytes()
+
+
+def test_multilevel_mesh24_stops_reverted_levels_early(monkeypatch):
+    # the every-step rule makes 100 + 4 * 50 = 300 repulsion calls here;
+    # every one of mesh24's four levels passes 5% and stops at that step
+    sizes = []
+    repulsion = inka.layout._repulsion_exact
+
+    def spy(pos, *rest, **kw):
+        sizes.append(len(pos))
+        return repulsion(pos, *rest, **kw)
+
+    monkeypatch.setattr(inka.layout, "_repulsion_exact", spy)
+    layout_multilevel(load_graph(GRAPHS / "mesh24.graph"),
+                      LayoutConfig(algorithm="multilevel", seed=2, iterations=100))
+    assert len(sizes) < 300
+    assert sizes[:100] == [min(sizes)] * 100 and sizes[100] > sizes[99]
+
+
+def scripted_length(stretches):
+    """A stand-in for _induced_coarse_length on a one-level graph: its
+    length function reads 1.0 on the interpolated positions, then
+    stretches[i] after step i + 1."""
+    values = iter([1.0, *stretches])
+    return lambda cid, coarse_edges: lambda pos: next(values)
+
+
+@pytest.mark.parametrize("stretches, steps", [
+    ([1.0] * 50, 50),                  # never past 5%: kept
+    ([1.05] * 50, 50),                 # at 5% exactly: kept
+    ([1.0] * 49 + [1.06], 50),         # past 5% at the last step: reverted
+    ([1.0, 1.06] + [1.02] * 48, 2),    # past 5%, then back under: reverted
+])
+def test_multilevel_level_is_reverted_at_its_first_step_past_5_percent(
+        monkeypatch, stretches, steps):
+    # an 8 x 8 grid coarsens once, to 32 nodes; the last two cases are
+    # reverted, and the every-step rule, reading only the last value,
+    # would have kept the fourth
+    g = grid_graph(8, 8)
+    cfg = LayoutConfig(algorithm="multilevel", seed=1, iterations=100)
+    runs, calls = [], []
+    repulsion = inka.layout._repulsion_exact
+
+    def spy_iterate(*args, **kw):
+        runs.append(_spring_iterate(*args, **kw))
+        return runs[-1]
+
+    monkeypatch.setattr(inka.layout, "_spring_iterate", spy_iterate)
+    monkeypatch.setattr(inka.layout, "_repulsion_exact",
+                        lambda *a, **kw: calls.append(1) or repulsion(*a, **kw))
+    monkeypatch.setattr(inka.layout, "_induced_coarse_length", scripted_length(stretches))
+    pos = _multilevel_positions(64, g.edges, cfg, np.random.SeedSequence(1))
+    assert len(runs) == 2 and len(calls) == 100 + steps
+    if max(stretches) > 1.05:
+        assert runs[1] is None
+        cid = _coarsen(64, g.edges, np.ones(g.m), np.ones(64))[4]
+        assert pos.tobytes() == _interpolate(runs[0], cid, 30.0).tobytes()
+    else:
+        assert pos.tobytes() == runs[1].tobytes()
 
 
 def test_spring_layouts_beat_random_on_grid():

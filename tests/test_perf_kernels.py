@@ -1,7 +1,7 @@
 """Microbenchmarks of graph loading, component labelling, the
-spring-layout kernels, the multilevel matching, the crossing sweep on
-each side of its sign-table gate and its pairwise oracle, the disk
-overlap query, the stub crossing count at one ratio and at ``inka
+spring-layout kernels, the multilevel matching and layout, the crossing
+sweep on each side of its sign-table gate and its pairwise oracle, the
+disk overlap query, the stub crossing count at one ratio and at ``inka
 partial``'s default ratios, the one pass that lists crossings and
 collinear overlaps, check_proper, its close-pair scan and
 concurrent-point stage, and the raster, on mesh24 and on one small
@@ -112,6 +112,16 @@ def test_spring_iterate_100_steps_can_144(benchmark):
         t0=0.1 * np.sqrt(n) * 30.0, cooling=0.95, what="reach",
     )
     assert np.isfinite(out).all()
+
+
+def test_layout_multilevel_mesh24_100_iterations(benchmark):
+    # the bench-fixtures cell: 100 steps on the coarsest level, then up to
+    # 50 on each of four refinement levels, each stopped at its first step
+    # past 5% stretch
+    g = load_graph(MESH24)
+    cfg = LayoutConfig("multilevel", seed=2, iterations=100)
+    layout = benchmark(compute_layout, g, cfg)
+    assert np.isfinite(layout.positions).all()
 
 
 def test_coarsen_yeastppi(benchmark):
