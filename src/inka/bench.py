@@ -8,20 +8,22 @@ rasterization.  Row ink uses the aggregate formula, never per-edge
 clamping, so any row can be recomputed from its own n, m, r, w, L, cr
 columns.
 
-Graphs are parsed once, in the caller.  With more than one worker, each
-(graph, layout) cell is a task for a pool of worker processes, submitted
-largest first; with one worker, the cells run in the calling thread, and
-no pool, thread or child process is started.  The worker count is the
-request (0 or None means one per CPU) capped by the INKA_THREADS
-environment variable.  Rows follow the config order, so the report is
-the same bytes at every worker count.  If any graph fails, the whole run
-aborts, naming the first failing graph in config order; rows of graphs
-whose cells all finished are flushed alongside a MANIFEST naming them and
-the failure.
+Graphs are parsed once, in the caller.  Every worker count runs the
+same tasks, one per (graph, layout) cell, and collects their rows in one
+loop in config order, so the report is the same bytes at every count.
+With one worker, a cell runs in the calling thread when the loop reaches
+it, and no pool, thread or child process is started; with more, the
+cells go to a pool of worker processes, largest first.  The worker count
+is the request (0 or None means one per CPU) capped by the INKA_THREADS
+environment variable.  A graph fails at its first failing cell, and the
+run aborts, naming the first failing graph in config order; rows of
+graphs whose cells all finished are flushed alongside a MANIFEST naming
+them and the failure.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, fields
@@ -192,22 +194,21 @@ def worker_count(requested: int | None, jobs: int) -> int:
     return max(1, min(count, jobs))
 
 
-def _graph_rows(name: str, g: Graph, layouts: tuple[tuple[str, LayoutConfig], ...],
+def _graph_rows(name: str, g: Graph, layout_name: str, lcfg: LayoutConfig,
                 config: BenchConfig) -> list[ReportRow]:
-    """The rows of graph g under each of layouts, in their order: one call
-    per graph in the calling thread, one per cell in a worker process."""
+    """The rows of one (graph, layout) cell, one per setting: the one task
+    of a bench run, at every worker count."""
+    layout = compute_layout(g, lcfg)
+    probe = BoldDrawing(g, layout, RenderParams(0.0, 0.0, config.gamma))
+    _, L = edge_lengths(probe)
+    cr = count_crossings_sweep(probe)
     rows: list[ReportRow] = []
-    for layout_name, lcfg in layouts:
-        layout = compute_layout(g, lcfg)
-        probe = BoldDrawing(g, layout, RenderParams(0.0, 0.0, config.gamma))
-        _, L = edge_lengths(probe)
-        cr = count_crossings_sweep(probe)
-        for r, w in config.settings:
-            d = BoldDrawing(g, layout, RenderParams(r, w, config.gamma))
-            A = bounding_area(d, fixed=config.area)
-            report = ink_report(g.node_count, g.m, r, w, L, cr, A, config.gamma)
-            raster_ink = rasterize_ink(d) if config.raster else None
-            rows.append(ReportRow.of(name, layout_name, d, L, cr, A, report, raster_ink))
+    for r, w in config.settings:
+        d = BoldDrawing(g, layout, RenderParams(r, w, config.gamma))
+        A = bounding_area(d, fixed=config.area)
+        report = ink_report(g.node_count, g.m, r, w, L, cr, A, config.gamma)
+        raster_ink = rasterize_ink(d) if config.raster else None
+        rows.append(ReportRow.of(name, layout_name, d, L, cr, A, report, raster_ink))
     return rows
 
 
@@ -230,14 +231,11 @@ def run_bench(config: BenchConfig, threads: int | None = None) -> list[ReportRow
         except Exception as e:
             causes[i] = e
     cells = [(i, j) for i in graphs for j in range(len(config.layouts))]
+    task = {(i, j): (_graph_rows, config.graphs[i].name, graphs[i], *config.layouts[j], config)
+            for i, j in cells}
     workers = worker_count(threads, len(cells))
-    results: dict[int, list[ReportRow]] = {}
     if workers == 1:
-        for i, g in graphs.items():
-            try:
-                results[i] = _graph_rows(config.graphs[i].name, g, config.layouts, config)
-            except Exception as e:
-                causes[i] = e
+        result = {c: functools.partial(*task[c]) for c in cells}
     else:
         # Imported here, not at the top: the pool's modules would add 10-25 ms
         # and about 1 MB to every `import inka`.
@@ -249,25 +247,24 @@ def run_bench(config: BenchConfig, threads: int | None = None) -> list[ReportRow
         context = multiprocessing.get_context(
             "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn")
         context.set_forkserver_preload(["inka"])
-        cells.sort(key=lambda c: _cell_cost(graphs[c[0]], config.layouts[c[1]][1]), reverse=True)
+        largest_first = sorted(
+            cells, key=lambda c: _cell_cost(graphs[c[0]], config.layouts[c[1]][1]), reverse=True)
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            futures = {
-                (i, j): pool.submit(_graph_rows, config.graphs[i].name, graphs[i],
-                                    config.layouts[j:j + 1], config)
-                for i, j in cells
-            }
-        # A lost worker (BrokenProcessPool) fails every cell it left unfinished.
-        for (i, _), fut in sorted(futures.items()):
-            if i not in causes:
-                try:
-                    results.setdefault(i, []).extend(fut.result())
-                except Exception as e:
-                    causes[i] = e
-    rows = [row for i in sorted(results) if i not in causes for row in results[i]]
+            result = {c: pool.submit(*task[c]).result for c in largest_first}
+    # A failing cell, or a lost worker (BrokenProcessPool) for each cell it
+    # left unfinished, fails its graph; the graph's later cells are skipped.
+    rows: dict[int, list[ReportRow]] = {}
+    for i, j in cells:
+        if i not in causes:
+            try:
+                rows.setdefault(i, []).extend(result[i, j]())
+            except Exception as e:
+                causes[i] = e
+    done = [row for i in rows if i not in causes for row in rows[i]]
     if causes:
         first = min(causes)
-        raise BenchAbort(config.graphs[first].name, causes[first], rows)
-    return rows
+        raise BenchAbort(config.graphs[first].name, causes[first], done)
+    return done
 
 
 def summarize(rows: list[ReportRow]) -> dict:

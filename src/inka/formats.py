@@ -310,13 +310,15 @@ def parse_layout_csv(text: str, node_count: int | None = None) -> Layout:
     """CSV 'node,x,y' -> Layout; every node 0..n-1 exactly once."""
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
+        header, *table = reader
+    except ValueError:
         raise ParseError("empty layout file", line=1) from None
+    except csv.Error as e:  # a field past the csv size limit, a bare \r
+        raise ParseError(str(e), line=reader.line_num) from None
     if [h.strip().lower() for h in header] != ["node", "x", "y"]:
         raise ParseError("layout header must be 'node,x,y'", line=1)
     rows: dict[int, tuple[float, float]] = {}
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(table, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 3:

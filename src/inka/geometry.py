@@ -74,8 +74,8 @@ IEEE arithmetic commutes with a power-of-two scale, so every answer is
 the same for the drawing scaled by 2^k, its cells too (floor(x 2^k /
 (w 2^k)) == floor(x / w)).  Endpoints whose span is below 1 are first
 scaled by the power of two that brings it into [0.5, 1),
-:func:`_unit_span`, in both kernel paths, the oracle, the collinear
-mask and the crossing parameters, so no orientation underflows: a
+:func:`_unit_span`, in both kernel paths, the oracle, both row-wise
+masks and the crossing parameters, so no orientation underflows: a
 drawing near 2^-560 made products below the least subnormal, exactly 0,
 and its crossings read as collinear.  A pair "crosses" when the open segments
 intersect transversally at an interior point; segments sharing an
@@ -156,8 +156,9 @@ def transversal_crossing_mask(p1, q1, p2, q2):
     at a common endpoint), collinear overlap, and degenerate segments all
     test False.  A closed bounding-box check, necessary for a crossing, is
     part of the test, and the filters of :func:`_crossing_blocks` imply it.
+    The rows are tested at :func:`_unit_span`.
     """
-    return _crosses(*(a[..., k] for a in (p1, q1, p2, q2) for k in (0, 1)))
+    return _crosses(*(a[..., k] for a in _unit_span(p1, q1, p2, q2) for k in (0, 1)))
 
 
 def _crosses(p1x, p1y, q1x, q1y, p2x, p2y, q2x, q2y):

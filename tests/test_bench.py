@@ -345,10 +345,18 @@ def middle_failure(tiny_setup, tmp_path):
 def test_worker_counts_abort_alike(middle_failure, tmp_path, monkeypatch, kind, cause):
     monkeypatch.delenv("INKA_THREADS", raising=False)
     config = middle_failure(kind)
+    calls = []
+
+    def spy(name, g, layout_name, lcfg, config):
+        calls.append((name, layout_name))
+        return GRAPH_ROWS(name, g, layout_name, lcfg, config)
+
     seen = []
     for threads in (1, 2, 3):
         out = tmp_path / f"report{threads}.csv"
-        with pytest.raises(BenchAbort) as exc:
+        with pytest.raises(BenchAbort) as exc, monkeypatch.context() as patch:
+            if threads == 1:  # the pool sends its task by name, so no spy there
+                patch.setattr(inka.bench, "_graph_rows", spy)
             run_bench_to_files(config, out, threads=threads)
         e = exc.value
         manifest = out.with_name(out.name + ".MANIFEST").read_text()
@@ -362,17 +370,24 @@ def test_worker_counts_abort_alike(middle_failure, tmp_path, monkeypatch, kind, 
     assert {r.graph_name for r in rows} == {"ring", "path"}
     assert len(rows) == 2 * 3 * 3
     assert f"# aborted: bad: {message}" in manifest
+    # One worker runs one cell per call, in config order, and stops a graph
+    # at its first failing cell: the 400-node graph fits the first layout,
+    # fails the second and never runs the third; the graph after it runs.
+    layouts = [lname for lname, _ in config.layouts]
+    failed = [("bad", lname) for lname in layouts[:2]] if kind == "layout" else []
+    assert calls == [("ring", lname) for lname in layouts] + failed + [
+        ("path", lname) for lname in layouts]
 
 
 GRAPH_ROWS = inka.bench._graph_rows
 
 
-def rows_or_exit(name, g, layouts, config):
+def rows_or_exit(name, g, layout_name, lcfg, config):
     """inka.bench._graph_rows, except that the cells of a graph named
     "crash" end their worker process at once."""
     if name == "crash":
         os._exit(1)
-    return GRAPH_ROWS(name, g, layouts, config)
+    return GRAPH_ROWS(name, g, layout_name, lcfg, config)
 
 
 def test_a_lost_worker_ends_as_one_error_line(tiny_setup, tmp_path, monkeypatch, capsys):

@@ -52,6 +52,16 @@ def test_analyze_csv(drawing_files, capsys):
     assert any(line.startswith("# clarity ") for line in lines)
 
 
+def test_analyze_layout_field_past_the_csv_limit(drawing_files, tmp_path, capsys):
+    graph, _layout = drawing_files
+    layout = tmp_path / "long.csv"
+    layout.write_text("node,x,y\n0,0,0\n1," + "1" * 131_073 + ",0\n2,0,10\n3,10,0\n")
+    code = run(["analyze", "--graph", graph, "--layout", str(layout)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert err == [f"error: {layout}:3: field larger than field limit (131072)"]
+
+
 def test_analyze_json(drawing_files, capsys):
     graph, layout = drawing_files
     code = run(["analyze", "--graph", graph, "--layout", layout,

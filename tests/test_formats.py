@@ -280,6 +280,15 @@ def test_layout_csv_file_round_trip(tmp_path):
     assert np.array_equal(back.positions, pos)
 
 
+def test_layout_csv_bare_carriage_return_is_a_parse_error():
+    # the csv module refuses a \r inside an unquoted line, which a file
+    # read with universal newlines never holds but a direct call can
+    with pytest.raises(ParseError) as exc:
+        parse_layout_csv("node,x,y\n0,1,2\n1,3\r4,5\n")
+    assert exc.value.line == 3
+    assert exc.value.message.startswith("new-line character seen in unquoted field")
+
+
 def test_layout_csv_errors():
     with pytest.raises(ParseError):
         parse_layout_csv("node,x,y\n0,1.0\n")  # short row

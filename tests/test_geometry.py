@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import block_size, bold, kernel_path, random_bold_drawing
@@ -537,8 +537,22 @@ def shared_endpoint_drawings(draw):
     return bold(np.asarray(pts, dtype=np.float64) * 2.0**k + shift, edges)
 
 
+# Edges (0, 1) and (2, 3) cross at (-2^-1050, 0), inside both; on the raw
+# coordinates the orientation -2^-1049 * 2^-26 rounds to 0.
+UNDERFLOW_CROSSING = bold(
+    [(0.0, -2.0**-26), (-2.0**-1049, 2.0**-26), (0.0, 0.0), (-2.0**-26, 0.0)], [(0, 1), (2, 3)])
+
+
+def test_crossing_mask_of_a_subnormal_crossing_does_not_underflow():
+    P, Q, _E = _segment_arrays(UNDERFLOW_CROSSING)
+    assert transversal_crossing_mask(P[:1], Q[:1], P[1:], Q[1:]).tolist() == [True]
+    assert count_crossings_sweep(UNDERFLOW_CROSSING) == 1
+    assert count_crossings_bruteforce(UNDERFLOW_CROSSING) == 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(shared_endpoint_drawings())
+@example(UNDERFLOW_CROSSING)
 def test_crossing_kernel_without_adjacency_test_equals_oracle(d):
     # The oracle masks adjacent pairs; the kernel never looks at nodes,
     # because a shared endpoint makes one orientation exactly 0.

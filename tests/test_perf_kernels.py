@@ -4,8 +4,8 @@ sweep on each side of its sign-table gate and its pairwise oracle, the
 disk overlap query, the stub crossing count at one ratio and at ``inka
 partial``'s default ratios, the one pass that lists crossings and
 collinear overlaps, check_proper, its close-pair scan and
-concurrent-point stage, and the raster, on mesh24 and on one small
-drawing at 64 rows (pytest-benchmark).
+concurrent-point stage, the raster, on mesh24 and on one small drawing
+at 64 rows, and one bench cell at one worker (pytest-benchmark).
 
 They carry the ``perf`` marker, which the default options deselect, so
 the ordinary suite never runs them.  Run them with
@@ -13,6 +13,7 @@ the ordinary suite never runs them.  Run them with
     PYTHONPATH=src python -m pytest -m perf tests/test_perf_kernels.py
 """
 
+import dataclasses
 import tracemalloc
 from pathlib import Path
 
@@ -30,11 +31,13 @@ from inka import (
     compute_layout,
     count_crossings_bruteforce,
     count_crossings_sweep,
+    load_bench_config,
     load_graph,
     measure_stub_crossings,
     partial_crossing_counts,
     partial_edges,
     rasterize_ink,
+    run_bench,
 )
 from inka.geometry import (
     _close_pairs,
@@ -47,7 +50,8 @@ from inka.layout import _coarsen, _component_labels, _repulsion_exact, _spring_i
 
 pytestmark = pytest.mark.perf
 
-GRAPHS = Path(__file__).resolve().parents[1] / "data" / "graphs"
+ROOT = Path(__file__).resolve().parents[1]
+GRAPHS = ROOT / "data" / "graphs"
 MESH24 = GRAPHS / "mesh24.graph"
 
 
@@ -122,6 +126,16 @@ def test_layout_multilevel_mesh24_100_iterations(benchmark):
     cfg = LayoutConfig("multilevel", seed=2, iterations=100)
     layout = benchmark(compute_layout, g, cfg)
     assert np.isfinite(layout.positions).all()
+
+
+def test_run_bench_one_cell_can_144_circular(benchmark):
+    # one bench-fixtures item without its spring layout: the harness's fixed
+    # cost per cell (graph parse, one task's lengths, crossings and five rows)
+    config = load_bench_config(ROOT / "data" / "bench.json")
+    cell = dataclasses.replace(config, graphs=config.graphs[:1], layouts=config.layouts[1:2])
+    assert (cell.graphs[0].name, cell.layouts[0][0]) == ("can_144", "circular")
+    rows = benchmark(run_bench, cell, threads=1)
+    assert len(rows) == 5  # the shipped config's five (r, w) settings
 
 
 def test_coarsen_yeastppi(benchmark):

@@ -11,6 +11,7 @@ import inka.bench
 import inka.geometry
 import inka.transforms
 from conftest import bold
+from inka import BenchConfig, BenchGraph, LayoutConfig, build_graph, write_edge_list
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -51,3 +52,30 @@ def test_traced_check_proper_counts_concurrent_points(monkeypatch):
     # the crossings workload compares this with a list of int tuples
     assert sorted(report.disk_overlaps) == [(0, 6)]
     assert all(type(v) is int for pair in report.disk_overlaps for v in pair)
+
+
+def test_traced_one_worker_bench_has_one_task_span_per_cell(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(ROOT))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    from perfbench.tracing import Tracer
+
+    paths = []
+    for name, edges in (("ring", [(0, 1), (1, 2), (2, 3), (3, 0)]), ("path", [(0, 1), (1, 2)])):
+        paths.append(tmp_path / f"{name}.edges")
+        write_edge_list(build_graph(4, edges), paths[-1])
+    config = BenchConfig(
+        graphs=tuple(BenchGraph(p.stem, str(p)) for p in paths),
+        layouts=(("random", LayoutConfig(algorithm="random", seed=3)),
+                 ("circular", LayoutConfig(algorithm="circular"))),
+        settings=((1.0, 0.0), (1.0, 1.0)),
+    )
+    with Tracer() as tracer:
+        rows = inka.bench.run_bench(config, threads=1)
+    assert len(rows) == 2 * 2 * 2
+    (bench,) = [i for i, span in enumerate(tracer.spans) if span[0] == "run_bench"]
+    tasks = [span for span in tracer.spans if span[0] == "_graph_rows"]
+    assert len(tasks) == 4 and all(span[3] == bench for span in tasks)
+    seconds = [(end - start) / 1e9 for _name, start, end, _parent, _tid in tasks]
+    layers = tracer.layer_metrics(rounds=1)
+    assert layers["bench.layer_busy_s"] == sum(seconds)
+    assert layers["bench.longest_graph_s"] == max(seconds)
