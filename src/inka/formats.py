@@ -8,10 +8,13 @@ Malformed input always raises ParseError carrying the 1-based line
 number (and the path, when parsing came from a file), never a bare
 exception from deep inside.
 
-Every file is read by ``_read``, every graph line is tokenized by
-``_records``, and every table (layouts, report rows, the CLI's partial
-sweeps and stubs) is written by ``_table``, as CSV with a header line or
-as a JSON array of objects with a fixed column order.
+Every file is read by ``_read``.  A graph reader splits its lines once
+(``_records``), converts each token column in one numpy call (``_column``),
+checks the columns as array masks and raises the fault a line-by-line
+reading would meet first; ``model._simple_graph``, which ``build_graph``
+shares, builds the graph.  Every table (layouts, report rows, the CLI's
+partial sweeps and stubs) is written by ``_table``, as CSV with a header
+line or as a JSON array of objects with a fixed column order.
 """
 
 from __future__ import annotations
@@ -21,13 +24,16 @@ import io
 import json
 import math
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass, fields, is_dataclass
+from itertools import chain, compress
 from pathlib import Path
 
 import numpy as np
 
 from .errors import GraphError, ParseError, ParseWarning
-from .model import BoldDrawing, Graph, InkReport, Layout, _squarable, build_graph
+from .model import (BoldDrawing, Graph, InkReport, Layout, _node_count, _simple_graph,
+                    _squarable)
 
 _MM_FIELDS = {"pattern", "real", "integer", "complex"}
 _MM_SYMMETRIES = {"general", "symmetric", "skew-symmetric", "hermitian"}
@@ -40,20 +46,55 @@ def _int_token(token: str, line: int, what: str) -> int:
         raise ParseError(f"{what} must be an integer, got {token!r}", line=line) from None
 
 
-def _float_token(token: str, line: int, what: str) -> float:
+def _records(lines, comments: str, blank: bool = False):
+    """The line numbers (from 1) and token lists, as two lists, of the lines not
+    starting with a comment character; blank ones only where blank is set."""
+    rows = list(map(str.split, lines))
+    keep = [(tokens[0][0] not in comments) if tokens else blank for tokens in rows]
+    return list(compress(range(1, len(rows) + 1), keep)), list(compress(rows, keep))
+
+
+def _column(tokens, kind):
+    """kind(token), kind int or float, of every token in one conversion, and the mask of those
+    kind() rejects; where that fails (a rejected token, an int past int64), one token at a
+    time, into objects with 0 where rejected."""
     try:
-        return float(token)
-    except ValueError:
-        raise ParseError(f"bad {what} {token!r}", line=line) from None
+        return np.array(tokens, dtype=kind), np.zeros(len(tokens), dtype=bool)
+    except (ValueError, OverflowError):
+        read = [None] * len(tokens)
+        for j, token in enumerate(tokens):
+            with suppress(ValueError):
+                read[j] = kind(token)
+        return (np.array([0 if v is None else v for v in read], dtype=object),
+                np.array([v is None for v in read], dtype=bool))
 
 
-def _records(lines, comments: str):
-    """(1-based line number, tokens) of each line whose first token does
-    not start with one of the comment characters; a blank line has no tokens."""
-    for lineno, line in enumerate(lines, 1):
-        tokens = line.split()
-        if not tokens or tokens[0][0] not in comments:
-            yield lineno, tokens
+def _flag(faults: list, mask, fault) -> None:
+    """Append fault(j), a (row, message) pair, to faults for the first True
+    j of the boolean array mask, if it has one."""
+    if np.count_nonzero(mask):  # not mask.any(), which costs 3x on short masks
+        faults.append(fault(int(mask.argmax())))
+
+
+def _cells(rows, faulty, message):
+    """The faults list of the first row whose token count is faulty(counts),
+    and the tokens before that row as one object array, with each one's row and place."""
+    counts = np.fromiter(map(len, rows), np.int64, len(rows))
+    faults = []
+    _flag(faults, faulty(counts), lambda i: (i, message(counts[i])))
+    counts = counts[:faults[0][0]] if faults else counts
+    row = np.repeat(np.arange(len(counts)), counts)
+    place = np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
+    tokens = np.array(list(chain.from_iterable(rows[:len(counts)])), dtype=object)
+    return faults, tokens, row, place
+
+
+def _raise_first(linenos, faults) -> None:
+    """Raise the ParseError of the earliest (row, message) fault, if any;
+    faults come in the order a row's checks run, the first of a row wins."""
+    if faults:
+        row, message = min(faults, key=lambda fault: fault[0])
+        raise ParseError(message, line=linenos[row])
 
 
 def parse_matrix_market(text: str) -> Graph:
@@ -82,47 +123,44 @@ def parse_matrix_market(text: str) -> Graph:
         raise ParseError(f"unsupported field {field!r}", line=1)
     if symmetry not in _MM_SYMMETRIES:
         raise ParseError(f"unsupported symmetry {symmetry!r}", line=1)
-    values_per_entry = {"pattern": 0, "real": 1, "integer": 1, "complex": 2}[field]
+    width = 2 + {"pattern": 0, "real": 1, "integer": 1, "complex": 2}[field]
 
-    # one pass: the first record is the size line, the rest are entries
-    records = ((lineno, tokens) for lineno, tokens in _records(lines, "%") if tokens)
-    lineno, tokens = next(records, (len(lines), None))
-    if tokens is None:
-        raise ParseError("missing size line", line=lineno)
+    # the first record is the size line, the rest are entries
+    linenos, rows = _records(lines, "%")
+    if not rows:
+        raise ParseError("missing size line", line=len(lines))
+    lineno, tokens = linenos[0], rows[0]
     if len(tokens) != 3:
         raise ParseError("size line must be 'rows cols nnz'", line=lineno)
-    rows = _int_token(tokens[0], lineno, "row count")
+    n = _int_token(tokens[0], lineno, "row count")
     cols = _int_token(tokens[1], lineno, "column count")
     nnz = _int_token(tokens[2], lineno, "entry count")
-    if rows != cols:
-        raise ParseError(
-            f"adjacency matrix must be square, got {rows}x{cols}", line=lineno
-        )
-    if rows < 0 or nnz < 0:
+    if n != cols:
+        raise ParseError(f"adjacency matrix must be square, got {n}x{cols}", line=lineno)
+    if n < 0 or nnz < 0:
         raise ParseError("size values must be non-negative", line=lineno)
+    try:
+        _node_count(n)
+    except GraphError as e:
+        raise ParseError(str(e), line=lineno) from None
 
-    pairs: list[tuple[int, int]] = []
-    seen = 0
-    for lineno, tokens in records:
-        if seen == nnz:
-            raise ParseError(f"more than the declared {nnz} entries", line=lineno)
-        if len(tokens) != 2 + values_per_entry:
-            raise ParseError(
-                f"expected {2 + values_per_entry} tokens per entry, got {len(tokens)}",
-                line=lineno,
-            )
-        a = _int_token(tokens[0], lineno, "row index")
-        b = _int_token(tokens[1], lineno, "column index")
-        for v in tokens[2:]:
-            _float_token(v, lineno, "numeric value")
-        if not (1 <= a <= rows and 1 <= b <= cols):
-            raise ParseError(f"index ({a}, {b}) outside {rows}x{cols}", line=lineno)
-        seen += 1
-        if a != b:
-            pairs.append((a - 1, b - 1))
-    if seen != nnz:
-        raise ParseError(f"declared {nnz} entries but found {seen}", line=len(lines))
-    return build_graph(rows, pairs)
+    faults, tokens, row, place = _cells(rows[1:nnz + 1], lambda c: c != width,
+                                        lambda c: f"expected {width} tokens per entry, got {c}")
+    if len(rows) > nnz + 1:
+        faults.append((nnz, f"more than the declared {nnz} entries"))
+    ids = tokens[place < 2]
+    values, bad = _column(ids, int)
+    _flag(faults, bad, lambda j: (j // 2, f"{('row', 'column')[j % 2]} index must be an "
+                                          f"integer, got {ids[j]!r}"))
+    _flag(faults, _column(tokens[place >= 2], float)[1], lambda j: (
+        row[place >= 2][j], f"bad numeric value {tokens[place >= 2][j]!r}"))
+    a, b = values.reshape(-1, 2).T
+    _flag(faults, (a < 1) | (a > n) | (b < 1) | (b > n),
+          lambda i: (i, f"index ({a[i]}, {b[i]}) outside {n}x{n}"))
+    _raise_first(linenos[1:], faults)
+    if len(a) != nnz:
+        raise ParseError(f"declared {nnz} entries but found {len(a)}", line=len(lines))
+    return _simple_graph(n, a - 1, b - 1)
 
 
 def parse_chaco(text: str) -> Graph:
@@ -135,11 +173,11 @@ def parse_chaco(text: str) -> Graph:
     declared edge count that disagrees after deduplication is a warning,
     not an error.
     """
-    entries = list(_records(text.splitlines(), "%#"))
-    head_idx = next((i for i, (_, tokens) in enumerate(entries) if tokens), None)
-    if head_idx is None:
+    linenos, rows = _records(text.splitlines(), "%#", blank=True)
+    head = next((i for i, tokens in enumerate(rows) if tokens), None)
+    if head is None:
         raise ParseError("missing header line", line=1)
-    lineno, tokens = entries[head_idx]
+    lineno, tokens = linenos[head], rows[head]
     if len(tokens) not in (2, 3, 4):
         raise ParseError("header must be 'n m [fmt [#vweights]]'", line=lineno)
     n = _int_token(tokens[0], lineno, "node count")
@@ -147,67 +185,50 @@ def parse_chaco(text: str) -> Graph:
     if n < 0 or m_declared < 0:
         raise ParseError("counts must be non-negative", line=lineno)
     fmt = _int_token(tokens[2], lineno, "format code") if len(tokens) > 2 else 0
-    edge_weights = fmt % 10 == 1
-    vertex_weights = (fmt // 10) % 10 == 1
     if fmt not in (0, 1, 10, 11):
         raise ParseError(f"unsupported format code {fmt}", line=lineno)
-    n_vweights = (
-        _int_token(tokens[3], lineno, "vertex weight count")
-        if len(tokens) > 3
-        else (1 if vertex_weights else 0)
-    )
-    if n_vweights and not vertex_weights:
+    vertex_weights, edge_weights = divmod(fmt, 10)
+    nvw = (_int_token(tokens[3], lineno, "vertex weight count") if len(tokens) > 3
+           else vertex_weights)
+    if nvw and not vertex_weights:
         raise ParseError("vertex weight count given but format has none", line=lineno)
+    if nvw < 0:
+        raise ParseError(f"vertex weight count must be non-negative, got {nvw}", line=lineno)
 
-    adj_lines = entries[head_idx + 1 :]
+    linenos, rows = linenos[head + 1:], rows[head + 1:]
     # a blank line is an isolated node, so only padding beyond the n
     # expected lines may be dropped
-    while len(adj_lines) > n and not adj_lines[-1][1]:
-        adj_lines.pop()
-    if len(adj_lines) > n:
-        raise ParseError(
-            f"expected {n} adjacency lines, found more", line=adj_lines[n][0]
-        )
-    if len(adj_lines) < n:
-        last = adj_lines[-1][0] if adj_lines else lineno
-        raise ParseError(
-            f"expected {n} adjacency lines, found {len(adj_lines)}", line=last
-        )
+    while len(rows) > n and not rows[-1]:
+        rows.pop()
+    if len(rows) > n:
+        raise ParseError(f"expected {n} adjacency lines, found more", line=linenos[n])
+    if len(rows) < n:
+        last = linenos[len(rows) - 1] if rows else lineno
+        raise ParseError(f"expected {n} adjacency lines, found {len(rows)}", line=last)
 
-    pairs: list[tuple[int, int]] = []
-    for node, (lineno, tokens) in enumerate(adj_lines):
-        if len(tokens) < n_vweights:
-            raise ParseError(
-                f"expected {n_vweights} vertex weights", line=lineno
-            )
-        for v in tokens[:n_vweights]:
-            _float_token(v, lineno, "vertex weight")
-        rest = tokens[n_vweights:]
-        if edge_weights:
-            if len(rest) % 2:
-                raise ParseError(
-                    "edge-weighted line has a neighbor without a weight", line=lineno
-                )
-            neighbors = rest[0::2]
-            for v in rest[1::2]:
-                _float_token(v, lineno, "edge weight")
-        else:
-            neighbors = rest
-        for tok in neighbors:
-            nb = _int_token(tok, lineno, "neighbor id")
-            if nb == 0:
-                raise ParseError("node ids are 1-indexed; got 0", line=lineno)
-            if not 1 <= nb <= n:
-                raise ParseError(f"neighbor id {nb} out of range 1..{n}", line=lineno)
-            if nb - 1 != node:
-                pairs.append((node, nb - 1))
-    g = build_graph(n, pairs)
+    # each line is checked for its vertex weights, its edge weights, then each neighbour
+    faults, tokens, row, place = _cells(
+        rows, lambda c: c < nvw, lambda c: f"expected {nvw} vertex weights")
+    # every kept row has >= nvw tokens, so min() changes nvw (maybe past int64) only on none
+    kind = np.where(place < nvw, -1, (place - min(nvw, len(place))) % (1 + edge_weights))
+    _flag(faults, _column(tokens[kind == -1], float)[1], lambda j: (
+        j // nvw, f"bad vertex weight {tokens[kind == -1][j]!r}"))
+    if edge_weights:  # a line ending in a neighbour (kind 0) lacks its weight
+        _flag(faults, (kind == 0) & (np.diff(row, append=-1) != 0), lambda j: (
+            row[j], "edge-weighted line has a neighbor without a weight"))
+        _flag(faults, _column(tokens[kind == 1], float)[1], lambda j: (
+            row[kind == 1][j], f"bad edge weight {tokens[kind == 1][j]!r}"))
+    ids, node = tokens[kind == 0], row[kind == 0]
+    values, bad = _column(ids, int)
+    _flag(faults, bad | (values < 1) | (values > n), lambda j: (node[j], (
+        f"neighbor id must be an integer, got {ids[j]!r}" if bad[j]
+        else "node ids are 1-indexed; got 0" if values[j] == 0
+        else f"neighbor id {values[j]} out of range 1..{n}")))
+    _raise_first(linenos, faults)
+    g = _simple_graph(n, node, values - 1)
     if g.m != m_declared:
-        warnings.warn(
-            f"header declares {m_declared} edges, found {g.m} after deduplication",
-            ParseWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"header declares {m_declared} edges, found {g.m} after "
+                      "deduplication", ParseWarning, stacklevel=2)
     return g
 
 
@@ -219,27 +240,19 @@ def parse_edge_list(text: str) -> Graph:
     and are compacted to 0..n-1 in order of first appearance; self-loops
     register their node but contribute no edge.
     """
-    order: dict[int, int] = {}
-    pairs: list[tuple[int, int]] = []
-    for lineno, tokens in _records(text.splitlines(), "%#"):
-        if not tokens:
-            continue
-        if len(tokens) not in (2, 3):
-            raise ParseError(
-                f"expected 'id id [weight]', got {len(tokens)} tokens", line=lineno
-            )
-        a = _int_token(tokens[0], lineno, "node id")
-        b = _int_token(tokens[1], lineno, "node id")
-        if a < 0 or b < 0:
-            raise ParseError("node ids must be non-negative", line=lineno)
-        if len(tokens) == 3:
-            _float_token(tokens[2], lineno, "weight")
-        for v in (a, b):
-            if v not in order:
-                order[v] = len(order)
-        if a != b:
-            pairs.append((order[a], order[b]))
-    return build_graph(len(order), pairs)
+    linenos, rows = _records(text.splitlines(), "%#")
+    faults, tokens, row, place = _cells(rows, lambda c: (c < 2) | (c > 3),
+                                        lambda c: f"expected 'id id [weight]', got {c} tokens")
+    ids = tokens[place < 2]
+    values, bad = _column(ids, int)
+    _flag(faults, bad, lambda j: (j // 2, f"node id must be an integer, got {ids[j]!r}"))
+    _flag(faults, values < 0, lambda j: (j // 2, "node ids must be non-negative"))
+    _flag(faults, _column(tokens[place == 2], float)[1], lambda j: (
+        row[place == 2][j], f"bad weight {tokens[place == 2][j]!r}"))
+    _raise_first(linenos, faults)
+    # each distinct id ranked by where it first appears
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    return _simple_graph(len(first), *np.argsort(np.argsort(first))[inverse].reshape(-1, 2).T)
 
 
 _SUFFIX_FORMAT = {".mtx": "matrix-market", ".graph": "chaco", ".edges": "edge-list", ".txt": "edge-list"}

@@ -186,9 +186,20 @@ class Graph:
         return len(self.edges)
 
 
+def _simple_graph(node_count: int, a, b) -> Graph:
+    """The graph on node_count nodes (a checked count) of the in-range int64 pairs
+    (a[i], b[i]) less self-loops, deduplicated by one sort of their keys (lo, hi)."""
+    keep = a != b
+    keys, = _pack([np.minimum(a, b)[keep], np.maximum(a, b)[keep]], node_count)
+    # a sort, not np.unique: its first call in a process imports numpy.ma (14 ms)
+    keys.sort()
+    keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))  # each key once
+    return Graph(node_count, np.column_stack(_unpack([keys], node_count, 2)))
+
+
 def build_graph(node_count: int, edge_list: Iterable[Sequence[int]]) -> Graph:
-    """Build a simple undirected graph, deduplicating unordered pairs by
-    one sort of their int64 keys (lo, hi) from :func:`_pack`.
+    """Build a simple undirected graph: each pair is checked here, and
+    :func:`_simple_graph`, which the file readers share, deduplicates them.
 
     Rejects non-pairs, endpoints that are not integers (2.0 passes; 1.7,
     True and "1" do not), self-loops and out-of-range endpoints with a
@@ -216,12 +227,8 @@ def build_graph(node_count: int, edge_list: Iterable[Sequence[int]]) -> Graph:
                 f"edge {idx}: endpoint out of range for {node_count} nodes: "
                 f"({_shown(a)}, {_shown(b)})"
             )
-        ends += (a, b) if a < b else (b, a)  # flat: np.array of tuples is slow
-    keys, = _pack(np.array(ends, dtype=np.int64).reshape(-1, 2).T, node_count)
-    # a sort, not np.unique: its first call in a process imports numpy.ma (14 ms)
-    keys.sort()
-    keys = keys[np.diff(keys, prepend=-1) != 0]
-    return Graph(node_count, np.column_stack(_unpack([keys], node_count, 2)))
+        ends += ints  # flat: np.array of tuples is slow
+    return _simple_graph(node_count, *np.array(ends, dtype=np.int64).reshape(-1, 2).T)
 
 
 def graph_density(g: Graph) -> float:

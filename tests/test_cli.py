@@ -62,6 +62,17 @@ def test_analyze_layout_field_past_the_csv_limit(drawing_files, tmp_path, capsys
     assert err == [f"error: {layout}:3: field larger than field limit (131072)"]
 
 
+def test_analyze_matrix_market_past_the_node_limit(drawing_files, tmp_path, capsys):
+    # the size line names the fault, as every other Matrix Market fault does
+    _graph, layout = drawing_files
+    graph = tmp_path / "big.mtx"
+    graph.write_text("%%MatrixMarket matrix coordinate pattern general\n4000000000 4000000000 0\n")
+    code = run(["analyze", "--graph", str(graph), "--layout", layout])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {graph}:2: node_count must be an integer in 0..{_MAX_NODES}, got 4000000000"]
+
+
 def test_analyze_json(drawing_files, capsys):
     graph, layout = drawing_files
     code = run(["analyze", "--graph", graph, "--layout", layout,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loop_readers
 from inka import (
     REPORT_COLUMNS,
     Layout,
@@ -25,6 +26,7 @@ from inka import (
     write_edge_list,
     write_layout_csv,
 )
+from inka.model import _MAX_NODES
 
 DATA = Path(__file__).parent / "data"
 GRAPHS = Path(__file__).resolve().parents[1] / "data" / "graphs"
@@ -116,6 +118,9 @@ def test_parse_edge_list_compacts_ids_first_seen():
     g = parse_edge_list("# comment\n% also comment\n10 20\n20 30 1.5\n10 30\n")
     assert g.n == 3
     assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
+    # ids past int64 too, mixed with small ones
+    g = parse_edge_list("99999999999999999999 5\n5 7\n7 99999999999999999999\n")
+    assert (g.n, g.edges.tolist()) == (3, [[0, 1], [0, 2], [1, 2]])
 
 
 def test_parse_edge_list_self_loop_registers_node_only():
@@ -220,7 +225,116 @@ def test_malformed_corpus_raises_structured_errors():
                 load_graph(path)
 
 
+# --- reader properties ------------------------------------------------------
+
+def _noisy_texts(rng):
+    """A seeded random graph as (n, edges) and as edge-list, Matrix Market and
+    Chaco text, each with its edges listed in shuffled order and orientation,
+    some twice, with self-loops, comment lines and weight columns."""
+    n = int(rng.integers(1, 30))
+    edges = [(a, b) for a, b in rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2)).tolist()
+             if a != b]
+    listed = edges + [edges[i] for i in rng.integers(0, len(edges) or 1, size=len(edges) // 3)]
+    listed += [(v, v) for v in rng.integers(0, n, size=3).tolist()]
+    listed = [(b, a) if flip else (a, b)
+              for (a, b), flip in zip(listed, rng.random(len(listed)) < 0.5)]
+    listed = [listed[i] for i in rng.permutation(len(listed))]
+
+    def weights(k):
+        return "".join(f" {rng.normal():.3g}" for _ in range(k))
+
+    def noise(lines, comments):
+        """lines with comment lines dropped in at random places."""
+        out = []
+        for line in lines:
+            if rng.random() < 0.15:
+                out.append(f"{rng.choice(list(comments))} note {rng.integers(100)}")
+            out.append(line)
+        return "\n".join(out) + "\n"
+
+    # the first n lines pin ids 0..n-1 to the first-seen order
+    edge_list = noise([f"{v} {v}" + weights(rng.integers(2)) for v in range(n)]
+                      + [f"{a} {b}" + weights(rng.integers(2)) for a, b in listed], "%#")
+    field = rng.choice(["pattern", "real", "integer", "complex"])
+    values = {"pattern": 0, "real": 1, "integer": 1, "complex": 2}[field]
+    mtx = f"%%MatrixMarket matrix coordinate {field} {rng.choice(['general', 'symmetric'])}\n"
+    mtx += noise([f"{n} {n} {len(listed)}"] + [f"{a + 1} {b + 1}" + weights(values)
+                                               for a, b in listed], "%")
+    fmt = int(rng.choice([0, 1, 10, 11]))
+    vertex_weights = int(rng.integers(1, 3)) if fmt >= 10 else 0
+    adjacency = [[] for _ in range(n)]
+    for a, b in listed:  # each pair on one or both of its lines
+        for u, v in [(a, b), (b, a)][:int(rng.integers(1, 3))]:
+            adjacency[u].append(f"{v + 1}" + weights(fmt % 10))
+    m = len({(min(a, b), max(a, b)) for a, b in edges})
+    shortest = 4 if vertex_weights > 1 else 3 if fmt else 2  # the rest are defaults
+    header = [n, m, fmt, vertex_weights][:int(rng.integers(shortest, 5))]
+    chaco = noise([" ".join(map(str, header))]
+                  + [" ".join([weights(vertex_weights).strip()] * bool(vertex_weights) + nbrs)
+                     for nbrs in adjacency], "%#")
+    return n, edges, {parse_edge_list: edge_list, parse_matrix_market: mtx, parse_chaco: chaco}
+
+
+def test_noisy_texts_of_random_graphs_parse_to_build_graph():
+    rng = np.random.default_rng(20)
+    for _ in range(150):
+        n, edges, texts = _noisy_texts(rng)
+        expected = build_graph(n, edges)
+        for parse, text in texts.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ParseWarning)
+                assert parse(text) == expected, (parse.__name__, text)
+
+
+# tokens a character mutation rarely makes: past int64, other digits, signs
+_ODD_TOKENS = ["99999999999999999999", "-99999999999999999999", "-0", "+3", "1e3", "nan",
+               "inf", "1_0", "\u0663", "0x1", "1.0", ""]
+
+
+def _mutated(rng, text):
+    chars = list(text)
+    for _ in range(int(rng.integers(1, 6))):
+        at = int(rng.integers(0, len(chars) + 1))
+        op = int(rng.integers(4))
+        if op == 0:
+            chars.insert(at, str(rng.choice(list("0123456789 -+.e_x%#\n\t"))))
+        elif op == 1:
+            chars.insert(at, f" {rng.choice(_ODD_TOKENS)} ")
+        elif chars:
+            del chars[min(at, len(chars) - 1)]
+    return "".join(chars)
+
+
+def _outcome(parse, text):
+    """The graph parse reads from text, or its ParseError's line and message,
+    and the ParseWarnings it gives; any other exception propagates."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ParseWarning)
+        try:
+            g = parse(text)
+            read = (g.node_count, g.edges.tobytes())
+        except ParseError as e:
+            read = (e.line, e.message)
+    return read, [str(w.message) for w in caught]
+
+
+def test_mutated_files_read_as_the_loop_readers_read_them():
+    # every reader ends in a Graph or a ParseError, never another exception
+    # (numpy's OverflowError or ValueError, an IndexError), and in the same
+    # one as its one-token-at-a-time reference
+    rng = np.random.default_rng(21)
+    for path in sorted(GRAPHS.iterdir()) + sorted((DATA / "malformed").iterdir()):
+        text = path.read_text()
+        for _ in range(6 if len(text) > 4000 else 60):
+            mutated = _mutated(rng, text)
+            for fast, loop in ((parse_edge_list, loop_readers.parse_edge_list),
+                               (parse_matrix_market, loop_readers.parse_matrix_market),
+                               (parse_chaco, loop_readers.parse_chaco)):
+                assert _outcome(fast, mutated) == _outcome(loop, mutated), (fast, mutated)
+
+
 _MM_HEAD = "%%MatrixMarket matrix coordinate pattern general\n"
+_MM_REAL = "%%MatrixMarket matrix coordinate real general\n"
 
 
 @pytest.mark.parametrize("parse, text, line, message", [
@@ -236,6 +350,53 @@ _MM_HEAD = "%%MatrixMarket matrix coordinate pattern general\n"
     (parse_chaco, "-1 0\n", 1, "counts must be non-negative"),
     (parse_chaco, "2 1 0 1\n2\n1\n", 1, "vertex weight count given but format has none"),
     (parse_chaco, "2 1 10 2\n5\n5 6 1\n", 2, "expected 2 vertex weights"),
+    (parse_chaco, "2 1 10 99999999999999999999\n1 2\n1 1\n", 2,
+     "expected 99999999999999999999 vertex weights"),
+    # Chaco rows: a line's weights are checked first, then its neighbours in turn
+    (parse_chaco, "2 1\nfoo\n1\n", 2, "neighbor id must be an integer, got 'foo'"),
+    (parse_chaco, "2 1\n2 1.5\n1\n", 2, "neighbor id must be an integer, got '1.5'"),
+    (parse_chaco, "2 1\n2\n0\n", 3, "node ids are 1-indexed; got 0"),
+    (parse_chaco, "2 1\n2\n5\n", 3, "neighbor id 5 out of range 1..2"),
+    (parse_chaco, "2 1\n2\n-1\n", 3, "neighbor id -1 out of range 1..2"),
+    (parse_chaco, "2 1\n2\n99999999999999999999\n", 3,
+     "neighbor id 99999999999999999999 out of range 1..2"),
+    (parse_chaco, "2 1\n5 x\n1\n", 2, "neighbor id 5 out of range 1..2"),
+    (parse_chaco, "2 1 10\nx 2\n1 1\n", 2, "bad vertex weight 'x'"),
+    (parse_chaco, "2 1 1\n2\n1 7\n", 2, "edge-weighted line has a neighbor without a weight"),
+    (parse_chaco, "2 1 1\n2 w\n1 7\n", 2, "bad edge weight 'w'"),
+    (parse_chaco, "2 1 11\n5 9 x\n5 1 1\n", 2, "bad edge weight 'x'"),
+    (parse_chaco, "3 2\n2\n1 9\nx\n", 3, "neighbor id 9 out of range 1..3"),
+    (parse_chaco, "3 2 1\n2 1\n1 1 3\n0 1\n", 3,
+     "edge-weighted line has a neighbor without a weight"),
+    # Matrix Market entries: token count, row and column ids, values, then range
+    (parse_matrix_market, _MM_HEAD + "3 3 1\n1\n", 3, "expected 2 tokens per entry, got 1"),
+    (parse_matrix_market, _MM_REAL + "3 3 1\n1 2 abc\n", 3, "bad numeric value 'abc'"),
+    (parse_matrix_market, _MM_HEAD + "3 3 1\n5 1\n", 3, "index (5, 1) outside 3x3"),
+    (parse_matrix_market, _MM_HEAD + "3 3 1\n1 4\n", 3, "index (1, 4) outside 3x3"),
+    (parse_matrix_market, _MM_HEAD + "3 3 1\n0 1\n", 3, "index (0, 1) outside 3x3"),
+    (parse_matrix_market, _MM_HEAD + "3 3 1\n99999999999999999999 1\n", 3,
+     "index (99999999999999999999, 1) outside 3x3"),
+    (parse_matrix_market, _MM_HEAD + "3 3 1\n1 x\n", 3, "column index must be an integer, got 'x'"),
+    (parse_matrix_market, _MM_HEAD + "3 3 1\n1 2\n2 3\n", 4, "more than the declared 1 entries"),
+    (parse_matrix_market, _MM_HEAD + "3 3 3\n1 2\n2 3\n", 4, "declared 3 entries but found 2"),
+    (parse_matrix_market, _MM_HEAD + "3 3 2\n5 1\nx 1\n", 3, "index (5, 1) outside 3x3"),
+    (parse_matrix_market, _MM_REAL + "3 3 1\n5 1 abc\n", 3, "bad numeric value 'abc'"),
+    (parse_matrix_market, _MM_REAL + "3 3 2\n1 2 abc\n1 2 3 4\n", 3, "bad numeric value 'abc'"),
+    (parse_matrix_market, _MM_HEAD + "3 3 2\n1 x\n0 1\n", 3,
+     "column index must be an integer, got 'x'"),
+    # edge-list rows: token count, both ids, their sign, then the weight
+    (parse_edge_list, "1 2 3 4\n", 1, "expected 'id id [weight]', got 4 tokens"),
+    (parse_edge_list, "3\n", 1, "expected 'id id [weight]', got 1 tokens"),
+    (parse_edge_list, "-1 2\n", 1, "node ids must be non-negative"),
+    (parse_edge_list, "a b\n", 1, "node id must be an integer, got 'a'"),
+    (parse_edge_list, "1.5 2\n", 1, "node id must be an integer, got '1.5'"),
+    (parse_edge_list, "1 2 heavy\n", 1, "bad weight 'heavy'"),
+    (parse_edge_list, "0 1\n-1 2\n1.5 2\n", 2, "node ids must be non-negative"),
+    (parse_edge_list, "0 1\n2 x\n1 2 3 4\n", 2, "node id must be an integer, got 'x'"),
+    (parse_edge_list, "0 1 x\n-5 2\n", 1, "bad weight 'x'"),
+    (parse_edge_list, "-1 x\n", 1, "node id must be an integer, got 'x'"),
+    (parse_edge_list, "99999999999999999999 1\n1 -99999999999999999999\n", 2,
+     "node ids must be non-negative"),
     (parse_layout_csv, "", 1, "empty layout file"),
     (parse_layout_csv, "id,x,y\n0,0,0\n", 1, "layout header must be 'node,x,y'"),
     (parse_layout_csv, "node,x,y\n-1,0,0\n", 2, "node ids must be non-negative"),
@@ -247,9 +408,30 @@ def test_each_malformed_header_and_row_names_its_fault(parse, text, line, messag
     assert (exc.value.line, exc.value.message) == (line, message)
 
 
+def test_chaco_negative_vertex_weight_count_is_refused():
+    # a count of -1 once took all but each line's last token as weights
+    assert parse_chaco("3 3 10 1\n1 2 3\n1 1 3\n1 1 2\n").edges.tolist() == [
+        [0, 1], [0, 2], [1, 2]]
+    with pytest.raises(ParseError) as exc:
+        parse_chaco("3 3 10 -1\n1 2 3\n1 1 3\n1 1 2\n")
+    assert (exc.value.line, exc.value.message) == (
+        1, "vertex weight count must be non-negative, got -1")
+
+
+def test_matrix_market_node_count_past_the_limit_names_the_size_line():
+    text = _MM_HEAD + f"% too big\n{_MAX_NODES + 1} {_MAX_NODES + 1} 0\n"
+    with pytest.raises(ParseError) as exc:
+        parse_matrix_market(text)
+    assert (exc.value.line, exc.value.message) == (
+        3, f"node_count must be an integer in 0..{_MAX_NODES}, got {_MAX_NODES + 1}")
+    assert parse_matrix_market(_MM_HEAD + "3 3 0\n").n == 3
+
+
 def test_blank_lines_and_explicit_vertex_weight_counts_parse():
     # an explicit count of one vertex weight, then trailing blank padding
     assert parse_chaco("2 1 10 1\n5 2\n5 1\n\n\n").edges.tolist() == [[0, 1]]
+    # no adjacency line to hold them, so any count of vertex weights passes
+    assert parse_chaco("0 0 11 99999999999999999999\n\n").n == 0
     assert parse_edge_list("0 1\n\n1 2\n").edges.tolist() == [[0, 1], [1, 2]]
     layout = parse_layout_csv("node,x,y\n0,1,2\n\n1,3,4\n")
     assert layout.positions.tolist() == [[1.0, 2.0], [3.0, 4.0]]

@@ -1,11 +1,13 @@
-"""Microbenchmarks of graph loading, component labelling, the
-spring-layout kernels, the multilevel matching and layout, the crossing
-sweep on each side of its sign-table gate and its pairwise oracle, the
-disk overlap query, the stub crossing count at one ratio and at ``inka
-partial``'s default ratios, the one pass that lists crossings and
-collinear overlaps, check_proper, its close-pair scan and
-concurrent-point stage, the raster, on mesh24 and on one small drawing
-at 64 rows, and one bench cell at one worker (pytest-benchmark).
+"""Microbenchmarks of graph loading, each graph reader on the text of a
+shipped file (Chaco on mesh24, Matrix Market on can_144, the edge list on
+ba800), component labelling, the spring-layout kernels, the multilevel
+matching and layout, the crossing sweep on each side of its sign-table
+gate and its pairwise oracle, the disk overlap query, the stub crossing
+count at one ratio and at ``inka partial``'s default ratios, the one
+pass that lists crossings and collinear overlaps, check_proper, its
+close-pair scan and concurrent-point stage, the raster, on mesh24 and on
+one small drawing at 64 rows, and one bench cell at one worker
+(pytest-benchmark).
 
 They carry the ``perf`` marker, which the default options deselect, so
 the ordinary suite never runs them.  Run them with
@@ -34,6 +36,9 @@ from inka import (
     load_bench_config,
     load_graph,
     measure_stub_crossings,
+    parse_chaco,
+    parse_edge_list,
+    parse_matrix_market,
     partial_crossing_counts,
     partial_edges,
     rasterize_ink,
@@ -76,6 +81,17 @@ def test_load_graph_yeastppi(benchmark):
     # weighted lines the parser must drop or fold
     g = benchmark(load_graph, GRAPHS / "yeastppi.edges")
     assert g.edges.shape == (g.m, 2)
+
+
+@pytest.mark.parametrize("parse, name, m", [
+    (parse_chaco, "mesh24.graph", 1633),
+    (parse_matrix_market, "can_144.mtx", 576),
+    (parse_edge_list, "ba800.edges", 2394),
+])
+def test_parse_shipped_graph_text(benchmark, parse, name, m):
+    # parse CPU alone: the text is read once, outside the timed call
+    g = benchmark(parse, (GRAPHS / name).read_text())
+    assert g.m == m
 
 
 def test_component_labels_shuffled_path(benchmark):
