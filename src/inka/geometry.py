@@ -58,7 +58,7 @@ numbered by :func:`_cell_ranks` and scans two forward runs per point.
 :func:`check_proper` asks it for the nodes closer than 2r and the
 crossings closer than w, and returns, as arrays, each edge set that two
 close crossings span and the midpoint of its least close pair (A, B),
-A < B, in the (i, j) order of :func:`crossing_pairs`.  The
+A < B, numbering crossings by their :func:`crossing_pairs` rows.  The
 crossing scan is a stream of engine blocks of close pairs, each cut to
 each edge set's least pair before the next is made, so memory never
 grows with the number of close pairs.  While it runs it holds, per
@@ -466,29 +466,23 @@ def _crossing_counts(P, Q, ratios):
     return [total if p == 1.0 else int(within[np.searchsorted(half, 0.5 * p)]) for p in ratios]
 
 
-def _pair_keys(blocks, base: int):
-    """The sorted int64 keys (min, max) of the pairs in (I, J) index
-    blocks of indices below base, each block coded as it arrives."""
+def _sorted_pairs(blocks, base: int):
+    """The pairs of (I, J) index blocks (each pair in one block, indices
+    below base) as two int64 arrays (i, j), i < j, sorted: each block
+    coded as it arrives into int64 keys (min, max), one sort, one decode."""
     keys = [np.empty(0, np.int64)]
     for I, J in blocks:
         key, = _pack((np.minimum(I, J), np.maximum(I, J)), base)
         keys.append(key)
     keys = np.concatenate(keys)
     keys.sort()
-    return keys
-
-
-def _ordered_pairs(blocks, base: int):
-    """The pairs of (I, J) index blocks (each pair in one block, indices
-    below base) as (i, j) tuples, i < j, sorted: one sort of pair keys."""
-    I, J = _unpack([_pair_keys(blocks, base)], base, 2)
-    return list(zip(I.tolist(), J.tolist()))
+    return _unpack([keys], base, 2)
 
 
 def _crossing_arrays(P, Q):
     """Crossing pairs as i < j index arrays in lexicographic order, their
-    (k, 2) crossing points, each computed along segment i, and the sorted
-    (i, j), i < j, of the collinear candidates that
+    (k, 2) crossing points, each computed along segment i, and the (h, 2)
+    int64 rows (i, j), i < j, sorted, of the collinear candidates that
     :func:`collinear_overlap_mask` flags, adjacent ones included.
 
     The points are filled _BLOCK_PAIRS rows at a time into one (k, 2)
@@ -505,25 +499,22 @@ def _crossing_arrays(P, Q):
             overlaps.append((CI[keep], CJ[keep]))
             yield _hit_pairs(order, I, J, hit)
 
-    I, J = _unpack([_pair_keys(hits(), len(P))], len(P), 2)
+    I, J = _sorted_pairs(hits(), len(P))
     pts = np.empty((I.size, 2))
     for a in range(0, I.size, _BLOCK_PAIRS):
         i, j = I[a:a + _BLOCK_PAIRS], J[a:a + _BLOCK_PAIRS]
         pts[a:a + i.size] = crossing_points_of(*_ends(P, Q, i, j))
-    return I, J, pts, _ordered_pairs(overlaps, len(P))
+    return I, J, pts, np.stack(_sorted_pairs(overlaps, len(P)), axis=1)
 
 
 def crossing_pairs(d: BoldDrawing):
-    """All crossing (i, j, point) triples plus collinear-overlap pairs.
-
-    Returns (crossings, overlaps) where crossings is a list of
-    (edge_i, edge_j, (x, y)) and overlaps a list of (edge_i, edge_j), both
-    with i < j in lexicographic order.
-    """
+    """All crossings and collinear overlaps of the edges as arrays, with no
+    Python object per pair: (i, j, points, overlaps), the crossing edge
+    pairs as int64 arrays i < j in lexicographic order, their (k, 2)
+    crossing points, and the sorted (h, 2) int64 rows (i, j), i < j, of
+    the collinearly overlapping edge pairs."""
     P, Q, _ = _segment_arrays(d)
-    I, J, pts, overlaps = _crossing_arrays(P, Q)
-    crossings = list(zip(I.tolist(), J.tolist(), map(tuple, pts.tolist())))
-    return crossings, overlaps
+    return _crossing_arrays(P, Q)
 
 
 def edge_lengths(d: BoldDrawing):
@@ -721,21 +712,21 @@ def check_proper(d: BoldDrawing) -> PropernessReport:
     crossing points of distinct edge pairs closer than the edge width,
     which is the scale at which the inked rectangles actually coincide;
     each such edge set is reported once, at the midpoint of its least
-    close pair (A, B), A < B, numbering crossings as :func:`crossing_pairs`
-    lists them.  One query, :func:`_close_pairs`, yields the node pairs
-    closer than 2r and the crossing pairs closer than w one engine block
-    at a time; :func:`_concurrent_points` keeps only each block's least
-    pair of each edge set.  Collinear overlaps come from the crossings'
-    :func:`_crossing_arrays` pass.  All outputs are sorted.
+    close pair (A, B), A < B, numbering crossings by their rows in
+    :func:`crossing_pairs`.  One query, :func:`_close_pairs`, yields the
+    node pairs closer than 2r and the crossing pairs closer than w one
+    engine block at a time; :func:`_concurrent_points` keeps only each
+    block's least pair of each edge set.  Collinear overlaps come from
+    the crossings' :func:`crossing_pairs` pass.  All outputs are sorted.
     """
-    P, Q, _ = _segment_arrays(d)
     r, w = d.params.radius, d.params.width
     x, y = d.layout.positions.T
-    disks = _ordered_pairs(_close_pairs(x, y, 2.0 * r), x.size) if r > 0 and x.size >= 2 else []
+    disks = _sorted_pairs(_close_pairs(x, y, 2.0 * r) if r > 0 and x.size >= 2 else (), x.size)
     # The crossings last: no other stage runs beside them and the report.
-    I, J, pts, overlaps = _crossing_arrays(P, Q)
+    I, J, pts, overlaps = crossing_pairs(d)
     none = np.empty((0, 2)), np.empty((0, 4), np.int64)
-    points, edges = _concurrent_points(I, J, pts, w, len(P)) if w > 0 and I.size >= 2 else none
+    points, edges = _concurrent_points(I, J, pts, w, d.graph.m) if w > 0 and I.size >= 2 else none
+    disks, overlaps = (list(map(tuple, a.tolist())) for a in (np.column_stack(disks), overlaps))
     verdict = not (disks or len(points) or overlaps)
     return PropernessReport(disks, points, edges, overlaps, verdict)
 

@@ -166,7 +166,7 @@ class Graph:
         with np.errstate(invalid="ignore"):  # nan and out-of-range floats; flagged below
             edges = rows.astype(np.int64)
         lo, hi = edges.T
-        bad = (edges != rows).any(axis=1) | (lo < 0) | (lo >= hi) | (hi >= n)
+        bad = (lo != rows[:, 0]) | (hi != rows[:, 1]) | (lo < 0) | (lo >= hi) | (hi >= n)
         # a row not above the one before it: lo falls, or lo ties and hi does not rise
         bad[1:] |= (lo[1:] < lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] <= hi[:-1]))
         if bad.any():

@@ -82,6 +82,9 @@ def rasterize_ink(d: BoldDrawing, cfg: RasterConfig = RasterConfig()) -> float:
             "degenerate bounding box: coincident nodes with zero radius"
         )
     px = span / (cfg.resolution * cfg.supersampling)
+    if px == 0:  # a span below about 1e-320
+        raise DegenerateDrawingError(f"degenerate bounding box: span {span!r} "
+                                     "makes rows of height 0")
     ny = max(1, math.ceil((ymax - ymin) / px - 1e-9))
     rows_of = partial(_rows, ymin, px, ny)
 
@@ -145,7 +148,8 @@ def _slab(c, d, lo, hi):
     is 0 that is every t or none, and an empty range has a > b."""
     moving = c != 0
     c = np.where(moving, c, 1.0)
-    t0, t1 = (lo - d) / c, (hi - d) / c
+    with np.errstate(over="ignore"):  # a tiny c: bounds at -+inf are right
+        t0, t1 = (lo - d) / c, (hi - d) / c
     flat = np.where((lo <= d) & (d <= hi), -np.inf, np.inf)
     return (np.where(moving, np.minimum(t0, t1), flat),
             np.where(moving, np.maximum(t0, t1), -flat))

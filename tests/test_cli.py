@@ -745,6 +745,50 @@ def test_edge_values_end_in_an_exit_code_and_at_most_one_error_line(drawing_file
     assert failures == []
 
 
+# A 4-cycle with the diagonal (0, 2), laid out at four extremes: a plain
+# square, a box of the least subnormal side, a layout whose diagonal is
+# nearly vertical and 1e154 long, and a 1e154 box.
+_EXTREME_LAYOUTS = (
+    [(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0)],
+    [(0.0, 0.0), (5e-324, 0.0), (5e-324, 5e-324), (0.0, 5e-324)],
+    [(0.5, 1e10), (3.0, 5e-324), (1e-160, 1e154), (0.0, 0.0)],
+    [(0.0, 0.0), (1e154, 0.0), (1e154, 1e154), (0.0, 1e154)],
+)
+_EXTREME_PARAMS = (("0", "0"), ("1", "1"), ("5e-324", "1e-300"), ("1e150", "1e150"))
+_SINGLE_DRAWING_COMMANDS = (["analyze"], ["bounds"], ["partial"], ["render"],
+                            ["raster", "--resolution", "64", "--supersample", "1"],
+                            ["transform", "--scale", "2"], ["transform", "--zoom", "4"],
+                            ["transform", "--partial", "0.5"])
+
+
+def test_single_drawing_commands_on_extreme_drawings_exit_cleanly(tmp_path, capsys):
+    # Every single-drawing command on every layout and (r, w) above exits
+    # 0 with nothing on stderr, or 1 with one error: line; nothing raised,
+    # no RuntimeWarning.  The raster once divided by a row height that
+    # underflowed to 0 and warned of an overflow on the steep diagonal.
+    graph = tmp_path / "diagonal.edges"
+    graph.write_text("0 1\n1 2\n2 3\n0 3\n0 2\n")
+    failures = []
+    for k, positions in enumerate(_EXTREME_LAYOUTS):
+        layout = tmp_path / f"layout{k}.csv"
+        write_layout_csv(Layout(np.array(positions)), path=layout)
+        for r, w in _EXTREME_PARAMS:
+            for command in _SINGLE_DRAWING_COMMANDS:
+                argv = [*command, "--graph", str(graph), "--layout", str(layout),
+                        "--radius", r, "--width", w]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    try:
+                        code = run(argv)
+                    except Exception as e:  # collected, so one run names every failing case
+                        code = f"raised {e!r}"
+                err = capsys.readouterr().err.splitlines()
+                if not (code == 0 and err == [] or code == 1 and len(err) == 1
+                        and err[0].startswith("error: ")):
+                    failures.append((positions, r, w, command, code, err))
+    assert failures == []
+
+
 @pytest.mark.parametrize("name", ["huge.mtx", "count.mtx", "huge.graph", "count.graph"])
 def test_graph_file_with_a_count_past_the_node_limit_names_the_file(tmp_path, capsys, name):
     # the Matrix Market node count reaches build_graph, whose GraphError

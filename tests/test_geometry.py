@@ -36,12 +36,11 @@ from inka.geometry import (
     _expand,
     _hit_pairs,
     _least_key_of_each,
-    _ordered_pairs,
     _orient,
-    _pair_keys,
     _rank_blocks,
     _runs,
     _segment_arrays,
+    _sorted_pairs,
     _spans,
     collinear_overlap_mask,
     crossing_points_of,
@@ -50,6 +49,16 @@ from inka.geometry import (
 from inka.model import _MAX_NODES, _pack, _unpack
 
 GRAPHS = Path(__file__).resolve().parents[1] / "data" / "graphs"
+
+
+def crossing_lists(d):
+    """crossing_pairs(d) as lists, after checking the arrays' dtypes and
+    shapes: the (i, j, (x, y)) crossings and the (i, j) overlaps."""
+    i, j, pts, overlaps = crossing_pairs(d)
+    assert i.dtype == j.dtype == overlaps.dtype == np.int64 and pts.dtype == np.float64
+    assert i.shape == j.shape == pts.shape[:1] and pts.shape[1:] == overlaps.shape[1:] == (2,)
+    return (list(zip(i.tolist(), j.tolist(), map(tuple, pts.tolist()))),
+            list(map(tuple, overlaps.tolist())))
 
 
 def _rows(*points):
@@ -124,7 +133,7 @@ def exact_answers(d):
     for its float outputs."""
     stubs = [inka.measure_stub_crossings(inka.partial_edges(d, p)) for p in (0.5, 1.0)]
     report = check_proper(d)
-    pairs = [(i, j) for i, j, _pt in crossing_pairs(d)[0]]
+    pairs = [(i, j) for i, j, _pt in crossing_lists(d)[0]]
     counts = (count_crossings_sweep(d), count_crossings_bruteforce(d), *stubs)
     return counts, pairs, report.disk_overlaps, report.collinear_overlaps, report
 
@@ -179,7 +188,7 @@ def test_crossings_of_a_drawing_near_2_to_the_minus_560_do_not_underflow(k, path
              [(0, 1), (2, 3), (4, 5)], r=s, w=s / 8)
     with kernel_path(path):
         assert count_crossings_sweep(d) == count_crossings_bruteforce(d) == 2
-        crossings, overlaps = crossing_pairs(d)
+        crossings, overlaps = crossing_lists(d)
         assert crossings == [(0, 1, (2 * s, 2 * s)), (1, 2, (2 * s, 2 * s))]
         assert overlaps == [(0, 2)] == check_proper(d).collinear_overlaps
         assert inka.partial_crossing_counts(d, [0.5, 1.0]) == [0, 2]
@@ -211,7 +220,7 @@ def test_vertical_segments_and_shared_x():
 
 def test_crossing_pairs_reports_points():
     d = bold([(0, 0), (10, 10), (0, 10), (10, 0)], [(0, 1), (2, 3)])
-    crossings, overlaps = crossing_pairs(d)
+    crossings, overlaps = crossing_lists(d)
     assert overlaps == []
     assert len(crossings) == 1
     i, j, pt = crossings[0]
@@ -581,7 +590,7 @@ def assert_candidates_hold_the_overlaps(d):
 
 def test_collinear_candidates_hold_the_fixed_overlaps():
     assert assert_candidates_hold_the_overlaps(COLLINEAR_EDGES) == {(0, 1), (2, 3), (4, 5)}
-    assert crossing_pairs(COLLINEAR_EDGES)[1] == [(0, 1), (2, 3), (4, 5)]
+    assert crossing_lists(COLLINEAR_EDGES)[1] == [(0, 1), (2, 3), (4, 5)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -654,7 +663,7 @@ def test_table_and_runs_give_the_same_pairs_and_candidates(d):
 
 def kernel_arrays(P, Q):
     """The kernel's crossing pairs and collinear candidates as sorted
-    (min, max) pair-key arrays, for drawings too large for sets of tuples."""
+    (min, max) index arrays, for drawings too large for sets of tuples."""
     order, blocks = _crossing_blocks(P, Q)
     candidates = []
 
@@ -663,7 +672,7 @@ def kernel_arrays(P, Q):
             candidates.append(C)
             yield _hit_pairs(order, I, J, hit)
 
-    return _pair_keys(hits(), len(P)), _pair_keys(candidates, len(P))
+    return (*_sorted_pairs(hits(), len(P)), *_sorted_pairs(candidates, len(P)))
 
 
 def test_table_and_runs_agree_past_the_int16_tile_ranks():
@@ -684,7 +693,7 @@ def test_table_and_runs_agree_past_the_int16_tile_ranks():
     assert len(P) > 2**14 and len(pts) * len(P) <= inka.geometry._TABLE_BYTES
     with kernel_path("runs"):
         want = kernel_arrays(P, Q)
-    assert want[0].size > 0 and want[1].size > 0
+    assert want[0].size > 0 and want[2].size > 0
     with kernel_path("table"), mock.patch("inka.geometry._table_tiles",
                                           wraps=inka.geometry._table_tiles) as tiles:
         got = kernel_arrays(P, Q)
@@ -949,13 +958,7 @@ def assert_matches_oracle(d):
     assert concurrent_entries(got) == want.concurrent_points
     assert got.collinear_overlaps == want.collinear_overlaps
     assert got.verdict == want.verdict
-    crossings, overlaps = crossing_pairs(d)
-    ref_crossings, ref_overlaps = reference_crossing_pairs(d)
-    assert crossings == ref_crossings
-    assert overlaps == ref_overlaps
-    # equal floats compare equal across int/float; pin the types too
-    assert all(type(v) is float for _i, _j, pt in crossings for v in pt)
-    assert all(type(v) is int for i, j, _pt in crossings for v in (i, j))
+    assert crossing_lists(d) == reference_crossing_pairs(d)  # the dtypes pinned too
     return got
 
 
@@ -1025,8 +1028,8 @@ def test_disk_overlap_pairs_equal_all_pairs_at_every_offset(seed, exponent, r):
     I, J = np.triu_indices(n, 1)
     dx, dy = pos[I, 0] - pos[J, 0], pos[I, 1] - pos[J, 1]
     close = dx * dx + dy * dy < (2.0 * r) ** 2
-    got = _ordered_pairs(_close_pairs(pos[:, 0], pos[:, 1], 2.0 * r), n)
-    assert got == list(zip(I[close].tolist(), J[close].tolist()))
+    got = _sorted_pairs(_close_pairs(pos[:, 0], pos[:, 1], 2.0 * r), n)
+    assert [a.tolist() for a in got] == [I[close].tolist(), J[close].tolist()]
 
 
 @pytest.mark.parametrize("k", [0, 700])
@@ -1039,7 +1042,7 @@ def test_collinear_overlap_needs_y_extents_that_meet(k):
     P, Q, _E = _segment_arrays(d)
     assert not collinear_overlap_mask(P[:1], Q[:1], P[1:], Q[1:])[0]
     report = check_proper(d)
-    assert crossing_pairs(d)[1] == report.collinear_overlaps == []
+    assert crossing_lists(d)[1] == report.collinear_overlaps == []
     assert report.verdict
 
 
@@ -1063,7 +1066,7 @@ def test_concurrent_point_is_the_least_close_pair():
     # picks the point all the same.
     pts = [(-5, 0.5), (5, 0.5), (7.5, -2.5), (-4.5, 3.5), (6.9, -0.7), (-3.9, 2.0)]
     d = bold(pts, [(0, 1), (2, 3), (4, 5)], r=0.1, w=1.0)
-    crossings, _ = crossing_pairs(d)
+    crossings, _ = crossing_lists(d)
     assert [(i, j) for i, j, _pt in crossings] == [(0, 1), (0, 2), (1, 2)]
     (x0, y0), (x1, y1), (x2, y2) = (pt for _i, _j, pt in crossings)
     assert math.floor(x2) < math.floor(x0) < math.floor(x1)
@@ -1223,10 +1226,12 @@ def pair_blocks(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(pair_blocks())
-def test_ordered_pairs_is_the_sorted_set_of_unordered_pairs(case):
+def test_sorted_pairs_is_the_sorted_set_of_unordered_pairs(case):
     blocks, base = case
     want = sorted({(min(i, j), max(i, j)) for b in blocks for i, j in b.T.tolist()})
-    assert _ordered_pairs(iter(blocks), base) == want
+    I, J = _sorted_pairs(iter(blocks), base)
+    assert I.dtype == J.dtype == np.int64
+    assert list(zip(I.tolist(), J.tolist())) == want
 
 
 def set_codes(rows, m):
@@ -1350,6 +1355,33 @@ def test_crossing_arrays_peak_memory_is_bounded_by_its_output():
     assert peak <= 1.5 * out, (peak, out)
 
 
+YEASTPPI_CROSSINGS_PROBE = """
+import resource
+import sys
+
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from inka import BoldDrawing, LayoutConfig, RenderParams, compute_layout, crossing_pairs, load_graph
+
+g = load_graph(sys.argv[1])
+d = BoldDrawing(g, compute_layout(g, LayoutConfig("random", seed=1)), RenderParams(1.0, 1.0))
+i, j, pts, overlaps = crossing_pairs(d)
+print(i.size, j.size, len(pts), len(overlaps))
+"""
+
+
+def test_crossing_pairs_of_yeastppi_random_fit_in_1_gib():
+    # 6,086,053 crossings: as arrays about 275 MB at the peak; one Python
+    # tuple per crossing took 2.4 GB and raised MemoryError under this cap.
+    # One BLAS thread, so no idle thread buffers count against the cap.
+    env = {**os.environ, "PYTHONPATH": str(Path(inka.__file__).resolve().parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", YEASTPPI_CROSSINGS_PROBE,
+                           str(GRAPHS / "yeastppi.edges")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "6086053 6086053 6086053 0\n"
+
+
 @pytest.mark.parametrize("block_pairs", [1, 7])
 def test_crossing_points_per_block_equal_one_whole_array_call(block_pairs):
     rng = np.random.default_rng(17)
@@ -1372,7 +1404,7 @@ def test_overlap_engine_equals_all_pairs_on_small_integer_drawings(pts, data):
     edges = [(a, b) for a, b in data.draw(st.lists(pairs, max_size=20)) if a != b]
     d = bold(pts, edges)
     want = reference_crossing_pairs(d)[1]
-    assert crossing_pairs(d)[1] == check_proper(d).collinear_overlaps == want
+    assert crossing_lists(d)[1] == check_proper(d).collinear_overlaps == want
 
 
 def test_staged_collinear_filter_keeps_the_mask_verdict():
@@ -1390,7 +1422,7 @@ def test_staged_collinear_filter_keeps_the_mask_verdict():
     lx, hx = np.minimum(P[:, 0], Q[:, 0]), np.maximum(P[:, 0], Q[:, 0])
     assert (0, 1) in x_rank_pairs(lx, hx)  # the x-engine gives edge 0, which starts left of edge 1, as I
     assert (0, 1) in kernel_candidates(P, Q)
-    assert crossing_pairs(d)[1] == check_proper(d).collinear_overlaps == [(2, 3)]
+    assert crossing_lists(d)[1] == check_proper(d).collinear_overlaps == [(2, 3)]
     assert reference_crossing_pairs(d)[1] == [(2, 3)]
 
 

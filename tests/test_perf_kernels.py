@@ -1,13 +1,14 @@
-"""Microbenchmarks of graph loading, each graph reader on the text of a
-shipped file (Chaco on mesh24, Matrix Market on can_144, the edge list on
-ba800), component labelling, the spring-layout kernels, the multilevel
-matching and layout, the crossing sweep on each side of its sign-table
-gate and its pairwise oracle, the disk overlap query, the stub crossing
-count at one ratio and at ``inka partial``'s default ratios, the one
-pass that lists crossings and collinear overlaps, check_proper, its
-close-pair scan and concurrent-point stage, the raster, on mesh24 and on
-one small drawing at 64 rows, and one bench cell at one worker
-(pytest-benchmark).
+"""Microbenchmarks of graph loading, of ``Graph()`` on a canonical edge
+array, each graph reader on the text of a shipped file (Chaco on mesh24,
+Matrix Market on can_144, the edge list on ba800), component labelling,
+the spring-layout kernels, the multilevel matching and layout, the
+crossing sweep on each side of its sign-table gate and its pairwise
+oracle, the disk overlap query, the stub crossing count at one ratio and
+at ``inka partial``'s default ratios, the one pass that lists crossings
+and collinear overlaps, privately and through ``crossing_pairs``,
+check_proper, its close-pair scan and concurrent-point stage, the raster,
+on mesh24 and on one small drawing at 64 rows, and one bench cell at one
+worker (pytest-benchmark).
 
 They carry the ``perf`` marker, which the default options deselect, so
 the ordinary suite never runs them.  Run them with
@@ -24,6 +25,7 @@ import pytest
 
 from inka import (
     BoldDrawing,
+    Graph,
     Layout,
     LayoutConfig,
     RasterConfig,
@@ -33,6 +35,7 @@ from inka import (
     compute_layout,
     count_crossings_bruteforce,
     count_crossings_sweep,
+    crossing_pairs,
     load_bench_config,
     load_graph,
     measure_stub_crossings,
@@ -48,8 +51,8 @@ from inka.geometry import (
     _close_pairs,
     _concurrent_points,
     _crossing_arrays,
-    _ordered_pairs,
     _segment_arrays,
+    _sorted_pairs,
 )
 from inka.layout import _coarsen, _component_labels, _repulsion_exact, _spring_iterate
 
@@ -74,6 +77,13 @@ def traced_peak_mb(f, *args):
         return (tracemalloc.get_traced_memory()[1] - base) / 1e6
     finally:
         tracemalloc.stop()
+
+
+def test_graph_of_21456_canonical_rows(benchmark):
+    # Graph()'s conversion and canonical-row checks alone, on the first
+    # 21,456 pairs (lo, hi) of 208 nodes in order
+    rows = np.column_stack(np.triu_indices(208, 1))[:21_456]
+    assert benchmark(Graph, 208, rows).m == 21_456
 
 
 def test_load_graph_yeastppi(benchmark):
@@ -196,7 +206,7 @@ def test_crossing_arrays_uniform_mesh24(benchmark):
     d = BoldDrawing(g, Layout(random_positions(g.node_count, seed=3)), RenderParams(5.0, 1.0))
     P, Q, _E = _segment_arrays(d)
     I, _J, _pts, overlaps = benchmark(_crossing_arrays, P, Q)
-    assert I.size > 0 and overlaps == []
+    assert I.size > 0 and overlaps.shape == (0, 2)
 
 
 def test_disk_overlap_pairs_uniform_mesh24(benchmark):
@@ -204,7 +214,8 @@ def test_disk_overlap_pairs_uniform_mesh24(benchmark):
     # 30 sqrt(n), about a hundred close pairs
     g = load_graph(MESH24)
     x, y = random_positions(g.node_count, seed=3).T
-    pairs = benchmark(lambda: _ordered_pairs(_close_pairs(x, y, 10.0), x.size))
+    I, J = benchmark(lambda: _sorted_pairs(_close_pairs(x, y, 10.0), x.size))
+    pairs = list(zip(I.tolist(), J.tolist()))
     assert pairs and pairs == sorted(set(pairs))
 
 
@@ -237,6 +248,15 @@ def test_crossing_arrays_uniform_ba800(benchmark):
     I, J, pts, _overlaps = benchmark(_crossing_arrays, P, Q)
     benchmark.extra_info["returned_mb"] = (I.nbytes + J.nbytes + pts.nbytes) / 1e6
     assert I.size == J.size == len(pts) > 0 and (I < J).all()
+
+
+def test_crossing_pairs_uniform_ba800(benchmark):
+    # the public path on the same drawing: the edges' endpoints, then
+    # _crossing_arrays, returned as they are
+    g = load_graph(GRAPHS / "ba800.edges")
+    d = BoldDrawing(g, Layout(random_positions(g.node_count, seed=3)), RenderParams(5.0, 1.0))
+    i, j, pts, _overlaps = benchmark(crossing_pairs, d)
+    assert i.size == j.size == len(pts) > 0 and (i < j).all()
 
 
 def test_check_proper_lattice_can_144(benchmark):

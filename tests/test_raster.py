@@ -499,6 +499,25 @@ def test_rasterize_degenerate_drawings():
         rasterize_ink(bold([(2.0, 2.0)], [], r=0.0, w=0.0))
 
 
+@pytest.mark.parametrize("points, edges, r, w", [
+    ([(0, 0), (5e-324, 0), (5e-324, 5e-324), (0, 5e-324)],
+     [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)], 0.0, 0.0),
+    ([(1e-300, 5e-324)], [], 5e-324, 1e-300),
+])
+def test_rasterize_refuses_a_box_whose_rows_underflow(points, edges, r, w):
+    # a span below about 1e-320 over 4,096 rows makes a row height of
+    # exactly 0, which the rows were once divided by
+    with pytest.raises(DegenerateDrawingError, match="rows of height 0"):
+        rasterize_ink(bold(points, edges, r=r, w=w))
+
+
+def test_rasterize_long_nearly_vertical_edge_keeps_its_area():
+    # the edge's x direction is about 5e-155, so a row 1e154 up bounds
+    # its along-edge slab past 1.8e308: the bounds are -+inf, silently
+    d = bold([(0.5, 1e10), (3.0, 5e-324), (1e-160, 1e154)], [(0, 2)], r=0.0, w=1.0)
+    assert rasterize_ink(d, RasterConfig(64, 1)) == pytest.approx(1e154, rel=1e-12)
+
+
 def test_render_svg_structure(diagonal_drawing, tmp_path):
     out = tmp_path / "drawing.svg"
     text = render_svg(diagonal_drawing, out)

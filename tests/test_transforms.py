@@ -317,7 +317,8 @@ def test_lattice_stub_crossings_equal_the_exact_fractions():
         d = random_bold_drawing(rng, n_max=29, m_max=60, lattice_prob=1.0)
         P, Q = np.take(d.layout.positions, d.graph.edges.T, axis=0).astype(int).tolist()
         found = []
-        for i, j, _pt in crossing_pairs(d)[0]:
+        I, J, _pts, _overlaps = crossing_pairs(d)
+        for i, j in zip(I.tolist(), J.tolist()):
             (rx, ry), (sx, sy) = np.subtract(Q[i], P[i]), np.subtract(Q[j], P[j])
             ox, oy = np.subtract(P[j], P[i])
             rs = int(rx * sy - ry * sx)
