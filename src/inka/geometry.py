@@ -60,14 +60,14 @@ crossings closer than w, and returns, as arrays, each edge set that two
 close crossings span and the midpoint of its least close pair (A, B),
 A < B, numbering crossings by their :func:`crossing_pairs` rows.  The
 crossing scan is a stream of engine blocks of close pairs, each cut to
-each edge set's least pair before the next is made, so memory never
-grows with the number of close pairs.  While it runs it holds, per
-crossing, I, J and the point (32 bytes) and the scan's cell order,
-coordinates, runs and their running count (56 bytes; 96 at the peak
-while it is set up), plus one block of close pairs and
-the codes kept so far (16 bytes a kept pair up to 55,107 edges, 24
-above); after the scan, the report (48 bytes a row) and the kept codes,
-the pair keys freed before the edge ids are decoded.
+each edge set's least pair before the next is made, so memory grows with
+the kept rows, one per block and edge set (75% of 138 M close pairs on
+yeastppi random), held twice while they are concatenated.  Per crossing
+it holds I, J, the point (32 bytes) and the scan's cell order,
+coordinates, runs and running count (56 bytes; 96 at the peak while set
+up), plus one block of close pairs and the kept codes (16 bytes a row up
+to 55,107 edges, 24 above); after the scan, the report (48 bytes a row)
+and the kept codes, the pair keys freed before the edge ids are decoded.
 
 Predicates are a strict sign test against 0, exact under 2^k scaling:
 IEEE arithmetic commutes with a power-of-two scale, so every answer is
@@ -121,11 +121,6 @@ class PropernessReport:
     concurrent_edges: np.ndarray
     collinear_overlaps: list[tuple[int, int]]
     verdict: bool
-
-
-def _orient(ax, ay, bx, by, cx, cy):
-    # Sign of the cross product (b - a) x (c - a); works on scalars and arrays.
-    return _side(bx - ax, by - ay, ax, ay, cx, cy)
 
 
 def _side(ex, ey, x, y, cx, cy):
@@ -201,11 +196,12 @@ def collinear_overlap_mask(p1, q1, p2, q2):
     The rows are tested at :func:`_unit_span`."""
     p1, q1, p2, q2 = _unit_span(p1, q1, p2, q2)
     p1x, p1y, q1x, q1y, p2x, p2y, q2x, q2y = (a[..., k] for a in (p1, q1, p2, q2) for k in (0, 1))
+    e1x, e1y, e2x, e2y = q1x - p1x, q1y - p1y, q2x - p2x, q2y - p2y
     collinear = (
-        (_orient(p1x, p1y, q1x, q1y, p2x, p2y) == 0)
-        & (_orient(p1x, p1y, q1x, q1y, q2x, q2y) == 0)
-        & (_orient(p2x, p2y, q2x, q2y, p1x, p1y) == 0)
-        & (_orient(p2x, p2y, q2x, q2y, q1x, q1y) == 0)
+        (_side(e1x, e1y, p1x, p1y, p2x, p2y) == 0)
+        & (_side(e1x, e1y, p1x, p1y, q2x, q2y) == 0)
+        & (_side(e2x, e2y, p2x, p2y, p1x, p1y) == 0)
+        & (_side(e2x, e2y, p2x, p2y, q1x, q1y) == 0)
     )
     nonzero = ((p1x != q1x) | (p1y != q1y)) & ((p2x != q2x) | (p2y != q2y))
     ox = np.minimum(np.maximum(p1x, q1x), np.maximum(p2x, q2x)) - np.maximum(
@@ -379,12 +375,12 @@ def _table_tiles(table, a, b, ly, hy, end, order, candidates):
     on the same floats (points equal as floats orient alike; a 0.0 and a
     -0.0 can change only a zero's sign).  Its filters are the run
     kernel's: the band (J < end[I], which is lx[J] <= hx[I]) and y-extents
-    that meet, compared as ranks of the y ends, exact as the floats are;
-    the candidates are the pairs in them with both J signs 0."""
+    that meet, compared as ranks of the y ends (np.unique's inverse: no
+    numpy.ma import), exact as the floats are; the candidates are the
+    pairs in them with both J signs 0."""
     m = table.shape[1]
     dtype = np.int16 if 2 * m < 2**15 else np.int32  # int16 compares run faster
-    ys = np.unique(np.concatenate((ly, hy)))
-    low, high = (np.searchsorted(ys, v).astype(dtype) for v in (ly, hy))
+    low, high = np.unique(np.hstack((ly, hy)), return_inverse=True)[1].astype(dtype).reshape(2, m)
     ranks, end, index = np.arange(m, dtype=dtype), end.astype(dtype), np.arange(m)
     entries = 2 * _BLOCK_PAIRS
     rows = max(1, min(128, math.isqrt(entries)))
@@ -680,8 +676,8 @@ def _concurrent_points(I, J, pts, w: float, m: int):
     set's least key across blocks.  The keys are decoded _BLOCK_PAIRS rows
     at a time into the midpoints, and once they are freed the set codes
     into the edge ids.  So one block of close pairs is held at a time, plus
-    at most one pair per edge set and block, and at the end the report and
-    the set codes.
+    at most one pair per edge set and block (twice while they are
+    concatenated), and at the end the report and the set codes.
     """
     N = I.size
     kept = [np.vstack(_least_key_of_each(_edge_set_codes(I, J, A, B, m), *_pack((A, B), N)))

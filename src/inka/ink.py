@@ -440,23 +440,18 @@ def bounds_report(
     def bound(solve, *args, **kwargs):
         try:
             return solve(*args, **kwargs)
-        except ValueError:  # the inputs are checked: infeasible, or not finite
+        except ValueError:  # the inputs are checked: inapplicable, infeasible, or not finite
             return None
 
-    r_iv = w_iv = None
-    if n > 0:
-        r_iv = bound(radius_bounds, n, m, w, L, cr, gamma, A)
-        w_iv = bound(width_bounds, n, m, r, L, cr, gamma, A)
-    eq = None
-    if m > 0 and w > 0:
-        eq = bound(equal_length_bounds, n, m, w, cr, gamma, A, length=equal_length)
+    r_iv = bound(radius_bounds, n, m, w, L, cr, gamma, A)
+    w_iv = bound(width_bounds, n, m, r, L, cr, gamma, A)
+    eq = bound(equal_length_bounds, n, m, w, cr, gamma, A, length=equal_length)
     l_iv, cr_cap = eq or (None, None)
     planar = bound(planar_formulas, n, m, r, w, L, gamma, A)
-    planar_l_max = planar and planar.max_total_length
     return BoundsReport(
         r_interval=r_iv,
         w_interval=w_iv,
         l_interval=l_iv,
         cr_bound=cr_cap,
-        planar_l_max=planar_l_max,
+        planar_l_max=planar and planar.max_total_length,
     )

@@ -22,6 +22,27 @@ def block_size(entries, constant="inka.geometry._BLOCK_PAIRS"):
     return mock.patch(constant, entries)
 
 
+# tokens a character mutation rarely makes: past int64, other digits, signs
+_ODD_TOKENS = ["99999999999999999999", "-99999999999999999999", "-0", "+3", "1e3", "nan",
+               "inf", "1_0", "\u0663", "0x1", "1.0", ""]
+
+
+def mutated_text(rng, text):
+    """text with 1 to 5 seeded edits: a character or an odd token inserted,
+    or a character deleted."""
+    chars = list(text)
+    for _ in range(int(rng.integers(1, 6))):
+        at = int(rng.integers(0, len(chars) + 1))
+        op = int(rng.integers(4))
+        if op == 0:
+            chars.insert(at, str(rng.choice(list("0123456789 -+.e_x%#\n\t"))))
+        elif op == 1:
+            chars.insert(at, f" {rng.choice(_ODD_TOKENS)} ")
+        elif chars:
+            del chars[min(at, len(chars) - 1)]
+    return "".join(chars)
+
+
 def kernel_path(path):
     """A context manager in which the crossing kernel answers every band
     of x-overlapping pairs by engine runs ("runs") or from its sign table

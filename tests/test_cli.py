@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import mutated_text
 from inka import (
     REPORT_COLUMNS,
     Layout,
@@ -761,6 +762,25 @@ _SINGLE_DRAWING_COMMANDS = (["analyze"], ["bounds"], ["partial"], ["render"],
                             ["transform", "--partial", "0.5"])
 
 
+def _unclean_exit(argv, capsys):
+    """None when main(argv) exits 0 with nothing on stderr, or 1 with one
+    error: line (a bench abort adds its partial results line), raising
+    nothing and with RuntimeWarnings as errors; else argv, the exit code
+    or the exception, and stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = run(argv)
+        except Exception as e:  # collected, so one run names every failing case
+            code = f"raised {e!r}"
+    err = capsys.readouterr().err.splitlines()
+    if err[1:2] and err[1].startswith("partial results: ") and argv[0] == "bench":
+        del err[1]
+    if code == 0 and err == [] or code == 1 and len(err) == 1 and err[0].startswith("error: "):
+        return None
+    return argv, code, err
+
+
 def test_single_drawing_commands_on_extreme_drawings_exit_cleanly(tmp_path, capsys):
     # Every single-drawing command on every layout and (r, w) above exits
     # 0 with nothing on stderr, or 1 with one error: line; nothing raised,
@@ -774,19 +794,58 @@ def test_single_drawing_commands_on_extreme_drawings_exit_cleanly(tmp_path, caps
         write_layout_csv(Layout(np.array(positions)), path=layout)
         for r, w in _EXTREME_PARAMS:
             for command in _SINGLE_DRAWING_COMMANDS:
-                argv = [*command, "--graph", str(graph), "--layout", str(layout),
-                        "--radius", r, "--width", w]
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error", RuntimeWarning)
-                    try:
-                        code = run(argv)
-                    except Exception as e:  # collected, so one run names every failing case
-                        code = f"raised {e!r}"
-                err = capsys.readouterr().err.splitlines()
-                if not (code == 0 and err == [] or code == 1 and len(err) == 1
-                        and err[0].startswith("error: ")):
-                    failures.append((positions, r, w, command, code, err))
-    assert failures == []
+                failures.append(_unclean_exit([*command, "--graph", str(graph), "--layout",
+                                               str(layout), "--radius", r, "--width", w], capsys))
+    assert failures == [None] * len(failures)
+
+
+# The 4-cycle with its diagonal in the three graph formats, and a bench
+# config over them with only the random and circular layouts and no raster
+# key, so no mutation of it starts a long run.
+_CYCLE_FILES = {
+    "cycle.edges": "0 1\n1 2\n2 3\n0 3\n0 2\n",
+    "cycle.mtx": "%%MatrixMarket matrix coordinate pattern symmetric\n4 4 5\n"
+                 "2 1\n3 2\n4 3\n4 1\n3 1\n",
+    "cycle.graph": "4 5\n2 4 3\n1 3\n2 4 1\n3 1\n",
+}
+_CYCLE_BENCH = {
+    "gamma": 1.0, "area": "auto", "settings": [[1, 0], [1, 1], [0.5, 2]],
+    "graphs": [{"name": "edges", "path": "cycle.edges", "format": "edge-list"},
+               {"name": "mtx", "path": "cycle.mtx", "format": "matrix-market"},
+               {"name": "chaco", "path": "cycle.graph", "format": "chaco"}],
+    "layouts": [{"name": "random", "algorithm": "random", "seed": 1},
+                {"name": "circular", "algorithm": "circular"}],
+}
+
+
+@pytest.mark.filterwarnings("ignore::inka.ParseWarning")
+def test_mutated_files_through_the_cli_exit_cleanly(tmp_path, capsys):
+    # Seeded character mutations of each graph file and of the layout go to
+    # analyze, of the bench config to bench on one thread: each run exits
+    # as _unclean_exit asks, so a bad file is one error: line, never a
+    # traceback or a RuntimeWarning.  A Chaco edge count that disagrees
+    # with the edges found is a ParseWarning by design, so it is let pass.
+    for name, text in _CYCLE_FILES.items():
+        (tmp_path / name).write_text(text)
+    graph, layout = tmp_path / "cycle.edges", tmp_path / "cycle.csv"
+    write_layout_csv(Layout(np.array(_EXTREME_LAYOUTS[0])), path=layout)
+    seeds = [*_CYCLE_FILES.items(), ("cycle.csv", layout.read_text()),
+             ("bench.json", json.dumps(_CYCLE_BENCH))]
+    rng = np.random.default_rng(44)
+    failures = []
+    for _ in range(100):
+        for name, text in seeds:
+            path = tmp_path / f"mutated-{name}"
+            path.write_text(mutated_text(rng, text), encoding="utf-8")
+            if name == "bench.json":
+                argv = ["bench", "--config", str(path), "--out", str(tmp_path / "report.csv"),
+                        "--threads", "1"]
+            elif name == "cycle.csv":
+                argv = ["analyze", "--graph", str(graph), "--layout", str(path)]
+            else:
+                argv = ["analyze", "--graph", str(path), "--layout", str(layout)]
+            failures.append(_unclean_exit(argv, capsys))
+    assert failures == [None] * len(failures)
 
 
 @pytest.mark.parametrize("name", ["huge.mtx", "count.mtx", "huge.graph", "count.graph"])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loop_readers
+from conftest import mutated_text
 from inka import (
     REPORT_COLUMNS,
     Layout,
@@ -286,25 +287,6 @@ def test_noisy_texts_of_random_graphs_parse_to_build_graph():
                 assert parse(text) == expected, (parse.__name__, text)
 
 
-# tokens a character mutation rarely makes: past int64, other digits, signs
-_ODD_TOKENS = ["99999999999999999999", "-99999999999999999999", "-0", "+3", "1e3", "nan",
-               "inf", "1_0", "\u0663", "0x1", "1.0", ""]
-
-
-def _mutated(rng, text):
-    chars = list(text)
-    for _ in range(int(rng.integers(1, 6))):
-        at = int(rng.integers(0, len(chars) + 1))
-        op = int(rng.integers(4))
-        if op == 0:
-            chars.insert(at, str(rng.choice(list("0123456789 -+.e_x%#\n\t"))))
-        elif op == 1:
-            chars.insert(at, f" {rng.choice(_ODD_TOKENS)} ")
-        elif chars:
-            del chars[min(at, len(chars) - 1)]
-    return "".join(chars)
-
-
 def _outcome(parse, text):
     """The graph parse reads from text, or its ParseError's line and message,
     and the ParseWarnings it gives; any other exception propagates."""
@@ -326,7 +308,7 @@ def test_mutated_files_read_as_the_loop_readers_read_them():
     for path in sorted(GRAPHS.iterdir()) + sorted((DATA / "malformed").iterdir()):
         text = path.read_text()
         for _ in range(6 if len(text) > 4000 else 60):
-            mutated = _mutated(rng, text)
+            mutated = mutated_text(rng, text)
             for fast, loop in ((parse_edge_list, loop_readers.parse_edge_list),
                                (parse_matrix_market, loop_readers.parse_matrix_market),
                                (parse_chaco, loop_readers.parse_chaco)):

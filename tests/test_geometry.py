@@ -36,10 +36,10 @@ from inka.geometry import (
     _expand,
     _hit_pairs,
     _least_key_of_each,
-    _orient,
     _rank_blocks,
     _runs,
     _segment_arrays,
+    _side,
     _sorted_pairs,
     _spans,
     collinear_overlap_mask,
@@ -1417,8 +1417,9 @@ def test_staged_collinear_filter_keeps_the_mask_verdict():
     d = bold(pts, [(0, 1), (2, 3), (4, 5), (6, 7)], r=0.0, w=0.1)
     P, Q, _E = _segment_arrays(d)
     (i_p, i_q), (j_p, j_q) = (P[0], Q[0]), (P[1], Q[1])
-    assert _orient(*i_p, *i_q, *j_p) == 0 and _orient(*i_p, *i_q, *j_q) == 0
-    assert _orient(*j_p, *j_q, *i_p) != 0 and _orient(*j_p, *j_q, *i_q) != 0
+    i_e, j_e = i_q - i_p, j_q - j_p
+    assert _side(*i_e, *i_p, *j_p) == 0 and _side(*i_e, *i_p, *j_q) == 0
+    assert _side(*j_e, *j_p, *i_p) != 0 and _side(*j_e, *j_p, *i_q) != 0
     lx, hx = np.minimum(P[:, 0], Q[:, 0]), np.maximum(P[:, 0], Q[:, 0])
     assert (0, 1) in x_rank_pairs(lx, hx)  # the x-engine gives edge 0, which starts left of edge 1, as I
     assert (0, 1) in kernel_candidates(P, Q)
@@ -1433,13 +1434,19 @@ from pathlib import Path
 import numpy as np
 
 import inka
-from inka import LayoutConfig, build_graph, check_proper, compute_layout, load_graph
+from inka import (
+    LayoutConfig, build_graph, check_proper, compute_layout, count_crossings_sweep, load_graph,
+)
 
 graphs = Path(sys.argv[1])
 can = load_graph(graphs / "can_144.mtx")
 load_graph(graphs / "mesh24.graph")
 load_graph(graphs / "ba800.edges")
 compute_layout(can, LayoutConfig(algorithm="multilevel", seed=1, iterations=20))
+# dense enough for the sign-table path of the crossing kernel
+dense = inka.BoldDrawing(can, compute_layout(can, LayoutConfig(algorithm="random", seed=1)),
+                         inka.RenderParams(1.0, 1.0))
+assert count_crossings_sweep(dense) == 40357 and not check_proper(dense).verdict
 pts = np.array([(-10, 0), (10, 0), (0, -10), (0, 10), (-10, -10), (10, 10)], float)
 g = build_graph(6, [(0, 1), (2, 3), (4, 5)])
 report = check_proper(inka.BoldDrawing(g, inka.Layout(pts), inka.RenderParams(0.3, 0.5)))
@@ -1450,9 +1457,10 @@ print("numpy.ma" in sys.modules)
 
 def test_core_paths_never_import_numpy_ma():
     # Plain np.unique(x) imports numpy.ma on its first call (about 14 ms);
-    # _coarsen and _cell_ranks use the return_inverse form, which does
-    # not, so a fresh process that parses, lays out and checks a drawing
-    # never pays for it.
+    # _coarsen, _cell_ranks and the sign-table tiles use the return_inverse
+    # form, which does not, so a fresh process that parses, lays out,
+    # counts crossings down either kernel path and checks a drawing never
+    # pays for it.
     graphs = Path(__file__).resolve().parents[1] / "data" / "graphs"
     env = {**os.environ, "PYTHONPATH": str(Path(inka.__file__).resolve().parents[1])}
     done = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE, str(graphs)],

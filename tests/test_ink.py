@@ -541,6 +541,26 @@ def test_bounds_report_degrades_to_none():
     assert got.w_interval is None
 
 
+@pytest.mark.parametrize("equal_length", [None, 6.0])
+@pytest.mark.parametrize("n, m, w, missing", [
+    (0, 0, 0.2, {"r_interval", "w_interval", "l_interval"}),
+    (0, 15, 0.2, {"r_interval", "w_interval"}),
+    (10, 0, 0.2, {"l_interval"}),
+    (10, 15, 0.0, {"l_interval", "planar_l_max"}),
+    (0, 0, 0.0, {"r_interval", "w_interval", "l_interval", "planar_l_max"}),
+    (10, 15, 0.2, set()),
+])
+def test_bounds_report_leaves_out_exactly_the_bounds_that_do_not_apply(n, m, w, missing,
+                                                                       equal_length):
+    # radius and width bounds need n > 0, the equal-length bounds m > 0 and
+    # w > 0, the planar length cap w > 0; the budget fits every other bound
+    L, cr = (80.0, 3) if m else (0.0, 0)
+    got = bounds_report(n, m, 0.5, w, L, cr, 1.0, 900.0, equal_length=equal_length)
+    if equal_length is None or "l_interval" in missing:
+        missing = missing | {"cr_bound"}
+    assert {field for field, v in vars(got).items() if v is None} == missing
+
+
 @pytest.mark.parametrize(
     "points, edges",
     [([(3.0, 3.0), (3.0, 3.0)], [(0, 1)]), ([(1.0, 2.0)], [])],
