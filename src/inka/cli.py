@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import fields, replace
 from functools import cache
 from pathlib import Path
@@ -378,11 +379,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (InkaError, OSError, ValueError, MemoryError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # a warning is one line, as an error is
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except (InkaError, OSError, ValueError, MemoryError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

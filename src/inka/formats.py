@@ -281,19 +281,25 @@ def load_graph(path, fmt: str | None = None) -> Graph:
 
 def _read(path, parse, *args):
     """parse(text, *args) of the file at path.  An unreadable file, or a
-    ParseError or GraphError from parse, raises ParseError naming the path."""
+    ParseError or GraphError from parse, raises ParseError naming the path;
+    a warning from parse is given again after it, naming the path."""
     p = Path(path)
     try:
         text = p.read_text()
     except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read file: {e}", path=str(p)) from e
     try:
-        return parse(text, *args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ParseWarning)
+            parsed = parse(text, *args)
     except ParseError as e:
         e.path = str(p)
         raise
     except GraphError as e:
         raise ParseError(str(e), path=str(p)) from e
+    for w in caught:
+        warnings.warn(f"{p}: {w.message}", w.category, stacklevel=3)
+    return parsed
 
 
 def _save(text: str, path=None) -> str:

@@ -11,11 +11,12 @@ The spring embedder computes repulsion exactly at every size, as a
 symmetric (n, n) force matrix times an (n, 3) block; each pair is built
 once, in strips of at most 2^15 entries (one strip up to 181 nodes) that
 stay in cache and keep every product on one BLAS thread, so a layout
-depends only on its seed.  Attraction gathers the coordinate columns at
-contiguous endpoint columns.  Coarsening matches nodes in id order, each
-to its first unmatched neighbour by (-weight, id) from one lexsort.
-Disconnected graphs are laid out one component at a time and packed on a
-padded grid.
+depends only on its seed.  A strip's coordinate differences are two
+rank-2 products of exact terms, the same floats under any BLAS kernel.
+Attraction gathers the coordinate columns at contiguous endpoint
+columns.  Coarsening matches nodes in id order, each to its first
+unmatched neighbour by (-weight, id) from one lexsort.  Disconnected
+graphs are laid out one component at a time and packed on a padded grid.
 
 Every engine holds its layout to the one coordinate rule, so inka can draw
 every layout it writes: :func:`model._squarable`, whose refusal names the
@@ -136,10 +137,11 @@ def _repulsion_exact(pos: np.ndarray, weight: np.ndarray, k: float, *,
     """All-pairs repulsion sum_j f_ij (p_i - p_j) with f_ij = k^2 w_i w_j /
     max(d_ij^2, 1e-8), as w_i (c_i (G @ w)_i - (G @ (w c))_i) with
     G = k^2 / d^2 on centred positions c; d^2 comes from exact coordinate
-    differences.  G is zero (d^2 set to inf) on the diagonal and on pairs
-    closer than 1e-4: a huge G_ij would cancel badly in the subtraction,
-    so such a pair pushes with f_ij on p_i - p_j directly (a coincident
-    pair not at all).
+    differences, per axis the product [c, 1] @ [1; -c]: both terms of an
+    entry are exact, so any BLAS kernel rounds it once, to c_i - c_j.  G is
+    zero (d^2 set to inf) on the diagonal and on pairs closer than 1e-4: a
+    huge G_ij would cancel badly in the subtraction, so such a pair pushes
+    with f_ij on p_i - p_j directly (a coincident pair not at all).
 
     G is symmetric, so each pair is built once, in strips of rows [lo, hi)
     and columns [lo, n), the rows of :func:`_repulsion_buffers`.  A strip
@@ -151,7 +153,9 @@ def _repulsion_exact(pos: np.ndarray, weight: np.ndarray, k: float, *,
     caller reuses them across calls."""
     n = len(pos)
     c = pos - pos.sum(axis=0) / n  # pos.mean(axis=0), without its overhead
-    x, y = c.T.copy()
+    u, v = np.ones((2, n, 2)), np.ones((2, 2, n))  # per axis, [c, 1] and [1; -c]
+    u[:, :, 0] = c.T
+    np.negative(c.T, out=v[:, 1])
     rhs = np.empty((n, 3))
     rhs[:, 0] = weight
     np.multiply(weight[:, None], c, out=rhs[:, 1:])
@@ -165,12 +169,9 @@ def _repulsion_exact(pos: np.ndarray, weight: np.ndarray, k: float, *,
         size = (hi - lo) * (n - lo)
         d2 = d2_flat[:size].reshape(hi - lo, n - lo)
         g = g_flat[:size].reshape(hi - lo, n - lo)
-        # fill, then subtract a row: numpy's broadcast subtract is slower
-        np.copyto(d2, x[lo:hi, None])
-        d2 -= x[lo:]
+        np.matmul(u[0, lo:hi], v[0, :, lo:], out=d2)
         d2 *= d2
-        np.copyto(g, y[lo:hi, None])
-        g -= y[lo:]
+        np.matmul(u[1, lo:hi], v[1, :, lo:], out=g)
         g *= g
         d2 += g
         d2_flat[: size : n - lo + 1] = np.inf  # pair (i, i): no force

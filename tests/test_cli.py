@@ -108,6 +108,18 @@ def test_analyze_fixed_area(drawing_files, capsys):
     assert payload["report"]["A"] == 1000.0
 
 
+def test_analyze_shows_a_parse_warning_as_one_line(drawing_files, tmp_path, capsys):
+    # a Chaco header that declares 3 edges over 5 listed ones is a warning,
+    # one stderr line naming the file, not Python's source-line format
+    _, layout = drawing_files
+    graph = tmp_path / "square.graph"
+    graph.write_text("4 3\n2 3 4\n1 3 4\n1 2\n1 2\n")
+    code = run(["analyze", "--graph", str(graph), "--layout", layout])
+    assert code == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: {graph}: header declares 3 edges, found 5 after deduplication"]
+
+
 def test_analyze_rejects_bad_area(drawing_files, capsys):
     graph, layout = drawing_files
     with pytest.raises(SystemExit) as exc:

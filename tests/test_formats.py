@@ -107,6 +107,19 @@ def test_parse_chaco_edge_count_mismatch_warns_not_raises():
     assert g.edges.tolist() == [[0, 1]]
 
 
+def test_load_graph_warning_names_the_file(tmp_path):
+    # the parser's warning is given again by load_graph, prefixed with the
+    # path and pointing at the line that called load_graph
+    path = tmp_path / "triangle.graph"
+    path.write_text("3 2\n2 3\n1 3\n1 2\n")
+    with pytest.warns(ParseWarning) as caught:
+        g = load_graph(path)
+    assert g.m == 3
+    assert [str(w.message) for w in caught] == [
+        f"{path}: header declares 2 edges, found 3 after deduplication"]
+    assert caught[0].filename == __file__
+
+
 def test_parse_chaco_zero_id_message():
     with pytest.raises(ParseError) as exc:
         parse_chaco("2 1\n0\n1\n")

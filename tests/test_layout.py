@@ -169,21 +169,37 @@ def test_repulsion_exact_coincident_nodes():
     assert_matches_reference(pos, np.ones(144))
 
 
-def test_repulsion_exact_reuses_buffers_bit_for_bit():
-    # one set of scratch buffers across calls, with 7-row strips so every
-    # strip after the first fills only part of them, gives the bytes of
-    # freshly built buffers
-    n, rows = 600, 7
-    with block_size(rows * n, STRIPS):
+def close_pair_drawing(n, seed, shift=(0.0, 0.0)):
+    """n uniform nodes translated by shift, with coincident pairs and pairs
+    0 < d^2 < 1e-8 apart, in one strip and across strips."""
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(0.0, math.sqrt(n) * 30.0, size=(n, 2))
+    pos[[n - 1, 9]] = pos[0]
+    pos[[n - 2, 12]] = pos[[3, 8]] + (3e-5, 0.0)  # d^2 about 9e-10, shifted or not
+    return pos + np.array(shift)
+
+
+@pytest.mark.parametrize("rows", [7, 1, None])
+def test_repulsion_exact_reuses_buffers_bit_for_bit(rows):
+    # one set of scratch buffers across calls, with 7-row (or 1-row) strips
+    # so every strip after the first fills only part of them, gives the
+    # bytes of freshly built buffers.  So do buffers filled with NaN or inf
+    # first: each strip's products overwrite them, where scaling them by 0
+    # would turn a previous call's inf (the diagonal, clamped pairs) into
+    # NaN and hide close pairs from d2.min()
+    n = 600
+    with block_size((rows or n) * n, STRIPS):
         buffers = _repulsion_buffers(n)
-        assert [(b.shape, b.dtype) for b in buffers] == [((rows * n,), np.float64)] * 2
+        assert [(b.shape, b.dtype) for b in buffers] == [(((rows or n) * n,), np.float64)] * 2
         rng = np.random.default_rng(9)
-        for _ in range(3):
-            pos = rng.uniform(0.0, math.sqrt(n) * 30.0, size=(n, 2))
-            pos[n - 1] = pos[0]
+        for stale in (None, None, np.nan, np.inf):  # None: what the last call left
+            pos = close_pair_drawing(n, int(rng.integers(100)))
             weight = np.sqrt(rng.integers(1, 9, size=n))
+            if stale is not None:
+                for b in buffers:
+                    b.fill(stale)
             got = _repulsion_exact(pos, weight, 30.0, _buffers=buffers)
-            assert np.array_equal(got, _repulsion_exact(pos, weight, 30.0))
+            assert got.tobytes() == _repulsion_exact(pos, weight, 30.0).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -252,6 +268,123 @@ def test_repulsion_exact_single_strip_is_the_whole_matrix_product(n):
         pos[[n - 1, n - 2]] = pos[0]
         assert np.array_equal(_repulsion_exact(pos, weight, 30.0),
                               repulsion_one_matrix(pos, weight, 30.0))
+
+
+def repulsion_broadcast_fill(pos, weight, k):
+    """The strip kernel with each strip's coordinate differences filled by
+    copying x_i across a row and subtracting the row x_j, the strips as
+    many rows as _repulsion_buffers gives."""
+    n = len(pos)
+    c = pos - pos.sum(axis=0) / n
+    x, y = c.T.copy()
+    rhs = np.column_stack([weight, weight[:, None] * c])
+    s = np.zeros((n, 3))
+    rows = len(_repulsion_buffers(n)[0]) // n
+    kk = k * k
+    close = []
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        d2 = np.empty((hi - lo, n - lo))
+        np.copyto(d2, x[lo:hi, None])
+        d2 -= x[lo:]
+        d2 *= d2
+        g = np.empty_like(d2)
+        np.copyto(g, y[lo:hi, None])
+        g -= y[lo:]
+        g *= g
+        d2 += g
+        d2[np.arange(hi - lo), np.arange(hi - lo)] = np.inf
+        a, b = np.nonzero(d2 < 1e-8)
+        d2[a, b] = np.inf
+        close.append((a + lo, b + lo, np.flatnonzero(b >= hi - lo)))
+        g = kk / d2
+        s[lo:hi] += g @ rhs[lo:]
+        if hi < n:
+            s[hi:] += g[:, hi - lo :].T @ rhs[lo:hi]
+    out = weight[:, None] * (c * s[:, :1] - s[:, 1:])
+    for a, b, right in close:
+        push = (pos[a] - pos[b]) * ((kk / 1e-8) * (weight[a] * weight[b]))[:, None]
+        np.add.at(out, a, push)
+        np.subtract.at(out, b[right], push[right])
+    return out
+
+
+@pytest.mark.parametrize("n", [182, 600, 2361])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("shift", [(0.0, 0.0), (1e6, -3e6)])
+@pytest.mark.parametrize("rows", [None, 7])
+def test_repulsion_exact_equals_the_broadcast_fill_kernel(n, weighted, shift, rows):
+    # two strips and more: each strip's differences from the two rank-2
+    # products are the bytes of the broadcast fill, so is every force
+    pos = close_pair_drawing(n, n, shift)
+    rng = np.random.default_rng(n + 1)
+    weight = np.sqrt(rng.integers(1, 9, size=n)) if weighted else np.ones(n)
+    with block_size(rows * n if rows else 2**15, STRIPS):
+        assert np.array_equal(_repulsion_exact(pos, weight, 30.0),
+                              repulsion_broadcast_fill(pos, weight, 30.0))
+
+
+FILL_PROBE = """
+import numpy as np
+
+from inka.layout import _repulsion_exact
+
+def exact(c):
+    # the kernel's operands: per axis, [c, 1] @ [1; -c] is every c_i - c_j
+    n = len(c)
+    u, v = np.ones((2, n, 2)), np.ones((2, 2, n))
+    u[:, :, 0] = c.T
+    np.negative(c.T, out=v[:, 1])
+    bad = 0
+    for axis in (0, 1):
+        want = np.subtract.outer(c[:, axis], c[:, axis])
+        for rows in (1, 2, 7, n):
+            for lo in range(0, n, rows):
+                hi = min(lo + rows, n)
+                got = np.full((hi - lo, n - lo), np.nan)
+                np.matmul(u[axis, lo:hi], v[axis, :, lo:], out=got)
+                part = want[lo:hi, lo:]
+                # equal but for the sign of a zero, so the squares are equal
+                bad += np.abs(got).tobytes() != np.abs(part).tobytes()
+                bad += (got * got).tobytes() != (part * part).tobytes()
+    return bad
+
+ulps = lambda v, k: v + np.spacing(v) * np.arange(-k, k + 1)
+special = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 1e-323, 2.2250738585072014e-308],
+                          ulps(1.0, 3), ulps(-1.0, 2), ulps(1e6, 3), ulps(-3e6, 2),
+                          ulps(1e-300, 2), ulps(1e300, 2), [1.7976931348623157e308]])
+rng = np.random.default_rng(0)
+bad = exact(np.column_stack([special, special[::-1]]))
+for scale, offset in ((1e300, 0.0), (1e-300, 0.0), (1e-320, 0.0), (1.0, 1e6), (30.0, -3e6)):
+    bad += exact(rng.uniform(-1.0, 1.0, size=(90, 2)) * scale + offset)
+# the kernel itself, one strip in buffers that hold NaN: its squared
+# distances are those of the differences np.subtract.outer gives
+n = 90
+pos = rng.uniform(0.0, 300.0, size=(n, 2)) + (1e6, -3e6)
+pos[1:20:2, 0] = pos[:19:2, 0] + np.spacing(pos[:19:2, 0])
+pos[40] = pos[41]
+buffers = np.full(n * n, np.nan), np.full(n * n, np.nan)
+_repulsion_exact(pos, np.ones(n), 30.0, _buffers=buffers)
+c = pos - pos.sum(axis=0) / n
+want = np.subtract.outer(c[:, 0], c[:, 0]) ** 2 + np.subtract.outer(c[:, 1], c[:, 1]) ** 2
+want[np.eye(n, dtype=bool) | (want < 1e-8)] = np.inf
+bad += buffers[0].tobytes() != want.tobytes()
+print(bad)
+"""
+
+
+@pytest.mark.parametrize("core", ["SkylakeX", "Haswell", "Prescott"])
+def test_repulsion_fill_is_exact_under_every_blas_core(core):
+    # a DYNAMIC_ARCH OpenBLAS runs the core OPENBLAS_CORETYPE names (one
+    # built without it ignores the name); under each, both products of a
+    # difference are exact, so each entry is the one rounding of c_i - c_j,
+    # at signed zeros, subnormals, one-ulp neighbours and scales 1e+-300
+    src = str(Path(inka.layout.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", FILL_PROBE], capture_output=True, text=True, check=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": src, "OPENBLAS_CORETYPE": core},
+    ).stdout
+    assert out.split() == ["0"]
 
 
 BLAS_THREADS_PROBE = """
